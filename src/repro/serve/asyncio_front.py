@@ -11,9 +11,17 @@ threads, the same bit-identical results.
 
 The bridge works ticket-by-ticket:
 
-1. ``submit`` runs the underlying (potentially backpressure-blocking)
-   ``service.submit`` on the event loop's default executor, so a full
-   queue never stalls the loop itself;
+1. ``submit`` first calls the service's non-blocking ``try_submit``
+   right on the event loop — validation, a copy of the rhs and an
+   enqueue under a briefly held lock, no thread hop.  Only when that
+   reports the queue at ``max_pending`` does the blocking
+   ``service.submit`` run on the loop's default executor, so a full
+   queue parks this one coroutine and never the loop itself.
+   :class:`~repro.serve.service.SolveService` and
+   :class:`~repro.serve.shard.ShardedSolveService` take the direct
+   path; a service without ``try_submit`` — the process shard, whose
+   submit stages the rhs into a shared-memory ring that can itself be
+   full and then writes a pipe — always takes the executor;
 2. a done-callback on the returned
    :class:`~repro.serve.service.SolveTicket` fires on the *dispatcher*
    thread when the batch resolves, and re-enters the event loop via
@@ -144,24 +152,26 @@ class AsyncSolveService:
 
         Notes
         -----
-        The blocking ``service.submit`` (it parks on backpressure when
-        the queue is at ``max_pending``) runs on the loop's default
-        executor, so a full queue suspends this coroutine — never the
-        event loop.
+        The service's ``try_submit`` runs here, on the loop: it never
+        waits.  The blocking ``service.submit`` (it parks on
+        backpressure when the queue is at ``max_pending``) runs on the
+        loop's default executor, and only when ``try_submit`` reported
+        a full queue or the service has none — so a full queue suspends
+        this coroutine, never the event loop.
         """
         loop = asyncio.get_running_loop()
-        call = (
-            functools.partial(
-                self.service.submit, b, tol=tol, maxiter=maxiter,
-                key=key, deadline=deadline, precision=precision,
-            )
-            if key is not None
-            else functools.partial(
-                self.service.submit, b, tol=tol, maxiter=maxiter,
-                deadline=deadline, precision=precision,
-            )
+        knobs = dict(
+            tol=tol, maxiter=maxiter, deadline=deadline,
+            precision=precision,
         )
-        ticket = await loop.run_in_executor(None, call)
+        if key is not None:
+            knobs["key"] = key
+        try_submit = getattr(self.service, "try_submit", None)
+        ticket = None if try_submit is None else try_submit(b, **knobs)
+        if ticket is None:
+            ticket = await loop.run_in_executor(
+                None, functools.partial(self.service.submit, b, **knobs)
+            )
         return _ticket_to_future(ticket, loop)
 
     async def solve(
@@ -222,8 +232,9 @@ class AsyncSolveService:
             raise ValueError(
                 f"keys length {len(keys)} != number of requests {len(bs)}"
             )
-        # Submit concurrently: serializing M executor round-trips would
-        # add per-request loop hops and trickle-feed the batchers.
+        # Submit concurrently: the submits that fall back to the
+        # executor (full queue, process shard) would otherwise serialize
+        # M round-trips and trickle-feed the batchers.
         futures = await asyncio.gather(*(
             self.submit(
                 b, tol=tol, maxiter=maxiter,

@@ -612,7 +612,11 @@ class GatewayServer:
         are served concurrently and may resolve out of order, which is
         what a flow-solver tenant streaming one solve per timestep
         wants.  Per-message errors come back as normal replies with an
-        ``"error"`` field; the session survives them.
+        ``"error"`` field; the session survives them.  A frame the
+        server cannot serve ends the session instead — in-flight
+        replies are sent first, then a close frame with status 1002
+        (unmasked client frame), 1003 (fragmented message: the server
+        does not reassemble) or 1009 (payload over ``max_body``).
     ``GET /v1/healthz``
         Unauthenticated liveness (``status``/``healthy_replicas``).
     ``GET /v1/stats``
@@ -627,7 +631,9 @@ class GatewayServer:
         Bind address; port 0 (the default) picks a free one — read
         :attr:`port` after :meth:`start`.
     max_body:
-        Request body size limit in bytes.
+        Size limit in bytes of an HTTP request body and of a WebSocket
+        frame payload; a larger one is refused on its declared length,
+        before any of it is buffered (HTTP 400; WebSocket close 1009).
     """
 
     def __init__(
@@ -810,16 +816,25 @@ class GatewayServer:
                 reply["status"] = 200
             await send(0x1, json.dumps(reply).encode())
 
+        # The close frame to answer with, once every reply is out (no
+        # data frame may follow a close): the client's status echoed, or
+        # the status of the frame that ended the session.
+        close: bytes | None = None
         try:
             while True:
                 try:
-                    opcode, payload = await _ws_read_frame(reader)
+                    opcode, payload = await _ws_read_frame(
+                        reader, self.max_body
+                    )
                 except (
                     asyncio.IncompleteReadError, ConnectionError
                 ):
                     break
+                except _WSClose as exc:
+                    close = exc.payload
+                    break
                 if opcode == 0x8:  # close
-                    await send(0x8, payload[:2])
+                    close = payload[:2]
                     break
                 if opcode == 0x9:  # ping -> pong
                     await send(0xA, payload)
@@ -845,6 +860,8 @@ class GatewayServer:
                 await asyncio.gather(
                     *inflight, return_exceptions=True
                 )
+        if close is not None:
+            await send(0x8, close)
 
 
 def _ws_frame(opcode: int, payload: bytes) -> bytes:
@@ -860,22 +877,51 @@ def _ws_frame(opcode: int, payload: bytes) -> bytes:
     return header + payload
 
 
+class _WSClose(Exception):
+    """A frame the server answers by closing the session with
+    ``status`` (RFC 6455 section 7.4.1)."""
+
+    def __init__(self, status: int, reason: str) -> None:
+        super().__init__(reason)
+        self.payload = status.to_bytes(2, "big") + reason.encode()
+
+
+def _ws_unmask(payload: bytes, mask: bytes) -> bytes:
+    """XOR ``payload`` with the 4-byte masking key repeated along it,
+    as one ``uint8`` array operation."""
+    n = len(payload)
+    key = np.frombuffer(mask * (n // 4 + 1), dtype=np.uint8)[:n]
+    return (np.frombuffer(payload, dtype=np.uint8) ^ key).tobytes()
+
+
 async def _ws_read_frame(
-    reader: asyncio.StreamReader,
+    reader: asyncio.StreamReader, max_payload: int
 ) -> tuple[int, bytes]:
-    """Read one (unfragmented) frame; unmasks client payloads."""
+    """Read one client frame and unmask it.
+
+    Two reads for a 7-bit length (header, then key + payload), three
+    for an extended one (the length in between).  Frames the server
+    will not serve raise :class:`_WSClose` with nothing further read,
+    so the stream is not usable afterwards: an unmasked frame (1002), a
+    fragment — ``FIN`` clear or a continuation opcode, which the server
+    does not reassemble (1003) — and a payload over ``max_payload``
+    bytes (1009, refused on its declared length).
+    """
     head = await reader.readexactly(2)
     opcode = head[0] & 0x0F
-    masked = bool(head[1] & 0x80)
+    if not head[1] & 0x80:
+        raise _WSClose(1002, "client frames must be masked")
+    if not head[0] & 0x80 or opcode == 0x0:
+        raise _WSClose(1003, "fragmented messages are not supported")
     length = head[1] & 0x7F
-    if length == 126:
-        length = int.from_bytes(await reader.readexactly(2), "big")
-    elif length == 127:
-        length = int.from_bytes(await reader.readexactly(8), "big")
-    mask = await reader.readexactly(4) if masked else None
-    payload = await reader.readexactly(length) if length else b""
-    if mask:
-        payload = bytes(
-            byte ^ mask[i & 3] for i, byte in enumerate(payload)
+    if length >= 126:
+        length = int.from_bytes(
+            await reader.readexactly(2 if length == 126 else 8), "big"
         )
-    return opcode, payload
+    if length > max_payload:
+        raise _WSClose(
+            1009,
+            f"frame of {length} bytes exceeds the {max_payload}-byte limit",
+        )
+    body = await reader.readexactly(4 + length)
+    return opcode, _ws_unmask(body[4:], body[:4])

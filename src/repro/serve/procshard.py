@@ -1701,6 +1701,15 @@ class ProcessShardedSolveService:
             When no healthy worker exists to route to.
         ~repro.serve.errors.WorkerCrashed
             Only with ``retry=None``: the routed-to worker has died.
+
+        Notes
+        -----
+        May block, and there is deliberately no ``try_submit`` twin:
+        the call stages ``b`` into the worker's shared-memory ring
+        (waiting for a free slot when the ring is full) and writes the
+        doorbell down a pipe under the worker's send lock.  The asyncio
+        front therefore runs every submit to this tier on the loop's
+        executor, where the thread tiers submit from the loop itself.
         """
         b, tol, maxiter, deadline, precision = self._validate_request(
             b, tol, maxiter, deadline, precision

@@ -68,10 +68,10 @@ class MicroBatcher(Generic[T]):
         for more to coalesce.  ``0.0`` pops whatever is pending
         immediately (pure opportunistic batching).
     max_pending:
-        Backpressure bound: :meth:`put` blocks while this many items are
-        queued.  ``None`` leaves the queue unbounded (the synchronous
-        front-end drains inline, so it cannot grow past ``max_batch``
-        there).
+        Backpressure bound: :meth:`put` blocks (or, with
+        ``block=False``, declines) while this many items are queued.
+        ``None`` leaves the queue unbounded (the synchronous front-end
+        drains inline, so it cannot grow past ``max_batch`` there).
 
     Thread safety
     -------------
@@ -118,7 +118,7 @@ class MicroBatcher(Generic[T]):
         # Same single-word-read argument as __len__.
         return self._closed  # lint: ignore[lock-discipline] -- atomic flag sample
 
-    def put(self, item: T) -> int:
+    def put(self, item: T, block: bool = True) -> int | None:
         """Enqueue one item, blocking while the queue is at capacity.
 
         Parameters
@@ -126,11 +126,17 @@ class MicroBatcher(Generic[T]):
         item:
             The request to enqueue; stamped with its arrival time so the
             linger deadline anchors to the oldest pending item.
+        block:
+            ``False`` makes a full queue return ``None`` instead of
+            waiting for space — the enqueue an event loop can afford to
+            make itself.
 
         Returns
         -------
-        int
-            The queue depth including the new item.
+        int or None
+            The queue depth including the new item; ``None`` (nothing
+            enqueued) when ``block=False`` found ``max_pending`` items
+            queued.
 
         Raises
         ------
@@ -144,6 +150,8 @@ class MicroBatcher(Generic[T]):
                 and self.max_pending is not None
                 and len(self._items) >= self.max_pending
             ):
+                if not block:
+                    return None
                 self._cond.wait()
             if self._closed:
                 raise ServiceClosed("submit on a closed solve service")

@@ -248,6 +248,12 @@ class _Request:
     precision: str = "fp64"
 
 
+class _WouldBlock(Exception):
+    """How ``submit``, asked by ``try_submit`` not to wait, says the
+    queue is at ``max_pending``.  Never reaches a caller: ``try_submit``
+    returns ``None`` in its place."""
+
+
 @dataclass
 class SolveService:
     """Dynamic micro-batching front-end over one SEM problem.
@@ -386,6 +392,7 @@ class SolveService:
         maxiter: int | None = None,
         deadline: float | None = None,
         precision: str | None = None,
+        _block: bool = True,
     ) -> SolveTicket:
         """Queue one right-hand side for solving; returns its ticket.
 
@@ -439,7 +446,11 @@ class SolveService:
         # more completions than submissions.
         self.stats_accumulator.record_submit()
         try:
-            depth = self._batcher.put(request)
+            # _block is try_submit's: it comes through here, not around,
+            # so that a wrapper put on ``submit`` sees every request.
+            depth = self._batcher.put(request, block=_block)
+            if depth is None:
+                raise _WouldBlock
         except BaseException:
             self.stats_accumulator.record_rejected()
             raise
@@ -449,6 +460,34 @@ class SolveService:
             # full batch it just completed.
             self._drain(once=True)
         return request.ticket
+
+    def try_submit(
+        self, b: NDArray[np.float64], **knobs
+    ) -> SolveTicket | None:
+        """:meth:`submit` that never waits for queue space.
+
+        Takes :meth:`submit`'s per-request keywords and validates,
+        counts and enqueues exactly as it does; the one difference is a
+        queue at ``max_pending``, which returns ``None`` (nothing
+        enqueued, nothing counted) where :meth:`submit` would park the
+        caller.  This is what lets the asyncio front submit from the
+        event-loop thread itself and pay an executor hop only under
+        backpressure.
+
+        Returns
+        -------
+        SolveTicket or None
+            The request's ticket, or ``None`` if it would have blocked.
+
+        Raises
+        ------
+        ValueError, ~repro.serve.errors.ServiceClosed
+            As :meth:`submit`.
+        """
+        try:
+            return self.submit(b, **knobs, _block=False)
+        except _WouldBlock:
+            return None
 
     def _build_request(
         self,

@@ -56,7 +56,7 @@ from repro.serve.scheduler import (
     pick_with_diversion,
     resolve_router,
 )
-from repro.serve.service import SolveService, SolveTicket
+from repro.serve.service import SolveService, SolveTicket, _WouldBlock
 from repro.serve.stats import StatsSnapshot, merge_snapshots
 
 #: Signature of the overload hook: ``(chosen_replica, depths) -> index
@@ -297,6 +297,7 @@ class ShardedSolveService:
         key: object | None = None,
         deadline: float | None = None,
         precision: str | None = None,
+        _block: bool = True,
     ) -> SolveTicket:
         """Route one right-hand side to a replica; returns its ticket.
 
@@ -381,20 +382,33 @@ class ShardedSolveService:
             self.queue_watermark, self.on_overload, noun="replica",
             healthy=healthy,
         )
-        if rebalanced or health_diverted:
-            with self._lock:
-                self._rebalanced += rebalanced
-                self._health_diverted += health_diverted
         ticket = self.services[chosen].submit(
             b, tol=tol, maxiter=maxiter, deadline=deadline,
-            precision=precision,
+            precision=precision, _block=_block,
         )
         attach_cost_feedback(
             self._router, ticket, chosen, key, tol, precision,
         )
+        # Counted once the replica has the request: an attempt that
+        # try_submit gave up on is routed again (and counted) by the
+        # blocking retry.
         with self._lock:
             self._routed[chosen] += 1
+            self._rebalanced += rebalanced
+            self._health_diverted += health_diverted
         return ticket
+
+    def try_submit(
+        self, b: NDArray[np.float64], **knobs
+    ) -> SolveTicket | None:
+        """:meth:`submit` that never waits for queue space: ``None``
+        when the routed replica's queue is at ``max_pending`` (see
+        :meth:`SolveService.try_submit`).  The request is routed as
+        usual, and shed, closed and unavailable fleets still raise."""
+        try:
+            return self.submit(b, **knobs, _block=False)
+        except _WouldBlock:
+            return None
 
     def solve_many(
         self,

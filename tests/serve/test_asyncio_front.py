@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.serve import (
     QueueClosed,
     ShardedSolveService,
     SolveService,
+    SolveTicket,
 )
 
 
@@ -157,6 +159,149 @@ class TestAsyncSolve:
                     await asvc.solve_many(bank[:3], keys=["a"])
 
         asyncio.run(run())
+
+
+class TestSubmitPaths:
+    """``submit`` enqueues from the loop thread itself and takes the
+    executor only for a full queue or a service with no ``try_submit``."""
+
+    @staticmethod
+    def record_doors(svc):
+        """Log ``(block, thread)`` of every ``svc.submit`` call (both
+        doors go through it: ``try_submit`` is ``submit`` told not to
+        wait)."""
+        doors = []
+        inner = svc.submit
+
+        def recorded(b, **kwargs):
+            doors.append(
+                (kwargs.get("_block", True), threading.current_thread())
+            )
+            return inner(b, **kwargs)
+
+        svc.submit = recorded
+        return doors
+
+    def test_uncontended_submit_never_leaves_the_loop_thread(
+        self, serving_problem
+    ):
+        prob, bank = serving_problem
+
+        async def run():
+            svc = SolveService(
+                prob.clone(), max_batch=4, max_wait=0.002, background=True,
+            )
+            doors = self.record_doors(svc)
+            async with AsyncSolveService(svc) as asvc:
+                got = await asvc.solve_many(bank[:8], tol=1e-10, maxiter=200)
+            return got, doors
+
+        got, doors = asyncio.run(run())
+        assert doors == [(False, threading.main_thread())] * 8
+        for res, b in zip(got, bank):
+            assert_same_result(res, sequential_solve(prob, b))
+
+    def test_full_queue_parks_on_executor_while_loop_keeps_ticking(
+        self, serving_problem, gate_dispatcher
+    ):
+        prob, bank = serving_problem
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            svc = SolveService(
+                prob.clone(), max_batch=2, max_wait=0.0, max_pending=2,
+                background=True,
+            )
+            # Hold the dispatcher inside its first solve: the queue
+            # behind it fills and stays full until the gate opens.
+            gate, parked = gate_dispatcher(svc)
+            doors = self.record_doors(svc)
+            ticks = 0
+
+            async def heartbeat():
+                nonlocal ticks
+                while True:
+                    ticks += 1
+                    await asyncio.sleep(0.001)
+
+            async with AsyncSolveService(svc) as asvc:
+                try:
+                    futures = [await asvc.submit(bank[0])]
+                    assert await loop.run_in_executor(None, parked.wait, 30)
+                    while svc.queue_depth < 2:
+                        futures.append(
+                            await asvc.submit(bank[len(futures)])
+                        )
+                    fast = len(futures)
+                    beat = asyncio.ensure_future(heartbeat())
+                    blocked = asyncio.ensure_future(
+                        asvc.submit(bank[fast])
+                    )
+                    await asyncio.sleep(0.1)
+                    # Parked — on the executor, not on the loop.
+                    assert not blocked.done()
+                    ticks_while_full = ticks
+                    gate.set()
+                    futures.append(await blocked)
+                    got = await asyncio.gather(*futures)
+                    beat.cancel()
+                finally:
+                    gate.set()
+            return got, doors, fast, ticks_while_full, svc.stats
+
+        got, doors, fast, ticks_while_full, stats = asyncio.run(run())
+        assert ticks_while_full >= 20  # ~100 at 1 ms; never blocked
+        main = threading.main_thread()
+        # The refused try is the last loop-thread call; the blocking
+        # retry of the same request is the only call on another thread.
+        assert [door for door in doors if door[1] is main] == (
+            [(False, main)] * (fast + 1)
+        )
+        elsewhere = [door for door in doors if door[1] is not main]
+        assert [block for block, _ in elsewhere] == [True]
+        for res, b in zip(got, bank):
+            assert_same_result(res, sequential_solve(prob, b))
+        # Fast-path, refused and fallback submits: each request once.
+        assert stats.submitted == len(got) == stats.completed
+
+    def test_invalid_request_raises_before_any_future(
+        self, serving_problem
+    ):
+        prob, bank = serving_problem
+
+        async def run():
+            svc = SolveService(prob.clone(), background=True)
+            async with AsyncSolveService(svc) as asvc:
+                with pytest.raises(ValueError, match="tol"):
+                    await asvc.submit(bank[0], tol=-1.0)
+                with pytest.raises(ValueError, match="shape"):
+                    await asvc.submit(np.ones(3))
+                return svc.stats.submitted, svc.queue_depth
+
+        assert asyncio.run(run()) == (0, 0)
+
+    def test_service_without_try_submit_takes_the_executor(self):
+        """Any duck-typed backend — the process shard among them —
+        keeps the executor hop: its ``submit`` may block."""
+        threads = []
+
+        class Backend:
+            def submit(self, b, **kwargs):
+                threads.append(threading.current_thread())
+                ticket = SolveTicket()
+                ticket._resolve("solved")
+                return ticket
+
+            def close(self):
+                pass
+
+        async def run():
+            async with AsyncSolveService(Backend()) as asvc:
+                return await asvc.solve(np.zeros(2))
+
+        assert asyncio.run(run()) == "solved"
+        assert len(threads) == 1
+        assert threads[0] is not threading.main_thread()
 
 
 class TestAsyncCancellation:

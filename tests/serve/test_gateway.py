@@ -35,6 +35,7 @@ from repro.serve import (
     Tenant,
     TenantRegistry,
 )
+from repro.serve.gateway import _WSClose, _ws_read_frame, _ws_unmask
 
 
 class FakeClock:
@@ -616,6 +617,12 @@ class _FakeFleetStats:
     solves_per_second = 0.0
 
 
+def per_byte_unmask(payload, mask):
+    """The reference (un)masking — XOR is its own inverse — one Python
+    byte at a time, as the gateway did before the XOR was vectorised."""
+    return bytes(c ^ mask[i & 3] for i, c in enumerate(payload))
+
+
 def client_frame(opcode, payload):
     mask = os.urandom(4)
     n = len(payload)
@@ -626,9 +633,7 @@ def client_frame(opcode, payload):
         head += bytes([0x80 | 126]) + n.to_bytes(2, "big")
     else:
         head += bytes([0x80 | 127]) + n.to_bytes(8, "big")
-    return head + mask + bytes(
-        c ^ mask[i & 3] for i, c in enumerate(payload)
-    )
+    return head + mask + per_byte_unmask(payload, mask)
 
 
 async def read_frame(reader):
@@ -780,6 +785,194 @@ class TestGatewayWebSocket:
         assert ok_reply["id"] == "good"
         assert ok_reply["status"] == 200
         assert ok_reply["iterations"] == 3
+
+
+FRAME_LENGTHS = (
+    0, 1, 2, 3, 4, 5, 125, 126, 127, 65_535, 65_536, 1 << 20,
+)
+
+
+class TestWebSocketFrames:
+    @pytest.mark.parametrize("length", FRAME_LENGTHS)
+    def test_unmask_equals_per_byte_reference(self, length):
+        rng = np.random.default_rng([0x6455, length])
+        payload = rng.bytes(length)
+        masks = [rng.bytes(4) for _ in range(3)] + [
+            b"\x00\x00\x00\x00", b"\x00\xff\x00\x5a", b"\x9c\x00\x00\x01",
+        ]
+        for mask in masks:
+            got = _ws_unmask(payload, mask)
+            assert type(got) is bytes
+            assert got == per_byte_unmask(payload, mask)
+
+    @pytest.mark.parametrize("length", FRAME_LENGTHS)
+    def test_read_frame_roundtrip_at_length_boundaries(self, length):
+        """Every length encoding (7-bit, 16-bit, 64-bit) parses back to
+        the payload, with the next frame still aligned behind it."""
+        rng = np.random.default_rng([0x6456, length])
+        payload = rng.bytes(length)
+
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(client_frame(0x2, payload))
+            reader.feed_data(client_frame(0x9, b"next"))
+            reader.feed_eof()
+            first = await _ws_read_frame(reader, 1 << 20)
+            second = await _ws_read_frame(reader, 1 << 20)
+            return first, second
+
+        first, second = asyncio.run(run())
+        assert first == (0x2, payload)
+        assert second == (0x9, b"next")
+
+    def test_cap_is_checked_on_the_declared_length(self):
+        """A 64-bit length over the cap is refused from the header
+        alone: the payload is never awaited, let alone buffered."""
+
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(
+                bytes([0x81, 0x80 | 127]) + (1 << 62).to_bytes(8, "big")
+            )
+            with pytest.raises(_WSClose) as caught:
+                await _ws_read_frame(reader, 4096)
+            return caught.value.payload
+
+        assert asyncio.run(run())[:2] == (1009).to_bytes(2, "big")
+
+    @pytest.mark.parametrize("bad_frame, status", [
+        pytest.param(
+            bytes([0x81, 0x80 | 127]) + (1 << 62).to_bytes(8, "big")
+            + b"mask",
+            1009, id="oversized-64bit",
+        ),
+        pytest.param(
+            bytes([0x81, 0x80 | 126]) + (60_000).to_bytes(2, "big")
+            + b"mask",
+            1009, id="oversized-16bit",
+        ),
+        pytest.param(bytes([0x81, 5]) + b"hello", 1002, id="unmasked"),
+        pytest.param(
+            bytes([0x01, 0x80 | 5]) + b"\0\0\0\0hello", 1003,
+            id="fragment-fin-clear",
+        ),
+        pytest.param(
+            bytes([0x80, 0x80 | 5]) + b"\0\0\0\0hello", 1003,
+            id="continuation",
+        ),
+    ])
+    def test_unservable_frame_closes_session_cleanly(
+        self, serving_problem, bad_frame, status
+    ):
+        """In-flight replies go out, then the typed close, then EOF;
+        the frame behind the bad one is never served, no task is left
+        pending and the gateway counters still conserve."""
+        prob, bank = serving_problem
+
+        def request(i):
+            return client_frame(0x1, json.dumps({
+                "id": i, "b": bank[i].tolist(), "tol": 1e-10,
+                "maxiter": 200,
+            }).encode())
+
+        async def run():
+            svc = SolveService(
+                prob.clone(), max_batch=4, max_wait=0.002,
+                background=True,
+            )
+            registry = TenantRegistry()
+            tenant = registry.provision("flow")
+            gateway = Gateway(svc, registry)
+            async with GatewayServer(gateway, max_body=50_000) as server:
+                reader, writer, http_status, _h = await ws_connect(
+                    server.port, tenant.token
+                )
+                assert http_status == 101
+                writer.write(
+                    request(0) + request(1) + request(2) + bad_frame
+                    + request(3)
+                )
+                await writer.drain()
+                replies = {}
+                while True:
+                    opcode, payload = await read_frame(reader)
+                    if opcode == 0x8:
+                        break
+                    doc = json.loads(payload)
+                    replies[doc["id"]] = doc
+                try:
+                    rest = await reader.read()
+                except ConnectionError:
+                    # The server closed with our last frame unread, so
+                    # the kernel may answer with a reset, not a FIN.
+                    rest = b""
+                writer.close()
+                await writer.wait_closed()
+                # The session handler has returned by the time its
+                # socket reads EOF; give the loop one turn to retire it.
+                await asyncio.sleep(0.01)
+                stranded = [
+                    t for t in asyncio.all_tasks()
+                    if t is not asyncio.current_task() and not t.done()
+                ]
+            await gateway.aclose()
+            return replies, payload, rest, stranded, gateway.counters
+
+        replies, close, rest, stranded, counters = asyncio.run(run())
+        assert int.from_bytes(close[:2], "big") == status
+        assert rest == b""  # nothing follows the close frame
+        assert stranded == []
+        assert sorted(replies) == [0, 1, 2]
+        for i, doc in replies.items():
+            want = sequential_solve(prob, bank[i])
+            assert doc["status"] == 200
+            assert np.array_equal(np.asarray(doc["x"]), want.x)
+        assert counters["admitted"] == 3
+        assert counters["admitted"] == (
+            counters["completed"] + counters["failed"]
+            + counters["expired"]
+        )
+
+    def test_client_close_is_answered_after_inflight_replies(
+        self, serving_problem
+    ):
+        """No data frame may follow a close frame (RFC 6455 5.5.1): a
+        close sent with solves outstanding is echoed only once their
+        replies are out."""
+        prob, bank = serving_problem
+
+        async def run():
+            svc = SolveService(
+                prob.clone(), max_batch=4, max_wait=0.002,
+                background=True,
+            )
+            registry = TenantRegistry()
+            tenant = registry.provision("flow")
+            gateway = Gateway(svc, registry)
+            async with GatewayServer(gateway) as server:
+                reader, writer, _status, _h = await ws_connect(
+                    server.port, tenant.token
+                )
+                for i in range(2):
+                    writer.write(client_frame(0x1, json.dumps(
+                        {"id": i, "b": bank[i].tolist()}
+                    ).encode()))
+                writer.write(
+                    client_frame(0x8, (1000).to_bytes(2, "big"))
+                )
+                await writer.drain()
+                opcodes = []
+                while not opcodes or opcodes[-1] != 0x8:
+                    opcode, payload = await read_frame(reader)
+                    opcodes.append(opcode)
+                writer.close()
+                await writer.wait_closed()
+            await gateway.aclose()
+            return opcodes, payload
+
+        opcodes, close = asyncio.run(run())
+        assert opcodes == [0x1, 0x1, 0x8]
+        assert close == (1000).to_bytes(2, "big")
 
 
 class TestGatewayOverShardedFleet:

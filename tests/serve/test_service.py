@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -21,6 +22,7 @@ from repro.sem import (
 from repro.serve import (
     MicroBatcher,
     QueueClosed,
+    ServiceClosed,
     ServiceStats,
     SolveService,
     WorkspacePool,
@@ -112,6 +114,27 @@ class TestMicroBatcher:
         # Pending items survive close (drain mode), then [] signals done.
         assert mb.take_batch() == [1]
         assert mb.take_batch() == []
+
+    def test_nonblocking_put_declines_exactly_at_max_pending(self):
+        mb = MicroBatcher(max_batch=2, max_wait=0.0, max_pending=3)
+        assert [mb.put(k, block=False) for k in range(3)] == [1, 2, 3]
+        assert mb.put(3, block=False) is None
+        assert len(mb) == 3  # the refused item was not enqueued
+        assert mb.take_batch_nowait() == [0, 1]
+        assert mb.put(3, block=False) == 2  # space freed: admitted
+        mb.close()
+        with pytest.raises(ServiceClosed):
+            mb.put(4, block=False)
+        # Unbounded queues never refuse.
+        free = MicroBatcher(max_batch=2)
+        assert [free.put(k, block=False) for k in range(50)][-1] == 50
+
+    def test_nonblocking_put_on_full_closed_queue_reports_closed(self):
+        mb = MicroBatcher(max_batch=1, max_pending=1)
+        mb.put(1)
+        mb.close()
+        with pytest.raises(ServiceClosed):
+            mb.put(2, block=False)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_batch"):
@@ -433,6 +456,117 @@ class TestSolveServiceBackground:
         svc.close()  # drains the lingering partial batch
         for t, b in zip(tickets, bank[:3]):
             assert_same_result(t.result(), sequential_solve(prob, b))
+
+
+class TestTrySubmit:
+    def test_none_exactly_at_max_pending_and_enqueues_below(
+        self, serving_problem, gate_dispatcher
+    ):
+        prob, bank = serving_problem
+        svc = SolveService(
+            prob.clone(), max_batch=2, max_wait=0.0, max_pending=3,
+            background=True,
+        )
+        gate, parked = gate_dispatcher(svc)
+        try:
+            tickets = [svc.try_submit(bank[0])]
+            assert parked.wait(30)  # the dispatcher holds request 0
+            while svc.queue_depth < 3:
+                ticket = svc.try_submit(bank[len(tickets)])
+                assert ticket is not None  # below the bound: enqueued
+                tickets.append(ticket)
+            submitted = svc.stats.submitted
+            assert submitted == len(tickets)
+            for _ in range(3):  # at the bound: refused, every time
+                assert svc.try_submit(bank[-1]) is None
+            # A refusal enqueues nothing and counts nothing.
+            assert svc.queue_depth == 3
+            assert svc.stats.submitted == submitted
+            gate.set()
+            for k, ticket in enumerate(tickets):
+                assert_same_result(
+                    ticket.result(timeout=60),
+                    sequential_solve(prob, bank[k]),
+                )
+            late = svc.try_submit(bank[5])  # space again: fast path again
+            assert_same_result(
+                late.result(timeout=60), sequential_solve(prob, bank[5])
+            )
+        finally:
+            gate.set()
+            svc.close()
+        stats = svc.stats
+        assert stats.submitted == len(tickets) + 1
+        assert stats.submitted == stats.completed
+        assert stats.failed == 0 and stats.expired == 0
+        with pytest.raises(ServiceClosed):
+            svc.try_submit(bank[0])
+        assert svc.stats.submitted == stats.submitted
+
+    def test_validates_before_enqueue_like_submit(self, serving_problem):
+        prob, bank = serving_problem
+        with SolveService(prob.clone(), background=True) as svc:
+            with pytest.raises(ValueError, match="shape"):
+                svc.try_submit(np.ones(3))
+            with pytest.raises(ValueError, match="tol"):
+                svc.try_submit(bank[0], tol=-1.0)
+            with pytest.raises(ValueError, match="deadline"):
+                svc.try_submit(bank[0], deadline=0.0)
+            assert svc.stats.submitted == 0
+            assert svc.queue_depth == 0
+
+    def test_stats_conserve_across_blocking_and_nonblocking_mix(
+        self, serving_problem
+    ):
+        """Threads hammering a tiny queue with try_submit, falling back
+        to the blocking submit on a refusal: every request is counted
+        once, whichever door it came in by."""
+        prob, bank = serving_problem
+        svc = SolveService(
+            prob.clone(), max_batch=2, max_wait=0.0005, max_pending=2,
+            background=True,
+        )
+        doors = {"try": 0, "blocking": 0}
+        doors_lock = threading.Lock()
+        results = {}
+
+        def client(offset):
+            for k in range(offset, offset + 12):
+                b = bank[k % len(bank)]
+                ticket = svc.try_submit(b, maxiter=3)
+                door = "try"
+                if ticket is None:
+                    ticket = svc.submit(b, maxiter=3)
+                    door = "blocking"
+                with doors_lock:
+                    doors[door] += 1
+                results[k] = ticket.result(timeout=60)
+
+        threads = [
+            threading.Thread(target=client, args=(12 * i,)) for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the doors hard
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.close()
+        assert not any(t.is_alive() for t in threads)
+        assert sum(doors.values()) == 48 == len(results)
+        stats = svc.stats
+        assert stats.submitted == 48
+        assert stats.submitted == (
+            stats.completed + stats.failed + stats.expired
+        )
+        assert stats.max_queue_depth <= 2
+        for k, got in results.items():
+            assert_same_result(
+                got, sequential_solve(prob, bank[k % len(bank)], maxiter=3)
+            )
 
 
 class TestOtherProblems:

@@ -329,6 +329,54 @@ class TestShardedRouting:
             svc.close()
 
 
+class TestShardedTrySubmit:
+    def test_forwards_to_the_routed_replica(
+        self, serving_problem, gate_dispatcher
+    ):
+        """``try_submit`` routes as ``submit`` does and reports the
+        *routed* replica's full queue: ``None`` for the tenant whose
+        replica is stalled and full, a ticket for the tenant next door —
+        and a refusal is neither routed nor counted."""
+        prob, bank = serving_problem
+        svc = ShardedSolveService(
+            prob.clone(), replicas=2, policy="tenant", max_batch=2,
+            max_wait=0.0, max_pending=2,
+        )
+        keys = [f"tenant-{k}" for k in range(16)]
+        owner = {key: svc._router.pick(key, (0, 0)) for key in keys}
+        hot = keys[0]
+        cold = next(key for key in keys if owner[key] != owner[hot])
+        stalled = svc.services[owner[hot]]
+        gate, parked = gate_dispatcher(stalled)
+        try:
+            tickets = [svc.try_submit(bank[0], key=hot)]
+            assert parked.wait(30)
+            while stalled.queue_depth < 2:
+                tickets.append(svc.try_submit(bank[len(tickets)], key=hot))
+            assert None not in tickets
+            routed = svc.routed
+            assert svc.try_submit(bank[-1], key=hot) is None
+            assert svc.routed == routed
+            assert svc.stats.submitted == len(tickets)
+            neighbour = svc.try_submit(bank[-1], key=cold)
+            assert_same_result(
+                neighbour.result(timeout=60),
+                sequential_solve(prob, bank[-1]),
+            )
+            gate.set()
+            for k, ticket in enumerate(tickets):
+                assert_same_result(
+                    ticket.result(timeout=60),
+                    sequential_solve(prob, bank[k]),
+                )
+        finally:
+            gate.set()
+            svc.close()
+        assert sum(svc.routed) == len(tickets) + 1
+        with pytest.raises(QueueClosed):
+            svc.try_submit(bank[0], key=hot)
+
+
 class TestShardedLifecycle:
     def test_drain_on_close_resolves_all_tickets(self, serving_problem):
         """Requests parked in lingering partial batches (max_wait is
