@@ -591,7 +591,12 @@ def test_bench_gather_scatter(benchmark):
 
 
 def test_bench_cg_solve(benchmark):
-    """Ten CG iterations of the Poisson problem at N=7, 8 elements."""
+    """Ten CG iterations of the Poisson problem at N=7, 8 elements.
+
+    ``cg_solve`` is the shared ``(B, n)`` CG loop at ``B = 1`` (a 1-D
+    system lifted to a one-row block, operator handed 1-D views), so
+    this times that loop's solo entry, workspace-free over the einsum
+    kernel (``cg10_einsum_s``, numerator of ``cg10_workspace_speedup``)."""
     ref = ReferenceElement.from_degree(7)
     mesh = BoxMesh.build(ref, (2, 2, 2))
     prob = PoissonProblem(mesh)
@@ -607,7 +612,13 @@ def test_bench_cg_solve(benchmark):
 
 
 def test_bench_cg_solve_workspace(benchmark):
-    """Allocation-free CG: matmul kernel + SolverWorkspace, N=7, 8 elements."""
+    """Allocation-free CG: matmul kernel + SolverWorkspace, N=7, 8 elements.
+
+    The shared CG loop at ``B = 1`` on a warm workspace
+    (``cg10_workspace_matmul_s``, denominator of
+    ``cg10_workspace_speedup``).  Ten iterations at 4 096 DOFs is where
+    the loop's per-iteration ``(B,)``-array bookkeeping — cost a solo
+    Python-float loop did not pay — would show first."""
     ref = ReferenceElement.from_degree(7)
     mesh = BoxMesh.build(ref, (2, 2, 2))
     prob = PoissonProblem(mesh, ax_backend="matmul")

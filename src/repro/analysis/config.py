@@ -34,7 +34,7 @@ class AnalysisConfig:
         those carrying the :func:`~repro.analysis.annotations.hot_path`
         decorator, as ``"path/to/file.py::qualname"`` entries (path
         relative to the repo root, qualname dotted for nesting, e.g.
-        ``"src/repro/sem/cg.py::cg_solve.fused_dot"``).
+        ``"src/repro/sem/cg.py::_bind_operator.apply_into"``).
     contiguity_helpers:
         Callable names (bare, matched against the call's last dotted
         component) accepted as a contiguity guard by the

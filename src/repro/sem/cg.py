@@ -6,26 +6,40 @@ Jacobi-preconditioned CG over the matrix-free SEM operator.  This module
 provides that solver with an operator-callback interface so the FPGA
 accelerator simulator can be swapped in as the ``Ax`` backend.
 
-The inner loop is allocation-free: every vector (``x``, ``r``, ``z``,
-``p``, ``Ap`` and one axpy scratch) is bound once at entry — from a
-:class:`~repro.sem.workspace.SolverWorkspace` when one is passed,
+There is **one CG iteration** (:func:`_cg_iterate`) and **one refinement
+loop** around it (:func:`_refine`); the public names are entry points:
+
+* The iteration advances a stacked ``(B, n)`` block of independent
+  systems in lockstep — one operator application and one set of fused
+  ``(B, n)`` vector updates per step, with per-system convergence
+  masking and per-system ``tol``/``maxiter``.  Vectors live in the rhs
+  dtype (fp64, or fp32 for the mixed inner solve); every inner product
+  is accumulated in fp64.  :func:`cg_solve_batched` is its public face.
+* The refinement loop (:func:`cg_solve_batched_mixed`) runs that
+  iteration in fp32 on the current fp64 true residual and accumulates
+  the corrections in fp64.
+* :func:`cg_solve` and :func:`cg_solve_mixed` are the same loops at
+  ``B = 1``: they lift a 1-D system to a ``(1, n)`` view and return row
+  0 (:meth:`BatchedCGResult.row`, the one rule for how a row of a block
+  becomes a solo result).  A solo solve's operator is handed 1-D row
+  views (``p[0]``, ``out=ap[0]``), so a callback written for vectors
+  never sees a block and a SEM problem's ``apply_A`` stays on its
+  un-stacked kernel path.
+
+All four validate through :func:`_validate`, so a bad argument is the
+same ``ValueError`` from every name.
+
+The loop is allocation-free: every vector is bound once at entry — from
+a :class:`~repro.sem.workspace.SolverWorkspace` when one is passed,
 otherwise freshly allocated — and every update runs through in-place
-ufuncs (``np.multiply``/``np.add`` with ``out=``).  If the operator
-callback accepts an ``out=`` keyword (as
+ufuncs.  If the operator callback accepts an ``out=`` keyword (as
 :meth:`repro.sem.poisson.PoissonProblem.apply_A` does), ``A p`` is also
 computed without allocating, so a warm iteration performs zero
 field-sized heap allocations.
 
-:func:`cg_solve_batched` extends the same discipline to a stacked
-``(B, n)`` block of right-hand sides: one operator application and one
-set of fused ``(B, n)`` vector updates per iteration serve all ``B``
-systems, with per-system convergence masking and (optionally)
-per-system ``tol``/``maxiter`` — the multi-tenant serving path (a
-``(B, n)`` rhs passed to :func:`cg_solve` dispatches there).
-
-Both paths accumulate their inner products with the same fused
-``multiply`` + pairwise-``sum`` sequence (rather than BLAS ``ddot``,
-whose accumulation order differs in the last ulp), so a system solved
+Inner products are a fused ``multiply`` + pairwise ``sum`` along each
+row (rather than BLAS ``ddot``, whose accumulation order differs in the
+last ulp) and no row's arithmetic reads another row, so a system solved
 inside a stacked block is **bit-identical** to the same system solved
 alone — the property the micro-batching serving layer
 (:mod:`repro.serve`) is built on.
@@ -33,18 +47,18 @@ alone — the property the micro-batching serving layer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.analysis.annotations import hot_path
+from repro.sem.kernels import accepts_keyword
+from repro.sem.workspace import SolverWorkspace
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.sem.workspace import SolverWorkspace
-
-Operator = Callable[[NDArray[np.float64]], NDArray[np.float64]]
+#: ``apply_A(v)`` / ``apply_A(v, out=buf)``, in the dtype it is handed.
+Operator = Callable[..., NDArray[np.floating]]
 
 
 @dataclass(frozen=True)
@@ -68,229 +82,11 @@ class CGResult:
         including the initial residual).
     """
 
-    x: NDArray[np.float64]
+    x: NDArray[np.floating]
     iterations: int
     converged: bool
     residual_norm: float
     residual_history: tuple[float, ...]
-
-
-def _operator_accepts_out(apply_A: Operator) -> bool:
-    """Probe the callback for ``out=`` support (see module docstring).
-
-    Memoized through :func:`repro.sem.kernels.accepts_keyword`
-    (``functools.lru_cache``), so repeated short solves don't re-run
-    ``inspect.signature`` reflection on every call.
-    """
-    from repro.sem.kernels import accepts_keyword
-
-    return accepts_keyword(apply_A, "out")
-
-
-def cg_solve(
-    apply_A: Operator,
-    b: NDArray[np.float64],
-    x0: NDArray[np.float64] | None = None,
-    precond_diag: NDArray[np.float64] | None = None,
-    tol: float = 1e-10,
-    maxiter: int = 1000,
-    workspace: "SolverWorkspace | None" = None,
-    dtype: "np.dtype | type" = np.float64,
-) -> "CGResult | BatchedCGResult":
-    """Solve ``A x = b`` for SPD ``A`` with (Jacobi-)preconditioned CG.
-
-    Parameters
-    ----------
-    apply_A:
-        Matrix-free operator callback.  If it accepts an ``out=``
-        keyword, results are written into a preallocated buffer.
-    b:
-        Right-hand side.  A stacked ``(B, n)`` block solves ``B``
-        independent systems at once through
-        :func:`cg_solve_batched` (returning its
-        :class:`BatchedCGResult`).
-    x0:
-        Initial guess (zeros if omitted).
-    precond_diag:
-        Diagonal of ``A`` for Jacobi preconditioning; identity if omitted.
-        Entries must be positive.
-    tol:
-        Relative tolerance on ``||r||_2 / ||b||_2`` (absolute if ``b = 0``).
-        A ``(B,)`` array is accepted only with a stacked rhs (per-system
-        tolerances; see :func:`cg_solve_batched`).
-    maxiter:
-        Iteration cap (``(B,)`` array accepted only with a stacked rhs).
-    workspace:
-        Optional :class:`~repro.sem.workspace.SolverWorkspace` supplying
-        the five CG vectors plus scratch (sized for ``b``).  The
-        returned iterate is copied out of the workspace, so the result
-        stays valid across subsequent solves.
-    dtype:
-        Floating dtype of the iteration's *vectors* (``b``, ``x``,
-        ``r``, ``p``, …).  ``float64`` (the default) is the historical
-        bit-exact path; ``float32`` is the inner loop of the
-        mixed-precision solvers (:func:`cg_solve_mixed`) — vector
-        storage and updates run in fp32 while every inner product is
-        still **accumulated in fp64** with the same fused
-        multiply + pairwise-sum sequence, so the batched/sequential
-        bit-identity contract carries over unchanged.  A supplied
-        ``workspace`` must match this dtype.
-
-    Returns
-    -------
-    CGResult
-        The final iterate with its convergence record (or a
-        :class:`BatchedCGResult` when ``b`` was a stacked block).
-
-    Raises
-    ------
-    ValueError
-        On shape mismatches, non-positive preconditioner entries, a
-        non-finite ``tol``, or a breakdown (``p^T A p <= 0``), which
-        indicates the operator is not SPD on this subspace.
-
-    Notes
-    -----
-    Not thread-safe per workspace: the solve mutates the workspace's
-    (or the operator's own) buffers in place, so one
-    workspace/problem admits one solve at a time.  Concurrent solves
-    need distinct problems (see
-    :meth:`repro.sem.poisson.PoissonProblem.clone`) or serialized
-    access (:class:`repro.serve.pool.WorkspacePool`).
-    """
-    dtype = np.dtype(dtype)
-    b = np.asarray(b, dtype=dtype)
-    if b.ndim == 2:
-        # Stacked multi-RHS block: hand off to the batched loop (one
-        # warm workspace carries all systems; see cg_solve_batched).
-        return cg_solve_batched(
-            apply_A, b, x0=x0, precond_diag=precond_diag, tol=tol,
-            maxiter=maxiter, workspace=workspace, dtype=dtype,
-        )
-    if b.ndim != 1:
-        raise ValueError(
-            f"rhs must be 1-D (or (B, n) for a batched solve), "
-            f"got shape {b.shape}"
-        )
-    if np.ndim(tol) != 0 or np.ndim(maxiter) != 0:
-        raise ValueError(
-            "per-system tol/maxiter arrays require a stacked (B, n) rhs"
-        )
-    if not np.isfinite(tol):
-        # A NaN tolerance would silently diverge from the batched path
-        # (whose active-mask comparison treats NaN as "already done").
-        raise ValueError(f"tol must be finite, got {tol}")
-    if workspace is not None:
-        workspace.require_batch(1)
-        workspace.require_global(b.shape[0])
-        if workspace.cg_x.dtype != dtype:
-            raise ValueError(
-                f"workspace dtype {workspace.cg_x.dtype} != solve "
-                f"dtype {dtype}"
-            )
-        x, r, z_buf, p, ap, tmp = (
-            workspace.cg_x, workspace.cg_r, workspace.cg_z,
-            workspace.cg_p, workspace.cg_ap, workspace.cg_tmp,
-        )
-    else:
-        x, r, z_buf, p, ap, tmp = (np.empty_like(b) for _ in range(6))
-    if x0 is None:
-        x.fill(0.0)
-    else:
-        x0 = np.asarray(x0, dtype=dtype)
-        if x0.shape != b.shape:
-            raise ValueError(f"x0 shape {x0.shape} != b shape {b.shape}")
-        np.copyto(x, x0)
-    if precond_diag is not None:
-        md = np.asarray(precond_diag, dtype=dtype)
-        if md.shape != b.shape:
-            raise ValueError(f"preconditioner shape {md.shape} != {b.shape}")
-        if np.any(md <= 0):
-            raise ValueError("Jacobi preconditioner has non-positive entries")
-        if workspace is not None:
-            inv_m = workspace.cg_invm
-            np.divide(1.0, md, out=inv_m)
-        else:
-            inv_m = 1.0 / md
-        z = z_buf
-    else:
-        inv_m = None
-        z = r  # unpreconditioned: z aliases r, no copy needed
-
-    out_ok = _operator_accepts_out(apply_A)
-
-    @hot_path
-    def apply_into(vec: NDArray[np.float64], dst: NDArray[np.float64]) -> None:
-        # Operators may accept ``out=`` yet still return a fresh array
-        # (only writing into ``out`` is optional); honor the return
-        # value whenever it isn't the destination buffer itself.
-        res = apply_A(vec, out=dst) if out_ok else apply_A(vec)
-        if res is not dst:
-            np.copyto(dst, res)
-
-    @hot_path
-    def fused_dot(
-        a_vec: NDArray[np.float64], b_vec: NDArray[np.float64]
-    ) -> float:
-        # multiply + pairwise sum, not BLAS ddot: the exact accumulation
-        # the batched loop's row_dots performs, so a solve here is
-        # bit-identical to the same system inside a stacked block.  (It
-        # also avoids np.linalg.norm's x*x field-sized temporary.)
-        # The explicit fp64 accumulator is a no-op for fp64 vectors and
-        # the load-bearing half of the fp32 contract: products round to
-        # fp32 storage, the sum never does.
-        np.multiply(a_vec, b_vec, out=tmp)
-        return float(np.sum(tmp, dtype=np.float64))
-
-    apply_into(x, ap)
-    np.subtract(b, ap, out=r)
-    if inv_m is not None:
-        np.multiply(r, inv_m, out=z)
-    np.copyto(p, z)
-    rz = fused_dot(r, z)
-    b_norm = float(np.sqrt(fused_dot(b, b)))
-    stop = tol * (b_norm if b_norm > 0 else 1.0)
-
-    history = [float(np.sqrt(fused_dot(r, r)))]
-    converged = history[0] <= stop
-    it = 0
-    while not converged and it < maxiter:
-        apply_into(p, ap)
-        pap = fused_dot(p, ap)
-        if pap <= 0.0:
-            if abs(pap) < 1e-300:
-                # Exact zero direction: the Krylov subspace is exhausted
-                # and the iterate solves the system on it exactly —
-                # report convergence (matching cg_solve_batched).
-                converged = True
-                break
-            raise ValueError(
-                f"CG breakdown: p^T A p = {pap:g} <= 0 (operator not SPD?)"
-            )
-        alpha = rz / pap
-        np.multiply(p, alpha, out=tmp)
-        x += tmp
-        np.multiply(ap, alpha, out=tmp)
-        r -= tmp
-        if inv_m is not None:
-            np.multiply(r, inv_m, out=z)
-        rz_new = fused_dot(r, z)
-        beta = rz_new / rz
-        rz = rz_new
-        np.multiply(p, beta, out=p)
-        p += z
-        it += 1
-        res = float(np.sqrt(fused_dot(r, r)))
-        history.append(res)
-        converged = res <= stop
-
-    return CGResult(
-        x=x.copy() if workspace is not None else x,
-        iterations=it,
-        converged=converged,
-        residual_norm=history[-1],
-        residual_history=tuple(history),
-    )
 
 
 @dataclass(frozen=True)
@@ -309,7 +105,8 @@ class BatchedCGResult:
         Per-system convergence flags, shape ``(B,)``.  A system frozen
         by the exact-zero-direction breakdown path (its Krylov subspace
         is exhausted and exactly solved) counts as converged even when
-        its residual criterion was never met.
+        its residual criterion was never met; a system whose residual
+        is not finite (NaN/inf in its rhs) never does.
     residual_norm:
         Final residual 2-norms, shape ``(B,)``.
     residual_history:
@@ -318,7 +115,7 @@ class BatchedCGResult:
         converged early).
     """
 
-    x: NDArray[np.float64]
+    x: NDArray[np.floating]
     iterations: NDArray[np.int64]
     converged: NDArray[np.bool_]
     residual_norm: NDArray[np.float64]
@@ -339,65 +136,345 @@ class BatchedCGResult:
         """Iterations the batched loop executed (the slowest system)."""
         return self.residual_history.shape[0] - 1
 
+    def row(self, k: int) -> CGResult:
+        """System ``k`` as the :class:`CGResult` of a solo solve of it."""
+        return CGResult(**_row_fields(self, k, int(self.iterations[k])))
+
+
+def _row_fields(block, k: int, live: int) -> dict:
+    """The fields every solo result shares, for row ``k`` of a block.
+
+    The residual history is cut at the system's own ``live`` prefix
+    (later rows are frozen repeats) and ``x`` is copied out of the
+    block: every field is bit for bit what the solo name reports, and
+    holding the row does not pin its batchmates.
+    """
+    return dict(
+        x=block.x[k].copy(),
+        iterations=int(block.iterations[k]),
+        converged=bool(block.converged[k]),
+        residual_norm=float(block.residual_norm[k]),
+        residual_history=tuple(block.residual_history[: live + 1, k].tolist()),
+    )
+
+
+def _per_system(value, nb: int, name: str, dtype: type) -> NDArray:
+    """``value`` as a finite scalar-or-``(B,)`` array of ``dtype``."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.ndim not in (0, 1) or (arr.ndim == 1 and arr.shape != (nb,)):
+        raise ValueError(
+            f"{name} must be a scalar or ({nb},), got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        # A NaN tolerance poisons the res > stop active mask
+        # (comparisons with NaN are False), freezing that system at 0
+        # iterations as if it had converged — reject it loudly.
+        raise ValueError(f"{name} entries must be finite")
+    return arr
+
+
+def _check_workspace(workspace, shape, dtype) -> None:
+    if workspace is None:
+        return
+    workspace.require_batch(shape[0])
+    workspace.require_global(shape[1])
+    if workspace.cg_x.dtype != dtype:
+        raise ValueError(
+            f"workspace dtype {workspace.cg_x.dtype} != solve dtype {dtype}"
+        )
+
+
+def _validate(
+    b, x0, precond_diag, tol, maxiter, workspace, dtype, stacked: bool
+) -> tuple:
+    """The one set of argument checks behind all four solver names.
+
+    Returns ``(b, x0, md, tol, maxiter)``: rhs and initial guess as
+    ``(B, n)`` arrays of ``dtype`` (a solo system lifted to a ``(1, n)``
+    view), the Jacobi diagonal as given (``(n,)`` or ``(B, n)``) and
+    ``tol``/``maxiter`` as scalar-or-``(B,)`` fp64/int64 arrays.
+    """
+    b = np.asarray(b, dtype=dtype)
+    if stacked:
+        if b.ndim != 2 or b.shape[0] < 1:
+            raise ValueError(
+                f"batched rhs must be (B >= 1, n), got shape {b.shape}"
+            )
+    else:
+        if b.ndim != 1:
+            raise ValueError(
+                f"rhs must be 1-D (or (B, n) for a batched solve), "
+                f"got shape {b.shape}"
+            )
+        if np.ndim(tol) != 0 or np.ndim(maxiter) != 0:
+            raise ValueError(
+                "per-system tol/maxiter arrays require a stacked (B, n) rhs"
+            )
+    shape = b.shape  # x0 / precond_diag are checked in the caller's rank
+    if not stacked:
+        b = b[None]
+    nb = b.shape[0]
+    tol = _per_system(tol, nb, "tol", np.float64)
+    maxiter = _per_system(maxiter, nb, "maxiter", np.int64)
+    if maxiter.min() < 0:
+        raise ValueError("maxiter entries must be >= 0")
+    _check_workspace(workspace, b.shape, b.dtype)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=dtype)
+        if x0.shape != shape:
+            raise ValueError(f"x0 shape {x0.shape} != b shape {shape}")
+        x0 = x0.reshape(b.shape)
+    md = None
+    if precond_diag is not None:
+        md = np.asarray(precond_diag, dtype=dtype)
+        if md.shape not in (shape[-1:], shape):
+            raise ValueError(
+                f"preconditioner shape {md.shape} must be {shape[-1:]}"
+                + (f" or {shape}" if stacked else "")
+            )
+        if (md <= 0).any():
+            raise ValueError("Jacobi preconditioner has non-positive entries")
+    return b, x0, md, tol, maxiter
+
+
+def _bind_operator(apply_A: Operator, rows_1d: bool) -> Callable:
+    """``apply_into(vec, dst)`` over ``(B, n)`` buffers; probes ``out=``
+    once.  ``rows_1d`` (a solo solve) hands the callback the single row
+    of ``vec``/``dst`` as 1-D views — see the module docstring."""
+    # Memoized (functools.lru_cache), so repeated short solves don't
+    # re-run inspect.signature reflection on every call.
+    out_ok = accepts_keyword(apply_A, "out")
+
+    @hot_path
+    def apply_into(vec: NDArray, dst: NDArray) -> None:
+        if rows_1d:
+            vec, dst = vec[0], dst[0]
+        # Operators may accept ``out=`` yet still return a fresh array
+        # (only writing into ``out`` is optional); honor the return
+        # value whenever it isn't the destination buffer itself.
+        res = apply_A(vec, out=dst) if out_ok else apply_A(vec)
+        if res is not dst:
+            np.copyto(dst, res)
+
+    return apply_into
+
+
+def _buffers(workspace, b, vectors, scalars) -> list[NDArray]:
+    """The named ``(B, n)`` vectors and ``(B,)`` fp64 scalars, then the
+    bool live mask: the workspace's buffers, else fresh ones."""
+    nb = b.shape[0]
+    if workspace is None:
+        return (
+            [np.empty_like(b) for _ in vectors]
+            + [np.empty(nb) for _ in scalars]
+            + [np.empty(nb, dtype=bool)]
+        )
+    # reshape is a no-op view for a batch>1 workspace and lifts the
+    # unbatched (n,) buffers of a batch-of-one workspace.
+    return (
+        [getattr(workspace, name).reshape(b.shape) for name in vectors]
+        + [getattr(workspace, name) for name in scalars]
+        + [workspace.cg_active]
+    )
+
+
+@hot_path
+def _row_dots(a_vec, b_vec, tmp, dst) -> None:
+    # Fused per-system inner products without a (B, n) temporary.
+    # dtype=float64 pins the accumulator (no-op for fp64 vectors, the
+    # precision contract for fp32 ones: products round to fp32 storage,
+    # the sum never does — dst is always fp64).
+    np.multiply(a_vec, b_vec, out=tmp)
+    np.add.reduce(tmp, axis=1, out=dst, dtype=np.float64)
+
+
+@hot_path
+def _row_norms(vec, tmp, dst) -> None:
+    _row_dots(vec, vec, tmp, dst)
+    np.sqrt(dst, out=dst)
+
+
+def _start(b, r, tol, maxiter, tmp, res, stop, active) -> None:
+    """Initial ``||r_i||``, thresholds ``tol_i * ||b_i||`` and live mask."""
+    _row_norms(b, tmp, stop)
+    stop[...] = tol * np.where(stop > 0, stop, 1.0)  # absolute if b = 0
+    _row_norms(r, tmp, res)
+    # A NaN/inf rhs row compares False and so never starts iterating;
+    # its threshold is non-finite too (an inf row would pass inf <= inf),
+    # so ``converged`` is res <= stop *and* a finite res.
+    np.greater(res, stop, out=active)
+    if maxiter.ndim:
+        active &= maxiter > 0  # zero-cap requests never start iterating
+
+
+def _cg_iterate(
+    apply_into, b, x0, md, tol, maxiter, workspace
+) -> BatchedCGResult:
+    """Jacobi-PCG over a ``(B, n)`` block; arguments as :func:`_validate`
+    returns them, operator as :func:`_bind_operator` binds it.  The
+    returned ``x`` aliases the workspace's buffer when one is given
+    (:func:`_finish` copies it out)."""
+    nb = b.shape[0]
+    (
+        x, r, z, p, ap, tmp, inv_m, rz, pap, coef, step, res, stop, active,
+    ) = _buffers(
+        workspace, b,
+        ("cg_x", "cg_r", "cg_z", "cg_p", "cg_ap", "cg_tmp", "cg_invm"),
+        ("cg_rz", "cg_pap", "cg_alpha", "cg_beta", "cg_res", "cg_stop"),
+    )
+    x[...] = 0.0 if x0 is None else x0
+    apply_into(x, ap)
+    np.subtract(b, ap, out=r)
+    if md is None:
+        inv_m, z = None, r  # unpreconditioned: z aliases r, no copy needed
+    else:
+        np.divide(1.0, md, out=inv_m)  # broadcasts a shared (n,) diagonal
+        np.multiply(r, inv_m, out=z)
+    np.copyto(p, z)
+    _row_dots(r, z, tmp, rz)
+    _start(b, r, tol, maxiter, tmp, res, stop, active)
+
+    # The scalar recurrence (rz, pap and their ratio ``coef`` = alpha,
+    # then beta) stays fp64 on every path; ``step`` is that ratio masked
+    # to the live systems and rounded to the *vector* dtype.  For fp32
+    # vectors the rounding is load-bearing: broadcasting the fp64 array
+    # would promote each update to fp64 and round only on store, which
+    # is not the fp32 arithmetic the mixed path is specified in (a
+    # Python-float alpha times an fp32 array multiplies in fp32).
+    if b.dtype != np.float64:
+        step = np.empty(nb, dtype=b.dtype)
+    coef.fill(0.0)
+    iterations = np.zeros(nb, dtype=np.int64)
+    # Systems frozen by subspace exhaustion are solved on their Krylov
+    # subspace even though their residual criterion never fires; they
+    # are folded into the returned ``converged``.
+    exhausted = np.zeros(nb, dtype=bool)
+    history = [res.copy()]
+    iter_cap = int(maxiter.max())
+    it = 0
+    while active.any() and it < iter_cap:
+        apply_into(p, ap)
+        _row_dots(p, ap, tmp, pap)
+        bad = active & (pap <= 0.0)
+        if bad.any():
+            worst = float(pap[bad].min())
+            if worst <= -1e-300:
+                raise ValueError(
+                    f"CG breakdown: p^T A p = {worst:g} <= 0 on an active "
+                    "system (operator not SPD?)"
+                )
+            # Exact zero directions: those systems' subspaces are
+            # solved; freeze them and let the others continue.
+            active &= ~bad
+            exhausted |= bad
+            if not active.any():
+                break
+        it += 1
+        iterations += active  # a system counts the steps it was live for
+        # Masked step: frozen systems get alpha = beta = 0, freezing
+        # their x and r exactly (bit-for-bit) while the rest iterate.
+        np.divide(rz, pap, out=coef, where=active)
+        np.multiply(coef, active, out=step)  # alpha
+        np.multiply(p, step[:, None], out=tmp)
+        x += tmp
+        np.multiply(ap, step[:, None], out=tmp)
+        r -= tmp
+        if inv_m is not None:
+            np.multiply(r, inv_m, out=z)
+        _row_dots(r, z, tmp, pap)  # pap now carries rz_new
+        np.divide(pap, rz, out=coef, where=active)
+        np.multiply(coef, active, out=step)  # beta
+        np.copyto(rz, pap)
+        np.multiply(p, step[:, None], out=p)
+        # Frozen systems have beta = 0, so their p is simply parked at
+        # their (frozen) z: nothing reads it, since their alpha is 0.
+        p += z
+        _row_norms(r, tmp, res)
+        history.append(res.copy())
+        active &= ~(res <= stop)  # (a NaN residual stays live to its cap)
+        if maxiter.ndim:
+            # Per-request iteration caps: freeze systems at their own
+            # maxiter (their x is already exactly the capped iterate).
+            active &= it < maxiter
+
+    return BatchedCGResult(
+        x=x,
+        iterations=iterations,
+        converged=(res <= stop) & np.isfinite(res) | exhausted,
+        residual_norm=res.copy(),
+        residual_history=np.stack(history),
+    )
+
+
+def _finish(res, workspace: SolverWorkspace | None, stacked: bool):
+    """A loop's result as the caller gets it: row 0 for a solo solve,
+    else the block with ``x`` copied out of the workspace so it outlives
+    the next solve there (a workspace-free solve already owns ``x``)."""
+    if not stacked:
+        return res.row(0)
+    return res if workspace is None else replace(res, x=res.x.copy())
+
 
 def cg_solve_batched(
     apply_A: Operator,
-    b: NDArray[np.float64],
-    x0: NDArray[np.float64] | None = None,
-    precond_diag: NDArray[np.float64] | None = None,
-    tol: float = 1e-10,
-    maxiter: int = 1000,
-    workspace: "SolverWorkspace | None" = None,
-    dtype: "np.dtype | type" = np.float64,
+    b: NDArray[np.floating],
+    x0: NDArray[np.floating] | None = None,
+    precond_diag: NDArray[np.floating] | None = None,
+    tol: float | NDArray[np.floating] = 1e-10,
+    maxiter: int | NDArray[np.integer] = 1000,
+    workspace: SolverWorkspace | None = None,
+    dtype: np.dtype | type = np.float64,
 ) -> BatchedCGResult:
     """Solve ``B`` independent SPD systems ``A x_i = b_i`` in lockstep.
 
     All ``B`` systems share the operator ``A`` (and optionally the
     Jacobi diagonal), so every iteration applies the operator to one
     stacked ``(B, n)`` block — the matrix-free SEM ``Ax`` then reads the
-    geometric factors once per element block for all systems, and the
-    CG vector updates run as single fused ``(B, n)`` ufuncs instead of
-    ``B`` separate Python-level loops.  This is the multi-tenant serving
-    primitive: one warm workspace amortizes geometry traffic and
-    dispatch overhead across every solve in flight.
-
-    Convergence is masked per system: each system stops updating
-    (``alpha_i = 0``) once its own residual criterion
-    ``||r_i|| <= tol * ||b_i||`` is met, while the remaining systems
-    iterate on — numerically equivalent to solving each system
-    separately to the same tolerance.
+    geometric factors once per element block for all systems: the
+    multi-tenant serving primitive.  Each system stops updating
+    (``alpha_i = 0``) once its own criterion ``||r_i|| <= tol_i *
+    ||b_i||`` is met or its own cap is exhausted, while the others
+    iterate on — bit-identical to solving it alone.  A system whose rhs
+    is not finite (NaN/inf) is frozen the same way before its first
+    iteration and reports ``iterations == 0, converged == False``; its
+    batchmates are unaffected.
 
     Parameters
     ----------
     apply_A:
         Matrix-free operator callback; must accept a stacked ``(B, n)``
         argument (as :meth:`repro.sem.poisson.PoissonProblem.apply_A`
-        does).  ``out=`` support is probed as in :func:`cg_solve`.
+        does).  If it accepts an ``out=`` keyword, results are written
+        into a preallocated buffer.
     b:
         Stacked right-hand sides, shape ``(B, n)``.
     x0:
-        Optional stacked initial guesses, shape ``(B, n)`` (zeros if
-        omitted).
+        Stacked initial guesses, shape ``(B, n)`` (zeros if omitted).
     precond_diag:
         Jacobi diagonal, shape ``(n,)`` (shared by all systems) or
-        ``(B, n)`` (per system).  Entries must be positive.
-    tol, maxiter:
-        As :func:`cg_solve`; the tolerance is applied per system.
-        Either may also be a ``(B,)`` array giving each system its own
-        request-level tolerance / iteration cap: a system freezes
-        (bit-identically, ``alpha_i = 0``) once it meets *its* criterion
-        or exhausts *its* cap, so heterogeneous requests coalesced into
-        one stacked solve finish exactly as if solved separately.
+        ``(B, n)`` (per system); identity if omitted.  Entries must be
+        positive.
+    tol:
+        Relative tolerance on ``||r||_2 / ||b||_2`` (absolute if
+        ``b = 0``): a scalar, or a ``(B,)`` array of request-level
+        tolerances.
+    maxiter:
+        Iteration cap: a scalar, or a ``(B,)`` array of per-request
+        caps, so heterogeneous requests coalesced into one stacked
+        solve finish exactly as if solved separately.
     workspace:
         Optional :class:`~repro.sem.workspace.SolverWorkspace` built
-        with ``batch=B``; supplies every ``(B, n)`` CG vector plus the
-        per-system scalar buffers, making warm iterations free of
-        field-sized heap allocations.
+        with ``batch=B`` and this ``dtype``; supplies every CG vector
+        and per-system scalar buffer.  The returned iterate is copied
+        out of it, so the result stays valid across subsequent solves.
     dtype:
-        Vector dtype, as in :func:`cg_solve`: fp32 vectors with fp64
-        dot accumulation for the mixed-precision inner loop.  The
-        per-system scalar state (``rz``, ``alpha``, residual norms, …)
-        is fp64 on every path.
+        Floating dtype of the iteration's *vectors* (``b``, ``x``,
+        ``r``, ``p``, …).  ``float64`` (the default) is the historical
+        bit-exact path; ``float32`` is the inner loop of the
+        mixed-precision solvers — vector storage and updates run in
+        fp32 while the per-system scalar state (``rz``, ``alpha``,
+        residual norms, …) and every inner-product accumulation stay
+        fp64.
 
     Returns
     -------
@@ -409,219 +486,56 @@ def cg_solve_batched(
     ------
     ValueError
         On shape mismatches, non-positive preconditioner entries,
-        non-finite ``tol`` entries, negative ``maxiter`` entries, or a
-        CG breakdown (``p_i^T A p_i <= 0`` on an active system).
+        non-finite ``tol`` entries, negative ``maxiter`` entries, a
+        workspace of the wrong size or dtype, or a CG breakdown
+        (``p_i^T A p_i <= 0`` on an active system), which indicates the
+        operator is not SPD on that subspace.
 
     Notes
     -----
-    Not thread-safe per workspace (same rule as :func:`cg_solve`): the
-    stacked buffers are mutated in place, so one batched workspace
-    carries one stacked solve at a time.
+    Not thread-safe per workspace: the solve mutates the workspace's
+    (or the operator's own) buffers in place, so one workspace/problem
+    admits one solve at a time.  Concurrent solves need distinct
+    problems (see :meth:`repro.sem.poisson.PoissonProblem.clone`) or
+    serialized access (:class:`repro.serve.pool.WorkspacePool`).
     """
-    dtype = np.dtype(dtype)
-    b = np.asarray(b, dtype=dtype)
-    if b.ndim != 2:
-        raise ValueError(f"batched rhs must be (B, n), got shape {b.shape}")
-    nb, n = b.shape
-    if nb < 1:
-        raise ValueError("batched rhs needs at least one system")
-    tol_arr = np.asarray(tol, dtype=np.float64)
-    if tol_arr.ndim not in (0, 1) or (
-        tol_arr.ndim == 1 and tol_arr.shape != (nb,)
-    ):
-        raise ValueError(
-            f"tol must be a scalar or ({nb},), got shape {tol_arr.shape}"
-        )
-    if not np.all(np.isfinite(tol_arr)):
-        # NaN poisons the res > stop active mask (comparisons with NaN
-        # are False), freezing that system at 0 iterations where the
-        # sequential path would have iterated — reject it loudly.
-        raise ValueError("tol entries must be finite")
-    miter = np.asarray(maxiter, dtype=np.int64)
-    if miter.ndim not in (0, 1) or (
-        miter.ndim == 1 and miter.shape != (nb,)
-    ):
-        raise ValueError(
-            f"maxiter must be a scalar or ({nb},), got shape {miter.shape}"
-        )
-    if miter.size and miter.min() < 0:
-        raise ValueError("maxiter entries must be >= 0")
-    iter_cap = int(miter.max()) if miter.size else 0
-    if workspace is not None:
-        workspace.require_batch(nb)
-        workspace.require_global(n)
-        if workspace.cg_x.dtype != dtype:
-            raise ValueError(
-                f"workspace dtype {workspace.cg_x.dtype} != solve "
-                f"dtype {dtype}"
-            )
-        # reshape(nb, -1) is a no-op view for a batch>1 workspace and
-        # lifts the unbatched (n,) buffers of a batch-of-one solve.
-        x, r, z_buf, p, ap, tmp = (
-            buf.reshape(nb, -1) for buf in (
-                workspace.cg_x, workspace.cg_r, workspace.cg_z,
-                workspace.cg_p, workspace.cg_ap, workspace.cg_tmp,
-            )
-        )
-        rz, pap, alpha, beta = (
-            workspace.cg_rz, workspace.cg_pap,
-            workspace.cg_alpha, workspace.cg_beta,
-        )
-        res, stop, active = (
-            workspace.cg_res, workspace.cg_stop, workspace.cg_active,
-        )
-    else:
-        x, r, z_buf, p, ap, tmp = (np.empty_like(b) for _ in range(6))
-        rz, pap, alpha, beta, res, stop = (np.empty(nb) for _ in range(6))
-        active = np.empty(nb, dtype=bool)
-    if x0 is None:
-        x.fill(0.0)
-    else:
-        x0 = np.asarray(x0, dtype=dtype)
-        if x0.shape != b.shape:
-            raise ValueError(f"x0 shape {x0.shape} != b shape {b.shape}")
-        np.copyto(x, x0)
-    if precond_diag is not None:
-        md = np.asarray(precond_diag, dtype=dtype)
-        if md.shape not in ((n,), (nb, n)):
-            raise ValueError(
-                f"preconditioner shape {md.shape} must be ({n},) "
-                f"or {(nb, n)}"
-            )
-        if np.any(md <= 0):
-            raise ValueError("Jacobi preconditioner has non-positive entries")
-        if workspace is not None:
-            inv_m = workspace.cg_invm
-            inv_m[...] = 1.0 / md  # broadcast a shared (n,) diagonal
-        else:
-            inv_m = np.broadcast_to(1.0 / md, b.shape)
-        z = z_buf
-    else:
-        inv_m = None
-        z = r  # unpreconditioned: z aliases r, no copy needed
-
-    out_ok = _operator_accepts_out(apply_A)
-
-    @hot_path
-    def apply_into(vec: NDArray[np.float64], dst: NDArray[np.float64]) -> None:
-        res_arr = apply_A(vec, out=dst) if out_ok else apply_A(vec)
-        if res_arr is not dst:
-            np.copyto(dst, res_arr)
-
-    @hot_path
-    def row_dots(
-        a_vec: NDArray[np.float64],
-        b_vec: NDArray[np.float64],
-        dst: NDArray[np.float64],
-    ) -> None:
-        # Fused per-system inner products without a (B, n) temporary.
-        # dtype=float64 pins the accumulator (no-op for fp64 vectors,
-        # the precision contract for fp32 ones — dst is always fp64).
-        np.multiply(a_vec, b_vec, out=tmp)
-        np.sum(tmp, axis=1, out=dst, dtype=np.float64)
-
-    apply_into(x, ap)
-    np.subtract(b, ap, out=r)
-    if inv_m is not None:
-        np.multiply(r, inv_m, out=z)
-    np.copyto(p, z)
-    row_dots(r, z, rz)
-    row_dots(b, b, stop)
-    np.sqrt(stop, out=stop)  # ||b_i||
-    stop[...] = tol_arr * np.where(stop > 0, stop, 1.0)
-
-    row_dots(r, r, res)
-    np.sqrt(res, out=res)
-    np.greater(res, stop, out=active)
-    if miter.ndim:
-        active &= miter > 0  # zero-cap requests never start iterating
-    iterations = np.zeros(nb, dtype=np.int64)
-    # Systems frozen by subspace exhaustion are solved on their Krylov
-    # subspace even though their residual criterion never fires; they
-    # are folded into the returned ``converged``.
-    exhausted_total = np.zeros(nb, dtype=bool)
-    alpha.fill(0.0)
-    beta.fill(0.0)
-    if dtype == np.float64:
-        # fp64 vectors: broadcast the fp64 scalars directly.
-        alpha_v, beta_v = alpha, beta
-    else:
-        # fp32 vectors: the scalar recurrence (rz, alpha, beta) stays
-        # fp64, but the *vector* updates must multiply by the
-        # dtype-rounded scalar — cg_solve's ``p * alpha`` casts its
-        # Python-float alpha to fp32 and multiplies in fp32, whereas
-        # broadcasting the fp64 array here would promote the multiply
-        # to fp64 and round only on store, breaking the
-        # batched/sequential bit-identity contract.
-        alpha_v = np.empty(nb, dtype=dtype)
-        beta_v = np.empty(nb, dtype=dtype)
-    history = [res.copy()]
-    it = 0
-    while bool(np.any(active)) and it < iter_cap:
-        apply_into(p, ap)
-        row_dots(p, ap, pap)
-        bad = active & (pap <= 0.0)
-        if np.any(bad):
-            exhausted = bad & (np.abs(pap) < 1e-300)
-            if np.array_equal(bad, exhausted):
-                # Exact zero directions: those systems' subspaces are
-                # solved; freeze them and let the others continue.
-                active &= ~exhausted
-                exhausted_total |= exhausted
-                iterations[exhausted] = it
-                if not np.any(active):
-                    break
-            else:
-                worst = float(pap[bad & ~exhausted].min())
-                raise ValueError(
-                    f"CG breakdown: p^T A p = {worst:g} <= 0 on an active "
-                    "system (operator not SPD?)"
-                )
-        # Masked step: converged systems get alpha = beta = 0, freezing
-        # their x and r exactly (bit-for-bit) while the rest iterate.
-        np.divide(rz, pap, out=alpha, where=active)
-        np.multiply(alpha, active, out=alpha)
-        if alpha_v is not alpha:
-            np.copyto(alpha_v, alpha)  # round the step to the vector dtype
-        np.multiply(p, alpha_v[:, None], out=tmp)
-        x += tmp
-        np.multiply(ap, alpha_v[:, None], out=tmp)
-        r -= tmp
-        if inv_m is not None:
-            np.multiply(r, inv_m, out=z)
-        row_dots(r, z, pap)  # pap now carries rz_new
-        np.divide(pap, rz, out=beta, where=active)
-        np.multiply(beta, active, out=beta)
-        np.copyto(rz, pap)
-        if beta_v is not beta:
-            np.copyto(beta_v, beta)
-        np.multiply(p, beta_v[:, None], out=p)
-        # Only active systems pick up the new search direction (frozen
-        # systems have beta = 0, so their p is simply parked at zero).
-        np.multiply(z, active[:, None], out=tmp)
-        p += tmp
-        it += 1
-        row_dots(r, r, res)
-        np.sqrt(res, out=res)
-        history.append(res.copy())
-        newly_done = active & (res <= stop)
-        iterations[newly_done] = it
-        active &= ~newly_done
-        if miter.ndim:
-            # Per-request iteration caps: freeze systems at their own
-            # maxiter (their x is already exactly the capped iterate).
-            capped = active & (it >= miter)
-            iterations[capped] = it
-            active &= ~capped
-
-    iterations[active] = it  # systems that hit maxiter
-    return BatchedCGResult(
-        x=x.copy() if workspace is not None else x,
-        iterations=iterations,
-        converged=(res <= stop) | exhausted_total,
-        residual_norm=res.copy(),
-        residual_history=np.stack(history),
+    args = _validate(
+        b, x0, precond_diag, tol, maxiter, workspace, np.dtype(dtype),
+        stacked=True,
     )
+    res = _cg_iterate(_bind_operator(apply_A, False), *args, workspace)
+    return _finish(res, workspace, True)
+
+
+def cg_solve(
+    apply_A: Operator,
+    b: NDArray[np.floating],
+    x0: NDArray[np.floating] | None = None,
+    precond_diag: NDArray[np.floating] | None = None,
+    tol: float = 1e-10,
+    maxiter: int = 1000,
+    workspace: SolverWorkspace | None = None,
+    dtype: np.dtype | type = np.float64,
+) -> CGResult | BatchedCGResult:
+    """Solve ``A x = b`` for SPD ``A`` with (Jacobi-)preconditioned CG.
+
+    The solo entry point onto :func:`cg_solve_batched`'s loop: ``b`` is
+    lifted to a ``(1, n)`` view, iterated with the same arithmetic,
+    stopping rules and errors, and row 0 comes back as a
+    :class:`CGResult`; only ``apply_A`` sees a difference — it is
+    called with 1-D vectors.  Parameters are as
+    :func:`cg_solve_batched` with every ``(B, n)`` read as ``(n,)``;
+    ``tol`` and ``maxiter`` must be scalars.  A stacked ``(B, n)`` rhs
+    is solved as :func:`cg_solve_batched` solves it and returns its
+    :class:`BatchedCGResult`.
+    """
+    stacked = np.ndim(b) == 2
+    args = _validate(
+        b, x0, precond_diag, tol, maxiter, workspace, np.dtype(dtype),
+        stacked,
+    )
+    res = _cg_iterate(_bind_operator(apply_A, not stacked), *args, workspace)
+    return _finish(res, workspace, stacked)
 
 
 # ----------------------------------------------------------------------
@@ -735,6 +649,16 @@ class BatchedMixedCGResult:
         """Refinement sweeps the batched loop executed (slowest system)."""
         return self.residual_history.shape[0] - 1
 
+    def row(self, k: int) -> MixedCGResult:
+        """System ``k`` as the :class:`MixedCGResult` of a solo solve of
+        it; histories are cut at the system's own sweep count."""
+        sweeps = int(self.sweeps[k])
+        return MixedCGResult(
+            **_row_fields(self, k, sweeps),
+            sweeps=sweeps,
+            inner_iterations=tuple(self.inner_iterations[:sweeps, k].tolist()),
+        )
+
 
 #: Default relative tolerance of the fp32 correction solves.  Each sweep
 #: multiplies the true residual by roughly this factor — until the fp32
@@ -754,32 +678,110 @@ MIXED_INNER_TOL: float = 1e-4
 MIXED_MAX_SWEEPS: int = 8
 
 
-def cg_solve_mixed(
+def _refine(
+    apply_A, apply_A32, b, x0, precond_diag, tol, maxiter, workspace,
+    workspace32, inner_tol, max_sweeps, stacked: bool,
+) -> MixedCGResult | BatchedMixedCGResult:
+    """The refinement loop behind both mixed names: fp64 sweeps around
+    fp32 :func:`_cg_iterate` solves.  ``stacked=False`` is the solo lift
+    (1-D rhs, operators handed 1-D row views, row 0 returned)."""
+    b, x0, md, tol, maxiter = _validate(
+        b, x0, precond_diag, tol, maxiter, workspace, np.dtype(np.float64),
+        stacked,
+    )
+    nb = b.shape[0]
+    _check_workspace(workspace32, b.shape, np.dtype(np.float32))
+    inner_tol = _per_system(inner_tol, nb, "inner_tol", np.float64)
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    apply_into = _bind_operator(apply_A, not stacked)
+    apply_into32 = _bind_operator(apply_A32, not stacked)
+    x, r, ap, tmp, res, stop, active = _buffers(
+        workspace, b, ("cg_x", "cg_r", "cg_ap", "cg_tmp"),
+        ("cg_res", "cg_stop"),
+    )
+    # The preconditioner is cast to fp32 once for every inner solve.
+    md32 = None if md is None else md.astype(np.float32)
+    if x0 is None:
+        x.fill(0.0)
+        np.copyto(r, b)  # r = b - A*0 without paying the operator
+    else:
+        np.copyto(x, x0)
+        apply_into(x, ap)
+        np.subtract(b, ap, out=r)
+    _start(b, r, tol, maxiter, tmp, res, stop, active)
+
+    sweeps = np.zeros(nb, dtype=np.int64)
+    inner_hist: list[NDArray[np.int64]] = []
+    history = [res.copy()]
+    prev_res = res.copy()
+    while active.any() and len(inner_hist) < max_sweeps:
+        # fp32 correction solve A d = r.  The cast of r is the sweep's
+        # only field-sized allocation; the correction starts from zero
+        # (the standard refinement step), so no x0 is passed.
+        r32 = r.astype(np.float32)
+        r32[~active] = 0.0  # frozen systems: zero rhs => zero correction
+        inner = _cg_iterate(
+            apply_into32, r32, None, md32, inner_tol, maxiter, workspace32
+        )
+        np.add(x, inner.x, out=x)  # fp64 accumulation; frozen rows add 0
+        apply_into(x, ap)
+        np.subtract(b, ap, out=r)  # TRUE residual, recomputed in fp64
+        _row_norms(r, tmp, res)
+        sweeps += active  # a system counts the sweeps it was live for
+        inner_hist.append(np.where(active, inner.iterations, 0))
+        history.append(res.copy())
+        active &= ~(res <= stop)
+        # Per-system stall guard: fp32 can no longer reduce the fp64
+        # residual (conditioning exceeds what single precision
+        # resolves); stop burning sweeps and report honestly instead of
+        # looping to the cap.
+        active &= ~(res >= prev_res)
+        np.copyto(prev_res, res)
+
+    inner_iterations = np.array(inner_hist, dtype=np.int64).reshape(-1, nb)
+    res = BatchedMixedCGResult(
+        x=x,
+        iterations=inner_iterations.sum(axis=0),
+        converged=(res <= stop) & np.isfinite(res),
+        residual_norm=res.copy(),
+        residual_history=np.stack(history),
+        sweeps=sweeps,
+        inner_iterations=inner_iterations,
+    )
+    return _finish(res, workspace, stacked)
+
+
+def cg_solve_batched_mixed(
     apply_A: Operator,
     apply_A32: Operator,
     b: NDArray[np.float64],
     x0: NDArray[np.float64] | None = None,
     precond_diag: NDArray[np.float64] | None = None,
-    tol: float = 1e-10,
-    maxiter: int = 1000,
-    workspace: "SolverWorkspace | None" = None,
-    workspace32: "SolverWorkspace | None" = None,
+    tol: float | NDArray[np.floating] = 1e-10,
+    maxiter: int | NDArray[np.integer] = 1000,
+    workspace: SolverWorkspace | None = None,
+    workspace32: SolverWorkspace | None = None,
     inner_tol: float = MIXED_INNER_TOL,
     max_sweeps: int = MIXED_MAX_SWEEPS,
-) -> "MixedCGResult | BatchedMixedCGResult":
-    """Solve ``A x = b`` to fp64 ``tol`` with fp32 inner CG sweeps.
+) -> BatchedMixedCGResult:
+    """Solve a ``(B, n)`` block to fp64 ``tol`` with fp32 inner CG sweeps.
 
     Classic iterative refinement around the bandwidth-bound ``Ax``: the
-    expensive Krylov iteration runs entirely in fp32 (:func:`cg_solve`
-    with ``dtype=float32`` — half the bytes per DOF through the
-    sum-factorization kernels), while an outer fp64 loop recomputes the
-    **true** residual ``r = b - A x``, feeds it back as the next fp32
-    correction problem ``A d = r``, and accumulates ``x += d`` in fp64.
-    Convergence is judged only on the fp64 true residual, so the result
-    meets the caller's fp64 tolerance despite the fp32 inner arithmetic
-    (as long as the operator is well-enough conditioned for fp32 to
-    make progress; a stalled sweep terminates with
-    ``converged=False`` instead of burning the sweep cap).
+    expensive Krylov iteration runs entirely in fp32 (the
+    :func:`cg_solve_batched` loop with ``dtype=float32`` — half the
+    bytes per DOF through the sum-factorization kernels), while an
+    outer fp64 loop recomputes the **true** residual ``r = b - A x``,
+    feeds it back as the next fp32 correction problem ``A d = r``, and
+    accumulates ``x += d`` in fp64.  Convergence is judged only on the
+    fp64 true residual, so the result meets the caller's fp64 tolerance
+    despite the fp32 inner arithmetic (as long as the operator is
+    well-enough conditioned for fp32 to make progress; a stalled system
+    terminates with ``converged=False`` instead of burning the sweep
+    cap).  Systems that have met their criterion are frozen exactly —
+    zero correction rhs, zero inner iterations, an fp64 iterate that
+    never moves — so a system refined inside a block finishes
+    bit-identically to the same system refined alone.
 
     Parameters
     ----------
@@ -790,17 +792,15 @@ def cg_solve_mixed(
         typically the problem's fp32-geometry twin.  Must accept and
         return fp32 arrays.
     b:
-        fp64 right-hand side; a stacked ``(B, n)`` block dispatches to
-        :func:`cg_solve_batched_mixed`.
+        fp64 right-hand sides, shape ``(B, n)``.
     x0, precond_diag, tol, maxiter:
-        As :func:`cg_solve`.  ``maxiter`` caps each fp32 inner solve
-        (per sweep); the preconditioner is cast to fp32 once for the
-        inner loop.
-    workspace:
-        Optional fp64 workspace for the outer loop's vectors.
-    workspace32:
-        Optional fp32 workspace (same mesh/batch sizing) for the inner
-        solves.
+        As :func:`cg_solve_batched` (``tol``/``maxiter`` optionally
+        ``(B,)`` per-request arrays).  ``maxiter`` caps each fp32 inner
+        solve (per sweep); the preconditioner is cast to fp32 once for
+        the inner loop.
+    workspace, workspace32:
+        Optional fp64 workspace for the outer loop's vectors and fp32
+        workspace (same mesh/batch sizing) for the inner solves.
     inner_tol:
         Relative tolerance of each fp32 correction solve
         (default :data:`MIXED_INNER_TOL`).
@@ -809,121 +809,16 @@ def cg_solve_mixed(
 
     Returns
     -------
-    MixedCGResult
-        fp64 iterate, true-residual record and sweep bookkeeping (or a
-        :class:`BatchedMixedCGResult` for a stacked ``b``).
+    BatchedMixedCGResult
+        fp64 iterates, true-residual record and sweep bookkeeping.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim == 2:
-        return cg_solve_batched_mixed(
-            apply_A, apply_A32, b, x0=x0, precond_diag=precond_diag,
-            tol=tol, maxiter=maxiter, workspace=workspace,
-            workspace32=workspace32, inner_tol=inner_tol,
-            max_sweeps=max_sweeps,
-        )
-    if b.ndim != 1:
-        raise ValueError(
-            f"rhs must be 1-D (or (B, n) for a batched solve), "
-            f"got shape {b.shape}"
-        )
-    if np.ndim(tol) != 0 or np.ndim(maxiter) != 0:
-        raise ValueError(
-            "per-system tol/maxiter arrays require a stacked (B, n) rhs"
-        )
-    if not np.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    if workspace is not None:
-        workspace.require_batch(1)
-        workspace.require_global(b.shape[0])
-        if workspace.cg_x.dtype != np.float64:
-            raise ValueError(
-                f"outer workspace must be fp64, got {workspace.cg_x.dtype}"
-            )
-        x, r, ap, tmp = (
-            workspace.cg_x, workspace.cg_r, workspace.cg_ap,
-            workspace.cg_tmp,
-        )
-    else:
-        x, r, ap, tmp = (np.empty_like(b) for _ in range(4))
-    md32 = None
-    if precond_diag is not None:
-        md = np.asarray(precond_diag, dtype=np.float64)
-        if md.shape != b.shape:
-            raise ValueError(f"preconditioner shape {md.shape} != {b.shape}")
-        if np.any(md <= 0):
-            raise ValueError("Jacobi preconditioner has non-positive entries")
-        md32 = md.astype(np.float32)
-
-    out_ok = _operator_accepts_out(apply_A)
-
-    @hot_path
-    def apply_into(vec: NDArray[np.float64], dst: NDArray[np.float64]) -> None:
-        res = apply_A(vec, out=dst) if out_ok else apply_A(vec)
-        if res is not dst:
-            np.copyto(dst, res)
-
-    @hot_path
-    def fused_dot(
-        a_vec: NDArray[np.float64], b_vec: NDArray[np.float64]
-    ) -> float:
-        np.multiply(a_vec, b_vec, out=tmp)
-        return float(np.sum(tmp, dtype=np.float64))
-
-    if x0 is None:
-        x.fill(0.0)
-        np.copyto(r, b)  # r = b - A*0 without paying the operator
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != b.shape:
-            raise ValueError(f"x0 shape {x0.shape} != b shape {b.shape}")
-        np.copyto(x, x0)
-        apply_into(x, ap)
-        np.subtract(b, ap, out=r)
-    b_norm = float(np.sqrt(fused_dot(b, b)))
-    stop = tol * (b_norm if b_norm > 0 else 1.0)
-
-    history = [float(np.sqrt(fused_dot(r, r)))]
-    converged = history[0] <= stop
-    sweeps = 0
-    inner_counts: list[int] = []
-    while not converged and sweeps < max_sweeps:
-        # fp32 correction solve A d = r.  The cast of r is the sweep's
-        # only field-sized allocation; the correction starts from zero
-        # (the standard refinement step), so no x0 is passed.
-        inner = cg_solve(
-            apply_A32, r.astype(np.float32), precond_diag=md32,
-            tol=inner_tol, maxiter=maxiter, workspace=workspace32,
-            dtype=np.float32,
-        )
-        np.add(x, inner.x, out=x)  # fp64 accumulation of the update
-        apply_into(x, ap)
-        np.subtract(b, ap, out=r)  # TRUE residual, recomputed in fp64
-        res_norm = float(np.sqrt(fused_dot(r, r)))
-        sweeps += 1
-        inner_counts.append(int(inner.iterations))
-        converged = res_norm <= stop
-        if not converged and res_norm >= history[-1]:
-            # fp32 can no longer reduce the fp64 residual (conditioning
-            # exceeds what single precision resolves); stop burning
-            # sweeps and report honestly instead of looping to the cap.
-            history.append(res_norm)
-            break
-        history.append(res_norm)
-
-    return MixedCGResult(
-        x=x.copy() if workspace is not None else x,
-        iterations=sum(inner_counts),
-        converged=converged,
-        residual_norm=history[-1],
-        residual_history=tuple(history),
-        sweeps=sweeps,
-        inner_iterations=tuple(inner_counts),
+    return _refine(
+        apply_A, apply_A32, b, x0, precond_diag, tol, maxiter, workspace,
+        workspace32, inner_tol, max_sweeps, stacked=True,
     )
 
 
-def cg_solve_batched_mixed(
+def cg_solve_mixed(
     apply_A: Operator,
     apply_A32: Operator,
     b: NDArray[np.float64],
@@ -931,164 +826,22 @@ def cg_solve_batched_mixed(
     precond_diag: NDArray[np.float64] | None = None,
     tol: float = 1e-10,
     maxiter: int = 1000,
-    workspace: "SolverWorkspace | None" = None,
-    workspace32: "SolverWorkspace | None" = None,
+    workspace: SolverWorkspace | None = None,
+    workspace32: SolverWorkspace | None = None,
     inner_tol: float = MIXED_INNER_TOL,
     max_sweeps: int = MIXED_MAX_SWEEPS,
-) -> BatchedMixedCGResult:
-    """Mixed-precision refinement over a stacked ``(B, n)`` block.
+) -> MixedCGResult | BatchedMixedCGResult:
+    """Solve ``A x = b`` to fp64 ``tol`` with fp32 inner CG sweeps.
 
-    The batched twin of :func:`cg_solve_mixed`: each sweep runs one
-    :func:`cg_solve_batched` fp32 correction solve over the whole block
-    (with per-system ``tol``/``maxiter`` honored by the inner loop),
-    then recomputes every system's true fp64 residual with a single
-    batched operator application.  Systems that have met their fp64
-    criterion are frozen exactly — their correction rhs is zeroed, the
-    inner loop leaves them at zero iterations, and their fp64 iterate
-    never moves — so a system refined inside a block finishes
-    bit-identically to the same system refined alone (given the
-    batched/sequential bit-identity of the underlying kernels).
-
-    Parameters are as :func:`cg_solve_mixed`, with ``tol``/``maxiter``
-    optionally ``(B,)`` arrays (per-request tolerances / inner caps,
-    exactly as :func:`cg_solve_batched` accepts).
+    The solo entry point onto :func:`cg_solve_batched_mixed`'s
+    refinement loop, exactly as :func:`cg_solve` is onto
+    :func:`cg_solve_batched`'s: a 1-D ``b`` is refined as a ``(1, n)``
+    block with both operators handed 1-D vectors, and row 0 comes back
+    as a :class:`MixedCGResult`; ``tol`` and ``maxiter`` must be
+    scalars.  A stacked ``(B, n)`` rhs is handed to
+    :func:`cg_solve_batched_mixed` unchanged.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2:
-        raise ValueError(f"batched rhs must be (B, n), got shape {b.shape}")
-    nb, n = b.shape
-    if nb < 1:
-        raise ValueError("batched rhs needs at least one system")
-    tol_arr = np.asarray(tol, dtype=np.float64)
-    if tol_arr.ndim not in (0, 1) or (
-        tol_arr.ndim == 1 and tol_arr.shape != (nb,)
-    ):
-        raise ValueError(
-            f"tol must be a scalar or ({nb},), got shape {tol_arr.shape}"
-        )
-    if not np.all(np.isfinite(tol_arr)):
-        raise ValueError("tol entries must be finite")
-    miter = np.asarray(maxiter, dtype=np.int64)
-    if miter.ndim not in (0, 1) or (
-        miter.ndim == 1 and miter.shape != (nb,)
-    ):
-        raise ValueError(
-            f"maxiter must be a scalar or ({nb},), got shape {miter.shape}"
-        )
-    if miter.size and miter.min() < 0:
-        raise ValueError("maxiter entries must be >= 0")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    if workspace is not None:
-        workspace.require_batch(nb)
-        workspace.require_global(n)
-        if workspace.cg_x.dtype != np.float64:
-            raise ValueError(
-                f"outer workspace must be fp64, got {workspace.cg_x.dtype}"
-            )
-        x, r, ap, tmp = (
-            buf.reshape(nb, -1) for buf in (
-                workspace.cg_x, workspace.cg_r, workspace.cg_ap,
-                workspace.cg_tmp,
-            )
-        )
-        res, stop = workspace.cg_res, workspace.cg_stop
-        active = workspace.cg_active
-    else:
-        x, r, ap, tmp = (np.empty_like(b) for _ in range(4))
-        res, stop = np.empty(nb), np.empty(nb)
-        active = np.empty(nb, dtype=bool)
-    md32 = None
-    if precond_diag is not None:
-        md = np.asarray(precond_diag, dtype=np.float64)
-        if md.shape not in ((n,), (nb, n)):
-            raise ValueError(
-                f"preconditioner shape {md.shape} must be ({n},) "
-                f"or {(nb, n)}"
-            )
-        if np.any(md <= 0):
-            raise ValueError("Jacobi preconditioner has non-positive entries")
-        md32 = md.astype(np.float32)
-
-    out_ok = _operator_accepts_out(apply_A)
-
-    @hot_path
-    def apply_into(vec: NDArray[np.float64], dst: NDArray[np.float64]) -> None:
-        res_arr = apply_A(vec, out=dst) if out_ok else apply_A(vec)
-        if res_arr is not dst:
-            np.copyto(dst, res_arr)
-
-    @hot_path
-    def row_dots(
-        a_vec: NDArray[np.float64],
-        b_vec: NDArray[np.float64],
-        dst: NDArray[np.float64],
-    ) -> None:
-        np.multiply(a_vec, b_vec, out=tmp)
-        np.sum(tmp, axis=1, out=dst, dtype=np.float64)
-
-    if x0 is None:
-        x.fill(0.0)
-        np.copyto(r, b)
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != b.shape:
-            raise ValueError(f"x0 shape {x0.shape} != b shape {b.shape}")
-        np.copyto(x, x0)
-        apply_into(x, ap)
-        np.subtract(b, ap, out=r)
-    row_dots(b, b, stop)
-    np.sqrt(stop, out=stop)
-    stop[...] = tol_arr * np.where(stop > 0, stop, 1.0)
-
-    row_dots(r, r, res)
-    np.sqrt(res, out=res)
-    np.greater(res, stop, out=active)
-    if miter.ndim:
-        active &= miter > 0  # zero-cap requests never start refining
-
-    sweeps_arr = np.zeros(nb, dtype=np.int64)
-    iterations = np.zeros(nb, dtype=np.int64)
-    inner_hist: list[NDArray[np.int64]] = []
-    history = [res.copy()]
-    prev_res = res.copy()
-    sweep = 0
-    while bool(np.any(active)) and sweep < max_sweeps:
-        r32 = r.astype(np.float32)
-        r32[~active] = 0.0  # frozen systems: zero rhs => zero correction
-        inner = cg_solve_batched(
-            apply_A32, r32, precond_diag=md32, tol=inner_tol,
-            maxiter=miter, workspace=workspace32, dtype=np.float32,
-        )
-        np.add(x, inner.x, out=x)  # frozen rows add exact zero
-        apply_into(x, ap)
-        np.subtract(b, ap, out=r)
-        row_dots(r, r, res)
-        np.sqrt(res, out=res)
-        sweep += 1
-        sweep_iters = np.where(active, inner.iterations, 0).astype(np.int64)
-        iterations += sweep_iters
-        inner_hist.append(sweep_iters)
-        history.append(res.copy())
-        newly_done = active & (res <= stop)
-        sweeps_arr[newly_done] = sweep
-        active &= ~newly_done
-        # Per-system stall guard, mirroring the unbatched path.
-        stalled = active & (res >= prev_res)
-        sweeps_arr[stalled] = sweep
-        active &= ~stalled
-        np.copyto(prev_res, res)
-
-    sweeps_arr[active] = sweep  # systems that hit the sweep cap
-    return BatchedMixedCGResult(
-        x=x.copy() if workspace is not None else x,
-        iterations=iterations,
-        converged=res <= stop,
-        residual_norm=res.copy(),
-        residual_history=np.stack(history),
-        sweeps=sweeps_arr,
-        inner_iterations=(
-            np.stack(inner_hist)
-            if inner_hist else np.zeros((0, nb), dtype=np.int64)
-        ),
+    return _refine(
+        apply_A, apply_A32, b, x0, precond_diag, tol, maxiter, workspace,
+        workspace32, inner_tol, max_sweeps, stacked=np.ndim(b) == 2,
     )

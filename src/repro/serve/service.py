@@ -819,49 +819,5 @@ class SolveService:
         self.stats_accumulator.record_batch(
             nb, time.perf_counter() - start, len(self._batcher),
         )
-        extract = _outcome_row_mixed if mixed else _outcome_row
         for k, req in enumerate(batch):
-            req.ticket._resolve(extract(res, k))
-
-
-def _outcome_row(res, k: int) -> CGResult:
-    """Extract system ``k`` of a batched result as a ``CGResult``.
-
-    The residual history is truncated to the system's own live prefix
-    (rows past its convergence are frozen repeats), so every field is
-    exactly what a sequential solve of that system would have reported —
-    bit for bit.
-    """
-    iterations = int(res.iterations[k])
-    return CGResult(
-        x=res.x[k].copy(),
-        iterations=iterations,
-        converged=bool(res.converged[k]),
-        residual_norm=float(res.residual_norm[k]),
-        residual_history=tuple(
-            float(v) for v in res.residual_history[: iterations + 1, k]
-        ),
-    )
-
-
-def _outcome_row_mixed(res, k: int) -> MixedCGResult:
-    """Extract system ``k`` of a batched mixed result.
-
-    Histories are truncated to the system's own sweep count (later rows
-    are frozen repeats while slower batchmates refined), so the record
-    matches a solo :func:`~repro.sem.cg.cg_solve_mixed` of that system.
-    """
-    sweeps = int(res.sweeps[k])
-    return MixedCGResult(
-        x=res.x[k].copy(),
-        iterations=int(res.iterations[k]),
-        converged=bool(res.converged[k]),
-        residual_norm=float(res.residual_norm[k]),
-        residual_history=tuple(
-            float(v) for v in res.residual_history[: sweeps + 1, k]
-        ),
-        sweeps=sweeps,
-        inner_iterations=tuple(
-            int(v) for v in res.inner_iterations[:sweeps, k]
-        ),
-    )
+            req.ticket._resolve(res.row(k))

@@ -5,7 +5,54 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sem.cg import CGResult, cg_solve
+from repro.sem import BoxMesh, PoissonProblem, ReferenceElement
+from repro.sem.cg import (
+    CGResult,
+    cg_solve,
+    cg_solve_batched,
+    cg_solve_batched_mixed,
+    cg_solve_mixed,
+)
+from repro.sem.workspace import SolverWorkspace
+
+
+def sem_problem(shape=(2, 2, 1), degree=3):
+    """A small matmul-backed Poisson problem: the operator that carries
+    the solo == block-row bit-identity contract (a dense ``v @ A.T``
+    block goes through dgemm where solo goes through dgemv)."""
+    ref = ReferenceElement.from_degree(degree)
+    return PoissonProblem(BoxMesh.build(ref, shape), ax_backend="matmul")
+
+
+def sem_block(prob, batch=5, seed=21):
+    """Interior-masked white-noise right-hand sides of mixed scale."""
+    rng = np.random.default_rng(seed)
+    bs = rng.standard_normal((batch, prob.n_dofs)) * prob.interior
+    return bs * np.geomspace(1.0, 1e3, batch)[:, None]
+
+
+def solve(precision, prob, b, workspace=False, **kwargs):
+    """One call through the solo or stacked name matching ``b``'s rank,
+    at either precision, with or without (cached) workspaces."""
+    batch = b.shape[0] if b.ndim == 2 else 1
+    if workspace:
+        kwargs["workspace"] = prob.batch_workspace(batch)
+    if precision == "fp64":
+        fn = cg_solve_batched if b.ndim == 2 else cg_solve
+        return fn(prob.apply_A, b, **kwargs)
+    if workspace:
+        kwargs["workspace32"] = prob.batch_workspace(batch, dtype=np.float32)
+    fn = cg_solve_batched_mixed if b.ndim == 2 else cg_solve_mixed
+    return fn(prob.apply_A, prob.apply_A32, b, **kwargs)
+
+
+def assert_same_result(got, want):
+    """Field-by-field bit equality of two solo results."""
+    assert type(got) is type(want)
+    assert np.array_equal(got.x, want.x)
+    for name in vars(want):
+        if name != "x":
+            assert getattr(got, name) == getattr(want, name), name
 
 
 def spd_system(n: int, seed: int = 0, cond: float = 100.0):
@@ -96,6 +143,39 @@ class TestCG:
         assert isinstance(res, CGResult)
         assert res.residual_norm == res.residual_history[-1]
 
+    @pytest.mark.parametrize("workspace", (False, True))
+    @pytest.mark.parametrize("precision", ("fp64", "mixed"))
+    def test_operator_is_handed_1d_vectors(self, precision, workspace):
+        """The solo entry points run on the block loop, but a callback
+        written against the documented vector signature must never see
+        a block — neither as argument nor as ``out=``."""
+        a, x_true, b = spd_system(30, cond=20.0)
+        calls = []
+
+        def op(v, out=None):
+            assert v.ndim == 1 and (out is None or out.ndim == 1)
+            calls.append(v.dtype)
+            res = (a @ v).astype(v.dtype)
+            if out is None:
+                return res
+            np.copyto(out, res)
+            return out
+
+        kwargs = dict(tol=1e-10, maxiter=200)
+        if workspace:
+            kwargs["workspace"] = SolverWorkspace(1, 2, n_global=30)
+        if precision == "fp64":
+            res = cg_solve(op, b, **kwargs)
+        else:
+            if workspace:
+                kwargs["workspace32"] = SolverWorkspace(
+                    1, 2, n_global=30, dtype=np.float32
+                )
+            res = cg_solve_mixed(op, op, b, **kwargs)
+            assert np.dtype(np.float32) in calls
+        assert res.converged and res.x.shape == (30,)
+        assert np.allclose(res.x, x_true, atol=1e-7)
+
 
 class TestBatchedCG:
     """Batched multi-RHS CG (cg_solve_batched) vs per-system solves."""
@@ -118,6 +198,41 @@ class TestBatchedCG:
             # so counts may differ by one step at the tolerance edge.
             assert abs(int(res.iterations[k]) - single.iterations) <= 1
             assert np.allclose(res.x[k], single.x, atol=1e-9)
+            # The solo name runs the same loop, so it cannot be the only
+            # referee: anchor each row on a dense direct solve too.
+            assert np.allclose(res.x[k], np.linalg.solve(a, bs[k]), atol=1e-8)
+
+    @pytest.mark.parametrize("guess", (False, True))
+    @pytest.mark.parametrize("precond", ("none", "shared", "per_system"))
+    @pytest.mark.parametrize("workspace", (False, True))
+    @pytest.mark.parametrize("precision", ("fp64", "mixed"))
+    def test_solo_equals_block_row_bit_for_bit(
+        self, precision, workspace, precond, guess
+    ):
+        """The contract the one-loop design rests on: a system solved
+        through the solo name is row ``k`` of a stacked solve in every
+        field — iterate, counts, flags and full histories."""
+        prob = sem_problem()
+        bs = sem_block(prob)
+        diag = prob.precond_diag()
+        md = {"none": None, "shared": diag,
+              "per_system": diag * np.linspace(1.0, 2.0, 5)[:, None]}[precond]
+        x0 = 0.1 * sem_block(prob, seed=22) if guess else None
+        tols = np.geomspace(1e-4, 1e-11, 5)  # rows freeze at different steps
+        block = solve(
+            precision, prob, bs, workspace, precond_diag=md, x0=x0,
+            tol=tols, maxiter=400,
+        )
+        assert block.all_converged
+        assert len(set(block.iterations.tolist())) > 1
+        for k in range(5):
+            solo = solve(
+                precision, prob, bs[k], workspace,
+                precond_diag=md[k] if precond == "per_system" else md,
+                x0=None if x0 is None else x0[k], tol=float(tols[k]),
+                maxiter=400,
+            )
+            assert_same_result(block.row(k), solo)
 
     def test_per_system_convergence_masking(self):
         """Systems of very different difficulty each meet their own
@@ -320,21 +435,91 @@ class TestPerSystemStopping:
             cg_solve(lambda v: a @ v, bs[0], tol=np.array([1e-8] * 4))
 
     def test_nan_tol_rejected_in_both_paths(self):
-        """NaN poisons the batched active mask (res > NaN is False), so
-        the two documented-bit-identical paths would silently diverge;
-        both must reject it instead."""
-        from repro.sem.cg import cg_solve_batched
-
+        """NaN poisons the active mask (res > NaN is False) and a
+        negative cap used to mean "raise" stacked but "0 iterations"
+        solo: all four names share one validator, so each bad argument
+        is the same ``ValueError`` from every one of them."""
         a, bs = self._stacked_system()
-        with pytest.raises(ValueError, match="finite"):
-            cg_solve(lambda v: a @ v, bs[0], tol=float("nan"))
-        with pytest.raises(ValueError, match="finite"):
-            cg_solve_batched(lambda v: v @ a.T, bs, tol=float("nan"))
-        with pytest.raises(ValueError, match="finite"):
-            cg_solve_batched(
-                lambda v: v @ a.T, bs,
-                tol=np.array([1e-8, np.nan, 1e-8, 1e-8]),
+        n = bs.shape[1]
+        solvers = {fn.__name__: fn for fn in (
+            cg_solve, cg_solve_batched, cg_solve_mixed, cg_solve_batched_mixed
+        )}
+
+        def call(name, **kwargs):
+            stacked = "batched" in name
+            op = (lambda v: v @ a.T) if stacked else (lambda v: a @ v)
+            ops = (op, op) if "mixed" in name else (op,)
+            rhs = bs if stacked else bs[0]
+            return solvers[name](*ops, rhs, **kwargs)
+
+        bad_arguments = (
+            (dict(tol=float("nan")), "tol entries must be finite"),
+            (dict(tol=float("inf")), "tol entries must be finite"),
+            (dict(maxiter=-1), "maxiter entries must be >= 0"),
+            (dict(x0=np.zeros(n + 1)), "x0 shape"),
+            (dict(precond_diag=np.ones(n + 1)), "preconditioner shape"),
+            (dict(precond_diag=np.zeros(n)), "non-positive"),
+        )
+        for name in solvers:
+            batch = 4 if "batched" in name else 1
+            bad_workspaces = (
+                (SolverWorkspace(1, 2, n_global=n + 1, batch=batch),
+                 "global DOFs"),
+                (SolverWorkspace(1, 2, n_global=n, batch=batch + 1),
+                 "sized for batch"),
+                (SolverWorkspace(1, 2, n_global=n, batch=batch,
+                                 dtype=np.float32), "workspace dtype"),
             )
+            for kwargs, message in bad_arguments + tuple(
+                (dict(workspace=ws), message) for ws, message in bad_workspaces
+            ):
+                with pytest.raises(ValueError, match=message):
+                    call(name, **kwargs)
+        for name in ("cg_solve", "cg_solve_mixed"):
+            for kwargs in (dict(tol=np.full(4, 1e-8)),
+                           dict(maxiter=np.full(4, 10))):
+                with pytest.raises(ValueError, match="stacked"):
+                    call(name, **kwargs)
+        for name in ("cg_solve_batched", "cg_solve_batched_mixed"):
+            with pytest.raises(ValueError, match="finite"):
+                call(name, tol=np.array([1e-8, np.nan, 1e-8, 1e-8]))
+            with pytest.raises(ValueError, match=">= 0"):
+                call(name, maxiter=np.array([1, -2, 3, 4]))
+        for name in ("cg_solve_mixed", "cg_solve_batched_mixed"):
+            batch = 4 if "batched" in name else 1
+            with pytest.raises(ValueError, match="workspace dtype"):
+                call(name, workspace32=SolverWorkspace(1, 2, n_global=n,
+                                                       batch=batch))
+            with pytest.raises(ValueError, match="finite"):
+                call(name, inner_tol=float("nan"))
+
+    @pytest.mark.parametrize("precision", ("fp64", "mixed"))
+    def test_row_truncates_history_to_the_systems_own_prefix(self, precision):
+        """``row(k)`` is how the serving layer turns one stacked solve
+        back into per-request results: rows past a system's own
+        convergence are frozen repeats and must not leak into it."""
+        prob = sem_problem()
+        bs = sem_block(prob, batch=3)
+        res = solve(
+            precision, prob, bs, precond_diag=prob.precond_diag(),
+            tol=np.array([1e-3, 1e-11, 1e-7]), maxiter=400,
+        )
+        live = res.iterations if precision == "fp64" else res.sweeps
+        assert live[0] < live[1] == len(res.residual_history) - 1
+        for k in range(3):
+            row = res.row(k)
+            assert len(row.residual_history) == int(live[k]) + 1
+            assert row.residual_history == tuple(
+                res.residual_history[: int(live[k]) + 1, k]
+            )
+            assert row.residual_norm == row.residual_history[-1]
+            assert row.iterations == int(res.iterations[k])
+            assert row.converged is True
+            assert np.array_equal(row.x, res.x[k])
+            assert not np.shares_memory(row.x, res.x)
+            if precision == "mixed":
+                assert row.sweeps == len(row.inner_iterations)
+                assert sum(row.inner_iterations) == row.iterations
 
 
 class TestExhaustedSubspace:
@@ -382,3 +567,57 @@ class TestExhaustedSubspace:
         assert res.converged
         assert res.iterations == 0
         assert np.array_equal(res.x, np.zeros(5))
+
+
+class TestNonFiniteRhs:
+    """A NaN/inf right-hand side can never converge; it must cost (at
+    most) the initial residual's operator application and must not
+    touch the systems it shares a block with."""
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("precision", ("fp64", "mixed"))
+    def test_solo_freezes_at_zero_iterations(self, precision, bad):
+        prob = sem_problem()
+        b = sem_block(prob)[0]
+        b[np.flatnonzero(prob.interior)[3]] = bad
+        calls = []
+
+        def counted(v, out=None):
+            calls.append(1)
+            return prob.apply_A(v, out=out)
+
+        def counted32(v, out=None):
+            calls.append(1)
+            return prob.apply_A32(v, out=out)
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            if precision == "fp64":
+                res = cg_solve(counted, b, precond_diag=prob.precond_diag(),
+                               maxiter=25)
+            else:
+                res = cg_solve_mixed(
+                    counted, counted32, b,
+                    precond_diag=prob.precond_diag(), maxiter=25,
+                )
+        assert res.iterations == 0
+        assert res.converged is False
+        assert len(calls) <= 1
+        assert len(res.residual_history) == 1
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    @pytest.mark.parametrize("precision", ("fp64", "mixed"))
+    def test_in_block_row_leaves_its_neighbours_bit_identical(
+        self, precision, bad
+    ):
+        prob = sem_problem()
+        bs = sem_block(prob)
+        bs[2, np.flatnonzero(prob.interior)[3]] = bad
+        kwargs = dict(precond_diag=prob.precond_diag(), tol=1e-9, maxiter=400)
+        with np.errstate(invalid="ignore", over="ignore"):
+            block = solve(precision, prob, bs, **kwargs)
+        assert int(block.iterations[2]) == 0
+        assert not block.converged[2]
+        for k in (0, 1, 3, 4):
+            solo = solve(precision, prob, bs[k], **kwargs)
+            assert solo.converged
+            assert_same_result(block.row(k), solo)

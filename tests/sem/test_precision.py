@@ -255,6 +255,16 @@ class TestBatchedMixed:
             assert np.array_equal(res.x[k], solo.x)
             assert int(res.sweeps[k]) == solo.sweeps
             assert int(res.iterations[k]) == solo.iterations
+            # ...in every field (the workspace / preconditioner / x0
+            # grid of this contract lives in test_cg.py's
+            # test_solo_equals_block_row_bit_for_bit).
+            row = res.row(k)
+            assert isinstance(row, MixedCGResult)
+            assert row.residual_history == solo.residual_history
+            assert row.inner_iterations == solo.inner_iterations
+            assert (row.converged, row.residual_norm) == (
+                solo.converged, solo.residual_norm
+            )
 
     def test_inner_iterations_matrix_prefix_recovers_solo(self):
         prob, b = deformed_poisson()
