@@ -279,59 +279,28 @@ def test_bench_serve_sharded_throughput_b16(benchmark):
 
 def test_bench_serve_procshard_throughput_b16(benchmark):
     """Sixteen independent requests through a K=2
-    ProcessShardedSolveService on the **pipe** transport (round-robin,
-    max_batch=8): the process-level horizontally-scaled serving number
-    with pickled request/result payloads — kept as the A/B baseline the
-    zero-copy ring benchmark below is measured against.
+    ProcessShardedSolveService (round-robin, max_batch=8, default
+    construction): the process-level horizontally-scaled serving number.
+    Request payloads are staged straight into per-worker shared-memory
+    slot rings, solutions written back in place, pipes carry doorbells
+    only (``stats.copy_bytes == 0``, asserted below).
 
-    On the 1-vCPU benchmark host the two worker processes timeshare one
-    core *and* pay the request/result pipe hop (requests travel in one
-    block message per worker and results come back in coalesced
-    ``done_block`` sweeps, but every cross-process wake-up still costs
-    a context switch on the only core), so the fleet cannot beat a
-    single in-process service — measured band ~0.65-0.78x here; the
-    gate in ``run_baseline.py`` only requires >= 0.6x.  On a multi-core
-    host each worker owns a core including its Python dispatch (the
-    ceiling the thread-shard cannot pass), and the ratio is tracked
-    like ``threads2`` (``serve_procshard_vs_single_speedup`` in
+    On a host where the two worker processes timeshare the cores with
+    the client, every cross-process wake-up still costs a context
+    switch (requests travel in one doorbell block per worker and
+    results come back in coalesced ``done_block`` sweeps), so the fleet
+    cannot beat a single in-process service — the gate in
+    ``run_baseline.py`` only requires >= 0.6x.  On a multi-core host
+    each worker owns a core including its Python dispatch (the ceiling
+    the thread-shard cannot pass), and the ratio is tracked like
+    ``threads2`` (``serve_procshard_vs_single_speedup`` in
     ``BENCH_kernels.json``)."""
     from repro.serve import ProcessShardedSolveService
 
     prob, bs, _ = _serving_problem(batch=16)
     svc = ProcessShardedSolveService(
         prob, workers=2, policy="round-robin", max_batch=8,
-        max_wait=0.05, tol=0.0, maxiter=10, transport="pipe",
-    )
-
-    def run():
-        return svc.solve_many(bs)
-
-    results = benchmark(run)
-    assert all(r.iterations == 10 for r in results)
-    benchmark.extra_info["requests_per_round"] = int(bs.shape[0])
-    benchmark.extra_info["workers"] = 2
-    svc.close()
-
-
-def test_bench_serve_zerocopy_throughput_b16(benchmark):
-    """The same K=2 process-sharded stream on the (default) **ring**
-    transport: request payloads staged straight into per-worker
-    shared-memory slot rings, solutions written back in place, pipes
-    demoted to doorbells (``stats.copy_bytes == 0``, asserted below).
-
-    The ratio against the pipe benchmark above is
-    ``serve_zerocopy_vs_pipe_speedup`` in ``BENCH_kernels.json``.  At
-    the N=3/E=8 serving shape the payloads are small (~2.7 KB per
-    request), so the pickle the ring removes is a modest slice of each
-    round trip — on the 1-vCPU host this is an honest wash (~1x,
-    floor 0.8x in ``run_baseline.py``); larger problems and multi-core
-    hosts are where the removed copies and the core pinning pay."""
-    from repro.serve import ProcessShardedSolveService
-
-    prob, bs, _ = _serving_problem(batch=16)
-    svc = ProcessShardedSolveService(
-        prob, workers=2, policy="round-robin", max_batch=8,
-        max_wait=0.05, tol=0.0, maxiter=10, transport="ring",
+        max_wait=0.05, tol=0.0, maxiter=10,
     )
 
     def run():

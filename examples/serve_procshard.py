@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Process-sharded serving: K worker processes, one shared geometry.
+"""Process-sharded serving: K worker processes, one shared geometry,
+zero-copy request/response rings.
 
 ``examples/serve_sharded.py`` shards *within* one process — its
 replicas' BLAS runs in parallel, but every route/ticket/stat still
@@ -10,13 +11,20 @@ crosses one GIL.  This demo runs the process-level tier:
    into shared memory and spin up a K=2
    :class:`~repro.serve.ProcessShardedSolveService` — each worker
    process rebuilds the problem from a picklable spec and attaches the
-   SAME physical pages (the workers attest to it below),
+   SAME physical pages (the workers attest to it below); each worker
+   also gets its own shared-memory slot ring: the client writes each
+   rhs **directly into a ring slot**, the worker solves a read-only
+   view of it and writes the solution back **in place**, and the pipe
+   carries only doorbells (slot ordinals and scalar knobs),
 2. route a keyed tenant stream through consistent hashing, exactly as
-   the thread-shard does — same routers, same watermark semantics,
+   the thread-shard does — same routing front, same watermark
+   semantics,
 3. verify every result that crossed a process boundary is bit-identical
-   to a sequential warm ``cg_solve``,
+   to a sequential warm ``cg_solve`` — and a mixed-precision tail to
+   ``cg_solve_mixed`` — with the audited transport copy count
+   ``stats.copy_bytes == 0``,
 4. close: every worker drains, the processes join, and the shared
-   blocks are unlinked from ``/dev/shm``.
+   blocks — geometry and rings — are unlinked from ``/dev/shm``.
 
 Run:  PYTHONPATH=src python examples/serve_procshard.py
 """
@@ -52,6 +60,10 @@ def sequential(problem: PoissonProblem, b: np.ndarray):
 def main() -> None:
     problem, requests = build_problem()
     reference = [sequential(problem, b) for b in requests]
+    reference_mixed = [  # the sequential warm cg_solve_mixed
+        problem.solve(b, tol=1e-10, maxiter=200, precision="mixed")
+        for b in requests[:8]
+    ]
     print(f"serving shape: {problem.mesh.num_elements} elements at N=3, "
           f"{problem.n_dofs} DOFs, {len(requests)} requests")
 
@@ -68,6 +80,12 @@ def main() -> None:
         assert all(not info["g_soa_writeable"] for info in infos)
         print(f"workers {pids} share one geometry block "
               f"{svc.spec.geometry.block} (read-only, zero-copy)")
+        rings = [info["ring_block"] for info in infos]
+        assert len(set(rings)) == 2  # one slot ring per worker
+        assert all(info["ring_rhs_writeable"] is False for info in infos)
+        print(f"rings {rings}: request side read-only in the workers, "
+              f"core pinning (best-effort): "
+              f"{[info['pinned_cpus'] for info in infos]}")
 
         # 2. A keyed tenant stream through consistent-hash routing.
         keys = [f"tenant-{k % 6}" for k in range(len(requests))]
@@ -76,12 +94,20 @@ def main() -> None:
               f"processes, {svc.stats.solves_per_second:.0f} solves/s "
               f"aggregate (worker clocks rebased onto this process)")
 
-        # 3. Bit-identity across the process boundary.
+        # 3. Bit-identity across the process boundary, fp64 and mixed
+        # alike, with no request payload crossing a copying hop.
+        mixed = svc.solve_many(requests[:8], precision="mixed")
         for got, want in zip(served, reference):
             assert np.array_equal(got.x, want.x)
             assert got.residual_history == want.residual_history
-        print("process-sharded results bit-identical to sequential solves")
+        for got, want in zip(mixed, reference_mixed):
+            assert np.array_equal(got.x, want.x)
+            assert got.sweeps == want.sweeps
+        assert svc.stats.copy_bytes == 0
+        print("process-sharded results bit-identical to sequential solves "
+              "(fp64 and mixed); copy_bytes == 0")
         shared = svc.shared_blocks
+        assert set(rings) <= set(shared)
 
     # 4. Clean close: blocks gone from /dev/shm, nothing leaked.
     for name in shared:

@@ -162,7 +162,7 @@ class SharedProblemExport:
         """The shared blocks' names (``/dev/shm`` entries on Linux)."""
         return tuple(shm.name for shm in self.blocks)
 
-    def spec_with_ring(self, ring: SlotRingManifest | None) -> ProblemSpec:
+    def spec_with_ring(self, ring: SlotRingManifest) -> ProblemSpec:
         """This export's spec stamped with one worker's ring descriptor.
 
         The per-worker hand-off of the zero-copy transport: the shared
@@ -170,8 +170,6 @@ class SharedProblemExport:
         per-worker block — a respawned worker gets the *same* ring
         manifest back, re-attaching the slots its predecessor left.
         """
-        if ring is None:
-            return self.spec
         return replace(self.spec, ring=ring)
 
     def close(self, unlink: bool = True) -> None:

@@ -16,8 +16,9 @@ in three tiers:
   ``tenant`` (consistent hashing — a tenant's requests batch together),
   ``least-loaded`` or ``round-robin``, with watermark rebalancing and
   aggregate fleet stats.
-* :class:`ProcessShardedSolveService` — the same routing surface over K
-  worker *processes*, each rebuilding the problem from a picklable spec
+* :class:`ProcessShardedSolveService` — the same routing front
+  (:mod:`repro.serve.fleet`: shared code, not a copy) over K worker
+  *processes*, each rebuilding the problem from a picklable spec
   with the big immutable arrays attached zero-copy from shared memory
   (one physical copy of the geometry across the fleet); lifts the
   pure-Python dispatch ceiling the thread-shard hits on many-core
@@ -38,8 +39,9 @@ transparently retried on healthy workers under a :class:`RetryPolicy`
 :class:`FleetHealth` registry, and requests may carry ``deadline``
 budgets.  Failures surface through one error taxonomy
 (:mod:`repro.serve.errors`): :class:`ServiceClosed`,
-:class:`WorkerCrashed`, :class:`DeadlineExceeded`,
-:class:`FleetUnavailable`, and retryable :class:`Overloaded`.
+:class:`DeadlineExceeded`, :class:`FleetUnavailable` (a
+:class:`WorkerCrashed` is only ever its ``__cause__``, never itself a
+client-visible outcome), and retryable :class:`Overloaded`.
 Deterministic fault injection for tests and drills lives in
 :mod:`repro.serve.chaos` (:class:`FaultPlan` / :class:`FaultInjector`).
 

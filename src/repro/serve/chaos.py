@@ -12,11 +12,10 @@ seeded, replayable event:
 * **delay / drop pipe messages** — the parent sleeps before (or skips
   entirely) sending a specific ``solve_block`` message, which exercises
   deadline expiry and the parent-side watchdog that recovers requests
-  lost without a crash.  On the ring transport the ``solve_block``
-  message is the *doorbell* (the payload is already staged in the
-  worker's slot ring), so the same faults exercise the ring hand-off:
-  a dropped doorbell leaves a staged slot that the watchdog must
-  reclaim.
+  lost without a crash.  The ``solve_block`` message is the *doorbell*
+  (the payload is already staged in the worker's slot ring), so these
+  faults exercise the ring hand-off: a dropped doorbell leaves a
+  staged slot that the watchdog must reclaim.
 * **slow solves** — a worker sleeps a scheduled amount before solving a
   specific request ordinal, which exercises queue-depth divergence,
   watermark diversion, and deadline expiry under load.

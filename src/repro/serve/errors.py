@@ -19,11 +19,11 @@ error                  retryable?  meaning
 :class:`FleetUnavailable` yes      no healthy worker could take the request
                                    and the retry policy is exhausted (or
                                    every worker is ejected).
-:class:`WorkerCrashed` --          a worker process died.  With a retry
-                                   policy (the default) this never escapes
-                                   to callers — requests are transparently
-                                   resubmitted; it surfaces only when
-                                   retry is explicitly disabled.
+:class:`WorkerCrashed` --          a worker process died.  A cause, never a
+                                   client-visible outcome: lost requests
+                                   are transparently resubmitted, and it
+                                   surfaces only as the ``__cause__`` of a
+                                   :class:`FleetUnavailable`.
 =====================  ==========  =========================================
 
 "Retryable" means the condition is expected to clear (capacity returns,
@@ -63,11 +63,10 @@ class ServiceClosed(QueueClosed):
 
 class WorkerCrashed(RuntimeError):
     """A worker process died with requests in flight (or was targeted
-    by a submit after dying).  With a retry policy configured (the
-    process shard's default) this is an *internal* signal — lost
-    requests are transparently resubmitted to healthy workers and the
-    caller sees a result or a terminal error; it escapes to callers
-    only when retry is explicitly disabled (``retry=None``)."""
+    by a dispatch after dying).  An *internal* signal of the process
+    shard — lost requests are transparently resubmitted to healthy
+    workers and the caller sees a result or a terminal error, which
+    carries this as its ``__cause__`` when the retry policy ran out."""
 
 
 class DeadlineExceeded(TimeoutError):

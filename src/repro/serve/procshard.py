@@ -19,11 +19,9 @@ quadrature arrays, the Jacobi diagonal) are exported **once** into
 every worker.  ``K`` processes, one physical copy of the geometry —
 instead of ``K`` rebuilt or pickled duplicates.
 
-Routing reuses the thread-shard's machinery unchanged
-(:class:`~repro.serve.scheduler.TenantRouter` /
-:class:`~repro.serve.scheduler.LeastLoadedRouter` /
-:class:`~repro.serve.scheduler.RoundRobinRouter`, plus the
-``queue_watermark`` + ``on_overload`` diversion and the same
+Admission and routing are the thread-shard's, literally: both classes
+extend :class:`~repro.serve.fleet.FleetFront` (policy routers, the
+``queue_watermark`` + ``on_overload`` diversion, the shed gate and the
 health-gated pick step); a parent-side reader bridges replies back into
 :class:`~repro.serve.service.SolveTicket`\\ s, so the client API is
 identical to the in-process shard's.  Because every worker rebuilds the
@@ -34,33 +32,24 @@ contract the in-process shard tests.  Solves are **pure**: retrying a
 crashed request on a different worker returns the *same bits* the dead
 worker would have produced, which is what makes transparent retry safe.
 
-Two transports carry the payloads:
+Payloads travel one way only — **zero-copy slot rings.**  Each worker
+owns a per-worker shared-memory :class:`~repro.sem.shared.SlotRing`:
+the client writes each rhs *directly into a ring slot*, the worker
+solves a view of that slot and writes ``x`` back in place, and the pipe
+is a **doorbell/control channel** carrying slot ordinals and scalar
+knobs (tol / maxiter / deadline / precision) plus errors.  Request
+payloads cross zero serialization hops — the fleet's
+:attr:`~repro.serve.stats.StatsSnapshot.copy_bytes` stays 0 — which is
+the serving analogue of the paper's on-chip dataflow argument:
+sub-millisecond solves must not pay a pickle-and-pipe round trip per
+vector.  Slot hand-off uses monotonic ordinals stamped in
+sequence-number headers, so a slot is never read while writable and a
+stale write is detectable; a full ring blocks the submitter (that *is*
+the backpressure).  Workers are core-pinned via
+``os.sched_setaffinity`` (best-effort, guarded on non-Linux) so each
+ring's pages stay hot next to the worker that drains them.
 
-* ``transport="ring"`` (the default) — **zero-copy slot rings.**  Each
-  worker owns a per-worker shared-memory
-  :class:`~repro.sem.shared.SlotRing`: the client writes each rhs
-  *directly into a ring slot*, the worker solves a view of that slot
-  and writes ``x`` back in place, and the pipe is demoted to a
-  **doorbell/control channel** carrying slot ordinals and scalar knobs
-  (tol / maxiter / deadline / precision) plus errors.  Request payloads
-  cross zero serialization hops — the fleet's
-  :attr:`~repro.serve.stats.StatsSnapshot.copy_bytes` stays 0 — which
-  is the serving analogue of the paper's on-chip dataflow argument:
-  sub-millisecond solves must not pay a pickle-and-pipe round trip per
-  vector.  Slot hand-off uses monotonic ordinals stamped in
-  sequence-number headers, so a slot is never read while writable and
-  a stale write is detectable; a full ring blocks the submitter (that
-  *is* the backpressure).  Workers are core-pinned via
-  ``os.sched_setaffinity`` (best-effort, guarded on non-Linux) so each
-  ring's pages stay hot next to the worker that drains them.
-* ``transport="pipe"`` — the original pickle-over-pipe payload path,
-  retained as the fallback and the A/B benchmark baseline.  Every
-  shipped rhs is audited into ``copy_bytes``.
-
-Results are bit-identical across the two transports: both feed the
-identical worker-side solve path; only the bytes' route differs.
-
-Self-healing (the resilience tier on top of the transport):
+Self-healing (the fleet is always supervised):
 
 * **Supervision & respawn.**  A supervisor thread owns a monotonic
   timer heap of pending actions (retries, respawns, deadline
@@ -81,7 +70,8 @@ Self-healing (the resilience tier on top of the transport):
   exponential backoff); only when the policy is exhausted does the
   client see :class:`~repro.serve.errors.FleetUnavailable` (with the
   underlying :class:`~repro.serve.errors.WorkerCrashed` as its
-  ``__cause__``), and only when the time budget runs out does it see
+  ``__cause__`` — a crash is never itself a client-visible outcome),
+  and only when the time budget runs out does it see
   :class:`~repro.serve.errors.DeadlineExceeded`.
 * **Health-gated routing + admission control.**  Routing never targets
   a ``DEGRADED``/``EJECTED`` worker (the shared
@@ -97,11 +87,6 @@ Self-healing (the resilience tier on top of the transport):
   worker-side slow solves — all keyed by per-worker dispatch ordinals
   counted across respawns, so chaos runs replay exactly.
 
-Legacy mode: constructing with ``retry=None, restart=None`` disables
-the resilience tier entirely — crashes surface as
-:class:`~repro.serve.errors.WorkerCrashed` on the affected tickets and
-the dead worker stays dead, exactly the pre-supervision contract.
-
 Guarantees:
 
 * **Drain-on-close.**  ``close()`` settles pending supervised actions,
@@ -111,16 +96,16 @@ Guarantees:
   :class:`~repro.serve.errors.ServiceClosed`.
 * **No request hangs.**  Every ticket resolves: with its result, or
   with the taxonomy error that tells the client what to do
-  (``DeadlineExceeded`` / ``FleetUnavailable`` / ``WorkerCrashed`` /
-  ``ServiceClosed``).  The one documented exception: a chaos-dropped
+  (``DeadlineExceeded`` / ``FleetUnavailable`` / ``ServiceClosed``).
+  The one documented exception: a chaos-dropped
   send with *no* deadline has no watchdog to fire — drop faults
   require deadlines.
 * **Meaningful fleet stats.**  Workers ship
   :class:`~repro.serve.stats.StatsSnapshot`\\ s whose
   ``perf_counter`` stamps are rebased onto the parent's clock at
   transfer time (:func:`~repro.serve.stats.perf_epoch_offset`); the
-  parent folds its own ``retries`` / ``restarts`` / ``expired`` /
-  ``shed`` counters into the merged snapshot.
+  parent adds its own ``retries`` / ``restarts`` / ``expired`` /
+  ``shed`` counters to the merged snapshot.
 """
 
 from __future__ import annotations
@@ -144,34 +129,16 @@ from repro.serve.chaos import FaultInjector, FaultPlan
 from repro.serve.errors import (
     DeadlineExceeded,
     FleetUnavailable,
-    Overloaded,
     ServiceClosed,
     WorkerCrashed,
 )
-from repro.serve.health import (
-    FleetHealth,
-    HealthState,
-    RestartPolicy,
-    RetryPolicy,
-)
-from repro.serve.scheduler import (
-    Router,
-    attach_cost_feedback,
-    pick_with_diversion,
-    resolve_router,
-)
+from repro.serve.fleet import _UNSET, FleetFront, OverloadHook
+from repro.serve.health import HealthState, RestartPolicy, RetryPolicy
+from repro.serve.scheduler import Router, attach_cost_feedback
 from repro.serve.service import SolveTicket, check_request
-from repro.serve.shard import OverloadHook, _UNSET
-from repro.serve.stats import (
-    StatsSnapshot,
-    merge_snapshots,
-    perf_epoch_offset,
-)
+from repro.serve.stats import StatsSnapshot, perf_epoch_offset
 
-__all__ = [
-    "ProcessShardedSolveService",
-    "WorkerCrashed",  # re-export; historical home of the class
-]
+__all__ = ["ProcessShardedSolveService"]
 
 
 def _sendable_error(exc: BaseException) -> BaseException:
@@ -188,7 +155,7 @@ def _sendable_error(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _worker_info(problem, spec, ring=None, pinned=None) -> dict:
+def _worker_info(problem, spec, ring, pinned) -> dict:
     """Introspection payload for the parent's ``worker_info`` (tests
     prove the zero-copy sharing through it)."""
     inner = getattr(problem, "problem", problem)
@@ -216,16 +183,13 @@ def _worker_info(problem, spec, ring=None, pinned=None) -> dict:
         ),
         # Ring attestation: which shared slot ring this worker solves
         # out of (name/slots/dtype), and that its request side really
-        # is the parent's block mapped read-only — the transport twin
-        # of the one-geometry-copy attestation above.
-        "transport": "pipe" if ring is None else "ring",
-        "ring_block": None if ring is None else ring.manifest.block,
-        "ring_slots": None if ring is None else int(ring.manifest.slots),
-        "ring_n": None if ring is None else int(ring.manifest.n),
-        "ring_dtype": None if ring is None else str(np.dtype(ring.manifest.dtype)),
-        "ring_rhs_writeable": (
-            None if ring is None else bool(ring.rhs.flags.writeable)
-        ),
+        # is the parent's block mapped read-only — the payload twin of
+        # the one-geometry-copy attestation above.
+        "ring_block": ring.manifest.block,
+        "ring_slots": int(ring.manifest.slots),
+        "ring_n": int(ring.manifest.n),
+        "ring_dtype": str(np.dtype(ring.manifest.dtype)),
+        "ring_rhs_writeable": bool(ring.rhs.flags.writeable),
         "pinned_cpus": pinned,
     }
 
@@ -240,16 +204,13 @@ def _worker_main(
     """Worker-process entry point: rebuild, serve, drain, exit.
 
     Protocol (tuples over the pipe; parent -> worker):
-    ``("solve_block", [...])`` where the items depend on the transport.
-    On the **pipe** transport (``spec.ring is None``) each item is
-    ``(req_id, b, tol, maxiter, deadline_remaining, precision)`` — the
-    rhs payload pickles across.  On the **ring** transport each item is
-    a doorbell ``(req_id, ordinal, slot, tol, maxiter,
-    deadline_remaining, precision)``: the rhs is already sitting in the
-    worker's :class:`~repro.sem.shared.SlotRing` slot and the worker
-    solves a zero-copy view of it, writing ``x`` back in place and
-    stamping ``resp_seq[slot] = ordinal`` before replying — the pipe
-    message carries *no payload bytes* either way.
+    ``("solve_block", [...])`` where each item is a doorbell
+    ``(req_id, ordinal, slot, tol, maxiter, deadline_remaining,
+    precision)``: the rhs is already sitting in the worker's
+    :class:`~repro.sem.shared.SlotRing` slot (``spec.ring``) and the
+    worker solves a zero-copy view of it, writing ``x`` back in place
+    and stamping ``resp_seq[slot] = ordinal`` before replying — the
+    pipe message carries *no payload bytes* either way.
     ``deadline_remaining`` is the request's *remaining* time budget in
     seconds (monotonic clocks don't compare across processes, so the
     wire carries a relative quantity) or ``None``; ``precision`` the
@@ -258,9 +219,9 @@ def _worker_main(
     token)``, ``("flush", token)``, ``("close",)``.  Worker -> parent:
     ``("ready", pid)`` / ``("fatal", exc)`` once at startup, then
     ``("done_block", [(req_id, ok, result | exc), ...])`` blocks of
-    results (on the ring transport a successful ``result`` is the
-    CGResult/MixedCGResult metadata with ``x=None`` — the solution
-    bytes ride the ring, not the pipe), ``("stats", token, snapshot,
+    results (a successful ``result`` is the CGResult/MixedCGResult
+    metadata with ``x=None`` — the solution bytes ride the ring, not
+    the pipe), ``("stats", token, snapshot,
     clock_offset)``, ``("info", token, dict)``, ``("flushed", token)``,
     and ``("bye",)`` after a graceful drain.
 
@@ -296,12 +257,10 @@ def _worker_main(
         except (OSError, ValueError):
             pinned = None
 
-    ring: SlotRing | None = None
     try:
         problem = rebuild(spec)
         svc = SolveService(problem, background=True, **service_kwargs)
-        if spec.ring is not None:
-            ring = SlotRing.attach(spec.ring)
+        ring = SlotRing.attach(spec.ring)
     except BaseException as exc:
         try:
             conn.send(("fatal", _sendable_error(exc)))
@@ -356,14 +315,7 @@ def _worker_main(
     )
     pump_thread.start()
 
-    def report(req_id: int, ticket) -> None:
-        exc = ticket.exception()
-        if exc is None:
-            results.put((req_id, True, ticket.result()))
-        else:
-            results.put((req_id, False, _sendable_error(exc)))
-
-    def report_ring(req_id: int, ordinal: int, slot: int, ticket) -> None:
+    def report(req_id: int, ordinal: int, slot: int, ticket) -> None:
         # Zero-copy response: the solution vector goes back through the
         # ring slot it arrived in; only the CGResult metadata (x=None)
         # rides the pipe.  resp_seq is stamped *after* the x write so
@@ -393,81 +345,60 @@ def _worker_main(
                     pause = slow_schedule.get(block_ordinal)
                     if pause:
                         time.sleep(pause)
-                if ring is None:
+                # Each item is a doorbell (req_id, ordinal, slot, tol,
+                # maxiter, deadline, precision).  The slot header must
+                # match the doorbell's ordinal — a mismatch means the
+                # parent recycled the slot after giving up on this
+                # request (expiry), so the rhs bytes are no longer ours
+                # to read; report it rather than solve garbage.
+                good = []
+                for item in block:
+                    req_id, ordinal, slot = item[0], item[1], item[2]
+                    if (
+                        0 <= slot < ring.manifest.slots
+                        and int(ring.req_seq[slot]) == ordinal
+                    ):
+                        good.append(item)
+                    else:
+                        results.put((
+                            req_id, False,
+                            RuntimeError(
+                                f"stale ring doorbell: slot {slot} "
+                                f"ordinal {ordinal} no longer owns "
+                                "the slot"
+                            ),
+                        ))
+                if good:
                     try:
                         # Bulk ingest: one queue-lock acquisition and
                         # one dispatcher wake-up for the whole block.
                         # Closure mid-block is reported through the
                         # tickets, so every req_id gets exactly one
-                        # reply either way.
+                        # reply either way.  snapshot=False: the solver
+                        # batches views of the shared slots directly —
+                        # no ingest copy on either side of the process
+                        # boundary.
                         tickets = svc.submit_block(
                             [
-                                (b, tol, mi, dl, prec)
-                                for _, b, tol, mi, dl, prec in block
-                            ]
+                                (ring.rhs[slot], tol, mi, dl, prec)
+                                for _, _, slot, tol, mi, dl, prec in good
+                            ],
+                            snapshot=False,
                         )
                     except BaseException as exc:
                         # All-or-nothing failure (validation): nothing
                         # was enqueued; report every item.
                         error = _sendable_error(exc)
-                        for req_id, *_ in block:
+                        for req_id, *_ in good:
                             results.put((req_id, False, error))
                     else:
-                        for (req_id, *_), ticket in zip(block, tickets):
+                        for item, ticket in zip(good, tickets):
                             ticket.add_done_callback(
-                                lambda t, rid=req_id: report(rid, t)
+                                lambda t,
+                                rid=item[0],
+                                o=item[1],
+                                s=item[2]: report(rid, o, s, t)
                             )
-                else:
-                    # Ring transport: each item is a doorbell
-                    # (req_id, ordinal, slot, tol, maxiter, deadline,
-                    # precision).  The slot header must match the
-                    # doorbell's ordinal — a mismatch means the parent
-                    # recycled the slot after giving up on this request
-                    # (expiry), so the rhs bytes are no longer ours to
-                    # read; report it rather than solve garbage.
-                    good = []
-                    for item in block:
-                        req_id, ordinal, slot = item[0], item[1], item[2]
-                        if (
-                            0 <= slot < ring.manifest.slots
-                            and int(ring.req_seq[slot]) == ordinal
-                        ):
-                            good.append(item)
-                        else:
-                            results.put((
-                                req_id, False,
-                                RuntimeError(
-                                    f"stale ring doorbell: slot {slot} "
-                                    f"ordinal {ordinal} no longer owns "
-                                    "the slot"
-                                ),
-                            ))
-                    if good:
-                        try:
-                            # snapshot=False: the solver batches views
-                            # of the shared slots directly — no ingest
-                            # copy on either side of the process
-                            # boundary.
-                            tickets = svc.submit_block(
-                                [
-                                    (ring.rhs[slot], tol, mi, dl, prec)
-                                    for _, _, slot, tol, mi, dl, prec
-                                    in good
-                                ],
-                                snapshot=False,
-                            )
-                        except BaseException as exc:
-                            error = _sendable_error(exc)
-                            for req_id, *_ in good:
-                                results.put((req_id, False, error))
-                        else:
-                            for item, ticket in zip(good, tickets):
-                                ticket.add_done_callback(
-                                    lambda t,
-                                    rid=item[0],
-                                    o=item[1],
-                                    s=item[2]: report_ring(rid, o, s, t)
-                                )
             elif tag == "stats":
                 send(("stats", msg[1], svc.stats, perf_epoch_offset()))
             elif tag == "info":
@@ -493,11 +424,10 @@ def _worker_main(
             pass
         results.put(None)
         pump_thread.join(timeout=5.0)
-        if ring is not None:
-            try:
-                ring.close()  # drop the mapping; the parent owns unlink
-            except Exception:
-                pass
+        try:
+            ring.close()  # drop the mapping; the parent owns unlink
+        except Exception:
+            pass
         conn.close()
 
 
@@ -521,19 +451,18 @@ class _Inflight:
     ``attempts`` counts registrations with a worker (incremented inside
     :meth:`ProcessShardedSolveService._dispatch_inflights`).
 
-    On the ring transport, ``ring``/``ring_ordinal``/``ring_slot``
-    record the staged slot while the request is parked in a worker's
-    :class:`~repro.sem.shared.SlotRing` (``b`` then aliases the slot's
-    rhs row).  Whoever removes the inflight from a worker's pending map
-    owns releasing the slot — via
-    :meth:`ProcessShardedSolveService._unstage`, which first copies the
-    rhs back out to a private array when the ticket may still be
-    retried.
+    ``staged`` is ``(ring, ordinal, slot)`` while the request is parked
+    in a worker's :class:`~repro.sem.shared.SlotRing` (``b`` then
+    aliases the slot's rhs row) and ``None`` otherwise.  Whoever
+    removes the inflight from a worker's pending map owns releasing the
+    slot — via :meth:`ProcessShardedSolveService._unstage`, which first
+    copies the rhs back out to a private array when the ticket may
+    still be retried.
     """
 
     __slots__ = (
         "ticket", "b", "tol", "maxiter", "deadline_at", "precision",
-        "attempts", "ring", "ring_ordinal", "ring_slot",
+        "attempts", "staged",
     )
 
     def __init__(
@@ -546,9 +475,7 @@ class _Inflight:
         self.deadline_at = deadline_at  # time.monotonic() absolute, or None
         self.precision = precision  # "fp64" / "mixed" / None (worker default)
         self.attempts = 0
-        self.ring = None  # SlotRing while staged, else None
-        self.ring_ordinal = None
-        self.ring_slot = None
+        self.staged = None
 
 
 class _Worker:
@@ -557,7 +484,7 @@ class _Worker:
     __slots__ = (
         "index", "generation", "process", "conn", "send_lock",
         "state_lock", "seq", "pending", "replies", "alive", "close_sent",
-        "reader", "fatal",
+        "reader",
     )
 
     def __init__(self, index: int, generation: int, process, conn) -> None:
@@ -578,10 +505,9 @@ class _Worker:
         self.alive = True
         self.close_sent = False
         self.reader: threading.Thread | None = None
-        self.fatal: BaseException | None = None
 
 
-class ProcessShardedSolveService:
+class ProcessShardedSolveService(FleetFront):
     """Route solve requests across ``K`` supervised worker *processes*.
 
     Parameters
@@ -608,34 +534,26 @@ class ProcessShardedSolveService:
     precondition:
         Forwarded to every worker's in-process
         :class:`~repro.serve.service.SolveService`; omitted knobs take
-        that dataclass's own defaults (the ``_UNSET`` pattern shared
-        with the thread-shard, so there is exactly one set of
-        defaults).
-    queue_watermark / on_overload:
-        Watermark diversion, as in the thread-shard.  Depths here count
-        *in-flight* requests per worker (submitted, not yet resolved) —
-        the parent cannot cheaply observe a worker's internal queue, and
-        in-flight is the quantity backpressure actually acts on.
-    shed_watermark:
-        Admission-control shed point: when every *healthy* worker's
-        in-flight depth is at or above it, submits raise retryable
-        :class:`~repro.serve.errors.Overloaded` instead of queueing.
-        Must be ``>= queue_watermark`` when both are set (diversion
-        rebalances below the shed point).  ``None`` (default) never
-        sheds.
+        that dataclass's own defaults (the shared
+        :class:`~repro.serve.fleet.FleetFront` forwards only what was
+        set, so there is exactly one set of defaults).
+    queue_watermark / on_overload / shed_watermark:
+        Watermark diversion and the admission-control shed point, as in
+        the thread-shard (one implementation serves both).  Depths here
+        count *in-flight* requests per worker (submitted, not yet
+        resolved) — the parent cannot cheaply observe a worker's
+        internal queue, and in-flight is the quantity backpressure
+        actually acts on.
     retry:
         :class:`~repro.serve.health.RetryPolicy` governing transparent
         resubmission of requests lost to a worker crash (solves are
         pure, so a retried request returns bit-identical results).
-        ``None`` disables retry: crashes fail the affected tickets with
-        :class:`~repro.serve.errors.WorkerCrashed`.
+        A request that exhausts it fails with
+        :class:`~repro.serve.errors.FleetUnavailable`.
     restart:
         :class:`~repro.serve.health.RestartPolicy` governing worker
-        respawn backoff and the ``max_restarts`` circuit breaker.
-        ``None`` disables respawn: a crashed worker is ejected for the
-        service's lifetime.  ``retry=None, restart=None`` together
-        select the legacy non-supervised contract (no health marking;
-        submits routed to the dead worker raise ``WorkerCrashed``).
+        respawn backoff and the ``max_restarts`` circuit breaker (a
+        slot that trips it is ejected for the service's lifetime).
     chaos:
         Optional :class:`~repro.serve.chaos.FaultPlan` (or prepared
         :class:`~repro.serve.chaos.FaultInjector`) of deterministic
@@ -646,20 +564,14 @@ class ProcessShardedSolveService:
         import fresh and attach the shared blocks explicitly, proving
         zero-copy sharing rather than inheriting pages by fork
         accident; ``"fork"``/``"forkserver"`` also work).
-    transport:
-        ``"ring"`` (default) hands request/response payloads through
-        per-worker shared-memory :class:`~repro.sem.shared.SlotRing`
-        slot rings; the pipe carries only doorbells (slot ordinals and
-        scalars), so the request payload path copies **zero bytes**
-        through a transport hop (``stats.copy_bytes == 0``).
-        ``"pipe"`` retains the original pickled-payload wire protocol
-        as the A/B baseline; it audits every rhs it pickles into
-        ``stats.copy_bytes``.  Results are bit-identical between the
-        two — same solver, same bytes, different road.
     ring_slots:
-        Slots per worker ring (default 32).  A full ring is
-        backpressure: staging blocks until a slot is released, never
-        overwriting an unconsumed one.
+        Slots per worker :class:`~repro.sem.shared.SlotRing` (default
+        32).  Request/response payloads ride the rings; the pipe
+        carries only doorbells (slot ordinals and scalars), so the
+        request payload path copies **zero bytes** through a transport
+        hop (``stats.copy_bytes == 0``).  A full ring is backpressure:
+        staging blocks until a slot is released, never overwriting an
+        unconsumed one.
     pin_cores:
         Pin each worker process to one CPU (round-robin over the
         parent's affinity mask via ``os.sched_setaffinity``);
@@ -699,6 +611,8 @@ class ProcessShardedSolveService:
     #: recoverable (a respawn is pending) — requeue rather than fail.
     RETRY_REQUEUE_WAIT: float = 0.05
 
+    _noun = "worker"
+
     def __init__(
         self,
         problem: object,
@@ -714,48 +628,24 @@ class ProcessShardedSolveService:
         queue_watermark: int | None = None,
         on_overload: OverloadHook | None = None,
         shed_watermark: int | None = None,
-        retry: RetryPolicy | None = RetryPolicy(),
-        restart: RestartPolicy | None = RestartPolicy(),
+        retry: RetryPolicy = RetryPolicy(),
+        restart: RestartPolicy = RestartPolicy(),
         chaos: "FaultPlan | FaultInjector | None" = None,
         start_method: str = "spawn",
-        transport: str = "ring",
         ring_slots: int = 32,
         pin_cores: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if transport not in ("ring", "pipe"):
-            raise ValueError(
-                f"transport must be 'ring' or 'pipe', got {transport!r}"
-            )
         if ring_slots < 1:
             raise ValueError(f"ring_slots must be >= 1, got {ring_slots}")
-        if queue_watermark is not None and queue_watermark < 1:
-            raise ValueError(
-                f"queue_watermark must be >= 1, got {queue_watermark}"
-            )
-        if shed_watermark is not None:
-            if shed_watermark < 1:
-                raise ValueError(
-                    f"shed_watermark must be >= 1, got {shed_watermark}"
-                )
-            if (
-                queue_watermark is not None
-                and shed_watermark < queue_watermark
-            ):
-                raise ValueError(
-                    f"shed_watermark ({shed_watermark}) must be >= "
-                    f"queue_watermark ({queue_watermark}): diversion "
-                    "rebalances below the shed point"
-                )
-        if retry is not None and not isinstance(retry, RetryPolicy):
+        if not isinstance(retry, RetryPolicy):
             raise TypeError(
-                f"retry must be a RetryPolicy or None, got "
-                f"{type(retry).__name__}"
+                f"retry must be a RetryPolicy, got {type(retry).__name__}"
             )
-        if restart is not None and not isinstance(restart, RestartPolicy):
+        if not isinstance(restart, RestartPolicy):
             raise TypeError(
-                f"restart must be a RestartPolicy or None, got "
+                f"restart must be a RestartPolicy, got "
                 f"{type(restart).__name__}"
             )
         if not hasattr(problem, "export_shared"):
@@ -765,16 +655,15 @@ class ProcessShardedSolveService:
                 "spec (PoissonProblem, HelmholtzProblem and NekboneCase "
                 "all provide it)"
             )
+        super().__init__(
+            workers, policy, queue_watermark, on_overload, shed_watermark,
+            max_batch=max_batch, max_wait=max_wait,
+            max_pending=max_pending, tol=tol, maxiter=maxiter,
+            precision=precision, precondition=precondition,
+        )
         self.workers = workers
-        self.transport = transport
         self.ring_slots = ring_slots
         self.pin_cores = pin_cores
-        self.policy = (
-            policy if isinstance(policy, str) else type(policy).__name__
-        )
-        self.queue_watermark = queue_watermark
-        self.on_overload = on_overload
-        self.shed_watermark = shed_watermark
         self.retry = retry
         self.restart = restart
         if chaos is None:
@@ -788,21 +677,11 @@ class ProcessShardedSolveService:
                 f"chaos must be a FaultPlan, FaultInjector or None, got "
                 f"{type(chaos).__name__}"
             )
-        self._router = resolve_router(policy, workers)
-        self._least_loaded = resolve_router("least-loaded", workers)
-        self._lock = threading.Lock()
-        self._routed = [0] * workers  # guarded-by: _lock
-        self._rebalanced = 0  # guarded-by: _lock
-        self._health_diverted = 0  # guarded-by: _lock
-        self._shed = 0  # guarded-by: _lock
         self._expired = 0  # guarded-by: _lock
         self._retried = 0  # guarded-by: _lock
         self._restarts = 0  # guarded-by: _lock
-        self._copy_bytes = 0  # guarded-by: _lock
-        self._closed = False  # guarded-by: _lock
         self._torn_down = False  # guarded-by: _lock
         self._n = int(problem.n_dofs)
-        self.health = FleetHealth(workers)
         # Supervisor state must exist before any worker (and so any
         # reader thread) does: a crash during startup already routes
         # through _schedule.
@@ -812,18 +691,6 @@ class ProcessShardedSolveService:
         self._sup_exited = False
         self._seq_counter = itertools.count()
         self._supervisor: threading.Thread | None = None
-        # One set of service defaults: SolveService's own (see
-        # ShardedSolveService, which this mirrors knob for knob).
-        self._forwarded = {
-            name: value
-            for name, value in (
-                ("max_batch", max_batch), ("max_wait", max_wait),
-                ("max_pending", max_pending), ("tol", tol),
-                ("maxiter", maxiter), ("precision", precision),
-                ("precondition", precondition),
-            )
-            if value is not _UNSET
-        }
         # Validate the forwarded knobs parent-side with SolveService's
         # own constructor (the single source of validation truth): a
         # bad max_batch must raise here as a plain ValueError, not as a
@@ -835,18 +702,13 @@ class ProcessShardedSolveService:
         # One request/response slot ring per worker: a crashed worker's
         # replacement re-attaches the *same* ring (same physical pages),
         # so staged rhs bytes survive the respawn.
-        self._rings: "list[SlotRing] | None" = None
-        if transport == "ring":
-            rings: list[SlotRing] = []
-            try:
-                for _ in range(workers):
-                    rings.append(SlotRing.create(ring_slots, self._n))
-            except BaseException:
-                for ring in rings:
-                    ring.close(unlink=True)
-                self._export.close(unlink=True)
-                raise
-            self._rings = rings
+        self._rings: list[SlotRing] = []
+        try:
+            for _ in range(workers):
+                self._rings.append(SlotRing.create(ring_slots, self._n))
+        except BaseException:
+            self._release_shared()
+            raise
         self._ctx = multiprocessing.get_context(start_method)
         self._workers: list[_Worker] = []
         started: list[_Worker] = []
@@ -869,11 +731,7 @@ class ProcessShardedSolveService:
                     w.process.terminate()
                 w.process.join(timeout=5.0)
                 w.conn.close()
-            if self._rings is not None:
-                for ring in self._rings:
-                    ring.close(unlink=True)
-                self._rings = None
-            self._export.close(unlink=True)
+            self._release_shared()
             raise
         self._supervisor = threading.Thread(
             target=self._supervisor_loop,
@@ -888,9 +746,9 @@ class ProcessShardedSolveService:
         """Start one worker process (fresh or respawn) on a fresh pipe.
 
         Respawns rebuild from the *same* spec attached to the *same*
-        shared-memory export — nothing is re-exported — and, on the
-        ring transport, re-attach the *same* slot ring, so rhs bytes
-        staged before a crash are still in place for retry.
+        shared-memory export — nothing is re-exported — and re-attach
+        the *same* slot ring, so rhs bytes staged before a crash are
+        still in place for retry.
         """
         parent_conn, child_conn = self._ctx.Pipe()
         slow = (
@@ -903,11 +761,7 @@ class ProcessShardedSolveService:
             if generation == 0
             else f"sem-procshard-{index}-g{generation}"
         )
-        spec = (
-            self._export.spec
-            if self._rings is None
-            else self._export.spec_with_ring(self._rings[index].manifest)
-        )
+        spec = self._export.spec_with_ring(self._rings[index].manifest)
         process = self._ctx.Process(
             target=_worker_main,
             args=(spec, child_conn, self._forwarded, slow,
@@ -918,6 +772,13 @@ class ProcessShardedSolveService:
         process.start()
         child_conn.close()
         return _Worker(index, generation, process, parent_conn)
+
+    def _release_shared(self) -> None:
+        """Unmap and unlink every ring and the problem export."""
+        for ring in self._rings:
+            ring.close(unlink=True)
+        self._rings = []
+        self._export.close(unlink=True)
 
     def _pin_for(self, index: int) -> "tuple[int, ...] | None":
         """CPU set for worker ``index``: round-robin over the parent's
@@ -1054,15 +915,7 @@ class ProcessShardedSolveService:
                 w.conn.close()
                 raise
         except Exception:
-            restart = self.restart
-            if restart is None:
-                self.health.eject(slot)
-                return
-            n = self.health.record_restart_attempt(slot)
-            if n > restart.max_restarts:
-                self.health.eject(slot)
-            else:
-                self._schedule(restart.backoff(n), ("respawn", slot))
+            self._restart_or_eject(slot)
             return
         w.reader = threading.Thread(
             target=self._reader_loop, args=(w,),
@@ -1074,12 +927,21 @@ class ProcessShardedSolveService:
         # Re-admission: from here on the routing mask includes the slot
         # again (mark_healthy is a no-op if a racing eject won).
         self.health.mark_healthy(slot)
-        if self._rings is not None:
-            # The replacement attached the same ring; staging may block
-            # on it again instead of failing with the crash error.
-            self._rings[slot].resume()
+        # The replacement attached the same ring; staging may block on
+        # it again instead of failing with the crash error.
+        self._rings[slot].resume()
         with self._lock:
             self._restarts += 1
+
+    def _restart_or_eject(self, slot: int) -> None:
+        """Charge one restart attempt to a dead slot: schedule its
+        respawn under the policy's backoff, or — circuit breaker — eject
+        a slot that keeps dying and stop feeding it processes."""
+        n = self.health.record_restart_attempt(slot)
+        if n > self.restart.max_restarts:
+            self.health.eject(slot)
+        else:
+            self._schedule(self.restart.backoff(n), ("respawn", slot))
 
     def _handle_retry(self, inflight: _Inflight, final: bool = False) -> None:
         """Redispatch one crash-orphaned request to a healthy worker.
@@ -1143,12 +1005,7 @@ class ProcessShardedSolveService:
                 )
             return
         except (WorkerCrashed, ServiceClosed) as exc:
-            retry = self.retry
-            if (
-                final
-                or retry is None
-                or inflight.attempts >= retry.max_attempts
-            ):
+            if final or inflight.attempts >= self.retry.max_attempts:
                 error = FleetUnavailable(
                     f"request failed after {max(inflight.attempts, 1)} "
                     f"attempt(s); last dispatch hit: {exc}"
@@ -1156,11 +1013,7 @@ class ProcessShardedSolveService:
                 error.__cause__ = exc
                 ticket._fail(error)
             else:
-                self._privatize(inflight)
-                self._schedule(
-                    retry.backoff(max(inflight.attempts, 1)),
-                    ("retry", inflight),
-                )
+                self._retry_later(inflight)
             return
         with self._lock:
             self._retried += 1
@@ -1185,9 +1038,9 @@ class ProcessShardedSolveService:
         if ticket.done():
             # Settled but still registered means cancelled client-side
             # (e.g. a gateway disowning the request at its own deadline):
-            # the outcome is already decided, but the registration and —
-            # on the ring transport — the staged slot are not freed by
-            # anyone else if the send was dropped or the worker wedged.
+            # the outcome is already decided, but the registration and
+            # the staged slot are not freed by anyone else if the send
+            # was dropped or the worker wedged.
             # Reclaim them here; don't count the request as expired (its
             # deadline didn't decide anything, the cancel did).
             self._unstage([inflight])
@@ -1210,12 +1063,11 @@ class ProcessShardedSolveService:
         """Drain one worker's pipe, resolving tickets and replies.
 
         Exits on ``bye`` (graceful) or EOF (crash / parent-initiated
-        teardown).  On an unexpected exit with supervision enabled the
-        crash path marks the slot degraded, schedules its respawn, and
-        hands salvageable in-flight requests to the retry machinery;
-        without supervision (or during close) every ticket and reply
-        still registered is failed — either way no client ever hangs on
-        a dead worker.
+        teardown).  On an unexpected exit the crash path marks the slot
+        degraded, schedules its respawn, and hands salvageable
+        in-flight requests to the retry machinery; during close every
+        ticket and reply still registered is failed — either way no
+        client ever hangs on a dead worker.
         """
         try:
             while True:
@@ -1230,21 +1082,20 @@ class ProcessShardedSolveService:
                             inflight = w.pending.pop(req_id, None)
                         if inflight is None:
                             continue
-                        if inflight.ring is None:
-                            if ok:
-                                inflight.ticket._resolve(payload)
-                            else:
-                                inflight.ticket._fail(payload)
+                        staged = inflight.staged
+                        if staged is None:
+                            # A second registration of a request the
+                            # double-retry race (ROADMAP item 5, cause
+                            # (a)) dispatched twice: the first reply
+                            # settled the ticket and released the slot.
                             continue
-                        # Ring transport: the pipe carried metadata
-                        # only (x=None); the solution bytes are in the
-                        # slot, guarded by its response sequence
-                        # header.  Copy x out, release the slot, then
-                        # resolve — in that order, so the client never
-                        # observes a ticket whose slot is still held.
-                        ring = inflight.ring
-                        ordinal = inflight.ring_ordinal
-                        slot = inflight.ring_slot
+                        # The pipe carried metadata only (x=None); the
+                        # solution bytes are in the slot, guarded by
+                        # its response sequence header.  Copy x out,
+                        # release the slot, then resolve — in that
+                        # order, so the client never observes a ticket
+                        # whose slot is still held.
+                        ring, ordinal, slot = staged
                         result = error = None
                         if not ok:
                             error = payload
@@ -1259,9 +1110,7 @@ class ProcessShardedSolveService:
                             result = replace(
                                 payload, x=np.array(ring.x[slot])
                             )
-                        inflight.ring = None
-                        inflight.ring_ordinal = None
-                        inflight.ring_slot = None
+                        inflight.staged = None
                         ring.release(ordinal)
                         if error is None:
                             inflight.ticket._resolve(result)
@@ -1290,52 +1139,29 @@ class ProcessShardedSolveService:
             for reply in replies:
                 reply.error = crash
                 reply.event.set()
-            ring = None if self._rings is None else self._rings[w.index]
-            if ring is not None and not close_sent:
+            if not close_sent:
                 # Wake anyone blocked staging into this worker's full
                 # ring (and bounce new stagers): the slots they wait
                 # for may never come back.  The replacement worker
                 # re-attaches the same ring, so a successful respawn
                 # resumes it.
-                ring.interrupt(WorkerCrashed(
+                self._rings[w.index].interrupt(WorkerCrashed(
                     f"worker {w.index} has died; its ring accepts no "
                     "new requests"
                 ))
-            supervised = (
-                (self.retry is not None or self.restart is not None)
-                and not close_sent
-                and not self.closed
-                and self._workers[w.index] is w
-            )
-            if not supervised:
-                # Legacy / shutdown path: surface the crash as-is.
+            if close_sent or self.closed or self._workers[w.index] is not w:
+                # Shutdown: nobody is left to retry on or respawn for.
                 for inflight in pending:
                     inflight.ticket._fail(crash)
                 self._unstage(pending)
                 return
             self.health.mark_degraded(w.index)
-            restart = self.restart
-            if restart is None:
-                self.health.eject(w.index)
-            else:
-                n = self.health.record_restart_attempt(w.index)
-                if n > restart.max_restarts:
-                    # Circuit breaker: the slot keeps dying; stop
-                    # feeding it processes.
-                    self.health.eject(w.index)
-                else:
-                    self._schedule(
-                        restart.backoff(n), ("respawn", w.index)
-                    )
+            self._restart_or_eject(w.index)
             retry = self.retry
             now = time.monotonic()
             for inflight in pending:
                 ticket = inflight.ticket
                 if ticket.done():
-                    self._unstage([inflight])
-                    continue
-                if retry is None:
-                    ticket._fail(crash)
                     self._unstage([inflight])
                 elif (
                     inflight.deadline_at is not None
@@ -1398,63 +1224,55 @@ class ProcessShardedSolveService:
             raise reply.error
         return reply.payload
 
+    def _ask_live(self, tag: str) -> list[tuple]:
+        """:meth:`_request` every worker in turn; one that is dead, or
+        dies under the ask, is skipped (``_request`` checks liveness
+        under the worker's state lock and raises ``WorkerCrashed``)."""
+        replies = []
+        for w in list(self._workers):
+            try:
+                replies.append(self._request(w, tag))
+            except WorkerCrashed:
+                continue
+        return replies
+
     # ------------------------------------------------------------------
     # Routing / dispatch plumbing
     # ------------------------------------------------------------------
     def _validate_request(
         self, b, tol, maxiter, deadline, precision=None
     ) -> tuple:
-        """Snapshot + validate one request parent-side (bad requests
-        must bounce before crossing the process boundary).  ``None``
-        knobs pass through for the worker's service to resolve; the
-        checks themselves are :func:`repro.serve.service.check_request`
-        — the same single source of truth the workers apply.
+        """Validate one request parent-side (bad requests must bounce
+        before crossing the process boundary).  ``None`` knobs pass
+        through for the worker's service to resolve; the checks
+        themselves are :func:`repro.serve.service.check_request` — the
+        same single source of truth the workers apply.
 
-        On the ring transport validation takes a zero-copy *view*
-        (``snapshot=False``): the one write that moves the bytes is the
-        staging store into the ring slot, and dispatch happens within
-        the same client call, before the caller can mutate its array.
-        On the pipe transport the snapshot copy is kept — pickling
-        happens later and possibly concurrently with caller mutation.
+        Validation takes a zero-copy *view* (``snapshot=False``): the
+        one write that moves the bytes is the staging store into the
+        ring slot, and dispatch happens within the same client call,
+        before the caller can mutate its array.
         """
         return check_request(
             self._n, b, tol, maxiter, deadline, precision,
-            snapshot=self._rings is None,
+            snapshot=False,
         )
 
-    def _route(
-        self, key, depths: tuple[int, ...], healthy
-    ) -> int:
-        """Pick (and possibly divert) the worker for one request, given
-        the depths and health mask the decision should see — the shared
-        :func:`~repro.serve.scheduler.pick_with_diversion` step."""
-        chosen, rebalanced, diverted = pick_with_diversion(
-            self._router, self._least_loaded, key, depths,
-            self.queue_watermark, self.on_overload, noun="worker",
-            healthy=healthy,
-        )
+    def _check_open(self) -> None:
+        with self._lock:
+            if self._closed:
+                raise ServiceClosed(
+                    "submit on a closed process-sharded service"
+                )
+
+    def _route(self, key, planned=None, shed: bool = True) -> int:
+        """The shared :meth:`~repro.serve.fleet.FleetFront._admit` step;
+        diversions are booked at decision time (the hand-over books
+        ``routed``, and books it again for a retry)."""
+        chosen, rebalanced, diverted = self._admit(key, planned, shed)
         if rebalanced or diverted:
-            with self._lock:
-                self._rebalanced += int(rebalanced)
-                self._health_diverted += int(diverted)
+            self._count(chosen, 0, rebalanced, diverted)
         return chosen
-
-    def _check_shed(self, depths, mask) -> None:
-        """Admission control: raise retryable ``Overloaded`` when every
-        healthy worker's in-flight depth is at the shed watermark."""
-        if self.shed_watermark is None:
-            return
-        healthy_depths = [
-            depths[i] for i in range(len(mask)) if mask[i]
-        ]
-        if healthy_depths and min(healthy_depths) >= self.shed_watermark:
-            with self._lock:
-                self._shed += 1
-            raise Overloaded(
-                f"every healthy worker's in-flight depth is at the shed "
-                f"watermark ({self.shed_watermark}); retry after a "
-                "backoff"
-            )
 
     def _stage_ring(
         self,
@@ -1477,9 +1295,7 @@ class ProcessShardedSolveService:
                 ordinal, slot = ring.acquire(timeout=timeout)
                 ring.rhs[slot][...] = inf.b
                 inf.b = ring.rhs[slot]
-                inf.ring = ring
-                inf.ring_ordinal = ordinal
-                inf.ring_slot = slot
+                inf.staged = (ring, ordinal, slot)
                 staged.append(inf)
         except BaseException:
             self._unstage(staged)
@@ -1494,27 +1310,29 @@ class ProcessShardedSolveService:
         ticket should do so *before* unstaging to skip that copy.
         """
         for inf in inflights:
-            ring, ordinal = inf.ring, inf.ring_ordinal
-            if ring is None:
+            staged, inf.staged = inf.staged, None
+            if staged is None:
                 continue
-            slot = inf.ring_slot
-            inf.ring = None
-            inf.ring_ordinal = None
-            inf.ring_slot = None
+            ring, ordinal, slot = staged
             if not inf.ticket.done():
                 inf.b = np.array(ring.rhs[slot])
             ring.release(ordinal)
 
-    def _privatize(self, inflight: _Inflight) -> None:
-        """Give a retry-bound request its own rhs bytes.
+    def _retry_later(self, inflight: _Inflight) -> None:
+        """Schedule the redispatch of a request whose dispatch found
+        its worker dead, after giving it its own rhs bytes.
 
-        Ring-mode validation hands out zero-copy views of the caller's
-        array; a retry outliving the submit call must not alias memory
-        the caller is free to mutate.  (Already-staged or pipe-mode
-        requests hold their own bytes and are left alone.)
+        Validation hands out zero-copy views of the caller's array; a
+        retry outliving the submit call must not alias memory the
+        caller is free to mutate.  (An already-staged request holds
+        its own bytes and is left alone.)
         """
-        if self._rings is not None and inflight.ring is None:
+        if inflight.staged is None:
             inflight.b = np.array(inflight.b)
+        self._schedule(
+            self.retry.backoff(max(inflight.attempts, 1)),
+            ("retry", inflight),
+        )
 
     def _dispatch_inflights(
         self,
@@ -1525,13 +1343,11 @@ class ProcessShardedSolveService:
         """Register + send a group of requests to one worker as a
         single pipe message, applying any planned faults.
 
-        On the ring transport the rhs payloads are staged into the
-        worker's slot ring first (blocking while the ring is full —
-        bounded by ``acquire_timeout``, which the supervisor's retry
-        path sets so one full ring cannot stall the whole timer wheel)
-        and the pipe message carries only doorbells; on the pipe
-        transport the payloads pickle across and their bytes are added
-        to the ``copy_bytes`` audit.
+        The rhs payloads are staged into the worker's slot ring first
+        (blocking while the ring is full — bounded by
+        ``acquire_timeout``, which the supervisor's retry path sets so
+        one full ring cannot stall the whole timer wheel) and the pipe
+        message carries only doorbells.
 
         Increments each request's attempt count; schedules the
         parent-side deadline watchdog for deadlined requests (which is
@@ -1540,9 +1356,7 @@ class ProcessShardedSolveService:
         then observes the death exactly as it would a real crash.
         """
         w = self._workers[chosen]
-        ring = None if self._rings is None else self._rings[chosen]
-        if ring is not None:
-            self._stage_ring(ring, inflights, acquire_timeout)
+        self._stage_ring(self._rings[chosen], inflights, acquire_timeout)
         injector = self._injector
         kill = False
         req_ids: list[int] = []
@@ -1578,21 +1392,13 @@ class ProcessShardedSolveService:
                             if inf.deadline_at is None
                             else max(inf.deadline_at - now, 1e-9)
                         )
-                        if ring is not None:
-                            payload.append(
-                                (
-                                    req_id, inf.ring_ordinal,
-                                    inf.ring_slot, inf.tol, inf.maxiter,
-                                    remaining, inf.precision,
-                                )
+                        _, ring_ordinal, ring_slot = inf.staged
+                        payload.append(
+                            (
+                                req_id, ring_ordinal, ring_slot, inf.tol,
+                                inf.maxiter, remaining, inf.precision,
                             )
-                        else:
-                            payload.append(
-                                (
-                                    req_id, inf.b, inf.tol, inf.maxiter,
-                                    remaining, inf.precision,
-                                )
-                            )
+                        )
                 drop = False
                 if injector is not None:
                     ordinal = injector.next_ordinal(chosen)
@@ -1610,19 +1416,11 @@ class ProcessShardedSolveService:
                         raise WorkerCrashed(
                             f"worker {chosen} pipe is closed"
                         ) from exc
-                    if ring is None:
-                        # copy_bytes audit: every rhs that pickled
-                        # across the pipe is a transport copy the ring
-                        # path does not pay.
-                        sent = sum(inf.b.nbytes for inf in inflights)
-                        with self._lock:
-                            self._copy_bytes += sent
         except BaseException:
             # Nothing was admitted (registrations were rolled back or
             # never made): unwind the staged slots so they are free for
             # whoever dispatches next.
-            if ring is not None:
-                self._unstage(inflights)
+            self._unstage(inflights)
             raise
         for req_id, inf in zip(req_ids, inflights):
             if inf.deadline_at is not None:
@@ -1630,8 +1428,7 @@ class ProcessShardedSolveService:
                     max(inf.deadline_at - now, 0.0) + self.EXPIRE_GRACE,
                     ("expire", w, req_id, inf),
                 )
-        with self._lock:
-            self._routed[chosen] += len(inflights)
+        self._count(chosen, len(inflights))
         if kill:
             w.process.terminate()
 
@@ -1653,11 +1450,9 @@ class ProcessShardedSolveService:
         Parameters
         ----------
         b:
-            Right-hand side of shape ``(n_dofs,)``.  On the ring
-            transport the bytes are written once into the routed
-            worker's shared slot ring before this call returns (zero
-            transport copies); on the pipe transport they are
-            snapshotted here and pickled across the worker's pipe.
+            Right-hand side of shape ``(n_dofs,)``.  The bytes are
+            written once into the routed worker's shared slot ring
+            before this call returns (zero transport copies).
         tol / maxiter:
             Per-request overrides of the workers' service defaults.
         key:
@@ -1698,9 +1493,10 @@ class ProcessShardedSolveService:
             When ``shed_watermark`` is set and every healthy worker is
             at it (retryable — back off and resubmit).
         ~repro.serve.errors.FleetUnavailable
-            When no healthy worker exists to route to.
-        ~repro.serve.errors.WorkerCrashed
-            Only with ``retry=None``: the routed-to worker has died.
+            When no healthy worker exists to route to.  (A worker that
+            dies under the request never raises here: the ticket is
+            retried, and fails with ``FleetUnavailable`` only once the
+            retry policy is exhausted.)
 
         Notes
         -----
@@ -1714,24 +1510,8 @@ class ProcessShardedSolveService:
         b, tol, maxiter, deadline, precision = self._validate_request(
             b, tol, maxiter, deadline, precision
         )
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed(
-                    "submit on a closed process-sharded service"
-                )
-        mask = self.health.mask()
-        healthy = None if all(mask) else mask
-        if (
-            self._router.uses_depths
-            or self.queue_watermark is not None
-            or self.shed_watermark is not None
-            or healthy is not None
-        ):
-            depths = self.queue_depths
-        else:
-            depths = (0,) * self.workers
-        self._check_shed(depths, mask)
-        chosen = self._route(key, depths, healthy)
+        self._check_open()
+        chosen = self._route(key)
         deadline_at = (
             None if deadline is None else time.monotonic() + deadline
         )
@@ -1742,13 +1522,7 @@ class ProcessShardedSolveService:
             self._dispatch_inflights(chosen, [inflight])
         except WorkerCrashed:
             # The worker died between the health sample and the send.
-            if self.retry is None:
-                raise
-            self._privatize(inflight)
-            self._schedule(
-                self.retry.backoff(max(inflight.attempts, 1)),
-                ("retry", inflight),
-            )
+            self._retry_later(inflight)
         attach_cost_feedback(
             self._router, inflight.ticket, chosen, key, tol, precision,
         )
@@ -1770,47 +1544,22 @@ class ProcessShardedSolveService:
         tier pays, so they travel in bulk); routing decisions that read
         depths see the live in-flight counts plus the requests already
         planned within this call, exactly as per-request submission
-        would have accumulated them.  With retry enabled, a group lost
-        to a dying worker is transparently redispatched; with
-        ``retry=None`` it fails with
-        :class:`~repro.serve.errors.WorkerCrashed` — raised from the
-        result gather, but only after every healthy worker's group was
-        dispatched.
+        would have accumulated them; the shed gate sees the block once,
+        on its first request.  A group lost to a dying worker is
+        transparently redispatched under the retry policy.
         """
-        if keys is not None and len(keys) != len(bs):
-            raise ValueError(
-                f"keys length {len(keys)} != number of requests {len(bs)}"
-            )
+        self._check_keys(keys, bs)
         validated = [
             self._validate_request(b, tol, maxiter, deadline, precision)
             for b in bs
         ]
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed(
-                    "submit on a closed process-sharded service"
-                )
-        mask = self.health.mask()
-        healthy = None if all(mask) else mask
-        self._check_shed(self.queue_depths, mask)
-        reads_depths = (
-            self._router.uses_depths
-            or self.queue_watermark is not None
-            or healthy is not None
-        )
+        self._check_open()
         planned = [0] * self.workers
         groups: dict[int, list] = {}
         order: list[tuple[int, int]] = []
         for i, item in enumerate(validated):
-            if reads_depths:
-                live = self.queue_depths
-                depths = tuple(
-                    live[j] + planned[j] for j in range(self.workers)
-                )
-            else:
-                depths = (0,) * self.workers
             chosen = self._route(
-                None if keys is None else keys[i], depths, healthy
+                None if keys is None else keys[i], planned, shed=i == 0
             )
             planned[chosen] += 1
             slot = groups.setdefault(chosen, [])
@@ -1835,20 +1584,10 @@ class ProcessShardedSolveService:
                 # going — the gather below re-raises.
                 for inflight in inflights:
                     inflight.ticket._fail(exc)
-            except WorkerCrashed as exc:
-                if self.retry is None:
-                    for inflight in inflights:
-                        inflight.ticket._fail(exc)
-                else:
-                    for inflight in inflights:
-                        if not inflight.ticket.done():
-                            self._privatize(inflight)
-                            self._schedule(
-                                self.retry.backoff(
-                                    max(inflight.attempts, 1)
-                                ),
-                                ("retry", inflight),
-                            )
+            except WorkerCrashed:
+                for inflight in inflights:
+                    if not inflight.ticket.done():
+                        self._retry_later(inflight)
         tickets = [dispatched[chosen][pos].ticket for chosen, pos in order]
         return [t.result() for t in tickets]
 
@@ -1861,14 +1600,7 @@ class ProcessShardedSolveService:
         that die mid-flush are skipped — their in-flight tickets fail
         (or retry) through the crash path, not through this call.
         """
-        for w in list(self._workers):
-            with w.state_lock:
-                if not w.alive:
-                    continue
-            try:
-                self._request(w, "flush")
-            except WorkerCrashed:
-                continue  # died between the liveness check and the ask
+        self._ask_live("flush")
 
     def close(self) -> None:
         """Drain every worker, join the processes, unlink shared memory.
@@ -1912,34 +1644,19 @@ class ProcessShardedSolveService:
             if w.reader is not None and w.reader.is_alive():
                 w.reader.join(timeout=5.0)
             w.conn.close()
-        if self._rings is not None:
-            for ring in self._rings:
-                # Wake any straggler blocked staging a slot, then tear
-                # the ring down.  Parent-side views of slots may still
-                # be referenced (SlotRing.close tolerates that); the
-                # /dev/shm entry is unlinked regardless.
-                ring.interrupt(ServiceClosed(
-                    "submit on a closed process-sharded service"
-                ))
-                ring.close(unlink=True)
-            self._rings = None
-        self._export.close(unlink=True)
-
-    def __enter__(self) -> "ProcessShardedSolveService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        for ring in self._rings:
+            # Wake any straggler blocked staging a slot before the ring
+            # is torn down.  Parent-side views of slots may still be
+            # referenced (SlotRing.close tolerates that); the /dev/shm
+            # entry is unlinked regardless.
+            ring.interrupt(ServiceClosed(
+                "submit on a closed process-sharded service"
+            ))
+        self._release_shared()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has begun."""
-        with self._lock:
-            return self._closed
-
     @property
     def spec(self):
         """The picklable :class:`~repro.sem.spec.ProblemSpec` workers
@@ -1949,13 +1666,10 @@ class ProcessShardedSolveService:
     @property
     def shared_blocks(self) -> tuple[str, ...]:
         """Names of the live shared-memory blocks — the problem export
-        plus, on the ring transport, one slot ring per worker (empty
-        after close)."""
-        names = self._export.block_names
-        rings = self._rings
-        if rings is not None:
-            names = tuple(names) + tuple(r.manifest.block for r in rings)
-        return names
+        plus one slot ring per worker (empty after close)."""
+        return tuple(self._export.block_names) + tuple(
+            ring.manifest.block for ring in self._rings
+        )
 
     @property
     def alive_workers(self) -> tuple[bool, ...]:
@@ -1967,33 +1681,6 @@ class ProcessShardedSolveService:
     def queue_depths(self) -> tuple[int, ...]:
         """In-flight request count per worker (submitted, unresolved)."""
         return tuple(len(w.pending) for w in list(self._workers))
-
-    @property
-    def routed(self) -> tuple[int, ...]:
-        """Requests routed to each worker (diversions land on the
-        worker they were diverted *to*; retries count again on the
-        worker that served the redispatch)."""
-        with self._lock:
-            return tuple(self._routed)
-
-    @property
-    def rebalanced(self) -> int:
-        """Requests diverted off their routed worker by the watermark."""
-        with self._lock:
-            return self._rebalanced
-
-    @property
-    def health_diverted(self) -> int:
-        """Requests diverted off an unhealthy routed worker."""
-        with self._lock:
-            return self._health_diverted
-
-    @property
-    def shed(self) -> int:
-        """Submits refused with :class:`~repro.serve.errors.Overloaded`
-        by the ``shed_watermark`` admission gate."""
-        with self._lock:
-            return self._shed
 
     @property
     def restarts(self) -> int:
@@ -2012,16 +1699,7 @@ class ProcessShardedSolveService:
         """One introspection dict per live worker (pid, attached block
         names, geometry writability) — the zero-copy sharing, attested
         by the workers themselves."""
-        infos = []
-        for w in list(self._workers):
-            with w.state_lock:
-                if not w.alive:
-                    continue
-            try:
-                infos.append(self._request(w, "info")[0])
-            except WorkerCrashed:
-                continue  # died between the liveness check and the ask
-        return tuple(infos)
+        return tuple(info for info, in self._ask_live("info"))
 
     @property
     def replica_stats(self) -> tuple[StatsSnapshot, ...]:
@@ -2029,41 +1707,18 @@ class ProcessShardedSolveService:
         process (see :meth:`repro.serve.stats.StatsSnapshot.rebased`);
         dead workers' stats died with them and are omitted (respawned
         workers start fresh)."""
-        snaps = []
-        for w in list(self._workers):
-            with w.state_lock:
-                if not w.alive:
-                    continue
-            try:
-                snapshot, worker_offset = self._request(w, "stats")
-            except WorkerCrashed:
-                continue  # died between the liveness check and the ask
-            snaps.append(
-                snapshot.rebased(worker_offset - perf_epoch_offset())
-            )
-        return tuple(snaps)
+        return tuple(
+            snapshot.rebased(worker_offset - perf_epoch_offset())
+            for snapshot, worker_offset in self._ask_live("stats")
+        )
 
-    @property
-    def stats(self) -> StatsSnapshot:
-        """Aggregate fleet snapshot: the workers' merged, clock-rebased
-        numbers plus the parent's own resilience counters (``retries``
-        / ``restarts`` / ``shed`` and parent-side ``expired``) and the
-        ``copy_bytes`` transport audit (0 on the ring transport: no
-        request payload ever crosses a copying hop)."""
-        merged = merge_snapshots(self.replica_stats)
-        with self._lock:
-            expired = self._expired
-            retried = self._retried
-            restarts = self._restarts
-            shed = self._shed
-            copy_bytes = self._copy_bytes
-        if expired or retried or restarts or shed or copy_bytes:
-            merged = replace(
-                merged,
-                expired=merged.expired + expired,
-                retries=merged.retries + retried,
-                restarts=merged.restarts + restarts,
-                shed=merged.shed + shed,
-                copy_bytes=merged.copy_bytes + copy_bytes,
-            )
-        return merged
+    def _fleet_counters(self) -> dict[str, int]:  # requires-lock: _lock
+        """The shared ``shed`` plus this tier's resilience counters
+        (parent-side ``expired``: requests the watchdog or a crash
+        failed on their deadline, which no worker counted)."""
+        return {
+            **super()._fleet_counters(),
+            "expired": self._expired,
+            "retries": self._retried,
+            "restarts": self._restarts,
+        }

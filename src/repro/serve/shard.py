@@ -39,38 +39,19 @@ tracked like the ``threads2`` benchmark.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from dataclasses import replace
-
 from repro.sem.cg import CGResult
-from repro.serve.errors import Overloaded
-from repro.serve.health import FleetHealth
-from repro.serve.scheduler import (
-    Router,
-    attach_cost_feedback,
-    pick_with_diversion,
-    resolve_router,
-)
+from repro.serve.fleet import _UNSET, FleetFront, OverloadHook
+from repro.serve.scheduler import Router, attach_cost_feedback
 from repro.serve.service import SolveService, SolveTicket, _WouldBlock
-from repro.serve.stats import StatsSnapshot, merge_snapshots
-
-#: Signature of the overload hook: ``(chosen_replica, depths) -> index
-#: to divert to, or None to fall back to the least-loaded replica``.
-OverloadHook = Callable[[int, tuple[int, ...]], "int | None"]
-
-#: Sentinel for "defer to SolveService's own default", so the replica
-#: services' knobs have exactly one source of defaults (the
-#: :class:`~repro.serve.service.SolveService` dataclass) and the two
-#: constructors can never drift apart.
-_UNSET: object = object()
+from repro.serve.stats import StatsSnapshot
 
 
-class ShardedSolveService:
+class ShardedSolveService(FleetFront):
     """Route solve requests across ``K`` replica micro-batching services.
 
     Parameters
@@ -178,55 +159,18 @@ class ShardedSolveService:
             problems = [problem] + [
                 problem.clone() for _ in range(replicas - 1)
             ]
-        if queue_watermark is not None and queue_watermark < 1:
-            raise ValueError(
-                f"queue_watermark must be >= 1, got {queue_watermark}"
-            )
-        if shed_watermark is not None:
-            if shed_watermark < 1:
-                raise ValueError(
-                    f"shed_watermark must be >= 1, got {shed_watermark}"
-                )
-            if (
-                queue_watermark is not None
-                and shed_watermark < queue_watermark
-            ):
-                raise ValueError(
-                    f"shed_watermark ({shed_watermark}) must be >= "
-                    f"queue_watermark ({queue_watermark}): diversion "
-                    "rebalances below the shed point"
-                )
         self.replicas = len(problems)
-        self.policy = policy if isinstance(policy, str) else type(policy).__name__
-        self.queue_watermark = queue_watermark
-        self.on_overload = on_overload
-        self.shed_watermark = shed_watermark
-        self.health = FleetHealth(self.replicas)
-        self._router = resolve_router(policy, self.replicas)
-        self._least_loaded = resolve_router("least-loaded", self.replicas)
-        self._lock = threading.Lock()
-        self._routed = [0] * self.replicas  # guarded-by: _lock
-        self._rebalanced = 0  # guarded-by: _lock
-        self._health_diverted = 0  # guarded-by: _lock
-        self._shed = 0  # guarded-by: _lock
-        self._closed = False  # guarded-by: _lock
-        # Only explicitly-set knobs are forwarded; omitted ones fall
-        # through to SolveService's dataclass defaults.
-        forwarded = {
-            name: value
-            for name, value in (
-                ("max_batch", max_batch), ("max_wait", max_wait),
-                ("max_pending", max_pending), ("tol", tol),
-                ("maxiter", maxiter), ("precision", precision),
-                ("precondition", precondition),
-            )
-            if value is not _UNSET
-        }
+        super().__init__(
+            self.replicas, policy, queue_watermark, on_overload,
+            shed_watermark, max_batch=max_batch, max_wait=max_wait,
+            max_pending=max_pending, tol=tol, maxiter=maxiter,
+            precision=precision, precondition=precondition,
+        )
         services: list[SolveService] = []
         try:
             for prob in problems:
                 services.append(SolveService(
-                    prob, background=True, **forwarded,
+                    prob, background=True, **self._forwarded,
                 ))
         except BaseException:
             # A later replica failed validation: stop the dispatcher
@@ -348,40 +292,7 @@ class ShardedSolveService:
         fires *before* that point when configured, steering load away
         from deep queues instead of blocking on them).
         """
-        mask = self.health.mask()
-        healthy = None if all(mask) else mask
-        # Sampling depths takes every replica's queue lock; skip it on
-        # the hot path when neither the policy, a watermark, admission
-        # control nor health steering reads it.
-        if (
-            self._router.uses_depths
-            or self.queue_watermark is not None
-            or self.shed_watermark is not None
-            or healthy is not None
-        ):
-            depths = self.queue_depths
-        else:
-            depths = (0,) * self.replicas
-        if self.shed_watermark is not None:
-            admitting = [
-                depths[i] for i in range(self.replicas)
-                if healthy is None or healthy[i]
-            ]
-            if admitting and all(
-                d >= self.shed_watermark for d in admitting
-            ):
-                with self._lock:
-                    self._shed += 1
-                raise Overloaded(
-                    f"every healthy replica's queue is at the shed "
-                    f"watermark ({self.shed_watermark}); retry after "
-                    "backoff"
-                )
-        chosen, rebalanced, health_diverted = pick_with_diversion(
-            self._router, self._least_loaded, key, depths,
-            self.queue_watermark, self.on_overload, noun="replica",
-            healthy=healthy,
-        )
+        chosen, rebalanced, health_diverted = self._admit(key)
         ticket = self.services[chosen].submit(
             b, tol=tol, maxiter=maxiter, deadline=deadline,
             precision=precision, _block=_block,
@@ -392,10 +303,7 @@ class ShardedSolveService:
         # Counted once the replica has the request: an attempt that
         # try_submit gave up on is routed again (and counted) by the
         # blocking retry.
-        with self._lock:
-            self._routed[chosen] += 1
-            self._rebalanced += rebalanced
-            self._health_diverted += health_diverted
+        self._count(chosen, 1, rebalanced, health_diverted)
         return ticket
 
     def try_submit(
@@ -439,10 +347,7 @@ class ShardedSolveService:
         list of ~repro.sem.cg.CGResult
             One result per input row, in input order.
         """
-        if keys is not None and len(keys) != len(bs):
-            raise ValueError(
-                f"keys length {len(keys)} != number of requests {len(bs)}"
-            )
+        self._check_keys(keys, bs)
         tickets = [
             self.submit(
                 b, tol=tol, maxiter=maxiter,
@@ -480,22 +385,9 @@ class ShardedSolveService:
         for svc in self.services:
             svc.close()
 
-    def __enter__(self) -> "ShardedSolveService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has begun; late submits raise
-        :class:`~repro.serve.errors.ServiceClosed`."""
-        with self._lock:
-            return self._closed
-
     @property
     def queue_depths(self) -> tuple[int, ...]:
         """Live pending-request count of every replica."""
@@ -506,44 +398,3 @@ class ShardedSolveService:
         """One consistent :class:`~repro.serve.stats.StatsSnapshot` per
         replica (each cut under its own stats lock)."""
         return tuple(svc.stats for svc in self.services)
-
-    @property
-    def stats(self) -> StatsSnapshot:
-        """Aggregate fleet snapshot (see
-        :func:`~repro.serve.stats.merge_snapshots`): counters sum,
-        ``wall_seconds`` spans the earliest submission to the latest
-        completion across replicas, so ``solves_per_second`` reads as
-        fleet throughput.  The fleet-level ``shed`` counter (requests
-        refused with :class:`~repro.serve.errors.Overloaded`) is folded
-        in here — shed requests never reached a replica."""
-        merged = merge_snapshots(self.replica_stats)
-        with self._lock:
-            shed = self._shed
-        return merged if shed == 0 else replace(merged, shed=shed)
-
-    @property
-    def routed(self) -> tuple[int, ...]:
-        """Requests routed to each replica (watermark diversions land on
-        the replica they were diverted *to*)."""
-        with self._lock:
-            return tuple(self._routed)
-
-    @property
-    def rebalanced(self) -> int:
-        """Requests diverted off their routed replica by the watermark."""
-        with self._lock:
-            return self._rebalanced
-
-    @property
-    def health_diverted(self) -> int:
-        """Requests steered off an out-of-rotation replica by health
-        gating (distinct from watermark :attr:`rebalanced`)."""
-        with self._lock:
-            return self._health_diverted
-
-    @property
-    def shed(self) -> int:
-        """Requests refused at admission with
-        :class:`~repro.serve.errors.Overloaded`."""
-        with self._lock:
-            return self._shed

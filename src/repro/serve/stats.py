@@ -94,10 +94,10 @@ class StatsSnapshot:
         Request-payload bytes copied through a serialization/transport
         hop on their way to a solver (pickled rhs vectors crossing a
         pipe, staging snapshots taken because the transport cannot hold
-        a view).  The zero-copy audit counter: the process shard's
-        ``transport="pipe"`` path adds every shipped rhs here, the
-        shared-memory ring path adds **zero** — clients write straight
-        into ring slots and workers solve views of them.  Solve-side
+        a view).  The zero-copy audit counter — any hop that copies a
+        payload must report it here: the process shard's shared-memory
+        rings add **zero** — clients write straight into ring slots
+        and workers solve views of them.  Solve-side
         work (batch assembly stacking, the worker's in-place write of
         ``x`` back into its slot) is not transport and is not counted.
     tenant_iterations:

@@ -18,8 +18,12 @@ from repro.sem import (
     sine_manufactured,
 )
 from repro.serve import (
+    FleetUnavailable,
+    HealthState,
     ProcessShardedSolveService,
     QueueClosed,
+    RestartPolicy,
+    RetryPolicy,
     WorkerCrashed,
 )
 
@@ -221,45 +225,60 @@ class TestProcShardLifecycle:
 
 
 class TestProcShardCrash:
-    def test_worker_crash_fails_pending_and_future_submits(
-        self, serving_problem
+    def test_exhausted_policies_fail_pending_with_fleet_unavailable(
+        self, serving_problem, wait_until
     ):
-        """With supervision disabled (retry=None, restart=None — the
-        legacy contract) a killed worker surfaces WorkerCrashed on its
-        in-flight tickets and on later submits routed to it — nothing
-        hangs — and close still unlinks the shared blocks."""
+        """Both policies exhausted (one dispatch attempt, one restart)
+        and worker 0 killed twice: its in-flight ticket fails with
+        FleetUnavailable carrying the WorkerCrashed as __cause__ — a
+        crash is never itself what the client sees — the slot is
+        ejected, the survivor keeps serving bit-identically, nothing
+        hangs, and close still unlinks the shared blocks."""
         prob, bank = serving_problem
         svc = ProcessShardedSolveService(
             prob, workers=2, policy="round-robin", max_batch=8,
             max_wait=30.0, tol=1e-10, maxiter=200,
-            retry=None, restart=None,
+            retry=RetryPolicy(max_attempts=1),
+            restart=RestartPolicy(max_restarts=1, backoff_base=0.01),
         )
         blocks = svc.shared_blocks
         try:
             parked = svc.submit(bank[0])  # worker 0, parked by max_wait
             svc._workers[0].process.terminate()
-            with pytest.raises(WorkerCrashed, match="in flight"):
+            with pytest.raises(FleetUnavailable) as failed:
                 parked.result(timeout=60)
-            # Round-robin: next submit lands on the healthy worker 1...
-            survivor = svc.submit(bank[1])
-            # ...and the one after targets dead worker 0: loud failure.
-            with pytest.raises(WorkerCrashed, match="died"):
-                svc.submit(bank[2])
-            assert svc.alive_workers == (False, True)
-            # solve_many with a group routed to the dead worker raises
-            # from the gather, after the healthy group went out.
-            with pytest.raises(WorkerCrashed):
-                svc.solve_many([bank[3], bank[4]])
-            svc.flush()
-            assert_same_result(
-                survivor.result(timeout=60),
-                sequential_solve(prob, bank[1]),
+            assert isinstance(failed.value.__cause__, WorkerCrashed)
+            assert wait_until(lambda: svc.restarts == 1)
+            svc._workers[0].process.terminate()  # trips the breaker
+            assert wait_until(
+                lambda: svc.health.state(0) is HealthState.EJECTED
             )
+            assert svc.alive_workers == (False, True)
+            # Round-robin keeps picking the ejected slot every other
+            # request; health gating lands all of them on worker 1.
+            survivors = [svc.submit(b) for b in bank[1:4]]
+            svc.flush()
+            for t, b in zip(survivors, bank[1:4]):
+                assert_same_result(
+                    t.result(timeout=60), sequential_solve(prob, b)
+                )
+            assert svc.routed[1] == 3
             # Fleet stats shrink to the survivors instead of raising.
-            assert svc.stats.completed >= 1
+            assert svc.stats.completed >= 3
+            assert svc.stats.restarts == 1
         finally:
             svc.close()
         assert not any(shm_exists(name) for name in blocks)
+
+    def test_removed_options_are_type_errors(self, serving_problem):
+        """One transport, one crash contract: the pipe transport knob
+        is gone and the policies no longer accept None."""
+        prob, _ = serving_problem
+        for removed in (
+            {"transport": "pipe"}, {"retry": None}, {"restart": None}
+        ):
+            with pytest.raises(TypeError):
+                ProcessShardedSolveService(prob, workers=1, **removed)
 
 
 class TestProcShardStats:

@@ -76,23 +76,9 @@ def wait_until(predicate, timeout=120.0, interval=0.05):
     return predicate()
 
 
-def submit_with_patience(svc, b, timeout=120.0):
-    """A well-behaved client of a degraded fleet: back off and resubmit
-    on the *retryable* taxonomy errors (Overloaded, and FleetUnavailable
-    during the window where every worker is mid-respawn)."""
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            return svc.submit(b)
-        except (FleetUnavailable, Overloaded):
-            if time.monotonic() >= deadline:
-                raise
-            time.sleep(0.05)
-
-
 class TestCrashRespawnBitIdentity:
     def test_kill_each_worker_once_stream_stays_bit_identical(
-        self, serving_problem
+        self, serving_problem, submit_with_patience
     ):
         """The acceptance criterion: a seeded FaultPlan kills each of
         K=2 workers once mid-stream; every request still resolves
@@ -137,7 +123,7 @@ class TestCrashRespawnBitIdentity:
             assert_same_result(got, sequential_solve(prob, b))
 
     def test_respawned_worker_serves_after_manual_kill(
-        self, serving_problem
+        self, serving_problem, submit_with_patience
     ):
         """No chaos plan — a worker killed out-of-band (OOM-killer
         style) is respawned and serves again, and the health registry
