@@ -48,6 +48,7 @@ from repro.sem.kernels import (
     DEFAULT_AX_KERNEL,
 )
 from repro.sem.workspace import SolverWorkspace
+from repro.sem.problem import SEMProblem
 from repro.sem.poisson import PoissonProblem, sine_manufactured
 from repro.sem.cg import cg_solve, cg_solve_batched, CGResult, BatchedCGResult
 from repro.sem.helmholtz import HelmholtzProblem, cosine_manufactured
@@ -108,6 +109,7 @@ __all__ = [
     "DEFAULT_AX_KERNEL",
     "SolverWorkspace",
     "GatherScatter",
+    "SEMProblem",
     "PoissonProblem",
     "sine_manufactured",
     "cg_solve",

@@ -5,32 +5,31 @@ The paper positions its kernel next to CEED's bake-off kernel BK5, which
 more geometric factor" — the collocation mass term.  This module lifts
 :func:`repro.sem.operators.helmholtz_local` to a solvable global problem
 ``(A + lam B) u = b``, strictly SPD for ``lam > 0`` even without
-boundary conditions, with the same backend-injection hook as
-:class:`~repro.sem.poisson.PoissonProblem`.
+boundary conditions: the :class:`~repro.sem.problem.SEMProblem` core
+(the same pipeline and backend-injection hook as
+:class:`~repro.sem.poisson.PoissonProblem`) plus ``lam`` and the one
+mass-term axpy it adds to the operator and to the diagonal.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import InitVar, dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.sem.cg import check_precision, cg_solve, cg_solve_mixed
-from repro.sem.element import ReferenceElement
+from repro.analysis.annotations import hot_path
 from repro.sem.gather_scatter import GatherScatter
-from repro.sem.geometry import Geometry, geometric_factors
-from repro.sem.kernels import accepts_keyword, resolve_ax_backend
+from repro.sem.geometry import Geometry
 from repro.sem.mesh import BoxMesh
 from repro.sem.operators import ax_local
-from repro.sem.poisson import AxBackend
-from repro.sem.workspace import SolverWorkspace, cached_batch_workspace
+from repro.sem.problem import AxBackend, SEMProblem, stiffness_diagonal
+from repro.sem.workspace import SolverWorkspace
 
 
 @dataclass
-class HelmholtzProblem:
+class HelmholtzProblem(SEMProblem):
     """Global SPD Helmholtz system ``(A + lam B) u = b`` on a box mesh.
 
     Parameters
@@ -53,12 +52,15 @@ class HelmholtzProblem:
         Default solve precision policy (``"fp64"`` or ``"mixed"``), as
         :class:`~repro.sem.poisson.PoissonProblem`.
 
-    Like :class:`~repro.sem.poisson.PoissonProblem`, the problem owns a
-    :class:`~repro.sem.workspace.SolverWorkspace` and :meth:`apply` runs
-    allocation-free when the backend supports ``out=``/``workspace=``;
-    a stacked ``(B, n)`` input runs all systems through the cached
-    batched workspace.
+    Everything else — workspaces, the allocation-free pipeline, stacked
+    ``(B, n)`` inputs, ``clone`` / ``spec`` / ``solve`` — is the core's
+    (see :class:`~repro.sem.problem.SEMProblem`).
     """
+
+    kind: ClassVar[str] = "helmholtz"
+    _OPERATOR: ClassVar[str] = "apply"
+    _OPERATOR32: ClassVar[str] = "apply32"
+    _DIAGONAL: ClassVar[str] = "diagonal"
 
     mesh: BoxMesh
     lam: float = 1.0
@@ -73,106 +75,26 @@ class HelmholtzProblem:
     workspace: SolverWorkspace = field(init=False, repr=False)
 
     def __post_init__(self, _parts: "object | None" = None) -> None:
-        check_precision(self.precision)
         if self.lam <= 0:
             raise ValueError(f"lam must be > 0 for an SPD system, got {self.lam}")
-        if _parts is not None:
-            self.geometry = _parts.geometry
-            self.gs = _parts.gather_scatter
-        else:
-            self.geometry = geometric_factors(self.mesh)
-            self.gs = GatherScatter.from_mesh(self.mesh)
-        self.ax_backend = resolve_ax_backend(self.ax_backend)
-        self.workspace = SolverWorkspace.for_mesh(
-            self.mesh, threads=self.threads
-        )
-        self._batch_workspaces: dict[object, SolverWorkspace] = {}
-        self._ax_out = accepts_keyword(self.ax_backend, "out")
-        self._ax_ws = accepts_keyword(self.ax_backend, "workspace")
-        self._precond_diag: NDArray[np.float64] | None = (
-            None if _parts is None else _parts.precond_diag
-        )
+        super().__post_init__(_parts)
 
-    # ------------------------------------------------------------------
-    @property
-    def ref(self) -> ReferenceElement:
-        """The mesh's reference element."""
-        return self.mesh.ref
-
-    @property
-    def n_dofs(self) -> int:
-        """Number of global DOFs (no boundary masking in BK5)."""
-        return self.mesh.n_global
-
-    @property
-    def operator(self) -> Callable[..., NDArray[np.float64]]:
-        """The global SPD operator callback (:meth:`apply`) — the
-        uniform protocol shared with
-        :class:`~repro.sem.poisson.PoissonProblem`."""
-        return self.apply
-
-    @property
-    def operator32(self) -> Callable[..., NDArray[np.float32]]:
-        """The fp32 twin operator callback (:meth:`apply32`), driving
-        the mixed-precision inner solves."""
-        return self.apply32
-
-    def precond_diag(self) -> NDArray[np.float64]:
-        """The Jacobi diagonal (:meth:`diagonal`), computed once and
-        cached; treat the returned array as read-only."""
-        if self._precond_diag is None:
-            self._precond_diag = self.diagonal()
-        return self._precond_diag
-
-    def clone(self) -> "HelmholtzProblem":
-        """A solve replica sharing this problem's immutable state.
-
-        Mirrors :meth:`repro.sem.poisson.PoissonProblem.clone`: the
-        mesh, geometry, resolved backend and force-computed Jacobi
-        diagonal are shared read-only; the gather-scatter operator is
-        :meth:`~repro.sem.gather_scatter.GatherScatter.replicate`-d
-        (private scratch) and the workspaces are fresh, so the replica
-        can solve concurrently with ``self``.
-
-        Returns
-        -------
-        HelmholtzProblem
-            An independent-solve replica of this problem.
-        """
-        # Share-by-default shallow copy + explicit mutable resets, so
-        # future fields are shared automatically (see PoissonProblem).
-        twin = copy.copy(self)
-        twin._precond_diag = self.precond_diag()
-        twin.gs = self.gs.replicate()
-        twin.workspace = SolverWorkspace.for_mesh(
-            self.mesh, threads=self.threads
-        )
-        twin._batch_workspaces = {}
-        return twin
-
-    def spec(self):
-        """A picklable :class:`~repro.sem.spec.ProblemSpec` (see
-        :meth:`repro.sem.poisson.PoissonProblem.spec`)."""
-        from repro.sem.spec import problem_spec
-
-        return problem_spec(self)
-
-    def export_shared(self):
-        """Export immutable arrays for worker fleets (see
-        :meth:`repro.sem.poisson.PoissonProblem.export_shared`)."""
-        from repro.sem.spec import export_shared_problem
-
-        return export_shared_problem(self)
-
-    def batch_workspace(
-        self, batch: int, dtype: "np.dtype | type" = np.float64
-    ) -> SolverWorkspace:
-        """Cached workspace for ``batch`` stacked right-hand sides
-        (``dtype=np.float32`` for the mixed path's inner solves)."""
-        return cached_batch_workspace(
-            self._batch_workspaces, self.mesh, batch, self.threads,
-            self.workspace, dtype=dtype,
-        )
+    @hot_path
+    def _local_term(self, ws: SolverWorkspace, geo: Geometry, w_local) -> None:
+        """``w += lam * mass * u``, the one spelling for every backend
+        and dtype (``mass * u`` first, then ``lam``)."""
+        # The mass-term axpy reuses the elementwise scratch, which the
+        # kernel is done with by the time it returns.  The scratch is
+        # single-system even for batched workspaces, so a stacked
+        # block sweeps the axpy one system at a time.
+        tmp = ws.tmp[:self.mesh.num_elements]
+        batched = w_local.ndim == 5
+        rows = w_local if batched else (w_local,)
+        u_rows = ws.u_local if batched else (ws.u_local,)
+        for w_row, u_row in zip(rows, u_rows):
+            np.multiply(geo.mass, u_row, out=tmp)
+            np.multiply(tmp, self.lam, out=tmp)
+            w_row += tmp
 
     def apply(
         self,
@@ -184,134 +106,21 @@ class HelmholtzProblem:
         Accepts a single global vector or a stacked ``(B, n)`` block
         (a batch of one runs the single-system path on its only row).
         """
-        if u_global.ndim == 2 and u_global.shape[0] == 1:
-            if out is not None:
-                self.apply(u_global[0], out=out[0])
-                return out
-            return self.apply(u_global[0])[None]
-        batched = u_global.ndim == 2
-        ws = (
-            self.batch_workspace(u_global.shape[0])
-            if batched else self.workspace
-        )
-        self.gs.scatter(u_global, out=ws.u_local)
-        if self._ax_out and self._ax_ws:
-            w_local = self.ax_backend(
-                self.ref, ws.u_local, self.geometry.g,
-                out=ws.w_local, workspace=ws,
-            )
-            # The mass-term axpy reuses the elementwise scratch, which the
-            # kernel is done with by the time it returns.  The scratch is
-            # single-system even for batched workspaces, so a stacked
-            # block sweeps the axpy one system at a time.
-            num_e = self.mesh.num_elements
-            tmp = ws.tmp[:num_e]
-            rows = w_local if batched else (w_local,)
-            u_rows = ws.u_local if batched else (ws.u_local,)
-            for w_row, u_row in zip(rows, u_rows):
-                np.multiply(self.geometry.mass, u_row, out=tmp)
-                np.multiply(tmp, self.lam, out=tmp)
-                w_row += tmp
-        elif batched:
-            w_local = ws.w_local
-            for b in range(u_global.shape[0]):
-                wb = self.ax_backend(self.ref, ws.u_local[b], self.geometry.g)
-                np.copyto(w_local[b], wb)
-                w_local[b] += self.lam * self.geometry.mass * ws.u_local[b]
-        else:
-            w_local = self.ax_backend(self.ref, ws.u_local, self.geometry.g)
-            w_local = w_local + self.lam * self.geometry.mass * ws.u_local
-        return self.gs.gather(w_local, out=out)
+        return self._apply(u_global, out, np.float64)
 
     def apply32(
         self,
         u_global: NDArray[np.float32],
         out: NDArray[np.float32] | None = None,
     ) -> NDArray[np.float32]:
-        """fp32 twin of :meth:`apply` over the same physical operator.
-
-        Streams the cached fp32 geometry and gather-scatter twins
-        through the dtype-generic kernels (half the bytes per DOF); the
-        mass-term axpy runs on the fp32 ``mass`` copy.  Inputs and
-        outputs are fp32.
-        """
-        if u_global.ndim == 2 and u_global.shape[0] == 1:
-            if out is not None:
-                self.apply32(u_global[0], out=out[0])
-                return out
-            return self.apply32(u_global[0])[None]
-        batched = u_global.ndim == 2
-        ws = self.batch_workspace(
-            u_global.shape[0] if batched else 1, dtype=np.float32
-        )
-        gs = self.gs.as_dtype(np.float32)
-        geo = self.geometry.as_dtype(np.float32)
-        gs.scatter(u_global, out=ws.u_local)
-        if self._ax_out and self._ax_ws:
-            w_local = self.ax_backend(
-                self.ref, ws.u_local, geo.g, out=ws.w_local, workspace=ws,
-            )
-            num_e = self.mesh.num_elements
-            tmp = ws.tmp[:num_e]
-            rows = w_local if batched else (w_local,)
-            u_rows = ws.u_local if batched else (ws.u_local,)
-            for w_row, u_row in zip(rows, u_rows):
-                np.multiply(geo.mass, u_row, out=tmp)
-                np.multiply(tmp, self.lam, out=tmp)
-                w_row += tmp
-        elif batched:
-            w_local = ws.w_local
-            for b in range(u_global.shape[0]):
-                wb = self.ax_backend(self.ref, ws.u_local[b], geo.g)
-                np.copyto(w_local[b], wb)
-                w_local[b] += self.lam * geo.mass * ws.u_local[b]
-        else:
-            w_local = self.ax_backend(self.ref, ws.u_local, geo.g)
-            w_local = (
-                w_local + self.lam * geo.mass * ws.u_local
-            ).astype(np.float32, copy=False)
-        return gs.gather(w_local, out=out)
-
-    def solve(
-        self,
-        b: NDArray[np.float64],
-        tol: float = 1e-10,
-        maxiter: int = 1000,
-        x0: NDArray[np.float64] | None = None,
-        precision: str | None = None,
-    ):
-        """Solve ``(A + lam B) x = b`` at ``precision`` (default: the
-        problem's own policy); see
-        :meth:`repro.sem.poisson.PoissonProblem.solve`."""
-        precision = check_precision(
-            self.precision if precision is None else precision
-        )
-        b = np.asarray(b, dtype=np.float64)
-        batch = b.shape[0] if b.ndim == 2 else 1
-        ws = self.batch_workspace(batch)
-        diag = self.precond_diag()
-        if precision == "fp64":
-            return cg_solve(
-                self.apply, b, x0=x0, precond_diag=diag, tol=tol,
-                maxiter=maxiter, workspace=ws,
-            )
-        ws32 = self.batch_workspace(batch, dtype=np.float32)
-        return cg_solve_mixed(
-            self.apply, self.apply32, b, x0=x0, precond_diag=diag,
-            tol=tol, maxiter=maxiter, workspace=ws, workspace32=ws32,
-        )
+        """:meth:`apply` in fp32: the same pipeline over the cached fp32
+        geometry and gather-scatter twins, the mass-term axpy on the
+        fp32 ``mass`` copy.  Inputs and outputs are fp32."""
+        return self._apply(u_global, out, np.float32)
 
     def diagonal(self) -> NDArray[np.float64]:
         """Assembled operator diagonal (for Jacobi preconditioning)."""
-        d2 = self.ref.deriv ** 2
-        g = self.geometry.g
-        diag = np.einsum("li,eljk->eijk", d2, g[:, 0], optimize=True)
-        diag += np.einsum("lj,eilk->eijk", d2, g[:, 3], optimize=True)
-        diag += np.einsum("lk,eijl->eijk", d2, g[:, 5], optimize=True)
-        dd = np.diag(self.ref.deriv)
-        diag += 2.0 * g[:, 1] * dd[:, None, None] * dd[None, :, None]
-        diag += 2.0 * g[:, 2] * dd[:, None, None] * dd[None, None, :]
-        diag += 2.0 * g[:, 4] * dd[None, :, None] * dd[None, None, :]
+        diag = stiffness_diagonal(self.ref, self.geometry.g)
         diag += self.lam * self.geometry.mass
         return self.gs.gather(diag)
 
@@ -321,16 +130,6 @@ class HelmholtzProblem:
         """Weak right-hand side ``b = Q^T B f`` (no masking)."""
         x, y, z = self.mesh.coords
         return self.gs.gather(f(x, y, z) * self.geometry.mass)
-
-    def l2_error(
-        self,
-        u_global: NDArray[np.float64],
-        exact: Callable[[NDArray, NDArray, NDArray], NDArray],
-    ) -> float:
-        """Discrete L2 error against an analytic field."""
-        x, y, z = self.mesh.coords
-        diff = self.gs.scatter(u_global) - exact(x, y, z)
-        return float(np.sqrt(np.sum(self.geometry.mass * diff ** 2)))
 
 
 def cosine_manufactured(

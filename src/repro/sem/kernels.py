@@ -21,11 +21,15 @@ implementation by name:
   :class:`~repro.core.accel.SEMAccelerator`, the examples and the
   benchmarks select ``"einsum" | "matmul" | "listing1" | "dense"``.
 
-Every registered kernel has the uniform signature
+Every built-in kernel has the uniform signature
 ``kernel(ref, u, g, out=None, workspace=None)``; ``workspace`` is a
 :class:`~repro.sem.workspace.SolverWorkspace` whose scratch buffers make
-the call allocation-free after warm-up.  Kernels may additionally accept
-``threads=`` (probed with :func:`accepts_keyword`, like ``out=``).
+the call allocation-free after warm-up.  :func:`uniform` is the one
+adapter that gives a plain ``(ref, u, g)`` callable that signature — the
+two scalar reference kernels in the registry, and whatever callable a
+problem is handed (the accelerator adapter, a lambda) — so a problem
+calls its backend in exactly one form.  Kernels may additionally accept
+``threads=`` (probed with :func:`accepts_keyword`).
 """
 
 from __future__ import annotations
@@ -444,63 +448,80 @@ def ax_local_matmul(
     return out
 
 
+@functools.lru_cache(maxsize=512)
+def _accepts_keyword_cached(fn: Callable, name: str) -> bool:
+    try:
+        params = inspect.signature(fn).parameters
+    except (TypeError, ValueError):  # builtins without introspection
+        return False
+    if name in params:
+        return True
+    return any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
+    )
+
+
+def accepts_keyword(fn: Callable, name: str) -> bool:
+    """True if ``fn`` can be called with keyword argument ``name``.
+
+    Used to probe backends for ``out=``/``workspace=``/``threads=``
+    support so plain ``(ref, u, g)`` callables (e.g. the accelerator
+    adapter) keep working through the same dispatch sites.  Probes are
+    memoized (``signature`` reflection is slow relative to a short
+    solve); bound methods are probed through their underlying function
+    so the cache never pins the bound instance (e.g. a whole
+    ``PoissonProblem`` behind ``prob.apply_A``), and unhashable
+    callables fall back to direct inspection.
+    """
+    # Keyword acceptance is identical for a bound method and its
+    # underlying function (binding only consumes the first positional).
+    fn = getattr(fn, "__func__", fn)
+    try:
+        return _accepts_keyword_cached(fn, name)
+    except TypeError:
+        return _accepts_keyword_cached.__wrapped__(fn, name)
+
+
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-def _batched_rows(
-    kernel: Callable[..., NDArray[np.float64]],
-    ref: ReferenceElement,
-    u: NDArray[np.float64],
-    g: NDArray[np.float64],
-    out: NDArray[np.float64] | None,
-) -> NDArray[np.float64]:
-    """Run an unbatched reference kernel over each system of a block."""
-    if out is None:
-        out = np.empty_like(u)
-    for b in range(u.shape[0]):
-        np.copyto(out[b], kernel(ref, u[b], g))
-    return out
+def uniform(kernel: Callable[..., NDArray[np.float64]]) -> AxKernel:
+    """Give a plain ``kernel(ref, u, g)`` the uniform signature.
 
+    A kernel that already takes ``out=`` and ``workspace=`` is returned
+    as is.  Anything else — the scalar Listing-1 and dense reference
+    kernels, the accelerator adapter, a user's lambda — is wrapped: it
+    sees one system at a time (a stacked ``(B, E, nx, nx, nx)`` block is
+    swept row by row) and its result is copied into ``out`` when one is
+    given; ``workspace`` is accepted and unused.  The wrapped callable
+    stays reachable as ``adapted.plain`` (what :func:`ax_kernel_name`
+    looks through).
+    """
+    if accepts_keyword(kernel, "out") and accepts_keyword(kernel, "workspace"):
+        return kernel
 
-def _ax_listing1(
-    ref: ReferenceElement,
-    u: NDArray[np.float64],
-    g: NDArray[np.float64],
-    out: NDArray[np.float64] | None = None,
-    workspace: SolverWorkspace | None = None,
-) -> NDArray[np.float64]:
-    """Registry adapter for the scalar Listing-1 reference kernel."""
-    if u.ndim == 5:
-        return _batched_rows(ax_local_listing1, ref, u, g, out)
-    w = ax_local_listing1(ref, u, g)
-    if out is not None:
-        np.copyto(out, w)
-        return out
-    return w
+    def adapted(ref, u, g, out=None, workspace=None):
+        if u.ndim == 5:
+            if out is None:
+                out = np.empty_like(u)
+            for b in range(u.shape[0]):
+                np.copyto(out[b], kernel(ref, u[b], g))
+            return out
+        w = kernel(ref, u, g)
+        if out is not None:
+            np.copyto(out, w)
+            return out
+        return w
 
-
-def _ax_dense(
-    ref: ReferenceElement,
-    u: NDArray[np.float64],
-    g: NDArray[np.float64],
-    out: NDArray[np.float64] | None = None,
-    workspace: SolverWorkspace | None = None,
-) -> NDArray[np.float64]:
-    """Registry adapter for the densely assembled verification kernel."""
-    if u.ndim == 5:
-        return _batched_rows(ax_local_dense, ref, u, g, out)
-    w = ax_local_dense(ref, u, g)
-    if out is not None:
-        np.copyto(out, w)
-        return out
-    return w
+    adapted.plain = kernel
+    return adapted
 
 
 _REGISTRY: dict[str, AxKernel] = {
     "einsum": ax_local,
     "matmul": ax_local_matmul,
-    "listing1": _ax_listing1,
-    "dense": _ax_dense,
+    "listing1": uniform(ax_local_listing1),
+    "dense": uniform(ax_local_dense),
 }
 
 #: The library's default hot-path kernel name.
@@ -534,11 +555,11 @@ def register_ax_kernel(
 ) -> None:
     """Register a custom kernel under ``name``.
 
-    The kernel must follow the uniform signature
-    ``kernel(ref, u, g, out=None, workspace=None)`` (extra capabilities
-    are probed with :func:`accepts_keyword`, so a plain
-    ``kernel(ref, u, g)`` callable also works — it just opts out of the
-    allocation-free path).
+    Either the uniform signature
+    ``kernel(ref, u, g, out=None, workspace=None)`` or a plain
+    ``kernel(ref, u, g)`` callable: problems run the latter through
+    :func:`uniform`, so it works everywhere — it just opts out of the
+    allocation-free path.
     """
     if not name:
         raise ValueError("kernel name must be non-empty")
@@ -556,8 +577,11 @@ def ax_kernel_name(kernel: AxKernel) -> "str | None":
     *serialized by name* rather than by reference — the picklable
     :class:`~repro.sem.spec.ProblemSpec` a worker process rebuilds its
     problem from stores the name, so the worker resolves the identical
-    registered kernel instead of pickling a closure.
+    registered kernel instead of pickling a closure.  A problem holds a
+    registered plain callable behind its :func:`uniform` adapter; the
+    lookup sees through it.
     """
+    kernel = getattr(kernel, "plain", kernel)
     for name, registered in _REGISTRY.items():
         if registered is kernel:
             return name
@@ -573,37 +597,3 @@ def resolve_ax_backend(spec: "str | AxKernel") -> AxKernel:
             f"ax backend must be a kernel name or callable, got {spec!r}"
         )
     return spec
-
-
-@functools.lru_cache(maxsize=512)
-def _accepts_keyword_cached(fn: Callable, name: str) -> bool:
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # builtins without introspection
-        return False
-    if name in params:
-        return True
-    return any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-
-
-def accepts_keyword(fn: Callable, name: str) -> bool:
-    """True if ``fn`` can be called with keyword argument ``name``.
-
-    Used to probe backends for ``out=``/``workspace=``/``threads=``
-    support so plain ``(ref, u, g)`` callables (e.g. the accelerator
-    adapter) keep working through the same dispatch sites.  Probes are
-    memoized (``signature`` reflection is slow relative to a short
-    solve); bound methods are probed through their underlying function
-    so the cache never pins the bound instance (e.g. a whole
-    ``PoissonProblem`` behind ``prob.apply_A``), and unhashable
-    callables fall back to direct inspection.
-    """
-    # Keyword acceptance is identical for a bound method and its
-    # underlying function (binding only consumes the first positional).
-    fn = getattr(fn, "__func__", fn)
-    try:
-        return _accepts_keyword_cached(fn, name)
-    except TypeError:
-        return _accepts_keyword_cached.__wrapped__(fn, name)

@@ -1,0 +1,328 @@
+"""The one SEM problem core: scatter -> local Ax -> gather, in any dtype.
+
+The paper runs the Poisson operator and its BK5/Helmholtz variant ("one
+more geometric factor") through one accelerator pipeline; so does this
+module.  :class:`SEMProblem` holds everything the two global problems
+share — the constructor tail, the workspaces, the Jacobi-diagonal cache,
+``clone`` / ``spec`` / ``export_shared`` / ``solve`` / ``l2_error`` and
+the single operator pipeline :meth:`SEMProblem._apply`.
+:class:`~repro.sem.poisson.PoissonProblem` supplies the Dirichlet mask
+(``_mask``) and a diagonal with unit boundary rows;
+:class:`~repro.sem.helmholtz.HelmholtzProblem` supplies ``lam``, the
+mass term ``w += lam * mass * u`` (``_local_term``) and the same addend
+on the diagonal.  Precision is a parameter of the pipeline, not a second
+pipeline: it selects the workspace and the ``as_dtype`` twins of the
+gather-scatter, the geometry and the mask, and nothing else.
+"""
+
+from __future__ import annotations
+
+import copy
+from typing import Callable, ClassVar
+
+import numpy as np
+from numpy.typing import NDArray
+
+from repro.analysis.annotations import hot_path
+from repro.sem.cg import check_precision, cg_solve, cg_solve_mixed
+from repro.sem.element import ReferenceElement
+from repro.sem.gather_scatter import GatherScatter
+from repro.sem.geometry import Geometry, geometric_factors
+from repro.sem.kernels import resolve_ax_backend, uniform
+from repro.sem.workspace import SolverWorkspace, cached_batch_workspace
+
+AxBackend = Callable[
+    [ReferenceElement, NDArray[np.float64], NDArray[np.float64]],
+    NDArray[np.float64],
+]
+
+
+def stiffness_diagonal(
+    ref: ReferenceElement, g: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Element-local diagonal of ``D^T G D``, matrix-free.
+
+    ``diag(A^e)[ijk] = sum_l D[l,i]^2 G_rr(l,j,k) + D[l,j]^2 G_ss(i,l,k)
+    + D[l,k]^2 G_tt(i,j,l)`` plus the cross terms that involve only the
+    node itself (``2 D[i,i] D[j,j] G_rs`` etc.).  Returned un-gathered,
+    ``(E, nx, nx, nx)``, so a problem can add its own local term first.
+    """
+    d2 = ref.deriv ** 2
+    diag = np.einsum("li,eljk->eijk", d2, g[:, 0], optimize=True)
+    diag += np.einsum("lj,eilk->eijk", d2, g[:, 3], optimize=True)
+    diag += np.einsum("lk,eijl->eijk", d2, g[:, 5], optimize=True)
+    dd = np.diag(ref.deriv)
+    diag += 2.0 * g[:, 1] * dd[:, None, None] * dd[None, :, None]
+    diag += 2.0 * g[:, 2] * dd[:, None, None] * dd[None, None, :]
+    diag += 2.0 * g[:, 4] * dd[None, :, None] * dd[None, None, :]
+    return diag
+
+
+class SEMProblem:
+    """What every global SEM problem on a box mesh is made of.
+
+    Not constructed directly: a specialisation is a dataclass declaring
+    the fields ``mesh``, ``ax_backend``, ``threads``, ``precision``, the
+    ``_parts`` hand-off and (``init=False``) ``geometry``, ``gs`` and
+    ``workspace``, and its ``__post_init__`` runs this class's as the
+    constructor tail.
+
+    The problem owns a :class:`~repro.sem.workspace.SolverWorkspace`
+    sized for its mesh and calls its backend in one form,
+    ``ax_backend(ref, u_local, g, out=ws.w_local, workspace=ws)`` — a
+    plain ``(ref, u, g)`` callable (the accelerator adapter, a lambda)
+    is given that signature at construction by
+    :func:`~repro.sem.kernels.uniform` — so with a registered kernel the
+    CG hot path performs no field-sized allocations after warm-up.  The
+    shared buffers make one problem instance serve one solve at a time,
+    though that solve may carry a stacked ``(B, n)`` block of right-hand
+    sides through :meth:`batch_workspace`.
+
+    Two things may be replaced on an instance after construction, and
+    the core reads both at every use rather than caching them: the
+    public operator methods (``problem.apply_A = wrapper`` is what
+    :attr:`operator` hands out from then on) and ``problem.gs`` (the
+    pipeline asks ``self.gs`` for its ``as_dtype`` twin per application).
+    """
+
+    #: The spec kind (see :data:`repro.sem.spec.PROBLEM_KINDS`).
+    kind: ClassVar[str]
+    #: Names of the specialisation's public fp64 operator, fp32 operator
+    #: and assembled-diagonal methods.
+    _OPERATOR: ClassVar[str]
+    _OPERATOR32: ClassVar[str]
+    _DIAGONAL: ClassVar[str]
+
+    def __post_init__(self, _parts: "object | None" = None) -> None:
+        check_precision(self.precision)
+        if _parts is not None:
+            self.geometry = _parts.geometry
+            self.gs = _parts.gather_scatter
+        else:
+            self.geometry = geometric_factors(self.mesh)
+            self.gs = GatherScatter.from_mesh(self.mesh)
+        self.ax_backend = uniform(resolve_ax_backend(self.ax_backend))
+        self.workspace = SolverWorkspace.for_mesh(
+            self.mesh, threads=self.threads
+        )
+        self._batch_workspaces: dict[object, SolverWorkspace] = {}
+        self._precond_diag: NDArray[np.float64] | None = (
+            None if _parts is None else _parts.precond_diag
+        )
+
+    # ------------------------------------------------------------------
+    @property
+    def ref(self) -> ReferenceElement:
+        """The mesh's reference element."""
+        return self.mesh.ref
+
+    @property
+    def n_dofs(self) -> int:
+        """Number of global DOFs (including any masked boundary nodes)."""
+        return self.mesh.n_global
+
+    @property
+    def operator(self) -> Callable[..., NDArray[np.float64]]:
+        """The global SPD operator callback (``apply_A`` / ``apply``).
+
+        The uniform solver-facing protocol; the serving layer
+        (:mod:`repro.serve`) binds problems through this property.
+        """
+        return getattr(self, self._OPERATOR)
+
+    @property
+    def operator32(self) -> Callable[..., NDArray[np.float32]]:
+        """The same operator in fp32 (``apply_A32`` / ``apply32``).
+
+        The mixed-precision solvers
+        (:func:`~repro.sem.cg.cg_solve_mixed`) drive their fp32 inner
+        iterations through this.
+        """
+        return getattr(self, self._OPERATOR32)
+
+    def precond_diag(self) -> NDArray[np.float64]:
+        """The Jacobi diagonal, computed once and cached.
+
+        Repeated solves (and every batch a :class:`repro.serve.SolveService`
+        dispatches) reuse one assembled diagonal instead of regathering
+        it; treat the returned array as read-only.
+        """
+        if self._precond_diag is None:
+            self._precond_diag = getattr(self, self._DIAGONAL)()
+        return self._precond_diag
+
+    def clone(self):
+        """A solve replica sharing this problem's immutable state.
+
+        Sharding (:class:`repro.serve.shard.ShardedSolveService`) needs
+        ``K`` problem instances that can each carry one solve at a time
+        *concurrently* — but rebuilding geometry and the gather-scatter
+        sort per replica would multiply setup cost and memory for data
+        that never changes.  The clone therefore shares everything
+        immutable — mesh, :class:`~repro.sem.geometry.Geometry`, any
+        mask, the resolved backend, and the (force-computed) Jacobi
+        diagonal — while owning the mutable per-solve state: a fresh
+        :class:`~repro.sem.workspace.SolverWorkspace`, an empty
+        batched-workspace cache, and a
+        :meth:`~repro.sem.gather_scatter.GatherScatter.replicate` twin
+        with private permutation scratch.
+
+        Returns
+        -------
+        SEMProblem
+            A replica of the same class, safe to solve through
+            concurrently with ``self`` (no mutable buffers are shared).
+        """
+        # Share-by-default via a shallow copy, then replace exactly the
+        # mutable per-solve state: fields added later are shared
+        # automatically instead of silently dropped.
+        twin = copy.copy(self)
+        # Force the diagonal once on the source so every replica shares
+        # a single assembled (read-only) array.
+        twin._precond_diag = self.precond_diag()
+        twin.gs = self.gs.replicate()
+        twin.workspace = SolverWorkspace.for_mesh(
+            self.mesh, threads=self.threads
+        )
+        twin._batch_workspaces = {}
+        return twin
+
+    def spec(self):
+        """A picklable :class:`~repro.sem.spec.ProblemSpec` of this problem.
+
+        :func:`~repro.sem.spec.rebuild` re-runs the deterministic
+        construction from it in any process (bit-identical solves).
+        Deformed meshes and unregistered backend callables are rejected
+        — use :meth:`export_shared` for the former.
+        """
+        from repro.sem.spec import problem_spec
+
+        return problem_spec(self)
+
+    def export_shared(self):
+        """Export the immutable arrays to shared memory for worker fleets.
+
+        Returns a :class:`~repro.sem.spec.SharedProblemExport` whose
+        ``spec`` rebuilds this problem in any process with the geometry,
+        gather-scatter caches, coordinates, quadrature arrays and
+        Jacobi diagonal attached zero-copy — one physical copy across
+        every worker.  The caller owns the export: ``close()`` it when
+        the fleet is done.
+        """
+        from repro.sem.spec import export_shared_problem
+
+        return export_shared_problem(self)
+
+    def batch_workspace(
+        self, batch: int, dtype: "np.dtype | type" = np.float64
+    ) -> SolverWorkspace:
+        """The problem's workspace for ``batch`` stacked right-hand sides.
+
+        Sized once per distinct ``(batch, dtype)`` and cached, so
+        repeated batched solves stay warm; ``batch=1`` in fp64 returns
+        the problem's own :attr:`workspace`.  ``dtype=np.float32``
+        yields the half-footprint twin the mixed-precision inner solves
+        run through.  Shares the problem's ``threads`` setting.
+        """
+        return cached_batch_workspace(
+            self._batch_workspaces, self.mesh, batch, self.threads,
+            self.workspace, dtype=dtype,
+        )
+
+    # ------------------------------------------------------------------
+    # The operator pipeline and its two specialisation hooks.
+    def _mask(self, dtype: type) -> "NDArray | None":
+        """The 0/1 global mask applied before scatter and after gather,
+        in ``dtype`` — ``None`` (the default) for an unmasked operator."""
+        return None
+
+    def _local_term(self, ws: SolverWorkspace, geo: Geometry, w_local) -> None:
+        """Add the problem's element-local term beyond the stiffness
+        ``Ax`` to ``w_local``, in place (``ws.u_local`` holds the
+        scattered input, ``ws.tmp`` is free scratch).  Default: none."""
+
+    @hot_path
+    def _apply(self, u_global: NDArray, out: "NDArray | None", dtype: type):
+        """mask -> scatter -> local Ax (+ local term) -> gather -> mask.
+
+        The body behind all four public operator methods.  Every
+        intermediate lives in the ``dtype`` workspace, so passing ``out``
+        (as :func:`~repro.sem.cg.cg_solve` does) makes the application
+        allocation-free; in fp32 the gather-scatter and geometry twins
+        stream half the bytes per DOF, which is where the mixed solve's
+        speedup comes from on this bandwidth-bound operator (the first
+        fp32 call per batch size pays the one-time twin casts).
+
+        A stacked ``(B, n)`` input applies the operator to all ``B``
+        systems at once through the cached batched workspace — the path
+        :func:`~repro.sem.cg.cg_solve_batched` drives.  A batch of one
+        runs the single-system path on its only row.
+        """
+        if u_global.ndim == 2 and u_global.shape[0] == 1:
+            if out is not None:
+                self._apply(u_global[0], out[0], dtype)
+                return out
+            return self._apply(u_global[0], None, dtype)[None]
+        ws = self.batch_workspace(
+            u_global.shape[0] if u_global.ndim == 2 else 1, dtype
+        )
+        gs = self.gs.as_dtype(dtype)
+        geo = self.geometry.as_dtype(dtype)
+        mask = self._mask(dtype)
+        if mask is not None:
+            u_global = np.multiply(u_global, mask, out=ws.g_tmp)
+        gs.scatter(u_global, out=ws.u_local)
+        w_local = self.ax_backend(
+            self.ref, ws.u_local, geo.g, out=ws.w_local, workspace=ws,
+        )
+        self._local_term(ws, geo, w_local)
+        w = gs.gather(w_local, out=out)
+        if mask is not None:
+            np.multiply(w, mask, out=w)
+        return w
+
+    def solve(
+        self,
+        b: NDArray[np.float64],
+        tol: float = 1e-10,
+        maxiter: int = 1000,
+        x0: NDArray[np.float64] | None = None,
+        precision: str | None = None,
+    ):
+        """Solve the problem's system through its cached workspaces.
+
+        Dispatches on ``precision`` (default: the problem's own
+        :attr:`precision` field): ``"fp64"`` runs the historical
+        :func:`~repro.sem.cg.cg_solve`, ``"mixed"`` the fp32-inner /
+        fp64-refinement :func:`~repro.sem.cg.cg_solve_mixed` — both to
+        the same fp64 ``tol``, judged on the true residual for the
+        mixed path.  A stacked ``(B, n)`` right-hand side solves the
+        whole block at once either way.
+        """
+        precision = check_precision(
+            self.precision if precision is None else precision
+        )
+        b = np.asarray(b, dtype=np.float64)
+        batch = b.shape[0] if b.ndim == 2 else 1
+        ws = self.batch_workspace(batch)
+        diag = self.precond_diag()
+        if precision == "fp64":
+            return cg_solve(
+                self.operator, b, x0=x0, precond_diag=diag, tol=tol,
+                maxiter=maxiter, workspace=ws,
+            )
+        ws32 = self.batch_workspace(batch, dtype=np.float32)
+        return cg_solve_mixed(
+            self.operator, self.operator32, b, x0=x0, precond_diag=diag,
+            tol=tol, maxiter=maxiter, workspace=ws, workspace32=ws32,
+        )
+
+    def l2_error(
+        self,
+        u_global: NDArray[np.float64],
+        exact: Callable[[NDArray, NDArray, NDArray], NDArray],
+    ) -> float:
+        """Discrete L2 error ``sqrt(sum B (u - u_exact)^2)`` over the mesh."""
+        x, y, z = self.mesh.coords
+        diff = self.gs.scatter(u_global) - exact(x, y, z)
+        return float(np.sqrt(np.sum(self.geometry.mass * diff ** 2)))

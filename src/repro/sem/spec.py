@@ -15,6 +15,10 @@ coordinates, quadrature arrays and Jacobi diagonal are zero-copy views
 onto the exporter's physical pages — ``K`` workers, one copy of
 ``g_soa``.
 
+Which problems a spec can describe is one table, kind -> class; each
+class names its own ``kind`` (and a Helmholtz problem its ``lam``), so
+classifying a problem and rebuilding one read the same table.
+
 Bit-identity is the contract, twice over: a problem rebuilt from a
 plain spec re-runs the identical deterministic construction, and a
 problem rebuilt from a *shared* export doesn't even recompute — it
@@ -43,8 +47,13 @@ from repro.sem.shared import (
     export_shared_arrays,
 )
 
+#: Problem kind -> class, keyed by each class's own ``kind`` attribute.
+_PROBLEM_CLASSES: dict[str, type] = {
+    cls.kind: cls for cls in (PoissonProblem, HelmholtzProblem, NekboneCase)
+}
+
 #: Problem kinds a spec can describe (the serving protocol's problems).
-PROBLEM_KINDS: tuple[str, ...] = ("poisson", "helmholtz", "nekbone")
+PROBLEM_KINDS: tuple[str, ...] = tuple(_PROBLEM_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -188,20 +197,19 @@ class SharedProblemExport:
 
 def _classify(problem) -> tuple[str, object]:
     """``(kind, inner_problem)`` of a protocol problem, or raise."""
-    if isinstance(problem, NekboneCase):
-        return "nekbone", problem.problem
-    if isinstance(problem, PoissonProblem):
-        return "poisson", problem
-    if isinstance(problem, HelmholtzProblem):
-        return "helmholtz", problem
-    raise TypeError(
-        f"problem {type(problem).__name__} has no spec; expected a "
-        "PoissonProblem, HelmholtzProblem or NekboneCase"
-    )
+    kind = getattr(problem, "kind", None)
+    if not isinstance(problem, _PROBLEM_CLASSES.get(kind, ())):
+        raise TypeError(
+            f"problem {type(problem).__name__} has no spec; expected a "
+            "PoissonProblem, HelmholtzProblem or NekboneCase"
+        )
+    # A NekboneCase wraps the problem whose arrays the spec describes.
+    return kind, getattr(problem, "problem", problem)
 
 
-def _base_spec(problem) -> ProblemSpec:
-    """The shared-manifest-free spec fields of ``problem``."""
+def _base_spec(problem) -> tuple[ProblemSpec, object]:
+    """The shared-manifest-free spec of ``problem``, and the inner
+    problem whose arrays it describes."""
     kind, inner = _classify(problem)
     name = ax_kernel_name(inner.ax_backend)
     if name is None:
@@ -211,16 +219,17 @@ def _base_spec(problem) -> ProblemSpec:
             "repro.sem.kernels.register_ax_kernel first)"
         )
     mesh = inner.mesh
-    return ProblemSpec(
+    spec = ProblemSpec(
         kind=kind,
         degree=mesh.ref.degree,
         shape=tuple(mesh.shape),
         extent=tuple(mesh.extent),
         ax_backend=name,
         threads=int(inner.threads),
-        lam=float(problem.lam) if kind == "helmholtz" else None,
+        lam=float(inner.lam) if hasattr(inner, "lam") else None,
         precision=inner.precision,
     )
+    return spec, inner
 
 
 def problem_spec(problem) -> ProblemSpec:
@@ -239,8 +248,7 @@ def problem_spec(problem) -> ProblemSpec:
     ValueError
         For an unregistered backend callable or a deformed mesh.
     """
-    spec = _base_spec(problem)
-    _, inner = _classify(problem)
+    spec, inner = _base_spec(problem)
     pristine = BoxMesh.build(inner.mesh.ref, spec.shape, spec.extent)
     if not np.array_equal(pristine.coords, inner.mesh.coords):
         raise ValueError(
@@ -273,8 +281,7 @@ def export_shared_problem(problem) -> SharedProblemExport:
     SharedProblemExport
         Keep it for the fleet's lifetime; ``close()`` unlinks the blocks.
     """
-    spec = _base_spec(problem)
-    _, inner = _classify(problem)
+    spec, inner = _base_spec(problem)
     blocks: list = []
     try:
         geo_shm, geo_manifest = inner.geometry.export_shared()
@@ -386,18 +393,16 @@ def rebuild(spec: ProblemSpec):
             ),
         )
 
-    if spec.kind == "helmholtz":
-        return HelmholtzProblem(
-            mesh, lam=spec.lam, ax_backend=spec.ax_backend,
-            threads=spec.threads, precision=spec.precision, _parts=parts,
+    cls = _PROBLEM_CLASSES[spec.kind]
+    knobs = dict(
+        ax_backend=spec.ax_backend, threads=spec.threads,
+        precision=spec.precision,
+    )
+    core_cls = PoissonProblem if cls is NekboneCase else cls
+    lam = {"lam": spec.lam} if hasattr(core_cls, "lam") else {}
+    problem = core_cls(mesh, **lam, **knobs, _parts=parts)
+    if cls is NekboneCase:
+        return NekboneCase(
+            n=spec.degree, shape=spec.shape, **knobs, _problem=problem
         )
-    poisson = PoissonProblem(
-        mesh, ax_backend=spec.ax_backend, threads=spec.threads,
-        precision=spec.precision, _parts=parts,
-    )
-    if spec.kind == "poisson":
-        return poisson
-    return NekboneCase(
-        n=spec.degree, shape=spec.shape, ax_backend=spec.ax_backend,
-        threads=spec.threads, precision=spec.precision, _problem=poisson,
-    )
+    return problem

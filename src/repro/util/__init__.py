@@ -22,7 +22,6 @@ from repro.util.validation import (
     pow2_divisor_floor,
 )
 from repro.util.tables import TextTable
-from repro.util.timing import Timer, repeat_time, throughput
 
 __all__ = [
     "BYTES_PER_DOUBLE",
@@ -39,7 +38,4 @@ __all__ = [
     "pow2_floor",
     "pow2_divisor_floor",
     "TextTable",
-    "Timer",
-    "repeat_time",
-    "throughput",
 ]

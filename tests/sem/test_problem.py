@@ -1,0 +1,243 @@
+"""The one SEM problem core: every kind, dtype, backend form and input
+shape goes through one pipeline, so every pairing must agree *exactly*
+(``np.array_equal`` throughout — no tolerances)."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.sem import (
+    BoxMesh,
+    HelmholtzProblem,
+    NekboneCase,
+    PoissonProblem,
+    ReferenceElement,
+    rebuild,
+)
+from repro.sem.kernels import ax_local_matmul
+from repro.serve import SolveService
+
+KINDS = ("poisson", "helmholtz", "nekbone")
+DTYPES = (np.float64, np.float32)
+FORMS = ("matmul", "einsum", "plain")
+SHAPES = ("solo", "b1", "b4")
+DEGREE, BOX = 3, (2, 2, 1)
+
+
+def build(kind, form):
+    backend = (
+        (lambda ref, u, g: ax_local_matmul(ref, u, g))
+        if form == "plain" else form
+    )
+    if kind == "nekbone":
+        return NekboneCase(DEGREE, BOX, ax_backend=backend)
+    mesh = BoxMesh.build(ReferenceElement.from_degree(DEGREE), BOX)
+    if kind == "poisson":
+        return PoissonProblem(mesh, ax_backend=backend)
+    return HelmholtzProblem(mesh, 0.7, ax_backend=backend)
+
+
+@pytest.fixture(scope="module")
+def problems():
+    return {
+        (kind, form): build(kind, form)
+        for kind in KINDS for form in FORMS
+    }
+
+
+def bank(problem, dtype):
+    rng = np.random.default_rng(15)
+    return rng.standard_normal((4, problem.n_dofs)).astype(dtype)
+
+
+def apply(problem, dtype, shape, with_out):
+    """One operator application; always returned as ``(rows, n)``."""
+    op = problem.operator if dtype is np.float64 else problem.operator32
+    u = bank(problem, dtype)
+    arg = {"solo": u[0], "b1": u[:1], "b4": u}[shape]
+    if with_out:
+        out = np.full_like(arg, np.nan)
+        assert op(arg, out=out) is out
+        w = out
+    else:
+        w = op(arg)
+    assert w.dtype == dtype and w.shape == arg.shape
+    return np.atleast_2d(w).copy()
+
+
+def solo_rows(problem, dtype, shape):
+    """The reference: each row on its own, no ``out=``."""
+    rows = 4 if shape == "b4" else 1
+    op = problem.operator if dtype is np.float64 else problem.operator32
+    u = bank(problem, dtype)
+    return np.stack([op(u[k]).copy() for k in range(rows)])
+
+
+@pytest.mark.parametrize("with_out", (False, True), ids=("alloc", "out"))
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("dtype", DTYPES, ids=("fp64", "fp32"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_shape_equals_solo_rows(
+    problems, kind, dtype, form, shape, with_out
+):
+    """Stacked rows == solo rows, ``(1, n)`` == solo, ``out=`` == a
+    fresh result."""
+    problem = problems[kind, form]
+    got = apply(problem, dtype, shape, with_out)
+    assert np.array_equal(got, solo_rows(problem, dtype, shape))
+
+
+@pytest.mark.parametrize("with_out", (False, True), ids=("alloc", "out"))
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("dtype", DTYPES, ids=("fp64", "fp32"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_plain_callable_equals_registered(
+    problems, kind, dtype, shape, with_out
+):
+    """A plain ``(ref, u, g)`` callable around a kernel is that kernel:
+    the adapter changes the call form, not one bit of the result (the
+    Helmholtz mass term used to be spelled differently on the
+    plain-callable branches)."""
+    got = apply(problems[kind, "plain"], dtype, shape, with_out)
+    want = apply(problems[kind, "matmul"], dtype, shape, with_out)
+    assert np.array_equal(got, want)
+
+
+def make_twin(problem, how):
+    """``(twin, cleanup)`` of a problem by one of the three routes."""
+    if how == "clone":
+        return problem.clone(), lambda: None
+    if how == "spec":
+        return rebuild(problem.spec()), lambda: None
+    export = problem.export_shared()
+    return rebuild(export.spec), export.close
+
+
+@pytest.mark.parametrize("how", ("clone", "spec", "shared"))
+@pytest.mark.parametrize("form", ("matmul", "einsum"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_twins_equal_the_source(problems, kind, form, how):
+    source = problems[kind, form]
+    twin, cleanup = make_twin(source, how)
+    try:
+        assert type(twin) is type(source)
+        assert np.array_equal(twin.precond_diag(), source.precond_diag())
+        for dtype, shape in itertools.product(DTYPES, SHAPES):
+            assert np.array_equal(
+                apply(twin, dtype, shape, True),
+                apply(source, dtype, shape, True),
+            )
+    finally:
+        del twin
+        cleanup()
+
+
+@pytest.mark.parametrize("precision", ("fp64", "mixed"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_service_equals_problem_solve(problems, kind, precision):
+    problem = problems[kind, "matmul"]
+    inner = getattr(problem, "problem", problem)
+    bs = bank(problem, np.float64)
+    if kind != "helmholtz":
+        bs = bs * inner.interior
+    want = [
+        problem.solve(b, tol=1e-9, maxiter=200, precision=precision)
+        for b in bs
+    ]
+    with SolveService(problem, max_batch=4, tol=1e-9, maxiter=200) as svc:
+        got = svc.solve_many(bs, precision=precision)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert np.array_equal(g.x, w.x)
+        assert g.iterations == w.iterations
+        assert g.residual_norm == w.residual_norm
+        assert g.residual_history == w.residual_history
+
+
+class TestHookContract:
+    """What ``benchmarks/e2e/semtrace.py`` does to a problem, pinned."""
+
+    @pytest.mark.parametrize("kind", ("poisson", "helmholtz"))
+    def test_instance_operator_is_what_operator_hands_out(self, kind):
+        problem = build(kind, "matmul")
+        names = {
+            "poisson": ("apply_A", "apply_A32"),
+            "helmholtz": ("apply", "apply32"),
+        }[kind]
+        calls = []
+        for name in names:
+            inner = getattr(problem, name)
+
+            def wrapper(u, out=None, inner=inner, name=name):
+                calls.append(name)
+                return inner(u, out=out)
+
+            setattr(problem, name, wrapper)
+        assert problem.operator.__name__ == "wrapper"
+        assert problem.operator32.__name__ == "wrapper"
+        bs = bank(problem, np.float64)
+        if kind == "poisson":
+            bs = bs * problem.interior
+        res = problem.solve(bs[0], tol=1e-9, maxiter=50, precision="mixed")
+        # One fp64 true-residual application per sweep, one fp32
+        # application per inner iteration (sweeps + their initial
+        # residuals): every one went through the instance attributes.
+        assert calls.count(names[0]) >= res.sweeps
+        assert calls.count(names[1]) >= res.iterations
+        calls.clear()
+        problem.solve(bs, tol=1e-9, maxiter=5)
+        assert calls and set(calls) == {names[0]}
+
+    def test_replaced_gs_is_called_on_every_application(self):
+        problem = build("poisson", "matmul")
+
+        class CountingGS:
+            def __init__(self, inner, log, tag):
+                self._inner, self._log, self._tag = inner, log, tag
+                self._twins = {}
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def scatter(self, global_vec, out=None):
+                self._log.append(("scatter", self._tag))
+                return self._inner.scatter(global_vec, out=out)
+
+            def gather(self, local, out=None):
+                self._log.append(("gather", self._tag))
+                return self._inner.gather(local, out=out)
+
+            def as_dtype(self, dtype):
+                twin = self._inner.as_dtype(dtype)
+                if twin is self._inner:
+                    return self
+                key = np.dtype(dtype).str
+                if key not in self._twins:
+                    self._twins[key] = CountingGS(twin, self._log, key)
+                return self._twins[key]
+
+        u64, u32 = bank(problem, np.float64), bank(problem, np.float32)
+        want64, want32 = problem.apply_A(u64).copy(), problem.apply_A32(u32).copy()
+
+        first, second = [], []
+        problem.gs = CountingGS(problem.gs, first, "<f8")
+        assert np.array_equal(problem.apply_A(u64), want64)
+        assert np.array_equal(problem.apply_A32(u32[0]), want32[0])
+        assert first == [
+            ("scatter", "<f8"), ("gather", "<f8"),
+            ("scatter", "<f4"), ("gather", "<f4"),
+        ]
+        # Replaced again after the pipeline has run in both dtypes: a
+        # pipeline that cached ``gs`` or its fp32 twin would keep
+        # logging to the first proxy.
+        del first[:]
+        problem.gs = CountingGS(problem.gs._inner, second, "<f8")
+        problem.apply_A(u64[0])
+        problem.apply_A32(u32)
+        assert first == []
+        assert second == [
+            ("scatter", "<f8"), ("gather", "<f8"),
+            ("scatter", "<f4"), ("gather", "<f4"),
+        ]
