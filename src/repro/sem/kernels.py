@@ -578,12 +578,13 @@ def ax_kernel_name(kernel: AxKernel) -> "str | None":
     :class:`~repro.sem.spec.ProblemSpec` a worker process rebuilds its
     problem from stores the name, so the worker resolves the identical
     registered kernel instead of pickling a closure.  A problem holds a
-    registered plain callable behind its :func:`uniform` adapter; the
-    lookup sees through it.
+    registered plain callable behind its :func:`uniform` adapter, while
+    ``listing1`` and ``dense`` are registered *as* adapters; the lookup
+    matches either form.
     """
-    kernel = getattr(kernel, "plain", kernel)
+    plain = getattr(kernel, "plain", kernel)
     for name, registered in _REGISTRY.items():
-        if registered is kernel:
+        if registered is kernel or registered is plain:
             return name
     return None
 

@@ -393,16 +393,16 @@ def rebuild(spec: ProblemSpec):
             ),
         )
 
-    cls = _PROBLEM_CLASSES[spec.kind]
     knobs = dict(
         ax_backend=spec.ax_backend, threads=spec.threads,
         precision=spec.precision,
     )
-    core_cls = PoissonProblem if cls is NekboneCase else cls
-    lam = {"lam": spec.lam} if hasattr(core_cls, "lam") else {}
-    problem = core_cls(mesh, **lam, **knobs, _parts=parts)
-    if cls is NekboneCase:
-        return NekboneCase(
-            n=spec.degree, shape=spec.shape, **knobs, _problem=problem
-        )
-    return problem
+    if spec.lam is not None:
+        knobs["lam"] = spec.lam
+    if spec.kind != NekboneCase.kind:
+        return _PROBLEM_CLASSES[spec.kind](mesh, **knobs, _parts=parts)
+    # A NekboneCase wraps the Poisson problem the spec's arrays describe.
+    return NekboneCase(
+        n=spec.degree, shape=spec.shape, **knobs,
+        _problem=PoissonProblem(mesh, **knobs, _parts=parts),
+    )

@@ -15,7 +15,14 @@ from repro.sem import (
     ReferenceElement,
     rebuild,
 )
-from repro.sem.kernels import ax_local_matmul
+from repro.sem.kernels import (
+    _REGISTRY,
+    ax_kernel_name,
+    ax_local_matmul,
+    available_ax_kernels,
+    get_ax_kernel,
+    register_ax_kernel,
+)
 from repro.serve import SolveService
 
 KINDS = ("poisson", "helmholtz", "nekbone")
@@ -115,11 +122,37 @@ def make_twin(problem, how):
     return rebuild(export.spec), export.close
 
 
+REGISTERED_PLAIN = "_test_problem_plain"
+
+
+@pytest.fixture
+def registered_plain():
+    """A plain ``(ref, u, g)`` callable under a registry name."""
+    register_ax_kernel(
+        REGISTERED_PLAIN, lambda ref, u, g: ax_local_matmul(ref, u, g)
+    )
+    yield REGISTERED_PLAIN
+    _REGISTRY.pop(REGISTERED_PLAIN, None)
+
+
+def test_every_registered_kernel_is_named(registered_plain):
+    """``ax_kernel_name`` inverts ``get_ax_kernel`` for every entry —
+    the adapter-wrapped reference kernels and a registered plain
+    callable included — both as registered and as a problem holds it."""
+    assert registered_plain in available_ax_kernels()
+    for name in available_ax_kernels():
+        assert ax_kernel_name(get_ax_kernel(name)) == name
+        assert ax_kernel_name(build("poisson", name).ax_backend) == name
+    assert ax_kernel_name(build("poisson", "plain").ax_backend) is None
+
+
 @pytest.mark.parametrize("how", ("clone", "spec", "shared"))
-@pytest.mark.parametrize("form", ("matmul", "einsum"))
+@pytest.mark.parametrize(
+    "form", ("matmul", "einsum", "listing1", "dense", REGISTERED_PLAIN)
+)
 @pytest.mark.parametrize("kind", KINDS)
-def test_twins_equal_the_source(problems, kind, form, how):
-    source = problems[kind, form]
+def test_twins_equal_the_source(registered_plain, kind, form, how):
+    source = build(kind, form)
     twin, cleanup = make_twin(source, how)
     try:
         assert type(twin) is type(source)
