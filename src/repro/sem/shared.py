@@ -422,15 +422,6 @@ class SlotRing:
                         f"({self.manifest.slots} slots all in flight)"
                     )
 
-    def acquire_nowait(self) -> tuple[int, int] | None:
-        """:meth:`acquire` without blocking: ``None`` when full."""
-        with self._cond:
-            if self._error is not None:
-                raise type(self._error)(*self._error.args)
-            if not self._free:
-                return None
-            return self._claim_locked()
-
     def _claim_locked(self) -> tuple[int, int]:
         slot = self._free.pop()
         ordinal = self._next_ordinal

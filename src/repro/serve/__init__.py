@@ -18,12 +18,13 @@ in three tiers:
   aggregate fleet stats.
 * :class:`ProcessShardedSolveService` — the same routing front
   (:mod:`repro.serve.fleet`: shared code, not a copy) over K worker
-  *processes*, each rebuilding the problem from a picklable spec
+  *processes* (:mod:`repro.serve.replica`: one worker slot, both ends
+  of its wire protocol), each rebuilding the problem from a picklable spec
   with the big immutable arrays attached zero-copy from shared memory
   (one physical copy of the geometry across the fleet); lifts the
   pure-Python dispatch ceiling the thread-shard hits on many-core
   hosts.
-* :class:`AsyncSolveService` — an asyncio facade over either: ``await
+* :class:`AsyncSolveService` — an asyncio facade over any of them: ``await
   svc.solve(b)`` suspends the coroutine until the dispatcher resolves
   the ticket (``loop.call_soon_threadsafe``, no busy-waiting).
 

@@ -14,14 +14,13 @@ The bridge works ticket-by-ticket:
 1. ``submit`` first calls the service's non-blocking ``try_submit``
    right on the event loop — validation, a copy of the rhs and an
    enqueue under a briefly held lock, no thread hop.  Only when that
-   reports the queue at ``max_pending`` does the blocking
-   ``service.submit`` run on the loop's default executor, so a full
-   queue parks this one coroutine and never the loop itself.
-   :class:`~repro.serve.service.SolveService` and
-   :class:`~repro.serve.shard.ShardedSolveService` take the direct
-   path; a service without ``try_submit`` — the process shard, whose
-   submit stages the rhs into a shared-memory ring that can itself be
-   full and then writes a pipe — always takes the executor;
+   reports backpressure (a queue at ``max_pending``, a process-fleet
+   ring with no free slot) does the blocking ``service.submit`` run on
+   the loop's default executor, so a full queue parks this one
+   coroutine and never the loop itself.  Every tier takes this one
+   path: :class:`~repro.serve.service.SolveService`,
+   :class:`~repro.serve.shard.ShardedSolveService` and
+   :class:`~repro.serve.procshard.ProcessShardedSolveService`;
 2. a done-callback on the returned
    :class:`~repro.serve.service.SolveTicket` fires on the *dispatcher*
    thread when the batch resolves, and re-enters the event loop via
@@ -80,7 +79,7 @@ class AsyncSolveService:
     """
 
     def __init__(self, service) -> None:
-        required = ("submit", "close")
+        required = ("submit", "try_submit", "close")
         missing = [a for a in required if not hasattr(service, a)]
         if missing:
             raise TypeError(
@@ -156,8 +155,8 @@ class AsyncSolveService:
         waits.  The blocking ``service.submit`` (it parks on
         backpressure when the queue is at ``max_pending``) runs on the
         loop's default executor, and only when ``try_submit`` reported
-        a full queue or the service has none — so a full queue suspends
-        this coroutine, never the event loop.
+        a full queue — so a full queue suspends this coroutine, never
+        the event loop.
         """
         loop = asyncio.get_running_loop()
         knobs = dict(
@@ -166,8 +165,7 @@ class AsyncSolveService:
         )
         if key is not None:
             knobs["key"] = key
-        try_submit = getattr(self.service, "try_submit", None)
-        ticket = None if try_submit is None else try_submit(b, **knobs)
+        ticket = self.service.try_submit(b, **knobs)
         if ticket is None:
             ticket = await loop.run_in_executor(
                 None, functools.partial(self.service.submit, b, **knobs)
@@ -233,8 +231,8 @@ class AsyncSolveService:
                 f"keys length {len(keys)} != number of requests {len(bs)}"
             )
         # Submit concurrently: the submits that fall back to the
-        # executor (full queue, process shard) would otherwise serialize
-        # M round-trips and trickle-feed the batchers.
+        # executor (full queue) would otherwise serialize M round-trips
+        # and trickle-feed the batchers.
         futures = await asyncio.gather(*(
             self.submit(
                 b, tol=tol, maxiter=maxiter,

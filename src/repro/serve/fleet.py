@@ -6,9 +6,10 @@
 :class:`~repro.serve.service.SolveService` vs a shared-memory ring slot
 plus a doorbell down a pipe, under supervision) — not in how it is
 admitted and routed.  :class:`FleetFront` is that common half, written
-once.  A subclass provides ``queue_depths``, ``replica_stats`` (one
-:class:`~repro.serve.stats.StatsSnapshot` per live target) and
-``close``, and calls :meth:`FleetFront._admit` /
+once.  A subclass provides ``submit`` (taking the private ``_block``
+that :meth:`FleetFront.try_submit` passes), ``queue_depths``,
+``replica_stats`` (one :class:`~repro.serve.stats.StatsSnapshot` per
+live target) and ``close``, and calls :meth:`FleetFront._admit` /
 :meth:`FleetFront._count` around its own hand-over.  Retry and respawn
 stay in the process tier: a retry lands on a *different* worker, so
 they are fleet decisions of that tier, not properties of a replica.
@@ -28,6 +29,7 @@ from repro.serve.scheduler import (
     pick_with_diversion,
     resolve_router,
 )
+from repro.serve.service import SolveTicket, _WouldBlock
 from repro.serve.stats import StatsSnapshot, merge_snapshots
 
 #: Signature of the overload hook: ``(chosen_replica, depths) -> index
@@ -174,6 +176,21 @@ class FleetFront:
             self._routed[target] += routed
             self._rebalanced += rebalanced
             self._health_diverted += health_diverted
+
+    def try_submit(self, b, **knobs) -> SolveTicket | None:
+        """:meth:`submit` that never waits for room: ``None`` where it
+        would park — the routed replica's queue at ``max_pending``
+        (thread fleet; see :meth:`SolveService.try_submit
+        <repro.serve.service.SolveService.try_submit>`) or the routed
+        worker's ring full (process fleet).  The request is routed as
+        usual, a refused attempt is counted nowhere, and shed, closed
+        and unavailable fleets still raise."""
+        try:
+            # Through self.submit, not around it: a wrapper put on
+            # ``submit`` must see every request.
+            return self.submit(b, **knobs, _block=False)
+        except _WouldBlock:
+            return None
 
     @staticmethod
     def _check_keys(keys: Sequence[object] | None, bs) -> None:

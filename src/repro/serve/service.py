@@ -297,9 +297,6 @@ class SolveService:
         each request's numerics are exactly its precision's solo path.
         ``"mixed"`` requires the problem to expose an ``operator32``
         twin.
-    precondition:
-        Use the problem's cached Jacobi diagonal (default) or solve
-        unpreconditioned.
     background:
         Spawn the dispatcher thread.  Without it, batches fire inside
         ``submit`` whenever ``max_batch`` requests are pending, and
@@ -329,7 +326,6 @@ class SolveService:
     tol: float = 1e-10
     maxiter: int = 1000
     precision: str | None = None
-    precondition: bool = True
     background: bool = False
 
     stats_accumulator: ServiceStats = field(
@@ -359,9 +355,7 @@ class SolveService:
                 f"precision='mixed' needs an operator32 twin, which "
                 f"problem {type(self.problem).__name__} does not expose"
             )
-        self._diag = (
-            self.problem.precond_diag() if self.precondition else None
-        )
+        self._diag = self.problem.precond_diag()
         self._n = int(self.problem.n_dofs)
         self._pool = WorkspacePool(self.problem)
         self._batcher: MicroBatcher[_Request] = MicroBatcher(

@@ -47,7 +47,7 @@ from numpy.typing import NDArray
 from repro.sem.cg import CGResult
 from repro.serve.fleet import _UNSET, FleetFront, OverloadHook
 from repro.serve.scheduler import Router, attach_cost_feedback
-from repro.serve.service import SolveService, SolveTicket, _WouldBlock
+from repro.serve.service import SolveService, SolveTicket
 from repro.serve.stats import StatsSnapshot
 
 
@@ -73,8 +73,7 @@ class ShardedSolveService(FleetFront):
         :class:`~repro.serve.costmodel.CostAwareRouter`), or a
         ready :class:`~repro.serve.scheduler.Router` sized for
         ``replicas``.
-    max_batch / max_wait / max_pending / tol / maxiter / precision /
-    precondition:
+    max_batch / max_wait / max_pending / tol / maxiter / precision:
         Forwarded to every replica :class:`~repro.serve.service.SolveService`
         (each runs with ``background=True``, i.e. its own dispatcher
         thread).  When omitted, each knob takes ``SolveService``'s own
@@ -133,7 +132,6 @@ class ShardedSolveService(FleetFront):
         tol: "float | object" = _UNSET,
         maxiter: "int | object" = _UNSET,
         precision: "str | object" = _UNSET,
-        precondition: "bool | object" = _UNSET,
         queue_watermark: int | None = None,
         on_overload: OverloadHook | None = None,
         shed_watermark: int | None = None,
@@ -164,7 +162,7 @@ class ShardedSolveService(FleetFront):
             self.replicas, policy, queue_watermark, on_overload,
             shed_watermark, max_batch=max_batch, max_wait=max_wait,
             max_pending=max_pending, tol=tol, maxiter=maxiter,
-            precision=precision, precondition=precondition,
+            precision=precision,
         )
         services: list[SolveService] = []
         try:
@@ -305,18 +303,6 @@ class ShardedSolveService(FleetFront):
         # blocking retry.
         self._count(chosen, 1, rebalanced, health_diverted)
         return ticket
-
-    def try_submit(
-        self, b: NDArray[np.float64], **knobs
-    ) -> SolveTicket | None:
-        """:meth:`submit` that never waits for queue space: ``None``
-        when the routed replica's queue is at ``max_pending`` (see
-        :meth:`SolveService.try_submit`).  The request is routed as
-        usual, and shed, closed and unavailable fleets still raise."""
-        try:
-            return self.submit(b, **knobs, _block=False)
-        except _WouldBlock:
-            return None
 
     def solve_many(
         self,

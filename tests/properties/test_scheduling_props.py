@@ -63,6 +63,8 @@ class FakeBackend:
     def submit(self, *args, **kwargs):
         raise AssertionError("admission properties must not submit")
 
+    try_submit = submit
+
     def close(self):
         pass
 

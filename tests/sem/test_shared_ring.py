@@ -117,7 +117,8 @@ class TestSlotRingBackpressure:
             held = [ring.acquire() for _ in range(2)]
             for ordinal, slot in held:
                 ring.rhs[slot][...] = float(ordinal)
-            assert ring.acquire_nowait() is None
+            with pytest.raises(TimeoutError):
+                ring.acquire(timeout=0)
             got = []
             done = threading.Event()
 
@@ -178,12 +179,12 @@ class TestSlotRingInterrupt:
             # Each waiter gets a *fresh* instance (no shared traceback).
             assert caught and str(caught[0]) == "owner died"
             with pytest.raises(RuntimeError, match="owner died"):
-                ring.acquire_nowait()
+                ring.acquire(timeout=0)
             # In-flight slots stay owned across the interrupt.
             assert ring.in_use == 1
             ring.resume()
             ring.release(ordinal)
-            assert ring.acquire_nowait() is not None
+            assert ring.acquire(timeout=0) is not None
         finally:
             ring.close()
 

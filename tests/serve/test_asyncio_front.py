@@ -17,10 +17,11 @@ from repro.sem import (
 )
 from repro.serve import (
     AsyncSolveService,
+    FaultPlan,
+    ProcessShardedSolveService,
     QueueClosed,
     ShardedSolveService,
     SolveService,
-    SolveTicket,
 )
 
 
@@ -163,7 +164,7 @@ class TestAsyncSolve:
 
 class TestSubmitPaths:
     """``submit`` enqueues from the loop thread itself and takes the
-    executor only for a full queue or a service with no ``try_submit``."""
+    executor only under backpressure — on every tier."""
 
     @staticmethod
     def record_doors(svc):
@@ -280,28 +281,64 @@ class TestSubmitPaths:
 
         assert asyncio.run(run()) == (0, 0)
 
-    def test_service_without_try_submit_takes_the_executor(self):
-        """Any duck-typed backend — the process shard among them —
-        keeps the executor hop: its ``submit`` may block."""
-        threads = []
+    def test_service_without_try_submit_is_rejected(self):
+        """One submit path for every tier: a backend that cannot be
+        asked not to wait is refused at construction."""
 
         class Backend:
             def submit(self, b, **kwargs):
-                threads.append(threading.current_thread())
-                ticket = SolveTicket()
-                ticket._resolve("solved")
-                return ticket
+                raise AssertionError("never called")
 
             def close(self):
                 pass
 
-        async def run():
-            async with AsyncSolveService(Backend()) as asvc:
-                return await asvc.solve(np.zeros(2))
+        with pytest.raises(TypeError, match="try_submit"):
+            AsyncSolveService(Backend())
 
-        assert asyncio.run(run()) == "solved"
-        assert len(threads) == 1
-        assert threads[0] is not threading.main_thread()
+    def test_process_fleet_parks_on_executor_only_for_a_full_ring(
+        self, serving_problem
+    ):
+        """The process tier takes the same path: staging and doorbell
+        run on the loop thread; with its one ring slot held behind a
+        worker asleep on its first block, the next submit is refused
+        there (counted nowhere) and parks on the executor, while the
+        loop keeps ticking."""
+        prob, bank = serving_problem
+
+        async def run():
+            svc = ProcessShardedSolveService(
+                prob, workers=1, ring_slots=1, max_batch=1,
+                max_wait=0.002, tol=1e-10, maxiter=200,
+                chaos=FaultPlan(slow_solves={0: {1: 1.0}}),
+            )
+            doors = self.record_doors(svc)
+            ticks = 0
+
+            async def heartbeat():
+                nonlocal ticks
+                while True:
+                    ticks += 1
+                    await asyncio.sleep(0.001)
+
+            async with AsyncSolveService(svc) as asvc:
+                first = await asvc.submit(bank[0])
+                beat = asyncio.ensure_future(heartbeat())
+                second = await asvc.submit(bank[1])
+                beat.cancel()
+                got = await asyncio.gather(first, second)
+                return got, doors, ticks, svc.routed, svc.stats
+
+        got, doors, ticks, routed, stats = asyncio.run(run())
+        main = threading.main_thread()
+        assert [door for door in doors if door[1] is main] == (
+            [(False, main)] * 2
+        )
+        elsewhere = [door for door in doors if door[1] is not main]
+        assert [block for block, _ in elsewhere] == [True]
+        assert ticks >= 20  # the loop never waited for the slot
+        assert routed == (2,) and stats.submitted == 2
+        for res, b in zip(got, bank):
+            assert_same_result(res, sequential_solve(prob, b))
 
 
 class TestAsyncCancellation:

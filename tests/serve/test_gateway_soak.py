@@ -364,6 +364,8 @@ class SimBackend:
         self.pending.append((finish, ticket, iterations))
         return ticket
 
+    try_submit = submit  # never full
+
     def advance_until_drained(self):
         """Run simulated time forward, resolving tickets in finish
         order — the discrete-event analogue of the dispatcher."""

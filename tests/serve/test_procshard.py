@@ -272,10 +272,13 @@ class TestProcShardCrash:
 
     def test_removed_options_are_type_errors(self, serving_problem):
         """One transport, one crash contract: the pipe transport knob
-        is gone and the policies no longer accept None."""
+        is gone and the policies no longer accept None; workers always
+        spawn, always pin and always precondition."""
         prob, _ = serving_problem
         for removed in (
-            {"transport": "pipe"}, {"retry": None}, {"restart": None}
+            {"transport": "pipe"}, {"retry": None}, {"restart": None},
+            {"start_method": "fork"}, {"pin_cores": False},
+            {"precondition": False},
         ):
             with pytest.raises(TypeError):
                 ProcessShardedSolveService(prob, workers=1, **removed)

@@ -150,6 +150,111 @@ class TestCrashRespawnBitIdentity:
         assert_same_result(second, sequential_solve(prob, bank[1]))
 
 
+class _DyingPipe:
+    """A worker's pipe whose first doorbell kills the worker and fails
+    to send — ``wait_for_reader`` decides which side notices first: the
+    reader's exit sweep (the order that used to retry the request
+    twice and leak a ring slot) or the failed ``send``."""
+
+    def __init__(self, replica, wait_for_reader):
+        self._conn = replica.conn
+        self._replica = replica
+        self._wait = wait_for_reader
+        self.fired = False
+
+    def send(self, msg):
+        if self.fired or msg[0] != "solve_block":
+            return self._conn.send(msg)
+        self.fired = True
+        self._replica.process.terminate()
+        if self._wait:
+            assert wait_until(lambda: not self._replica.live, interval=0.005)
+        raise BrokenPipeError("injected: the worker died under the send")
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class TestOneOwnerPerRequest:
+    """Whoever removes a registration settles the request — exactly
+    one party, whichever way a crash and its witnesses interleave."""
+
+    @pytest.mark.parametrize("wait_for_reader", [True, False])
+    def test_failed_send_is_a_crash_the_reader_reports_once(
+        self, serving_problem, wait_for_reader
+    ):
+        """The deterministic double-retry recipe, behind a gateway: the
+        request is retried once, bit-identically; no slot leaks; the
+        gateway's books balance."""
+        prob, bank = serving_problem
+        svc = ProcessShardedSolveService(
+            prob, workers=2, policy="round-robin", max_batch=4,
+            max_wait=0.002, tol=1e-10, maxiter=200,
+            retry=RetryPolicy(max_attempts=4, backoff_base=0.01),
+            restart=RestartPolicy(max_restarts=3, backoff_base=0.02),
+        )
+        registry = TenantRegistry()
+        tenant = registry.provision("acme")
+        gateway = Gateway(svc, registry)
+        try:
+            victim = svc._workers[0]
+            victim.conn = pipe = _DyingPipe(victim, wait_for_reader)
+            got = asyncio.run(gateway.solve(
+                tenant.token, bank[0], tol=1e-10, maxiter=200
+            ))
+            assert pipe.fired
+            assert wait_until(lambda: svc.restarts == 1)
+            assert svc.health.mask() == (True, True)
+            assert svc.retried == 1
+            assert svc.stats.retries == 1
+            # Registered with the victim, then with the survivor.
+            assert svc.routed == (1, 1)
+            assert wait_until(
+                lambda: all(w.ring.in_use == 0 for w in svc._workers)
+            ), [w.ring.in_use for w in svc._workers]
+            counters = gateway.counters
+            assert counters["admitted"] == counters["completed"] == 1
+            assert counters["failed"] == counters["expired"] == 0
+        finally:
+            svc.close()
+        assert_same_result(got, sequential_solve(prob, bank[0]))
+
+    @pytest.mark.parametrize("first", ["watchdog", "crash"])
+    def test_deadline_lapsing_as_the_worker_dies_is_settled_once(
+        self, serving_problem, first
+    ):
+        """The watchdog and the crash sweep compete for one
+        registration: whichever takes it expires the request — once —
+        and the loser finds nothing to expire or retry."""
+        prob, bank = serving_problem
+        # The worker sleeps through the request's whole deadline.
+        svc = ProcessShardedSolveService(
+            prob, workers=1, max_batch=1, max_wait=0.002,
+            tol=1e-10, maxiter=200,
+            chaos=FaultPlan(slow_solves={0: {1: 30.0}}),
+            restart=RestartPolicy(max_restarts=2, backoff_base=0.01),
+        )
+        svc.EXPIRE_GRACE = 0.05 if first == "watchdog" else 30.0
+        try:
+            lapsed = time.monotonic() + 0.35
+            doomed = svc.submit(bank[0], deadline=0.3)
+            if first == "watchdog":
+                with pytest.raises(DeadlineExceeded):
+                    doomed.result(timeout=30)
+            else:
+                time.sleep(max(lapsed - time.monotonic(), 0.0))
+                assert not doomed.done()
+            svc._workers[0].process.terminate()
+            with pytest.raises(DeadlineExceeded):
+                doomed.result(timeout=30)
+            assert wait_until(lambda: svc.restarts == 1)
+            assert wait_until(lambda: svc._workers[0].ring.in_use == 0)
+            assert (svc.stats.expired, svc.retried) == (1, 0)
+        finally:
+            svc.close()  # settles the stale watchdog of the crash case
+        assert (svc.stats.expired, svc.retried) == (1, 0)
+
+
 class TestCircuitBreaker:
     def test_slot_that_keeps_dying_is_ejected(self, serving_problem):
         """max_restarts=1: the first death respawns, the second trips
@@ -482,7 +587,7 @@ class TestRingSlotReclaimOnCancel:
             max_wait=0.002, tol=1e-10, maxiter=200, chaos=injector,
         )
         try:
-            ring = svc._rings[0]
+            ring = svc._workers[0].ring
             a = svc.submit(bank[0])
             assert wait_until(lambda: ring.in_use >= 1, timeout=10.0)
             b_ticket = svc.submit(bank[1], deadline=0.3)
@@ -527,7 +632,7 @@ class TestRingSlotReclaimOnCancel:
             max_wait=0.002, tol=1e-10, maxiter=200, chaos=injector,
         )
         try:
-            ring = svc._rings[0]
+            ring = svc._workers[0].ring
             anchor = svc.submit(bank[0])  # wedges the worker, holds a slot
             assert wait_until(lambda: ring.in_use >= 1, timeout=10.0)
             start = time.monotonic()

@@ -421,7 +421,6 @@ class TestShardedLifecycle:
                 assert s.max_wait == fields["max_wait"].default
                 assert s.tol == fields["tol"].default
                 assert s.maxiter == fields["maxiter"].default
-                assert s.precondition is fields["precondition"].default
         with ShardedSolveService(
             prob.clone(), replicas=2, max_batch=4, tol=1e-8,
         ) as svc:

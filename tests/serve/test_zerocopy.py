@@ -60,8 +60,13 @@ def shm_exists(name: str) -> bool:
 class TestTransportKnob:
     def test_transport_validation(self, serving_problem):
         prob, _ = serving_problem
-        with pytest.raises(ValueError, match="ring_slots"):
-            ProcessShardedSolveService(prob, workers=1, ring_slots=0)
+        # Above the cap a ring could hold more unread doorbells than
+        # a pipe buffer takes (repro.serve.replica.MAX_RING_SLOTS).
+        for bad in (0, 129):
+            with pytest.raises(ValueError, match="ring_slots"):
+                ProcessShardedSolveService(
+                    prob, workers=1, ring_slots=bad
+                )
 
     def test_ring_is_the_default(self, serving_problem):
         prob, bank = serving_problem
@@ -170,7 +175,7 @@ class TestRingCrashRecovery:
             assert tuple(sorted(rings_after.values())) == blocks_before
             # Every orphaned slot was recycled on the way.
             assert wait_until(
-                lambda: all(r.in_use == 0 for r in svc._rings)
+                lambda: all(w.ring.in_use == 0 for w in svc._workers)
             )
             assert svc.stats.copy_bytes == 0
         finally:
