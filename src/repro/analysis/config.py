@@ -70,7 +70,8 @@ class AnalysisConfig:
         "add", "subtract", "multiply", "divide", "true_divide",
         "floor_divide", "negative", "sqrt", "square", "abs", "absolute",
         "exp", "log", "maximum", "minimum", "power", "reciprocal",
-        "matmul", "dot", "einsum", "tensordot", "take", "clip", "where",
+        "matmul", "dot", "vecdot", "einsum", "tensordot", "take", "clip",
+        "where",
     )
     wall_clock_calls: tuple[str, ...] = (
         "time.time", "time.ctime", "time.localtime", "time.gmtime",

@@ -6,6 +6,16 @@ geometric factors, the matrix-free local Poisson operator (Listing 1), the
 BK5-style Helmholtz variant, gather-scatter, and preconditioned CG.
 """
 
+import numpy as _np
+
+if not hasattr(_np, "vecdot"):
+    # pip enforces pyproject's floor; running from src/ on the path
+    # (as the benchmark does) bypasses it, so fail here, by name.
+    raise ImportError(
+        "repro.sem needs numpy >= 2.0 (the CG inner products are "
+        f"np.vecdot); the installed numpy is {_np.__version__}"
+    )
+
 from repro.sem.legendre import legendre, legendre_prime
 from repro.sem.quadrature import (
     gll_points_and_weights,

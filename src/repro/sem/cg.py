@@ -37,12 +37,19 @@ ufuncs.  If the operator callback accepts an ``out=`` keyword (as
 computed without allocating, so a warm iteration performs zero
 field-sized heap allocations.
 
-Inner products are a fused ``multiply`` + pairwise ``sum`` along each
-row (rather than BLAS ``ddot``, whose accumulation order differs in the
-last ulp) and no row's arithmetic reads another row, so a system solved
-inside a stacked block is **bit-identical** to the same system solved
-alone — the property the micro-batching serving layer
-(:mod:`repro.serve`) is built on.
+Inner products read their operands once: on fp64 vectors one BLAS
+``ddot`` per row (``np.vecdot``), on fp32 vectors a ``multiply`` into
+fp32 storage + a pairwise ``sum`` accumulated in fp64.  Either way a
+row's value is a function of that row alone — never of ``B`` or of its
+batchmates — and no other arithmetic reads across rows, so a system
+solved inside a stacked block is **bit-identical** to the same system
+solved alone — the property the micro-batching serving layer
+(:mod:`repro.serve`) is built on.  What the fp64 value *does* depend on
+is the BLAS thread count: OpenBLAS splits a ``ddot`` longer than 10^4
+elements across its threads, so ``OPENBLAS_NUM_THREADS=1`` and ``=2``
+differ in the last ulp there.  That count is a per-process constant
+which fleet workers inherit with their environment; results are
+comparable bit for bit between processes that share it.
 """
 
 from __future__ import annotations
@@ -194,7 +201,9 @@ def _validate(
     view), the Jacobi diagonal as given (``(n,)`` or ``(B, n)``) and
     ``tol``/``maxiter`` as scalar-or-``(B,)`` fp64/int64 arrays.
     """
-    b = np.asarray(b, dtype=dtype)
+    # C order: ddot sums a strided row in another order than a
+    # contiguous one, and ||b|| must not depend on the caller's layout.
+    b = np.asarray(b, dtype=dtype, order="C")
     if stacked:
         if b.ndim != 2 or b.shape[0] < 1:
             raise ValueError(
@@ -280,10 +289,17 @@ def _buffers(workspace, b, vectors, scalars) -> list[NDArray]:
 
 @hot_path
 def _row_dots(a_vec, b_vec, tmp, dst) -> None:
-    # Fused per-system inner products without a (B, n) temporary.
-    # dtype=float64 pins the accumulator (no-op for fp64 vectors, the
-    # precision contract for fp32 ones: products round to fp32 storage,
-    # the sum never does — dst is always fp64).
+    # Per-system inner products into the fp64 ``dst``.
+    if a_vec.dtype == np.float64:
+        # One cblas_ddot per row: each operand is read once and nothing
+        # field-sized is written.  (einsum("ij,ij->i") is not a
+        # substitute: past 8192 elements a row's value depends on B.)
+        np.vecdot(a_vec, b_vec, out=dst)
+        return
+    # fp32 vectors: dtype=float64 pins the accumulator — the precision
+    # contract is that products round to fp32 storage and the sum never
+    # does.  (vecdot(dtype=float64) would allocate two field-sized
+    # casts and multiply in fp64.)
     np.multiply(a_vec, b_vec, out=tmp)
     np.add.reduce(tmp, axis=1, out=dst, dtype=np.float64)
 

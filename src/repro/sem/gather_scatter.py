@@ -5,22 +5,24 @@ values; the gather-scatter operator ``QQ^T`` sums local contributions into
 shared global nodes and redistributes the result.  The paper lists this
 phase among the solver components surrounding the ``Ax`` kernel.
 
-The operator precomputes everything it can at construction so the solver
-inner loop touches no setup work:
+Each operand crosses memory once: ``gather`` zero-fills the global vector
+and accumulates the local field into it with one ``np.add.at`` (numpy's
+indexed loop), ``scatter`` is one ``np.take``.  The summation order of a
+gather is therefore *defined*: contributions are added in ascending local
+index, bit for bit what ``np.bincount(l2g, weights=local)`` returns in
+fp64; a global id no local slot maps to is simply left at zero.  Stacked
+``(B, ...)`` blocks are accumulated one row at a time, so a row's result
+never depends on ``B`` or on its batchmates.
 
-* a stable sort permutation of the local-to-global map plus the segment
-  boundaries of each global node, so ``gather`` is a permuted copy
-  followed by one ``np.add.reduceat`` segment sum (replacing a
-  per-call ``np.bincount``);
-* the node multiplicities and their inverses, so the Nekbone ``glsc3``
-  inner product (:meth:`GatherScatter.dot`) is a single fused
-  three-operand reduction with no temporaries.
-
-``gather``/``scatter`` accept ``out=`` so the allocation-free solver path
-(:mod:`repro.sem.workspace`) can reuse preallocated buffers, and both
-accept stacked ``(B, ...)`` blocks — one permuted copy and one segment
-sum serve all ``B`` systems of a batched multi-RHS solve.  The cached
-scratch makes the instance non-thread-safe (like the buffers themselves).
+The operator is stateless after construction — the l2g map, the node
+multiplicities and their inverses (which make the Nekbone ``glsc3`` inner
+product :meth:`GatherScatter.dot` a single fused three-operand reduction)
+are read-only — so one instance serves any number of threads, solve
+replicas and dtype twins.  ``gather``/``scatter`` accept ``out=`` so the
+allocation-free solver path (:mod:`repro.sem.workspace`) can reuse
+preallocated buffers; on that path the input and ``out`` must both be in
+the operator's dtype (a mismatch would make numpy cast element by element
+through its generic loop, ~20x slower, so it is refused, not served).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.analysis.annotations import hot_path
 from repro.sem.mesh import BoxMesh
 
 
@@ -40,15 +43,14 @@ class SharedGatherScatter:
 
     Carries the :class:`~repro.sem.shared.SharedArrayManifest` of the
     operator's construction-time caches plus the scalar state
-    (:attr:`n_global`, :attr:`local_shape`, the reduceat-eligibility
-    flag) that :meth:`GatherScatter.attach_shared` needs to rebuild an
-    instance without re-running the l2g sort.
+    (:attr:`n_global`, :attr:`local_shape`) that
+    :meth:`GatherScatter.attach_shared` needs to rebuild an instance
+    without recounting the multiplicities.
     """
 
     arrays: object  # SharedArrayManifest (kept loose to avoid a cycle)
     n_global: int
     local_shape: tuple[int, int, int, int]
-    dense: bool
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,10 @@ class GatherScatter:
         ``(E, nx, nx, nx)`` shape of local fields.
     dtype:
         Floating dtype of the operator's float caches (multiplicities,
-        inverse-multiplicity weights, permutation scratch) and of the
-        vectors it allocates.  The integer sort caches (``l2g_flat``,
-        permutation, segment starts) are dtype-independent and shared
-        across precisions via :meth:`as_dtype`.
+        inverse-multiplicity weights), of the vectors it allocates and
+        of the vectors it accepts with ``out=``.  The l2g map is
+        dtype-independent and shared across precisions via
+        :meth:`as_dtype`.
     """
 
     l2g_flat: NDArray[np.int64]
@@ -76,23 +78,14 @@ class GatherScatter:
     local_shape: tuple[int, int, int, int]
     dtype: "np.dtype | type" = field(default=np.float64, compare=False)
     # Construction-time caches (set via object.__setattr__; frozen class).
-    _perm: NDArray[np.int64] = field(init=False, repr=False, compare=False)
-    _seg_starts: NDArray[np.int64] = field(
-        init=False, repr=False, compare=False
-    )
     _mult: NDArray[np.float64] = field(init=False, repr=False, compare=False)
     _inv_mult_local: NDArray[np.float64] = field(
         init=False, repr=False, compare=False
     )
-    _sorted_scratch: NDArray[np.float64] = field(
-        init=False, repr=False, compare=False
-    )
-    _batch_scratch: dict = field(init=False, repr=False, compare=False)
-    _dense: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Validate once here: gather/scatter use mode="clip" fast paths
-        # that assume every index is in range.
+        # Validate once here: gather/scatter index without a bounds
+        # check of their own (np.take runs in mode="clip").
         if self.l2g_flat.size and (
             self.l2g_flat.min() < 0 or self.l2g_flat.max() >= self.n_global
         ):
@@ -111,27 +104,13 @@ class GatherScatter:
         # kernel touching them); the reciprocals are computed in fp64
         # and *rounded once* to the target, never accumulated in it.
         mult64 = counts.astype(np.float64)
-        # The reduceat fast path needs every global node to own at least
-        # one local slot (reduceat cannot represent empty segments); a
-        # BoxMesh always satisfies this, hand-built maps may not.
-        dense = bool(np.all(counts > 0))
-        perm = np.argsort(self.l2g_flat, kind="stable")
-        seg_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         safe_mult = np.where(mult64 > 0, mult64, 1.0)
         inv_mult_local64 = (1.0 / safe_mult)[self.l2g_flat]
-        for name, value in (
-            ("_perm", perm),
-            ("_seg_starts", seg_starts),
-            ("_mult", mult64.astype(dtype, copy=False)),
-            (
-                "_inv_mult_local",
-                inv_mult_local64.astype(dtype, copy=False),
-            ),
-            ("_sorted_scratch", np.empty(self.l2g_flat.shape[0], dtype)),
-            ("_batch_scratch", {}),
-            ("_dense", dense),
-        ):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_mult", mult64.astype(dtype, copy=False))
+        object.__setattr__(
+            self, "_inv_mult_local",
+            inv_mult_local64.astype(dtype, copy=False),
+        )
 
     @classmethod
     def from_mesh(
@@ -148,13 +127,12 @@ class GatherScatter:
     def as_dtype(self, dtype: "np.dtype | type") -> "GatherScatter":
         """A twin of this operator whose float caches live in ``dtype``.
 
-        The integer sort caches (l2g map, permutation, segment starts)
-        are shared with ``self``; the multiplicities and inverse weights
-        are cast *once* and the per-call scratch is freshly allocated in
-        the target dtype.  Twins are cached per dtype, so the mixed
-        solve path resolves its fp32 operator with a dict lookup — and
-        like :meth:`replicate`, each replica builds its own twins (the
-        scratch is mutable, so twins must not leak across replicas).
+        The l2g map is shared with ``self``; the multiplicities and
+        inverse weights are cast *once*.  Twins are cached per dtype —
+        the only state filled in after construction, and its entries
+        are as immutable as ``self`` — so the mixed solve path resolves
+        its fp32 operator with a dict lookup, and every solve replica
+        sharing this operator shares its twins.
         """
         dtype = np.dtype(dtype)
         if dtype == self.dtype:
@@ -173,49 +151,10 @@ class GatherScatter:
                     "_inv_mult_local",
                     self._inv_mult_local.astype(dtype, copy=False),
                 ),
-                (
-                    "_sorted_scratch",
-                    np.empty(self.l2g_flat.shape[0], dtype),
-                ),
-                ("_batch_scratch", {}),
                 ("_dtype_twins", {}),
             ):
                 object.__setattr__(twin, name, value)
             twins[dtype.str] = twin
-        return twin
-
-    def replicate(self) -> "GatherScatter":
-        """A twin operator sharing the immutable caches, with fresh scratch.
-
-        The sort permutation, segment boundaries and multiplicities are
-        construction-time constants and safely shared between instances;
-        the permutation scratch buffers are mutated per call, so each
-        replica gets its own.  This is the cheap-clone primitive behind
-        the problems' ``clone()``: ``K`` solve replicas pay the l2g sort
-        once instead of ``K`` times.
-
-        Returns
-        -------
-        GatherScatter
-            A new instance that is safe to use concurrently with
-            ``self`` (each owns private scratch; the shared caches are
-            read-only).
-        """
-        # Shallow copy shares every cache by default (future fields
-        # included); only the per-call scratch is replaced.  The class
-        # is frozen, so the scratch overrides go through
-        # object.__setattr__ like the construction-time caches do.
-        twin = copy.copy(self)
-        object.__setattr__(
-            twin, "_sorted_scratch", np.empty_like(self._sorted_scratch)
-        )
-        object.__setattr__(twin, "_batch_scratch", {})
-        # Dtype twins hold their own mutable scratch, so a replica must
-        # not inherit the original's (as_dtype rebuilds them lazily).
-        # Only detach when the lazy cache exists — replicas should carry
-        # exactly the source's attribute set.
-        if getattr(self, "_dtype_twins", None) is not None:
-            object.__setattr__(twin, "_dtype_twins", {})
         return twin
 
     # ------------------------------------------------------------------
@@ -224,12 +163,10 @@ class GatherScatter:
     def export_shared(self) -> "tuple[object, SharedGatherScatter]":
         """Export the construction-time caches into one shared block.
 
-        The l2g map, sort permutation, segment boundaries and (inverse)
-        multiplicities are the operator's immutable state — together
-        they rival the geometry in size (two ``E * nx^3`` int64 arrays
-        plus two float arrays of the same length).  Worker processes
-        attach them zero-copy via :meth:`attach_shared` instead of
-        paying the stable sort ``K`` times.
+        The l2g map and the (inverse) multiplicities are the operator's
+        whole state — one ``E * nx^3`` int64 array plus a float array of
+        the same length and one of ``n_global``.  Worker processes
+        attach them zero-copy via :meth:`attach_shared`.
 
         Returns
         -------
@@ -241,8 +178,6 @@ class GatherScatter:
 
         shm, manifest = export_shared_arrays({
             "l2g_flat": self.l2g_flat,
-            "perm": self._perm,
-            "seg_starts": self._seg_starts,
             "mult": self._mult,
             "inv_mult_local": self._inv_mult_local,
         })
@@ -250,7 +185,6 @@ class GatherScatter:
             arrays=manifest,
             n_global=self.n_global,
             local_shape=tuple(self.local_shape),
-            dense=self._dense,
         )
         return shm, handle
 
@@ -258,11 +192,9 @@ class GatherScatter:
     def attach_shared(cls, handle: SharedGatherScatter) -> "GatherScatter":
         """Rebuild an operator over an exported block, zero-copy.
 
-        Skips :meth:`__post_init__` entirely — no bincount, no argsort —
-        and views the shared caches read-only; only the per-call
-        permutation scratch is freshly allocated (it is mutable, so it
-        must be private per process, exactly as in :meth:`replicate`).
-        The shared mapping's lifetime is tied to the returned object.
+        Skips :meth:`__post_init__` entirely — no bincount — and views
+        the shared caches read-only.  The shared mapping's lifetime is
+        tied to the returned object.
         """
         from repro.sem.shared import attach_shared_arrays
 
@@ -272,44 +204,47 @@ class GatherScatter:
             ("l2g_flat", views["l2g_flat"]),
             ("n_global", int(handle.n_global)),
             ("local_shape", tuple(handle.local_shape)),
-            ("_perm", views["perm"]),
-            ("_seg_starts", views["seg_starts"]),
             ("dtype", views["mult"].dtype),
             ("_mult", views["mult"]),
             ("_inv_mult_local", views["inv_mult_local"]),
-            (
-                "_sorted_scratch",
-                np.empty(views["l2g_flat"].shape[0], views["mult"].dtype),
-            ),
-            ("_batch_scratch", {}),
-            ("_dense", bool(handle.dense)),
             ("_shm", shm),
         ):
             object.__setattr__(gs, name, value)
         return gs
 
     # ------------------------------------------------------------------
-    def _batched_scratch(self, batch: int) -> NDArray[np.float64]:
-        """Cached ``(batch, L)`` permutation scratch for stacked gathers.
+    def _bind(
+        self, what: str, vec: NDArray, out: "NDArray | None", out_shape: tuple
+    ) -> "tuple[NDArray, NDArray]":
+        """``(vec, out)`` as the indexed loops need them: both in the
+        operator's dtype.  Without ``out`` (the convenience path) the
+        input is converted once and the result allocated; with it,
+        nothing is cast — a mismatch is refused."""
+        if out is None:
+            return (
+                np.asarray(vec, dtype=self.dtype),
+                np.empty(out_shape, self.dtype),
+            )
+        if out.shape != out_shape:
+            raise ValueError(f"out must be {out_shape}, got {out.shape}")
+        if vec.dtype != self.dtype or out.dtype != self.dtype:
+            raise ValueError(
+                f"{what} with out= needs input and out in the operator's "
+                f"dtype {self.dtype}, got input {vec.dtype} and out "
+                f"{out.dtype} (use as_dtype() for the matching twin)"
+            )
+        return vec, out
 
-        A single buffer sized for the largest batch ever seen is kept and
-        sliced for smaller ones, so a service whose batch sizes vary
-        (micro-batching fills whatever is pending) holds exactly one
-        scratch array instead of one dead field-sized buffer per distinct
-        batch size.
-        """
-        scratch = self._batch_scratch.get("buf")
-        if scratch is None or scratch.shape[0] < batch:
-            scratch = np.empty((batch, self.l2g_flat.shape[0]), self.dtype)
-            self._batch_scratch["buf"] = scratch
-        return scratch[:batch]
-
+    @hot_path
     def gather(
         self,
         local: NDArray[np.float64],
         out: NDArray[np.float64] | None = None,
     ) -> NDArray[np.float64]:
         """Sum local contributions into a global vector (``Q^T``).
+
+        Contributions are added in ascending local index (see the module
+        docstring), each row of a stacked block on its own.
 
         Parameters
         ----------
@@ -318,12 +253,20 @@ class GatherScatter:
             block ``(B,) + local_shape`` of independent systems.
         out:
             Optional preallocated global vector of length ``n_global``
-            (``(B, n_global)`` for stacked input).
+            (``(B, n_global)`` for stacked input).  With ``out``, both
+            it and ``local`` must be in the operator's :attr:`dtype`;
+            without, ``local`` is converted to it once.
 
         Returns
         -------
         Global vector of length ``n_global`` (``(B, n_global)`` when
         stacked).
+
+        Raises
+        ------
+        ValueError
+            On a shape mismatch, or a dtype mismatch on the ``out=``
+            path.
         """
         batched = local.ndim == len(self.local_shape) + 1
         if batched:
@@ -336,56 +279,22 @@ class GatherScatter:
             out_shape = (self.n_global,)
         else:
             raise ValueError(f"expected {self.local_shape}, got {local.shape}")
-        if out is not None and out.shape != out_shape:
-            raise ValueError(f"out must be {out_shape}, got {out.shape}")
-        if out is not None and not out.flags.c_contiguous:
-            # A non-contiguous ``out`` cannot back the take/reduceat fast
-            # paths; compute into a contiguous result and copy once
-            # (mirrors ax_local_matmul's handling of non-contiguous out).
+        local, out = self._bind("gather", local, out, out_shape)
+        if not out.flags.c_contiguous:
+            # ufunc.at through a strided ``out`` leaves numpy's indexed
+            # loop (3.5 ms where the contiguous call takes 0.7); compute
+            # into a contiguous result and copy once.
             np.copyto(out, self.gather(local))
             return out
-        if not self._dense:
-            # Sparse maps (some global ids unused) fall back to bincount.
-            rows = local.reshape(out_shape[:-1] + (-1,))
-            if batched:
-                summed = np.stack([
-                    np.bincount(
-                        self.l2g_flat, weights=row, minlength=self.n_global
-                    )
-                    for row in rows
-                ])
-            else:
-                summed = np.bincount(
-                    self.l2g_flat, weights=rows, minlength=self.n_global
-                )
-            # bincount accumulates (correctly) in fp64; round once to
-            # the owning dtype rather than leaking fp64 into the caller.
-            summed = summed.astype(self.dtype, copy=False)
-            if out is None:
-                return summed
-            np.copyto(out, summed)
-            return out
-        if out is None:
-            out = np.empty(out_shape, self.dtype)
-        # mode="clip" skips numpy's defensive full-size bounce buffer;
-        # the permutation is construction-time valid, so it never clips.
+        out.fill(0)
         if batched:
-            # One permuted copy + one segment sum for all B systems: the
-            # permutation/index traffic is paid once per block.
-            scratch = self._batched_scratch(local.shape[0])
-            np.take(
-                local.reshape(local.shape[0], -1), self._perm, axis=1,
-                out=scratch, mode="clip",
-            )
-            np.add.reduceat(scratch, self._seg_starts, axis=1, out=out)
-            return out
-        np.take(
-            local.reshape(-1), self._perm, out=self._sorted_scratch,
-            mode="clip",
-        )
-        np.add.reduceat(self._sorted_scratch, self._seg_starts, out=out)
+            for dst, row in zip(out, local.reshape(local.shape[0], -1)):
+                np.add.at(dst, self.l2g_flat, row)
+        else:
+            np.add.at(out, self.l2g_flat, local.reshape(-1))
         return out
 
+    @hot_path
     def scatter(
         self,
         global_vec: NDArray[np.float64],
@@ -395,51 +304,40 @@ class GatherScatter:
 
         Accepts a single global vector ``(n_global,)`` or a stacked
         block ``(B, n_global)`` (returning ``(B,) + local_shape``).
+        Dtypes as in :meth:`gather`: with ``out``, both it and
+        ``global_vec`` must be in the operator's :attr:`dtype`
+        (``ValueError`` otherwise); without, ``global_vec`` is converted
+        to it once.
         """
-        if global_vec.ndim == 2 and global_vec.shape[1] == self.n_global:
+        batched = global_vec.ndim == 2 and global_vec.shape[1] == self.n_global
+        if batched:
             out_shape: tuple[int, ...] = (
                 global_vec.shape[0],
             ) + self.local_shape
-            if out is None:
-                return global_vec[:, self.l2g_flat].reshape(out_shape)
-            if out.shape != out_shape:
-                raise ValueError(f"out must be {out_shape}, got {out.shape}")
-            if not out.flags.c_contiguous:
-                # ``out.reshape`` would silently *copy* for a
-                # non-contiguous target, dropping the result; take into
-                # the contiguous scratch and copy once instead.
-                scratch = self._batched_scratch(global_vec.shape[0])
-                np.take(
-                    global_vec, self.l2g_flat, axis=1, out=scratch,
-                    mode="clip",
-                )
-                np.copyto(out, scratch.reshape(out_shape))
-                return out
+        elif global_vec.shape == (self.n_global,):
+            out_shape = self.local_shape
+        else:
+            raise ValueError(
+                f"expected ({self.n_global},), got {global_vec.shape}"
+            )
+        global_vec, out = self._bind("scatter", global_vec, out, out_shape)
+        if not out.flags.c_contiguous:
+            # ``out.reshape`` would silently *copy* for a non-contiguous
+            # target, dropping the result; take into a contiguous result
+            # and copy once instead.
+            np.copyto(out, self.scatter(global_vec))
+            return out
+        # mode="clip" skips numpy's defensive full-size bounce buffer;
+        # the map is construction-time valid, so it never clips.
+        if batched:
             np.take(
                 global_vec, self.l2g_flat, axis=1,
                 out=out.reshape(global_vec.shape[0], -1), mode="clip",
             )
-            return out
-        if global_vec.shape != (self.n_global,):
-            raise ValueError(
-                f"expected ({self.n_global},), got {global_vec.shape}"
-            )
-        if out is None:
-            return global_vec[self.l2g_flat].reshape(self.local_shape)
-        if out.shape != self.local_shape:
-            raise ValueError(
-                f"out must be {self.local_shape}, got {out.shape}"
-            )
-        if not out.flags.c_contiguous:
-            # Same hazard as the batched branch: reshape of a
-            # non-contiguous ``out`` is a copy, not a view.
+        else:
             np.take(
-                global_vec, self.l2g_flat, out=self._sorted_scratch,
-                mode="clip",
+                global_vec, self.l2g_flat, out=out.reshape(-1), mode="clip"
             )
-            np.copyto(out, self._sorted_scratch.reshape(self.local_shape))
-            return out
-        np.take(global_vec, self.l2g_flat, out=out.reshape(-1), mode="clip")
         return out
 
     def gs(self, local: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -11,8 +11,9 @@ implementation by name:
   paper's headline ``N = 7`` with a warm workspace).  Elements are
   processed in cache-sized blocks that can be dispatched across a
   persistent thread pool (``threads=``) — BLAS and large-array ufuncs
-  release the GIL, and each block owns disjoint output/scratch rows, so
-  the threaded result is bit-identical to the sequential one.  A stacked
+  release the GIL, each block owns disjoint output rows and each worker
+  slot its own block of scratch rows, so the threaded result is
+  bit-identical to the sequential one.  A stacked
   ``(B, E, nx, nx, nx)`` input runs all ``B`` systems through each
   element block while its geometry is hot (the multi-RHS serving path).
 * the registry — :func:`get_ax_kernel`, :func:`register_ax_kernel`,
@@ -224,7 +225,8 @@ def _ax_matmul_block(
     ``ub``/``ob`` are contiguous ``(e, nx, nx, nx)`` slices of one
     system; ``gb`` is the block's ``(e, 6, nx, nx, nx)`` geometry.  All
     seven scratch arrays in ``bufs`` match ``ub``'s shape.  Everything
-    is a view: blocks own disjoint rows, so concurrent calls are safe.
+    is a view: concurrent calls are safe as long as their output rows
+    and their ``bufs`` are disjoint.
     """
     nx = d.shape[0]
     ur, us, ut, wr, ws, wt, tmp = bufs
@@ -314,10 +316,13 @@ def ax_local_matmul(
     The transposed phase mirrors them with ``D^T``, and the geometric
     tensor is applied with in-place elementwise ufuncs through one
     scratch buffer.  Elements are processed in cache-sized blocks
-    (:data:`BLOCK_DOFS`) so the six work arrays of a block stay hot
-    across all three phases — the software analogue of the paper's
-    on-chip buffer reuse.  A warm call with ``workspace`` performs
-    **zero** field-sized heap allocations.
+    (:data:`BLOCK_DOFS`) and every block reuses the *same* scratch rows
+    — rows ``[0, e)`` of the workspace's scratch fields for a
+    sequential sweep, rows ``[j * block, j * block + e)`` for worker
+    slot ``j`` of a threaded one — so the six work arrays stay hot
+    across all three phases and from one block to the next: the
+    software analogue of the paper's on-chip buffer reuse.  A warm call
+    with ``workspace`` performs **zero** field-sized heap allocations.
 
     Parameters
     ----------
@@ -333,13 +338,16 @@ def ax_local_matmul(
     workspace:
         Optional :class:`~repro.sem.workspace.SolverWorkspace` providing
         the seven scratch fields; sized for ``(E, nx)`` (and the batch
-        size for stacked inputs).
+        size for stacked inputs).  Only the first ``threads * block``
+        rows of each are touched by the blocked sweep.
     threads:
         Element-block worker threads.  ``None`` (default) follows the
         workspace's ``threads`` setting (``1`` without a workspace);
-        ``k > 1`` dispatches blocks onto a persistent pool — the
-        workspace's own, or a shared module-level one.  Blocks write
-        disjoint rows, so the result is bit-identical to ``threads=1``.
+        ``k > 1`` runs ``k`` worker slots on a persistent pool — the
+        workspace's own, or a shared module-level one — slot ``j``
+        sweeping blocks ``j, j + k, ...``.  Blocks write disjoint output
+        rows and slots own disjoint scratch rows, so the result is
+        bit-identical to ``threads=1``.
     """
     _check_shapes(ref, u, g)
     # Match D to the field dtype (fp32 inputs contract against the
@@ -395,24 +403,24 @@ def ax_local_matmul(
             np.copyto(out, result)
         return out
 
-    def run_block(
-        start: int, scratch: tuple[NDArray[np.float64], ...] | None
-    ) -> None:
+    starts = range(0, num_e, block)
+    slots = min(threads, len(starts))
+    scratch = ws_bufs
+    if scratch is None:
+        scratch = tuple(
+            np.empty((min(num_e, slots * block), nx, nx, nx), dtype=u.dtype)
+            for _ in range(7)
+        )
+
+    def run_block(start: int, slot: int) -> None:
         stop = min(start + block, num_e)
-        e = stop - start
-        if scratch is None:
-            # Threaded call without a workspace: each task owns fresh
-            # block scratch, keeping tasks data-independent.
-            bufs = tuple(
-                np.empty((e, nx, nx, nx), dtype=u.dtype) for _ in range(7)
-            )
-        elif scratch is ws_bufs:
-            # Workspace buffers are full-size: slice the block's own
-            # rows so concurrent blocks never share scratch.
-            bufs = tuple(buf[start:stop] for buf in scratch)
-        else:
-            # Sequential reusable scratch, sized for one block.
-            bufs = tuple(buf[:e] for buf in scratch)
+        # Block-resident scratch: every block a worker slot sweeps
+        # reuses that slot's own rows, so the seven work arrays stay in
+        # cache from one block to the next instead of streaming through
+        # a field-sized buffer; slots own disjoint rows, so concurrent
+        # blocks never share scratch.
+        base = slot * block
+        bufs = tuple(buf[base:base + stop - start] for buf in scratch)
         gb = g[start:stop]
         if batched:
             # The multi-RHS sweep: the block's geometry and scratch stay
@@ -425,23 +433,19 @@ def ax_local_matmul(
         else:
             _ax_matmul_block(d, dt, u[start:stop], gb, result[start:stop], bufs)
 
-    starts = range(0, num_e, block)
-    if threads > 1 and len(starts) > 1:
+    def run_slot(slot: int) -> None:
+        for start in starts[slot::slots]:
+            run_block(start, slot)
+
+    if slots > 1:
         pool = (
             workspace.executor
             if workspace is not None and workspace.executor is not None
             else _fallback_executor(threads)
         )
-        list(pool.map(lambda s: run_block(s, ws_bufs), starts))
+        list(pool.map(run_slot, range(slots)))
     else:
-        scratch = ws_bufs
-        if scratch is None:
-            scratch = tuple(
-                np.empty((block, nx, nx, nx), dtype=u.dtype)
-                for _ in range(7)
-            )
-        for start in starts:
-            run_block(start, scratch)
+        run_slot(0)
 
     if result is not out:
         np.copyto(out, result)

@@ -157,15 +157,15 @@ class SEMProblem:
         Sharding (:class:`repro.serve.shard.ShardedSolveService`) needs
         ``K`` problem instances that can each carry one solve at a time
         *concurrently* — but rebuilding geometry and the gather-scatter
-        sort per replica would multiply setup cost and memory for data
+        maps per replica would multiply setup cost and memory for data
         that never changes.  The clone therefore shares everything
-        immutable — mesh, :class:`~repro.sem.geometry.Geometry`, any
-        mask, the resolved backend, and the (force-computed) Jacobi
-        diagonal — while owning the mutable per-solve state: a fresh
-        :class:`~repro.sem.workspace.SolverWorkspace`, an empty
-        batched-workspace cache, and a
-        :meth:`~repro.sem.gather_scatter.GatherScatter.replicate` twin
-        with private permutation scratch.
+        immutable — mesh, :class:`~repro.sem.geometry.Geometry`, the
+        (stateless) :class:`~repro.sem.gather_scatter.GatherScatter`
+        with its dtype twins, any mask, the resolved backend, and the
+        (force-computed) Jacobi diagonal — while owning the mutable
+        per-solve state: a fresh
+        :class:`~repro.sem.workspace.SolverWorkspace` and an empty
+        batched-workspace cache.
 
         Returns
         -------
@@ -180,7 +180,6 @@ class SEMProblem:
         # Force the diagonal once on the source so every replica shares
         # a single assembled (read-only) array.
         twin._precond_diag = self.precond_diag()
-        twin.gs = self.gs.replicate()
         twin.workspace = SolverWorkspace.for_mesh(
             self.mesh, threads=self.threads
         )

@@ -4,7 +4,7 @@ The paper's core observation is that SEM throughput is bound by how well
 the memory system is exploited, not by FLOPs — and the serving analogue
 of that observation is that a fleet of worker *processes* should share
 one physical copy of the large immutable state (geometric factors,
-gather-scatter sort caches, nodal coordinates) rather than rebuild or
+gather-scatter maps, nodal coordinates) rather than rebuild or
 duplicate it per worker.  This module is the substrate for that sharing:
 
 * :func:`export_shared_arrays` packs a dict of numpy arrays into one

@@ -83,8 +83,9 @@ class ProblemSpec:
         :func:`export_shared_problem`): the
         :class:`~repro.sem.shared.SharedArrayManifest` of the geometric
         factors, the :class:`~repro.sem.gather_scatter.
-        SharedGatherScatter` of the sort caches, and a manifest with the
-        nodal coordinates, reference-element quadrature arrays
+        SharedGatherScatter` of the l2g map and multiplicity caches, and
+        a manifest with the nodal coordinates, reference-element
+        quadrature arrays
         (``points``/``weights``/``deriv``) and the assembled Jacobi
         diagonal.  ``None`` means :func:`rebuild` recomputes instead of
         attaching.

@@ -20,8 +20,9 @@ Two serving knobs extend the workspace beyond one solve at a time:
   :class:`~concurrent.futures.ThreadPoolExecutor` that the blocked
   kernels dispatch element blocks onto.  BLAS ``dgemm`` and numpy's
   large-array ufuncs release the GIL, so threads (not processes) give
-  real parallelism, and each block writes disjoint output/scratch rows
-  so the result is bit-identical to the sequential path.
+  real parallelism, and each block writes disjoint output rows (each
+  worker slot its own scratch rows) so the result is bit-identical to
+  the sequential path.
 * ``batch`` — sizes every buffer with a leading ``(B, ...)`` system
   dimension so one warm workspace carries ``B`` independent right-hand
   sides through :func:`repro.sem.cg.cg_solve_batched`, amortizing the

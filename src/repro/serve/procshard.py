@@ -13,7 +13,7 @@ thread, own workspace pool) over a problem rebuilt from a picklable
 The paper's core observation — SEM throughput is bound by how well the
 memory system is exploited, not by FLOPs — shapes the design: the big
 immutable arrays (``Geometry.g_soa``, the gather-scatter
-sort-permutation/segment/multiplicity caches, nodal coordinates,
+l2g map and multiplicity caches, nodal coordinates,
 quadrature arrays, the Jacobi diagonal) are exported **once** into
 ``multiprocessing.shared_memory`` blocks and attached zero-copy by
 every worker.  ``K`` processes, one physical copy of the geometry —

@@ -11,8 +11,10 @@ them into stacked batched solves.
 
 Guarantees:
 
-* **Bit-identical results.**  Both CG paths accumulate with the same
-  fused multiply + pairwise-sum reductions and the batched kernels sweep
+* **Bit-identical results.**  Both CG paths take each inner product row
+  by row (one BLAS ``ddot`` per fp64 row, multiply + fp64 pairwise sum
+  per fp32 row — never a function of the batch size), the gather adds
+  in local order one row at a time, and the batched kernels sweep
   systems through the identical op sequence, so every request's
   :class:`~repro.sem.cg.CGResult` is bit-for-bit what a sequential
   warm :func:`~repro.sem.cg.cg_solve` would have produced — batching is

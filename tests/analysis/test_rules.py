@@ -4,6 +4,8 @@ silent on its good one."""
 from __future__ import annotations
 
 from repro.analysis.config import AnalysisConfig
+from repro.analysis.engine import analyze_source
+from repro.analysis.findings import SourceFile
 
 #: Path label that puts a fixture inside the clock rules' scope.
 SERVE_PATH = "src/repro/serve/_fixture.py"
@@ -105,6 +107,27 @@ class TestHotPathAlloc:
         # ignored setup allocations and unmarked nested/sibling
         # functions are all allowed.
         assert analyze("hot_good.py") == []
+
+    def test_vecdot_without_out_allocates(self):
+        # The CG inner product: np.vecdot(a, b) returns a fresh (B,)
+        # array per call, np.vecdot(a, b, out=dst) writes in place.
+        template = (
+            "import numpy as np\n"
+            "from repro.analysis.annotations import hot_path\n"
+            "@hot_path\n"
+            "def row_dots(a, b, dst):\n"
+            "    {call}\n"
+        )
+        bad = SourceFile.parse(
+            "x.py", template.format(call="dst[...] = np.vecdot(a, b)")
+        )
+        findings = analyze_source(bad, AnalysisConfig())
+        assert rules_of(findings) == ["hot-path-alloc"]
+        assert "np.vecdot() without out=" in findings[0].message
+        good = SourceFile.parse(
+            "x.py", template.format(call="np.vecdot(a, b, out=dst)")
+        )
+        assert analyze_source(good, AnalysisConfig()) == []
 
     def test_config_listed_function_is_hot(self, analyze):
         config = AnalysisConfig(

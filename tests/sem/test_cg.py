@@ -366,6 +366,113 @@ class TestBatchedCG:
         assert res.all_converged
 
 
+class TestRowDots:
+    """The inner products: one ddot per fp64 row, multiply + fp64
+    pairwise sum per fp32 row — a row's value never depends on B."""
+
+    # 8193 is past einsum's blocking, 24389/185193 past the 10^4
+    # elements above which OpenBLAS splits a ddot across its threads.
+    SIZES = (343, 8193, 24389, 185193)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    def test_row_equals_solo(self, dtype, n):
+        from repro.sem.cg import _row_dots
+
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((8, n)).astype(dtype)
+        b = rng.standard_normal((8, n)).astype(dtype)
+        tmp = np.empty_like(a)
+        for nb in (2, 8):
+            block = np.empty(nb)
+            _row_dots(a[:nb], b[:nb], tmp[:nb], block)
+            for k in range(nb):
+                solo = np.empty(1)
+                _row_dots(a[k:k + 1], b[k:k + 1], tmp[:1], solo)
+                assert solo[0] == block[k], (nb, k)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_fp64_is_blas_ddot_and_fp32_the_fp64_pairwise_sum(self, n):
+        from repro.sem.cg import _row_dots
+
+        rng = np.random.default_rng(n + 1)
+        a = rng.standard_normal((3, n))
+        b = rng.standard_normal((3, n))
+        got = np.empty(3)
+        tmp = np.full_like(a, np.nan)
+        _row_dots(a, b, tmp, got)
+        assert np.isnan(tmp).all()  # nothing field-sized was written
+        assert got.tolist() == [float(np.dot(x, y)) for x, y in zip(a, b)]
+        a32, b32 = a.astype(np.float32), b.astype(np.float32)
+        _row_dots(a32, b32, np.empty_like(a32), got)
+        want = np.add.reduce(a32 * b32, axis=1, dtype=np.float64)
+        assert got.tolist() == want.tolist()
+
+    def test_rhs_layout_does_not_change_a_solve(self):
+        """ddot sums a strided row in another order than a contiguous
+        one; the solvers take ``b`` in C order so ||b|| cannot tell."""
+        prob = sem_problem(shape=(3, 3, 3), degree=7)
+        assert prob.n_dofs > 10_000
+        bs = sem_block(prob, batch=2)
+        strided = np.asfortranarray(bs)
+        assert not strided.flags.c_contiguous
+        for precision in ("fp64", "mixed"):
+            want = solve(precision, prob, bs, tol=1e-6, maxiter=60)
+            got = solve(precision, prob, strided, tol=1e-6, maxiter=60)
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(
+                got.residual_history, want.residual_history
+            )
+
+
+def test_import_fails_loudly_below_the_numpy_floor(monkeypatch):
+    """Running from src/ bypasses pip's ``numpy>=2.0`` check, so the
+    package states the floor itself, naming the installed version."""
+    import importlib
+    import re
+
+    import repro.sem
+
+    monkeypatch.delattr(np, "vecdot")
+    found = re.escape(np.__version__)
+    with pytest.raises(ImportError, match=rf"numpy >= 2\.0.*{found}"):
+        importlib.reload(repro.sem)
+    monkeypatch.undo()
+    importlib.reload(repro.sem)
+
+
+class TestRowEqualsSoloAboveTenThousandDofs:
+    """Row == solo at a size where BLAS may split a dot product across
+    threads: N=7 on 4x4x4 elements, 24 389 DOFs (whatever the BLAS
+    thread count of this process is, both sides share it)."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        prob = sem_problem(shape=(4, 4, 4), degree=7)
+        assert prob.n_dofs == 24389
+        return prob, sem_block(prob, batch=8, seed=31)
+
+    @pytest.mark.parametrize("batch", (2, 8))
+    @pytest.mark.parametrize("precision", ("fp64", "mixed"))
+    def test_block_rows_are_the_solo_solves(self, big, precision, batch):
+        prob, bs = big
+        bs = bs[:batch]
+        diag = prob.precond_diag()
+        tols = np.geomspace(1e-2, 1e-5, batch)  # ~35 to ~105 iterations
+        block = solve(
+            precision, prob, bs, workspace=True, precond_diag=diag,
+            tol=tols, maxiter=150,
+        )
+        assert block.all_converged
+        assert len(set(block.iterations.tolist())) > 1
+        for k in range(batch):
+            solo = solve(
+                precision, prob, bs[k], workspace=True, precond_diag=diag,
+                tol=float(tols[k]), maxiter=150,
+            )
+            assert_same_result(block.row(k), solo)
+
+
 class TestPerSystemStopping:
     """Per-request tol/maxiter arrays in one stacked solve."""
 

@@ -27,28 +27,33 @@ def poisson():
     return PoissonProblem(mesh, ax_backend="matmul")
 
 
-class TestGatherScatterReplicate:
-    def test_shares_immutable_caches_not_scratch(self, mesh3):
-        gs = GatherScatter.from_mesh(mesh3)
-        twin = gs.replicate()
-        # The construction-time constants are the same arrays...
-        assert twin.l2g_flat is gs.l2g_flat
-        assert twin._perm is gs._perm
-        assert twin._seg_starts is gs._seg_starts
-        assert twin._mult is gs._mult
-        assert twin._inv_mult_local is gs._inv_mult_local
-        # ...the mutable scratch is private.
-        assert twin._sorted_scratch is not gs._sorted_scratch
-        assert twin._batch_scratch is not gs._batch_scratch
+class TestSharedGatherScatter:
+    """The gather-scatter is stateless, so replicas share one instance."""
 
-    def test_replica_results_match(self, mesh3, rng):
+    def test_one_operator_serves_concurrent_threads(self, mesh3):
         gs = GatherScatter.from_mesh(mesh3)
-        twin = gs.replicate()
-        local = rng.standard_normal(mesh3.l2g.shape)
-        assert np.array_equal(twin.gather(local), gs.gather(local))
-        g = rng.standard_normal(mesh3.n_global)
-        assert np.array_equal(twin.scatter(g), gs.scatter(g))
-        assert twin.dot(local, local) == gs.dot(local, local)
+        rng = np.random.default_rng(0)
+        fields = rng.standard_normal((4,) + mesh3.l2g.shape)
+        want = [gs.gather(f) for f in fields]
+        got: dict[int, bool] = {}
+
+        def loop(k: int) -> None:
+            out = np.empty(gs.n_global)
+            local = np.empty(gs.local_shape)
+            ok = True
+            for _ in range(200):
+                ok &= np.array_equal(gs.gather(fields[k], out=out), want[k])
+                gs.scatter(out, out=local)
+                ok &= np.array_equal(local.reshape(-1), want[k][gs.l2g_flat])
+            got[k] = ok
+
+        threads = [threading.Thread(target=loop, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {k: True for k in range(4)}
 
 
 class TestProblemClone:
@@ -59,7 +64,6 @@ class TestProblemClone:
         assert set(vars(poisson.clone())) == set(vars(poisson))
         case = NekboneCase(2, (2, 1, 1), ax_backend="matmul")
         assert set(vars(case.clone())) == set(vars(case))
-        assert set(vars(poisson.gs.replicate())) == set(vars(poisson.gs))
 
     def test_poisson_clone_shares_immutable_state(self, poisson):
         twin = poisson.clone()
@@ -69,9 +73,12 @@ class TestProblemClone:
         assert twin.ax_backend is poisson.ax_backend
         # One assembled Jacobi diagonal serves every replica.
         assert twin.precond_diag() is poisson.precond_diag()
+        # The gather-scatter is stateless: one instance (and its dtype
+        # twins) serves every replica.
+        assert twin.gs is poisson.gs
+        assert twin.gs.as_dtype(np.float32) is poisson.gs.as_dtype(np.float32)
         # Mutable per-solve state is private.
         assert twin.workspace is not poisson.workspace
-        assert twin.gs is not poisson.gs
         assert twin.batch_workspace(2) is not poisson.batch_workspace(2)
 
     def test_poisson_clone_solves_bit_identical(self, poisson):

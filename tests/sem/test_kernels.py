@@ -298,6 +298,58 @@ class TestThreads:
             )
 
 
+class TestBlockResidentScratch:
+    """A workspace-backed sweep keeps its seven work arrays per block
+    (per worker slot when threaded) instead of streaming the full-size
+    scratch fields — shown by which rows a call writes, not by timing."""
+
+    @staticmethod
+    def _nan_scratch(ws):
+        from repro.sem.workspace import KERNEL_SCRATCH_BUFFERS
+
+        bufs = [getattr(ws, name) for name in KERNEL_SCRATCH_BUFFERS]
+        for buf in bufs:
+            buf.fill(np.nan)
+        return bufs
+
+    @pytest.mark.parametrize("threads", (1, 2, 3))
+    @pytest.mark.parametrize("num_e", (40, 64, 512))
+    def test_only_one_block_of_rows_per_slot_is_written(self, num_e, threads):
+        from repro.sem.kernels import BLOCK_DOFS
+
+        ref, u, g = random_fields(7, num_e=num_e, seed=9)
+        nx = ref.n_points
+        block = BLOCK_DOFS // nx ** 3
+        # 40 = one full block + a remainder; with threads=3 both 40 and
+        # 64 have fewer blocks than worker slots (E < threads * block).
+        assert block == 32
+        with SolverWorkspace(
+            num_elements=num_e, nx=nx, threads=threads
+        ) as ws:
+            bufs = self._nan_scratch(ws)
+            w = ax_local_matmul(ref, u, g, workspace=ws)
+            used = min(num_e, threads * block)
+            for buf in bufs:
+                assert not np.isnan(buf[:used]).any()
+                assert np.isnan(buf[used:]).all()
+        assert np.array_equal(w, ax_local_matmul(ref, u, g))
+
+    def test_stacked_sweep_shares_the_block_scratch(self):
+        from repro.sem.workspace import FUSED_BATCH_DOFS
+
+        ref, u, g = random_fields(7, num_e=64, seed=10)
+        ub = np.random.default_rng(11).standard_normal((2,) + u.shape)
+        assert ub.size > FUSED_BATCH_DOFS  # the per-system block sweep
+        ws = SolverWorkspace(num_elements=64, nx=ref.n_points, batch=2)
+        bufs = self._nan_scratch(ws)
+        w = ax_local_matmul(ref, ub, g, workspace=ws)
+        for buf in bufs:
+            assert not np.isnan(buf[:32]).any()
+            assert np.isnan(buf[32:]).all()
+        for b in range(2):
+            assert np.array_equal(w[b], ax_local_matmul(ref, ub[b], g))
+
+
 class TestBatchedKernels:
     """Stacked (B, E, ...) inputs through every registered kernel."""
 

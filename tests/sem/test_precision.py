@@ -136,11 +136,12 @@ class TestAsDtype:
         _, gs = gs_pair
         assert gs.as_dtype(np.float32) is gs.as_dtype(np.float32)
 
-    def test_replicate_does_not_share_twins(self, gs_pair):
+    def test_twin_shares_the_map_not_the_float_caches(self, gs_pair):
         _, gs = gs_pair
         twin = gs.as_dtype(np.float32)
-        rep = gs.replicate()
-        assert rep.as_dtype(np.float32) is not twin
+        assert twin.l2g_flat is gs.l2g_flat
+        assert twin.multiplicity().dtype == np.float32
+        assert np.array_equal(twin.multiplicity(), gs.multiplicity())
 
     def test_geometry_twin_read_only_and_value_close(self):
         prob, _ = deformed_poisson()

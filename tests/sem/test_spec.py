@@ -103,8 +103,14 @@ class TestGatherScatterShared:
             assert np.array_equal(twin.scatter(g), gs.scatter(g))
             assert twin.dot(local, local) == gs.dot(local, local)
             # The shared caches are the same bytes, read-only.
-            assert not twin._perm.flags.writeable
-            assert np.array_equal(twin._perm, gs._perm)
+            assert not twin.l2g_flat.flags.writeable
+            assert np.array_equal(twin.l2g_flat, gs.l2g_flat)
+            assert not twin._inv_mult_local.flags.writeable
+            assert np.array_equal(twin._inv_mult_local, gs._inv_mult_local)
+            # The l2g map and the two float caches are the whole export.
+            assert set(handle.arrays.keys) == {
+                "l2g_flat", "mult", "inv_mult_local",
+            }
             del twin
         finally:
             shm.close()

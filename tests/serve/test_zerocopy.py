@@ -89,6 +89,26 @@ class TestCopyBytesAudit:
             assert svc.stats.copy_bytes == 0
 
 
+    def test_above_ten_thousand_dofs_a_worker_returns_the_parents_bits(self):
+        """N=7 on 3x3x3 elements, 10 648 DOFs: past the length at which
+        BLAS may split a dot product across threads.  Workers inherit
+        the parent's BLAS thread count with its environment, so the
+        reply is still the sequential warm cg_solve bit for bit."""
+        ref = ReferenceElement.from_degree(7)
+        mesh = BoxMesh.build(ref, (3, 3, 3))
+        prob = PoissonProblem(mesh, ax_backend="matmul")
+        assert prob.n_dofs == 10648
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal(prob.n_dofs) * prob.interior
+        with ProcessShardedSolveService(
+            prob, workers=2, tol=1e-8, maxiter=400,
+        ) as svc:
+            got = svc.submit(b).result(timeout=120)
+            assert svc.stats.copy_bytes == 0
+        assert got.converged
+        assert_same_result(got, sequential_solve(prob, b, 1e-8, 400))
+
+
 class TestRingPipeBitIdentity:
     @pytest.mark.parametrize(
         "policy", ("tenant", "least-loaded", "round-robin")
