@@ -5,16 +5,15 @@ Runs ``benchmarks/bench_kernels.py`` under pytest-benchmark with
 ``--benchmark-json``, then appends a ``derived`` section with the
 headline hot-path ratios (einsum vs matmul at the paper's N=7 reference
 shape, fp32 vs fp64 ``Ax`` and the mixed-precision refinement solve,
-thread-block and batched multi-RHS speedups) so future PRs have
-a perf trajectory to compare against:
+batched multi-RHS speedups) so future PRs have a perf trajectory to
+compare against:
 
     python benchmarks/run_baseline.py [--out BENCH_kernels.json]
                                       [--fast] [--history] [--compare]
 
 BLAS is pinned to one thread for the run (``OPENBLAS_NUM_THREADS=1``
 etc.), so the single-core numbers measure the kernels, not the BLAS
-pool, and the ``threads=`` benchmarks parallelize only through the
-library's own element-block pool.
+pool.
 
 ``--fast`` caps benchmark rounds for a quick smoke run; omit it for the
 numbers you intend to commit.  ``--history`` appends this snapshot's
@@ -38,7 +37,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Environment pins applied to the benchmark subprocess: one BLAS/OpenMP
 #: thread each, so wall-clock ratios isolate the library's own blocking
-#: and threading rather than the BLAS pool's.
+#: rather than the BLAS pool's.
 SINGLE_THREAD_ENV: dict[str, str] = {
     "OPENBLAS_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
@@ -125,12 +124,6 @@ def derive(data: dict) -> dict:
         derived["cg10_einsum_s"] = cg_plain
         derived["cg10_workspace_matmul_s"] = cg_ws
         derived["cg10_workspace_speedup"] = cg_plain / cg_ws
-    t1 = mean_of(data, "test_bench_ax_n7_e2048_threads[1]")
-    t2 = mean_of(data, "test_bench_ax_n7_e2048_threads[2]")
-    if t1 and t2:
-        derived["ax_n7_e2048_threads1_s"] = t1
-        derived["ax_n7_e2048_threads2_s"] = t2
-        derived["ax_n7_e2048_threads2_speedup"] = t1 / t2
     seq = mean_of(data, "test_bench_cg_sequential_b8")
     bat = mean_of(data, "test_bench_cg_batched_b8")
     if seq and bat:
@@ -160,9 +153,9 @@ def derive(data: dict) -> dict:
         # Requests/second through the K=2 sharded service...
         derived["serve_sharded_throughput"] = shard_requests / shard
         if "serve_throughput" in derived:
-            # ...vs the single-service solves/s.  Like the threads2
-            # ratio, >1x is physically impossible on this 1-vCPU host
-            # (two replicas timeshare one core); the floor below only
+            # ...vs the single-service solves/s.  More than 1x is
+            # physically impossible on a 1-vCPU host (two replicas
+            # timeshare one core); the floor below only
             # demands the distribution layer not fall behind, and the
             # ratio is tracked so multi-core hosts record real scaling.
             derived["serve_sharded_vs_single_speedup"] = (
@@ -375,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
             "processes timeshare this host's cores and pay the "
             "doorbell pipe hop; the floor only demands that the process "
             "boundary stay cheap, the ratio itself is tracked for "
-            "multi-core hosts like threads2/sharded)"
+            "multi-core hosts like the sharded one)"
         )
         if not args.fast:
             status = status or 1

@@ -8,8 +8,7 @@ Five minutes through the library's public API:
    picking the BLAS-backed implementation from the kernel registry,
 3. solve a Poisson problem with Jacobi-preconditioned CG on the
    allocation-free workspace hot path and verify spectral accuracy
-   against a manufactured solution (with ``threads=`` splitting the
-   element blocks across a persistent worker pool),
+   against a manufactured solution,
 4. serve a batch of tenants: eight right-hand sides solved in one
    batched CG pass through a single warm workspace,
 5. stand up a :class:`repro.serve.SolveService` — the micro-batching
@@ -62,11 +61,10 @@ def main() -> None:
           f"|w|_inf = {np.abs(w).max():.3f}")
 
     # 3. Solve -lap(u) = f with a manufactured sine solution.  The
-    #    problem's SolverWorkspace makes the CG loop allocation-free;
-    #    threads=2 dispatches the kernel's element blocks across a
-    #    persistent worker pool (bit-identical to threads=1 — size the
-    #    pool to your cores).
-    problem = PoissonProblem(mesh, ax_backend="matmul", threads=2)
+    #    problem's SolverWorkspace makes the CG loop allocation-free.
+    #    Inside a solve the only parallelism is the BLAS's own
+    #    (OPENBLAS_NUM_THREADS); across solves it is the serving fleets.
+    problem = PoissonProblem(mesh, ax_backend="matmul")
     u_exact, forcing = sine_manufactured(mesh.extent)
     b = problem.rhs_from_forcing(forcing)
     result = cg_solve(

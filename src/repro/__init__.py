@@ -13,7 +13,7 @@ The package provides four layers:
 ``repro.serve``
     The multi-tenant serving layer: a dynamic micro-batching
     :class:`~repro.serve.SolveService` that coalesces independent solve
-    requests into warm batched CG dispatches, with workspace pooling,
+    requests into warm batched CG dispatches, with warm workspaces,
     backpressure and throughput stats.
 
 ``repro.hls``

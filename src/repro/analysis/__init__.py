@@ -5,8 +5,8 @@ conventions that, until now, lived only in reviewers' heads — each one
 born from a real bug (see ``docs/analysis.md`` for the catalog):
 
 * **lock discipline** — attributes declared guarded by a lock must only
-  be touched while that lock is held (the ``WorkspacePool._leased``
-  unlocked-iteration bug, PR 5);
+  be touched while that lock is held (the unlocked iteration of
+  ``WorkspacePool._leased``, PR 5 — a class deleted since, PR 19);
 * **monotonic-clock discipline** — no wall-clock reads in serving
   timing paths, and raw ``perf_counter`` stamps must never cross a
   process boundary un-rebased (the cross-process epoch mismatch, PR 5);

@@ -50,7 +50,7 @@ GUARDED_BY_REGISTRY = "_GUARDED_BY"
 
 #: Optional class-body tuple naming extra lock attributes the runtime
 #: sanitizer should wrap with order/ownership tracking even though no
-#: guarded attribute maps to them (e.g. an outer lease lock).
+#: guarded attribute maps to them (e.g. a lock held for a whole solve).
 TRACKED_LOCKS_REGISTRY = "_TRACKED_LOCKS"
 
 

@@ -3,7 +3,8 @@
 The rule the ``WorkspacePool._leased`` bug paid for (PR 5: ``sizes``/
 ``nbytes`` iterated the lease registry without the lock, racing a
 first-time lease into ``RuntimeError: dictionary changed size during
-iteration``): an attribute declared guarded — via a trailing
+iteration``; the class was deleted in PR 19, the rule it left behind
+guards every registry since): an attribute declared guarded — via a trailing
 ``# guarded-by: _lock`` comment on its defining line, or a class-body
 ``_GUARDED_BY = {"_attr": "_lock"}`` registry — may only be read or
 written inside a ``with self._lock`` block in that class's methods.

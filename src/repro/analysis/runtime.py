@@ -5,8 +5,8 @@ Two dynamic complements to the static rules, both stdlib-only and both
 
 * :class:`LockOrderGraph` + :class:`TrackedLock` — a lockdep-style
   detector.  Locks are keyed by *class* (a name like
-  ``"WorkspacePool._lock"``), and every acquisition while other locks
-  are held records a directed edge ``held → acquired`` in a global
+  ``"SolveService._solve_lock"``), and every acquisition while other
+  locks are held records a directed edge ``held → acquired`` in a global
   graph.  The graph persists for the process lifetime, so two code
   paths that take the same pair of locks in opposite orders are caught
   even when they never overlap in time — the cycle check runs *before*

@@ -38,7 +38,6 @@ from repro.sem.element import ReferenceElement
 from repro.sem.kernels import (
     DEFAULT_AX_KERNEL,
     AxKernel,
-    accepts_keyword,
     resolve_ax_backend,
 )
 from repro.util.units import MEGA
@@ -100,11 +99,6 @@ class SEMAccelerator:
         (``"einsum"``, ``"matmul"``, ...; see :mod:`repro.sem.kernels`)
         or passed as a callable.  The default einsum kernel keeps the
         historical numerics bit-for-bit.
-    threads:
-        Host-side element-block worker threads for the functional path,
-        forwarded to kernels that accept a ``threads=`` keyword (the
-        simulated hardware's cycle accounting is unaffected — this only
-        speeds up computing the reference numerics).
 
     The kernel cost, memory-traffic model and datapath plan are pure
     functions of the (frozen) configuration, so they are computed once
@@ -115,15 +109,11 @@ class SEMAccelerator:
     config: AcceleratorConfig
     device: FPGADevice
     ax_kernel: "AxKernel | str" = DEFAULT_AX_KERNEL
-    threads: int = 1
     _ref: ReferenceElement = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         self._ref = ReferenceElement.from_degree(self.config.n)
         self._ax = resolve_ax_backend(self.ax_kernel)
-        self._ax_threads = accepts_keyword(self._ax, "threads")
         self._cost = KernelCost(self.config.n)
         self._traffic = MemoryTraffic(self.config.n)
         self._perf_cache: dict[int, CycleReport] = {}
@@ -141,10 +131,7 @@ class SEMAccelerator:
         against the Listing-1 reference by the element-level simulator
         and the test-suite); the cycle report follows the §III/§IV model.
         """
-        if self._ax_threads and self.threads > 1:
-            w = self._ax(self._ref, u, g, threads=self.threads)
-        else:
-            w = self._ax(self._ref, u, g)
+        w = self._ax(self._ref, u, g)
         report = self.performance(u.shape[0])
         return w, report
 

@@ -513,7 +513,7 @@ def cg_solve_batched(
     (or the operator's own) buffers in place, so one workspace/problem
     admits one solve at a time.  Concurrent solves need distinct
     problems (see :meth:`repro.sem.poisson.PoissonProblem.clone`) or
-    serialized access (:class:`repro.serve.pool.WorkspacePool`).
+    serialized access (the lock :class:`repro.serve.SolveService` holds).
     """
     args = _validate(
         b, x0, precond_diag, tol, maxiter, workspace, np.dtype(dtype),

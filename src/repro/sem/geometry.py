@@ -245,7 +245,8 @@ def geometric_factors(mesh: BoxMesh) -> Geometry:
     Raises
     ------
     ValueError
-        If any nodal Jacobian determinant is non-positive (tangled mesh).
+        If any nodal Jacobian determinant is not positive and finite
+        (a tangled mesh, or NaN / infinite / overflowing coordinates).
     """
     ref = mesh.ref
     w3 = ref.weights_3d()
@@ -258,10 +259,14 @@ def geometric_factors(mesh: BoxMesh) -> Geometry:
     )  # (E, nx, nx, nx, 3(m), 3(p))
 
     jac = np.linalg.det(jmat)
-    if np.any(jac <= 0):
-        bad = int(np.count_nonzero(jac <= 0))
+    # Select the good nodes, not the bad ones: NaN fails ``jac <= 0``
+    # too, and a determinant that overflowed to +inf is no Jacobian.
+    good = np.isfinite(jac) & (jac > 0)
+    if not np.all(good):
+        bad = int(np.count_nonzero(~good))
         raise ValueError(
-            f"mesh is tangled: {bad} nodal Jacobians are non-positive"
+            f"mesh is tangled: {bad} nodal Jacobians are not positive "
+            "and finite"
         )
     jinv = np.linalg.inv(jmat)  # jinv[..., p, m] = dr_p / dx_m
 

@@ -44,10 +44,6 @@ class HelmholtzProblem(SEMProblem):
         :mod:`repro.sem.kernels`) or a callable (the accelerator plugs
         in here; the mass term is a cheap diagonal axpy the paper's
         kernel leaves on the host).
-    threads:
-        Element-block worker threads for blocked kernels, carried by
-        the problem's workspaces (see
-        :func:`~repro.sem.kernels.ax_local_matmul`).
     precision:
         Default solve precision policy (``"fp64"`` or ``"mixed"``), as
         :class:`~repro.sem.poisson.PoissonProblem`.
@@ -65,7 +61,6 @@ class HelmholtzProblem(SEMProblem):
     mesh: BoxMesh
     lam: float = 1.0
     ax_backend: AxBackend | str = ax_local
-    threads: int = 1
     precision: str = "fp64"
     # Spec/rebuild hand-off (see repro.sem.spec.ProblemParts), as in
     # PoissonProblem: adopt prebuilt (possibly shared-memory) state.

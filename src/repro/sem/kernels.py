@@ -9,11 +9,9 @@ implementation by name:
   ``(nx, nx) @ (nx, nx^2)`` matrix products via reshapes, so all three
   derivative phases hit BLAS ``dgemm`` (≈2.5x the einsum kernel at the
   paper's headline ``N = 7`` with a warm workspace).  Elements are
-  processed in cache-sized blocks that can be dispatched across a
-  persistent thread pool (``threads=``) — BLAS and large-array ufuncs
-  release the GIL, each block owns disjoint output rows and each worker
-  slot its own block of scratch rows, so the threaded result is
-  bit-identical to the sequential one.  A stacked
+  processed in cache-sized blocks, one after the other, every block
+  through the same block of scratch rows; the only parallelism inside
+  a call is the BLAS's own.  A stacked
   ``(B, E, nx, nx, nx)`` input runs all ``B`` systems through each
   element block while its geometry is hot (the multi-RHS serving path).
 * the registry — :func:`get_ax_kernel`, :func:`register_ax_kernel`,
@@ -29,15 +27,13 @@ the call allocation-free after warm-up.  :func:`uniform` is the one
 adapter that gives a plain ``(ref, u, g)`` callable that signature — the
 two scalar reference kernels in the registry, and whatever callable a
 problem is handed (the accelerator adapter, a lambda) — so a problem
-calls its backend in exactly one form.  Kernels may additionally accept
-``threads=`` (probed with :func:`accepts_keyword`).
+calls its backend in exactly one form.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -105,19 +101,6 @@ def _kron_middle_ops(
     grad.setflags(write=False)
     div.setflags(write=False)
     return grad, div
-
-
-@functools.lru_cache(maxsize=None)
-def _fallback_executor(threads: int) -> ThreadPoolExecutor:
-    """Shared pool for threaded kernel calls without a workspace.
-
-    Keyed by worker count and kept for the process lifetime (the key
-    space is bounded by distinct thread counts, and an evicted executor
-    would leak its idle workers), so ad-hoc
-    ``ax_local_matmul(..., threads=k)`` calls don't pay pool startup;
-    workspace-backed calls use the workspace's own persistent pool.
-    """
-    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="sem-ax")
 
 
 @hot_path
@@ -225,8 +208,7 @@ def _ax_matmul_block(
     ``ub``/``ob`` are contiguous ``(e, nx, nx, nx)`` slices of one
     system; ``gb`` is the block's ``(e, 6, nx, nx, nx)`` geometry.  All
     seven scratch arrays in ``bufs`` match ``ub``'s shape.  Everything
-    is a view: concurrent calls are safe as long as their output rows
-    and their ``bufs`` are disjoint.
+    is a view.
     """
     nx = d.shape[0]
     ur, us, ut, wr, ws, wt, tmp = bufs
@@ -301,7 +283,6 @@ def ax_local_matmul(
     g: NDArray[np.float64],
     out: NDArray[np.float64] | None = None,
     workspace: SolverWorkspace | None = None,
-    threads: int | None = None,
 ) -> NDArray[np.float64]:
     """``w = D^T G D u`` with every derivative phase as a BLAS ``dgemm``.
 
@@ -317,12 +298,11 @@ def ax_local_matmul(
     tensor is applied with in-place elementwise ufuncs through one
     scratch buffer.  Elements are processed in cache-sized blocks
     (:data:`BLOCK_DOFS`) and every block reuses the *same* scratch rows
-    — rows ``[0, e)`` of the workspace's scratch fields for a
-    sequential sweep, rows ``[j * block, j * block + e)`` for worker
-    slot ``j`` of a threaded one — so the six work arrays stay hot
-    across all three phases and from one block to the next: the
-    software analogue of the paper's on-chip buffer reuse.  A warm call
-    with ``workspace`` performs **zero** field-sized heap allocations.
+    — rows ``[0, e)`` of the workspace's scratch fields — so the six
+    work arrays stay hot across all three phases and from one block to
+    the next: the software analogue of the paper's on-chip buffer
+    reuse.  A warm call with ``workspace`` performs **zero** field-sized
+    heap allocations.
 
     Parameters
     ----------
@@ -338,16 +318,8 @@ def ax_local_matmul(
     workspace:
         Optional :class:`~repro.sem.workspace.SolverWorkspace` providing
         the seven scratch fields; sized for ``(E, nx)`` (and the batch
-        size for stacked inputs).  Only the first ``threads * block``
-        rows of each are touched by the blocked sweep.
-    threads:
-        Element-block worker threads.  ``None`` (default) follows the
-        workspace's ``threads`` setting (``1`` without a workspace);
-        ``k > 1`` runs ``k`` worker slots on a persistent pool — the
-        workspace's own, or a shared module-level one — slot ``j``
-        sweeping blocks ``j, j + k, ...``.  Blocks write disjoint output
-        rows and slots own disjoint scratch rows, so the result is
-        bit-identical to ``threads=1``.
+        size for stacked inputs).  Only the first ``block`` rows of
+        each are touched by the blocked sweep.
     """
     _check_shapes(ref, u, g)
     # Match D to the field dtype (fp32 inputs contract against the
@@ -357,10 +329,6 @@ def ax_local_matmul(
     batched = u.ndim == 5
     num_b = u.shape[0] if batched else 1
     num_e, nx = u.shape[-4], ref.n_points
-    if threads is None:
-        threads = workspace.threads if workspace is not None else 1
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if not u.flags.c_contiguous:
         u = np.ascontiguousarray(u)  # the reshape views below need it
     # Block sizing is per system: a batched input sweeps its systems one
@@ -387,11 +355,7 @@ def ax_local_matmul(
         # Small stacked blocks are dispatch-bound, not bandwidth-bound:
         # fuse all systems into single GEMM/ufunc sweeps.
         rows = num_b * num_e
-        if (
-            ws_bufs is not None
-            and ws_bufs[0].shape[0] >= rows
-            and ws_bufs[0].dtype == u.dtype
-        ):
+        if ws_bufs is not None and ws_bufs[0].shape[0] >= rows:
             bufs = tuple(buf[:rows] for buf in ws_bufs)
         else:
             bufs = tuple(
@@ -403,24 +367,15 @@ def ax_local_matmul(
             np.copyto(out, result)
         return out
 
-    starts = range(0, num_e, block)
-    slots = min(threads, len(starts))
-    scratch = ws_bufs
-    if scratch is None:
-        scratch = tuple(
-            np.empty((min(num_e, slots * block), nx, nx, nx), dtype=u.dtype)
-            for _ in range(7)
-        )
-
-    def run_block(start: int, slot: int) -> None:
+    # Block-resident scratch: every block reuses rows ``[0, e)``, so
+    # the seven work arrays stay in cache from one block to the next
+    # instead of streaming through a field-sized buffer.
+    scratch = ws_bufs if ws_bufs is not None else tuple(
+        np.empty((block, nx, nx, nx), dtype=u.dtype) for _ in range(7)
+    )
+    for start in range(0, num_e, block):
         stop = min(start + block, num_e)
-        # Block-resident scratch: every block a worker slot sweeps
-        # reuses that slot's own rows, so the seven work arrays stay in
-        # cache from one block to the next instead of streaming through
-        # a field-sized buffer; slots own disjoint rows, so concurrent
-        # blocks never share scratch.
-        base = slot * block
-        bufs = tuple(buf[base:base + stop - start] for buf in scratch)
+        bufs = tuple(buf[:stop - start] for buf in scratch)
         gb = g[start:stop]
         if batched:
             # The multi-RHS sweep: the block's geometry and scratch stay
@@ -432,20 +387,6 @@ def ax_local_matmul(
                 )
         else:
             _ax_matmul_block(d, dt, u[start:stop], gb, result[start:stop], bufs)
-
-    def run_slot(slot: int) -> None:
-        for start in starts[slot::slots]:
-            run_block(start, slot)
-
-    if slots > 1:
-        pool = (
-            workspace.executor
-            if workspace is not None and workspace.executor is not None
-            else _fallback_executor(threads)
-        )
-        list(pool.map(run_slot, range(slots)))
-    else:
-        run_slot(0)
 
     if result is not out:
         np.copyto(out, result)
@@ -468,9 +409,9 @@ def _accepts_keyword_cached(fn: Callable, name: str) -> bool:
 def accepts_keyword(fn: Callable, name: str) -> bool:
     """True if ``fn`` can be called with keyword argument ``name``.
 
-    Used to probe backends for ``out=``/``workspace=``/``threads=``
-    support so plain ``(ref, u, g)`` callables (e.g. the accelerator
-    adapter) keep working through the same dispatch sites.  Probes are
+    Used to probe backends for ``out=``/``workspace=`` support so
+    plain ``(ref, u, g)`` callables (e.g. the accelerator adapter) keep
+    working through the same dispatch sites.  Probes are
     memoized (``signature`` reflection is slow relative to a short
     solve); bound methods are probed through their underlying function
     so the cache never pins the bound instance (e.g. a whole

@@ -90,9 +90,6 @@ class NekboneCase:
         registry name (``"matmul"`` for the BLAS hot path; see
         :mod:`repro.sem.kernels`), or the FPGA simulator via
         :meth:`repro.core.accel.SEMAccelerator.as_ax_backend`.
-    threads:
-        Element-block worker threads for blocked kernels, forwarded to
-        the underlying :class:`~repro.sem.poisson.PoissonProblem`.
     precision:
         Default solve precision policy (``"fp64"`` or ``"mixed"``),
         forwarded to the underlying problem; ``"mixed"`` makes
@@ -104,7 +101,6 @@ class NekboneCase:
     n: int
     shape: tuple[int, int, int]
     ax_backend: AxBackend | str = ax_local
-    threads: int = 1
     precision: str = "fp64"
     # Spec/rebuild hand-off: a pre-built underlying problem (typically
     # one whose immutable state is attached from shared memory) adopted
@@ -119,8 +115,7 @@ class NekboneCase:
         ref = ReferenceElement.from_degree(self.n)
         mesh = BoxMesh.build(ref, self.shape)
         self.problem = PoissonProblem(
-            mesh, ax_backend=self.ax_backend, threads=self.threads,
-            precision=self.precision,
+            mesh, ax_backend=self.ax_backend, precision=self.precision,
         )
 
     @property

@@ -40,10 +40,6 @@ class PoissonProblem(SEMProblem):
         vectorized :func:`~repro.sem.operators.ax_local`.  The FPGA
         accelerator simulator plugs in here (see
         :meth:`repro.core.accel.SEMAccelerator.as_ax_backend`).
-    threads:
-        Element-block worker threads for blocked kernels (see
-        :func:`~repro.sem.kernels.ax_local_matmul`); carried by the
-        problem's workspaces, so every solve through them inherits it.
     precision:
         Default solve precision policy: ``"fp64"`` (the historical
         bit-exact double path) or ``"mixed"`` (fp32 inner Jacobi-CG +
@@ -66,7 +62,6 @@ class PoissonProblem(SEMProblem):
 
     mesh: BoxMesh
     ax_backend: AxBackend | str = ax_local
-    threads: int = 1
     precision: str = "fp64"
     # The spec/rebuild hand-off (see repro.sem.spec.ProblemParts):
     # prebuilt immutable state — typically shared-memory views attached

@@ -62,7 +62,7 @@ class SEMProblem:
     """What every global SEM problem on a box mesh is made of.
 
     Not constructed directly: a specialisation is a dataclass declaring
-    the fields ``mesh``, ``ax_backend``, ``threads``, ``precision``, the
+    the fields ``mesh``, ``ax_backend``, ``precision``, the
     ``_parts`` hand-off and (``init=False``) ``geometry``, ``gs`` and
     ``workspace``, and its ``__post_init__`` runs this class's as the
     constructor tail.
@@ -102,9 +102,7 @@ class SEMProblem:
             self.geometry = geometric_factors(self.mesh)
             self.gs = GatherScatter.from_mesh(self.mesh)
         self.ax_backend = uniform(resolve_ax_backend(self.ax_backend))
-        self.workspace = SolverWorkspace.for_mesh(
-            self.mesh, threads=self.threads
-        )
+        self.workspace = SolverWorkspace.for_mesh(self.mesh)
         self._batch_workspaces: dict[object, SolverWorkspace] = {}
         self._precond_diag: NDArray[np.float64] | None = (
             None if _parts is None else _parts.precond_diag
@@ -180,9 +178,7 @@ class SEMProblem:
         # Force the diagonal once on the source so every replica shares
         # a single assembled (read-only) array.
         twin._precond_diag = self.precond_diag()
-        twin.workspace = SolverWorkspace.for_mesh(
-            self.mesh, threads=self.threads
-        )
+        twin.workspace = SolverWorkspace.for_mesh(self.mesh)
         twin._batch_workspaces = {}
         return twin
 
@@ -221,11 +217,11 @@ class SEMProblem:
         repeated batched solves stay warm; ``batch=1`` in fp64 returns
         the problem's own :attr:`workspace`.  ``dtype=np.float32``
         yields the half-footprint twin the mixed-precision inner solves
-        run through.  Shares the problem's ``threads`` setting.
+        run through.
         """
         return cached_batch_workspace(
-            self._batch_workspaces, self.mesh, batch, self.threads,
-            self.workspace, dtype=dtype,
+            self._batch_workspaces, self.mesh, batch, self.workspace,
+            dtype=dtype,
         )
 
     # ------------------------------------------------------------------

@@ -70,8 +70,6 @@ class ProblemSpec:
         Kernel *registry name* (``"einsum"``, ``"matmul"``, ...) — never
         a callable, so the spec pickles by value and the rebuilding
         process resolves the identical registered kernel.
-    threads:
-        Element-block worker threads of the rebuilt workspaces.
     lam:
         Helmholtz coefficient (``None`` for the other kinds).
     precision:
@@ -111,7 +109,6 @@ class ProblemSpec:
     shape: tuple[int, int, int]
     extent: tuple[float, float, float]
     ax_backend: str
-    threads: int = 1
     lam: float | None = None
     precision: str = "fp64"
     geometry: SharedArrayManifest | None = None
@@ -226,7 +223,6 @@ def _base_spec(problem) -> tuple[ProblemSpec, object]:
         shape=tuple(mesh.shape),
         extent=tuple(mesh.extent),
         ax_backend=name,
-        threads=int(inner.threads),
         lam=float(inner.lam) if hasattr(inner, "lam") else None,
         precision=inner.precision,
     )
@@ -394,10 +390,7 @@ def rebuild(spec: ProblemSpec):
             ),
         )
 
-    knobs = dict(
-        ax_backend=spec.ax_backend, threads=spec.threads,
-        precision=spec.precision,
-    )
+    knobs = dict(ax_backend=spec.ax_backend, precision=spec.precision)
     if spec.lam is not None:
         knobs["lam"] = spec.lam
     if spec.kind != NekboneCase.kind:

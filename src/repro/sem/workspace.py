@@ -14,55 +14,30 @@ local shape and global DOF count:
 * the CG vectors (``x``, ``r``, ``z``, ``p``, ``ap`` and an axpy
   scratch) consumed by :func:`repro.sem.cg.cg_solve`.
 
-Two serving knobs extend the workspace beyond one solve at a time:
-
-* ``threads`` — the workspace owns a persistent
-  :class:`~concurrent.futures.ThreadPoolExecutor` that the blocked
-  kernels dispatch element blocks onto.  BLAS ``dgemm`` and numpy's
-  large-array ufuncs release the GIL, so threads (not processes) give
-  real parallelism, and each block writes disjoint output rows (each
-  worker slot its own scratch rows) so the result is bit-identical to
-  the sequential path.
-* ``batch`` — sizes every buffer with a leading ``(B, ...)`` system
-  dimension so one warm workspace carries ``B`` independent right-hand
-  sides through :func:`repro.sem.cg.cg_solve_batched`, amortizing the
-  geometry traffic across all of them.
+One serving knob extends the workspace beyond one solve at a time:
+``batch`` sizes every buffer with a leading ``(B, ...)`` system
+dimension so one warm workspace carries ``B`` independent right-hand
+sides through :func:`repro.sem.cg.cg_solve_batched`, amortizing the
+geometry traffic across all of them.
 
 One workspace serves one (possibly batched) solve at a time — buffers
 are reused across calls, so concurrent *solves* must not share a
-workspace (the internal element-block threads are safe because they own
-disjoint rows).  After a warm-up call every kernel and CG iteration runs
+workspace.  After a warm-up call every kernel and CG iteration runs
 without any field-sized heap allocation — verified by the
 ``tracemalloc`` regression tests in ``tests/sem/test_workspace.py``.
-
-A threaded workspace owns real OS threads, so it supports deterministic
-teardown three ways: ``with SolverWorkspace(...) as ws:`` (the pool is
-shut down on block exit), an explicit :meth:`SolverWorkspace.shutdown`,
-and — as a safety net for pooled workspaces dropped without either — a
-``weakref.finalize`` that stops the workers when the workspace is
-garbage collected.
+A workspace is buffers and nothing else: it starts no thread and needs
+no teardown.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.sem.mesh import BoxMesh
-
-
-def _shutdown_pool(pool: ThreadPoolExecutor) -> None:
-    """Finalizer target: must not hold a reference back to the workspace.
-
-    ``wait=False`` because a GC-triggered finalizer may run from an
-    arbitrary thread; the workers exit as soon as their queue drains.
-    """
-    pool.shutdown(wait=False)
 
 #: Kernel scratch names, shaped ``(scratch_rows, nx, nx, nx)``: for
 #: large batched problems the blocked ``Ax`` kernels sweep one system's
@@ -121,10 +96,6 @@ class SolverWorkspace:
         The kernel scratch stays single-system — the blocked kernels
         sweep the batch one system at a time per element block, reusing
         the same cache-resident scratch and geometry.
-    threads:
-        Element-block worker threads for the blocked ``Ax`` kernels.
-        ``1`` runs sequentially; ``k > 1`` lazily spins up a persistent
-        pool reused across calls (see :attr:`executor`).
     dtype:
         Floating dtype of every float buffer (``np.float64`` or
         ``np.float32``).  The default keeps the historical fp64 shapes
@@ -140,19 +111,16 @@ class SolverWorkspace:
     Thread safety
     -------------
     One workspace admits one (possibly batched) solve at a time — the
-    buffers are reused in place across calls.  The *internal*
-    element-block threads are safe (each block owns disjoint
-    output/scratch rows); it is concurrent *solves* that must not share
-    a workspace.  Give each concurrent solver its own workspace (the
-    problems' ``clone()`` does exactly this) or serialize access
-    through :class:`repro.serve.pool.WorkspacePool`.
+    buffers are reused in place across calls.  Give each concurrent
+    solver its own workspace (the problems' ``clone()`` does exactly
+    this) or serialize access with a lock, as
+    :class:`repro.serve.SolveService` does around every stacked solve.
     """
 
     num_elements: int
     nx: int
     n_global: int = 0
     batch: int = 1
-    threads: int = 1
     dtype: "np.dtype | type" = np.float64
 
     ur: NDArray[np.float64] = field(init=False, repr=False)
@@ -191,8 +159,6 @@ class SolverWorkspace:
             raise ValueError(f"n_global must be >= 0, got {self.n_global}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         self.dtype = np.dtype(self.dtype)
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError(
@@ -226,8 +192,6 @@ class SolverWorkspace:
         for name in BATCH_SCALAR_BUFFERS:
             setattr(self, name, np.empty(self.batch, dtype=np.float64))
         self.cg_active = np.empty(self.batch, dtype=bool)
-        self._executor: ThreadPoolExecutor | None = None
-        self._finalizer: weakref.finalize | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -235,14 +199,13 @@ class SolverWorkspace:
         cls,
         mesh: BoxMesh,
         batch: int = 1,
-        threads: int = 1,
         dtype: "np.dtype | type" = np.float64,
     ) -> "SolverWorkspace":
         """Size a full workspace (kernel + CG buffers) from a mesh."""
         e, nx = mesh.l2g.shape[0], mesh.l2g.shape[1]
         return cls(
             num_elements=e, nx=nx, n_global=mesh.n_global,
-            batch=batch, threads=threads, dtype=dtype,
+            batch=batch, dtype=dtype,
         )
 
     @property
@@ -264,48 +227,6 @@ class SolverWorkspace:
             sum(getattr(self, name).nbytes for name in names)
             + self.cg_active.nbytes
         )
-
-    @property
-    def executor(self) -> ThreadPoolExecutor | None:
-        """The persistent element-block pool (``None`` when sequential).
-
-        Created lazily on first use and reused across kernel calls /
-        CG iterations, so the solver hot path never pays thread startup.
-        """
-        if self.threads <= 1:
-            return None
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.threads, thread_name_prefix="sem-ax"
-            )
-            # The pool's worker threads would otherwise outlive a
-            # workspace nobody remembered to shut down (each thread
-            # pins its interpreter slot until exit); tie teardown to
-            # this workspace's lifetime.
-            self._finalizer = weakref.finalize(
-                self, _shutdown_pool, self._executor
-            )
-        return self._executor
-
-    def shutdown(self) -> None:
-        """Tear down the worker pool (idempotent; buffers stay valid).
-
-        Also runs on ``with``-block exit (:meth:`__exit__`) and, as a
-        last resort, from a ``weakref.finalize`` when the workspace is
-        garbage collected.
-        """
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "SolverWorkspace":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
 
     # ------------------------------------------------------------------
     def require_local(self, num_elements: int, nx: int) -> None:
@@ -344,7 +265,6 @@ def cached_batch_workspace(
     cache: "dict[object, SolverWorkspace]",
     mesh: BoxMesh,
     batch: int,
-    threads: int,
     base: "SolverWorkspace",
     dtype: "np.dtype | type" = np.float64,
 ) -> "SolverWorkspace":
@@ -360,8 +280,6 @@ def cached_batch_workspace(
         Mesh the workspaces are sized for.
     batch:
         Requested stacked-system count.
-    threads:
-        Element-block worker threads every created workspace carries.
     base:
         The problem's own unbatched workspace, returned for
         ``batch == 1`` when its dtype matches ``dtype``.
@@ -383,12 +301,12 @@ def cached_batch_workspace(
     -----
     Creation is guarded by a per-cache lock: two threads racing an
     unseen batch size through ``problem.batch_workspace(B)`` directly
-    (the workspace pool serializes its own callers, bare problems
+    (the solve service serializes its own callers, bare problems
     don't) must materialize exactly *one* workspace — the losing
-    duplicate of the old check-then-insert race stranded a thread-pool
-    executor until ``weakref.finalize`` fired.  The lock covers only
-    construction; *use* of the returned workspace is still the caller's
-    to serialize (one solve per workspace at a time).
+    duplicate of a check-then-insert race is a field-sized allocation
+    its caller warms once and the cache never hands out again.  The
+    lock covers only construction; *use* of the returned workspace is
+    still the caller's to serialize (one solve per workspace at a time).
     """
     dtype = np.dtype(dtype)
     if batch == 1 and dtype == base.dtype:
@@ -407,8 +325,6 @@ def cached_batch_workspace(
     with lock:
         ws = cache.get(key)
         if ws is None:
-            ws = SolverWorkspace.for_mesh(
-                mesh, batch=batch, threads=threads, dtype=dtype
-            )
+            ws = SolverWorkspace.for_mesh(mesh, batch=batch, dtype=dtype)
             cache[key] = ws
     return ws

@@ -9,10 +9,10 @@ in three tiers:
   via :meth:`SolveService.submit` with a background dispatcher) and
   dynamically coalesces them — up to ``max_batch`` requests, waiting at
   most ``max_wait`` — into warm
-  :func:`~repro.sem.cg.cg_solve_batched` dispatches through a pooled
-  cache of batched workspaces.
+  :func:`~repro.sem.cg.cg_solve_batched` dispatches through the
+  problem's cache of batched workspaces, one solve at a time.
 * :class:`ShardedSolveService` — K replica services (one problem clone,
-  workspace pool and dispatcher thread each) behind a pluggable router:
+  solve lock and dispatcher thread each) behind a pluggable router:
   ``tenant`` (consistent hashing — a tenant's requests batch together),
   ``least-loaded`` or ``round-robin``, with watermark rebalancing and
   aggregate fleet stats.
@@ -100,7 +100,6 @@ from repro.serve.health import (
     RestartPolicy,
     RetryPolicy,
 )
-from repro.serve.pool import WorkspacePool
 from repro.serve.procshard import ProcessShardedSolveService
 from repro.serve.scheduler import (
     LeastLoadedRouter,
@@ -127,7 +126,6 @@ __all__ = [
     "ProcessShardedSolveService",
     "AsyncSolveService",
     "SolveTicket",
-    "WorkspacePool",
     "MicroBatcher",
     # Error taxonomy (repro.serve.errors)
     "ServiceClosed",

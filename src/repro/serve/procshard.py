@@ -7,7 +7,7 @@ serializes on it, which caps scaling on many-core hosts.
 :class:`ProcessShardedSolveService` lifts that ceiling: ``K`` worker
 *processes*, each running a warm in-process
 :class:`~repro.serve.service.SolveService` (own GIL, own dispatcher
-thread, own workspace pool) over a problem rebuilt from a picklable
+thread, own workspaces) over a problem rebuilt from a picklable
 :class:`~repro.sem.spec.ProblemSpec`.
 
 The paper's core observation — SEM throughput is bound by how well the

@@ -47,6 +47,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.analysis.runtime import race_checked
 from repro.sem.cg import (
     CGResult,
     MixedCGResult,
@@ -55,7 +56,6 @@ from repro.sem.cg import (
     check_precision,
 )
 from repro.serve.errors import DeadlineExceeded, ServiceClosed
-from repro.serve.pool import WorkspacePool
 from repro.serve.scheduler import MicroBatcher
 from repro.serve.stats import ServiceStats, StatsSnapshot
 
@@ -256,6 +256,7 @@ class _WouldBlock(Exception):
     returns ``None`` in its place."""
 
 
+@race_checked
 @dataclass
 class SolveService:
     """Dynamic micro-batching front-end over one SEM problem.
@@ -267,9 +268,7 @@ class SolveService:
         :class:`~repro.sem.helmholtz.HelmholtzProblem` or
         :class:`~repro.sem.nekbone.NekboneCase` (anything exposing
         ``operator`` / ``precond_diag()`` / ``batch_workspace()`` /
-        ``n_dofs``).  The service inherits the problem's ``threads=``
-        setting through its workspaces — thread over element blocks,
-        batch over requests.
+        ``n_dofs``).
     max_batch:
         Largest number of requests coalesced into one stacked solve.
     max_wait:
@@ -313,13 +312,15 @@ class SolveService:
     :meth:`submit`, :meth:`flush`, :meth:`solve_many`, :attr:`stats`
     and :meth:`close` are safe from any number of threads: the queue is
     a lock-protected :class:`~repro.serve.scheduler.MicroBatcher`,
-    solves serialize through the :class:`~repro.serve.pool.WorkspacePool`
-    lease, and stats snapshots are cut under the accumulator's lock.
+    solves serialize on the service's solve lock, and stats snapshots
+    are cut under the accumulator's lock.
     The *problem* itself is single-solve (shared workspace buffers) —
-    which is exactly what the pool enforces; use
+    which is exactly what the solve lock enforces; use
     :class:`~repro.serve.shard.ShardedSolveService` for solve-level
     parallelism across problem clones.
     """
+
+    _TRACKED_LOCKS = ("_solve_lock",)
 
     problem: object
     max_batch: int = 8
@@ -359,7 +360,10 @@ class SolveService:
             )
         self._diag = self.problem.precond_diag()
         self._n = int(self.problem.n_dofs)
-        self._pool = WorkspacePool(self.problem)
+        # Held around every stacked solve: the problem's workspaces are
+        # reused in place (the fp64 ones by both precisions), so they
+        # admit one solve at a time whoever drains — dispatcher or client.
+        self._solve_lock = threading.Lock()
         self._batcher: MicroBatcher[_Request] = MicroBatcher(
             max_batch=self.max_batch,
             max_wait=self.max_wait,
@@ -682,7 +686,6 @@ class SolveService:
         if dispatcher is not None:
             dispatcher.join()
         self._drain(once=False)  # foreground leftovers (no-op otherwise)
-        self._pool.shutdown()
 
     def __enter__(self) -> "SolveService":
         return self
@@ -706,7 +709,7 @@ class SolveService:
         """Pop-and-solve pending batches on the calling thread.
 
         Safe from any number of threads: pops are serialized by the
-        batcher's lock and solves by the workspace pool's lease.
+        batcher's lock and solves by the solve lock.
         """
         while True:
             batch = self._batcher.take_batch_nowait()
@@ -785,15 +788,16 @@ class SolveService:
             maxiters = np.array(
                 [req.maxiter for req in batch], dtype=np.int64
             )
-            if mixed:
-                with self._pool.lease_mixed(nb) as (ws, ws32):
+            with self._solve_lock:
+                ws = self.problem.batch_workspace(nb)
+                if mixed:
+                    ws32 = self.problem.batch_workspace(nb, dtype=np.float32)
                     res = cg_solve_batched_mixed(
                         self._operator, self._operator32, bs,
                         precond_diag=self._diag, tol=tols,
                         maxiter=maxiters, workspace=ws, workspace32=ws32,
                     )
-            else:
-                with self._pool.lease(nb) as ws:
+                else:
                     res = cg_solve_batched(
                         self._operator, bs, precond_diag=self._diag,
                         tol=tols, maxiter=maxiters, workspace=ws,

@@ -6,7 +6,7 @@ The paper's end-state is the opposite shape: a *fleet* of accelerators
 each running the SEM kernel at line rate, with the host deciding which
 device every request lands on.  :class:`ShardedSolveService` is that
 host-side distribution layer on the CPU substrate: it owns ``K``
-replica services (each with its own problem clone, workspace pool and
+replica services (each with its own problem clone, solve lock and
 dispatcher thread — see :meth:`repro.sem.poisson.PoissonProblem.clone`)
 and routes every request through a pluggable policy:
 
@@ -34,7 +34,7 @@ On a single-core host the fleet cannot beat one replica (the benchmark
 gate in ``benchmarks/run_baseline.py`` only requires it not to fall
 behind); on a multi-core/NUMA host each replica's dispatcher and BLAS
 run on their own core and throughput scales with ``K`` — the ratio is
-tracked like the ``threads2`` benchmark.
+tracked, not gated, until a host with the cores can prove it.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ class ShardedSolveService(FleetFront):
         except BaseException:
             # A later replica failed validation: stop the dispatcher
             # threads the earlier ones already spawned, or each failed
-            # construction would leak a parked thread + workspace pool
-            # for the life of the process.
+            # construction would leak a parked thread for the life of
+            # the process.
             for started in services:
                 started.close()
             raise
@@ -189,9 +189,8 @@ class ShardedSolveService(FleetFront):
     ) -> "ShardedSolveService":
         """Build a sharded service over pre-constructed problem replicas.
 
-        The escape hatch for heterogeneous deployments (e.g. replicas
-        pinned to different thread counts, or problems cloned ahead of
-        time on their NUMA domains).  The caller guarantees the
+        The escape hatch for heterogeneous deployments (e.g. problems
+        cloned ahead of time on their NUMA domains).  The caller guarantees the
         problems are solve-compatible replicas of one discretization —
         results are bit-identical across replicas only if the problems
         are.
@@ -361,8 +360,7 @@ class ShardedSolveService(FleetFront):
 
         Each replica's queue is closed (new submits raise
         :class:`~repro.serve.errors.ServiceClosed`), its dispatcher
-        drains the pending requests and exits, and its workspace pool
-        is shut down.  Every ticket submitted before ``close`` is
+        drains the pending requests and exits.  Every ticket submitted before ``close`` is
         resolved — drain-on-close is the serving layer's no-dropped-
         requests guarantee.
         """

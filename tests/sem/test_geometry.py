@@ -90,6 +90,40 @@ class TestCurvedFactors:
         with pytest.raises(ValueError, match="tangled"):
             geometric_factors(mesh.deform(lambda x, y, z: (-x, y, z)))
 
+    @pytest.mark.parametrize("case", ("nan", "inf", "overflow", "inverted"))
+    def test_bad_coordinates_refused_at_construction(self, case):
+        """Regression: the check was ``np.any(jac <= 0)``, which is False
+        for NaN (and for a Jacobian that overflowed to +inf), so a mesh
+        with one NaN coordinate became a Geometry with NaN factors — a
+        problem whose every solve is NaN instead of a refusal."""
+        from repro.sem import HelmholtzProblem, PoissonProblem
+
+        def poke(value, index):
+            def f(x, y, z):
+                x = x.copy()
+                x[index] = value
+                return x, y, z
+            return f
+
+        degree, deform = {
+            "nan": (3, poke(np.nan, (1, 2, 1, 0))),
+            # Stretching a corner outwards keeps every *finite* Jacobian
+            # positive: only NaN and +inf are left to notice.
+            "inf": (1, poke(np.inf, (0, 1, 0, 0))),
+            "overflow": (3, lambda x, y, z: (1e200 * x, 1e200 * y, z)),
+            "inverted": (3, lambda x, y, z: (-x, y, z)),
+        }[case]
+        ref = ReferenceElement.from_degree(degree)
+        with np.errstate(all="ignore"):
+            mesh = BoxMesh.build(ref, (2, 2, 2)).deform(deform)
+            for build in (
+                geometric_factors,
+                PoissonProblem,
+                lambda m: HelmholtzProblem(m, lam=1.0),
+            ):
+                with pytest.raises(ValueError, match="tangled"):
+                    build(mesh)
+
     def test_num_elements_property(self, curved_geo3, curved_mesh3):
         assert curved_geo3.num_elements == curved_mesh3.num_elements
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -204,104 +206,74 @@ class TestProblemsSelectByName:
         assert np.allclose(w_m, w_e, atol=1e-11 * max(np.abs(w_e).max(), 1.0))
 
 
-class TestThreads:
-    """Thread-parallel element blocks: bit-identical, pool reuse."""
+@functools.cache
+def _former_threads_surfaces():
+    """The nine places ``threads=`` could be set before it was deleted,
+    each as a callable taking the stale keyword."""
+    from repro.core.accel import AcceleratorConfig, SEMAccelerator
+    from repro.hardware.fpga import STRATIX10_GX2800
+    from repro.sem import HelmholtzProblem, NekboneCase, PoissonProblem
+    from repro.sem.spec import ProblemSpec
+    from repro.sem.workspace import cached_batch_workspace
 
-    def _fields(self, n=5, num_e=40, seed=3):
-        return random_fields(n, num_e=num_e, seed=seed)
+    ref, u, g = random_fields(3, num_e=2, seed=5)
+    mesh = BoxMesh.build(ref, (2, 1, 1))
+    base = SolverWorkspace.for_mesh(mesh)
+    return {
+        "ax_local_matmul": lambda **kw: ax_local_matmul(ref, u, g, **kw),
+        "SolverWorkspace": lambda **kw: SolverWorkspace(
+            num_elements=2, nx=ref.n_points, **kw
+        ),
+        "SolverWorkspace.for_mesh": lambda **kw: SolverWorkspace.for_mesh(
+            mesh, **kw
+        ),
+        "cached_batch_workspace": lambda **kw: cached_batch_workspace(
+            {}, mesh, 2, base=base, **kw
+        ),
+        "PoissonProblem": lambda **kw: PoissonProblem(mesh, **kw),
+        "HelmholtzProblem": lambda **kw: HelmholtzProblem(mesh, **kw),
+        "NekboneCase": lambda **kw: NekboneCase(3, (2, 1, 1), **kw),
+        "ProblemSpec": lambda **kw: ProblemSpec(
+            kind="poisson", degree=3, shape=(2, 1, 1),
+            extent=(1.0, 1.0, 1.0), ax_backend="matmul", **kw
+        ),
+        "SEMAccelerator": lambda **kw: SEMAccelerator(
+            AcceleratorConfig.banked(3), STRATIX10_GX2800, **kw
+        ),
+    }
 
-    def test_threaded_matches_sequential_bit_for_bit(self):
-        ref, u, g = self._fields()
-        w1 = ax_local_matmul(ref, u, g, threads=1)
-        for k in (2, 3, 4):
-            wk = ax_local_matmul(ref, u, g, threads=k)
-            assert np.array_equal(wk, w1), f"threads={k} diverged"
 
-    def test_threaded_workspace_matches_and_reuses_pool(self):
-        ref, u, g = self._fields()
-        ws = SolverWorkspace(num_elements=40, nx=ref.n_points, threads=2)
-        w1 = ax_local_matmul(ref, u, g, threads=1)
-        w2 = ax_local_matmul(ref, u, g, workspace=ws)
-        assert np.array_equal(w2, w1)
-        pool = ws.executor
-        assert pool is not None
-        ax_local_matmul(ref, u, g, workspace=ws)
-        assert ws.executor is pool  # persistent, not respawned
-        ws.shutdown()
-        assert ws._executor is None
+class TestThreadsOptionIsGone:
+    """``threads=`` was deleted, not deprecated: a stale keyword is
+    Python's own ``TypeError`` on every surface that used to take it."""
 
-    def test_threads_argument_overrides_workspace(self):
-        ref, u, g = self._fields()
-        ws = SolverWorkspace(num_elements=40, nx=ref.n_points, threads=1)
-        w = ax_local_matmul(ref, u, g, workspace=ws, threads=3)
-        assert np.array_equal(w, ax_local_matmul(ref, u, g))
+    @pytest.mark.parametrize("surface", sorted(_former_threads_surfaces()))
+    def test_stale_threads_keyword_is_a_type_error(self, surface):
+        call = _former_threads_surfaces()[surface]
+        call()  # the surface itself still works...
+        with pytest.raises(TypeError, match="threads"):
+            call(threads=2)  # ...and refuses the deleted option
 
-    def test_invalid_threads_raise(self):
-        ref, u, g = self._fields()
-        with pytest.raises(ValueError, match="threads"):
-            ax_local_matmul(ref, u, g, threads=0)
-        with pytest.raises(ValueError, match="threads"):
-            SolverWorkspace(num_elements=2, nx=4, threads=0)
+    def test_spec_round_trips_without_a_threads_attribute(self):
+        import pickle
 
-    def test_threaded_batched_matches(self):
-        ref, u, g = self._fields(num_e=48)
-        rng = np.random.default_rng(8)
-        ub = rng.standard_normal((3,) + u.shape)
-        w1 = ax_local_matmul(ref, ub, g, threads=1)
-        w2 = ax_local_matmul(ref, ub, g, threads=2)
-        assert np.array_equal(w2, w1)
-
-    def test_problem_threads_plumbing(self):
-        from repro.sem import PoissonProblem, HelmholtzProblem, NekboneCase
+        from repro.sem import PoissonProblem
+        from repro.sem.spec import rebuild
 
         ref = ReferenceElement.from_degree(3)
-        mesh = BoxMesh.build(ref, (2, 2, 1))
-        prob = PoissonProblem(mesh, ax_backend="matmul", threads=2)
-        assert prob.workspace.threads == 2
-        assert prob.batch_workspace(4).threads == 2
-        helm = HelmholtzProblem(mesh, ax_backend="matmul", threads=2)
-        assert helm.workspace.threads == 2
-        case = NekboneCase(3, (2, 1, 1), ax_backend="matmul", threads=2)
-        assert case.problem.workspace.threads == 2
-
-    def test_threaded_solve_matches_single_thread(self):
-        from repro.sem import PoissonProblem, cg_solve, sine_manufactured
-
-        ref = ReferenceElement.from_degree(4)
-        mesh = BoxMesh.build(ref, (3, 2, 2))
-        p1 = PoissonProblem(mesh, ax_backend="matmul", threads=1)
-        p2 = PoissonProblem(mesh, ax_backend="matmul", threads=2)
-        _, forcing = sine_manufactured(mesh.extent)
-        b = p1.rhs_from_forcing(forcing)
-        r1 = cg_solve(p1.apply_A, b, tol=0.0, maxiter=15, workspace=p1.workspace)
-        r2 = cg_solve(p2.apply_A, b, tol=0.0, maxiter=15, workspace=p2.workspace)
-        assert np.array_equal(r1.x, r2.x)
-
-    def test_accelerator_threads_plumbing(self):
-        from repro.core.accel import AcceleratorConfig, SEMAccelerator
-        from repro.hardware.fpga import STRATIX10_GX2800
-
-        ref, u, g = random_fields(3, num_e=4, seed=5)
-        acc1 = SEMAccelerator(
-            AcceleratorConfig.banked(3), STRATIX10_GX2800, ax_kernel="matmul"
-        )
-        acc2 = SEMAccelerator(
-            AcceleratorConfig.banked(3), STRATIX10_GX2800,
-            ax_kernel="matmul", threads=2,
-        )
-        w1, _ = acc1.run(u, g)
-        w2, _ = acc2.run(u, g)
-        assert np.array_equal(w1, w2)
-        with pytest.raises(ValueError, match="threads"):
-            SEMAccelerator(
-                AcceleratorConfig.banked(3), STRATIX10_GX2800, threads=0
-            )
+        prob = PoissonProblem(BoxMesh.build(ref, (2, 2, 1)), ax_backend="matmul")
+        spec = pickle.loads(pickle.dumps(prob.spec()))
+        twin = rebuild(spec)
+        for obj in (spec, twin, twin.workspace, twin.batch_workspace(4)):
+            assert not hasattr(obj, "threads")
+        b = np.random.default_rng(6).standard_normal(prob.n_dofs) * prob.interior
+        assert np.array_equal(twin.apply_A(b), prob.apply_A(b))
 
 
 class TestBlockResidentScratch:
     """A workspace-backed sweep keeps its seven work arrays per block
-    (per worker slot when threaded) instead of streaming the full-size
-    scratch fields — shown by which rows a call writes, not by timing."""
+    instead of streaming the full-size scratch fields — shown by which
+    rows a call writes, not by timing."""
 
     @staticmethod
     def _nan_scratch(ws):
@@ -312,26 +284,21 @@ class TestBlockResidentScratch:
             buf.fill(np.nan)
         return bufs
 
-    @pytest.mark.parametrize("threads", (1, 2, 3))
     @pytest.mark.parametrize("num_e", (40, 64, 512))
-    def test_only_one_block_of_rows_per_slot_is_written(self, num_e, threads):
+    def test_only_one_block_of_rows_per_slot_is_written(self, num_e):
         from repro.sem.kernels import BLOCK_DOFS
 
         ref, u, g = random_fields(7, num_e=num_e, seed=9)
         nx = ref.n_points
         block = BLOCK_DOFS // nx ** 3
-        # 40 = one full block + a remainder; with threads=3 both 40 and
-        # 64 have fewer blocks than worker slots (E < threads * block).
+        # 40 = one full block + a remainder, 64 = two, 512 = sixteen.
         assert block == 32
-        with SolverWorkspace(
-            num_elements=num_e, nx=nx, threads=threads
-        ) as ws:
-            bufs = self._nan_scratch(ws)
-            w = ax_local_matmul(ref, u, g, workspace=ws)
-            used = min(num_e, threads * block)
-            for buf in bufs:
-                assert not np.isnan(buf[:used]).any()
-                assert np.isnan(buf[used:]).all()
+        ws = SolverWorkspace(num_elements=num_e, nx=nx)
+        bufs = self._nan_scratch(ws)
+        w = ax_local_matmul(ref, u, g, workspace=ws)
+        for buf in bufs:
+            assert not np.isnan(buf[:block]).any()
+            assert np.isnan(buf[block:]).all()
         assert np.array_equal(w, ax_local_matmul(ref, u, g))
 
     def test_stacked_sweep_shares_the_block_scratch(self):
@@ -451,8 +418,8 @@ class TestRegistryErrorPaths:
     def test_accepts_keyword_caching_and_fallback(self):
         from repro.sem.kernels import accepts_keyword
 
-        assert accepts_keyword(ax_local_matmul, "threads")
         assert accepts_keyword(ax_local_matmul, "out")
+        assert not accepts_keyword(ax_local_matmul, "threads")
         assert not accepts_keyword(lambda ref, u, g: u, "out")
 
         def kwargs_sink(*args, **kwargs):

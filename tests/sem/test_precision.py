@@ -325,6 +325,7 @@ class TestWorkspaceFootprint:
 
     def test_batch_workspace_cached_per_dtype(self):
         prob, _ = deformed_poisson()
+        assert prob.batch_workspace(1) is prob.workspace
         assert prob.batch_workspace(2) is prob.batch_workspace(2)
         ws32 = prob.batch_workspace(2, dtype=np.float32)
         assert ws32 is prob.batch_workspace(2, dtype=np.float32)

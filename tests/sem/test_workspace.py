@@ -225,68 +225,23 @@ class TestBatchedWorkspace:
         with pytest.raises(ValueError, match="batch"):
             SolverWorkspace(num_elements=1, nx=4, batch=0)
 
-    def test_for_mesh_batch_and_threads(self):
+    def test_for_mesh_batch(self):
         ref = ReferenceElement.from_degree(3)
         mesh = BoxMesh.build(ref, (2, 1, 1))
-        ws = SolverWorkspace.for_mesh(mesh, batch=4, threads=2)
+        ws = SolverWorkspace.for_mesh(mesh, batch=4)
         assert ws.batch == 4
-        assert ws.threads == 2
         assert ws.cg_x.shape == (4, mesh.n_global)
 
-    def test_executor_lifecycle(self):
-        ws = SolverWorkspace(num_elements=2, nx=4, threads=1)
-        assert ws.executor is None
-        ws2 = SolverWorkspace(num_elements=2, nx=4, threads=2)
-        pool = ws2.executor
-        assert pool is not None and ws2.executor is pool
-        ws2.shutdown()
-        ws2.shutdown()  # idempotent
-
-    def test_context_manager_shuts_down_pool(self):
-        with SolverWorkspace(num_elements=2, nx=4, threads=2) as ws:
-            pool = ws.executor
-            assert pool is not None
-            pool.submit(lambda: 42).result()
-        assert ws._executor is None
-        assert ws._finalizer is None
-        # Buffers stay valid and the pool respawns lazily on next use.
-        assert ws.executor is not None
-        ws.shutdown()
-
-    def test_finalizer_stops_workers_on_gc(self):
-        """A dropped threaded workspace must not leak its pool's
-        threads: the weakref.finalize shuts the executor down."""
-        import gc
-        import threading
-        import time
-
-        ws = SolverWorkspace(num_elements=2, nx=4, threads=2)
-        ws.executor.submit(lambda: None).result()
-        assert any(
-            t.name.startswith("sem-ax") for t in threading.enumerate()
-        )
-        finalizer = ws._finalizer
-        assert finalizer is not None and finalizer.alive
-        del ws
-        gc.collect()
-        assert not finalizer.alive
-        # shutdown(wait=False): give the woken workers a beat to exit.
-        for _ in range(50):
-            if not any(
-                t.name.startswith("sem-ax") for t in threading.enumerate()
-            ):
-                break
-            time.sleep(0.02)
-        assert not any(
-            t.name.startswith("sem-ax") for t in threading.enumerate()
-        )
-
-    def test_explicit_shutdown_detaches_finalizer(self):
-        ws = SolverWorkspace(num_elements=2, nx=4, threads=2)
-        assert ws.executor is not None
-        finalizer = ws._finalizer
-        ws.shutdown()
-        assert not finalizer.alive
+    def test_workspace_is_buffers_and_nothing_else(self):
+        """No executor, no finalizer, no teardown protocol: everything a
+        workspace holds besides its sizing fields is an ndarray."""
+        ws = SolverWorkspace(num_elements=2, nx=4, n_global=10, batch=2)
+        sizing = {"num_elements", "nx", "n_global", "batch", "dtype"}
+        assert sizing <= set(vars(ws))
+        for name, value in vars(ws).items():
+            assert name in sizing or isinstance(value, np.ndarray), name
+        for gone in ("executor", "shutdown", "__enter__", "__exit__"):
+            assert not hasattr(ws, gone)
 
     def test_nbytes_matches_actual_buffer_bytes(self):
         """nbytes must equal the real total — the 1-byte bool buffer
@@ -436,10 +391,10 @@ class TestBatchWorkspaceCacheRace:
     def test_thundering_herd_materializes_exactly_one_workspace(self):
         """Regression: cached_batch_workspace had a check-then-insert
         race — two threads hitting an unseen batch size through
-        ``problem.batch_workspace(B)`` directly (the workspace pool
+        ``problem.batch_workspace(B)`` directly (the solve service
         serializes its own callers, bare problems don't) each built a
-        SolverWorkspace, and the loser stranded a thread-pool executor
-        until ``weakref.finalize`` fired.  A barrier-released herd must
+        SolverWorkspace, and the loser kept a field-sized duplicate the
+        cache never handed out again.  A barrier-released herd must
         converge on one identical workspace, built exactly once."""
         import threading
 
@@ -491,8 +446,7 @@ class TestBatchWorkspaceCacheRace:
                     t.join()
                 assert not errors
                 assert all(ws is results[0] for ws in results), (
-                    "herd got distinct workspaces: the losing duplicates "
-                    "strand their executors"
+                    "herd got distinct workspaces for one cache key"
                 )
         finally:
             workspace_module.SolverWorkspace.for_mesh = classmethod(
@@ -500,3 +454,63 @@ class TestBatchWorkspaceCacheRace:
             )
         # One construction per distinct batch size, herd-wide.
         assert len(builds) == 2
+
+
+class TestSemLayerStartsNoThreads:
+    """Inside a solve the only parallelism is the BLAS's own; across
+    solves it is the serving fleets.  Nothing under ``repro.sem`` or
+    ``repro.core`` owns an OS thread."""
+
+    def test_thread_count_unchanged_from_construction_to_service_close(self):
+        import threading
+
+        from repro.sem import cg_solve_batched
+        from repro.serve import SolveService
+
+        before = threading.active_count()
+        ref = ReferenceElement.from_degree(3)
+        prob = PoissonProblem(BoxMesh.build(ref, (2, 2, 2)), ax_backend="matmul")
+        twin = prob.clone()
+        rng = np.random.default_rng(12)
+        bs = rng.standard_normal((8, prob.n_dofs)) * prob.interior
+        diag = prob.precond_diag()
+        solo = cg_solve(
+            prob.apply_A, bs[0], precond_diag=diag, tol=1e-8, maxiter=200,
+            workspace=prob.workspace,
+        )
+        stacked = cg_solve_batched(
+            twin.apply_A, bs, precond_diag=diag, tol=1e-8, maxiter=200,
+            workspace=twin.batch_workspace(8),
+        )
+        assert np.array_equal(stacked.x[0], solo.x)
+        svc = SolveService(prob, max_batch=4, tol=1e-8, maxiter=200)
+        served = svc.solve_many(bs)
+        svc.close()
+        assert np.array_equal(served[0].x, solo.x)
+        assert threading.active_count() == before
+
+    def test_concurrent_futures_is_imported_nowhere_in_sem_or_core(self):
+        """The import graph, read from the sources: a thread pool cannot
+        come back without this naming the module that brought it."""
+        import ast
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        modules = sorted((root / "sem").rglob("*.py")) + sorted(
+            (root / "core").rglob("*.py")
+        )
+        assert len(modules) > 20
+        offenders = []
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n.split(".")[0] == "concurrent" for n in names):
+                    offenders.append(str(path.relative_to(root)))
+        assert not offenders, f"concurrent.futures imported by {offenders}"

@@ -25,7 +25,6 @@ from repro.serve import (
     ServiceClosed,
     ServiceStats,
     SolveService,
-    WorkspacePool,
     merge_snapshots,
 )
 
@@ -145,103 +144,80 @@ class TestMicroBatcher:
             MicroBatcher(max_batch=4, max_pending=2)
 
 
-class TestWorkspacePool:
-    def test_lease_returns_problem_cache(self, serving_problem):
-        prob, _ = serving_problem
-        pool = WorkspacePool(prob)
-        with pool.lease(1) as ws:
-            assert ws is prob.workspace
-        with pool.lease(4) as ws4:
-            assert ws4.batch == 4
-        with pool.lease(4) as again:
-            assert again is ws4  # warm reuse
-        assert pool.sizes == (1, 4)
-        assert pool.nbytes >= ws4.nbytes
+class TestSolveLock:
+    """The problem's workspaces admit one solve at a time; the service's
+    solve lock is what enforces it, whoever drains the queue."""
 
-    def test_lease_is_exclusive(self, serving_problem):
-        prob, _ = serving_problem
-        pool = WorkspacePool(prob)
-        order = []
+    def test_stacked_solves_never_overlap(self, serving_problem):
+        """Concurrent ``flush()`` callers plus the background dispatcher,
+        fp64 and mixed groups alike, run one stacked solve at a time:
+        an operator that is entered while another call is still inside
+        it reports the overlap."""
+        source, bank = serving_problem
+        prob = source.clone()
+        inside = threading.Lock()
+        overlaps: list[str] = []
 
-        def worker(tag):
-            with pool.lease(2):
-                order.append(("enter", tag))
-                time.sleep(0.03)
-                order.append(("exit", tag))
-
-        threads = [
-            threading.Thread(target=worker, args=(t,)) for t in range(3)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Strict nesting: every enter is immediately followed by its exit.
-        for i in range(0, len(order), 2):
-            assert order[i][0] == "enter" and order[i + 1][0] == "exit"
-            assert order[i][1] == order[i + 1][1]
-
-    def test_sizes_nbytes_safe_under_lease_hammer(self):
-        """Regression: sizes/nbytes used to iterate the lease dict with
-        no lock, so a stats snapshot racing a first-time lease raised
-        ``RuntimeError: dictionary changed size during iteration``.
-        Hammer first-time leases against a snapshot loop; both
-        properties must stay exception-free (stubbed workspaces keep
-        the hammer allocation-light, so insertions are rapid-fire)."""
-
-        class StubWorkspace:
-            def __init__(self, batch):
-                self.batch = batch
-
-            @property
-            def nbytes(self):
-                # Yield the GIL mid-iteration, as real nbytes arithmetic
-                # can at any bytecode boundary — deterministically opens
-                # the unlocked-iteration race instead of waiting for a
-                # lucky preemption.
-                time.sleep(0)
-                return self.batch * 8
-
-            def shutdown(self):
-                pass
-
-        class StubProblem:
-            def batch_workspace(self, batch):
-                return StubWorkspace(batch)
-
-        pool = WorkspacePool(StubProblem())
-        stop = threading.Event()
-        errors: list[BaseException] = []
-
-        def snapshotter():
-            while not stop.is_set():
+        def reentry_detecting(operator):
+            def wrapper(u, out=None):
+                alone = inside.acquire(blocking=False)
+                if not alone:
+                    overlaps.append(threading.current_thread().name)
                 try:
-                    _ = pool.nbytes
-                    _ = pool.sizes
-                except BaseException as exc:  # pragma: no cover - bug path
-                    errors.append(exc)
-                    return
-                # Brief pause between passes so lease threads make
-                # progress against the (now locked) snapshot loop.
-                time.sleep(0.0002)
+                    time.sleep(0.0002)  # hold the door open for a rival
+                    return operator(u, out=out)
+                finally:
+                    if alone:
+                        inside.release()
+            return wrapper
 
-        snap = threading.Thread(target=snapshotter)
-        snap.start()
-        try:
-            for batch in range(2, 302):  # every lease inserts a new key
-                with pool.lease(batch):
-                    pass
-                # Hand the GIL to the snapshotter between inserts so its
-                # iteration pass is live while the dict keeps growing
-                # (without this, all inserts can fit one GIL slice and
-                # the race never gets its chance to fire).
-                time.sleep(0)
-        finally:
-            stop.set()
-            snap.join()
-        assert not errors, f"snapshot raced a lease: {errors[0]!r}"
-        assert len(pool.sizes) == 300
-        assert pool.nbytes == sum(b * 8 for b in range(2, 302))
+        prob.apply_A = reentry_detecting(prob.apply_A)
+        prob.apply_A32 = reentry_detecting(prob.apply_A32)
+        tickets: dict[int, object] = {}
+        with SolveService(
+            prob, max_batch=2, max_wait=1e-4, tol=1e-8, maxiter=200,
+            background=True,
+        ) as svc:
+            def client(c):
+                for k in range(c, 12, 4):
+                    tickets[k] = svc.submit(
+                        bank[k], precision="mixed" if k % 3 == 0 else "fp64"
+                    )
+                    svc.flush()
+
+            clients = [
+                threading.Thread(target=client, args=(c,)) for c in range(4)
+            ]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in clients)
+            results = {k: t.result(timeout=120) for k, t in tickets.items()}
+        assert not overlaps, f"two solves at once, second on {overlaps[:3]}"
+        assert len(results) == 12
+        for k, got in results.items():
+            if k % 3:
+                assert_same_result(
+                    got, sequential_solve(source, bank[k], tol=1e-8)
+                )
+            else:
+                assert got.converged
+
+    def test_solve_lock_is_under_the_lock_order_tracker(self, serving_problem):
+        """``REPRO_RACECHECK=1`` wraps the solve lock like every other
+        serving lock (forced here on a subclass, whatever the env)."""
+        from repro.analysis.runtime import (
+            LockOrderGraph, TrackedLock, instrument,
+        )
+
+        prob, bank = serving_problem
+        tracked = instrument(SolveService, graph=LockOrderGraph())
+        with tracked(prob, max_batch=2, tol=1e-8) as svc:
+            assert isinstance(svc._solve_lock, TrackedLock)
+            assert svc._solve_lock.name == "SolveService._solve_lock"
+            assert all(r.converged for r in svc.solve_many(bank[:3]))
+            assert not svc._solve_lock.locked()
 
 
 class TestSolveServiceSync:
@@ -946,15 +922,3 @@ class TestMixedPrecisionService:
         with SolveService(prob, max_batch=2) as svc:
             with pytest.raises(ValueError, match="precision"):
                 svc.submit(bank[0], precision="fp32")
-
-    def test_lease_mixed_registers_twin_and_sizes_stay_int(
-        self, serving_problem
-    ):
-        prob, _ = serving_problem
-        pool = WorkspacePool(prob)
-        with pool.lease_mixed(3) as (ws, ws32):
-            assert ws.cg_x.dtype == np.float64
-            assert ws32.cg_x.dtype == np.float32
-            assert ws32.nbytes < ws.nbytes
-        assert pool.sizes == (3,)
-        assert pool.nbytes >= ws.nbytes + ws32.nbytes
