@@ -222,34 +222,6 @@ def test_bench_serve_throughput_b8(benchmark):
     svc.close()
 
 
-def test_bench_serve_sharded_throughput_b16(benchmark):
-    """Sixteen independent requests through a K=2 ShardedSolveService
-    (round-robin, max_batch=8): the horizontally-scaled serving number.
-
-    On the 1-vCPU benchmark host the two replicas timeshare one core,
-    so the fleet cannot beat a single service — the gate in
-    ``run_baseline.py`` only requires it not to fall behind (>= 0.9x
-    the single-service solves/s); on a multi-core host each replica's
-    dispatcher and BLAS own a core and the ratio is tracked, not gated
-    (``serve_sharded_vs_single_speedup`` in ``BENCH_kernels.json``)."""
-    from repro.serve import ShardedSolveService
-
-    prob, bs, _ = _serving_problem(batch=16)
-    svc = ShardedSolveService(
-        prob, replicas=2, policy="round-robin", max_batch=8,
-        max_wait=0.05, tol=0.0, maxiter=10,
-    )
-
-    def run():
-        return svc.solve_many(bs)
-
-    results = benchmark(run)
-    assert all(r.iterations == 10 for r in results)
-    benchmark.extra_info["requests_per_round"] = int(bs.shape[0])
-    benchmark.extra_info["replicas"] = 2
-    svc.close()
-
-
 def test_bench_serve_procshard_throughput_b16(benchmark):
     """Sixteen independent requests through a K=2
     ProcessShardedSolveService (round-robin, max_batch=8, default
@@ -265,7 +237,8 @@ def test_bench_serve_procshard_throughput_b16(benchmark):
     cannot beat a single in-process service — the gate in
     ``run_baseline.py`` only requires >= 0.6x.  On a multi-core host
     each worker owns a core including its Python dispatch (the ceiling
-    the thread-shard cannot pass), and the ratio is tracked, not gated
+    in-process replicas could not pass), and the ratio is tracked, not
+    gated
     (``serve_procshard_vs_single_speedup`` in ``BENCH_kernels.json``)."""
     from repro.serve import ProcessShardedSolveService
 
@@ -380,7 +353,7 @@ def test_bench_serve_costaware_tail_p99(benchmark):
     depth-only routing, same K=2 fleet, same seeded heterogeneous mix.
 
     Each wave submits 1 tight request (40 iterations) and 3 loose ones
-    (5 iterations) to a thread-sharded fleet with ``max_batch=4``.
+    (5 iterations) to a K=2 process fleet with ``max_batch=4``.
     Depth-only routing counts *requests*, so a loose request regularly
     lands in the tight request's micro-batch and pays the batch's
     max-member cost; the cost router charges each replica the model's
@@ -394,14 +367,18 @@ def test_bench_serve_costaware_tail_p99(benchmark):
     """
     import time as _time
 
-    from repro.serve import CostAwareRouter, CostModel, ShardedSolveService
+    from repro.serve import (
+        CostAwareRouter,
+        CostModel,
+        ProcessShardedSolveService,
+    )
 
     prob, bs, _ = _serving_problem()
     TIGHT_ITERS, LOOSE_ITERS, WAVES = 40, 5, 8
 
     def drill(policy):
-        svc = ShardedSolveService(
-            prob, replicas=2, policy=policy, max_batch=4,
+        svc = ProcessShardedSolveService(
+            prob, workers=2, policy=policy, max_batch=4,
             max_wait=0.003, tol=0.0, maxiter=10,
         )
         loose_lat = []

@@ -9,7 +9,7 @@ runs the full admission pipeline end to end:
    — ``flow`` (interactive: priority 2, unmetered) and ``batch``
    (throughput: rate-limited, hard quota) — and stand a
    :class:`~repro.serve.Gateway` over a K=2
-   :class:`~repro.serve.ShardedSolveService` with the ``"cost"``
+   :class:`~repro.serve.ProcessShardedSolveService` with the ``"cost"``
    routing policy,
 2. drive concurrent solves for both tenants through
    :meth:`~repro.serve.Gateway.solve` and assert every result is
@@ -41,9 +41,9 @@ from repro.serve import (
     AdmissionPolicy,
     Gateway,
     GatewayServer,
+    ProcessShardedSolveService,
     QuotaExceeded,
     RateLimited,
-    ShardedSolveService,
     TenantRegistry,
 )
 
@@ -102,8 +102,8 @@ async def main() -> None:
         "batch", rate=50.0, burst=4, quota=len(requests) + 4
     )
 
-    svc = ShardedSolveService(
-        problem, replicas=2, policy="cost", max_batch=4, max_wait=0.002,
+    svc = ProcessShardedSolveService(
+        problem, workers=2, policy="cost", max_batch=4, max_wait=0.002,
         tol=1e-10, maxiter=200,
     )
     gateway = Gateway(

@@ -511,9 +511,9 @@ def cg_solve_batched(
     -----
     Not thread-safe per workspace: the solve mutates the workspace's
     (or the operator's own) buffers in place, so one workspace/problem
-    admits one solve at a time.  Concurrent solves need distinct
-    problems (see :meth:`repro.sem.poisson.PoissonProblem.clone`) or
-    serialized access (the lock :class:`repro.serve.SolveService` holds).
+    admits one solve at a time.  Concurrent solves need one problem
+    instance per concurrent solve, or serialized access (the lock
+    :class:`repro.serve.SolveService` holds).
     """
     args = _validate(
         b, x0, precond_diag, tol, maxiter, workspace, np.dtype(dtype),

@@ -48,9 +48,10 @@ class HelmholtzProblem(SEMProblem):
         Default solve precision policy (``"fp64"`` or ``"mixed"``), as
         :class:`~repro.sem.poisson.PoissonProblem`.
 
-    Everything else — workspaces, the allocation-free pipeline, stacked
-    ``(B, n)`` inputs, ``clone`` / ``spec`` / ``solve`` — is the core's
-    (see :class:`~repro.sem.problem.SEMProblem`).
+    Everything else — workspaces (one problem instance per concurrent
+    solve), the allocation-free pipeline, stacked ``(B, n)`` inputs,
+    ``spec`` / ``solve`` — is the core's (see
+    :class:`~repro.sem.problem.SEMProblem`).
     """
 
     kind: ClassVar[str] = "helmholtz"

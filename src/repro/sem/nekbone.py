@@ -18,7 +18,6 @@ the gather-scatter additions counted once per interface DOF).
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import InitVar, dataclass, field
 from typing import ClassVar
@@ -161,24 +160,6 @@ class NekboneCase:
         return self.problem.solve(
             b, tol=tol, maxiter=maxiter, x0=x0, precision=precision
         )
-
-    def clone(self) -> "NekboneCase":
-        """A solve replica delegating to ``problem.clone()``.
-
-        The replica's :class:`~repro.sem.poisson.PoissonProblem` shares
-        the source's immutable geometry/gather-scatter state but owns
-        fresh workspaces, so a
-        :class:`repro.serve.shard.ShardedSolveService` can solve through
-        ``K`` Nekbone replicas concurrently.
-
-        Returns
-        -------
-        NekboneCase
-            An independent-solve replica of this case.
-        """
-        twin = copy.copy(self)
-        twin.problem = self.problem.clone()
-        return twin
 
     def spec(self):
         """A picklable :class:`~repro.sem.spec.ProblemSpec` (see

@@ -48,11 +48,11 @@ class PoissonProblem(SEMProblem):
         :meth:`solve` takes and the default the serving layer inherits;
         either precision can still be requested per solve.
 
-    Workspaces, the one backend call form, ``clone`` / ``spec`` /
-    ``solve`` and the operator pipeline are the core's (see
-    :class:`~repro.sem.problem.SEMProblem`); this class adds the
-    Dirichlet mask, applied to the input before the scatter and to the
-    result after the gather.
+    Workspaces (one problem instance per concurrent solve), the one
+    backend call form, ``spec`` / ``solve`` and the operator pipeline
+    are the core's (see :class:`~repro.sem.problem.SEMProblem`); this
+    class adds the Dirichlet mask, applied to the input before the
+    scatter and to the result after the gather.
     """
 
     kind: ClassVar[str] = "poisson"

@@ -4,7 +4,7 @@ The paper runs the Poisson operator and its BK5/Helmholtz variant ("one
 more geometric factor") through one accelerator pipeline; so does this
 module.  :class:`SEMProblem` holds everything the two global problems
 share — the constructor tail, the workspaces, the Jacobi-diagonal cache,
-``clone`` / ``spec`` / ``export_shared`` / ``solve`` / ``l2_error`` and
+``spec`` / ``export_shared`` / ``solve`` / ``l2_error`` and
 the single operator pipeline :meth:`SEMProblem._apply`.
 :class:`~repro.sem.poisson.PoissonProblem` supplies the Dirichlet mask
 (``_mask``) and a diagonal with unit boundary rows;
@@ -17,7 +17,6 @@ gather-scatter, the geometry and the mask, and nothing else.
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -148,39 +147,6 @@ class SEMProblem:
         if self._precond_diag is None:
             self._precond_diag = getattr(self, self._DIAGONAL)()
         return self._precond_diag
-
-    def clone(self):
-        """A solve replica sharing this problem's immutable state.
-
-        Sharding (:class:`repro.serve.shard.ShardedSolveService`) needs
-        ``K`` problem instances that can each carry one solve at a time
-        *concurrently* — but rebuilding geometry and the gather-scatter
-        maps per replica would multiply setup cost and memory for data
-        that never changes.  The clone therefore shares everything
-        immutable — mesh, :class:`~repro.sem.geometry.Geometry`, the
-        (stateless) :class:`~repro.sem.gather_scatter.GatherScatter`
-        with its dtype twins, any mask, the resolved backend, and the
-        (force-computed) Jacobi diagonal — while owning the mutable
-        per-solve state: a fresh
-        :class:`~repro.sem.workspace.SolverWorkspace` and an empty
-        batched-workspace cache.
-
-        Returns
-        -------
-        SEMProblem
-            A replica of the same class, safe to solve through
-            concurrently with ``self`` (no mutable buffers are shared).
-        """
-        # Share-by-default via a shallow copy, then replace exactly the
-        # mutable per-solve state: fields added later are shared
-        # automatically instead of silently dropped.
-        twin = copy.copy(self)
-        # Force the diagonal once on the source so every replica shares
-        # a single assembled (read-only) array.
-        twin._precond_diag = self.precond_diag()
-        twin.workspace = SolverWorkspace.for_mesh(self.mesh)
-        twin._batch_workspaces = {}
-        return twin
 
     def spec(self):
         """A picklable :class:`~repro.sem.spec.ProblemSpec` of this problem.

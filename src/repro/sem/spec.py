@@ -138,8 +138,7 @@ class ProblemSpec:
 class ProblemParts:
     """Prebuilt immutable state handed to a problem's constructor.
 
-    The ``_parts`` hand-off of :func:`rebuild` (mirroring
-    ``ShardedSolveService``'s ``_problems``): when present, the problem
+    The ``_parts`` hand-off of :func:`rebuild`: when present, the problem
     adopts these instead of recomputing, so attached shared-memory state
     flows into the ordinary constructors without a second code path.
     """

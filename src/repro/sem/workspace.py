@@ -112,8 +112,8 @@ class SolverWorkspace:
     -------------
     One workspace admits one (possibly batched) solve at a time — the
     buffers are reused in place across calls.  Give each concurrent
-    solver its own workspace (the problems' ``clone()`` does exactly
-    this) or serialize access with a lock, as
+    solver its own workspace (one problem instance per concurrent
+    solve) or serialize access with a lock, as
     :class:`repro.serve.SolveService` does around every stacked solve.
     """
 

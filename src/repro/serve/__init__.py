@@ -11,20 +11,17 @@ in three tiers:
   most ``max_wait`` — into warm
   :func:`~repro.sem.cg.cg_solve_batched` dispatches through the
   problem's cache of batched workspaces, one solve at a time.
-* :class:`ShardedSolveService` — K replica services (one problem clone,
-  solve lock and dispatcher thread each) behind a pluggable router:
-  ``tenant`` (consistent hashing — a tenant's requests batch together),
-  ``least-loaded`` or ``round-robin``, with watermark rebalancing and
-  aggregate fleet stats.
-* :class:`ProcessShardedSolveService` — the same routing front
-  (:mod:`repro.serve.fleet`: shared code, not a copy) over K worker
-  *processes* (:mod:`repro.serve.replica`: one worker slot, both ends
-  of its wire protocol), each rebuilding the problem from a picklable spec
+* :class:`ProcessShardedSolveService` — K worker *processes*
+  (:mod:`repro.serve.replica`: one worker slot, both ends of its wire
+  protocol) behind a pluggable router: ``tenant`` (consistent hashing —
+  a tenant's requests batch together), ``least-loaded``,
+  ``round-robin`` or ``cost``, with watermark rebalancing and aggregate
+  fleet stats.  Each worker rebuilds the problem from a picklable spec
   with the big immutable arrays attached zero-copy from shared memory
-  (one physical copy of the geometry across the fleet); lifts the
-  pure-Python dispatch ceiling the thread-shard hits on many-core
-  hosts.
-* :class:`AsyncSolveService` — an asyncio facade over any of them: ``await
+  (one physical copy of the geometry across the fleet) and runs its own
+  ``SolveService`` under its own GIL — which is why it scales where
+  in-process replicas do not (``docs/serving.md`` has the table).
+* :class:`AsyncSolveService` — an asyncio facade over either: ``await
   svc.solve(b)`` suspends the coroutine until the dispatcher resolves
   the ticket (``loop.call_soon_threadsafe``, no busy-waiting).
 
@@ -61,16 +58,16 @@ dependency-free HTTP/1.1 + WebSocket wire protocol in front of it.
 Quick taste::
 
     from repro.sem import BoxMesh, PoissonProblem, ReferenceElement
-    from repro.serve import ShardedSolveService
+    from repro.serve import ProcessShardedSolveService
 
     problem = PoissonProblem(mesh, ax_backend="matmul")
-    with ShardedSolveService(problem, replicas=2, policy="tenant") as svc:
+    with ProcessShardedSolveService(problem, workers=2) as svc:
         tickets = [svc.submit(b, key=tenant) for tenant, b in stream]
         results = [t.result() for t in tickets]
         print(svc.stats.solves_per_second, svc.queue_depths)
 
 See ``docs/serving.md`` for the full tour (single solve -> warm
-workspace -> batched -> service -> sharded/async).
+workspace -> batched -> service -> process fleet -> async/gateway).
 """
 
 from repro.serve.asyncio_front import AsyncSolveService
@@ -112,7 +109,6 @@ from repro.serve.scheduler import (
     resolve_router,
 )
 from repro.serve.service import SolveService, SolveTicket
-from repro.serve.shard import ShardedSolveService
 from repro.serve.stats import (
     ServiceStats,
     StatsSnapshot,
@@ -122,7 +118,6 @@ from repro.serve.stats import (
 
 __all__ = [
     "SolveService",
-    "ShardedSolveService",
     "ProcessShardedSolveService",
     "AsyncSolveService",
     "SolveTicket",

@@ -17,9 +17,8 @@ The bridge works ticket-by-ticket:
    reports backpressure (a queue at ``max_pending``, a process-fleet
    ring with no free slot) does the blocking ``service.submit`` run on
    the loop's default executor, so a full queue parks this one
-   coroutine and never the loop itself.  Every tier takes this one
-   path: :class:`~repro.serve.service.SolveService`,
-   :class:`~repro.serve.shard.ShardedSolveService` and
+   coroutine and never the loop itself.  Both tiers take this one
+   path: :class:`~repro.serve.service.SolveService` and
    :class:`~repro.serve.procshard.ProcessShardedSolveService`;
 2. a done-callback on the returned
    :class:`~repro.serve.service.SolveTicket` fires on the *dispatcher*
@@ -57,9 +56,9 @@ class AsyncSolveService:
     service:
         A :class:`~repro.serve.service.SolveService` with
         ``background=True`` or a
-        :class:`~repro.serve.shard.ShardedSolveService` (whose replicas
-        always run background dispatchers).  Background dispatch is
-        *required*, not advised: nothing on the asyncio side ever
+        :class:`~repro.serve.procshard.ProcessShardedSolveService`
+        (whose workers always run background dispatchers).  Background
+        dispatch is *required*, not advised: nothing on the asyncio side ever
         flushes, so a foreground service would strand a lingering
         partial batch — and the futures awaiting it — forever.  The
         front-end does not own the service unless it closes it: leaving
@@ -84,19 +83,20 @@ class AsyncSolveService:
         if missing:
             raise TypeError(
                 f"service {type(service).__name__} lacks {missing}; "
-                "expected a SolveService or ShardedSolveService"
+                "expected a SolveService or ProcessShardedSolveService"
             )
         # A foreground SolveService never dispatches partial batches on
         # its own, and no coroutine here ever flushes — awaiting such a
         # service would hang forever on the first non-full batch.
-        # (ShardedSolveService has no `background` attribute; its
-        # replicas always run dispatchers.)
+        # (ProcessShardedSolveService has no `background` attribute;
+        # its workers always run dispatchers.)
         if getattr(service, "background", True) is False:
             raise ValueError(
                 "AsyncSolveService requires a background-dispatching "
                 "service (SolveService(..., background=True) or a "
-                "ShardedSolveService); a foreground service would leave "
-                "partial batches — and their awaited futures — unresolved"
+                "ProcessShardedSolveService); a foreground service would "
+                "leave partial batches — and their awaited futures — "
+                "unresolved"
             )
         self.service = service
 

@@ -1,7 +1,7 @@
-"""The serving stack's failure vocabulary — one taxonomy, four fronts.
+"""The serving stack's failure vocabulary — one taxonomy, three fronts.
 
 Every serving tier (:class:`~repro.serve.service.SolveService`, the
-thread shard, the process shard, and the asyncio facade) surfaces the
+process fleet, and the asyncio facade) surfaces the
 same small set of errors, so a client written against one front handles
 failures from all of them:
 
@@ -53,9 +53,8 @@ class QueueClosed(RuntimeError):
 
 
 class ServiceClosed(QueueClosed):
-    """Submit on a closed service — raised uniformly by all four
+    """Submit on a closed service — raised uniformly by all three
     serving fronts (:class:`~repro.serve.service.SolveService`,
-    :class:`~repro.serve.shard.ShardedSolveService`,
     :class:`~repro.serve.procshard.ProcessShardedSolveService`,
     :class:`~repro.serve.asyncio_front.AsyncSolveService`) once
     ``close()`` has begun.  Not retryable: the service is gone."""

@@ -23,10 +23,8 @@ every supervision decision bit-for-bit in CI.  A deployment that needs
 decorrelated restarts across many hosts can subclass and override
 :meth:`RetryPolicy.backoff` / :meth:`RestartPolicy.backoff`.
 
-The thread shard (:class:`~repro.serve.shard.ShardedSolveService`) uses
-:class:`FleetHealth` too — its replicas cannot crash, but operators can
-:meth:`~FleetHealth.eject` one for maintenance and routing will steer
-around it.
+Operators drive :class:`FleetHealth` too: :meth:`~FleetHealth.eject` a
+healthy worker slot for maintenance and routing will steer around it.
 
 :class:`AdmissionPolicy` is the gateway-side extension of the same
 idea: the fleet's ``shed_watermark`` is its last line of defence, but a

@@ -1,10 +1,11 @@
 """Process-level sharded serving with worker supervision and respawn.
 
-:class:`~repro.serve.shard.ShardedSolveService` replicates *within* one
-process: its replicas' BLAS and large ufuncs release the GIL, but the
-pure-Python dispatch path — routing, ticket resolution, stats — still
-serializes on it, which caps scaling on many-core hosts.
-:class:`ProcessShardedSolveService` lifts that ceiling: ``K`` worker
+One :class:`~repro.serve.service.SolveService` owns one problem and one
+warm queue: its ceiling is one core's, and replicating it *within* the
+process loses to a single service (the pure-Python dispatch path —
+routing, ticket resolution, stats — serializes on the GIL; see the
+scaling table in ``docs/serving.md``).
+:class:`ProcessShardedSolveService` is the fleet: ``K`` worker
 *processes*, each running a warm in-process
 :class:`~repro.serve.service.SolveService` (own GIL, own dispatcher
 thread, own workspaces) over a problem rebuilt from a picklable
@@ -19,16 +20,15 @@ quadrature arrays, the Jacobi diagonal) are exported **once** into
 every worker.  ``K`` processes, one physical copy of the geometry —
 instead of ``K`` rebuilt or pickled duplicates.
 
-Admission and routing are the thread-shard's, literally: both classes
-extend :class:`~repro.serve.fleet.FleetFront` (policy routers, the
-``queue_watermark`` + ``on_overload`` diversion, the shed gate and the
-health-gated pick step); a parent-side reader bridges replies back into
+Admission and routing happen parent-side (policy routers, the
+``queue_watermark`` diversion, the shed gate and the health-gated pick
+step); a parent-side reader bridges replies back into
 :class:`~repro.serve.service.SolveTicket`\\ s, so the client API is
-identical to the in-process shard's.  Because every worker rebuilds the
-*same* problem from the *same* shared arrays and runs the identical CG
-path, per-request results are bit-identical to a sequential warm
-:func:`~repro.sem.cg.cg_solve` under every routing policy — the same
-contract the in-process shard tests.  Solves are **pure**: retrying a
+:class:`~repro.serve.service.SolveService`'s plus a routing ``key``.
+Because every worker rebuilds the *same* problem from the *same* shared
+arrays and runs the identical CG path, per-request results are
+bit-identical to a sequential warm :func:`~repro.sem.cg.cg_solve` under
+every routing policy.  Solves are **pure**: retrying a
 crashed request on a different worker returns the *same bits* the dead
 worker would have produced, which is what makes transparent retry safe.
 
@@ -77,7 +77,7 @@ Self-healing (the fleet is always supervised):
   and only when the time budget runs out does it see
   :class:`~repro.serve.errors.DeadlineExceeded`.
 * **Health-gated routing + admission control.**  Routing never targets
-  a ``DEGRADED``/``EJECTED`` worker (the shared
+  a ``DEGRADED``/``EJECTED`` worker (the
   :func:`~repro.serve.scheduler.pick_with_diversion` health gate);
   with ``shed_watermark`` set, submits are shed with retryable
   :class:`~repro.serve.errors.Overloaded` once every *healthy*
@@ -115,8 +115,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import threading
 import time
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -127,20 +129,35 @@ from repro.serve.chaos import FaultInjector, FaultPlan
 from repro.serve.errors import (
     DeadlineExceeded,
     FleetUnavailable,
+    Overloaded,
     ServiceClosed,
     WorkerCrashed,
 )
-from repro.serve.fleet import _UNSET, FleetFront, OverloadHook
-from repro.serve.health import HealthState, RestartPolicy, RetryPolicy
+from repro.serve.health import (
+    FleetHealth,
+    HealthState,
+    RestartPolicy,
+    RetryPolicy,
+)
 from repro.serve.replica import MAX_RING_SLOTS, Replica, _Inflight, unstage
-from repro.serve.scheduler import Router, attach_cost_feedback
+from repro.serve.scheduler import (
+    Router,
+    attach_cost_feedback,
+    pick_with_diversion,
+    resolve_router,
+)
 from repro.serve.service import SolveTicket, _WouldBlock, check_request
-from repro.serve.stats import StatsSnapshot, perf_epoch_offset
+from repro.serve.stats import StatsSnapshot, merge_snapshots, perf_epoch_offset
 
 __all__ = ["ProcessShardedSolveService"]
 
+#: Sentinel for "defer to SolveService's own default", so the workers'
+#: service knobs have exactly one source of defaults (the
+#: :class:`~repro.serve.service.SolveService` dataclass).
+_UNSET: object = object()
 
-class ProcessShardedSolveService(FleetFront):
+
+class ProcessShardedSolveService:
     """Route solve requests across ``K`` supervised worker *processes*.
 
     Parameters
@@ -159,23 +176,34 @@ class ProcessShardedSolveService(FleetFront):
         Number of worker processes (``K >= 1``), one per core being the
         intended deployment.
     policy:
-        ``"tenant"``, ``"least-loaded"``, ``"round-robin"``, or a ready
-        :class:`~repro.serve.scheduler.Router` sized for ``workers`` —
-        the same policies, with the same semantics, as the in-process
-        :class:`~repro.serve.shard.ShardedSolveService`.
+        ``"tenant"`` (consistent hash on the request's routing key, so
+        one tenant's requests meet in one worker's queue and coalesce
+        into the same batches), ``"least-loaded"`` (live depths),
+        ``"round-robin"``, ``"cost"`` (predicted-work placement via
+        :class:`~repro.serve.costmodel.CostAwareRouter`), or a ready
+        :class:`~repro.serve.scheduler.Router` sized for ``workers``.
     max_batch / max_wait / max_pending / tol / maxiter / precision:
         Forwarded to every worker's in-process
         :class:`~repro.serve.service.SolveService`; omitted knobs take
-        that dataclass's own defaults (the shared
-        :class:`~repro.serve.fleet.FleetFront` forwards only what was
-        set, so there is exactly one set of defaults).
-    queue_watermark / on_overload / shed_watermark:
-        Watermark diversion and the admission-control shed point, as in
-        the thread-shard (one implementation serves both).  Depths here
-        count *in-flight* requests per worker (submitted, not yet
-        resolved) — the parent cannot cheaply observe a worker's
-        internal queue, and in-flight is the quantity backpressure
-        actually acts on.
+        that dataclass's own defaults (only what was set is forwarded,
+        so there is exactly one set of defaults).
+    queue_watermark:
+        Optional rebalancing threshold: when routing picks a worker
+        whose depth has reached it, the request diverts to the
+        least-loaded healthy worker instead of piling on (counted in
+        :attr:`rebalanced`).  ``None`` disables diversion — the
+        router's pick is final.  Depths count *in-flight* requests per
+        worker (submitted, not yet resolved) — the parent cannot
+        cheaply observe a worker's internal queue, and in-flight is the
+        quantity backpressure actually acts on.
+    shed_watermark:
+        Optional admission-control threshold: when *every* healthy
+        worker's depth has reached it, ``submit`` raises the retryable
+        :class:`~repro.serve.errors.Overloaded` instead of queueing —
+        refusing work the surviving capacity cannot absorb in time,
+        rather than queueing into timeout storms.  ``None`` (the
+        default) never sheds.  Must be ``>= queue_watermark`` when both
+        are set (diversion rebalances *below* the shed point).
     retry:
         :class:`~repro.serve.health.RetryPolicy` governing transparent
         resubmission of requests lost to a worker crash (solves are
@@ -234,8 +262,6 @@ class ProcessShardedSolveService(FleetFront):
     #: recoverable (a respawn is pending) — requeue rather than fail.
     RETRY_REQUEUE_WAIT: float = 0.05
 
-    _noun = "worker"
-
     def __init__(
         self,
         problem: object,
@@ -248,7 +274,6 @@ class ProcessShardedSolveService(FleetFront):
         maxiter: "int | object" = _UNSET,
         precision: "str | object" = _UNSET,
         queue_watermark: int | None = None,
-        on_overload: OverloadHook | None = None,
         shed_watermark: int | None = None,
         retry: RetryPolicy = RetryPolicy(),
         restart: RestartPolicy = RestartPolicy(),
@@ -257,6 +282,24 @@ class ProcessShardedSolveService(FleetFront):
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if queue_watermark is not None and queue_watermark < 1:
+            raise ValueError(
+                f"queue_watermark must be >= 1, got {queue_watermark}"
+            )
+        if shed_watermark is not None:
+            if shed_watermark < 1:
+                raise ValueError(
+                    f"shed_watermark must be >= 1, got {shed_watermark}"
+                )
+            if (
+                queue_watermark is not None
+                and shed_watermark < queue_watermark
+            ):
+                raise ValueError(
+                    f"shed_watermark ({shed_watermark}) must be >= "
+                    f"queue_watermark ({queue_watermark}): diversion "
+                    "rebalances below the shed point"
+                )
         if not 1 <= ring_slots <= MAX_RING_SLOTS:
             raise ValueError(
                 f"ring_slots must be in [1, {MAX_RING_SLOTS}], got "
@@ -278,12 +321,28 @@ class ProcessShardedSolveService(FleetFront):
                 "spec (PoissonProblem, HelmholtzProblem and NekboneCase "
                 "all provide it)"
             )
-        super().__init__(
-            workers, policy, queue_watermark, on_overload, shed_watermark,
-            max_batch=max_batch, max_wait=max_wait,
-            max_pending=max_pending, tol=tol, maxiter=maxiter,
-            precision=precision,
+        self.policy = (
+            policy if isinstance(policy, str) else type(policy).__name__
         )
+        self.queue_watermark = queue_watermark
+        self.shed_watermark = shed_watermark
+        self.health = FleetHealth(workers)
+        self._router = resolve_router(policy, workers)
+        self._least_loaded = resolve_router("least-loaded", workers)
+        knobs = dict(
+            max_batch=max_batch, max_wait=max_wait, max_pending=max_pending,
+            tol=tol, maxiter=maxiter, precision=precision,
+        )
+        self._forwarded = {
+            name: value for name, value in knobs.items()
+            if value is not _UNSET
+        }
+        self._lock = threading.Lock()
+        self._routed = [0] * workers  # guarded-by: _lock
+        self._rebalanced = 0  # guarded-by: _lock
+        self._health_diverted = 0  # guarded-by: _lock
+        self._shed = 0  # guarded-by: _lock
+        self._closed = False  # guarded-by: _lock
         self.workers = workers
         self.ring_slots = ring_slots
         self.retry = retry
@@ -628,6 +687,73 @@ class ProcessShardedSolveService(FleetFront):
                     "submit on a closed process-sharded service"
                 )
 
+    def _admit(
+        self,
+        key: object | None,
+        planned: Sequence[int] | None = None,
+        shed: bool = True,
+    ) -> tuple[int, bool, bool]:
+        """Admit and route one request: health mask → depth sample →
+        shed gate → :func:`~repro.serve.scheduler.pick_with_diversion`.
+
+        ``planned`` counts, per worker, requests the caller has routed
+        but not yet handed over (a block being planned); they are added
+        to the live depths so the decision sees what per-request
+        submission would have accumulated.  ``shed=False`` skips the
+        gate for the later requests of a block admitted whole on its
+        first.  Returns ``(worker, rebalanced, health_diverted)`` for
+        the caller to book with :meth:`_count` once its hand-over
+        decides they count.  Raises
+        :class:`~repro.serve.errors.Overloaded` (counted in
+        :attr:`shed`) when every healthy worker's depth has reached
+        ``shed_watermark``, :class:`~repro.serve.errors.FleetUnavailable`
+        when no worker is in rotation.
+        """
+        mask = self.health.mask()
+        healthy = None if all(mask) else mask
+        # Sampling depths takes every replica's state lock; skip it on
+        # the hot path when neither the policy, a watermark, admission
+        # control nor health steering reads it.
+        if (
+            self._router.uses_depths
+            or self.queue_watermark is not None
+            or self.shed_watermark is not None
+            or healthy is not None
+        ):
+            depths = self.queue_depths
+            if planned is not None:
+                depths = tuple(map(operator.add, depths, planned))
+        else:
+            depths = (0,) * len(mask)
+        if shed and self.shed_watermark is not None:
+            admitting = [d for d, ok in zip(depths, mask) if ok]
+            if admitting and min(admitting) >= self.shed_watermark:
+                with self._lock:
+                    self._shed += 1
+                raise Overloaded(
+                    "every healthy worker's queue is at the shed "
+                    f"watermark ({self.shed_watermark}); retry after "
+                    "backoff"
+                )
+        return pick_with_diversion(
+            self._router, self._least_loaded, key, depths,
+            self.queue_watermark, healthy=healthy,
+        )
+
+    def _count(
+        self,
+        target: int,
+        routed: int = 1,
+        rebalanced: bool = False,
+        health_diverted: bool = False,
+    ) -> None:
+        """Book ``routed`` requests handed to ``target`` and the
+        diversions that steered them there."""
+        with self._lock:
+            self._routed[target] += routed
+            self._rebalanced += rebalanced
+            self._health_diverted += health_diverted
+
     def _hand_over(
         self,
         chosen: int,
@@ -636,10 +762,15 @@ class ProcessShardedSolveService(FleetFront):
     ) -> None:
         """:meth:`~repro.serve.replica.Replica.dispatch` a group to
         worker ``chosen`` and do what the fleet owes a registered
-        request: book it as routed, and arm the deadline watchdog
-        (which is also what eventually fails a chaos-*dropped* send).
+        request: book it as routed, arm the deadline watchdog (which is
+        also what eventually fails a chaos-*dropped* send), and — on
+        its first registration only, a retry keeps its charge — wire it
+        into the router's cost feedback.
         Raises what ``dispatch`` raises — before anything registered."""
         replica = self._workers[chosen]
+        # Read before dispatch registers them: until then the caller
+        # alone holds these requests.
+        fresh = [inf for inf in inflights if inf.attempts == 0]
         tokens = replica.dispatch(inflights, acquire_timeout)
         now = time.monotonic()
         for token, inf in zip(tokens, inflights):
@@ -648,10 +779,15 @@ class ProcessShardedSolveService(FleetFront):
                     max(inf.deadline_at - now, 0.0) + self.EXPIRE_GRACE,
                     ("expire", replica, token, inf),
                 )
+        for inf in fresh:
+            attach_cost_feedback(
+                self._router, inf.ticket, chosen, inf.key, inf.tol,
+                inf.precision,
+            )
         self._count(chosen, len(inflights))
 
     # ------------------------------------------------------------------
-    # Client API (mirrors ShardedSolveService)
+    # Client API
     # ------------------------------------------------------------------
     def submit(
         self,
@@ -675,8 +811,10 @@ class ProcessShardedSolveService(FleetFront):
         tol / maxiter:
             Per-request overrides of the workers' service defaults.
         key:
-            Routing key (tenant id) — semantics identical to
-            :meth:`repro.serve.shard.ShardedSolveService.submit`.
+            Routing key (tenant id).  The ``tenant`` policy hashes it to
+            pick the worker (keyless requests fall back to
+            round-robin); ``cost`` predicts work from it; the other
+            policies ignore it.
         deadline:
             Optional time budget in seconds (relative to now).  An
             expired request fails its ticket with
@@ -720,7 +858,7 @@ class ProcessShardedSolveService(FleetFront):
         Notes
         -----
         Blocks only while the routed worker's ring is full (that is the
-        backpressure); :meth:`~repro.serve.fleet.FleetFront.try_submit`
+        backpressure); :meth:`try_submit`
         returns ``None`` there instead, which is what lets the asyncio
         front submit to this tier from the loop thread too.  The
         doorbell write itself does not wait: at most ``ring_slots``
@@ -736,7 +874,7 @@ class ProcessShardedSolveService(FleetFront):
             None if deadline is None else time.monotonic() + deadline
         )
         inflight = _Inflight(
-            SolveTicket(), b, tol, maxiter, deadline_at, precision
+            SolveTicket(), b, tol, maxiter, deadline_at, precision, key
         )
         try:
             self._hand_over(chosen, [inflight], None if _block else 0.0)
@@ -750,10 +888,21 @@ class ProcessShardedSolveService(FleetFront):
             self._orphaned(inflight, exc)
         if rebalanced or diverted:
             self._count(chosen, 0, rebalanced, diverted)
-        attach_cost_feedback(
-            self._router, inflight.ticket, chosen, key, tol, precision,
-        )
         return inflight.ticket
+
+    def try_submit(self, b, **knobs) -> SolveTicket | None:
+        """:meth:`submit` that never waits for room: ``None`` where it
+        would park — the routed worker's ring full (see
+        :meth:`SolveService.try_submit
+        <repro.serve.service.SolveService.try_submit>`).  The request
+        is routed as usual, a refused attempt is counted nowhere, and
+        shed, closed and unavailable fleets still raise."""
+        try:
+            # Through self.submit, not around it: a wrapper put on
+            # ``submit`` must see every request.
+            return self.submit(b, **knobs, _block=False)
+        except _WouldBlock:
+            return None
 
     def solve_many(
         self,
@@ -775,7 +924,10 @@ class ProcessShardedSolveService(FleetFront):
         on its first request.  A group lost to a dying worker is
         transparently redispatched under the retry policy.
         """
-        self._check_keys(keys, bs)
+        if keys is not None and len(keys) != len(bs):
+            raise ValueError(
+                f"keys length {len(keys)} != number of requests {len(bs)}"
+            )
         validated = [
             self._validate_request(b, tol, maxiter, deadline, precision)
             for b in bs
@@ -785,24 +937,25 @@ class ProcessShardedSolveService(FleetFront):
         groups: dict[int, list] = {}
         order: list[tuple[int, int]] = []
         for i, item in enumerate(validated):
+            key = None if keys is None else keys[i]
             chosen, rebalanced, diverted = self._admit(
-                None if keys is None else keys[i], planned, shed=i == 0
+                key, planned, shed=i == 0
             )
             if rebalanced or diverted:
                 self._count(chosen, 0, rebalanced, diverted)
             planned[chosen] += 1
             slot = groups.setdefault(chosen, [])
             order.append((chosen, len(slot)))
-            slot.append(item)
+            slot.append((*item, key))
         now = time.monotonic()
         dispatched: dict[int, list[_Inflight]] = {}
         for chosen, items in groups.items():
             inflights = [
                 _Inflight(
                     SolveTicket(), vb, vtol, vmi,
-                    None if vdl is None else now + vdl, vprec,
+                    None if vdl is None else now + vdl, vprec, key,
                 )
-                for vb, vtol, vmi, vdl, vprec in items
+                for vb, vtol, vmi, vdl, vprec, key in items
             ]
             dispatched[chosen] = inflights
             try:
@@ -858,9 +1011,50 @@ class ProcessShardedSolveService(FleetFront):
             replica.join(self.JOIN_TIMEOUT)
         self._export.close(unlink=True)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def closed(self) -> bool:
+        """True once ``close`` has begun; late submits raise
+        :class:`~repro.serve.errors.ServiceClosed`."""
+        with self._lock:
+            return self._closed
+
+    @property
+    def routed(self) -> tuple[int, ...]:
+        """Requests handed to each worker (diversions land on the
+        worker they were diverted *to*; a retry counts again on the
+        worker that served the redispatch)."""
+        with self._lock:
+            return tuple(self._routed)
+
+    @property
+    def rebalanced(self) -> int:
+        """Requests diverted off their routed worker by the watermark."""
+        with self._lock:
+            return self._rebalanced
+
+    @property
+    def health_diverted(self) -> int:
+        """Requests steered off an out-of-rotation worker by health
+        gating (distinct from watermark :attr:`rebalanced`)."""
+        with self._lock:
+            return self._health_diverted
+
+    @property
+    def shed(self) -> int:
+        """Requests refused at admission with
+        :class:`~repro.serve.errors.Overloaded`."""
+        with self._lock:
+            return self._shed
+
     @property
     def spec(self):
         """The picklable :class:`~repro.sem.spec.ProblemSpec` workers
@@ -916,13 +1110,28 @@ class ProcessShardedSolveService(FleetFront):
             for snapshot, worker_offset in self._ask_live("stats")
         )
 
-    def _fleet_counters(self) -> dict[str, int]:  # requires-lock: _lock
-        """The shared ``shed`` plus this tier's resilience counters
-        (parent-side ``expired``: requests the watchdog or a crash
-        failed on their deadline, which no worker counted)."""
-        return {
-            **super()._fleet_counters(),
-            "expired": self._expired,
-            "retries": self._retried,
-            "restarts": self._restarts,
-        }
+    @property
+    def stats(self) -> StatsSnapshot:
+        """Aggregate fleet snapshot (see
+        :func:`~repro.serve.stats.merge_snapshots`): the live workers'
+        counters sum, ``wall_seconds`` spans the earliest submission to
+        the latest completion across them, so ``solves_per_second``
+        reads as fleet throughput — plus the outcomes decided here,
+        which no worker saw (``shed``, ``retries``, ``restarts`` and
+        parent-side ``expired``: requests the watchdog or a crash
+        failed on their deadline), added to whatever the workers
+        reported."""
+        merged = merge_snapshots(self.replica_stats)
+        with self._lock:
+            extra = {
+                "shed": self._shed,
+                "expired": self._expired,
+                "retries": self._retried,
+                "restarts": self._restarts,
+            }
+        if any(extra.values()):
+            merged = replace(merged, **{
+                name: getattr(merged, name) + count
+                for name, count in extra.items()
+            })
+        return merged

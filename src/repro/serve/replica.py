@@ -354,7 +354,8 @@ class _Inflight:
     the absolute deadline is a complete resubmission recipe; the ticket
     is the one client-visible object and survives every redispatch.
     ``attempts`` counts registrations with a worker (incremented by
-    :meth:`Replica.dispatch` as it registers).
+    :meth:`Replica.dispatch` as it registers); ``key`` is the routing
+    key, which the fleet's cost feedback reads at the first of them.
 
     ``staged`` is ``(ring, ordinal, slot)`` while the request is parked
     in a worker's :class:`~repro.sem.shared.SlotRing` (``b`` then
@@ -365,11 +366,12 @@ class _Inflight:
 
     __slots__ = (
         "ticket", "b", "tol", "maxiter", "deadline_at", "precision",
-        "attempts", "staged",
+        "key", "attempts", "staged",
     )
 
     def __init__(
-        self, ticket, b, tol, maxiter, deadline_at, precision=None
+        self, ticket, b, tol, maxiter, deadline_at, precision=None,
+        key=None,
     ) -> None:
         self.ticket = ticket
         self.b = b
@@ -377,6 +379,7 @@ class _Inflight:
         self.maxiter = maxiter
         self.deadline_at = deadline_at  # time.monotonic() absolute, or None
         self.precision = precision  # "fp64" / "mixed" / None (worker default)
+        self.key = key
         self.attempts = 0
         self.staged = None
 

@@ -14,8 +14,9 @@ variable, one deque); the policy loop that calls :meth:`take_batch`
 lives in :class:`~repro.serve.service.SolveService`.
 
 This module also hosts the *routing* policies of the sharded service
-(:class:`~repro.serve.shard.ShardedSolveService`): given ``K`` replica
-queues, a :class:`Router` decides which replica a request lands on —
+(:class:`~repro.serve.procshard.ProcessShardedSolveService`): given
+``K`` replica queues, a :class:`Router` decides which replica a request
+lands on —
 :class:`TenantRouter` (consistent hashing, so one tenant's requests
 always meet in the same queue and coalesce into the same batches),
 :class:`LeastLoadedRouter` (live queue depths), and
@@ -534,7 +535,8 @@ def attach_cost_feedback(
 ) -> None:
     """Wire one admitted request into the router's cost-feedback loop.
 
-    The shard tiers call this right after a routed submit is accepted.
+    The process fleet calls this as a routed request is first
+    registered with a worker.
     Routers that implement the duck-typed cost protocol
     (``begin_request``/``finish_request`` — see
     :class:`~repro.serve.costmodel.CostAwareRouter`) get the request's
@@ -587,22 +589,18 @@ def pick_with_diversion(
     key: object | None,
     depths: Sequence[int],
     queue_watermark: int | None,
-    on_overload,
-    noun: str = "replica",
     healthy: Sequence[bool] | None = None,
 ) -> tuple[int, bool, bool]:
     """One routed pick plus health gating and the watermark diversion.
 
-    The single implementation of the shard tiers' routing step
-    (:class:`~repro.serve.shard.ShardedSolveService` and
-    :class:`~repro.serve.procshard.ProcessShardedSolveService` both
-    call it): ask ``router`` for a target; when the target is not
-    healthy, steer to the shallowest healthy queue; and when the final
-    target's depth has reached ``queue_watermark``, divert via
-    ``on_overload`` (or ``fallback``, typically least-loaded) instead
-    of piling on.  Health always wins: a diversion target — including
-    one named by the ``on_overload`` hook — that is unhealthy is
-    re-steered to the shallowest healthy queue.
+    The routing step of
+    :class:`~repro.serve.procshard.ProcessShardedSolveService`: ask
+    ``router`` for a worker; when it is not healthy, steer to the
+    shallowest healthy queue; and when the final target's depth has
+    reached ``queue_watermark``, divert via ``fallback`` (typically
+    least-loaded) instead of piling on.  Health always wins: with any
+    worker out of rotation the diversion goes to the shallowest
+    *healthy* queue.
 
     Parameters
     ----------
@@ -615,12 +613,6 @@ def pick_with_diversion(
         Per-target depth sample the decision should see.
     queue_watermark:
         Diversion threshold; ``None`` disables diversion.
-    on_overload:
-        Optional hook ``(chosen, depths) -> int | None`` consulted when
-        the watermark trips.
-    noun:
-        How targets are named in error messages (``"replica"`` for the
-        thread shard, ``"worker"`` for the process shard).
     healthy:
         Optional per-target admission mask (``True`` = routable).
         ``None`` means every target is routable — the pre-resilience
@@ -637,9 +629,9 @@ def pick_with_diversion(
     Raises
     ------
     ValueError
-        If the router or the hook returns an out-of-range index — a
-        buggy custom policy must fail loudly, not silently wrap onto
-        the last target.
+        If a router returns an out-of-range index — a buggy custom
+        policy must fail loudly, not silently wrap onto the last
+        target.
     FleetUnavailable
         If ``healthy`` is all-``False``: there is no target at all.
     """
@@ -647,13 +639,13 @@ def pick_with_diversion(
     all_healthy = healthy is None or all(healthy)
     if not all_healthy and not any(healthy):
         raise FleetUnavailable(
-            f"no healthy {noun} to route to (all "
-            f"{len(healthy)} {noun}s are out of rotation)"
+            "no healthy worker to route to (all "
+            f"{len(healthy)} workers are out of rotation)"
         )
     chosen = router.pick(key, depths)
     if not 0 <= chosen < replicas:
         raise ValueError(
-            f"router {type(router).__name__} picked {noun} "
+            f"router {type(router).__name__} picked worker "
             f"{chosen}, expected 0..{replicas - 1}"
         )
     health_diverted = False
@@ -662,30 +654,13 @@ def pick_with_diversion(
         health_diverted = True
     if queue_watermark is None or depths[chosen] < queue_watermark:
         return chosen, False, health_diverted
-    diverted = None
-    if on_overload is not None:
-        diverted = on_overload(chosen, depths)
-        if diverted is not None and not 0 <= diverted < replicas:
+    if all_healthy:
+        diverted = fallback.pick(key, depths)
+        if not 0 <= diverted < replicas:
             raise ValueError(
-                f"on_overload returned {noun} {diverted}, "
-                f"expected 0..{replicas - 1}"
+                f"fallback {type(fallback).__name__} picked worker "
+                f"{diverted}, expected 0..{replicas - 1}"
             )
-        if (
-            diverted is not None
-            and not all_healthy
-            and not healthy[diverted]
-        ):
-            # The hook steered onto an out-of-rotation target; health
-            # wins, fall through to the masked least-loaded pick.
-            diverted = None
-    if diverted is None:
-        if all_healthy:
-            diverted = fallback.pick(key, depths)
-            if not 0 <= diverted < replicas:
-                raise ValueError(
-                    f"fallback {type(fallback).__name__} picked {noun} "
-                    f"{diverted}, expected 0..{replicas - 1}"
-                )
-        else:
-            diverted = _least_loaded_healthy(depths, healthy)
+    else:
+        diverted = _least_loaded_healthy(depths, healthy)
     return diverted, diverted != chosen, health_diverted

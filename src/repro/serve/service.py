@@ -316,8 +316,8 @@ class SolveService:
     are cut under the accumulator's lock.
     The *problem* itself is single-solve (shared workspace buffers) —
     which is exactly what the solve lock enforces; use
-    :class:`~repro.serve.shard.ShardedSolveService` for solve-level
-    parallelism across problem clones.
+    :class:`~repro.serve.procshard.ProcessShardedSolveService` for
+    solve-level parallelism across worker processes.
     """
 
     _TRACKED_LOCKS = ("_solve_lock",)

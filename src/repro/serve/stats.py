@@ -7,8 +7,8 @@ make that observable on the CPU substrate — every
 accumulator and exposes immutable :class:`StatsSnapshot` views of it
 (queue depth, the batch-size histogram that shows how well coalescing is
 working, and solves per second).  Sharded services
-(:class:`~repro.serve.shard.ShardedSolveService`) aggregate one snapshot
-per replica into a fleet view with :func:`merge_snapshots`.
+(:class:`~repro.serve.procshard.ProcessShardedSolveService`) aggregate
+one snapshot per worker into a fleet view with :func:`merge_snapshots`.
 
 Thread safety
 -------------

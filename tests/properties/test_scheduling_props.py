@@ -169,12 +169,12 @@ def test_cost_routing_never_hits_ejected_replicas(data, replicas):
     if not any(healthy):
         with pytest.raises(FleetUnavailable):
             pick_with_diversion(
-                router, fallback, key, depths, watermark, None,
+                router, fallback, key, depths, watermark,
                 healthy=healthy,
             )
         return
     chosen, _rebalanced, _diverted = pick_with_diversion(
-        router, fallback, key, depths, watermark, None,
+        router, fallback, key, depths, watermark,
         healthy=healthy,
     )
     assert 0 <= chosen < replicas

@@ -113,9 +113,7 @@ def test_plain_callable_equals_registered(
 
 
 def make_twin(problem, how):
-    """``(twin, cleanup)`` of a problem by one of the three routes."""
-    if how == "clone":
-        return problem.clone(), lambda: None
+    """``(twin, cleanup)`` of a problem by one of the two routes."""
     if how == "spec":
         return rebuild(problem.spec()), lambda: None
     export = problem.export_shared()
@@ -146,7 +144,7 @@ def test_every_registered_kernel_is_named(registered_plain):
     assert ax_kernel_name(build("poisson", "plain").ax_backend) is None
 
 
-@pytest.mark.parametrize("how", ("clone", "spec", "shared"))
+@pytest.mark.parametrize("how", ("spec", "shared"))
 @pytest.mark.parametrize(
     "form", ("matmul", "einsum", "listing1", "dense", REGISTERED_PLAIN)
 )

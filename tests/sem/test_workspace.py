@@ -469,8 +469,9 @@ class TestSemLayerStartsNoThreads:
 
         before = threading.active_count()
         ref = ReferenceElement.from_degree(3)
-        prob = PoissonProblem(BoxMesh.build(ref, (2, 2, 2)), ax_backend="matmul")
-        twin = prob.clone()
+        mesh = BoxMesh.build(ref, (2, 2, 2))
+        prob = PoissonProblem(mesh, ax_backend="matmul")
+        twin = PoissonProblem(mesh, ax_backend="matmul")
         rng = np.random.default_rng(12)
         bs = rng.standard_normal((8, prob.n_dofs)) * prob.interior
         diag = prob.precond_diag()

@@ -8,54 +8,25 @@ import threading
 import numpy as np
 import pytest
 
-from repro.sem import (
-    BoxMesh,
-    PoissonProblem,
-    ReferenceElement,
-    cg_solve,
-    sine_manufactured,
-)
 from repro.serve import (
     AsyncSolveService,
     FaultPlan,
     ProcessShardedSolveService,
     QueueClosed,
-    ShardedSolveService,
     SolveService,
 )
 
 
-@pytest.fixture(scope="module")
-def serving_problem():
-    ref = ReferenceElement.from_degree(3)
-    mesh = BoxMesh.build(ref, (2, 2, 2))
-    prob = PoissonProblem(mesh, ax_backend="matmul")
-    _, forcing = sine_manufactured(mesh.extent)
-    b0 = prob.rhs_from_forcing(forcing)
-    bank = [b0 * (1.0 + 0.3 * k) for k in range(16)]
-    return prob, bank
-
-
-def sequential_solve(prob, b, tol=1e-10, maxiter=200):
-    return cg_solve(
-        prob.apply_A, b, precond_diag=prob.precond_diag(), tol=tol,
-        maxiter=maxiter, workspace=prob.workspace,
-    )
-
-
-def assert_same_result(got, want):
-    assert np.array_equal(got.x, want.x)
-    assert got.iterations == want.iterations
-    assert got.residual_history == want.residual_history
-
-
 class TestAsyncSolve:
-    def test_solve_bit_identical(self, serving_problem):
+    def test_solve_bit_identical(
+        self, serving_problem, sequential_solve, assert_same_result,
+        fresh_problem
+    ):
         prob, bank = serving_problem
 
         async def run():
             svc = SolveService(
-                prob.clone(), max_batch=8, max_wait=0.002, background=True,
+                fresh_problem, max_batch=8, max_wait=0.002, background=True,
             )
             async with AsyncSolveService(svc) as asvc:
                 return await asvc.solve(bank[0], tol=1e-10, maxiter=200)
@@ -63,12 +34,15 @@ class TestAsyncSolve:
         got = asyncio.run(run())
         assert_same_result(got, sequential_solve(prob, bank[0]))
 
-    def test_solve_many_coalesces_and_matches(self, serving_problem):
+    def test_solve_many_coalesces_and_matches(
+        self, serving_problem, sequential_solve, assert_same_result,
+        fresh_problem
+    ):
         prob, bank = serving_problem
 
         async def run():
             svc = SolveService(
-                prob.clone(), max_batch=8, max_wait=0.05, background=True,
+                fresh_problem, max_batch=8, max_wait=0.05, background=True,
             )
             async with AsyncSolveService(svc) as asvc:
                 results = await asvc.solve_many(
@@ -83,12 +57,14 @@ class TestAsyncSolve:
         # coalesced into one full batch — async costs no batching.
         assert stats.batch_histogram == {8: 1}
 
-    def test_sharded_backend_with_keys(self, serving_problem):
+    def test_sharded_backend_with_keys(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
         prob, bank = serving_problem
 
         async def run():
-            svc = ShardedSolveService(
-                prob.clone(), replicas=2, policy="tenant", max_wait=0.002,
+            svc = ProcessShardedSolveService(
+                prob, workers=2, policy="tenant", max_wait=0.002,
             )
             async with AsyncSolveService(svc) as asvc:
                 keys = [f"tenant-{k % 3}" for k in range(12)]
@@ -100,31 +76,29 @@ class TestAsyncSolve:
             assert_same_result(got, sequential_solve(prob, b))
         assert sum(routed) == 12
 
-    def test_error_propagates_to_future(self, serving_problem):
-        prob, _ = serving_problem
-
+    def test_error_propagates_to_future(self, fresh_problem):
         class Boom(RuntimeError):
             pass
 
         async def run():
             svc = SolveService(
-                prob.clone(), max_batch=2, max_wait=0.002, background=True,
+                fresh_problem, max_batch=2, max_wait=0.002, background=True,
             )
             svc._operator = lambda v, out=None: (_ for _ in ()).throw(
                 Boom("operator exploded")
             )
             async with AsyncSolveService(svc) as asvc:
                 with pytest.raises(Boom):
-                    await asvc.solve(np.ones(prob.n_dofs))
+                    await asvc.solve(np.ones(fresh_problem.n_dofs))
 
         asyncio.run(run())
 
-    def test_submit_after_close_raises(self, serving_problem):
-        prob, bank = serving_problem
+    def test_submit_after_close_raises(self, serving_problem, fresh_problem):
+        _, bank = serving_problem
 
         async def run():
             asvc = AsyncSolveService(
-                SolveService(prob.clone(), background=True)
+                SolveService(fresh_problem, background=True)
             )
             await asvc.aclose()
             with pytest.raises(QueueClosed):
@@ -137,24 +111,23 @@ class TestAsyncSolve:
         with pytest.raises(TypeError, match="SolveService"):
             AsyncSolveService(object())
 
-    def test_foreground_service_rejected(self, serving_problem):
+    def test_foreground_service_rejected(self, fresh_problem):
         """A foreground service would strand awaited partial batches
         forever (nothing flushes on the asyncio side) — refuse it at
         construction instead of hanging at await time."""
-        prob, _ = serving_problem
-        svc = SolveService(prob.clone(), max_batch=8, background=False)
+        svc = SolveService(fresh_problem, max_batch=8, background=False)
         try:
             with pytest.raises(ValueError, match="background"):
                 AsyncSolveService(svc)
         finally:
             svc.close()
 
-    def test_keys_length_mismatch(self, serving_problem):
-        prob, bank = serving_problem
+    def test_keys_length_mismatch(self, serving_problem, fresh_problem):
+        _, bank = serving_problem
 
         async def run():
             async with AsyncSolveService(
-                SolveService(prob.clone(), background=True)
+                SolveService(fresh_problem, background=True)
             ) as asvc:
                 with pytest.raises(ValueError, match="keys length"):
                     await asvc.solve_many(bank[:3], keys=["a"])
@@ -184,13 +157,14 @@ class TestSubmitPaths:
         return doors
 
     def test_uncontended_submit_never_leaves_the_loop_thread(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result,
+        fresh_problem
     ):
         prob, bank = serving_problem
 
         async def run():
             svc = SolveService(
-                prob.clone(), max_batch=4, max_wait=0.002, background=True,
+                fresh_problem, max_batch=4, max_wait=0.002, background=True,
             )
             doors = self.record_doors(svc)
             async with AsyncSolveService(svc) as asvc:
@@ -203,14 +177,15 @@ class TestSubmitPaths:
             assert_same_result(res, sequential_solve(prob, b))
 
     def test_full_queue_parks_on_executor_while_loop_keeps_ticking(
-        self, serving_problem, gate_dispatcher
+        self, serving_problem, gate_dispatcher, sequential_solve,
+        assert_same_result, fresh_problem
     ):
         prob, bank = serving_problem
 
         async def run():
             loop = asyncio.get_running_loop()
             svc = SolveService(
-                prob.clone(), max_batch=2, max_wait=0.0, max_pending=2,
+                fresh_problem, max_batch=2, max_wait=0.0, max_pending=2,
                 background=True,
             )
             # Hold the dispatcher inside its first solve: the queue
@@ -266,12 +241,12 @@ class TestSubmitPaths:
         assert stats.submitted == len(got) == stats.completed
 
     def test_invalid_request_raises_before_any_future(
-        self, serving_problem
+        self, serving_problem, fresh_problem
     ):
-        prob, bank = serving_problem
+        _, bank = serving_problem
 
         async def run():
-            svc = SolveService(prob.clone(), background=True)
+            svc = SolveService(fresh_problem, background=True)
             async with AsyncSolveService(svc) as asvc:
                 with pytest.raises(ValueError, match="tol"):
                     await asvc.submit(bank[0], tol=-1.0)
@@ -296,7 +271,7 @@ class TestSubmitPaths:
             AsyncSolveService(Backend())
 
     def test_process_fleet_parks_on_executor_only_for_a_full_ring(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result
     ):
         """The process tier takes the same path: staging and doorbell
         run on the loop thread; with its one ring slot held behind a
@@ -342,7 +317,10 @@ class TestSubmitPaths:
 
 
 class TestAsyncCancellation:
-    def test_cancelled_future_does_not_poison_batch(self, serving_problem):
+    def test_cancelled_future_does_not_poison_batch(
+        self, serving_problem, sequential_solve, assert_same_result,
+        fresh_problem
+    ):
         """The acceptance test: cancel one request's future while its
         batch lingers; the batch still solves, every *other* request
         resolves bit-identically, and the cancelled future stays
@@ -352,7 +330,7 @@ class TestAsyncCancellation:
         async def run():
             # Huge max_wait parks the partial batch until close() drains.
             svc = SolveService(
-                prob.clone(), max_batch=8, max_wait=30.0, background=True,
+                fresh_problem, max_batch=8, max_wait=30.0, background=True,
             )
             async with AsyncSolveService(svc) as asvc:
                 futures = [await asvc.submit(b) for b in bank[:4]]
@@ -378,13 +356,15 @@ class TestAsyncCancellation:
         assert stats.completed == 4
         assert stats.failed == 0
 
-    def test_many_in_flight_with_scattered_cancels(self, serving_problem):
+    def test_many_in_flight_with_scattered_cancels(
+        self, serving_problem, sequential_solve, assert_same_result,
+        fresh_problem
+    ):
         prob, bank = serving_problem
 
         async def run():
-            svc = ShardedSolveService(
-                prob.clone(), replicas=2, policy="round-robin",
-                max_batch=4, max_wait=0.05,
+            svc = SolveService(
+                fresh_problem, max_batch=4, max_wait=0.05, background=True,
             )
             async with AsyncSolveService(svc) as asvc:
                 futures = [

@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.sem import (
-    BoxMesh,
-    PoissonProblem,
-    ReferenceElement,
-    cg_solve,
-    sine_manufactured,
-)
 from repro.serve import (
     CostAwareRouter,
     CostModel,
-    ShardedSolveService,
+    ProcessShardedSolveService,
     attach_cost_feedback,
     resolve_router,
 )
@@ -245,36 +237,22 @@ class TestAttachCostFeedback:
         assert router.model.observations == 0
 
 
-@pytest.fixture(scope="module")
-def serving_problem():
-    ref = ReferenceElement.from_degree(3)
-    mesh = BoxMesh.build(ref, (2, 2, 2))
-    prob = PoissonProblem(mesh, ax_backend="matmul")
-    _, forcing = sine_manufactured(mesh.extent)
-    b0 = prob.rhs_from_forcing(forcing)
-    bank = [b0 * (1.0 + 0.3 * k) for k in range(8)]
-    return prob, bank
-
-
 class TestCostPolicyEndToEnd:
-    def test_sharded_cost_policy_bit_identical(self, serving_problem):
+    def test_sharded_cost_policy_bit_identical(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
         prob, bank = serving_problem
-        with ShardedSolveService(
-            prob, replicas=2, policy="cost", max_batch=4,
+        with ProcessShardedSolveService(
+            prob, workers=2, policy="cost", max_batch=4,
             max_wait=0.002,
         ) as svc:
             tickets = [
                 svc.submit(b, tol=1e-10, maxiter=200, key=f"t{i % 3}")
-                for i, b in enumerate(bank)
+                for i, b in enumerate(bank[:8])
             ]
             results = [t.result(timeout=60.0) for t in tickets]
         for b, got in zip(bank, results):
-            want = cg_solve(
-                prob.apply_A, b, precond_diag=prob.precond_diag(),
-                tol=1e-10, maxiter=200, workspace=prob.workspace,
-            )
-            assert np.array_equal(got.x, want.x)
-            assert got.iterations == want.iterations
+            assert_same_result(got, sequential_solve(prob, b))
 
     def test_sharded_cost_policy_ledger_drains_and_learns(
         self, serving_problem
@@ -282,17 +260,37 @@ class TestCostPolicyEndToEnd:
         prob, bank = serving_problem
         model = CostModel()
         router = CostAwareRouter(2, model=model)
-        with ShardedSolveService(
-            prob, replicas=2, policy=router, max_batch=4,
+        with ProcessShardedSolveService(
+            prob, workers=2, policy=router, max_batch=4,
             max_wait=0.002,
         ) as svc:
             tickets = [
                 svc.submit(b, tol=1e-10, maxiter=200, key="acme")
-                for b in bank
+                for b in bank[:8]
             ]
             for t in tickets:
                 t.result(timeout=60.0)
         # Every completion released its charge and taught the model.
         assert router.outstanding == (0.0, 0.0)
-        assert model.observations == len(bank)
+        assert model.observations == 8
         assert model.predict("acme", 1e-10, None) >= 1.0
+
+    def test_solve_many_feeds_the_cost_model(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
+        """A block is charged and observed like per-request submits:
+        the feedback hangs on the hand-over both paths share."""
+        prob, bank = serving_problem
+        router = CostAwareRouter(2)
+        with ProcessShardedSolveService(
+            prob, workers=2, policy=router, max_batch=4,
+            max_wait=0.002,
+        ) as svc:
+            results = svc.solve_many(
+                bank[:8], tol=1e-10, maxiter=200,
+                keys=[f"t{i % 3}" for i in range(8)],
+            )
+        assert router.model.observations == 8
+        assert router.outstanding == (0.0, 0.0)
+        for b, got in zip(bank, results):
+            assert_same_result(got, sequential_solve(prob, b))

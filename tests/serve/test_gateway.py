@@ -12,13 +12,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.sem import (
-    BoxMesh,
-    PoissonProblem,
-    ReferenceElement,
-    cg_solve,
-    sine_manufactured,
-)
 from repro.serve import (
     AdmissionPolicy,
     AuthError,
@@ -28,9 +21,9 @@ from repro.serve import (
     Gateway,
     GatewayServer,
     Overloaded,
+    ProcessShardedSolveService,
     QuotaExceeded,
     RateLimited,
-    ShardedSolveService,
     SolveService,
     Tenant,
     TenantRegistry,
@@ -341,24 +334,6 @@ class TestGatewaySolve:
         assert doc["pending"] == 3
 
 
-@pytest.fixture(scope="module")
-def serving_problem():
-    ref = ReferenceElement.from_degree(3)
-    mesh = BoxMesh.build(ref, (2, 2, 2))
-    prob = PoissonProblem(mesh, ax_backend="matmul")
-    _, forcing = sine_manufactured(mesh.extent)
-    b0 = prob.rhs_from_forcing(forcing)
-    bank = [b0 * (1.0 + 0.3 * k) for k in range(8)]
-    return prob, bank
-
-
-def sequential_solve(prob, b, tol=1e-10, maxiter=200):
-    return cg_solve(
-        prob.apply_A, b, precond_diag=prob.precond_diag(), tol=tol,
-        maxiter=maxiter, workspace=prob.workspace,
-    )
-
-
 async def read_http_response(reader):
     status = int((await reader.readline()).split()[1])
     headers = {}
@@ -387,12 +362,14 @@ def solve_body(b, **knobs):
 
 
 class TestGatewayHTTP:
-    def test_solve_roundtrip_bit_identical(self, serving_problem):
-        prob, bank = serving_problem
+    def test_solve_roundtrip_bit_identical(
+        self, serving_problem, sequential_solve, fresh_problem
+    ):
+        _, bank = serving_problem
 
         async def run():
             svc = SolveService(
-                prob.clone(), max_batch=4, max_wait=0.002,
+                fresh_problem, max_batch=4, max_wait=0.002,
                 background=True,
             )
             registry = TenantRegistry()
@@ -674,12 +651,14 @@ async def ws_connect(port, token):
 
 
 class TestGatewayWebSocket:
-    def test_session_pipelines_and_matches(self, serving_problem):
-        prob, bank = serving_problem
+    def test_session_pipelines_and_matches(
+        self, serving_problem, sequential_solve, fresh_problem
+    ):
+        _, bank = serving_problem
 
         async def run():
             svc = SolveService(
-                prob.clone(), max_batch=4, max_wait=0.002,
+                fresh_problem, max_batch=4, max_wait=0.002,
                 background=True,
             )
             registry = TenantRegistry()
@@ -864,7 +843,8 @@ class TestWebSocketFrames:
         ),
     ])
     def test_unservable_frame_closes_session_cleanly(
-        self, serving_problem, bad_frame, status
+        self, serving_problem, bad_frame, status, sequential_solve,
+        fresh_problem
     ):
         """In-flight replies go out, then the typed close, then EOF;
         the frame behind the bad one is never served, no task is left
@@ -879,7 +859,7 @@ class TestWebSocketFrames:
 
         async def run():
             svc = SolveService(
-                prob.clone(), max_batch=4, max_wait=0.002,
+                fresh_problem, max_batch=4, max_wait=0.002,
                 background=True,
             )
             registry = TenantRegistry()
@@ -936,16 +916,16 @@ class TestWebSocketFrames:
         )
 
     def test_client_close_is_answered_after_inflight_replies(
-        self, serving_problem
+        self, serving_problem, fresh_problem
     ):
         """No data frame may follow a close frame (RFC 6455 5.5.1): a
         close sent with solves outstanding is echoed only once their
         replies are out."""
-        prob, bank = serving_problem
+        _, bank = serving_problem
 
         async def run():
             svc = SolveService(
-                prob.clone(), max_batch=4, max_wait=0.002,
+                fresh_problem, max_batch=4, max_wait=0.002,
                 background=True,
             )
             registry = TenantRegistry()
@@ -978,14 +958,16 @@ class TestWebSocketFrames:
 
 
 class TestGatewayOverShardedFleet:
-    def test_multi_tenant_traffic_bit_identical(self, serving_problem):
+    def test_multi_tenant_traffic_bit_identical(
+        self, serving_problem, sequential_solve
+    ):
         prob, bank = serving_problem
 
         async def run():
             model = CostModel()
             router = CostAwareRouter(2, model=model)
-            svc = ShardedSolveService(
-                prob, replicas=2, policy=router, max_batch=4,
+            svc = ProcessShardedSolveService(
+                prob, workers=2, policy=router, max_batch=4,
                 max_wait=0.002,
             )
             registry = TenantRegistry()
@@ -994,9 +976,7 @@ class TestGatewayOverShardedFleet:
                 for k in range(3)
             ]
             gateway = Gateway(svc, registry, cost_model=model)
-            jobs = [
-                (tenants[i % 3], bank[i]) for i in range(len(bank))
-            ]
+            jobs = [(tenants[i % 3], bank[i]) for i in range(8)]
             results = await asyncio.gather(*(
                 gateway.solve(t.token, b, tol=1e-10, maxiter=200)
                 for t, b in jobs

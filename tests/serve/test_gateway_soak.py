@@ -25,13 +25,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.sem import (
-    BoxMesh,
-    PoissonProblem,
-    ReferenceElement,
-    cg_solve,
-    sine_manufactured,
-)
 from repro.serve import (
     AdmissionPolicy,
     Gateway,
@@ -39,23 +32,6 @@ from repro.serve import (
     ProcessShardedSolveService,
     TenantRegistry,
 )
-
-
-@pytest.fixture(scope="module")
-def serving_problem():
-    ref = ReferenceElement.from_degree(3)
-    mesh = BoxMesh.build(ref, (2, 2, 2))
-    prob = PoissonProblem(mesh, ax_backend="matmul")
-    _, forcing = sine_manufactured(mesh.extent)
-    b0 = prob.rhs_from_forcing(forcing)
-    return prob, b0
-
-
-def sequential_solve(prob, b, tol=1e-10, maxiter=200):
-    return cg_solve(
-        prob.apply_A, b, precond_diag=prob.precond_diag(), tol=tol,
-        maxiter=maxiter, workspace=prob.workspace,
-    )
 
 
 def build_mix(b0, seed, steady=8, bursts=2, burst_size=6):
@@ -84,9 +60,9 @@ def build_mix(b0, seed, steady=8, bursts=2, burst_size=6):
 class TestGatewaySoakRealFleet:
     @pytest.mark.timeout(600)
     def test_seeded_multitenant_mix_over_ring_fleet(
-        self, serving_problem
+        self, serving_problem, sequential_solve
     ):
-        prob, b0 = serving_problem
+        prob, (b0, *_) = serving_problem
         jobs = build_mix(b0, seed=1234)
         shm_before = set(os.listdir("/dev/shm"))
 
@@ -148,14 +124,16 @@ class TestGatewaySoakRealFleet:
         assert not leaked
 
     @pytest.mark.timeout(600)
-    def test_http_soak_sessions_and_oneshots(self, serving_problem):
+    def test_http_soak_sessions_and_oneshots(
+        self, serving_problem, sequential_solve
+    ):
         """The same mix through the real wire: steady tenant on one
         WebSocket session, bursty tenants as one-shot POSTs, all
         concurrent over localhost."""
         import base64
         import json
 
-        prob, b0 = serving_problem
+        prob, (b0, *_) = serving_problem
         jobs = build_mix(b0, seed=99, steady=4, bursts=2, burst_size=3)
         flow_jobs = [j for j in jobs if j[0] == "flow"]
         burst_jobs = [j for j in jobs if j[0] != "flow"]

@@ -8,16 +8,8 @@ from __future__ import annotations
 import asyncio
 import time
 
-import numpy as np
 import pytest
 
-from repro.sem import (
-    BoxMesh,
-    PoissonProblem,
-    ReferenceElement,
-    cg_solve,
-    sine_manufactured,
-)
 from repro.serve import (
     AdmissionPolicy,
     AsyncSolveService,
@@ -33,52 +25,16 @@ from repro.serve import (
     RestartPolicy,
     RetryPolicy,
     ServiceClosed,
-    ShardedSolveService,
     SolveService,
     TenantRegistry,
     WorkerCrashed,
 )
 
 
-@pytest.fixture(scope="module")
-def serving_problem():
-    """The N=3/E=8 serving shape plus a bank of right-hand sides."""
-    ref = ReferenceElement.from_degree(3)
-    mesh = BoxMesh.build(ref, (2, 2, 2))
-    prob = PoissonProblem(mesh, ax_backend="matmul")
-    _, forcing = sine_manufactured(mesh.extent)
-    b0 = prob.rhs_from_forcing(forcing)
-    bank = [b0 * (1.0 + 0.3 * k) for k in range(24)]
-    return prob, bank
-
-
-def sequential_solve(prob, b, tol=1e-10, maxiter=200):
-    return cg_solve(
-        prob.apply_A, b, precond_diag=prob.precond_diag(), tol=tol,
-        maxiter=maxiter, workspace=prob.workspace,
-    )
-
-
-def assert_same_result(got, want):
-    assert np.array_equal(got.x, want.x)
-    assert got.iterations == want.iterations
-    assert got.converged == want.converged
-    assert got.residual_norm == want.residual_norm
-    assert got.residual_history == want.residual_history
-
-
-def wait_until(predicate, timeout=120.0, interval=0.05):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
-
-
 class TestCrashRespawnBitIdentity:
     def test_kill_each_worker_once_stream_stays_bit_identical(
-        self, serving_problem, submit_with_patience
+        self, serving_problem, submit_with_patience, sequential_solve,
+        assert_same_result, wait_until
     ):
         """The acceptance criterion: a seeded FaultPlan kills each of
         K=2 workers once mid-stream; every request still resolves
@@ -123,7 +79,8 @@ class TestCrashRespawnBitIdentity:
             assert_same_result(got, sequential_solve(prob, b))
 
     def test_respawned_worker_serves_after_manual_kill(
-        self, serving_problem, submit_with_patience
+        self, serving_problem, submit_with_patience, sequential_solve,
+        assert_same_result, wait_until
     ):
         """No chaos plan — a worker killed out-of-band (OOM-killer
         style) is respawned and serves again, and the health registry
@@ -152,9 +109,10 @@ class TestCrashRespawnBitIdentity:
 
 class _DyingPipe:
     """A worker's pipe whose first doorbell kills the worker and fails
-    to send — ``wait_for_reader`` decides which side notices first: the
-    reader's exit sweep (the order that used to retry the request
-    twice and leak a ring slot) or the failed ``send``."""
+    to send — ``wait_for_reader`` (the ``wait_until`` helper, or
+    ``None``) decides which side notices first: the reader's exit sweep
+    (the order that used to retry the request twice and leak a ring
+    slot) or the failed ``send``."""
 
     def __init__(self, replica, wait_for_reader):
         self._conn = replica.conn
@@ -168,7 +126,7 @@ class _DyingPipe:
         self.fired = True
         self._replica.process.terminate()
         if self._wait:
-            assert wait_until(lambda: not self._replica.live, interval=0.005)
+            assert self._wait(lambda: not self._replica.live, interval=0.005)
         raise BrokenPipeError("injected: the worker died under the send")
 
     def __getattr__(self, name):
@@ -181,7 +139,8 @@ class TestOneOwnerPerRequest:
 
     @pytest.mark.parametrize("wait_for_reader", [True, False])
     def test_failed_send_is_a_crash_the_reader_reports_once(
-        self, serving_problem, wait_for_reader
+        self, serving_problem, wait_for_reader, sequential_solve,
+        assert_same_result, wait_until
     ):
         """The deterministic double-retry recipe, behind a gateway: the
         request is retried once, bit-identically; no slot leaks; the
@@ -198,7 +157,9 @@ class TestOneOwnerPerRequest:
         gateway = Gateway(svc, registry)
         try:
             victim = svc._workers[0]
-            victim.conn = pipe = _DyingPipe(victim, wait_for_reader)
+            victim.conn = pipe = _DyingPipe(
+                victim, wait_until if wait_for_reader else None
+            )
             got = asyncio.run(gateway.solve(
                 tenant.token, bank[0], tol=1e-10, maxiter=200
             ))
@@ -221,7 +182,7 @@ class TestOneOwnerPerRequest:
 
     @pytest.mark.parametrize("first", ["watchdog", "crash"])
     def test_deadline_lapsing_as_the_worker_dies_is_settled_once(
-        self, serving_problem, first
+        self, serving_problem, first, wait_until
     ):
         """The watchdog and the crash sweep compete for one
         registration: whichever takes it expires the request — once —
@@ -256,7 +217,9 @@ class TestOneOwnerPerRequest:
 
 
 class TestCircuitBreaker:
-    def test_slot_that_keeps_dying_is_ejected(self, serving_problem):
+    def test_slot_that_keeps_dying_is_ejected(
+        self, serving_problem, wait_until
+    ):
         """max_restarts=1: the first death respawns, the second trips
         the breaker — the slot goes EJECTED (a one-way door) and, with
         no other worker, submits fail fast with FleetUnavailable."""
@@ -284,7 +247,7 @@ class TestCircuitBreaker:
 
 class TestDeadlines:
     def test_expired_before_dispatch_fails_with_deadline_exceeded(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result
     ):
         """A request whose budget lapses while parked in the batcher is
         expired at dispatch — counted, and never solved."""
@@ -320,7 +283,7 @@ class TestDeadlines:
             svc.close()
 
     def test_dropped_send_is_recovered_by_the_watchdog(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result
     ):
         """A chaos-dropped pipe message never reaches the worker; the
         parent-side deadline watchdog is the only thing that can fail
@@ -346,7 +309,7 @@ class TestDeadlines:
 
 class TestSheddingAndHealthGating:
     def test_procshard_sheds_with_overloaded_at_the_watermark(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result
     ):
         prob, bank = serving_problem
         svc = ProcessShardedSolveService(
@@ -365,53 +328,38 @@ class TestSheddingAndHealthGating:
             svc.close()
         assert_same_result(got, sequential_solve(prob, bank[0]))
 
-    def test_thread_shard_sheds_and_routes_around_ejected_replica(
-        self, serving_problem
+    def test_procshard_routes_around_ejected_worker(
+        self, serving_problem, sequential_solve, assert_same_result
     ):
         prob, bank = serving_problem
-        with ShardedSolveService(
-            prob, replicas=2, policy="round-robin", max_batch=8,
+        with ProcessShardedSolveService(
+            prob, workers=2, policy="round-robin", max_batch=8,
             max_wait=0.002, tol=1e-10, maxiter=200, shed_watermark=4,
         ) as svc:
-            # Operator drains replica 0: every request must land on 1.
+            # Operator drains (live) worker 0: every request must land
+            # on 1.
             svc.health.eject(0)
             results = [
                 svc.submit(b).result(timeout=60) for b in bank[:6]
             ]
-            assert svc.routed[0] == 0
-            assert svc.routed[1] == 6
+            assert svc.routed == (0, 6)
             assert svc.health_diverted >= 1
+            # ...and with nobody left in rotation, refusal is typed.
+            svc.health.eject(1)
+            with pytest.raises(FleetUnavailable):
+                svc.submit(bank[0])
         for b, got in zip(bank[:6], results):
             assert_same_result(got, sequential_solve(prob, b))
 
-    def test_no_healthy_replica_raises_fleet_unavailable(
-        self, serving_problem
-    ):
-        prob, bank = serving_problem
-        with ShardedSolveService(
-            prob, replicas=1, max_batch=8, max_wait=0.002,
-            tol=1e-10, maxiter=200,
-        ) as svc:
-            svc.health.eject(0)
-            with pytest.raises(FleetUnavailable):
-                svc.submit(bank[0])
-
 
 class TestServiceClosedEverywhere:
-    """Satellite (a): all four serving fronts raise the same
+    """Satellite (a): all three serving fronts raise the same
     ServiceClosed (a QueueClosed subclass, so pre-taxonomy callers
     keep working)."""
 
     def test_solve_service(self, serving_problem):
         prob, bank = serving_problem
         svc = SolveService(prob, background=False)
-        svc.close()
-        with pytest.raises(ServiceClosed):
-            svc.submit(bank[0])
-
-    def test_thread_shard(self, serving_problem):
-        prob, bank = serving_problem
-        svc = ShardedSolveService(prob, replicas=1, max_wait=0.002)
         svc.close()
         with pytest.raises(ServiceClosed):
             svc.submit(bank[0])
@@ -442,7 +390,9 @@ class TestServiceClosedEverywhere:
 
 
 class TestTicketCancel:
-    def test_cancel_drops_the_wait_not_the_batch(self, serving_problem):
+    def test_cancel_drops_the_wait_not_the_batch(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
         """Satellite (b): cancel() is drop-only — the cancelled request
         still rides its batch (batchmates' results are untouched and
         stats count the solve); the ticket just stops reporting."""
@@ -488,7 +438,7 @@ class TestTicketCancel:
 
 class TestGatewayChaosDrill:
     def test_kill_each_worker_once_behind_the_gateway(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result, wait_until
     ):
         """The same kill-each-worker-once drill as above, but through
         the multi-tenant gateway: every client either retries on a
@@ -575,7 +525,7 @@ class TestRingSlotReclaimOnCancel:
     not the wedged worker's eventual reply, is what reclaims it."""
 
     def test_watchdog_reclaims_cancelled_slot_behind_wedged_worker(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result, wait_until
     ):
         prob, bank = serving_problem
         # Worker 0 sleeps 9s in its message loop on its first block:
@@ -618,7 +568,7 @@ class TestRingSlotReclaimOnCancel:
         assert_same_result(got_c, sequential_solve(prob, bank[2]))
 
     def test_cancellation_pressure_with_two_slots(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result, wait_until
     ):
         """Cancellation pressure on a ring_slots=2 service: with the
         worker wedged 10s, four cancel-after-deadline cycles must each

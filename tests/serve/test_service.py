@@ -29,35 +29,6 @@ from repro.serve import (
 )
 
 
-@pytest.fixture(scope="module")
-def serving_problem():
-    """The N=3/E=8 serving shape with a bank of tenant right-hand sides."""
-    ref = ReferenceElement.from_degree(3)
-    mesh = BoxMesh.build(ref, (2, 2, 2))
-    prob = PoissonProblem(mesh, ax_backend="matmul")
-    _, forcing = sine_manufactured(mesh.extent)
-    b0 = prob.rhs_from_forcing(forcing)
-    bank = [b0 * (1.0 + 0.3 * k) for k in range(24)]
-    return prob, bank
-
-
-def sequential_solve(prob, b, tol=1e-10, maxiter=200):
-    """The reference: one warm sequential solve on the problem."""
-    return cg_solve(
-        prob.apply_A, b, precond_diag=prob.precond_diag(), tol=tol,
-        maxiter=maxiter, workspace=prob.workspace,
-    )
-
-
-def assert_same_result(got, want):
-    """Bit-for-bit CGResult equality (the serving contract)."""
-    assert np.array_equal(got.x, want.x)
-    assert got.iterations == want.iterations
-    assert got.converged == want.converged
-    assert got.residual_norm == want.residual_norm
-    assert got.residual_history == want.residual_history
-
-
 class TestMicroBatcher:
     def test_take_fires_at_max_batch(self):
         mb = MicroBatcher(max_batch=3, max_wait=60.0)
@@ -148,13 +119,16 @@ class TestSolveLock:
     """The problem's workspaces admit one solve at a time; the service's
     solve lock is what enforces it, whoever drains the queue."""
 
-    def test_stacked_solves_never_overlap(self, serving_problem):
+    def test_stacked_solves_never_overlap(
+        self, serving_problem, sequential_solve, assert_same_result,
+        fresh_problem
+    ):
         """Concurrent ``flush()`` callers plus the background dispatcher,
         fp64 and mixed groups alike, run one stacked solve at a time:
         an operator that is entered while another call is still inside
         it reports the overlap."""
         source, bank = serving_problem
-        prob = source.clone()
+        prob = fresh_problem
         inside = threading.Lock()
         overlaps: list[str] = []
 
@@ -222,7 +196,7 @@ class TestSolveLock:
 
 class TestSolveServiceSync:
     def test_solve_many_larger_than_max_pending_foreground(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result
     ):
         """Regression: bulk enqueue of a block larger than max_pending
         on a foreground service must drain inline as it goes — an
@@ -253,7 +227,9 @@ class TestSolveServiceSync:
         )
         svc.close()
 
-    def test_solve_many_bit_identical_to_sequential(self, serving_problem):
+    def test_solve_many_bit_identical_to_sequential(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
         prob, bank = serving_problem
         with SolveService(prob, max_batch=8, tol=1e-10, maxiter=200) as svc:
             results = svc.solve_many(bank[:20])
@@ -284,7 +260,9 @@ class TestSolveServiceSync:
         assert t1.done() and t2.done()
         svc.close()
 
-    def test_per_request_tol_and_maxiter(self, serving_problem):
+    def test_per_request_tol_and_maxiter(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
         prob, bank = serving_problem
         with SolveService(prob, max_batch=8) as svc:
             specs = [(1e-4, 200), (1e-10, 200), (1e-8, 5), (1e-12, 200)]
@@ -297,7 +275,9 @@ class TestSolveServiceSync:
                 want = sequential_solve(prob, bank[k], tol=tol, maxiter=mi)
                 assert_same_result(tickets[k].result(), want)
 
-    def test_rhs_snapshot_at_submit(self, serving_problem):
+    def test_rhs_snapshot_at_submit(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
         prob, bank = serving_problem
         with SolveService(prob, max_batch=4) as svc:
             b = bank[0].copy()
@@ -312,7 +292,9 @@ class TestSolveServiceSync:
             with pytest.raises(ValueError, match="rhs must have shape"):
                 svc.submit(np.ones(prob.n_dofs + 1))
 
-    def test_bad_request_knobs_bounce_at_submit(self, serving_problem):
+    def test_bad_request_knobs_bounce_at_submit(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
         """An invalid tol/maxiter must fail the offending caller at
         submit time — never poison the batchmates it would have been
         coalesced with."""
@@ -365,7 +347,9 @@ class TestSolveServiceSync:
 
 
 class TestSolveServiceBackground:
-    def test_concurrent_submitters_bit_identical(self, serving_problem):
+    def test_concurrent_submitters_bit_identical(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
         """The acceptance-concurrency test: N client threads submit
         through the dispatcher; every result matches a sequential warm
         cg_solve bit for bit."""
@@ -397,7 +381,7 @@ class TestSolveServiceBackground:
             assert_same_result(got, sequential_solve(prob, b))
 
     def test_dispatcher_fires_partial_batch_after_max_wait(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result
     ):
         prob, bank = serving_problem
         with SolveService(
@@ -425,7 +409,9 @@ class TestSolveServiceBackground:
         with pytest.raises(QueueClosed):
             svc.submit(bank[0])
 
-    def test_close_resolves_pending(self, serving_problem):
+    def test_close_resolves_pending(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
         prob, bank = serving_problem
         svc = SolveService(prob, max_batch=8, max_wait=30.0, background=True)
         tickets = [svc.submit(b) for b in bank[:3]]
@@ -436,11 +422,12 @@ class TestSolveServiceBackground:
 
 class TestTrySubmit:
     def test_none_exactly_at_max_pending_and_enqueues_below(
-        self, serving_problem, gate_dispatcher
+        self, serving_problem, gate_dispatcher, sequential_solve,
+        assert_same_result, fresh_problem
     ):
         prob, bank = serving_problem
         svc = SolveService(
-            prob.clone(), max_batch=2, max_wait=0.0, max_pending=3,
+            fresh_problem, max_batch=2, max_wait=0.0, max_pending=3,
             background=True,
         )
         gate, parked = gate_dispatcher(svc)
@@ -479,9 +466,11 @@ class TestTrySubmit:
             svc.try_submit(bank[0])
         assert svc.stats.submitted == stats.submitted
 
-    def test_validates_before_enqueue_like_submit(self, serving_problem):
-        prob, bank = serving_problem
-        with SolveService(prob.clone(), background=True) as svc:
+    def test_validates_before_enqueue_like_submit(
+        self, serving_problem, fresh_problem
+    ):
+        _, bank = serving_problem
+        with SolveService(fresh_problem, background=True) as svc:
             with pytest.raises(ValueError, match="shape"):
                 svc.try_submit(np.ones(3))
             with pytest.raises(ValueError, match="tol"):
@@ -492,14 +481,15 @@ class TestTrySubmit:
             assert svc.queue_depth == 0
 
     def test_stats_conserve_across_blocking_and_nonblocking_mix(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result,
+        fresh_problem
     ):
         """Threads hammering a tiny queue with try_submit, falling back
         to the blocking submit on a refusal: every request is counted
         once, whichever door it came in by."""
         prob, bank = serving_problem
         svc = SolveService(
-            prob.clone(), max_batch=2, max_wait=0.0005, max_pending=2,
+            fresh_problem, max_batch=2, max_wait=0.0005, max_pending=2,
             background=True,
         )
         doors = {"try": 0, "blocking": 0}
@@ -546,7 +536,7 @@ class TestTrySubmit:
 
 
 class TestOtherProblems:
-    def test_helmholtz_service(self):
+    def test_helmholtz_service(self, assert_same_result):
         ref = ReferenceElement.from_degree(2)
         mesh = BoxMesh.build(ref, (2, 2, 1))
         prob = HelmholtzProblem(mesh, lam=1.0, ax_backend="matmul")
@@ -561,7 +551,7 @@ class TestOtherProblems:
             )
             assert_same_result(got, want)
 
-    def test_nekbone_case_service(self):
+    def test_nekbone_case_service(self, assert_same_result):
         case = NekboneCase(3, (2, 2, 1), ax_backend="matmul")
         _, forcing = sine_manufactured(case.problem.mesh.extent)
         b = case.problem.rhs_from_forcing(forcing)
@@ -830,7 +820,7 @@ class TestMixedPrecisionService:
         assert got.residual_history == want.residual_history
 
     def test_coalesced_mixed_and_fp64_split_into_groups(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result
     ):
         """Mixed and fp64 requests queued into the same batch must each
         get exactly their solo path's numerics — the service splits the

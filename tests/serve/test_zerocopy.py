@@ -15,8 +15,6 @@ from repro.sem import (
     BoxMesh,
     PoissonProblem,
     ReferenceElement,
-    cg_solve,
-    sine_manufactured,
 )
 from repro.serve import (
     FaultPlan,
@@ -24,33 +22,6 @@ from repro.serve import (
     RestartPolicy,
     RetryPolicy,
 )
-
-
-@pytest.fixture(scope="module")
-def serving_problem():
-    """The N=3/E=8 serving shape plus a bank of right-hand sides."""
-    ref = ReferenceElement.from_degree(3)
-    mesh = BoxMesh.build(ref, (2, 2, 2))
-    prob = PoissonProblem(mesh, ax_backend="matmul")
-    _, forcing = sine_manufactured(mesh.extent)
-    b0 = prob.rhs_from_forcing(forcing)
-    bank = [b0 * (1.0 + 0.3 * k) for k in range(16)]
-    return prob, bank
-
-
-def sequential_solve(prob, b, tol=1e-10, maxiter=200):
-    return cg_solve(
-        prob.apply_A, b, precond_diag=prob.precond_diag(), tol=tol,
-        maxiter=maxiter, workspace=prob.workspace,
-    )
-
-
-def assert_same_result(got, want):
-    assert np.array_equal(got.x, want.x)
-    assert got.iterations == want.iterations
-    assert got.converged == want.converged
-    assert got.residual_norm == want.residual_norm
-    assert got.residual_history == want.residual_history
 
 
 def shm_exists(name: str) -> bool:
@@ -89,7 +60,9 @@ class TestCopyBytesAudit:
             assert svc.stats.copy_bytes == 0
 
 
-    def test_above_ten_thousand_dofs_a_worker_returns_the_parents_bits(self):
+    def test_above_ten_thousand_dofs_a_worker_returns_the_parents_bits(
+        self, sequential_solve, assert_same_result
+    ):
         """N=7 on 3x3x3 elements, 10 648 DOFs: past the length at which
         BLAS may split a dot product across threads.  Workers inherit
         the parent's BLAS thread count with its environment, so the
@@ -114,7 +87,7 @@ class TestRingPipeBitIdentity:
         "policy", ("tenant", "least-loaded", "round-robin")
     )
     def test_fp64_identical_across_transports(
-        self, serving_problem, policy
+        self, serving_problem, policy, sequential_solve, assert_same_result
     ):
         prob, bank = serving_problem
         with ProcessShardedSolveService(
@@ -148,7 +121,8 @@ class TestRingPipeBitIdentity:
 
 class TestRingCrashRecovery:
     def test_crash_mid_slot_respawn_reattaches_and_retries(
-        self, serving_problem, submit_with_patience, wait_until
+        self, serving_problem, submit_with_patience, wait_until,
+        sequential_solve, assert_same_result
     ):
         """Kill each worker once mid-stream: the
         respawned workers re-attach the SAME ring blocks (attested by
@@ -205,7 +179,7 @@ class TestRingCrashRecovery:
 
 class TestRingBackpressure:
     def test_tiny_ring_blocks_instead_of_overwriting(
-        self, serving_problem
+        self, serving_problem, sequential_solve, assert_same_result
     ):
         """ring_slots=2 with far more requests in flight than slots:
         submission simply blocks until slots free up, every request
