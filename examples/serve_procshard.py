@@ -86,6 +86,11 @@ def main() -> None:
         print(f"rings {rings}: request side read-only in the workers, "
               f"core pinning (best-effort): "
               f"{[info['pinned_cpus'] for info in infos]}")
+        paths = {info["ax_native"] for info in infos}
+        assert len(paths) == 1  # bit-identity presumes one Ax path
+        print("Ax kernel in every worker: "
+              + ("compiled (repro.sem.native)" if paths == {True}
+                 else "numpy body (no C compiler)"))
 
         # 2. A keyed tenant stream through consistent-hash routing.
         keys = [f"tenant-{k % 6}" for k in range(len(requests))]

@@ -7,8 +7,9 @@ implementation by name:
 
 * :func:`ax_local_matmul` — sum factorization recast as stacked
   ``(nx, nx) @ (nx, nx^2)`` matrix products via reshapes, so all three
-  derivative phases hit BLAS ``dgemm`` (≈2.5x the einsum kernel at the
-  paper's headline ``N = 7`` with a warm workspace).  Elements are
+  derivative phases hit BLAS ``dgemm`` — or, where the host has a C
+  compiler, the one-pass-per-element kernel of
+  :mod:`repro.sem.native` behind the same name.  Elements are
   processed in cache-sized blocks, one after the other, every block
   through the same block of scratch rows; the only parallelism inside
   a call is the BLAS's own.  A stacked
@@ -40,6 +41,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.analysis.annotations import hot_path
+from repro.sem import native
 from repro.sem.element import ReferenceElement
 from repro.sem.operators import (
     _check_shapes,
@@ -286,6 +288,10 @@ def ax_local_matmul(
 ) -> NDArray[np.float64]:
     """``w = D^T G D u`` with every derivative phase as a BLAS ``dgemm``.
 
+    That is the numpy body, the path of a host without a C compiler;
+    after the same checks, operands the compiled kernel can take
+    (:func:`repro.sem.native.ax_kernel`) stream through it instead.
+
     The three reference-space derivatives are stacked matrix products on
     contiguous views of ``u`` (no copies):
 
@@ -322,6 +328,12 @@ def ax_local_matmul(
         each are touched by the blocked sweep.
     """
     _check_shapes(ref, u, g)
+    for name, arr in (("g", g), ("out", out)):
+        if arr is not None and arr.dtype != u.dtype:
+            raise TypeError(
+                f"{name} is {arr.dtype} but u is {u.dtype}: cast one (a "
+                "Geometry.as_dtype twin) — the kernel never promotes"
+            )
     # Match D to the field dtype (fp32 inputs contract against the
     # cached fp32 D — never a silent promotion to fp64 mid-kernel).
     d = ref.deriv_as(u.dtype)
@@ -350,6 +362,19 @@ def ax_local_matmul(
     # A non-contiguous ``out`` cannot serve as a matmul/reshape target;
     # compute into a contiguous result and copy once at the end.
     result = out if out.flags.c_contiguous else np.empty_like(u)
+
+    ax = native.ax_kernel(nx, u.dtype)
+    if (ax is not None and d.flags.c_contiguous
+            and result.shape == u.shape and result.flags.writeable
+            and g.strides[2:] == result.strides[-3:]
+            and u.flags.aligned and g.flags.aligned and result.flags.aligned):
+        # One streaming pass per element.  Everything below is the same
+        # operator for a host without a C compiler, and for operands C
+        # must not be handed (strided g blocks, a mis-shaped out, ...).
+        ax(d, u, g, result)
+        if result is not out:
+            np.copyto(out, result)
+        return out
 
     if batched and num_b * num_e * nx ** 3 <= FUSED_BATCH_DOFS:
         # Small stacked blocks are dispatch-bound, not bandwidth-bound:

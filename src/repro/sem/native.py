@@ -1,0 +1,222 @@
+"""The compiled, element-streaming ``Ax``: one C function via ``ctypes``.
+
+The paper's accelerator streams each element through gradient →
+geometric factors → divergence on chip; :data:`_SOURCE` is the host
+twin of that pipeline.  Its working set is one element (``u``, six
+factors, three stack-resident flux arrays, ``w``: 11 ``nx^3`` blocks),
+so memory sees each operand exactly once; it uses no heap and no
+globals, and ``ctypes.CDLL`` releases the GIL around the call.
+
+:func:`ax_kernel` is the whole interface: one shared object per
+``(nx, dtype)``, built with the host's C compiler on first use.  On
+*any* failure it warns once, stops trying for the rest of the process
+and returns ``None``, and :func:`repro.sem.kernels.ax_local_matmul`
+runs its numpy body instead: a C compiler is optional, never required.
+"""
+
+from __future__ import annotations
+
+import atexit
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import stat
+import subprocess
+import tempfile
+import threading
+import warnings
+from typing import Callable
+
+import numpy as np
+
+from repro.analysis.annotations import hot_path
+
+#: Largest ``nx`` compiled: the three flux arrays live on the stack
+#: (``3 * 16^3`` doubles = 96 KiB).
+MAX_NX: int = 16
+
+#: Measured, not a default to tune: ``-O3`` on gcc 12 unrolls the
+#: contractions into something slower than the numpy body.
+_FLAGS: tuple[str, ...] = ("-O2", "-march=native", "-fPIC", "-shared")
+
+_C_REAL = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
+
+_SOURCE = r"""
+#include <stddef.h>
+#define N3 (NX * NX * NX)
+#define AT(a, b, c) (((a) * NX + (b)) * NX + (c))
+
+/* w = D^T G D u for nb stacked systems of ne elements.  u and w are
+   C-contiguous (nb, ne, NX, NX, NX); component c of element e of the
+   geometry is the contiguous block at byte offset e*g_estride +
+   c*g_cstride from g. */
+void ax_native(ptrdiff_t nb, ptrdiff_t ne, const REAL *restrict D,
+               const REAL *restrict u, const char *restrict g,
+               ptrdiff_t g_estride, ptrdiff_t g_cstride, REAL *restrict w)
+{
+    REAL Dt[NX][NX];                      /* Dt[l][k] = D[k][l] */
+    for (int k = 0; k < NX; k++)
+        for (int l = 0; l < NX; l++)
+            Dt[l][k] = D[k * NX + l];
+    for (ptrdiff_t e = 0; e < ne; e++) {
+        const REAL *gc[6];
+        for (int c = 0; c < 6; c++)
+            gc[c] = (const REAL *)(g + e * g_estride + c * g_cstride);
+        for (ptrdiff_t b = 0; b < nb; b++) {
+            const REAL *ue = u + (b * ne + e) * N3;
+            REAL *we = w + (b * ne + e) * N3;
+            REAL wr[N3], ws[N3], wt[N3];
+            for (int i = 0; i < NX; i++)
+                for (int j = 0; j < NX; j++) {
+                    /* gradient of row (i, j, :), then G while it is hot */
+                    REAL r[NX] = {0}, s[NX] = {0}, t[NX] = {0};
+                    for (int l = 0; l < NX; l++) {
+                        const REAL dil = D[i * NX + l], djl = D[j * NX + l];
+                        const REAL uijl = ue[AT(i, j, l)];
+                        for (int k = 0; k < NX; k++) {
+                            r[k] += dil * ue[AT(l, j, k)];
+                            s[k] += djl * ue[AT(i, l, k)];
+                            t[k] += Dt[l][k] * uijl;
+                        }
+                    }
+                    for (int k = 0; k < NX; k++) {
+                        const int p = AT(i, j, k);
+                        wr[p] = gc[0][p] * r[k] + gc[1][p] * s[k] + gc[2][p] * t[k];
+                        ws[p] = gc[1][p] * r[k] + gc[3][p] * s[k] + gc[4][p] * t[k];
+                        wt[p] = gc[2][p] * r[k] + gc[4][p] * s[k] + gc[5][p] * t[k];
+                    }
+                }
+            for (int i = 0; i < NX; i++)
+                for (int j = 0; j < NX; j++) {
+                    /* divergence: the three transposed contractions */
+                    REAL a[NX] = {0};
+                    for (int l = 0; l < NX; l++) {
+                        const REAL dli = D[l * NX + i], dlj = D[l * NX + j];
+                        const REAL tijl = wt[AT(i, j, l)];
+                        for (int k = 0; k < NX; k++)
+                            a[k] += dli * wr[AT(l, j, k)] + dlj * ws[AT(i, l, k)]
+                                    + D[l * NX + k] * tijl;
+                    }
+                    for (int k = 0; k < NX; k++)
+                        we[AT(i, j, k)] = a[k];
+                }
+        }
+    }
+}
+"""
+
+_lock = threading.Lock()
+_kernels: dict[tuple[int, np.dtype], "Callable | None"] = {}
+_failures: list[str] = []  # non-empty: native is off for this process
+
+
+def ax_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
+    """``ax(d, u, g, w)`` compiled for ``(nx, dtype)``, or ``None`` — "run
+    the numpy body": ``nx`` above :data:`MAX_NX`, a dtype other than
+    native fp64 / fp32, or a toolchain failure.
+
+    The callable writes ``w = D^T G D u`` and checks nothing: the caller
+    guarantees aligned C-contiguous ``d``, ``u`` and writeable ``w`` of
+    that dtype, ``w`` shaped like ``u``, and a shape-checked ``g`` of it
+    whose every ``g[e, c]`` block is contiguous.  A warm call costs one
+    dict lookup.
+    """
+    try:
+        return _kernels[nx, dtype]
+    except KeyError:
+        with _lock:
+            if (nx, dtype) not in _kernels:
+                _kernels[nx, dtype] = _load(nx, dtype)
+            return _kernels[nx, dtype]
+
+
+def _load(nx: int, dtype: np.dtype) -> "Callable | None":
+    real = _C_REAL.get(dtype)
+    if real is None or not 1 <= nx <= MAX_NX or _failures:
+        return None
+    try:
+        fn = ctypes.CDLL(_build(nx, real)).ax_native
+    except Exception as exc:  # boundary: any failure means "numpy path"
+        _failures.append(repr(exc))
+        warnings.warn(
+            "repro.sem.native: no compiled Ax kernel, the numpy body runs "
+            f"instead ({exc!r})", RuntimeWarning, stacklevel=4,
+        )
+        return None
+    size_t, ptr = ctypes.c_ssize_t, ctypes.c_void_p
+    fn.argtypes = [size_t, size_t, ptr, ptr, ptr, size_t, size_t, ptr]
+    fn.restype = None
+
+    @hot_path
+    def ax(d, u, g, w) -> None:
+        fn(u.shape[0] if u.ndim == 5 else 1, u.shape[-4], d.ctypes.data,
+           u.ctypes.data, g.ctypes.data, g.strides[0], g.strides[1],
+           w.ctypes.data)
+
+    return ax
+
+
+def _build(nx: int, real: str) -> str:
+    """Path of the shared object for ``(nx, real)``, compiled if absent.
+
+    The name hashes what the bits depend on — source, flags, compiler
+    path, the CPU's feature flags — so no CPU loads another's
+    ``-march=native`` build; ``os.replace`` publishes the finished file,
+    so two processes building at once can never load half of one.
+    """
+    env_cc = os.environ.get("CC")
+    cc = shutil.which(env_cc) if env_cc else (
+        shutil.which("cc") or shutil.which("gcc"))
+    if cc is None:
+        raise FileNotFoundError(f"no C compiler ({env_cc or 'cc, gcc'})")
+    flags = [*_FLAGS, f"-DNX={nx}", f"-DREAL={real}"]
+    key = "\0".join([_SOURCE, *flags, cc, _cpu_flags()]).encode()
+    cache = _cache_dir()
+    path = os.path.join(cache, f"ax-{hashlib.sha256(key).hexdigest()[:20]}.so")
+    if not os.path.exists(path):
+        with tempfile.TemporaryDirectory(dir=cache) as scratch:
+            tmp = os.path.join(scratch, "ax.so")
+            done = subprocess.run(
+                [cc, *flags, "-o", tmp, "-x", "c", "-"],
+                input=_SOURCE.encode(), capture_output=True, timeout=120,
+            )
+            if done.returncode:
+                raise RuntimeError(
+                    f"{cc}: {done.stderr.decode(errors='replace')[-400:]}")
+            os.replace(tmp, path)
+    return path
+
+
+def _cpu_flags() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next(x for x in f if x.startswith(("flags", "Features")))
+    except (OSError, StopIteration):
+        return " ".join(os.uname())
+
+
+@functools.cache
+def _cache_dir() -> str:
+    """A directory of ours nobody else can write or swap files in:
+    ``$XDG_CACHE_HOME`` (else ``~/.cache``), then the temp dir, then a
+    per-process ``mkdtemp`` removed at exit."""
+    for path in (
+        os.path.join(os.environ.get("XDG_CACHE_HOME")
+                     or os.path.expanduser("~/.cache"), "repro-sem"),
+        os.path.join(tempfile.gettempdir(), f"repro-{os.getuid()}"),
+    ):
+        if not os.path.isabs(path):  # an unexpanded "~" must not land in cwd
+            continue
+        try:
+            os.makedirs(path, mode=0o700, exist_ok=True)
+            st = os.lstat(path)
+        except OSError:
+            continue
+        if (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
+                and not st.st_mode & 0o022):
+            return path
+    path = tempfile.mkdtemp(prefix="repro-")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path

@@ -31,6 +31,17 @@ def pytest_runtest_call(item):
 
 
 @pytest.fixture
+def numpy_ax(monkeypatch):
+    """Pin ``ax_local_matmul`` to its numpy body — the path a host
+    without a C compiler runs.  The per-path contract classes
+    (``...NumpyBody`` twins) use it so that each path is held to its own
+    relative contracts and never compared with the other."""
+    from repro.sem import native
+
+    monkeypatch.setattr(native, "ax_kernel", lambda nx, dtype: None)
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic RNG per test."""
     return np.random.default_rng(0x5EED)

@@ -473,6 +473,16 @@ class TestRowEqualsSoloAboveTenThousandDofs:
             assert_same_result(block.row(k), solo)
 
 
+@pytest.mark.usefixtures("numpy_ax")
+class TestRowEqualsSoloNumpyBody(TestRowEqualsSoloAboveTenThousandDofs):
+    """Row == solo on the Ax path of a host without a C compiler: the
+    contract holds within each path, and nothing compares across them."""
+
+    test_solo_equals_block_row_bit_for_bit = (
+        TestBatchedCG.test_solo_equals_block_row_bit_for_bit
+    )
+
+
 class TestPerSystemStopping:
     """Per-request tol/maxiter arrays in one stacked solve."""
 

@@ -90,6 +90,23 @@ class TestMatmulKernel:
         assert result is out
         assert np.allclose(out, ax_local(ref, u, g), atol=1e-11)
 
+    def test_mixed_dtypes_are_refused_not_promoted(self):
+        """An fp32 field against fp64 factors used to multiply in fp64
+        mid-kernel and round the result (4.8e-7 from the all-fp32 one);
+        handed to C the wrong width would be read.  Refused up front,
+        for ``g`` and for ``out=``, naming both dtypes."""
+        ref, u, g = random_fields(4)
+        u32, g32 = u.astype(np.float32), g.astype(np.float32)
+        with pytest.raises(TypeError, match="g is float64 but u is float32"):
+            ax_local_matmul(ref, u32, g)
+        with pytest.raises(TypeError, match="g is float32 but u is float64"):
+            ax_local_matmul(ref, u, g32)
+        out = np.full_like(u, np.nan)
+        with pytest.raises(TypeError, match="out is float64 but u is float32"):
+            ax_local_matmul(ref, u32, g32, out=out)
+        assert np.isnan(out).all()  # refused before either path ran
+        assert ax_local_matmul(ref, u32, g32).dtype == np.float32
+
     def test_workspace_path_matches(self):
         ref, u, g = random_fields(6, num_e=4)
         ws = SolverWorkspace(num_elements=4, nx=ref.n_points)
@@ -109,6 +126,11 @@ class TestMatmulKernel:
         out = np.empty_like(u)
         w = ax_local(ref, u, g, out=out, workspace=ws)
         assert np.allclose(w, ax_local(ref, u, g), atol=1e-12)
+
+
+@pytest.mark.usefixtures("numpy_ax")
+class TestMatmulKernelNumpyBody(TestMatmulKernel):
+    """The same cases on the path of a host without a C compiler."""
 
 
 class TestRegistry:
@@ -270,10 +292,12 @@ class TestThreadsOptionIsGone:
         assert np.array_equal(twin.apply_A(b), prob.apply_A(b))
 
 
+@pytest.mark.usefixtures("numpy_ax")
 class TestBlockResidentScratch:
-    """A workspace-backed sweep keeps its seven work arrays per block
-    instead of streaming the full-size scratch fields — shown by which
-    rows a call writes, not by timing."""
+    """A workspace-backed sweep of the numpy body keeps its seven work
+    arrays per block instead of streaming the full-size scratch fields
+    — shown by which rows a call writes, not by timing.  (The compiled
+    kernel's scratch is one element on its stack; it writes none.)"""
 
     @staticmethod
     def _nan_scratch(ws):
@@ -369,6 +393,11 @@ class TestBatchedKernels:
             ax_local_matmul(ref, u[None, :, :, :, :-1], g)
         with pytest.raises(ValueError, match="g must be"):
             ax_local_matmul(ref, u[None], g[:1])
+
+
+@pytest.mark.usefixtures("numpy_ax")
+class TestBatchedKernelsNumpyBody(TestBatchedKernels):
+    """Stacked == per-system on the numpy body, compared with itself."""
 
 
 class TestRegistryErrorPaths:

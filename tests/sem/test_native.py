@@ -1,0 +1,435 @@
+"""Tests for repro.sem.native: the compiled ``Ax`` behind ``"matmul"``.
+
+Three groups.  *Values*: the compiled kernel against the ``einsum``
+reference, to a tolerance fixed beforehand from the dtype.  *Native's
+own exact contracts*: stacked == solo, a slice == the same rows of the
+full call, a repeat == itself, threaded == serial — each compared with
+itself, never with the numpy body (the two paths sum in different
+orders on purpose).  *The loader*: every way it can fail ends in the
+numpy body with one warning, and it never trusts a directory somebody
+else can write.  Everything that needs a compiler skips without one, so
+the file is green under ``CC=/nonexistent`` too.
+"""
+
+from __future__ import annotations
+
+import os
+import stat
+import subprocess
+import sys
+import tempfile
+import threading
+import warnings
+
+import numpy as np
+import pytest
+
+from repro.sem import (
+    BoxMesh,
+    ReferenceElement,
+    SolverWorkspace,
+    ax_local,
+    ax_local_matmul,
+    geometric_factors,
+)
+from repro.sem import native
+
+DTYPES = (np.float64, np.float32)
+
+
+@pytest.fixture
+def compiled():
+    """Skip on a host (or a CI leg) with no usable C compiler."""
+    if native.ax_kernel(2, np.dtype(np.float64)) is None:
+        pytest.skip("no compiled Ax kernel on this host")
+
+
+@pytest.fixture
+def c_calls(monkeypatch):
+    """The ``(nx, dtype)`` of every call that reaches C, in order."""
+    calls, real = [], native.ax_kernel
+
+    def spying(nx, dtype):
+        ax = real(nx, dtype)
+        if ax is None:
+            return None
+
+        def recorded(d, u, g, w):
+            calls.append((nx, np.dtype(dtype)))
+            ax(d, u, g, w)
+
+        return recorded
+
+    monkeypatch.setattr(native, "ax_kernel", spying)
+    return calls
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """The loader as a new process on a new machine would see it: no
+    memoised kernel, no recorded failure, an empty cache directory —
+    with both directory candidates inside ``tmp_path``."""
+    monkeypatch.setattr(native, "_kernels", {})
+    monkeypatch.setattr(native, "_failures", [])
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    native._cache_dir.cache_clear()
+    yield tmp_path
+    native._cache_dir.cache_clear()
+
+
+def fields(n, num_e=3, batch=None, dtype=np.float64, seed=0):
+    """Random fields and random ("curved") interleaved factors."""
+    ref = ReferenceElement.from_degree(n)
+    nx = ref.n_points
+    rng = np.random.default_rng(seed)
+    lead = (num_e,) if batch is None else (batch, num_e)
+    u = rng.standard_normal(lead + (nx, nx, nx)).astype(dtype)
+    g = rng.standard_normal((num_e, 6, nx, nx, nx)).astype(dtype)
+    return ref, u, g
+
+
+def numpy_body(ref, u, g, **kwargs):
+    """The same call with the compiled kernel switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "ax_kernel", lambda nx, dtype: None)
+        return ax_local_matmul(ref, u, g, **kwargs)
+
+
+def assert_close_to_einsum(ref, u, g, w):
+    """``w`` against the fp64 ``einsum`` reference of the same inputs.
+
+    The bound is set from the dtype, not from what the kernel happens
+    to achieve: each output sums ``6 * nx`` products of magnitude up to
+    ``scale``, so ``16 * nx * eps * scale`` leaves an order of magnitude
+    over the worst case of either summation order (and of ``D`` rounded
+    to fp32 on the fp32 path).
+    """
+    exact = ax_local(ref, u.astype(np.float64), g.astype(np.float64))
+    scale = max(np.abs(exact).max(), 1.0)
+    bound = 16 * ref.n_points * np.finfo(w.dtype).eps * scale
+    assert w.dtype == u.dtype and w.shape == u.shape
+    assert np.abs(w - exact).max() <= bound
+
+
+@pytest.mark.usefixtures("compiled")
+class TestValues:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_interleaved_factors_all_degrees(self, n, dtype, c_calls):
+        ref, u, g = fields(n, dtype=dtype, seed=n)
+        assert g.flags.c_contiguous
+        assert_close_to_einsum(ref, u, g, ax_local_matmul(ref, u, g))
+        assert c_calls == [(n + 1, np.dtype(dtype))]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("deformed", (False, True))
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_soa_view_on_a_box_and_on_a_deformed_mesh(
+        self, n, deformed, dtype, c_calls
+    ):
+        ref = ReferenceElement.from_degree(n)
+        mesh = BoxMesh.build(ref, (2, 2, 1))
+        if deformed:
+            mesh = mesh.deform(lambda x, y, z: (
+                x + 0.04 * np.sin(np.pi * y) * np.sin(np.pi * z),
+                y + 0.03 * np.sin(np.pi * z) * np.sin(np.pi * x),
+                z + 0.02 * np.sin(np.pi * x) * np.sin(np.pi * y),
+            ))
+        g = geometric_factors(mesh).as_dtype(dtype).g
+        assert not g.flags.c_contiguous  # the (6, E, ...) store, viewed
+        u = np.random.default_rng(n).standard_normal(mesh.l2g.shape)
+        u = u.astype(dtype)
+        assert_close_to_einsum(ref, u, g, ax_local_matmul(ref, u, g))
+        assert len(c_calls) == 1
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("batch", (1, 3, 8))
+    def test_stacked_blocks(self, batch, dtype, c_calls):
+        ref, ub, g = fields(6, num_e=5, batch=batch, dtype=dtype, seed=batch)
+        wb = ax_local_matmul(ref, ub, g)
+        assert len(c_calls) == 1  # one call sweeps the whole block
+        for b in range(batch):
+            assert_close_to_einsum(ref, ub[b], g, wb[b])
+
+    def test_noncontiguous_out_and_input(self, c_calls):
+        ref, u, g = fields(5, num_e=4)
+        backing = np.full(u.shape + (2,), np.nan)
+        out = backing[..., 0]
+        strided_u = np.stack([u, u], axis=-1)[..., 1]
+        assert not out.flags.c_contiguous
+        assert not strided_u.flags.c_contiguous
+        result = ax_local_matmul(ref, strided_u, g, out=out)
+        assert result is out and len(c_calls) == 1
+        assert np.array_equal(out, ax_local_matmul(ref, u, g))
+        assert np.isnan(backing[..., 1]).all()  # and nothing beside it
+
+    def test_workspace_is_accepted_and_left_alone(self):
+        from repro.sem.workspace import KERNEL_SCRATCH_BUFFERS
+
+        ref, u, g = fields(7, num_e=8)
+        ws = SolverWorkspace(num_elements=8, nx=ref.n_points)
+        for name in KERNEL_SCRATCH_BUFFERS:
+            getattr(ws, name).fill(np.nan)
+        w = ax_local_matmul(ref, u, g, workspace=ws)
+        assert np.array_equal(w, ax_local_matmul(ref, u, g))
+        for name in KERNEL_SCRATCH_BUFFERS:  # its scratch is on the stack
+            assert np.isnan(getattr(ws, name)).all()
+        with pytest.raises(ValueError, match="workspace sized for"):
+            ax_local_matmul(ref, u[:3], g[:3], workspace=ws)
+
+
+@pytest.mark.usefixtures("compiled")
+class TestExactContracts:
+    """What the serving tiers rest on, held by the compiled path alone."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", (2, 6, 7))
+    def test_stacked_block_is_its_solo_calls(self, n, dtype):
+        ref, ub, g = fields(n, num_e=6, batch=8, dtype=dtype, seed=3)
+        wb = ax_local_matmul(ref, ub, g)
+        for b in range(8):
+            assert np.array_equal(wb[b], ax_local_matmul(ref, ub[b], g))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_element_slice_is_the_same_rows_of_the_full_call(self, dtype):
+        ref, u, g = fields(7, num_e=40, dtype=dtype, seed=4)
+        full = ax_local_matmul(ref, u, g)
+        for rows in (slice(0, 1), slice(7, 33), slice(39, 40), slice(0, 40, 3)):
+            part = ax_local_matmul(ref, u[rows], g[rows])
+            assert np.array_equal(part, full[rows])
+
+    def test_soa_and_interleaved_factors_give_the_same_bits(self):
+        ref, u, g = fields(7, num_e=8, seed=5)
+        soa = np.ascontiguousarray(g.transpose(1, 0, 2, 3, 4))
+        view = soa.transpose(1, 0, 2, 3, 4)
+        assert np.array_equal(
+            ax_local_matmul(ref, u, view), ax_local_matmul(ref, u, g)
+        )
+
+    def test_repeat_is_itself_and_inputs_are_untouched(self):
+        ref, u, g = fields(7, num_e=16, seed=6)
+        u0, g0 = u.copy(), g.copy()
+        first = ax_local_matmul(ref, u, g)
+        out = np.full_like(u, np.nan)
+        for _ in range(5):
+            assert np.array_equal(ax_local_matmul(ref, u, g, out=out), first)
+        assert np.array_equal(u, u0) and np.array_equal(g, g0)
+
+    def test_two_threads_at_once_equal_serial(self):
+        """No globals, no heap, GIL released: two callers interleave
+        freely.  Each thread's inputs differ, so a shared scratch would
+        show as the other thread's numbers."""
+        ref = ReferenceElement.from_degree(7)
+        cases = [fields(7, num_e=64, seed=10 + t)[1:] for t in range(2)]
+        serial = [ax_local_matmul(ref, u, g) for u, g in cases]
+        barrier = threading.Barrier(2)
+        wrong: list[int] = []
+
+        def worker(t):
+            u, g = cases[t]
+            out = np.empty_like(u)
+            barrier.wait(timeout=30)
+            for _ in range(40):
+                ax_local_matmul(ref, u, g, out=out)
+                if not np.array_equal(out, serial[t]):
+                    wrong.append(t)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+        assert wrong == []
+
+
+class TestRefusalsNeverReachC:
+    """What C must not be handed runs the numpy body (or is refused),
+    with the result — or the error — that path has always given."""
+
+    def test_nx_above_the_stack_budget(self, c_calls):
+        assert native.MAX_NX == 16
+        ref, u, g = fields(16, num_e=1)  # nx = 17
+        assert native.ax_kernel(17, u.dtype) is None
+        w = ax_local_matmul(ref, u, g)
+        assert c_calls == []
+        assert np.allclose(w, ax_local(ref, u, g), atol=1e-9 * np.abs(w).max())
+
+    def test_strided_inner_block(self, c_calls):
+        ref, u, g = fields(4)
+        strided = np.stack([g, g], axis=-1)[..., 0]
+        assert strided.strides[-1] != g.itemsize
+        w = ax_local_matmul(ref, u, strided)
+        assert c_calls == []
+        assert np.array_equal(w, numpy_body(ref, u, g))
+
+    def test_foreign_byte_order_and_integer_fields(self, c_calls):
+        ref, u, g = fields(3)
+        swapped = u.astype(u.dtype.newbyteorder())
+        w = ax_local_matmul(ref, swapped, g.astype(swapped.dtype))
+        assert c_calls == []
+        assert np.array_equal(w, numpy_body(ref, u, g))
+        assert native.ax_kernel(4, np.dtype(np.int64)) is None
+
+    def test_mixed_dtypes_are_a_type_error(self, c_calls):
+        ref, u, g = fields(4)
+        with pytest.raises(TypeError, match="g is float64 but u is float32"):
+            ax_local_matmul(ref, u.astype(np.float32), g)
+        with pytest.raises(TypeError, match="out is float32 but u is float64"):
+            ax_local_matmul(ref, u, g, out=np.empty(u.shape, np.float32))
+        assert c_calls == []
+
+    def test_misshaped_or_read_only_out(self, c_calls):
+        """A pointer C would write through unchecked: a short ``out``
+        would be overrun, a read-only one (a shared-memory mapping)
+        written or faulted on.  Both keep numpy's own refusal."""
+        ref, u, g = fields(4)
+        with pytest.raises(ValueError):
+            ax_local_matmul(ref, u, g, out=np.empty(u.shape[1:]))
+        frozen = np.zeros_like(u)
+        frozen.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only"):
+            ax_local_matmul(ref, u, g, out=frozen)
+        assert c_calls == [] and not frozen.any()
+
+
+class TestLoader:
+    def test_source_is_carried_by_the_package(self):
+        assert "void ax_native(" in native._SOURCE
+        for word in ("malloc", "static ", "extern "):  # no heap, no globals
+            assert word not in native._SOURCE
+
+    def test_unresolvable_compiler_is_the_numpy_body_and_one_warning(
+        self, fresh_loader, monkeypatch
+    ):
+        monkeypatch.setenv("CC", "/nonexistent")
+        cases = [fields(n, dtype=dt, seed=n) for n in (3, 7) for dt in DTYPES]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = [ax_local_matmul(*case) for case in cases]
+            got += [ax_local_matmul(*case) for case in cases]
+        told = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(told) == 1
+        assert "numpy body" in str(told[0].message)
+        assert "/nonexistent" in str(told[0].message)
+        for case, w in zip(cases + cases, got):
+            assert np.array_equal(w, numpy_body(*case))
+        assert len(native._failures) == 1
+        assert not any((fresh_loader / "xdg").rglob("*"))  # nothing built
+
+    def test_failing_compiler_never_raises(self, fresh_loader, monkeypatch):
+        """A compiler that exists and fails (``false``), then one that
+        "succeeds" and writes something that is not a shared object."""
+        ref, u, g = fields(5)
+        monkeypatch.setenv("CC", "false")
+        with pytest.warns(RuntimeWarning, match="numpy body"):
+            w = ax_local_matmul(ref, u, g)
+        assert np.array_equal(w, numpy_body(ref, u, g))
+        fake = fresh_loader / "fakecc"
+        fake.write_text(
+            '#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\necho junk > "$2"\n'
+        )
+        fake.chmod(0o755)
+        monkeypatch.setenv("CC", str(fake))
+        native._failures.clear()
+        native._kernels.clear()
+        with pytest.warns(RuntimeWarning, match="numpy body.*OSError"):
+            w = ax_local_matmul(ref, u, g)
+        assert np.array_equal(w, numpy_body(ref, u, g))
+
+    @pytest.mark.usefixtures("compiled")
+    def test_build_lands_in_the_private_cache_and_is_reused(
+        self, fresh_loader
+    ):
+        ref, u, g = fields(4)
+        w = ax_local_matmul(ref, u, g)
+        cache = fresh_loader / "xdg" / "repro-sem"
+        built = sorted(p.name for p in cache.iterdir())
+        assert len(built) == 1 and built[0].startswith("ax-")
+        assert built[0].endswith(".so")
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+        # A second "process" finds it: same file, no rebuild, same bits.
+        stamp = (cache / built[0]).stat().st_mtime_ns
+        native._kernels.clear()
+        assert np.array_equal(ax_local_matmul(ref, u, g), w)
+        assert sorted(p.name for p in cache.iterdir()) == built
+        assert (cache / built[0]).stat().st_mtime_ns == stamp
+
+    @pytest.mark.usefixtures("compiled")
+    def test_another_cpu_gets_another_artefact(
+        self, fresh_loader, monkeypatch
+    ):
+        """``-march=native`` output must never be loaded by a CPU it was
+        not built on (a home directory shared across hosts)."""
+        first = native._build(3, "double")
+        monkeypatch.setattr(native, "_cpu_flags", lambda: "flags : other")
+        second = native._build(3, "double")
+        assert first != second
+        assert os.path.exists(first) and os.path.exists(second)
+
+    @pytest.mark.parametrize("flaw", ("group-writable", "foreign", "symlink"))
+    def test_a_directory_others_control_is_not_used(
+        self, fresh_loader, monkeypatch, flaw
+    ):
+        xdg = fresh_loader / "xdg" / "repro-sem"
+        if flaw == "symlink":
+            (fresh_loader / "elsewhere").mkdir(mode=0o700)
+            xdg.parent.mkdir()
+            xdg.symlink_to(fresh_loader / "elsewhere")
+        else:
+            xdg.mkdir(parents=True)
+            xdg.chmod(0o770 if flaw == "group-writable" else 0o700)
+        if flaw == "foreign":  # as if another uid had made both candidates
+            uid = os.getuid()
+            monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        chosen = native._cache_dir()
+        assert os.path.realpath(chosen) != os.path.realpath(xdg)
+        assert os.path.dirname(chosen) == str(fresh_loader / "tmp")
+        if flaw == "foreign":  # the last resort: a private mkdtemp
+            assert os.path.basename(chosen) != f"repro-{os.getuid()}"
+        assert stat.S_IMODE(os.stat(chosen).st_mode) == 0o700
+
+    def test_unexpanded_home_does_not_land_in_the_working_directory(
+        self, fresh_loader, monkeypatch
+    ):
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+        monkeypatch.chdir(fresh_loader)
+        chosen = native._cache_dir()
+        assert os.path.dirname(chosen) == str(fresh_loader / "tmp")
+        assert not (fresh_loader / "~").exists()
+
+    @pytest.mark.usefixtures("compiled")
+    def test_two_processes_building_at_once(self, tmp_path):
+        """Two fleet workers (or two pytest processes) meeting an empty
+        cache: both get right answers, one artefact is left, and no
+        half-written or temporary file."""
+        script = (
+            "import numpy as np\n"
+            "from repro.sem import ReferenceElement, ax_local, ax_local_matmul\n"
+            "from repro.sem import native\n"
+            "ref = ReferenceElement.from_degree(5)\n"
+            "rng = np.random.default_rng(7)\n"
+            "u = rng.standard_normal((4, 6, 6, 6))\n"
+            "g = rng.standard_normal((4, 6, 6, 6, 6))\n"
+            "w = ax_local_matmul(ref, u, g)\n"
+            "assert native.ax_kernel(6, u.dtype) is not None\n"
+            "assert np.allclose(w, ax_local(ref, u, g), atol=1e-11)\n"
+            "print(w.tobytes().hex()[:64])\n"
+        )
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script], env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            for _ in range(2)
+        ]
+        outs = [p.communicate(timeout=120) for p in procs]
+        for p, (_, err) in zip(procs, outs):
+            assert p.returncode == 0, err
+        assert outs[0][0] == outs[1][0] != ""
+        left = sorted(p.name for p in (tmp_path / "repro-sem").iterdir())
+        assert len(left) == 1 and left[0].endswith(".so")

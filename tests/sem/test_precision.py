@@ -286,6 +286,11 @@ class TestBatchedMixed:
             assert int(res.iterations[k]) == int(prefix.sum())
 
 
+@pytest.mark.usefixtures("numpy_ax")
+class TestBatchedMixedNumpyBody(TestBatchedMixed):
+    """Stacked-mixed == solo-mixed on the numpy body of the kernel."""
+
+
 class TestFp64BitIdentity:
     """The regression guard: ``precision="fp64"`` must remain
     bit-identical to the plain fp64 path — the dtype generalization is

@@ -195,6 +195,16 @@ class TestAllocationFree:
         assert peak - baseline < field_bytes // 2
 
 
+@pytest.mark.usefixtures("numpy_ax")
+class TestReuseNumpyBody(TestReuse):
+    """Workspace == workspace-free on the numpy body of the kernel."""
+
+
+@pytest.mark.usefixtures("numpy_ax")
+class TestAllocationFreeNumpyBody(TestAllocationFree):
+    """The zero-allocation contract of the path that uses the scratch."""
+
+
 class TestBatchedWorkspace:
     def test_batched_buffer_shapes(self):
         ws = SolverWorkspace(num_elements=3, nx=4, n_global=20, batch=5)
@@ -334,6 +344,11 @@ class TestBatchedAllocationFree:
             )
             assert single.converged
             assert np.allclose(res.x[k], single.x, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.usefixtures("numpy_ax")
+class TestBatchedAllocationFreeNumpyBody(TestBatchedAllocationFree):
+    """The stacked zero-allocation contract on the numpy body."""
 
 
 class TestBatchOfOne:
