@@ -37,30 +37,40 @@ ufuncs.  If the operator callback accepts an ``out=`` keyword (as
 computed without allocating, so a warm iteration performs zero
 field-sized heap allocations.
 
-Inner products read their operands once: on fp64 vectors one BLAS
-``ddot`` per row (``np.vecdot``), on fp32 vectors a ``multiply`` into
-fp32 storage + a pairwise ``sum`` accumulated in fp64.  Either way a
-row's value is a function of that row alone — never of ``B`` or of its
-batchmates — and no other arithmetic reads across rows, so a system
-solved inside a stacked block is **bit-identical** to the same system
-solved alone — the property the micro-batching serving layer
-(:mod:`repro.serve`) is built on.  What the fp64 value *does* depend on
-is the BLAS thread count: OpenBLAS splits a ``ddot`` longer than 10^4
-elements across its threads, so ``OPENBLAS_NUM_THREADS=1`` and ``=2``
-differ in the last ulp there.  That count is a per-process constant
-which fleet workers inherit with their environment; results are
-comparable bit for bit between processes that share it.
+The vector half of an iteration is three streaming passes — ``p.Ap``;
+``x``, ``r``, ``z`` with ``r.z`` and ``r.r`` summed in the sweep that
+produces them; ``p`` — compiled where the host has a C compiler
+(:func:`repro.sem.native.cg_passes`).  The numpy body is the same
+arithmetic (``x``, ``r``, ``z``, ``p`` agree to the bit given the same
+scalars; only the sums' order differs) and runs without a compiler and
+for buffers C must not be handed.  No parameter selects a path.
+
+Inner products read their operands once and accumulate in fp64, fp32
+products rounded to fp32 first: compiled, in eight fixed lanes; in the
+numpy body one BLAS ``ddot`` per fp64 row (``np.vecdot``), a
+``multiply`` into fp32 storage + a pairwise ``sum`` per fp32 row.
+Either way a row's value is a function of that row alone — never of
+``B`` or of its batchmates — and no other arithmetic reads across rows,
+so a system solved inside a stacked block is **bit-identical** to the
+same system solved alone — the property the micro-batching serving
+layer (:mod:`repro.serve`) is built on.  Only the numpy body's fp64
+value also depends on the BLAS thread count: OpenBLAS splits a ``ddot``
+longer than 10^4 elements across its threads, so
+``OPENBLAS_NUM_THREADS=1`` and ``=2`` differ in the last ulp there — a
+per-process constant fleet workers inherit with their environment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.analysis.annotations import hot_path
+from repro.sem import native
 from repro.sem.kernels import accepts_keyword
 from repro.sem.workspace import SolverWorkspace
 
@@ -287,9 +297,25 @@ def _buffers(workspace, b, vectors, scalars) -> list[NDArray]:
     )
 
 
+def _raw(arrays, dtype, shape, written: bool) -> bool:
+    """Whether C may be handed a bare pointer to each of ``arrays``."""
+    return all(
+        a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
+        and a.flags.aligned and (a.flags.writeable or not written)
+        for a in arrays
+    )
+
+
 @hot_path
 def _row_dots(a_vec, b_vec, tmp, dst) -> None:
     # Per-system inner products into the fp64 ``dst``.
+    passes = native.cg_passes(a_vec.dtype)
+    if (passes is not None
+            and _raw((a_vec, b_vec), a_vec.dtype, a_vec.shape, False)
+            and _raw((dst,), np.float64, a_vec.shape[:1], True)):
+        passes[0](*a_vec.shape, a_vec.ctypes.data, b_vec.ctypes.data,
+                  dst.ctypes.data)
+        return
     if a_vec.dtype == np.float64:
         # One cblas_ddot per row: each operand is read once and nothing
         # field-sized is written.  (einsum("ij,ij->i") is not a
@@ -321,6 +347,46 @@ def _start(b, r, tol, maxiter, tmp, res, stop, active) -> None:
     np.greater(res, stop, out=active)
     if maxiter.ndim:
         active &= maxiter > 0  # zero-cap requests never start iterating
+
+
+def _bind_passes(x, r, z, p, ap, tmp, inv_m, step, dots, rr) -> tuple:
+    """The vector half of an iteration over one solve's buffers, as three
+    argument-free passes: ``dots = p.Ap``; then ``x += step * p``,
+    ``r -= step * Ap``, ``z = r * inv_m``, ``dots = r.z``, ``rr = r.r``;
+    then ``p = step * p + z``.  Compiled, with every address taken here
+    and not per iteration, when each buffer is one C may write through;
+    else the numpy body."""
+    passes = native.cg_passes(x.dtype)
+    vecs = (x, r, p, ap) if inv_m is None else (x, r, z, p, ap, inv_m)
+    if (passes is not None and _raw(vecs, x.dtype, x.shape, True)
+            and _raw((step,), x.dtype, x.shape[:1], False)
+            and _raw((dots, rr), np.float64, x.shape[:1], True)):
+        step_, p_, ap_, m_, x_, r_, z_, dots_, rr_ = (
+            None if a is None else a.ctypes.data
+            for a in (step, p, ap, inv_m, x, r, z, dots, rr))
+        dot, advance, redirect = passes
+        return (partial(dot, *x.shape, p_, ap_, dots_),
+                partial(advance, *x.shape, step_, p_, ap_, m_, x_, r_, z_,
+                        dots_, rr_),
+                partial(redirect, *x.shape, step_, z_, p_))
+
+    @hot_path
+    def update() -> None:
+        np.multiply(p, step[:, None], out=tmp)
+        np.add(x, tmp, out=x)
+        np.multiply(ap, step[:, None], out=tmp)
+        np.subtract(r, tmp, out=r)
+        if inv_m is not None:
+            np.multiply(r, inv_m, out=z)
+        _row_dots(r, z, tmp, dots)
+        _row_dots(r, r, tmp, rr)
+
+    @hot_path
+    def direction() -> None:
+        np.multiply(p, step[:, None], out=p)
+        np.add(p, z, out=p)
+
+    return partial(_row_dots, p, ap, tmp, dots), update, direction
 
 
 def _cg_iterate(
@@ -360,6 +426,8 @@ def _cg_iterate(
     if b.dtype != np.float64:
         step = np.empty(nb, dtype=b.dtype)
     coef.fill(0.0)
+    dot_p_ap, update, direction = _bind_passes(
+        x, r, z, p, ap, tmp, inv_m, step, pap, res)
     iterations = np.zeros(nb, dtype=np.int64)
     # Systems frozen by subspace exhaustion are solved on their Krylov
     # subspace even though their residual criterion never fires; they
@@ -370,7 +438,7 @@ def _cg_iterate(
     it = 0
     while active.any() and it < iter_cap:
         apply_into(p, ap)
-        _row_dots(p, ap, tmp, pap)
+        dot_p_ap()
         bad = active & (pap <= 0.0)
         if bad.any():
             worst = float(pap[bad].min())
@@ -391,21 +459,14 @@ def _cg_iterate(
         # their x and r exactly (bit-for-bit) while the rest iterate.
         np.divide(rz, pap, out=coef, where=active)
         np.multiply(coef, active, out=step)  # alpha
-        np.multiply(p, step[:, None], out=tmp)
-        x += tmp
-        np.multiply(ap, step[:, None], out=tmp)
-        r -= tmp
-        if inv_m is not None:
-            np.multiply(r, inv_m, out=z)
-        _row_dots(r, z, tmp, pap)  # pap now carries rz_new
+        update()  # x, r, z; pap now carries rz_new and res ||r||^2
         np.divide(pap, rz, out=coef, where=active)
         np.multiply(coef, active, out=step)  # beta
         np.copyto(rz, pap)
-        np.multiply(p, step[:, None], out=p)
         # Frozen systems have beta = 0, so their p is simply parked at
         # their (frozen) z: nothing reads it, since their alpha is 0.
-        p += z
-        _row_norms(r, tmp, res)
+        direction()
+        np.sqrt(res, out=res)
         history.append(res.copy())
         active &= ~(res <= stop)  # (a NaN residual stays live to its cap)
         if maxiter.ndim:

@@ -1,4 +1,4 @@
-"""The compiled, element-streaming ``Ax``: one C function via ``ctypes``.
+"""The compiled streaming passes of a solve: ``Ax`` and the CG vector half.
 
 The paper's accelerator streams each element through gradient →
 geometric factors → divergence on chip; :data:`_SOURCE` is the host
@@ -7,11 +7,17 @@ factors, three stack-resident flux arrays, ``w``: 11 ``nx^3`` blocks),
 so memory sees each operand exactly once; it uses no heap and no
 globals, and ``ctypes.CDLL`` releases the GIL around the call.
 
-:func:`ax_kernel` is the whole interface: one shared object per
-``(nx, dtype)``, built with the host's C compiler on first use.  On
-*any* failure it warns once, stops trying for the rest of the process
-and returns ``None``, and :func:`repro.sem.kernels.ax_local_matmul`
-runs its numpy body instead: a C compiler is optional, never required.
+:data:`_CG_SOURCE` is the other half of an iteration in the same
+style: ``p.Ap``, then ``x``/``r``/``z`` with ``r.z`` and ``r.r`` folded
+into the sweep that produces them, then ``p`` — each operand once per
+pass, 9 reads + 4 writes where twelve numpy calls made 17 + 7.
+
+:func:`ax_kernel` and :func:`cg_passes` are the whole interface: one
+shared object per ``(nx, dtype)`` and one per dtype, built with the
+host's C compiler on first use.  On *any* failure they warn once, stop
+trying for the rest of the process and return ``None``, and
+:func:`repro.sem.kernels.ax_local_matmul` / :mod:`repro.sem.cg` run
+their numpy bodies instead: a C compiler is optional, never required.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import shlex
 import shutil
 import stat
 import subprocess
@@ -107,9 +114,90 @@ void ax_native(ptrdiff_t nb, ptrdiff_t ne, const REAL *restrict D,
 }
 """
 
+#: The vector passes want ``-O3`` (gcc 12's ``-O2`` cost model leaves the
+#: step sweep scalar) and no contraction: one rounding per operation, so
+#: ``x``, ``r``, ``z``, ``p`` are the numpy body's bits given its scalars.
+_CG_FLAGS: tuple[str, ...] = (*_FLAGS, "-O3", "-ffp-contract=off")
+
+_CG_SOURCE = r"""
+#include <stddef.h>
+/* Every sum: products rounded to REAL, element i added into fp64 lane
+   i % 8, the lanes folded in one fixed order -- a row's value is a
+   function of that row alone, whatever nb, the BLAS or its threads. */
+#define FOLD(s) \
+    (((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7])))
+#define SWEEP(BODY) \
+    ptrdiff_t i = 0; \
+    for (; i + 8 <= n; i += 8) \
+        for (int l = 0; l < 8; l++) BODY(i + l, l) \
+    for (int l = 0; i < n; i++, l++) BODY(i, l)
+#define DOT(i, l) { const REAL ab = a[i] * b[i]; s[l] += ab; }
+#define STEP(i, l) { \
+        const REAL ri = r[i] - alpha * ap[i]; \
+        REAL zi = ri; \
+        x[i] += alpha * p[i]; \
+        r[i] = ri; \
+        if (invm) z[i] = zi = ri * invm[i]; \
+        const REAL rzi = ri * zi, rri = ri * ri; \
+        s[l] += rzi; \
+        t[l] += rri; }
+
+/* out[k] = a[k] . b[k] over nb C-contiguous rows of n. */
+void cg_dot(ptrdiff_t nb, ptrdiff_t n, const REAL *a, const REAL *b,
+            double *out)
+{
+    for (ptrdiff_t k = 0; k < nb; k++, a += n, b += n) {
+        double s[8] = {0};
+        SWEEP(DOT)
+        out[k] = FOLD(s);
+    }
+}
+
+/* One sweep per row: x += step*p, r -= step*ap, z = r*invm, rz = r.z,
+   rr = r.r.  invm == NULL is "no preconditioner": z (which then aliases
+   r) is never touched and rz == rr. */
+void cg_step(ptrdiff_t nb, ptrdiff_t n, const REAL *step,
+             const REAL *restrict p, const REAL *restrict ap,
+             const REAL *restrict invm, REAL *restrict x, REAL *restrict r,
+             REAL *restrict z, double *rz, double *rr)
+{
+    for (ptrdiff_t k = 0; k < nb; k++) {
+        const REAL alpha = step[k];
+        double s[8] = {0}, t[8] = {0};
+        SWEEP(STEP)
+        rz[k] = FOLD(s);
+        rr[k] = FOLD(t);
+        p += n, ap += n, x += n, r += n;
+        if (invm) invm += n, z += n;
+    }
+}
+
+/* p = step*p + z, row by row. */
+void cg_dir(ptrdiff_t nb, ptrdiff_t n, const REAL *step,
+            const REAL *restrict z, REAL *restrict p)
+{
+    for (ptrdiff_t k = 0; k < nb; k++, z += n, p += n) {
+        const REAL beta = step[k];
+        for (ptrdiff_t i = 0; i < n; i++)
+            p[i] = beta * p[i] + z[i];
+    }
+}
+"""
+
 _lock = threading.Lock()
-_kernels: dict[tuple[int, np.dtype], "Callable | None"] = {}
+_kernels: dict[tuple, "Callable | tuple | None"] = {}
 _failures: list[str] = []  # non-empty: native is off for this process
+
+
+def _cached(load: Callable, *key):
+    # A warm call costs one dict lookup.
+    try:
+        return _kernels[key]
+    except KeyError:
+        with _lock:
+            if key not in _kernels:
+                _kernels[key] = load(*key)
+            return _kernels[key]
 
 
 def ax_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
@@ -120,31 +208,47 @@ def ax_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
     The callable writes ``w = D^T G D u`` and checks nothing: the caller
     guarantees aligned C-contiguous ``d``, ``u`` and writeable ``w`` of
     that dtype, ``w`` shaped like ``u``, and a shape-checked ``g`` of it
-    whose every ``g[e, c]`` block is contiguous.  A warm call costs one
-    dict lookup.
+    whose every ``g[e, c]`` block is contiguous.
     """
-    try:
-        return _kernels[nx, dtype]
-    except KeyError:
-        with _lock:
-            if (nx, dtype) not in _kernels:
-                _kernels[nx, dtype] = _load(nx, dtype)
-            return _kernels[nx, dtype]
+    return _cached(_load_ax, nx, dtype)
 
 
-def _load(nx: int, dtype: np.dtype) -> "Callable | None":
+def cg_passes(dtype: np.dtype) -> "tuple[Callable, ...] | None":
+    """``(cg_dot, cg_step, cg_dir)`` of :data:`_CG_SOURCE` compiled for
+    ``dtype``, or ``None`` — "run the numpy body" — as :func:`ax_kernel`.
+
+    They take *addresses* (``arr.ctypes.data``: a solve takes them once,
+    not per iteration) and check nothing: the caller guarantees aligned
+    C-contiguous ``(nb, n)`` vectors of ``dtype`` and ``(nb,)`` scalars
+    (``step`` of ``dtype``, the sums fp64), writeable where written.
+    """
+    return _cached(_load_cg, dtype)
+
+
+def _library(
+    stem: str, source: str, dtype: np.dtype, *flags: str
+) -> "ctypes.CDLL | None":
     real = _C_REAL.get(dtype)
-    if real is None or not 1 <= nx <= MAX_NX or _failures:
+    if real is None or _failures:
         return None
     try:
-        fn = ctypes.CDLL(_build(nx, real)).ax_native
+        return ctypes.CDLL(_build(stem, source, [*flags, f"-DREAL={real}"]))
     except Exception as exc:  # boundary: any failure means "numpy path"
         _failures.append(repr(exc))
         warnings.warn(
-            "repro.sem.native: no compiled Ax kernel, the numpy body runs "
-            f"instead ({exc!r})", RuntimeWarning, stacklevel=4,
+            f"repro.sem.native: no compiled {stem} kernel, the numpy body "
+            f"runs instead ({exc!r})", RuntimeWarning, stacklevel=6,
         )
         return None
+
+
+def _load_ax(nx: int, dtype: np.dtype) -> "Callable | None":
+    if not 1 <= nx <= MAX_NX:
+        return None
+    lib = _library("ax", _SOURCE, dtype, *_FLAGS, f"-DNX={nx}")
+    if lib is None:
+        return None
+    fn = lib.ax_native
     size_t, ptr = ctypes.c_ssize_t, ctypes.c_void_p
     fn.argtypes = [size_t, size_t, ptr, ptr, ptr, size_t, size_t, ptr]
     fn.restype = None
@@ -158,29 +262,43 @@ def _load(nx: int, dtype: np.dtype) -> "Callable | None":
     return ax
 
 
-def _build(nx: int, real: str) -> str:
-    """Path of the shared object for ``(nx, real)``, compiled if absent.
+def _load_cg(dtype: np.dtype) -> "tuple[Callable, ...] | None":
+    lib = _library("cg", _CG_SOURCE, dtype, *_CG_FLAGS)
+    if lib is None:
+        return None
+    size_t, ptr = ctypes.c_ssize_t, ctypes.c_void_p
+    for fn, pointers in ((lib.cg_dot, 3), (lib.cg_step, 9), (lib.cg_dir, 3)):
+        fn.argtypes = [size_t, size_t] + [ptr] * pointers
+        fn.restype = None
+    return lib.cg_dot, lib.cg_step, lib.cg_dir
+
+
+def _build(stem: str, source: str, flags: list[str]) -> str:
+    """Path of the shared object for ``source``, compiled if absent.
 
     The name hashes what the bits depend on — source, flags, compiler
-    path, the CPU's feature flags — so no CPU loads another's
-    ``-march=native`` build; ``os.replace`` publishes the finished file,
-    so two processes building at once can never load half of one.
+    (every word of a ``CC="ccache gcc"``), the CPU's feature flags — so
+    no CPU loads another's ``-march=native`` build; ``os.replace``
+    publishes the finished file, so two processes building at once can
+    never load half of one.
     """
-    env_cc = os.environ.get("CC")
-    cc = shutil.which(env_cc) if env_cc else (
+    env_cc = shlex.split(os.environ.get("CC") or "")
+    cc = shutil.which(env_cc[0]) if env_cc else (
         shutil.which("cc") or shutil.which("gcc"))
     if cc is None:
-        raise FileNotFoundError(f"no C compiler ({env_cc or 'cc, gcc'})")
-    flags = [*_FLAGS, f"-DNX={nx}", f"-DREAL={real}"]
-    key = "\0".join([_SOURCE, *flags, cc, _cpu_flags()]).encode()
+        raise FileNotFoundError(
+            f"no C compiler ({' '.join(env_cc) or 'cc, gcc'})")
+    cmd = [cc, *env_cc[1:], *flags]  # $CC split as a shell would
+    key = "\0".join([source, *cmd[1:], cc, _cpu_flags()]).encode()
     cache = _cache_dir()
-    path = os.path.join(cache, f"ax-{hashlib.sha256(key).hexdigest()[:20]}.so")
+    path = os.path.join(
+        cache, f"{stem}-{hashlib.sha256(key).hexdigest()[:20]}.so")
     if not os.path.exists(path):
         with tempfile.TemporaryDirectory(dir=cache) as scratch:
-            tmp = os.path.join(scratch, "ax.so")
+            tmp = os.path.join(scratch, f"{stem}.so")
             done = subprocess.run(
-                [cc, *flags, "-o", tmp, "-x", "c", "-"],
-                input=_SOURCE.encode(), capture_output=True, timeout=120,
+                [*cmd, "-o", tmp, "-x", "c", "-"],
+                input=source.encode(), capture_output=True, timeout=120,
             )
             if done.returncode:
                 raise RuntimeError(
@@ -189,6 +307,7 @@ def _build(nx: int, real: str) -> str:
     return path
 
 
+@functools.cache
 def _cpu_flags() -> str:
     try:
         with open("/proc/cpuinfo") as f:

@@ -101,6 +101,10 @@ def _worker_info(problem, spec, ring, pinned) -> dict:
             native.ax_kernel(inner.ref.n_points, np.dtype(t)) is not None
             for t in (np.float64, np.float32)
         ),
+        "cg_native": all(  # ... and one path through the CG vector passes
+            native.cg_passes(np.dtype(t)) is not None
+            for t in (np.float64, np.float32)
+        ),
     }
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sem import BoxMesh, PoissonProblem, ReferenceElement
+from repro.sem import BoxMesh, PoissonProblem, ReferenceElement, native
 from repro.sem.cg import (
     CGResult,
     cg_solve,
@@ -367,8 +367,9 @@ class TestBatchedCG:
 
 
 class TestRowDots:
-    """The inner products: one ddot per fp64 row, multiply + fp64
-    pairwise sum per fp32 row — a row's value never depends on B."""
+    """The inner products — compiled: eight fixed fp64 lanes; numpy
+    body: one ddot per fp64 row, multiply + fp64 pairwise sum per fp32
+    row.  Either way a row's value never depends on B."""
 
     # 8193 is past einsum's blocking, 24389/185193 past the 10^4
     # elements above which OpenBLAS splits a ddot across its threads.
@@ -392,7 +393,9 @@ class TestRowDots:
                 assert solo[0] == block[k], (nb, k)
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_fp64_is_blas_ddot_and_fp32_the_fp64_pairwise_sum(self, n):
+    def test_fp64_is_blas_ddot_and_fp32_the_fp64_pairwise_sum(
+        self, n, numpy_body
+    ):
         from repro.sem.cg import _row_dots
 
         rng = np.random.default_rng(n + 1)
@@ -407,6 +410,28 @@ class TestRowDots:
         _row_dots(a32, b32, np.empty_like(a32), got)
         want = np.add.reduce(a32 * b32, axis=1, dtype=np.float64)
         assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("path", ("compiled", "numpy_body"))
+    def test_fp32_products_round_to_fp32_and_the_sum_never_does(
+        self, path, request
+    ):
+        """A cancellation both wrong arithmetics fail: ``(1 + 2^-12)^2``
+        rounds to ``1 + 2^-11`` in fp32 (an fp64 product keeps the
+        ``2^-24``), and between ``+2^24`` and ``-2^24`` an fp32 sum
+        drops every such term."""
+        from repro.sem.cg import _row_dots
+
+        if path == "numpy_body":
+            request.getfixturevalue("numpy_body")
+        elif native.cg_passes(np.dtype(np.float32)) is None:
+            pytest.skip("no compiled CG passes on this host")
+        a = np.full((2, 1003), 1 + 2.0 ** -12, dtype=np.float32)
+        a[:, 0], a[:, -1] = 2.0 ** 12, -(2.0 ** 12)
+        b = a.copy()
+        b[:, -1] = 2.0 ** 12
+        got = np.empty(2)
+        _row_dots(a, b, np.empty_like(a), got)
+        assert got.tolist() == [1001 * (1 + 2.0 ** -11)] * 2
 
     def test_rhs_layout_does_not_change_a_solve(self):
         """ddot sums a strided row in another order than a contiguous
@@ -473,7 +498,7 @@ class TestRowEqualsSoloAboveTenThousandDofs:
             assert_same_result(block.row(k), solo)
 
 
-@pytest.mark.usefixtures("numpy_ax")
+@pytest.mark.usefixtures("numpy_body")
 class TestRowEqualsSoloNumpyBody(TestRowEqualsSoloAboveTenThousandDofs):
     """Row == solo on the Ax path of a host without a C compiler: the
     contract holds within each path, and nothing compares across them."""
@@ -481,6 +506,109 @@ class TestRowEqualsSoloNumpyBody(TestRowEqualsSoloAboveTenThousandDofs):
     test_solo_equals_block_row_bit_for_bit = (
         TestBatchedCG.test_solo_equals_block_row_bit_for_bit
     )
+
+
+@pytest.fixture
+def pass_calls(monkeypatch):
+    """The name of every compiled CG pass a solve ran, in order."""
+    calls, real = [], native.cg_passes
+
+    def spying(dtype):
+        passes = real(dtype)
+        if passes is None:
+            pytest.skip("no compiled CG passes on this host")
+
+        def recorded(name, fn):
+            return lambda *args: (calls.append(name), fn(*args))[1]
+
+        return tuple(map(recorded, ("dot", "step", "dir"), passes))
+
+    monkeypatch.setattr(native, "cg_passes", spying)
+    return calls
+
+
+class TestCompiledPasses:
+    """What ``_cg_iterate`` hands C, and what it keeps from it."""
+
+    def test_a_solve_is_three_passes_per_iteration(self, pass_calls):
+        prob = sem_problem()
+        b = sem_block(prob)[0]
+        res = solve("fp64", prob, b, workspace=True, tol=1e-8,
+                    precond_diag=prob.precond_diag())
+        # rz, ||b|| and ||r|| before the loop, then the three passes.
+        per_iteration = ["dot", "step", "dir"] * res.iterations
+        assert pass_calls == ["dot"] * 3 + per_iteration
+
+    def test_frozen_row_keeps_x_and_r_while_its_batchmates_iterate(
+        self, pass_calls
+    ):
+        """Row 0 stops at a loose tolerance; the block then sweeps it
+        with alpha = beta = 0 for as long as row 1 needs.  Its ``x``
+        *and* its recurrence residual stay the solo solve's, bit for
+        bit."""
+        prob = sem_problem()
+        bs = sem_block(prob, batch=2)
+        diag = prob.precond_diag()
+        ws, solo_ws = prob.batch_workspace(2), prob.batch_workspace(1)
+        block = cg_solve_batched(
+            prob.apply_A, bs, precond_diag=diag, tol=np.array([1e-3, 1e-11]),
+            maxiter=400, workspace=ws,
+        )
+        assert 0 < block.iterations[0] < block.iterations[1]
+        assert "step" in pass_calls
+        frozen_x, frozen_r = ws.cg_x[0].copy(), ws.cg_r[0].copy()
+        solo = cg_solve(prob.apply_A, bs[0], precond_diag=diag, tol=1e-3,
+                        maxiter=400, workspace=solo_ws)
+        assert solo.iterations == block.iterations[0]
+        assert np.array_equal(frozen_x, solo_ws.cg_x)
+        assert np.array_equal(frozen_r, solo_ws.cg_r)
+
+    @pytest.mark.parametrize("flaw", ("strided", "unaligned"))
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    def test_flawed_buffers_take_the_numpy_body(self, flaw, dtype, pass_calls):
+        """A workspace C must not write through: no compiled step runs,
+        row == solo still holds and the answer is the sound workspace's
+        to rounding."""
+        prob = sem_problem()
+        bs = sem_block(prob, batch=3).astype(dtype)
+        apply_A = prob.apply_A if dtype == np.float64 else prob.apply_A32
+        diag = prob.precond_diag().astype(dtype)
+
+        def flawed(batch):
+            ws = SolverWorkspace.for_mesh(prob.mesh, batch=batch, dtype=dtype)
+            shape, size = ws.cg_x.shape, ws.cg_x.dtype.itemsize
+            if flaw == "strided":
+                wide = np.empty(shape[:-1] + (2 * shape[-1],), dtype)
+                ws.cg_x = wide[..., ::2]
+            else:
+                raw = np.empty(ws.cg_x.nbytes + 1, dtype=np.uint8)
+                ws.cg_x = raw[1:].view(dtype).reshape(shape)
+            assert not (ws.cg_x.flags.c_contiguous and ws.cg_x.flags.aligned)
+            assert ws.cg_x.strides[-1] in (size, 2 * size)
+            return ws
+
+        kwargs = dict(precond_diag=diag, tol=1e-4, maxiter=200, dtype=dtype)
+        sound = cg_solve_batched(apply_A, bs, **kwargs)
+        assert "step" in pass_calls
+        del pass_calls[:]
+        block = cg_solve_batched(apply_A, bs, workspace=flawed(3), **kwargs)
+        for k in range(3):
+            solo = cg_solve(apply_A, bs[k], workspace=flawed(1), **kwargs)
+            assert_same_result(block.row(k), solo)
+        assert block.all_converged and set(pass_calls) == {"dot"}
+        scale = np.abs(sound.x).max()
+        assert np.allclose(block.x, sound.x, rtol=1e-3, atol=1e-3 * scale)
+
+    def test_read_only_buffer_is_numpys_own_refusal(self, pass_calls):
+        prob = sem_problem()
+        ws = prob.batch_workspace(1)
+        ws.cg_p.setflags(write=False)
+        try:
+            with pytest.raises(ValueError, match="read-only"):
+                solve("fp64", prob, sem_block(prob)[0], workspace=ws)
+        finally:
+            ws.cg_p.setflags(write=True)  # the problem caches it
+        assert "step" not in pass_calls and "dir" not in pass_calls
 
 
 class TestPerSystemStopping:
@@ -738,3 +866,8 @@ class TestNonFiniteRhs:
             solo = solve(precision, prob, bs[k], **kwargs)
             assert solo.converged
             assert_same_result(block.row(k), solo)
+
+
+@pytest.mark.usefixtures("numpy_body")
+class TestNonFiniteRhsNumpyBody(TestNonFiniteRhs):
+    """The same refusals from the numpy body of the vector passes."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -387,3 +389,33 @@ class TestDtypeRefusal:
         twin = gs.as_dtype(np.float32)
         assert twin.gather(local).dtype == np.float32
         assert twin.scatter(np.ones(gs.n_global, dtype)).dtype == np.float32
+
+
+class TestSharedGatherScatter:
+    """The gather-scatter is stateless: one instance serves any number
+    of concurrent solves (PR 18's contract), so replicas share it."""
+
+    def test_one_operator_serves_concurrent_threads(self, mesh3):
+        gs = GatherScatter.from_mesh(mesh3)
+        rng = np.random.default_rng(0)
+        fields = rng.standard_normal((4,) + mesh3.l2g.shape)
+        want = [gs.gather(f) for f in fields]
+        got: dict[int, bool] = {}
+
+        def loop(k: int) -> None:
+            out = np.empty(gs.n_global)
+            local = np.empty(gs.local_shape)
+            ok = True
+            for _ in range(200):
+                ok &= np.array_equal(gs.gather(fields[k], out=out), want[k])
+                gs.scatter(out, out=local)
+                ok &= np.array_equal(local.reshape(-1), want[k][gs.l2g_flat])
+            got[k] = ok
+
+        threads = [threading.Thread(target=loop, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {k: True for k in range(4)}

@@ -128,7 +128,7 @@ class TestMatmulKernel:
         assert np.allclose(w, ax_local(ref, u, g), atol=1e-12)
 
 
-@pytest.mark.usefixtures("numpy_ax")
+@pytest.mark.usefixtures("numpy_body")
 class TestMatmulKernelNumpyBody(TestMatmulKernel):
     """The same cases on the path of a host without a C compiler."""
 
@@ -292,7 +292,7 @@ class TestThreadsOptionIsGone:
         assert np.array_equal(twin.apply_A(b), prob.apply_A(b))
 
 
-@pytest.mark.usefixtures("numpy_ax")
+@pytest.mark.usefixtures("numpy_body")
 class TestBlockResidentScratch:
     """A workspace-backed sweep of the numpy body keeps its seven work
     arrays per block instead of streaming the full-size scratch fields
@@ -395,7 +395,7 @@ class TestBatchedKernels:
             ax_local_matmul(ref, u[None], g[:1])
 
 
-@pytest.mark.usefixtures("numpy_ax")
+@pytest.mark.usefixtures("numpy_body")
 class TestBatchedKernelsNumpyBody(TestBatchedKernels):
     """Stacked == per-system on the numpy body, compared with itself."""
 

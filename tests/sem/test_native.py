@@ -1,19 +1,25 @@
-"""Tests for repro.sem.native: the compiled ``Ax`` behind ``"matmul"``.
+"""Tests for repro.sem.native: the compiled ``Ax`` behind ``"matmul"``
+and the compiled vector passes of the CG iteration.
 
-Three groups.  *Values*: the compiled kernel against the ``einsum``
+Four groups.  *Values*: the compiled kernel against the ``einsum``
 reference, to a tolerance fixed beforehand from the dtype.  *Native's
 own exact contracts*: stacked == solo, a slice == the same rows of the
 full call, a repeat == itself, threaded == serial — each compared with
 itself, never with the numpy body (the two paths sum in different
-orders on purpose).  *The loader*: every way it can fail ends in the
-numpy body with one warning, and it never trusts a directory somebody
-else can write.  Everything that needs a compiler skips without one, so
-the file is green under ``CC=/nonexistent`` too.
+orders on purpose).  *The CG passes*: against the numpy body on the
+same scalars — the vectors to the bit (one rounding per operation on
+both sides), the sums to a bound fixed from ``n`` and the dtype.  *The
+loader*: every way it can fail ends in the numpy body with one warning,
+and it never trusts a directory somebody else can write.  Everything
+that needs a compiler skips without one, so the file is green under
+``CC=/nonexistent`` too.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -32,7 +38,7 @@ from repro.sem import (
     ax_local_matmul,
     geometric_factors,
 )
-from repro.sem import native
+from repro.sem import cg, native
 
 DTYPES = (np.float64, np.float32)
 
@@ -40,8 +46,9 @@ DTYPES = (np.float64, np.float32)
 @pytest.fixture
 def compiled():
     """Skip on a host (or a CI leg) with no usable C compiler."""
-    if native.ax_kernel(2, np.dtype(np.float64)) is None:
-        pytest.skip("no compiled Ax kernel on this host")
+    f64 = np.dtype(np.float64)
+    if native.ax_kernel(2, f64) is None or native.cg_passes(f64) is None:
+        pytest.skip("no compiled kernels on this host")
 
 
 @pytest.fixture
@@ -245,6 +252,119 @@ class TestExactContracts:
         assert wrong == []
 
 
+class CGState:
+    """The buffers of one iteration, as ``_cg_iterate`` holds them."""
+
+    def __init__(self, nb, n, dtype, precond=True, seed=0):
+        rng = np.random.default_rng(seed)
+        draw = lambda: rng.standard_normal((nb, n)).astype(dtype)  # noqa: E731
+        self.x, self.r, self.p, self.ap, self.tmp = (draw() for _ in range(5))
+        self.inv_m = (0.5 + np.abs(draw())) if precond else None
+        self.z = draw() if precond else self.r  # no diagonal: z aliases r
+        self.step = np.empty(nb, dtype=dtype)
+        self.dots, self.rr = np.empty(nb), np.empty(nb)
+
+    def copy(self, rows=slice(None)):
+        twin = object.__new__(CGState)
+        for name, a in vars(self).items():
+            setattr(twin, name, None if a is None else a[rows].copy())
+        if self.inv_m is None:
+            twin.z = twin.r
+        return twin
+
+    def bind(self):
+        return cg._bind_passes(self.x, self.r, self.z, self.p, self.ap,
+                               self.tmp, self.inv_m, self.step, self.dots,
+                               self.rr)
+
+    def iterate(self, alpha, beta, compiled):
+        """``p.Ap``, the step under ``alpha``, the direction under
+        ``beta``; returns the three sums (the vectors moved in place)."""
+        with pytest.MonkeyPatch.context() as patch:
+            if not compiled:
+                patch.setattr(native, "cg_passes", lambda dtype: None)
+            dot, update, direction = self.bind()
+            assert isinstance(update, functools.partial) == compiled
+            dot()
+            p_ap = self.dots.copy()
+            self.step[:] = alpha
+            update()
+            sums = p_ap, self.dots.copy(), self.rr.copy()
+            self.step[:] = beta
+            direction()
+        return sums
+
+
+def assert_sums_close(got, want, a, b):
+    """Two summation orders of the same fp64-accumulated products."""
+    terms = np.abs(a.astype(np.float64) * b.astype(np.float64)).sum(axis=1)
+    bound = a.shape[1] * np.finfo(float).eps * terms
+    assert (np.abs(got - want) <= bound).all()
+
+
+@pytest.mark.usefixtures("compiled")
+class TestCGPasses:
+    SHAPES = ((1, 343), (3, 1001), (8, 24389))  # 1001: a ragged last lane
+
+    @pytest.mark.parametrize("precond", (True, False))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("nb,n", SHAPES)
+    def test_numpy_body_on_the_same_scalars(self, nb, n, dtype, precond):
+        ours = CGState(nb, n, dtype, precond, seed=n)
+        theirs, before = ours.copy(), ours.copy()
+        rng = np.random.default_rng(1)
+        alpha, beta = rng.uniform(0.1, 2.0, (2, nb)).astype(dtype)
+        alpha[-1] = beta[-1] = 0.0  # a frozen row rides along
+        got = ours.iterate(alpha, beta, compiled=True)
+        want = theirs.iterate(alpha, beta, compiled=False)
+        for name in ("x", "r", "z", "p"):
+            a, b = getattr(ours, name), getattr(theirs, name)
+            assert a.dtype == dtype and np.array_equal(a, b), name
+        assert np.array_equal(ours.x[-1], before.x[-1])  # frozen to the bit
+        assert np.array_equal(ours.r[-1], before.r[-1])
+        assert np.array_equal(ours.ap, before.ap)  # read, never written
+        assert_sums_close(got[0], want[0], before.p, before.ap)
+        assert_sums_close(got[1], want[1], ours.r, ours.z)
+        assert_sums_close(got[2], want[2], ours.r, ours.r)
+        if not precond:
+            assert ours.z is ours.r and np.array_equal(got[1], got[2])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("nb", (1, 3, 8))
+    def test_a_row_is_its_solo_sweep(self, nb, dtype):
+        block = CGState(nb, 24389, dtype, seed=nb)
+        solos = [block.copy(slice(k, k + 1)) for k in range(nb)]
+        rng = np.random.default_rng(2)
+        alpha, beta = rng.uniform(0.1, 2.0, (2, nb)).astype(dtype)
+        sums = block.iterate(alpha, beta, compiled=True)
+        for k, solo in enumerate(solos):
+            one = solo.iterate(alpha[k:k + 1], beta[k:k + 1], compiled=True)
+            for name in ("x", "r", "z", "p"):
+                assert np.array_equal(getattr(solo, name)[0],
+                                      getattr(block, name)[k])
+            assert [float(s[0]) for s in one] == [float(s[k]) for s in sums]
+
+    def test_what_c_must_not_write_through_gets_the_numpy_body(self):
+        """A strided, an unaligned and a read-only buffer, and a scalar
+        of the wrong dtype: each alone sends the solve to numpy."""
+        good = CGState(2, 100, np.float64)
+        assert isinstance(good.bind()[1], functools.partial)
+        strided = good.copy()
+        strided.x = np.zeros((2, 200))[:, ::2]
+        unaligned = good.copy()
+        raw = np.zeros(2 * 100 * 8 + 1, dtype=np.uint8)
+        unaligned.r = raw[1:].view(np.float64).reshape(2, 100)
+        assert not unaligned.r.flags.aligned
+        frozen = good.copy()
+        frozen.p.setflags(write=False)
+        single = good.copy()
+        single.step = single.step.astype(np.float32)
+        for bad in (strided, unaligned, frozen, single):
+            assert not isinstance(bad.bind()[1], functools.partial)
+        assert native.cg_passes(np.dtype(np.int64)) is None
+        assert native.cg_passes(np.dtype(">f8")) is None
+
+
 class TestRefusalsNeverReachC:
     """What C must not be handed runs the numpy body (or is refused),
     with the result — or the error — that path has always given."""
@@ -298,8 +418,26 @@ class TestRefusalsNeverReachC:
 class TestLoader:
     def test_source_is_carried_by_the_package(self):
         assert "void ax_native(" in native._SOURCE
+        for name in ("cg_dot", "cg_step", "cg_dir"):
+            assert f"void {name}(" in native._CG_SOURCE
         for word in ("malloc", "static ", "extern "):  # no heap, no globals
-            assert word not in native._SOURCE
+            assert word not in native._SOURCE + native._CG_SOURCE
+
+    @pytest.mark.parametrize("real", ("double", "float"))
+    def test_sources_compile_clean_under_werror(self, real):
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            pytest.skip("no C compiler on this host")
+        for source, flags in (
+            (native._SOURCE, (*native._FLAGS, "-DNX=8")),
+            (native._CG_SOURCE, native._CG_FLAGS),
+        ):
+            done = subprocess.run(
+                [cc, *flags, f"-DREAL={real}", "-Wall", "-Wextra", "-Werror",
+                 "-fsyntax-only", "-x", "c", "-"],
+                input=source.encode(), capture_output=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr.decode()
 
     def test_unresolvable_compiler_is_the_numpy_body_and_one_warning(
         self, fresh_loader, monkeypatch
@@ -349,6 +487,9 @@ class TestLoader:
         built = sorted(p.name for p in cache.iterdir())
         assert len(built) == 1 and built[0].startswith("ax-")
         assert built[0].endswith(".so")
+        assert native.cg_passes(u.dtype) is not None  # one more per dtype
+        built = sorted(p.name for p in cache.iterdir())
+        assert [name[:3] for name in built] == ["ax-", "cg-"]
         assert stat.S_IMODE(cache.stat().st_mode) == 0o700
         # A second "process" finds it: same file, no rebuild, same bits.
         stamp = (cache / built[0]).stat().st_mtime_ns
@@ -363,11 +504,44 @@ class TestLoader:
     ):
         """``-march=native`` output must never be loaded by a CPU it was
         not built on (a home directory shared across hosts)."""
-        first = native._build(3, "double")
+        build = functools.partial(
+            native._build, "cg", native._CG_SOURCE,
+            [*native._CG_FLAGS, "-DREAL=double"])
+        first = build()
         monkeypatch.setattr(native, "_cpu_flags", lambda: "flags : other")
-        second = native._build(3, "double")
+        second = build()
         assert first != second
         assert os.path.exists(first) and os.path.exists(second)
+
+    @pytest.mark.usefixtures("compiled")
+    def test_a_compiler_given_with_arguments(self, fresh_loader, monkeypatch):
+        """``CC="ccache gcc"`` / ``CC="gcc -m64"``: the first word is
+        resolved on ``PATH``, the rest are passed on, and every word is
+        part of the artefact's name."""
+        log = fresh_loader / "wrapper.log"
+        (fresh_loader / "bin").mkdir()
+        wrapper = fresh_loader / "bin" / "wrapcc"
+        wrapper.write_text(f'#!/bin/sh\necho "$@" >> {log}\nexec "$@"\n')
+        wrapper.chmod(0o755)
+        monkeypatch.setenv(
+            "PATH", f"{wrapper.parent}{os.pathsep}{os.environ['PATH']}")
+        cache = fresh_loader / "xdg" / "repro-sem"
+        ref, u, g = fields(3)
+        want = ax_local_matmul(ref, u, g)  # built by the plain compiler
+        seen = {p.name for p in cache.iterdir()}
+        for cc, told in (("wrapcc cc", "cc "), ("wrapcc  cc -DSPARE=1",
+                                                "cc -DSPARE=1 ")):
+            monkeypatch.setenv("CC", cc)
+            native._kernels.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(ax_local_matmul(ref, u, g), want)
+                assert native.cg_passes(np.dtype(np.float32)) is not None
+            assert log.read_text().splitlines()[-1].startswith(told)
+            built = {p.name for p in cache.iterdir()} - seen
+            assert len(built) == 2 and not built & seen  # one ax, one cg
+            seen |= built
+        assert native._failures == []
 
     @pytest.mark.parametrize("flaw", ("group-writable", "foreign", "symlink"))
     def test_a_directory_others_control_is_not_used(

@@ -286,7 +286,7 @@ class TestBatchedMixed:
             assert int(res.iterations[k]) == int(prefix.sum())
 
 
-@pytest.mark.usefixtures("numpy_ax")
+@pytest.mark.usefixtures("numpy_body")
 class TestBatchedMixedNumpyBody(TestBatchedMixed):
     """Stacked-mixed == solo-mixed on the numpy body of the kernel."""
 

@@ -195,12 +195,12 @@ class TestAllocationFree:
         assert peak - baseline < field_bytes // 2
 
 
-@pytest.mark.usefixtures("numpy_ax")
+@pytest.mark.usefixtures("numpy_body")
 class TestReuseNumpyBody(TestReuse):
     """Workspace == workspace-free on the numpy body of the kernel."""
 
 
-@pytest.mark.usefixtures("numpy_ax")
+@pytest.mark.usefixtures("numpy_body")
 class TestAllocationFreeNumpyBody(TestAllocationFree):
     """The zero-allocation contract of the path that uses the scratch."""
 
@@ -346,7 +346,7 @@ class TestBatchedAllocationFree:
             assert np.allclose(res.x[k], single.x, rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.usefixtures("numpy_ax")
+@pytest.mark.usefixtures("numpy_body")
 class TestBatchedAllocationFreeNumpyBody(TestBatchedAllocationFree):
     """The stacked zero-allocation contract on the numpy body."""
 

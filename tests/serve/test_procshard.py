@@ -441,22 +441,24 @@ class TestProcShardMixed:
 
     def test_workers_attest_the_ax_path_of_the_parent(self, serving_problem):
         """Fleet == sequential presumes the parent and every worker run
-        the same ``Ax`` path (compiled or numpy body) at both
-        precisions; a worker that could not build says so here (and
-        warns once on its stderr)."""
+        the same ``Ax`` path and the same CG vector passes (compiled or
+        numpy body) at both precisions; a worker that could not build
+        either says so here (and warns once on its stderr)."""
         from repro.sem import native
 
         prob, _ = serving_problem
+        dtypes = [np.dtype(t) for t in (np.float64, np.float32)]
         parent = all(
-            native.ax_kernel(prob.ref.n_points, np.dtype(t)) is not None
-            for t in (np.float64, np.float32)
+            native.ax_kernel(prob.ref.n_points, t) is not None for t in dtypes
         )
+        parent_cg = all(native.cg_passes(t) is not None for t in dtypes)
         with ProcessShardedSolveService(
             prob, workers=2, policy="round-robin", max_batch=8,
             max_wait=0.002, tol=1e-10, maxiter=200,
         ) as svc:
             infos = svc.worker_info()
         assert [info["ax_native"] for info in infos] == [parent, parent]
+        assert [info["cg_native"] for info in infos] == [parent_cg, parent_cg]
 
     def test_fleet_default_mixed_from_problem_precision(
         self, sequential_solve, assert_same_result
