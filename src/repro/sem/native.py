@@ -5,17 +5,22 @@ geometric factors → divergence on chip; :data:`_SOURCE` is the host
 twin of that pipeline.  Its working set is one element (``u``, six
 factors, three stack-resident flux arrays, ``w``: 11 ``nx^3`` blocks),
 so memory sees each operand exactly once; it uses no heap and no
-globals, and ``ctypes.CDLL`` releases the GIL around the call.
+globals, and ``ctypes.CDLL`` releases the GIL around the call.  Its
+second entry point takes the pipeline one layer further out, as the
+accelerator does: each element's ``u`` is gathered from the global
+vector into a stack block and its ``w`` added straight back into the
+global result, so no element-local field reaches memory at all.
 
 :data:`_CG_SOURCE` is the other half of an iteration in the same
 style: ``p.Ap``, then ``x``/``r``/``z`` with ``r.z`` and ``r.r`` folded
 into the sweep that produces them, then ``p`` — each operand once per
 pass, 9 reads + 4 writes where twelve numpy calls made 17 + 7.
 
-:func:`ax_kernel` and :func:`cg_passes` are the whole interface: one
-shared object per ``(nx, dtype)`` and one per dtype, built with the
-host's C compiler on first use.  On *any* failure they warn once, stop
-trying for the rest of the process and return ``None``, and
+:func:`ax_kernel`, :func:`ax_gs_kernel` and :func:`cg_passes` are the
+whole interface: one shared object per ``(nx, dtype)`` (both ``Ax``
+entry points) and one per dtype, built with the host's C compiler on
+first use.  On *any* failure they warn once, stop trying for the rest
+of the process and return ``None``, and
 :func:`repro.sem.kernels.ax_local_matmul` / :mod:`repro.sem.cg` run
 their numpy bodies instead: a C compiler is optional, never required.
 """
@@ -40,8 +45,10 @@ import numpy as np
 
 from repro.analysis.annotations import hot_path
 
-#: Largest ``nx`` compiled: the three flux arrays live on the stack
-#: (``3 * 16^3`` doubles = 96 KiB).
+#: Largest ``nx`` compiled: a call keeps at most five ``nx^3`` blocks on
+#: the stack — the three flux arrays, plus the gathered ``u`` and the
+#: element's ``w`` of the fused call (``5 * 16^3`` doubles = 160 KiB) —
+#: and no workspace buffer.
 MAX_NX: int = 16
 
 #: Measured, not a default to tune: ``-O3`` on gcc 12 unrolls the
@@ -52,8 +59,54 @@ _C_REAL = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
 
 _SOURCE = r"""
 #include <stddef.h>
+#include <stdint.h>
 #define N3 (NX * NX * NX)
 #define AT(a, b, c) (((a) * NX + (b)) * NX + (c))
+
+/* we = D^T G D ue on one element; Dt is D transposed, gc[c] the
+   element's component c of G.  Never inlined: both entry points run
+   this one copy of the machine code, so the same ue gives the same bits
+   through either. */
+static __attribute__((noinline)) void element(
+    const REAL *restrict D, const REAL *restrict Dt,
+    const REAL *const gc[6], const REAL *restrict ue, REAL *restrict we)
+{
+    REAL wr[N3], ws[N3], wt[N3];
+    for (int i = 0; i < NX; i++)
+        for (int j = 0; j < NX; j++) {
+            /* gradient of row (i, j, :), then G while it is hot */
+            REAL r[NX] = {0}, s[NX] = {0}, t[NX] = {0};
+            for (int l = 0; l < NX; l++) {
+                const REAL dil = D[i * NX + l], djl = D[j * NX + l];
+                const REAL uijl = ue[AT(i, j, l)];
+                for (int k = 0; k < NX; k++) {
+                    r[k] += dil * ue[AT(l, j, k)];
+                    s[k] += djl * ue[AT(i, l, k)];
+                    t[k] += Dt[l * NX + k] * uijl;
+                }
+            }
+            for (int k = 0; k < NX; k++) {
+                const int p = AT(i, j, k);
+                wr[p] = gc[0][p] * r[k] + gc[1][p] * s[k] + gc[2][p] * t[k];
+                ws[p] = gc[1][p] * r[k] + gc[3][p] * s[k] + gc[4][p] * t[k];
+                wt[p] = gc[2][p] * r[k] + gc[4][p] * s[k] + gc[5][p] * t[k];
+            }
+        }
+    for (int i = 0; i < NX; i++)
+        for (int j = 0; j < NX; j++) {
+            /* divergence: the three transposed contractions */
+            REAL a[NX] = {0};
+            for (int l = 0; l < NX; l++) {
+                const REAL dli = D[l * NX + i], dlj = D[l * NX + j];
+                const REAL tijl = wt[AT(i, j, l)];
+                for (int k = 0; k < NX; k++)
+                    a[k] += dli * wr[AT(l, j, k)] + dlj * ws[AT(i, l, k)]
+                            + D[l * NX + k] * tijl;
+            }
+            for (int k = 0; k < NX; k++)
+                we[AT(i, j, k)] = a[k];
+        }
+}
 
 /* w = D^T G D u for nb stacked systems of ne elements.  u and w are
    C-contiguous (nb, ne, NX, NX, NX); component c of element e of the
@@ -63,54 +116,56 @@ void ax_native(ptrdiff_t nb, ptrdiff_t ne, const REAL *restrict D,
                const REAL *restrict u, const char *restrict g,
                ptrdiff_t g_estride, ptrdiff_t g_cstride, REAL *restrict w)
 {
-    REAL Dt[NX][NX];                      /* Dt[l][k] = D[k][l] */
+    REAL Dt[NX * NX];
     for (int k = 0; k < NX; k++)
         for (int l = 0; l < NX; l++)
-            Dt[l][k] = D[k * NX + l];
+            Dt[l * NX + k] = D[k * NX + l];
     for (ptrdiff_t e = 0; e < ne; e++) {
         const REAL *gc[6];
         for (int c = 0; c < 6; c++)
             gc[c] = (const REAL *)(g + e * g_estride + c * g_cstride);
+        for (ptrdiff_t b = 0; b < nb; b++)
+            element(D, Dt, gc, u + (b * ne + e) * N3, w + (b * ne + e) * N3);
+    }
+}
+
+/* w = mask * Q^T (D^T G D) Q (mask * u) for nb stacked global vectors,
+   C-contiguous (nb, n): scatter, Ax and gather-add in one pass per
+   element, no element-local field in memory.  l2g maps the ne * N3
+   local nodes to [0, n); g is as for ax_native.  Each row takes its
+   contributions in ascending local index -- the order of np.add.at, so
+   the bits of scatter -> ax_native -> gather. */
+void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
+                  const REAL *restrict D, const REAL *restrict u,
+                  const REAL *restrict mask, const int64_t *restrict l2g,
+                  const char *restrict g, ptrdiff_t g_estride,
+                  ptrdiff_t g_cstride, REAL *restrict w)
+{
+    REAL Dt[NX * NX];
+    for (int k = 0; k < NX; k++)
+        for (int l = 0; l < NX; l++)
+            Dt[l * NX + k] = D[k * NX + l];
+    for (ptrdiff_t i = 0; i < nb * n; i++)
+        w[i] = 0;
+    for (ptrdiff_t e = 0; e < ne; e++) {
+        const int64_t *le = l2g + e * N3;
+        const REAL *gc[6];
+        for (int c = 0; c < 6; c++)
+            gc[c] = (const REAL *)(g + e * g_estride + c * g_cstride);
         for (ptrdiff_t b = 0; b < nb; b++) {
-            const REAL *ue = u + (b * ne + e) * N3;
-            REAL *we = w + (b * ne + e) * N3;
-            REAL wr[N3], ws[N3], wt[N3];
-            for (int i = 0; i < NX; i++)
-                for (int j = 0; j < NX; j++) {
-                    /* gradient of row (i, j, :), then G while it is hot */
-                    REAL r[NX] = {0}, s[NX] = {0}, t[NX] = {0};
-                    for (int l = 0; l < NX; l++) {
-                        const REAL dil = D[i * NX + l], djl = D[j * NX + l];
-                        const REAL uijl = ue[AT(i, j, l)];
-                        for (int k = 0; k < NX; k++) {
-                            r[k] += dil * ue[AT(l, j, k)];
-                            s[k] += djl * ue[AT(i, l, k)];
-                            t[k] += Dt[l][k] * uijl;
-                        }
-                    }
-                    for (int k = 0; k < NX; k++) {
-                        const int p = AT(i, j, k);
-                        wr[p] = gc[0][p] * r[k] + gc[1][p] * s[k] + gc[2][p] * t[k];
-                        ws[p] = gc[1][p] * r[k] + gc[3][p] * s[k] + gc[4][p] * t[k];
-                        wt[p] = gc[2][p] * r[k] + gc[4][p] * s[k] + gc[5][p] * t[k];
-                    }
-                }
-            for (int i = 0; i < NX; i++)
-                for (int j = 0; j < NX; j++) {
-                    /* divergence: the three transposed contractions */
-                    REAL a[NX] = {0};
-                    for (int l = 0; l < NX; l++) {
-                        const REAL dli = D[l * NX + i], dlj = D[l * NX + j];
-                        const REAL tijl = wt[AT(i, j, l)];
-                        for (int k = 0; k < NX; k++)
-                            a[k] += dli * wr[AT(l, j, k)] + dlj * ws[AT(i, l, k)]
-                                    + D[l * NX + k] * tijl;
-                    }
-                    for (int k = 0; k < NX; k++)
-                        we[AT(i, j, k)] = a[k];
-                }
+            const REAL *ub = u + b * n;
+            REAL *wb = w + b * n;
+            REAL ue[N3], we[N3];
+            for (int p = 0; p < N3; p++)
+                ue[p] = ub[le[p]] * mask[le[p]];
+            element(D, Dt, gc, ue, we);
+            for (int p = 0; p < N3; p++)
+                wb[le[p]] += we[p];
         }
     }
+    for (REAL *wb = w; wb < w + nb * n; wb += n)
+        for (ptrdiff_t i = 0; i < n; i++)
+            wb[i] *= mask[i];
 }
 """
 
@@ -185,18 +240,20 @@ void cg_dir(ptrdiff_t nb, ptrdiff_t n, const REAL *step,
 """
 
 _lock = threading.Lock()
-_kernels: dict[tuple, "Callable | tuple | None"] = {}
+_kernels: dict[tuple, "tuple | None"] = {}
 _failures: list[str] = []  # non-empty: native is off for this process
 
 
-def _cached(load: Callable, *key):
-    # A warm call costs one dict lookup.
+def _cached(load: Callable, *args):
+    # A warm call costs one dict lookup.  The loader is part of the key:
+    # two loaders taking the same arguments must not share an entry.
+    key = (load, *args)
     try:
         return _kernels[key]
     except KeyError:
         with _lock:
             if key not in _kernels:
-                _kernels[key] = load(*key)
+                _kernels[key] = load(*args)
             return _kernels[key]
 
 
@@ -210,7 +267,22 @@ def ax_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
     that dtype, ``w`` shaped like ``u``, and a shape-checked ``g`` of it
     whose every ``g[e, c]`` block is contiguous.
     """
-    return _cached(_load_ax, nx, dtype)
+    return _cached(_load_ax, nx, dtype)[0]
+
+
+def ax_gs_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
+    """``ax_gs(d, u, mask, l2g, g, w)`` from :func:`ax_kernel`'s shared
+    object, or ``None`` where that is ``None``.
+
+    It writes ``w = mask * Q^T A Q (mask * u)`` for a global ``(n,)`` or
+    stacked ``(B, n)`` ``u`` in one pass per element, to the bit what
+    ``scatter`` -> ``ax`` -> ``gather`` give, and checks nothing: the
+    caller guarantees ``d`` and ``g`` as for :func:`ax_kernel`, aligned
+    C-contiguous ``u`` and writeable ``w`` of that dtype and shape that
+    do not overlap, a contiguous ``(n,)`` ``mask`` of it and a contiguous
+    int64 ``l2g`` of ``E * nx^3`` entries in ``[0, n)``.
+    """
+    return _cached(_load_ax, nx, dtype)[1]
 
 
 def cg_passes(dtype: np.dtype) -> "tuple[Callable, ...] | None":
@@ -242,16 +314,17 @@ def _library(
         return None
 
 
-def _load_ax(nx: int, dtype: np.dtype) -> "Callable | None":
+def _load_ax(nx: int, dtype: np.dtype) -> "tuple[Callable | None, ...]":
     if not 1 <= nx <= MAX_NX:
-        return None
+        return None, None
     lib = _library("ax", _SOURCE, dtype, *_FLAGS, f"-DNX={nx}")
     if lib is None:
-        return None
-    fn = lib.ax_native
+        return None, None
     size_t, ptr = ctypes.c_ssize_t, ctypes.c_void_p
+    fn, gs_fn = lib.ax_native, lib.ax_gs_native
     fn.argtypes = [size_t, size_t, ptr, ptr, ptr, size_t, size_t, ptr]
-    fn.restype = None
+    gs_fn.argtypes = [size_t] * 3 + [ptr] * 5 + [size_t, size_t, ptr]
+    fn.restype = gs_fn.restype = None
 
     @hot_path
     def ax(d, u, g, w) -> None:
@@ -259,7 +332,13 @@ def _load_ax(nx: int, dtype: np.dtype) -> "Callable | None":
            u.ctypes.data, g.ctypes.data, g.strides[0], g.strides[1],
            w.ctypes.data)
 
-    return ax
+    @hot_path
+    def ax_gs(d, u, mask, l2g, g, w) -> None:
+        gs_fn(u.shape[0] if u.ndim == 2 else 1, g.shape[0], u.shape[-1],
+              d.ctypes.data, u.ctypes.data, mask.ctypes.data, l2g.ctypes.data,
+              g.ctypes.data, g.strides[0], g.strides[1], w.ctypes.data)
+
+    return ax, ax_gs
 
 
 def _load_cg(dtype: np.dtype) -> "tuple[Callable, ...] | None":

@@ -23,11 +23,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.analysis.annotations import hot_path
+from repro.sem import native
 from repro.sem.cg import check_precision, cg_solve, cg_solve_mixed
 from repro.sem.element import ReferenceElement
 from repro.sem.gather_scatter import GatherScatter
 from repro.sem.geometry import Geometry, geometric_factors
-from repro.sem.kernels import resolve_ax_backend, uniform
+from repro.sem.kernels import ax_local_matmul, resolve_ax_backend, uniform
 from repro.sem.workspace import SolverWorkspace, cached_batch_workspace
 
 AxBackend = Callable[
@@ -202,11 +203,35 @@ class SEMProblem:
         ``Ax`` to ``w_local``, in place (``ws.u_local`` holds the
         scattered input, ``ws.tmp`` is free scratch).  Default: none."""
 
+    def _ax_gs(self, gs, d, g, mask, u) -> "Callable | None":
+        """:func:`repro.sem.native.ax_gs_kernel` if it gives this
+        application the layers' bits — the ``"matmul"`` kernel itself, an
+        unreplaced gather-scatter, a mask, no local term — and ``u`` is
+        C's to read; else ``None``.  ``out`` is :meth:`_apply`'s to check."""
+        if (self.ax_backend is not ax_local_matmul
+                or type(gs) is not GatherScatter or mask is None
+                or type(self)._local_term is not SEMProblem._local_term):
+            return None
+        nx, size = d.shape[0], g.itemsize
+        ax_gs = native.ax_gs_kernel(nx, gs.dtype)
+        if (ax_gs is None or u.dtype != gs.dtype or u.ndim not in (1, 2)
+                or u.shape[-1] != gs.n_global or not u.flags.c_contiguous
+                or not u.flags.aligned or not d.flags.c_contiguous
+                or g.dtype != gs.dtype or not g.flags.aligned
+                or g.strides[2:] != (nx * nx * size, nx * size, size)
+                or gs.l2g_flat.dtype != np.int64
+                or not gs.l2g_flat.flags.c_contiguous):
+            return None
+        return ax_gs
+
     @hot_path
     def _apply(self, u_global: NDArray, out: "NDArray | None", dtype: type):
         """mask -> scatter -> local Ax (+ local term) -> gather -> mask.
 
-        The body behind all four public operator methods.  Every
+        The body behind all four public operator methods.  Where
+        :meth:`_ax_gs` allows, that is one compiled pass per element with
+        no element-local field in memory (the paper's on-chip dataflow)
+        and the layers' bits; otherwise the layers run one by one.  Every
         intermediate lives in the ``dtype`` workspace, so passing ``out``
         (as :func:`~repro.sem.cg.cg_solve` does) makes the application
         allocation-free; in fp32 the gather-scatter and geometry twins
@@ -224,12 +249,24 @@ class SEMProblem:
                 self._apply(u_global[0], out[0], dtype)
                 return out
             return self._apply(u_global[0], None, dtype)[None]
-        ws = self.batch_workspace(
-            u_global.shape[0] if u_global.ndim == 2 else 1, dtype
-        )
         gs = self.gs.as_dtype(dtype)
         geo = self.geometry.as_dtype(dtype)
         mask = self._mask(dtype)
+        d = self.ref.deriv_as(dtype)
+        ax_gs = self._ax_gs(gs, d, geo.g, mask, u_global)
+        # C writes ``out`` unchecked, zero-filled first: it must be
+        # writeable, contiguous and apart from ``u_global``.
+        if ax_gs is not None and (out is None or (
+                out.flags.carray and out.dtype == u_global.dtype
+                and out.shape == u_global.shape
+                and not np.may_share_memory(u_global, out))):
+            if out is None:  # an out-less call allocates, as gather does
+                out = np.empty_like(u_global)  # lint: ignore[hot-path-alloc]
+            ax_gs(d, u_global, mask, gs.l2g_flat, geo.g, out)
+            return out
+        ws = self.batch_workspace(
+            u_global.shape[0] if u_global.ndim == 2 else 1, dtype
+        )
         if mask is not None:
             u_global = np.multiply(u_global, mask, out=ws.g_tmp)
         gs.scatter(u_global, out=ws.u_local)

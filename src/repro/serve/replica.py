@@ -763,6 +763,20 @@ class Replica:
                 else:
                     refusal = None
                     for inf in inflights:
+                        # The doorbell is read off the request while it
+                        # is still ours: once registered, a crash sweep
+                        # may take it (and unstage it) as soon as the
+                        # lock drops.
+                        _, ordinal, slot = inf.staged
+                        remaining = (
+                            None
+                            if inf.deadline_at is None
+                            else max(inf.deadline_at - now, 1e-9)
+                        )
+                        payload.append((
+                            self.seq, ordinal, slot, inf.tol, inf.maxiter,
+                            remaining, inf.precision,
+                        ))
                         # Registered before the send so an arbitrarily
                         # fast reply always finds its request.
                         self.pending[self.seq] = inf
@@ -772,17 +786,6 @@ class Replica:
             if refusal is not None:
                 unstage(inflights)
                 raise refusal
-            for req_id, inf in zip(tokens, inflights):
-                _, ordinal, slot = inf.staged
-                remaining = (
-                    None
-                    if inf.deadline_at is None
-                    else max(inf.deadline_at - now, 1e-9)
-                )
-                payload.append((
-                    req_id, ordinal, slot, inf.tol, inf.maxiter,
-                    remaining, inf.precision,
-                ))
             process = self.process
             if injector is not None:
                 nth = injector.next_ordinal(self.index)

@@ -112,8 +112,9 @@ class TestRepoBaseline:
         )
 
     def test_every_entry_has_a_substantive_justification(self):
+        """Vacuous while the repo baseline is empty (it is): an entry
+        added later must say why."""
         baseline = Baseline.load(REPO_ROOT / "analysis" / "baseline.toml")
-        assert baseline.entries, "repo baseline should not be empty"
         for entry in baseline.entries:
             assert len(entry.justification.split()) >= 5, (
                 f"justify {entry.symbol} properly, not with "

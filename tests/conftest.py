@@ -32,14 +32,15 @@ def pytest_runtest_call(item):
 
 @pytest.fixture
 def numpy_body(monkeypatch):
-    """Pin ``ax_local_matmul`` and the CG vector passes to their numpy
-    bodies — the path a host without a C compiler runs.  The per-path
-    contract classes (``...NumpyBody`` twins) use it so that each path
-    is held to its own relative contracts and never compared with the
-    other."""
+    """Pin ``ax_local_matmul``, the fused operator pass and the CG vector
+    passes to their numpy bodies — the path a host without a C compiler
+    runs.  The per-path contract classes (``...NumpyBody`` twins) use it
+    so that each path is held to its own relative contracts and never
+    compared with the other."""
     from repro.sem import native
 
     monkeypatch.setattr(native, "ax_kernel", lambda nx, dtype: None)
+    monkeypatch.setattr(native, "ax_gs_kernel", lambda nx, dtype: None)
     monkeypatch.setattr(native, "cg_passes", lambda dtype: None)
 
 

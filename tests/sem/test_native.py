@@ -17,8 +17,10 @@ that needs a compiler skips without one, so the file is green under
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -373,6 +375,7 @@ class TestRefusalsNeverReachC:
         assert native.MAX_NX == 16
         ref, u, g = fields(16, num_e=1)  # nx = 17
         assert native.ax_kernel(17, u.dtype) is None
+        assert native.ax_gs_kernel(17, u.dtype) is None
         w = ax_local_matmul(ref, u, g)
         assert c_calls == []
         assert np.allclose(w, ax_local(ref, u, g), atol=1e-9 * np.abs(w).max())
@@ -392,6 +395,7 @@ class TestRefusalsNeverReachC:
         assert c_calls == []
         assert np.array_equal(w, numpy_body(ref, u, g))
         assert native.ax_kernel(4, np.dtype(np.int64)) is None
+        assert native.ax_gs_kernel(4, np.dtype(np.int64)) is None
 
     def test_mixed_dtypes_are_a_type_error(self, c_calls):
         ref, u, g = fields(4)
@@ -415,29 +419,68 @@ class TestRefusalsNeverReachC:
         assert c_calls == [] and not frozen.any()
 
 
+def storage_beyond_a_call(source):
+    """What a C source keeps from one call to the next: every
+    declaration at file scope (a function *definition* is none) and every
+    ``static`` local."""
+    code = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    code = re.sub(r"^[ \t]*#(?:.*\\\n)*.*$", "", code, flags=re.M)
+    depth, top = 0, []
+    for ch in code:  # file scope, every function body cut to "{}"
+        depth -= ch == "}"
+        if depth == 0:
+            top.append(ch)
+        depth += ch == "{"
+    declared = re.findall(r"[^;}]*;", "".join(top))
+    return [d.strip() for d in declared] + re.findall(
+        r"\bstatic\b[^;{(]*[;=]", code)
+
+
 class TestLoader:
     def test_source_is_carried_by_the_package(self):
-        assert "void ax_native(" in native._SOURCE
+        for name in ("ax_native", "ax_gs_native"):
+            assert f"void {name}(" in native._SOURCE
         for name in ("cg_dot", "cg_step", "cg_dir"):
             assert f"void {name}(" in native._CG_SOURCE
-        for word in ("malloc", "static ", "extern "):  # no heap, no globals
-            assert word not in native._SOURCE + native._CG_SOURCE
+        source = native._SOURCE + native._CG_SOURCE
+        assert "malloc" not in source  # no heap
+        assert storage_beyond_a_call(source) == []  # no globals
+        assert storage_beyond_a_call(
+            "#define X \\\n  int a;\ndouble hits;\n"
+            "static void f(void) { static int n; }\nextern int e;\n"
+        ) == ["double hits;", "extern int e;", "static int n;"]
 
     @pytest.mark.parametrize("real", ("double", "float"))
-    def test_sources_compile_clean_under_werror(self, real):
+    def test_sources_compile_clean_under_werror(self, real, tmp_path):
+        """Built as the loader builds them (codegen warnings included),
+        exporting every entry point and nothing else."""
         cc = shutil.which("cc") or shutil.which("gcc")
         if cc is None:
             pytest.skip("no C compiler on this host")
-        for source, flags in (
-            (native._SOURCE, (*native._FLAGS, "-DNX=8")),
-            (native._CG_SOURCE, native._CG_FLAGS),
+        for source, flags, entries in (
+            (native._SOURCE, (*native._FLAGS, "-DNX=8"),
+             ("ax_native", "ax_gs_native")),
+            (native._CG_SOURCE, native._CG_FLAGS,
+             ("cg_dot", "cg_step", "cg_dir")),
         ):
+            built = tmp_path / f"{entries[0]}.so"
             done = subprocess.run(
                 [cc, *flags, f"-DREAL={real}", "-Wall", "-Wextra", "-Werror",
-                 "-fsyntax-only", "-x", "c", "-"],
+                 "-o", str(built), "-x", "c", "-"],
                 input=source.encode(), capture_output=True, timeout=120,
             )
             assert done.returncode == 0, done.stderr.decode()
+            lib = ctypes.CDLL(str(built))
+            assert all(hasattr(lib, name) for name in entries)
+            assert not hasattr(lib, "element")
+
+    def test_two_loaders_with_the_same_arguments_stay_apart(
+        self, fresh_loader
+    ):
+        f64 = np.dtype(np.float64)
+        first = native._cached(lambda nx, dtype: ("first", nx), 4, f64)
+        second = native._cached(lambda nx, dtype: ("second", nx), 4, f64)
+        assert (first, second) == (("first", 4), ("second", 4))
 
     def test_unresolvable_compiler_is_the_numpy_body_and_one_warning(
         self, fresh_loader, monkeypatch
@@ -483,6 +526,8 @@ class TestLoader:
     ):
         ref, u, g = fields(4)
         w = ax_local_matmul(ref, u, g)
+        ax_gs = native.ax_gs_kernel(5, u.dtype)  # same object, same build
+        assert ax_gs is not None and ax_gs is not native.ax_kernel(5, u.dtype)
         cache = fresh_loader / "xdg" / "repro-sem"
         built = sorted(p.name for p in cache.iterdir())
         assert len(built) == 1 and built[0].startswith("ax-")

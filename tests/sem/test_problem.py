@@ -1,8 +1,12 @@
 """The one SEM problem core: every kind, dtype, backend form and input
 shape goes through one pipeline, so every pairing must agree *exactly*
-(``np.array_equal`` throughout — no tolerances)."""
+(``np.array_equal`` throughout — no tolerances).  Where the compiled
+scatter -> ``Ax`` -> gather-add pass takes the pipeline, it must be the
+layers it replaces to the bit, and step aside wherever they are
+replaced or its operands are not C's to write."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from repro.sem import (
     ReferenceElement,
     rebuild,
 )
+from repro.sem import native
 from repro.sem.kernels import (
     _REGISTRY,
     ax_kernel_name,
@@ -272,3 +277,194 @@ class TestHookContract:
             ("scatter", "<f8"), ("gather", "<f8"),
             ("scatter", "<f4"), ("gather", "<f4"),
         ]
+
+
+# ----------------------------------------------------------------------
+# The fused pass: one compiled call per application where it applies.
+@pytest.fixture
+def fused(monkeypatch):
+    """The ``nx`` of every call that reaches the fused C pass, in order;
+    skips on a host (or a CI leg) with no compiled kernels."""
+    if native.ax_gs_kernel(2, np.dtype(np.float64)) is None:
+        pytest.skip("no compiled kernels on this host")
+    calls, real = [], native.ax_gs_kernel
+
+    def spying(nx, dtype):
+        ax_gs = real(nx, dtype)
+
+        def recorded(*args):
+            calls.append(nx)
+            ax_gs(*args)
+
+        return recorded
+
+    monkeypatch.setattr(native, "ax_gs_kernel", spying)
+    return calls
+
+
+class Delegating:
+    """A gather-scatter that is not a ``GatherScatter``: the pipeline
+    runs its layers one by one through it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def as_dtype(self, dtype):
+        return Delegating(self._inner.as_dtype(dtype))
+
+
+def poisson(degree=DEGREE, box=BOX, backend="matmul"):
+    mesh = BoxMesh.build(ReferenceElement.from_degree(degree), box)
+    return PoissonProblem(mesh, ax_backend=backend)
+
+
+def layered(problem, op_name, u, **kwargs):
+    """``problem.<op_name>(u)`` with the layers run one by one."""
+    fast = problem.gs
+    problem.gs = Delegating(fast)
+    try:
+        return getattr(problem, op_name)(u, **kwargs)
+    finally:
+        problem.gs = fast
+
+
+@pytest.mark.parametrize("batch", (None, 1, 3, 8), ids=lambda b: f"B={b}")
+@pytest.mark.parametrize("degree", (3, 7))
+@pytest.mark.parametrize("dtype", DTYPES, ids=("fp64", "fp32"))
+def test_fused_pass_is_the_layered_pipeline_to_the_bit(
+    fused, dtype, degree, batch
+):
+    """Every byte, NaN payloads included: the last row of a stacked
+    block carries NaN, +inf and -inf."""
+    problem = poisson(degree, (2, 2, 2))
+    op_name = "apply_A" if dtype is np.float64 else "apply_A32"
+    rng = np.random.default_rng(degree)
+    shape = (problem.n_dofs,) if batch is None else (batch, problem.n_dofs)
+    u = rng.standard_normal(shape).astype(dtype)
+    if batch and batch > 1:
+        u[-1, ::5], u[-1, 1::7], u[-1, 2::9] = np.nan, np.inf, -np.inf
+    got = getattr(problem, op_name)(u)
+    assert fused == [degree + 1]
+    with np.errstate(invalid="ignore"):  # the layers' numpy sees inf * 0
+        want = layered(problem, op_name, u)
+    assert fused == [degree + 1]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    out = np.full_like(u, np.nan)
+    assert getattr(problem, op_name)(u, out=out) is out
+    assert out.tobytes() == want.tobytes() and len(fused) == 2
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=("fp64", "fp32"))
+@pytest.mark.parametrize("stacked", (False, True), ids=("solo", "b4"))
+def test_out_that_is_u_takes_the_layers(fused, dtype, stacked):
+    """The fused pass zero-fills ``out`` before it reads ``u``."""
+    problem = poisson()
+    op = problem.apply_A if dtype is np.float64 else problem.apply_A32
+    u = bank(problem, dtype)
+    u = u if stacked else u[0]
+    want = op(u).copy()
+    del fused[:]
+    assert op(u, out=u) is u
+    assert u.tobytes() == want.tobytes() and fused == []
+
+
+class TestOperandsCMustNotWrite:
+    """Each keeps the result or the refusal of the layered pipeline."""
+
+    @pytest.fixture
+    def case(self, fused):
+        problem = poisson()
+        u = bank(problem, np.float64)[0]
+        return problem, u, problem.apply_A(u).copy(), fused
+
+    def test_strided_out_and_strided_u(self, case):
+        problem, u, want, fused = case
+        backing = np.full((problem.n_dofs, 2), np.nan)
+        out = backing[:, 0]
+        strided_u = np.stack([u, u], axis=-1)[:, 1]
+        assert problem.apply_A(strided_u, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert np.isnan(backing[:, 1]).all() and fused == [DEGREE + 1]
+
+    def test_misaligned_out(self, case):
+        problem, u, want, fused = case
+        raw = np.zeros(u.nbytes + 1, dtype=np.uint8)
+        out = raw[1:].view(np.float64)
+        assert not out.flags.aligned
+        problem.apply_A(u, out=out)
+        assert out.tobytes() == want.tobytes() and fused == [DEGREE + 1]
+
+    def test_read_only_out_is_refused(self, case):
+        problem, u, _, fused = case
+        out = np.zeros_like(u)
+        out.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only"):
+            problem.apply_A(u, out=out)
+        assert not out.any() and fused == [DEGREE + 1]
+
+    def test_off_dtype_u_and_out(self, case):
+        problem, u, _, fused = case
+        u32 = u.astype(np.float32)
+        assert np.array_equal(
+            problem.apply_A(u32), problem.apply_A(u32.astype(np.float64))
+        )
+        assert fused == [DEGREE + 1, DEGREE + 1]  # the fp64 twin only
+        with pytest.raises(ValueError, match="operator's dtype"):
+            problem.apply_A(u, out=np.empty(u.shape, np.float32))
+        assert fused == [DEGREE + 1, DEGREE + 1]
+
+
+def test_registered_wrapper_kernel_sees_every_application(fused):
+    """A wrapper registered around ``"matmul"`` (what the benchmark's
+    traced twin is) is not ``"matmul"``: every application calls it."""
+    log = []
+
+    def wrapper(ref, u, g, out=None, workspace=None):
+        log.append(u.dtype.str)
+        return ax_local_matmul(ref, u, g, out=out, workspace=workspace)
+
+    register_ax_kernel("_test_problem_wrapper", wrapper)
+    try:
+        wrapped = poisson(backend="_test_problem_wrapper")
+    finally:
+        _REGISTRY.pop("_test_problem_wrapper", None)
+    plain = poisson()
+    u64, u32 = bank(plain, np.float64), bank(plain, np.float32)
+    for u, op_name in ((u64, "apply_A"), (u64[0], "apply_A"),
+                       (u32, "apply_A32"), (u32[:1], "apply_A32")):
+        got = getattr(wrapped, op_name)(u)
+        assert got.tobytes() == getattr(plain, op_name)(u).tobytes()
+    assert log == ["<f8", "<f8", "<f4", "<f4"]
+    assert fused == [DEGREE + 1] * 4  # the plain problem's four
+
+
+def test_helmholtz_runs_its_layers(fused):
+    """The mass term is a local term: Helmholtz never takes the pass."""
+    problem = build("helmholtz", "matmul")
+    for op_name, dtype in (("apply", np.float64), ("apply32", np.float32)):
+        u = bank(problem, dtype)
+        got = getattr(problem, op_name)(u)
+        assert got.tobytes() == layered(problem, op_name, u).tobytes()
+    assert fused == []
+
+
+def test_warm_fused_application_allocates_nothing_field_sized(fused):
+    problem = poisson(7, (3, 3, 3))
+    u = np.random.default_rng(0).standard_normal((2, problem.n_dofs))
+    out = np.empty_like(u)
+    problem.apply_A(u, out=out)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in range(5):
+            problem.apply_A(u, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fused) == 6
+    assert peak - baseline < u[0].nbytes // 8

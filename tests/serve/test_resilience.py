@@ -6,6 +6,7 @@ drop-only ticket.cancel contract."""
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -133,6 +134,40 @@ class _DyingPipe:
         return getattr(self._conn, name)
 
 
+class _SweptAfterRegistering:
+    """A replica's state lock that, the first time the submitting thread
+    lets go of it holding a registration, kills the worker and waits for
+    the exit sweep to take that request (freeing its ring slot) — before
+    dispatch has rung the doorbell."""
+
+    def __init__(self, replica, wait_until):
+        self._lock = replica.state_lock
+        self._replica = replica
+        self._wait = wait_until
+        self._submitter = threading.current_thread()
+        self.fired = False
+
+    def __enter__(self):
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        taken = []
+        if not self.fired and threading.current_thread() is self._submitter:
+            taken = list(self._replica.pending.values())
+        self._lock.__exit__(*exc)
+        if taken:
+            self.fired = True
+            self._replica.process.terminate()
+            assert self._wait(
+                lambda: all(inf.staged is None for inf in taken),
+                interval=0.005,
+            )
+        return False
+
+    def __getattr__(self, name):
+        return getattr(self._lock, name)
+
+
 class TestOneOwnerPerRequest:
     """Whoever removes a registration settles the request — exactly
     one party, whichever way a crash and its witnesses interleave."""
@@ -176,6 +211,38 @@ class TestOneOwnerPerRequest:
             counters = gateway.counters
             assert counters["admitted"] == counters["completed"] == 1
             assert counters["failed"] == counters["expired"] == 0
+        finally:
+            svc.close()
+        assert_same_result(got, sequential_solve(prob, bank[0]))
+
+    def test_sweep_between_registration_and_doorbell(
+        self, serving_problem, sequential_solve, assert_same_result,
+        wait_until
+    ):
+        """The exit sweep may take a request the moment dispatch
+        registers it: dispatch must not read the request again (its slot
+        is already released), and the request is retried once,
+        bit-identically, with no slot leaked."""
+        prob, bank = serving_problem
+        svc = ProcessShardedSolveService(
+            prob, workers=2, policy="round-robin", max_batch=4,
+            max_wait=0.002, tol=1e-10, maxiter=200,
+            retry=RetryPolicy(max_attempts=4, backoff_base=0.01),
+            restart=RestartPolicy(max_restarts=3, backoff_base=0.02),
+        )
+        try:
+            victim = svc._workers[0]
+            victim.state_lock = lock = _SweptAfterRegistering(
+                victim, wait_until
+            )
+            got = svc.submit(bank[0]).result(timeout=60)
+            assert lock.fired
+            assert wait_until(lambda: svc.restarts == 1)
+            assert svc.retried == 1
+            assert svc.routed == (1, 1)
+            assert wait_until(
+                lambda: all(w.ring.in_use == 0 for w in svc._workers)
+            ), [w.ring.in_use for w in svc._workers]
         finally:
             svc.close()
         assert_same_result(got, sequential_solve(prob, bank[0]))
