@@ -39,8 +39,12 @@ field-sized heap allocations.
 
 The vector half of an iteration is three streaming passes — ``p.Ap``;
 ``x``, ``r``, ``z`` with ``r.z`` and ``r.r`` summed in the sweep that
-produces them; ``p`` — compiled where the host has a C compiler
-(:func:`repro.sem.native.cg_passes`).  The numpy body is the same
+produces them; ``p`` — and where the host has a C compiler the whole
+loop around them runs in C (:func:`repro.sem.native.cg_passes`,
+:func:`_compiled_loop`), step for step the numpy loop's.  A SEM
+problem's own operator is applied there by its fused compiled pass, so
+such a solve is one call that never takes the GIL; any other operator
+is called back once per iteration.  The numpy body is the same
 arithmetic (``x``, ``r``, ``z``, ``p`` agree to the bit given the same
 scalars; only the sums' order differs) and runs without a compiler and
 for buffers C must not be handed.  No parameter selects a path.
@@ -63,7 +67,6 @@ per-process constant fleet workers inherit with their environment.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -256,10 +259,14 @@ def _validate(
     return b, x0, md, tol, maxiter
 
 
-def _bind_operator(apply_A: Operator, rows_1d: bool) -> Callable:
-    """``apply_into(vec, dst)`` over ``(B, n)`` buffers; probes ``out=``
-    once.  ``rows_1d`` (a solo solve) hands the callback the single row
-    of ``vec``/``dst`` as 1-D views — see the module docstring."""
+def _bind_operator(apply_A: Operator, rows_1d: bool, dtype) -> tuple:
+    """``(apply_into, fused)``: ``apply_into(vec, dst)`` over ``(B, n)``
+    buffers, probing ``out=`` once — ``rows_1d`` (a solo solve) hands the
+    callback the single row of ``vec``/``dst`` as 1-D views, see the
+    module docstring — and what the compiled loop may call in its place
+    on ``dtype`` vectors: when ``apply_A`` is a SEM problem's own
+    operator, that problem's fused pass (``_solver_pass``), else
+    ``None``."""
     # Memoized (functools.lru_cache), so repeated short solves don't
     # re-run inspect.signature reflection on every call.
     out_ok = accepts_keyword(apply_A, "out")
@@ -275,7 +282,11 @@ def _bind_operator(apply_A: Operator, rows_1d: bool) -> Callable:
         if res is not dst:
             np.copyto(dst, res)
 
-    return apply_into
+    solver_pass = getattr(getattr(apply_A, "__self__", None),
+                          "_solver_pass", None)
+    fused = None if solver_pass is None else solver_pass(
+        apply_A.__func__, np.dtype(dtype))
+    return apply_into, fused
 
 
 def _buffers(workspace, b, vectors, scalars) -> list[NDArray]:
@@ -349,53 +360,108 @@ def _start(b, r, tol, maxiter, tmp, res, stop, active) -> None:
         active &= maxiter > 0  # zero-cap requests never start iterating
 
 
-def _bind_passes(x, r, z, p, ap, tmp, inv_m, step, dots, rr) -> tuple:
-    """The vector half of an iteration over one solve's buffers, as three
-    argument-free passes: ``dots = p.Ap``; then ``x += step * p``,
-    ``r -= step * Ap``, ``z = r * inv_m``, ``dots = r.z``, ``rr = r.r``;
-    then ``p = step * p + z``.  Compiled, with every address taken here
-    and not per iteration, when each buffer is one C may write through;
-    else the numpy body."""
+@hot_path
+def _numpy_step(x, r, z, p, ap, tmp, inv_m, step, dots, rr) -> None:
+    """``x += step * p``, ``r -= step * Ap``, ``z = r * inv_m``,
+    ``dots = r.z``, ``rr = r.r``: ``cg_step``'s numpy body."""
+    np.multiply(p, step[:, None], out=tmp)
+    np.add(x, tmp, out=x)
+    np.multiply(ap, step[:, None], out=tmp)
+    np.subtract(r, tmp, out=r)
+    if inv_m is not None:
+        np.multiply(r, inv_m, out=z)
+    _row_dots(r, z, tmp, dots)
+    _row_dots(r, r, tmp, rr)
+
+
+@hot_path
+def _numpy_direction(p, z, step) -> None:
+    """``p = step * p + z``: ``cg_dir``'s numpy body."""
+    np.multiply(p, step[:, None], out=p)
+    np.add(p, z, out=p)
+
+
+def _breakdown(worst: float) -> ValueError:
+    return ValueError(
+        f"CG breakdown: p^T A p = {worst:g} <= 0 on an active "
+        "system (operator not SPD?)"
+    )
+
+
+#: Iterations one ``cg_solve`` call may run before it returns for a fresh
+#: block of residual history, which bounds the block a huge ``maxiter``
+#: allocates: more than any solve in the examples or benchmarks takes.
+_HISTORY_BLOCK: int = 1024
+
+
+def _compiled_loop(
+    apply_into, fused, maxiter, x, r, z, p, ap, inv_m, step, rz, pap,
+    coef, res, stop, active, iterations, exhausted,
+) -> "NDArray | None":
+    """Run the loop of :func:`_cg_iterate` as ``native.cg_solve`` and
+    return its residual history — ``None`` (nothing run) without
+    compiled passes or where a buffer is not one C may write through.
+
+    With ``fused`` C applies the operator itself, and a solve is one
+    call without the GIL; otherwise it calls ``apply_into`` back."""
     passes = native.cg_passes(x.dtype)
-    vecs = (x, r, p, ap) if inv_m is None else (x, r, z, p, ap, inv_m)
-    if (passes is not None and _raw(vecs, x.dtype, x.shape, True)
-            and _raw((step,), x.dtype, x.shape[:1], False)
-            and _raw((dots, rr), np.float64, x.shape[:1], True)):
-        step_, p_, ap_, m_, x_, r_, z_, dots_, rr_ = (
-            None if a is None else a.ctypes.data
-            for a in (step, p, ap, inv_m, x, r, z, dots, rr))
-        dot, advance, redirect = passes
-        return (partial(dot, *x.shape, p_, ap_, dots_),
-                partial(advance, *x.shape, step_, p_, ap_, m_, x_, r_, z_,
-                        dots_, rr_),
-                partial(redirect, *x.shape, step_, z_, p_))
+    nb, vecs = x.shape[0], (x, r, p, ap)
+    if inv_m is not None:
+        vecs += (z, inv_m)
+    if (passes is None or not _raw(vecs, x.dtype, x.shape, True)
+            or not _raw((step,), x.dtype, (nb,), True)
+            or not _raw((rz, pap, coef, res, stop), np.float64, (nb,), True)
+            or not _raw((active, exhausted), np.bool_, (nb,), True)):
+        return None
+    state = native.CGLoop(nb=nb, n=x.shape[1], **{
+        name: None if a is None else a.ctypes.data for name, a in (
+            ("x", x), ("r", r), ("z", z), ("p", p), ("ap", ap),
+            ("step", step), ("invm", inv_m), ("rz", rz), ("pap", pap),
+            ("coef", coef), ("res", res), ("stop", stop),
+            ("active", active), ("exhausted", exhausted),
+            ("iterations", iterations))})
+    if maxiter.ndim:
+        maxiter = np.ascontiguousarray(maxiter)
+        state.maxiter = maxiter.ctypes.data
+    errors: list[BaseException] = []
+    if fused is not None and fused[2].shape == x.shape[1:]:
+        ax_gs, d, mask, l2g, g = fused
+        state.fused, state.ne = ax_gs.unmasked, g.shape[0]
+        state.g_estride, state.g_cstride = g.strides[:2]
+        state.D, state.mask, state.l2g, state.g = (
+            a.ctypes.data for a in (d, mask, l2g, g))
+    else:
+        def call() -> int:
+            try:
+                apply_into(p, ap)
+            except BaseException as exc:  # C cannot unwind it: hand it back
+                errors.append(exc)
+                return 1
+            return 0
 
-    @hot_path
-    def update() -> None:
-        np.multiply(p, step[:, None], out=tmp)
-        np.add(x, tmp, out=x)
-        np.multiply(ap, step[:, None], out=tmp)
-        np.subtract(r, tmp, out=r)
-        if inv_m is not None:
-            np.multiply(r, inv_m, out=z)
-        _row_dots(r, z, tmp, dots)
-        _row_dots(r, r, tmp, rr)
-
-    @hot_path
-    def direction() -> None:
-        np.multiply(p, step[:, None], out=p)
-        np.add(p, z, out=p)
-
-    return partial(_row_dots, p, ap, tmp, dots), update, direction
+        state.call = native.OperatorCall(call)
+    history, cap = [res[None].copy()], int(maxiter.max())
+    while True:
+        block = np.empty((min(cap - state.it, _HISTORY_BLOCK), nb))
+        state.history, state.cap = block.ctypes.data, state.it + len(block)
+        start = state.it
+        status = passes[3](state)
+        history.append(block[: state.it - start])
+        if status:
+            raise errors[0] if errors else _breakdown(state.worst)
+        if state.it < state.cap or state.it == cap:
+            return np.concatenate(history)
 
 
 def _cg_iterate(
-    apply_into, b, x0, md, tol, maxiter, workspace
+    apply_into, b, x0, md, tol, maxiter, workspace, fused=None
 ) -> BatchedCGResult:
     """Jacobi-PCG over a ``(B, n)`` block; arguments as :func:`_validate`
-    returns them, operator as :func:`_bind_operator` binds it.  The
-    returned ``x`` aliases the workspace's buffer when one is given
-    (:func:`_finish` copies it out)."""
+    returns them, operator and ``fused`` pass as :func:`_bind_operator`
+    binds them.  The loop is compiled (:func:`_compiled_loop`) where the
+    host allows, else the numpy body below; the two run the same passes
+    in the same order.  The returned ``x`` aliases the workspace's buffer
+    when one is given (:func:`_finish` copies it out)."""
     nb = b.shape[0]
     (
         x, r, z, p, ap, tmp, inv_m, rz, pap, coef, step, res, stop, active,
@@ -426,60 +492,61 @@ def _cg_iterate(
     if b.dtype != np.float64:
         step = np.empty(nb, dtype=b.dtype)
     coef.fill(0.0)
-    dot_p_ap, update, direction = _bind_passes(
-        x, r, z, p, ap, tmp, inv_m, step, pap, res)
     iterations = np.zeros(nb, dtype=np.int64)
     # Systems frozen by subspace exhaustion are solved on their Krylov
     # subspace even though their residual criterion never fires; they
     # are folded into the returned ``converged``.
     exhausted = np.zeros(nb, dtype=bool)
-    history = [res.copy()]
-    iter_cap = int(maxiter.max())
-    it = 0
-    while active.any() and it < iter_cap:
-        apply_into(p, ap)
-        dot_p_ap()
-        bad = active & (pap <= 0.0)
-        if bad.any():
-            worst = float(pap[bad].min())
-            if worst <= -1e-300:
-                raise ValueError(
-                    f"CG breakdown: p^T A p = {worst:g} <= 0 on an active "
-                    "system (operator not SPD?)"
-                )
-            # Exact zero directions: those systems' subspaces are
-            # solved; freeze them and let the others continue.
-            active &= ~bad
-            exhausted |= bad
-            if not active.any():
-                break
-        it += 1
-        iterations += active  # a system counts the steps it was live for
-        # Masked step: frozen systems get alpha = beta = 0, freezing
-        # their x and r exactly (bit-for-bit) while the rest iterate.
-        np.divide(rz, pap, out=coef, where=active)
-        np.multiply(coef, active, out=step)  # alpha
-        update()  # x, r, z; pap now carries rz_new and res ||r||^2
-        np.divide(pap, rz, out=coef, where=active)
-        np.multiply(coef, active, out=step)  # beta
-        np.copyto(rz, pap)
-        # Frozen systems have beta = 0, so their p is simply parked at
-        # their (frozen) z: nothing reads it, since their alpha is 0.
-        direction()
-        np.sqrt(res, out=res)
-        history.append(res.copy())
-        active &= ~(res <= stop)  # (a NaN residual stays live to its cap)
-        if maxiter.ndim:
-            # Per-request iteration caps: freeze systems at their own
-            # maxiter (their x is already exactly the capped iterate).
-            active &= it < maxiter
+    history = _compiled_loop(
+        apply_into, fused, maxiter, x, r, z, p, ap, inv_m, step, rz, pap,
+        coef, res, stop, active, iterations, exhausted)
+    if history is None:
+        history = [res.copy()]
+        iter_cap = int(maxiter.max())
+        it = 0
+        while active.any() and it < iter_cap:
+            apply_into(p, ap)
+            _row_dots(p, ap, tmp, pap)
+            bad = active & (pap <= 0.0)
+            if bad.any():
+                worst = float(pap[bad].min())
+                if worst <= -1e-300:
+                    raise _breakdown(worst)
+                # Exact zero directions: those systems' subspaces are
+                # solved; freeze them and let the others continue.
+                active &= ~bad
+                exhausted |= bad
+                if not active.any():
+                    break
+            it += 1
+            iterations += active  # a system counts the steps it was live for
+            # Masked step: frozen systems get alpha = beta = 0, freezing
+            # their x and r exactly (bit-for-bit) while the rest iterate.
+            np.divide(rz, pap, out=coef, where=active)
+            np.multiply(coef, active, out=step)  # alpha
+            # x, r, z; pap now carries rz_new and res ||r||^2
+            _numpy_step(x, r, z, p, ap, tmp, inv_m, step, pap, res)
+            np.divide(pap, rz, out=coef, where=active)
+            np.multiply(coef, active, out=step)  # beta
+            np.copyto(rz, pap)
+            # Frozen systems have beta = 0, so their p is simply parked at
+            # their (frozen) z: nothing reads it, since their alpha is 0.
+            _numpy_direction(p, z, step)
+            np.sqrt(res, out=res)
+            history.append(res.copy())
+            active &= ~(res <= stop)  # (a NaN residual stays live to its cap)
+            if maxiter.ndim:
+                # Per-request iteration caps: freeze systems at their own
+                # maxiter (their x is already exactly the capped iterate).
+                active &= it < maxiter
+        history = np.stack(history)
 
     return BatchedCGResult(
         x=x,
         iterations=iterations,
         converged=(res <= stop) & np.isfinite(res) | exhausted,
         residual_norm=res.copy(),
-        residual_history=np.stack(history),
+        residual_history=history,
     )
 
 
@@ -580,7 +647,8 @@ def cg_solve_batched(
         b, x0, precond_diag, tol, maxiter, workspace, np.dtype(dtype),
         stacked=True,
     )
-    res = _cg_iterate(_bind_operator(apply_A, False), *args, workspace)
+    apply_into, fused = _bind_operator(apply_A, False, dtype)
+    res = _cg_iterate(apply_into, *args, workspace, fused)
     return _finish(res, workspace, True)
 
 
@@ -611,7 +679,8 @@ def cg_solve(
         b, x0, precond_diag, tol, maxiter, workspace, np.dtype(dtype),
         stacked,
     )
-    res = _cg_iterate(_bind_operator(apply_A, not stacked), *args, workspace)
+    apply_into, fused = _bind_operator(apply_A, not stacked, dtype)
+    res = _cg_iterate(apply_into, *args, workspace, fused)
     return _finish(res, workspace, stacked)
 
 
@@ -771,8 +840,8 @@ def _refine(
     inner_tol = _per_system(inner_tol, nb, "inner_tol", np.float64)
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    apply_into = _bind_operator(apply_A, not stacked)
-    apply_into32 = _bind_operator(apply_A32, not stacked)
+    apply_into, _ = _bind_operator(apply_A, not stacked, np.float64)
+    apply_into32, fused32 = _bind_operator(apply_A32, not stacked, np.float32)
     x, r, ap, tmp, res, stop, active = _buffers(
         workspace, b, ("cg_x", "cg_r", "cg_ap", "cg_tmp"),
         ("cg_res", "cg_stop"),
@@ -799,7 +868,8 @@ def _refine(
         r32 = r.astype(np.float32)
         r32[~active] = 0.0  # frozen systems: zero rhs => zero correction
         inner = _cg_iterate(
-            apply_into32, r32, None, md32, inner_tol, maxiter, workspace32
+            apply_into32, r32, None, md32, inner_tol, maxiter, workspace32,
+            fused32,
         )
         np.add(x, inner.x, out=x)  # fp64 accumulation; frozen rows add 0
         apply_into(x, ap)

@@ -14,10 +14,15 @@ global result, so no element-local field reaches memory at all.
 :data:`_CG_SOURCE` is the other half of an iteration in the same
 style: ``p.Ap``, then ``x``/``r``/``z`` with ``r.z`` and ``r.r`` folded
 into the sweep that produces them, then ``p`` — each operand once per
-pass, 9 reads + 4 writes where twelve numpy calls made 17 + 7.
+pass, 9 reads + 4 writes where twelve numpy calls made 17 + 7 — and
+``cg_solve``, the loop around them: the stopping test, the freezing of
+finished rows and the scalar recurrence, with ``A p`` from the fused
+pass (its closing mask folded into the ``p.Ap`` sweep) or from a Python
+callback.  With the fused pass a whole solve is one call, and the GIL
+stays released from its first iteration to its last.
 
 :func:`ax_kernel`, :func:`ax_gs_kernel` and :func:`cg_passes` are the
-whole interface: one shared object per ``(nx, dtype)`` (both ``Ax``
+whole interface: one shared object per ``(nx, dtype)`` (the ``Ax``
 entry points) and one per dtype, built with the host's C compiler on
 first use.  On *any* failure they warn once, stop trying for the rest
 of the process and return ``None``, and
@@ -129,17 +134,18 @@ void ax_native(ptrdiff_t nb, ptrdiff_t ne, const REAL *restrict D,
     }
 }
 
-/* w = mask * Q^T (D^T G D) Q (mask * u) for nb stacked global vectors,
+/* w = Q^T (D^T G D) Q (mask * u) for nb stacked global vectors,
    C-contiguous (nb, n): scatter, Ax and gather-add in one pass per
    element, no element-local field in memory.  l2g maps the ne * N3
    local nodes to [0, n); g is as for ax_native.  Each row takes its
    contributions in ascending local index -- the order of np.add.at, so
-   the bits of scatter -> ax_native -> gather. */
-void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
-                  const REAL *restrict D, const REAL *restrict u,
-                  const REAL *restrict mask, const int64_t *restrict l2g,
-                  const char *restrict g, ptrdiff_t g_estride,
-                  ptrdiff_t g_cstride, REAL *restrict w)
+   the bits of scatter -> ax_native -> gather.  The closing mask is the
+   caller's: ax_gs_native's, or the CG loop's p.Ap sweep. */
+void ax_gs_add(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
+               const REAL *restrict D, const REAL *restrict u,
+               const REAL *restrict mask, const int64_t *restrict l2g,
+               const char *restrict g, ptrdiff_t g_estride,
+               ptrdiff_t g_cstride, REAL *restrict w)
 {
     REAL Dt[NX * NX];
     for (int k = 0; k < NX; k++)
@@ -163,6 +169,16 @@ void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
                 wb[le[p]] += we[p];
         }
     }
+}
+
+/* w = mask * Q^T (D^T G D) Q (mask * u): ax_gs_add, then the mask. */
+void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
+                  const REAL *restrict D, const REAL *restrict u,
+                  const REAL *restrict mask, const int64_t *restrict l2g,
+                  const char *restrict g, ptrdiff_t g_estride,
+                  ptrdiff_t g_cstride, REAL *restrict w)
+{
+    ax_gs_add(nb, ne, n, D, u, mask, l2g, g, g_estride, g_cstride, w);
     for (REAL *wb = w; wb < w + nb * n; wb += n)
         for (ptrdiff_t i = 0; i < n; i++)
             wb[i] *= mask[i];
@@ -172,10 +188,14 @@ void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
 #: The vector passes want ``-O3`` (gcc 12's ``-O2`` cost model leaves the
 #: step sweep scalar) and no contraction: one rounding per operation, so
 #: ``x``, ``r``, ``z``, ``p`` are the numpy body's bits given its scalars.
-_CG_FLAGS: tuple[str, ...] = (*_FLAGS, "-O3", "-ffp-contract=off")
+#: No ``errno`` either: the loop's ``sqrt`` is the instruction, as numpy's.
+_CG_FLAGS: tuple[str, ...] = (
+    *_FLAGS, "-O3", "-ffp-contract=off", "-fno-math-errno")
 
 _CG_SOURCE = r"""
+#include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 /* Every sum: products rounded to REAL, element i added into fp64 lane
    i % 8, the lanes folded in one fixed order -- a row's value is a
    function of that row alone, whatever nb, the BLAS or its threads. */
@@ -237,6 +257,120 @@ void cg_dir(ptrdiff_t nb, ptrdiff_t n, const REAL *step,
             p[i] = beta * p[i] + z[i];
     }
 }
+
+/* ap *= mask, then out[k] = p[k] . ap[k]: the fused operator's closing
+   mask and cg_dot in one sweep, cg_dot's bits. */
+#define MASKDOT(i, l) { \
+        const REAL wi = ap[i] * mask[i]; \
+        ap[i] = wi; \
+        const REAL ab = p[i] * wi; \
+        s[l] += ab; }
+static void mask_dot(ptrdiff_t nb, ptrdiff_t n, const REAL *restrict mask,
+                     const REAL *restrict p, REAL *restrict ap, double *out)
+{
+    for (ptrdiff_t k = 0; k < nb; k++, p += n, ap += n) {
+        double s[8] = {0};
+        SWEEP(MASKDOT)
+        out[k] = FOLD(s);
+    }
+}
+
+/* One solve's state, field for field native.CGLoop.  (nb, n) vectors,
+   (nb,) fp64 scalars and 0/1 bytes, as _cg_iterate binds them; history
+   takes one (nb,) row of ||r|| per iteration. */
+struct cg_loop {
+    ptrdiff_t nb, n, it, cap;  /* it: iterations run; none past cap */
+    REAL *x, *r, *z, *p, *ap, *step;
+    const REAL *invm;          /* NULL: no preconditioner, z is r */
+    double *rz, *pap, *coef, *res, *history;
+    const double *stop;
+    unsigned char *active, *exhausted;
+    int64_t *iterations;
+    const int64_t *maxiter;    /* per row; NULL: cap is everyone's */
+    /* ap = A p: the fused pass (ax_gs_add of the problem's shared object,
+       masked here), else call() into Python, non-zero on an exception */
+    void (*fused)(ptrdiff_t, ptrdiff_t, ptrdiff_t, const REAL *,
+                  const REAL *, const REAL *, const int64_t *, const char *,
+                  ptrdiff_t, ptrdiff_t, REAL *);
+    ptrdiff_t ne, g_estride, g_cstride;
+    const REAL *D, *mask;
+    const int64_t *l2g;
+    const char *g;
+    int (*call)(void);
+    double worst;              /* out: p.Ap of a breakdown */
+};
+
+/* _cg_iterate's loop, pass for pass and scalar for scalar, until no row
+   is live or it == cap.  0, or -1 on a breakdown, or call()'s status. */
+int cg_solve(struct cg_loop *s)
+{
+    const ptrdiff_t nb = s->nb, n = s->n;
+    unsigned char *active = s->active;
+    double *coef = s->coef, *rz = s->rz, *pap = s->pap, *res = s->res;
+    while (s->it < s->cap) {
+        int live = 0, bad = 0;
+        for (ptrdiff_t k = 0; k < nb; k++)
+            live |= active[k];
+        if (!live)
+            break;
+        if (s->fused) {
+            s->fused(nb, s->ne, n, s->D, s->p, s->mask, s->l2g, s->g,
+                     s->g_estride, s->g_cstride, s->ap);
+            mask_dot(nb, n, s->mask, s->p, s->ap, pap);
+        } else {
+            const int status = s->call();
+            if (status)
+                return status;
+            cg_dot(nb, n, s->p, s->ap, pap);
+        }
+        double worst = 0.0;
+        for (ptrdiff_t k = 0; k < nb; k++)
+            if (active[k] && pap[k] <= 0.0) {
+                bad = 1;
+                worst = pap[k] < worst ? pap[k] : worst;
+            }
+        if (bad) {
+            if (worst <= -1e-300) {
+                s->worst = worst;
+                return -1;
+            }
+            /* exact zero directions: solved subspaces, frozen */
+            live = 0;
+            for (ptrdiff_t k = 0; k < nb; k++) {
+                if (active[k] && pap[k] <= 0.0)
+                    active[k] = 0, s->exhausted[k] = 1;
+                live |= active[k];
+            }
+            if (!live)
+                break;
+        }
+        s->it++;
+        for (ptrdiff_t k = 0; k < nb; k++) {
+            s->iterations[k] += active[k];
+            if (active[k])
+                coef[k] = rz[k] / pap[k];
+            s->step[k] = (REAL)(coef[k] * (double)active[k]);  /* alpha */
+        }
+        cg_step(nb, n, s->step, s->p, s->ap, s->invm, s->x, s->r, s->z,
+                pap, res);
+        for (ptrdiff_t k = 0; k < nb; k++) {
+            if (active[k])
+                coef[k] = pap[k] / rz[k];
+            s->step[k] = (REAL)(coef[k] * (double)active[k]);  /* beta */
+            rz[k] = pap[k];
+        }
+        cg_dir(nb, n, s->step, s->z, s->p);
+        for (ptrdiff_t k = 0; k < nb; k++) {
+            res[k] = sqrt(res[k]);
+            s->history[k] = res[k];
+            if (res[k] <= s->stop[k]
+                    || (s->maxiter && !(s->it < s->maxiter[k])))
+                active[k] = 0;
+        }
+        s->history += nb;
+    }
+    return 0;
+}
 """
 
 _lock = threading.Lock()
@@ -280,19 +414,23 @@ def ax_gs_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
     caller guarantees ``d`` and ``g`` as for :func:`ax_kernel`, aligned
     C-contiguous ``u`` and writeable ``w`` of that dtype and shape that
     do not overlap, a contiguous ``(n,)`` ``mask`` of it and a contiguous
-    int64 ``l2g`` of ``E * nx^3`` entries in ``[0, n)``.
+    int64 ``l2g`` of ``E * nx^3`` entries in ``[0, n)``.  Its attribute
+    ``unmasked`` is the address of the same pass without the closing
+    mask, which ``cg_solve`` (:func:`cg_passes`) calls.
     """
     return _cached(_load_ax, nx, dtype)[1]
 
 
 def cg_passes(dtype: np.dtype) -> "tuple[Callable, ...] | None":
-    """``(cg_dot, cg_step, cg_dir)`` of :data:`_CG_SOURCE` compiled for
-    ``dtype``, or ``None`` — "run the numpy body" — as :func:`ax_kernel`.
+    """``(cg_dot, cg_step, cg_dir, cg_solve)`` of :data:`_CG_SOURCE`
+    compiled for ``dtype``, or ``None`` — "run the numpy body" — as
+    :func:`ax_kernel`.
 
-    They take *addresses* (``arr.ctypes.data``: a solve takes them once,
-    not per iteration) and check nothing: the caller guarantees aligned
-    C-contiguous ``(nb, n)`` vectors of ``dtype`` and ``(nb,)`` scalars
-    (``step`` of ``dtype``, the sums fp64), writeable where written.
+    The passes take *addresses* (``arr.ctypes.data``) and check nothing:
+    the caller guarantees aligned C-contiguous ``(nb, n)`` vectors of
+    ``dtype`` and ``(nb,)`` scalars (``step`` of ``dtype``, the sums
+    fp64), writeable where written.  ``cg_solve`` takes a :class:`CGLoop`
+    of such addresses and runs the whole iteration in one call.
     """
     return _cached(_load_cg, dtype)
 
@@ -338,7 +476,29 @@ def _load_ax(nx: int, dtype: np.dtype) -> "tuple[Callable | None, ...]":
               d.ctypes.data, u.ctypes.data, mask.ctypes.data, l2g.ctypes.data,
               g.ctypes.data, g.strides[0], g.strides[1], w.ctypes.data)
 
+    ax_gs.unmasked = ctypes.cast(lib.ax_gs_add, ctypes.c_void_p).value
     return ax, ax_gs
+
+
+#: ``int call(void)``: the Python operator the compiled loop calls back.
+OperatorCall = ctypes.CFUNCTYPE(ctypes.c_int)
+
+
+class CGLoop(ctypes.Structure):
+    """``struct cg_loop`` of :data:`_CG_SOURCE`: pointers as addresses."""
+
+    _fields_ = [
+        *((name, ctypes.c_ssize_t) for name in ("nb", "n", "it", "cap")),
+        *((name, ctypes.c_void_p) for name in (
+            "x", "r", "z", "p", "ap", "step", "invm", "rz", "pap", "coef",
+            "res", "history", "stop", "active", "exhausted", "iterations",
+            "maxiter", "fused")),
+        *((name, ctypes.c_ssize_t) for name in (
+            "ne", "g_estride", "g_cstride")),
+        *((name, ctypes.c_void_p) for name in ("D", "mask", "l2g", "g")),
+        ("call", OperatorCall),
+        ("worst", ctypes.c_double),
+    ]
 
 
 def _load_cg(dtype: np.dtype) -> "tuple[Callable, ...] | None":
@@ -349,7 +509,9 @@ def _load_cg(dtype: np.dtype) -> "tuple[Callable, ...] | None":
     for fn, pointers in ((lib.cg_dot, 3), (lib.cg_step, 9), (lib.cg_dir, 3)):
         fn.argtypes = [size_t, size_t] + [ptr] * pointers
         fn.restype = None
-    return lib.cg_dot, lib.cg_step, lib.cg_dir
+    lib.cg_solve.argtypes = [ctypes.POINTER(CGLoop)]
+    lib.cg_solve.restype = ctypes.c_int
+    return lib.cg_dot, lib.cg_step, lib.cg_dir, lib.cg_solve
 
 
 def _build(stem: str, source: str, flags: list[str]) -> str:

@@ -203,33 +203,48 @@ class SEMProblem:
         ``Ax`` to ``w_local``, in place (``ws.u_local`` holds the
         scattered input, ``ws.tmp`` is free scratch).  Default: none."""
 
-    def _ax_gs(self, gs, d, g, mask, u) -> "Callable | None":
-        """:func:`repro.sem.native.ax_gs_kernel` if it gives this
-        application the layers' bits — the ``"matmul"`` kernel itself, an
-        unreplaced gather-scatter, a mask, no local term — and ``u`` is
-        C's to read; else ``None``.  ``out`` is :meth:`_apply`'s to check."""
+    def _fused(self, dtype: type) -> "tuple | None":
+        """``(ax_gs, d, mask, l2g, g)``: :func:`repro.sem.native.ax_gs_kernel`
+        and its operands in ``dtype`` if the kernel gives this operator the
+        layers' bits — the ``"matmul"`` kernel itself, an unreplaced
+        gather-scatter, a mask, no local term — else ``None``.  The
+        vectors are the caller's to check."""
         if (self.ax_backend is not ax_local_matmul
-                or type(gs) is not GatherScatter or mask is None
                 or type(self)._local_term is not SEMProblem._local_term):
             return None
+        gs, mask = self.gs.as_dtype(dtype), self._mask(dtype)
+        if type(gs) is not GatherScatter or mask is None:
+            return None
+        d, g = self.ref.deriv_as(dtype), self.geometry.as_dtype(dtype).g
         nx, size = d.shape[0], g.itemsize
         ax_gs = native.ax_gs_kernel(nx, gs.dtype)
-        if (ax_gs is None or u.dtype != gs.dtype or u.ndim not in (1, 2)
-                or u.shape[-1] != gs.n_global or not u.flags.c_contiguous
-                or not u.flags.aligned or not d.flags.c_contiguous
+        if (ax_gs is None or not d.flags.c_contiguous
                 or g.dtype != gs.dtype or not g.flags.aligned
                 or g.strides[2:] != (nx * nx * size, nx * size, size)
                 or gs.l2g_flat.dtype != np.int64
                 or not gs.l2g_flat.flags.c_contiguous):
             return None
-        return ax_gs
+        return ax_gs, d, mask, gs.l2g_flat, g
+
+    def _solver_pass(self, operator: Callable, dtype: np.dtype):
+        """:meth:`_fused` for the compiled CG loop
+        (:func:`repro.sem.cg.cg_solve`) to call in place of ``operator``
+        on ``dtype`` vectors — when ``operator`` is the function of this
+        problem's own operator in that dtype, as the class declaring
+        ``_OPERATOR`` defines it; else ``None``."""
+        name = {np.dtype(np.float64): self._OPERATOR,
+                np.dtype(np.float32): self._OPERATOR32}.get(dtype)
+        owner = next(k for k in type(self).__mro__ if "_OPERATOR" in vars(k))
+        if name is None or operator is not vars(owner).get(name):
+            return None
+        return self._fused(dtype.type)
 
     @hot_path
     def _apply(self, u_global: NDArray, out: "NDArray | None", dtype: type):
         """mask -> scatter -> local Ax (+ local term) -> gather -> mask.
 
         The body behind all four public operator methods.  Where
-        :meth:`_ax_gs` allows, that is one compiled pass per element with
+        :meth:`_fused` allows, that is one compiled pass per element with
         no element-local field in memory (the paper's on-chip dataflow)
         and the layers' bits; otherwise the layers run one by one.  Every
         intermediate lives in the ``dtype`` workspace, so passing ``out``
@@ -249,21 +264,25 @@ class SEMProblem:
                 self._apply(u_global[0], out[0], dtype)
                 return out
             return self._apply(u_global[0], None, dtype)[None]
+        fused = self._fused(dtype)
+        # C reads ``u_global`` and writes ``out`` unchecked, zero-filled
+        # first: ``out`` must be writeable, contiguous and apart from it.
+        if (fused is not None and u_global.dtype == fused[1].dtype
+                and u_global.ndim in (1, 2) and u_global.flags.c_contiguous
+                and u_global.flags.aligned
+                and u_global.shape[-1] == fused[2].shape[0]
+                and (out is None or (
+                    out.flags.carray and out.dtype == u_global.dtype
+                    and out.shape == u_global.shape
+                    and not np.may_share_memory(u_global, out)))):
+            if out is None:  # an out-less call allocates, as gather does
+                out = np.empty_like(u_global)  # lint: ignore[hot-path-alloc]
+            ax_gs, d, mask, l2g, g = fused
+            ax_gs(d, u_global, mask, l2g, g, out)
+            return out
         gs = self.gs.as_dtype(dtype)
         geo = self.geometry.as_dtype(dtype)
         mask = self._mask(dtype)
-        d = self.ref.deriv_as(dtype)
-        ax_gs = self._ax_gs(gs, d, geo.g, mask, u_global)
-        # C writes ``out`` unchecked, zero-filled first: it must be
-        # writeable, contiguous and apart from ``u_global``.
-        if ax_gs is not None and (out is None or (
-                out.flags.carray and out.dtype == u_global.dtype
-                and out.shape == u_global.shape
-                and not np.may_share_memory(u_global, out))):
-            if out is None:  # an out-less call allocates, as gather does
-                out = np.empty_like(u_global)  # lint: ignore[hot-path-alloc]
-            ax_gs(d, u_global, mask, gs.l2g_flat, geo.g, out)
-            return out
         ws = self.batch_workspace(
             u_global.shape[0] if u_global.ndim == 2 else 1, dtype
         )

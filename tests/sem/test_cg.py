@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sem import BoxMesh, PoissonProblem, ReferenceElement, native
+from repro.sem import BoxMesh, PoissonProblem, ReferenceElement, cg, native
 from repro.sem.cg import (
     CGResult,
     cg_solve,
@@ -510,7 +510,8 @@ class TestRowEqualsSoloNumpyBody(TestRowEqualsSoloAboveTenThousandDofs):
 
 @pytest.fixture
 def pass_calls(monkeypatch):
-    """The name of every compiled CG pass a solve ran, in order."""
+    """The name of every compiled CG entry point a solve called from
+    Python, in order."""
     calls, real = [], native.cg_passes
 
     def spying(dtype):
@@ -521,7 +522,7 @@ def pass_calls(monkeypatch):
         def recorded(name, fn):
             return lambda *args: (calls.append(name), fn(*args))[1]
 
-        return tuple(map(recorded, ("dot", "step", "dir"), passes))
+        return tuple(map(recorded, ("dot", "step", "dir", "solve"), passes))
 
     monkeypatch.setattr(native, "cg_passes", spying)
     return calls
@@ -530,14 +531,22 @@ def pass_calls(monkeypatch):
 class TestCompiledPasses:
     """What ``_cg_iterate`` hands C, and what it keeps from it."""
 
-    def test_a_solve_is_three_passes_per_iteration(self, pass_calls):
+    def test_a_solve_is_one_compiled_call(self, pass_calls, monkeypatch):
+        """The fused operator's whole loop is one call: no Python runs
+        between its first iteration and its last, so the GIL stays
+        released throughout."""
         prob = sem_problem()
         b = sem_block(prob)[0]
+        applied = []
+        real_apply = prob._apply
+        monkeypatch.setattr(prob, "_apply", lambda *args: (
+            applied.append(1), real_apply(*args))[1])
         res = solve("fp64", prob, b, workspace=True, tol=1e-8,
                     precond_diag=prob.precond_diag())
-        # rz, ||b|| and ||r|| before the loop, then the three passes.
-        per_iteration = ["dot", "step", "dir"] * res.iterations
-        assert pass_calls == ["dot"] * 3 + per_iteration
+        assert res.iterations > 10
+        # rz, ||b|| and ||r|| before the loop, then the loop.
+        assert pass_calls == ["dot"] * 3 + ["solve"]
+        assert len(applied) == 1  # A x0, before the loop
 
     def test_frozen_row_keeps_x_and_r_while_its_batchmates_iterate(
         self, pass_calls
@@ -555,7 +564,7 @@ class TestCompiledPasses:
             maxiter=400, workspace=ws,
         )
         assert 0 < block.iterations[0] < block.iterations[1]
-        assert "step" in pass_calls
+        assert "solve" in pass_calls
         frozen_x, frozen_r = ws.cg_x[0].copy(), ws.cg_r[0].copy()
         solo = cg_solve(prob.apply_A, bs[0], precond_diag=diag, tol=1e-3,
                         maxiter=400, workspace=solo_ws)
@@ -589,7 +598,7 @@ class TestCompiledPasses:
 
         kwargs = dict(precond_diag=diag, tol=1e-4, maxiter=200, dtype=dtype)
         sound = cg_solve_batched(apply_A, bs, **kwargs)
-        assert "step" in pass_calls
+        assert "solve" in pass_calls
         del pass_calls[:]
         block = cg_solve_batched(apply_A, bs, workspace=flawed(3), **kwargs)
         for k in range(3):
@@ -608,7 +617,205 @@ class TestCompiledPasses:
                 solve("fp64", prob, sem_block(prob)[0], workspace=ws)
         finally:
             ws.cg_p.setflags(write=True)  # the problem caches it
-        assert "step" not in pass_calls and "dir" not in pass_calls
+        assert "solve" not in pass_calls
+
+
+@pytest.fixture
+def python_loop():
+    """``python_loop(fn, *args, **kwargs)``: the call with the loop of
+    ``_cg_iterate`` run in Python, driving C's three passes one call at
+    a time — the compiled path as it was before the loop moved to C."""
+    if native.cg_passes(np.dtype(np.float64)) is None:
+        pytest.skip("no compiled CG passes on this host")
+
+    def at(a):
+        return None if a is None else a.ctypes.data
+
+    def c_step(x, r, z, p, ap, tmp, inv_m, step, dots, rr):
+        native.cg_passes(x.dtype)[1](
+            *x.shape, *map(at, (step, p, ap, inv_m, x, r, z, dots, rr)))
+
+    def c_direction(p, z, step):
+        native.cg_passes(p.dtype)[2](*p.shape, *map(at, (step, z, p)))
+
+    def run(fn, *args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cg, "_compiled_loop", lambda *a: None)
+            patch.setattr(cg, "_numpy_step", c_step)
+            patch.setattr(cg, "_numpy_direction", c_direction)
+            return fn(*args, **kwargs)
+
+    return run
+
+
+def assert_same_block(got, want):
+    """Field-by-field bit equality of two batched results (NaNs too)."""
+    assert type(got) is type(want)
+    for name in vars(want):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestCompiledLoop:
+    """``native.cg_solve`` runs the Python loop's passes in the Python
+    loop's order, so it gives its bits: the same ``x``, counts, flags
+    and residual history, with the fused pass or through a callback."""
+
+    @pytest.mark.parametrize("degree,shape", ((3, (2, 2, 1)), (7, (2, 2, 2))))
+    @pytest.mark.parametrize("batch", (1, 3, 8))
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    def test_the_python_loops_bits(self, python_loop, dtype, batch, degree,
+                                   shape):
+        prob = sem_problem(shape, degree)
+        bs = sem_block(prob, batch=batch).astype(dtype)
+        apply_A = prob.apply_A if dtype == np.float64 else prob.apply_A32
+        kwargs = dict(precond_diag=prob.precond_diag().astype(dtype),
+                      dtype=dtype, workspace=prob.batch_workspace(batch, dtype))
+        if batch == 1:
+            fn, b = cg_solve, bs[0]
+            kwargs.update(tol=1e-6, maxiter=300)
+        else:  # a NaN row, an inf row and per-row tol / cap ride along
+            fn, b = cg_solve_batched, bs
+            b[1, 7], b[-1, 3] = np.nan, np.inf
+            kwargs.update(tol=np.geomspace(1e-2, 1e-7, batch),
+                          maxiter=np.arange(batch) * 7 + 20)
+        assert cg._bind_operator(apply_A, False, dtype)[1] is not None
+        got = fn(apply_A, b, **kwargs)
+        want = python_loop(fn, apply_A, b, **kwargs)
+        if batch == 1:
+            assert_same_result(got, want)
+        else:
+            assert_same_block(got, want)
+            assert not got.converged[1] and got.iterations[1] == 0
+
+    def test_a_wrapped_operator_is_called_back_with_the_same_bits(
+        self, python_loop
+    ):
+        """Fused ≡ layered, for whole solves: a wrapper hides the problem
+        from the loop, which then calls it back once per iteration."""
+        prob = sem_problem((2, 2, 2), 7)
+        bs = sem_block(prob, batch=3)
+        calls = []
+
+        def wrapped(v, out=None):
+            calls.append(1)
+            return prob.apply_A(v, out=out)
+
+        assert cg._bind_operator(wrapped, False, np.float64)[1] is None
+        kwargs = dict(precond_diag=prob.precond_diag(), tol=1e-8,
+                      maxiter=500, workspace=prob.batch_workspace(3))
+        got = cg_solve_batched(wrapped, bs, **kwargs)
+        assert len(calls) == got.total_iterations + 1
+        assert_same_block(got, python_loop(cg_solve_batched, wrapped, bs,
+                                           **kwargs))
+        assert_same_block(got, cg_solve_batched(prob.apply_A, bs, **kwargs))
+
+    def test_an_overriding_operator_is_called_back(self):
+        """Only the operator the problem's class declares is fused; a
+        subclass's override of it is the operator, so it is called."""
+        calls = []
+
+        class Shifted(PoissonProblem):
+            def apply_A(self, u, out=None):
+                calls.append(1)
+                return super().apply_A(u, out=out) + 0.5 * u * self.interior
+
+        prob = Shifted(sem_problem().mesh, ax_backend="matmul")
+        assert cg._bind_operator(prob.apply_A, True, np.float64)[1] is None
+        res = cg_solve(prob.apply_A, sem_block(prob)[0], tol=1e-8)
+        assert res.converged and len(calls) == res.iterations + 1
+
+    def test_mixed_inner_solves(self, python_loop):
+        prob = sem_problem((2, 2, 2), 7)
+        bs = sem_block(prob, batch=3)
+        got = solve("mixed", prob, bs, workspace=True, tol=1e-10)
+        assert got.all_converged and got.total_sweeps > 1
+        assert_same_block(got, python_loop(solve, "mixed", prob, bs,
+                                           workspace=True, tol=1e-10))
+
+    def test_a_history_longer_than_one_block(self, monkeypatch):
+        prob = sem_problem()
+        bs = sem_block(prob, batch=2)
+        kwargs = dict(precond_diag=prob.precond_diag(),
+                      tol=np.array([1e-4, 1e-12]), maxiter=400)
+        want = cg_solve_batched(prob.apply_A, bs, **kwargs)
+        assert want.total_iterations > 3 * 7
+        monkeypatch.setattr(cg, "_HISTORY_BLOCK", 7)
+        assert_same_block(cg_solve_batched(prob.apply_A, bs, **kwargs), want)
+
+    @pytest.mark.parametrize("exc", (ZeroDivisionError("op"),
+                                     KeyboardInterrupt()))
+    def test_an_exception_in_the_operator_comes_back_out(self, exc):
+        a, _, b = spd_system(30)
+        calls = []
+
+        def operator(v):
+            calls.append(1)
+            if len(calls) == 4:
+                raise exc
+            return v @ a.T
+
+        with pytest.raises(type(exc)) as raised:
+            cg_solve(operator, b, tol=1e-12)
+        assert raised.value is exc and len(calls) == 4
+
+    @pytest.mark.parametrize("path", ("compiled", "numpy_body"))
+    def test_a_residual_exactly_at_its_threshold_stops(self, path, request):
+        """``||r|| <= tol * ||b||``: a residual equal to its threshold,
+        to the bit, ends the solve at that iteration on both loops."""
+        if path == "numpy_body":
+            request.getfixturevalue("numpy_body")
+        elif native.cg_passes(np.dtype(np.float64)) is None:
+            pytest.skip("no compiled CG passes on this host")
+        a, b = np.diag([1.0, 3.0]), np.array([1.0, 1.0])
+        r1 = cg_solve(lambda v: v @ a.T, b, tol=1e-300, maxiter=1)
+        norm_b, r1 = float(np.sqrt(b @ b)), r1.residual_norm
+        tol = r1 / norm_b
+        while tol * norm_b < r1:
+            tol = np.nextafter(tol, np.inf)
+        while tol * norm_b > r1:
+            tol = np.nextafter(tol, 0.0)
+        assert tol * norm_b == r1 > 0.0
+        res = cg_solve(lambda v: v @ a.T, b, tol=tol, maxiter=10)
+        assert res.iterations == 1 and res.converged
+
+    @pytest.mark.parametrize("path", ("compiled", "numpy_body"))
+    def test_a_breakdown_is_the_same_refusal(self, path, request):
+        if path == "numpy_body":
+            request.getfixturevalue("numpy_body")
+        elif native.cg_passes(np.dtype(np.float64)) is None:
+            pytest.skip("no compiled CG passes on this host")
+        a, _, b = spd_system(12)
+        with pytest.raises(ValueError, match=r"CG breakdown: p\^T A p = -"):
+            cg_solve(lambda v: -(v @ a.T), b)
+
+    def test_two_threads_solve_at_once_as_serially(self):
+        """The loop keeps nothing between calls and runs without the GIL:
+        two solves on two problems interleave and keep their bits."""
+        import threading
+
+        probs = [sem_problem((2, 2, 2), 7) for _ in range(2)]
+        rhs = [sem_block(p, batch=2, seed=40 + k) for k, p in enumerate(probs)]
+        kwargs = dict(tol=1e-9, maxiter=500)
+        serial = [cg_solve_batched(p.apply_A, b, **kwargs)
+                  for p, b in zip(probs, rhs)]
+        barrier, wrong = threading.Barrier(2), []
+
+        def worker(k):
+            barrier.wait(timeout=30)
+            for _ in range(5):
+                got = cg_solve_batched(probs[k].apply_A, rhs[k], **kwargs)
+                if not np.array_equal(got.x, serial[k].x):
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive()
+        assert wrong == []
 
 
 class TestPerSystemStopping:

@@ -275,9 +275,30 @@ class CGState:
         return twin
 
     def bind(self):
-        return cg._bind_passes(self.x, self.r, self.z, self.p, self.ap,
-                               self.tmp, self.inv_m, self.step, self.dots,
-                               self.rr)
+        """``p.Ap``, the step and the direction over these buffers: C's
+        passes where the host has them, else the numpy body."""
+        passes = native.cg_passes(self.x.dtype)
+        if passes is None:
+            return (
+                functools.partial(cg._row_dots, self.p, self.ap, self.tmp,
+                                  self.dots),
+                functools.partial(cg._numpy_step, self.x, self.r, self.z,
+                                  self.p, self.ap, self.tmp, self.inv_m,
+                                  self.step, self.dots, self.rr),
+                functools.partial(cg._numpy_direction, self.p, self.z,
+                                  self.step),
+            )
+        at = lambda a: None if a is None else a.ctypes.data  # noqa: E731
+        shape, (dot, step, direction) = self.x.shape, passes[:3]
+        return (
+            functools.partial(dot, *shape, *map(at, (self.p, self.ap,
+                                                     self.dots))),
+            functools.partial(step, *shape, *map(at, (
+                self.step, self.p, self.ap, self.inv_m, self.x, self.r,
+                self.z, self.dots, self.rr))),
+            functools.partial(direction, *shape, *map(at, (
+                self.step, self.z, self.p))),
+        )
 
     def iterate(self, alpha, beta, compiled):
         """``p.Ap``, the step under ``alpha``, the direction under
@@ -286,7 +307,7 @@ class CGState:
             if not compiled:
                 patch.setattr(native, "cg_passes", lambda dtype: None)
             dot, update, direction = self.bind()
-            assert isinstance(update, functools.partial) == compiled
+            assert (update.func is not cg._numpy_step) == compiled
             dot()
             p_ap = self.dots.copy()
             self.step[:] = alpha
@@ -348,9 +369,19 @@ class TestCGPasses:
 
     def test_what_c_must_not_write_through_gets_the_numpy_body(self):
         """A strided, an unaligned and a read-only buffer, and a scalar
-        of the wrong dtype: each alone sends the solve to numpy."""
+        of the wrong dtype: each alone keeps the solve's loop out of C."""
+
+        def compiled_loop(st):
+            nb = st.x.shape[0]
+            scalars = [np.zeros(nb) for _ in range(3)]
+            flags = [np.zeros(nb, dtype=bool) for _ in range(2)]
+            return cg._compiled_loop(
+                None, None, np.asarray(0), st.x, st.r, st.z, st.p, st.ap,
+                st.inv_m, st.step, scalars[0], st.dots, scalars[1], st.rr,
+                scalars[2], flags[0], np.zeros(nb, dtype=np.int64), flags[1])
+
         good = CGState(2, 100, np.float64)
-        assert isinstance(good.bind()[1], functools.partial)
+        assert compiled_loop(good).shape == (1, 2)  # ran, zero iterations
         strided = good.copy()
         strided.x = np.zeros((2, 200))[:, ::2]
         unaligned = good.copy()
@@ -362,7 +393,7 @@ class TestCGPasses:
         single = good.copy()
         single.step = single.step.astype(np.float32)
         for bad in (strided, unaligned, frozen, single):
-            assert not isinstance(bad.bind()[1], functools.partial)
+            assert compiled_loop(bad) is None
         assert native.cg_passes(np.dtype(np.int64)) is None
         assert native.cg_passes(np.dtype(">f8")) is None
 
@@ -432,23 +463,26 @@ def storage_beyond_a_call(source):
             top.append(ch)
         depth += ch == "{"
     declared = re.findall(r"[^;}]*;", "".join(top))
-    return [d.strip() for d in declared] + re.findall(
+    # A type's closing "};" declares no object.
+    return [d.strip() for d in declared if d.strip() != ";"] + re.findall(
         r"\bstatic\b[^;{(]*[;=]", code)
 
 
 class TestLoader:
     def test_source_is_carried_by_the_package(self):
-        for name in ("ax_native", "ax_gs_native"):
+        for name in ("ax_native", "ax_gs_add", "ax_gs_native"):
             assert f"void {name}(" in native._SOURCE
         for name in ("cg_dot", "cg_step", "cg_dir"):
             assert f"void {name}(" in native._CG_SOURCE
+        assert "int cg_solve(struct cg_loop *s)" in native._CG_SOURCE
         source = native._SOURCE + native._CG_SOURCE
         assert "malloc" not in source  # no heap
         assert storage_beyond_a_call(source) == []  # no globals
         assert storage_beyond_a_call(
             "#define X \\\n  int a;\ndouble hits;\n"
             "static void f(void) { static int n; }\nextern int e;\n"
-        ) == ["double hits;", "extern int e;", "static int n;"]
+            "struct s { int a; };\nstruct t { int b; } kept;\n"
+        ) == ["double hits;", "extern int e;", "kept;", "static int n;"]
 
     @pytest.mark.parametrize("real", ("double", "float"))
     def test_sources_compile_clean_under_werror(self, real, tmp_path):
@@ -459,9 +493,9 @@ class TestLoader:
             pytest.skip("no C compiler on this host")
         for source, flags, entries in (
             (native._SOURCE, (*native._FLAGS, "-DNX=8"),
-             ("ax_native", "ax_gs_native")),
+             ("ax_native", "ax_gs_add", "ax_gs_native")),
             (native._CG_SOURCE, native._CG_FLAGS,
-             ("cg_dot", "cg_step", "cg_dir")),
+             ("cg_dot", "cg_step", "cg_dir", "cg_solve")),
         ):
             built = tmp_path / f"{entries[0]}.so"
             done = subprocess.run(
@@ -473,6 +507,7 @@ class TestLoader:
             lib = ctypes.CDLL(str(built))
             assert all(hasattr(lib, name) for name in entries)
             assert not hasattr(lib, "element")
+            assert not hasattr(lib, "mask_dot")
 
     def test_two_loaders_with_the_same_arguments_stay_apart(
         self, fresh_loader
