@@ -102,14 +102,6 @@ def derive(data: dict) -> dict:
         # the bytes-per-DOF thesis measured directly (~2x when the
         # kernel is truly bandwidth-bound).
         derived["ax_n7_e512_fp32_speedup"] = matmul / fp32
-    kron = mean_of(data, "test_bench_ax_middle_axis_n3_e512[kron]")
-    stacked = mean_of(data, "test_bench_ax_middle_axis_n3_e512[stacked]")
-    if kron and stacked:
-        derived["ax_middle_axis_n3_kron_s"] = kron
-        derived["ax_middle_axis_n3_stacked_s"] = stacked
-        # The middle-axis single-GEMM carry-over vs the stacked-matmul
-        # spelling it replaced at small nx.
-        derived["ax_middle_axis_n3_kron_speedup"] = stacked / kron
     cg_fp64 = mean_of(data, "test_bench_cg_fp64_n7_e512")
     cg_mixed = mean_of(data, "test_bench_cg_mixed_refine")
     if cg_fp64 and cg_mixed:

@@ -34,7 +34,7 @@ def main() -> None:
     mesh = BoxMesh.build(ref, shape=(3, 3, 3))
     u_exact, forcing = sine_manufactured(mesh.extent)
 
-    # Reference solve on the "CPU" (vectorized NumPy backend).
+    # Reference solve on the CPU (the production kernel).
     cpu_problem = PoissonProblem(mesh)
     b = cpu_problem.rhs_from_forcing(forcing)
     diag = cpu_problem.jacobi_diagonal()

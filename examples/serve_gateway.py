@@ -51,7 +51,7 @@ from repro.serve import (
 def build_problem():
     ref = ReferenceElement.from_degree(3)
     mesh = BoxMesh.build(ref, shape=(2, 2, 2))
-    problem = PoissonProblem(mesh, ax_backend="matmul")
+    problem = PoissonProblem(mesh)
     _, forcing = sine_manufactured(mesh.extent)
     b0 = problem.rhs_from_forcing(forcing)
     requests = [b0 * (1.0 + 0.25 * k) for k in range(12)]

@@ -37,7 +37,7 @@ def main() -> None:
     # 1. The serving shape: many small tenant problems on one mesh.
     ref = ReferenceElement.from_degree(3)
     mesh = BoxMesh.build(ref, shape=(2, 2, 2))
-    problem = PoissonProblem(mesh, ax_backend="matmul")
+    problem = PoissonProblem(mesh)
     _, forcing = sine_manufactured(mesh.extent)
     b0 = problem.rhs_from_forcing(forcing)
     requests = [b0 * (1.0 + 0.25 * k) for k in range(32)]

@@ -47,7 +47,7 @@ def main() -> None:
             z + 0.04 * np.sin(np.pi * z) * np.sin(np.pi * x),
         )
     )
-    problem = PoissonProblem(mesh, ax_backend="matmul")
+    problem = PoissonProblem(mesh)
     _, forcing = sine_manufactured(mesh.extent)
     b = problem.rhs_from_forcing(forcing)
     b_norm = np.linalg.norm(b)

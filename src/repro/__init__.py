@@ -46,11 +46,9 @@ from repro.sem import (
     derivative_matrix,
     BoxMesh,
     geometric_factors,
-    ax_local,
     ax_local_listing1,
     ax_local_matmul,
     get_ax_kernel,
-    available_ax_kernels,
     SolverWorkspace,
     PoissonProblem,
     cg_solve,
@@ -93,11 +91,9 @@ __all__ = [
     "derivative_matrix",
     "BoxMesh",
     "geometric_factors",
-    "ax_local",
     "ax_local_listing1",
     "ax_local_matmul",
     "get_ax_kernel",
-    "available_ax_kernels",
     "SolverWorkspace",
     "PoissonProblem",
     "cg_solve",

@@ -2,8 +2,9 @@
 
 :class:`SEMAccelerator` is the reproduction's stand-in for the paper's
 synthesized OpenCL kernels.  It is *functionally real* — it computes the
-actual double-precision ``Ax`` result (checked against the Listing-1
-reference) — and *performance-modeled*: cycles are derived from the HLS
+actual ``Ax`` result with the production kernel (checked against the
+Listing-1 reference) — and *performance-modeled*: cycles are derived
+from the HLS
 schedule (II, arbitration), the banked external-memory model and the
 calibrated effective-bandwidth curve, reproducing Table I at the
 reference size and the Fig.-1 size sweeps.
@@ -35,11 +36,7 @@ from repro.core.calibration import FPGA_LAUNCH_OVERHEAD_S
 from repro.core.cost import KernelCost, MemoryTraffic
 from repro.core.device import FPGADevice
 from repro.sem.element import ReferenceElement
-from repro.sem.kernels import (
-    DEFAULT_AX_KERNEL,
-    AxKernel,
-    resolve_ax_backend,
-)
+from repro.sem.kernels import ax_local_matmul
 from repro.util.units import MEGA
 
 
@@ -94,11 +91,6 @@ class SEMAccelerator:
         Design point (degree, unroll, memory layout, II pragma, ...).
     device:
         Target FPGA (bank count and peak bandwidth come from here).
-    ax_kernel:
-        Functional-path implementation, selected by registry name
-        (``"einsum"``, ``"matmul"``, ...; see :mod:`repro.sem.kernels`)
-        or passed as a callable.  The default einsum kernel keeps the
-        historical numerics bit-for-bit.
 
     The kernel cost, memory-traffic model and datapath plan are pure
     functions of the (frozen) configuration, so they are computed once
@@ -108,12 +100,10 @@ class SEMAccelerator:
 
     config: AcceleratorConfig
     device: FPGADevice
-    ax_kernel: "AxKernel | str" = DEFAULT_AX_KERNEL
     _ref: ReferenceElement = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._ref = ReferenceElement.from_degree(self.config.n)
-        self._ax = resolve_ax_backend(self.ax_kernel)
         self._cost = KernelCost(self.config.n)
         self._traffic = MemoryTraffic(self.config.n)
         self._perf_cache: dict[int, CycleReport] = {}
@@ -126,13 +116,15 @@ class SEMAccelerator:
     ) -> tuple[NDArray[np.float64], CycleReport]:
         """Execute ``Ax`` on local fields and report cycles.
 
-        ``u``: ``(E, nx, nx, nx)``; ``g``: ``(E, 6, nx, nx, nx)``.
-        Numerics follow the same dataflow as the hardware (verified
-        against the Listing-1 reference by the element-level simulator
-        and the test-suite); the cycle report follows the §III/§IV model.
+        ``u``: ``(E, nx, nx, nx)``, or a stacked ``(B, E, nx, nx, nx)``
+        block (the report is per system); ``g``: ``(E, 6, nx, nx, nx)``.
+        Numerics are the production kernel's,
+        :func:`~repro.sem.kernels.ax_local_matmul` (checked against the
+        Listing-1 reference, as the element-level simulator is); the
+        cycle report follows the §III/§IV model.
         """
-        w = self._ax(self._ref, u, g)
-        report = self.performance(u.shape[0])
+        w = ax_local_matmul(self._ref, u, g)
+        report = self.performance(u.shape[-4])
         return w, report
 
     def execute_element_detailed(
@@ -191,9 +183,10 @@ class SEMAccelerator:
         return w_flat.reshape(nx, nx, nx).transpose(2, 1, 0)
 
     def as_ax_backend(self):
-        """Adapter for :class:`repro.sem.poisson.PoissonProblem`:
-        ``backend(ref, u, g) -> w``.  Accumulates cycle reports on
-        ``self.history`` for end-to-end solver accounting."""
+        """A problem's ``ax_backend``: ``backend(ref, u, g) -> w`` on
+        ``(E, ...)`` fields or a stacked ``(B, E, ...)`` block.  Appends
+        one cycle report per system to ``self.history`` for end-to-end
+        solver accounting."""
         self.history: list[CycleReport] = []
 
         def backend(ref: ReferenceElement, u: NDArray, g: NDArray) -> NDArray:
@@ -203,7 +196,8 @@ class SEMAccelerator:
                     f"got fields at N={ref.degree}"
                 )
             w, report = self.run(u, g)
-            self.history.append(report)
+            systems = u.shape[0] if u.ndim == 5 else 1
+            self.history.extend([report] * systems)
             return w
 
         return backend

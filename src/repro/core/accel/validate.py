@@ -1,9 +1,10 @@
 """Accelerator bring-up validation harness.
 
 What a hardware team runs after synthesis: sweep degrees and meshes,
-execute the accelerator against independent references (the Listing-1
-port and the densely assembled operator), and produce a signed-off
-validation report.  The library uses it in tests and exposes it for
+execute the accelerator against an independent reference (the Listing-1
+port), check its lane-faithful element path bit for bit against it,
+and produce a signed-off validation report.  The library uses it in
+tests and exposes it for
 downstream users who modify the simulator.
 """
 
@@ -19,7 +20,7 @@ from repro.core.device import FPGADevice
 from repro.sem.element import ReferenceElement
 from repro.sem.geometry import geometric_factors
 from repro.sem.mesh import BoxMesh
-from repro.sem.operators import ax_local_dense, ax_local_listing1
+from repro.sem.operators import ax_local_listing1
 from repro.util.tables import TextTable
 
 
@@ -35,16 +36,15 @@ class ValidationCase:
 
 @dataclass(frozen=True)
 class ValidationOutcome:
-    """Result of one case: error levels against both references."""
+    """Result of one case: the error against the Listing-1 reference."""
 
     case: ValidationCase
     max_err_vs_listing1: float
-    max_err_vs_dense: float
     bit_exact_detailed: bool
     passed: bool
 
 
-#: Default acceptance threshold: relative to the listing/dense reference
+#: Default acceptance threshold: relative to the Listing-1 reference
 #: the vectorized dataflow may differ only by reassociation round-off.
 DEFAULT_TOLERANCE: float = 1e-12
 
@@ -76,13 +76,6 @@ def run_case(
     scale = float(np.max(np.abs(w_listing))) + 1.0
     err_listing = float(np.max(np.abs(w - w_listing))) / scale
 
-    # Dense verification only where tractable.
-    if ref.n_points <= 6:
-        w_dense = ax_local_dense(ref, u, geo.g)
-        err_dense = float(np.max(np.abs(w - w_dense))) / scale
-    else:
-        err_dense = err_listing
-
     # Lane-faithful per-element path must be bit-exact vs Listing 1.
     bit_exact = all(
         np.array_equal(
@@ -90,11 +83,10 @@ def run_case(
         )
         for e in range(min(mesh.num_elements, 2))
     )
-    passed = err_listing < tolerance and err_dense < tolerance and bit_exact
+    passed = err_listing < tolerance and bit_exact
     return ValidationOutcome(
         case=case,
         max_err_vs_listing1=err_listing,
-        max_err_vs_dense=err_dense,
         bit_exact_detailed=bit_exact,
         passed=passed,
     )
@@ -102,7 +94,7 @@ def run_case(
 
 def default_cases() -> tuple[ValidationCase, ...]:
     """The standard bring-up matrix: all synthesized degrees, affine and
-    deformed meshes (dense verification where element size permits)."""
+    deformed meshes."""
     cases: list[ValidationCase] = []
     for n in (1, 2, 3, 4, 5, 7, 9):
         cases.append(ValidationCase(n=n, deform_amplitude=0.0, seed=n))
@@ -121,8 +113,8 @@ def validate_accelerator(
     """
     outcomes = [run_case(c, device, tolerance) for c in (cases or default_cases())]
     table = TextTable(
-        ["N", "mesh", "deformed", "err vs listing1", "err vs dense",
-         "bit-exact lanes", "pass"],
+        ["N", "mesh", "deformed", "err vs listing1", "bit-exact lanes",
+         "pass"],
         title=f"Accelerator validation on {device.name} (tol {tolerance:g})",
         floatfmt=".2e",
     )
@@ -133,7 +125,6 @@ def validate_accelerator(
                 "x".join(map(str, o.case.shape)),
                 o.case.deform_amplitude > 0,
                 o.max_err_vs_listing1,
-                o.max_err_vs_dense,
                 o.bit_exact_detailed,
                 o.passed,
             ]

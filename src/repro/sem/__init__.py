@@ -39,23 +39,12 @@ from repro.sem.geometry import (
     reference_gradient,
     G_COMPONENTS,
 )
-from repro.sem.operators import (
-    ax_local,
-    ax_local_listing1,
-    ax_local_dense,
-    ax_element_matrix,
-    helmholtz_local,
-    ax_flops,
-)
+from repro.sem.operators import ax_local_listing1, ax_flops
 from repro.sem.gather_scatter import GatherScatter
 from repro.sem.kernels import (
     ax_local_matmul,
-    ax_kernel_name,
     get_ax_kernel,
     register_ax_kernel,
-    available_ax_kernels,
-    resolve_ax_backend,
-    DEFAULT_AX_KERNEL,
 )
 from repro.sem.workspace import SolverWorkspace
 from repro.sem.problem import SEMProblem
@@ -104,19 +93,11 @@ __all__ = [
     "affine_geometric_factors",
     "reference_gradient",
     "G_COMPONENTS",
-    "ax_local",
     "ax_local_listing1",
-    "ax_local_dense",
-    "ax_element_matrix",
-    "helmholtz_local",
     "ax_flops",
     "ax_local_matmul",
-    "ax_kernel_name",
     "get_ax_kernel",
     "register_ax_kernel",
-    "available_ax_kernels",
-    "resolve_ax_backend",
-    "DEFAULT_AX_KERNEL",
     "SolverWorkspace",
     "GatherScatter",
     "SEMProblem",

@@ -66,6 +66,8 @@ per-process constant fleet workers inherit with their environment.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -74,7 +76,6 @@ from numpy.typing import NDArray
 
 from repro.analysis.annotations import hot_path
 from repro.sem import native
-from repro.sem.kernels import accepts_keyword
 from repro.sem.workspace import SolverWorkspace
 
 #: ``apply_A(v)`` / ``apply_A(v, out=buf)``, in the dtype it is handed.
@@ -259,6 +260,39 @@ def _validate(
     return b, x0, md, tol, maxiter
 
 
+@functools.lru_cache(maxsize=512)
+def _accepts_keyword_cached(fn: Callable, name: str) -> bool:
+    try:
+        params = inspect.signature(fn).parameters
+    except (TypeError, ValueError):  # builtins without introspection
+        return False
+    if name in params:
+        return True
+    return any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
+    )
+
+
+def accepts_keyword(fn: Callable, name: str) -> bool:
+    """True if ``fn`` can be called with keyword argument ``name``.
+
+    Used to probe an operator for ``out=`` support, so plain ``A(v)``
+    callables keep working through the same dispatch site.  Probes are
+    memoized (``signature`` reflection is slow relative to a short
+    solve); bound methods are probed through their underlying function
+    so the cache never pins the bound instance (e.g. a whole
+    ``PoissonProblem`` behind ``prob.apply_A``), and unhashable
+    callables fall back to direct inspection.
+    """
+    # Keyword acceptance is identical for a bound method and its
+    # underlying function (binding only consumes the first positional).
+    fn = getattr(fn, "__func__", fn)
+    try:
+        return _accepts_keyword_cached(fn, name)
+    except TypeError:
+        return _accepts_keyword_cached.__wrapped__(fn, name)
+
+
 def _bind_operator(apply_A: Operator, rows_1d: bool, dtype) -> tuple:
     """``(apply_into, fused)``: ``apply_into(vec, dst)`` over ``(B, n)``
     buffers, probing ``out=`` once — ``rows_1d`` (a solo solve) hands the
@@ -424,12 +458,13 @@ def _compiled_loop(
         maxiter = np.ascontiguousarray(maxiter)
         state.maxiter = maxiter.ctypes.data
     errors: list[BaseException] = []
-    if fused is not None and fused[2].shape == x.shape[1:]:
-        ax_gs, d, mask, l2g, g = fused
-        state.fused, state.ne = ax_gs.unmasked, g.shape[0]
-        state.g_estride, state.g_cstride = g.strides[:2]
-        state.D, state.mask, state.l2g, state.g = (
-            a.ctypes.data for a in (d, mask, l2g, g))
+    if fused is not None and fused.n == x.shape[1]:
+        state.fused, state.ne = fused.ax_gs.unmasked, fused.g.shape[0]
+        state.g_estride, state.g_cstride = fused.g.strides[:2]
+        state.D, state.mask, state.mass, state.l2g, state.g = (
+            None if a is None else a.ctypes.data
+            for a in (fused.d, fused.mask, fused.mass, fused.l2g, fused.g))
+        state.lam = fused.lam
     else:
         def call() -> int:
             try:

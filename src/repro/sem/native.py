@@ -9,7 +9,9 @@ globals, and ``ctypes.CDLL`` releases the GIL around the call.  Its
 second entry point takes the pipeline one layer further out, as the
 accelerator does: each element's ``u`` is gathered from the global
 vector into a stack block and its ``w`` added straight back into the
-global result, so no element-local field reaches memory at all.
+global result, so no element-local field reaches memory at all — and
+a Helmholtz operator's mass term ``lam * B u`` is added in the element
+on the way.
 
 :data:`_CG_SOURCE` is the other half of an iteration in the same
 style: ``p.Ap``, then ``x``/``r``/``z`` with ``r.z`` and ``r.r`` folded
@@ -44,7 +46,7 @@ import subprocess
 import tempfile
 import threading
 import warnings
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,7 +59,9 @@ from repro.analysis.annotations import hot_path
 MAX_NX: int = 16
 
 #: Measured, not a default to tune: ``-O3`` on gcc 12 unrolls the
-#: contractions into something slower than the numpy body.
+#: contractions into something slower than the numpy body.  ``-O2``
+#: vectorises from gcc 12 on; an older gcc builds a scalar kernel —
+#: correct, and slower.  That floor is documented, not detected.
 _FLAGS: tuple[str, ...] = ("-O2", "-march=native", "-fPIC", "-shared")
 
 _C_REAL = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
@@ -134,18 +138,34 @@ void ax_native(ptrdiff_t nb, ptrdiff_t ne, const REAL *restrict D,
     }
 }
 
-/* w = Q^T (D^T G D) Q (mask * u) for nb stacked global vectors,
+/* we += (m * ue) * lam: the Helmholtz mass term, rounded as numpy's
+   two multiplies and one add.  Contraction is off here alone, so no FMA
+   changes the bits the layers give. */
+static __attribute__((noinline, optimize("fp-contract=off"))) void mass_term(
+    const REAL *restrict m, REAL lam, const REAL *restrict ue,
+    REAL *restrict we)
+{
+    for (int p = 0; p < N3; p++) {
+        const REAL mu = m[p] * ue[p];
+        we[p] += mu * lam;
+    }
+}
+
+/* w = Q^T (D^T G D + lam B) Q (mask * u) for nb stacked global vectors,
    C-contiguous (nb, n): scatter, Ax and gather-add in one pass per
    element, no element-local field in memory.  l2g maps the ne * N3
-   local nodes to [0, n); g is as for ax_native.  Each row takes its
-   contributions in ascending local index -- the order of np.add.at, so
-   the bits of scatter -> ax_native -> gather.  The closing mask is the
-   caller's: ax_gs_native's, or the CG loop's p.Ap sweep. */
+   local nodes to [0, n); g is as for ax_native.  mask == NULL is no
+   mask, mass == NULL no mass term (else B, contiguous (ne, N3)).  Each
+   row takes its contributions in ascending local index -- the order of
+   np.add.at, so the bits of scatter -> ax_native (-> mass term) ->
+   gather.  The closing mask is the caller's: ax_gs_native's, or the CG
+   loop's p.Ap sweep. */
 void ax_gs_add(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
                const REAL *restrict D, const REAL *restrict u,
                const REAL *restrict mask, const int64_t *restrict l2g,
                const char *restrict g, ptrdiff_t g_estride,
-               ptrdiff_t g_cstride, REAL *restrict w)
+               ptrdiff_t g_cstride, const REAL *restrict mass, double lam,
+               REAL *restrict w)
 {
     REAL Dt[NX * NX];
     for (int k = 0; k < NX; k++)
@@ -162,26 +182,36 @@ void ax_gs_add(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
             const REAL *ub = u + b * n;
             REAL *wb = w + b * n;
             REAL ue[N3], we[N3];
-            for (int p = 0; p < N3; p++)
-                ue[p] = ub[le[p]] * mask[le[p]];
+            if (mask)
+                for (int p = 0; p < N3; p++)
+                    ue[p] = ub[le[p]] * mask[le[p]];
+            else
+                for (int p = 0; p < N3; p++)
+                    ue[p] = ub[le[p]];
             element(D, Dt, gc, ue, we);
+            if (mass)
+                mass_term(mass + e * N3, (REAL)lam, ue, we);
             for (int p = 0; p < N3; p++)
                 wb[le[p]] += we[p];
         }
     }
 }
 
-/* w = mask * Q^T (D^T G D) Q (mask * u): ax_gs_add, then the mask. */
+/* w = mask * Q^T (D^T G D + lam B) Q (mask * u): ax_gs_add, then the
+   mask, if any. */
 void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
                   const REAL *restrict D, const REAL *restrict u,
                   const REAL *restrict mask, const int64_t *restrict l2g,
                   const char *restrict g, ptrdiff_t g_estride,
-                  ptrdiff_t g_cstride, REAL *restrict w)
+                  ptrdiff_t g_cstride, const REAL *restrict mass,
+                  double lam, REAL *restrict w)
 {
-    ax_gs_add(nb, ne, n, D, u, mask, l2g, g, g_estride, g_cstride, w);
-    for (REAL *wb = w; wb < w + nb * n; wb += n)
-        for (ptrdiff_t i = 0; i < n; i++)
-            wb[i] *= mask[i];
+    ax_gs_add(nb, ne, n, D, u, mask, l2g, g, g_estride, g_cstride, mass,
+              lam, w);
+    if (mask)
+        for (REAL *wb = w; wb < w + nb * n; wb += n)
+            for (ptrdiff_t i = 0; i < n; i++)
+                wb[i] *= mask[i];
 }
 """
 
@@ -288,14 +318,16 @@ struct cg_loop {
     int64_t *iterations;
     const int64_t *maxiter;    /* per row; NULL: cap is everyone's */
     /* ap = A p: the fused pass (ax_gs_add of the problem's shared object,
-       masked here), else call() into Python, non-zero on an exception */
+       masked here if there is a mask), else call() into Python, non-zero
+       on an exception */
     void (*fused)(ptrdiff_t, ptrdiff_t, ptrdiff_t, const REAL *,
                   const REAL *, const REAL *, const int64_t *, const char *,
-                  ptrdiff_t, ptrdiff_t, REAL *);
+                  ptrdiff_t, ptrdiff_t, const REAL *, double, REAL *);
     ptrdiff_t ne, g_estride, g_cstride;
-    const REAL *D, *mask;
+    const REAL *D, *mask, *mass;  /* mask, mass: NULL for none */
     const int64_t *l2g;
     const char *g;
+    double lam;
     int (*call)(void);
     double worst;              /* out: p.Ap of a breakdown */
 };
@@ -315,8 +347,11 @@ int cg_solve(struct cg_loop *s)
             break;
         if (s->fused) {
             s->fused(nb, s->ne, n, s->D, s->p, s->mask, s->l2g, s->g,
-                     s->g_estride, s->g_cstride, s->ap);
-            mask_dot(nb, n, s->mask, s->p, s->ap, pap);
+                     s->g_estride, s->g_cstride, s->mass, s->lam, s->ap);
+            if (s->mask)
+                mask_dot(nb, n, s->mask, s->p, s->ap, pap);
+            else
+                cg_dot(nb, n, s->p, s->ap, pap);
         } else {
             const int status = s->call();
             if (status)
@@ -405,18 +440,20 @@ def ax_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
 
 
 def ax_gs_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
-    """``ax_gs(d, u, mask, l2g, g, w)`` from :func:`ax_kernel`'s shared
-    object, or ``None`` where that is ``None``.
+    """``ax_gs(d, u, mask, l2g, g, mass, lam, w)`` from
+    :func:`ax_kernel`'s shared object, or ``None`` where that is ``None``.
 
-    It writes ``w = mask * Q^T A Q (mask * u)`` for a global ``(n,)`` or
-    stacked ``(B, n)`` ``u`` in one pass per element, to the bit what
-    ``scatter`` -> ``ax`` -> ``gather`` give, and checks nothing: the
-    caller guarantees ``d`` and ``g`` as for :func:`ax_kernel`, aligned
-    C-contiguous ``u`` and writeable ``w`` of that dtype and shape that
-    do not overlap, a contiguous ``(n,)`` ``mask`` of it and a contiguous
-    int64 ``l2g`` of ``E * nx^3`` entries in ``[0, n)``.  Its attribute
-    ``unmasked`` is the address of the same pass without the closing
-    mask, which ``cg_solve`` (:func:`cg_passes`) calls.
+    It writes ``w = mask * Q^T (A + lam B) Q (mask * u)`` for a global
+    ``(n,)`` or stacked ``(B, n)`` ``u`` in one pass per element, to the
+    bit what ``scatter`` -> ``ax`` (-> ``w += lam * (mass * u)``) ->
+    ``gather`` give, and checks nothing: the caller guarantees ``d`` and
+    ``g`` as for :func:`ax_kernel`, aligned C-contiguous ``u`` and
+    writeable ``w`` of that dtype and shape that do not overlap, a
+    contiguous ``(n,)`` ``mask`` of it (``None``: no mask), a contiguous
+    int64 ``l2g`` of ``E * nx^3`` entries in ``[0, n)`` and a contiguous
+    ``(E, nx, nx, nx)`` ``mass`` of it (``None``: no mass term).  Its
+    attribute ``unmasked`` is the address of the same pass without the
+    closing mask, which ``cg_solve`` (:func:`cg_passes`) calls.
     """
     return _cached(_load_ax, nx, dtype)[1]
 
@@ -461,7 +498,8 @@ def _load_ax(nx: int, dtype: np.dtype) -> "tuple[Callable | None, ...]":
     size_t, ptr = ctypes.c_ssize_t, ctypes.c_void_p
     fn, gs_fn = lib.ax_native, lib.ax_gs_native
     fn.argtypes = [size_t, size_t, ptr, ptr, ptr, size_t, size_t, ptr]
-    gs_fn.argtypes = [size_t] * 3 + [ptr] * 5 + [size_t, size_t, ptr]
+    gs_fn.argtypes = ([size_t] * 3 + [ptr] * 5
+                      + [size_t, size_t, ptr, ctypes.c_double, ptr])
     fn.restype = gs_fn.restype = None
 
     @hot_path
@@ -471,10 +509,12 @@ def _load_ax(nx: int, dtype: np.dtype) -> "tuple[Callable | None, ...]":
            w.ctypes.data)
 
     @hot_path
-    def ax_gs(d, u, mask, l2g, g, w) -> None:
+    def ax_gs(d, u, mask, l2g, g, mass, lam, w) -> None:
         gs_fn(u.shape[0] if u.ndim == 2 else 1, g.shape[0], u.shape[-1],
-              d.ctypes.data, u.ctypes.data, mask.ctypes.data, l2g.ctypes.data,
-              g.ctypes.data, g.strides[0], g.strides[1], w.ctypes.data)
+              d.ctypes.data, u.ctypes.data,
+              None if mask is None else mask.ctypes.data, l2g.ctypes.data,
+              g.ctypes.data, g.strides[0], g.strides[1],
+              None if mass is None else mass.ctypes.data, lam, w.ctypes.data)
 
     ax_gs.unmasked = ctypes.cast(lib.ax_gs_add, ctypes.c_void_p).value
     return ax, ax_gs
@@ -495,10 +535,32 @@ class CGLoop(ctypes.Structure):
             "maxiter", "fused")),
         *((name, ctypes.c_ssize_t) for name in (
             "ne", "g_estride", "g_cstride")),
-        *((name, ctypes.c_void_p) for name in ("D", "mask", "l2g", "g")),
+        *((name, ctypes.c_void_p)
+          for name in ("D", "mask", "mass", "l2g", "g")),
+        ("lam", ctypes.c_double),
         ("call", OperatorCall),
         ("worst", ctypes.c_double),
     ]
+
+
+class FusedPass(NamedTuple):
+    """One problem's operator in one dtype as :func:`ax_gs_kernel`'s
+    pass: the pass and every operand but the vectors — ``mask`` and
+    ``mass`` ``None`` where the operator has none, ``n`` the global
+    size.  ``fused(u, w)`` writes ``w = A u``."""
+
+    ax_gs: Callable
+    n: int
+    d: np.ndarray
+    mask: "np.ndarray | None"
+    l2g: np.ndarray
+    g: np.ndarray
+    mass: "np.ndarray | None"
+    lam: float
+
+    def __call__(self, u, w) -> None:
+        self.ax_gs(self.d, u, self.mask, self.l2g, self.g, self.mass,
+                   self.lam, w)
 
 
 def _load_cg(dtype: np.dtype) -> "tuple[Callable, ...] | None":

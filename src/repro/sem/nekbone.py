@@ -29,7 +29,6 @@ from repro.sem.cg import CGResult, MixedCGResult
 from repro.sem.element import ReferenceElement
 from repro.sem.mesh import BoxMesh
 from repro.sem.poisson import AxBackend, PoissonProblem, sine_manufactured
-from repro.sem.operators import ax_local
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,9 @@ class NekboneCase:
     shape:
         Element box ``(ex, ey, ez)`` (Nekbone's processor-local brick).
     ax_backend:
-        Operator backend — the vectorized CPU kernel by default, any
-        registry name (``"matmul"`` for the BLAS hot path; see
-        :mod:`repro.sem.kernels`), or the FPGA simulator via
+        Operator backend, as for
+        :class:`~repro.sem.poisson.PoissonProblem`: the production kernel
+        by default, or the FPGA simulator via
         :meth:`repro.core.accel.SEMAccelerator.as_ax_backend`.
     precision:
         Default solve precision policy (``"fp64"`` or ``"mixed"``),
@@ -99,7 +98,7 @@ class NekboneCase:
 
     n: int
     shape: tuple[int, int, int]
-    ax_backend: AxBackend | str = ax_local
+    ax_backend: AxBackend = None
     precision: str = "fp64"
     # Spec/rebuild hand-off: a pre-built underlying problem (typically
     # one whose immutable state is attached from shared memory) adopted
@@ -233,7 +232,7 @@ def element_sweep(
     n: int,
     element_counts: tuple[int, ...] = (1, 8, 27, 64),
     iterations: int = 20,
-    ax_backend: AxBackend | str = ax_local,
+    ax_backend: AxBackend = None,
 ) -> list[NekboneReport]:
     """Nekbone's standard sweep: cubic boxes of growing element count.
 

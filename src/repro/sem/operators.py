@@ -1,38 +1,24 @@
-"""The matrix-free local Poisson operator ``Ax`` (paper Listing 1).
+"""The paper's Listing 1, and the shape contract every ``Ax`` checks.
 
-Three functionally identical implementations are provided:
+:func:`ax_local_listing1` is a literal Python port of the paper's C
+code (same loop structure, same flattened indexing, same accumulation
+order) — slow, and the ground truth for the accelerator simulator's
+numerics and for the tests.  The production kernel every problem runs,
+:func:`~repro.sem.kernels.ax_local_matmul`, lives in
+:mod:`repro.sem.kernels`; the einsum and dense-matrix references it is
+checked against live with the tests.
 
-* :func:`ax_local_listing1` — a literal Python port of the paper's C code
-  (same loop structure, same flattened indexing, same accumulation order).
-  Slow; the ground truth for the test-suite and for the accelerator
-  simulator's numerics.
-* :func:`ax_local` — the einsum NumPy implementation (tensor
-  contractions, vectorized over elements), the library's historical
-  "CPU baseline" kernel.
-* :func:`ax_local_dense` — applies the densely assembled element matrix;
-  only feasible for small ``N``, used to verify symmetry/positive
-  semi-definiteness and the matrix-free implementations.
-
-The faster BLAS-backed hot-path kernel (``ax_local_matmul``) and the
-registry that selects implementations by name live in
-:mod:`repro.sem.kernels`.
-
-All take local fields shaped ``(E, nx, nx, nx)`` (see
-:mod:`repro.sem.mesh` for the index convention) and the geometric factors
-``(E, 6, nx, nx, nx)`` in the ``(rr, rs, rt, ss, st, tt)`` order.
+Local fields are ``(E, nx, nx, nx)`` (see :mod:`repro.sem.mesh` for the
+index convention) and the geometric factors ``(E, 6, nx, nx, nx)`` in
+the ``(rr, rs, rt, ss, st, tt)`` order.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.sem.element import ReferenceElement
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
-    from repro.sem.workspace import SolverWorkspace
 
 
 def _check_shapes(
@@ -58,115 +44,6 @@ def _check_shapes(
         raise ValueError(
             f"g must be ({num_e}, 6, {nx}, {nx}, {nx}), got {g.shape}"
         )
-
-
-def ax_local(
-    ref: ReferenceElement,
-    u: NDArray[np.float64],
-    g: NDArray[np.float64],
-    out: NDArray[np.float64] | None = None,
-    workspace: "SolverWorkspace | None" = None,
-) -> NDArray[np.float64]:
-    """Vectorized ``w = D^T G D u`` per element (the paper's ``Ax``).
-
-    Parameters
-    ----------
-    ref:
-        Reference element providing the differentiation matrix ``D``.
-    u:
-        Input nodal fields, shape ``(E, nx, nx, nx)``, or a stacked
-        multi-system block ``(B, E, nx, nx, nx)`` sharing one geometry.
-    g:
-        Geometric factors, shape ``(E, 6, nx, nx, nx)``.
-    out:
-        Optional preallocated output array (same shape as ``u``); the
-        final transposed-derivative contractions accumulate directly
-        into it, avoiding a separate result allocation per call.
-    workspace:
-        Optional :class:`~repro.sem.workspace.SolverWorkspace` supplying
-        the six gradient work arrays and the elementwise scratch, making
-        a warm call free of field-sized allocations.
-
-    Returns
-    -------
-    ``w`` with the same shape as ``u``.
-    """
-    _check_shapes(ref, u, g)
-    if out is not None and not out.flags.c_contiguous:
-        # The einsum fast paths want a contiguous destination; compute
-        # into a fresh contiguous result and copy once (mirrors
-        # GatherScatter.gather's handling of non-contiguous ``out``).
-        np.copyto(out, ax_local(ref, u, g, workspace=workspace))
-        return out
-    # A dtype-matched D keeps every contraction in the field's own
-    # precision (an fp64 D against fp32 fields would silently promote
-    # each einsum — or refuse to cast into an fp32 ``out``).
-    d = ref.deriv_as(u.dtype)
-    # One einsum spelling serves both layouts: "b" is the stacked-system
-    # axis of a batched ``(B, E, ...)`` block, absent otherwise.
-    pre = "b" if u.ndim == 5 else ""
-    if workspace is not None:
-        workspace.require_local(u.shape[-4], ref.n_points)
-        if u.ndim == 5:
-            # The workspace kernel scratch is single-system; sweep the
-            # stacked block one system at a time through it (results are
-            # identical to B separate calls).
-            if out is None:
-                out = np.empty_like(u)
-            for b in range(u.shape[0]):
-                ax_local(ref, u[b], g, out=out[b], workspace=workspace)
-            return out
-        # Slice the scratch row count to this field block (a batched
-        # workspace may hold more rows for the fused kernel path).
-        ne = u.shape[0]
-        ur, us, ut = workspace.ur[:ne], workspace.us[:ne], workspace.ut[:ne]
-        wr, ws, wt = workspace.wr[:ne], workspace.ws[:ne], workspace.wt[:ne]
-        tmp = workspace.tmp[:ne]
-        # Phase 1: reference-space gradient, into preallocated buffers.
-        np.einsum(f"il,{pre}eljk->{pre}eijk", d, u, out=ur, optimize=True)
-        np.einsum(f"jl,{pre}eilk->{pre}eijk", d, u, out=us, optimize=True)
-        np.einsum(f"kl,{pre}eijl->{pre}eijk", d, u, out=ut, optimize=True)
-        # Phase 2: symmetric geometric tensor, in place via one scratch.
-        np.multiply(g[:, 0], ur, out=wr)
-        np.multiply(g[:, 1], us, out=tmp)
-        wr += tmp
-        np.multiply(g[:, 2], ut, out=tmp)
-        wr += tmp
-        np.multiply(g[:, 1], ur, out=ws)
-        np.multiply(g[:, 3], us, out=tmp)
-        ws += tmp
-        np.multiply(g[:, 4], ut, out=tmp)
-        ws += tmp
-        np.multiply(g[:, 2], ur, out=wt)
-        np.multiply(g[:, 4], us, out=tmp)
-        wt += tmp
-        np.multiply(g[:, 5], ut, out=tmp)
-        wt += tmp
-        # Phase 3: transposed derivative accumulated into the output.
-        if out is None:
-            out = np.empty_like(u)
-        np.einsum(f"li,{pre}eljk->{pre}eijk", d, wr, out=out, optimize=True)
-        np.einsum(f"lj,{pre}eilk->{pre}eijk", d, ws, out=tmp, optimize=True)
-        out += tmp
-        np.einsum(f"lk,{pre}eijl->{pre}eijk", d, wt, out=tmp, optimize=True)
-        out += tmp
-        return out
-    # Phase 1: reference-space gradient.
-    ur = np.einsum(f"il,{pre}eljk->{pre}eijk", d, u, optimize=True)
-    us = np.einsum(f"jl,{pre}eilk->{pre}eijk", d, u, optimize=True)
-    ut = np.einsum(f"kl,{pre}eijl->{pre}eijk", d, u, optimize=True)
-    # Phase 2: apply the symmetric geometric tensor.
-    wr = g[:, 0] * ur + g[:, 1] * us + g[:, 2] * ut
-    ws = g[:, 1] * ur + g[:, 3] * us + g[:, 4] * ut
-    wt = g[:, 2] * ur + g[:, 4] * us + g[:, 5] * ut
-    # Phase 3: transposed derivative (weak-form divergence), accumulated
-    # directly into the output so ``out=`` really saves the allocation.
-    if out is None:
-        out = np.empty_like(u)
-    np.einsum(f"li,{pre}eljk->{pre}eijk", d, wr, out=out, optimize=True)
-    out += np.einsum(f"lj,{pre}eilk->{pre}eijk", d, ws, optimize=True)
-    out += np.einsum(f"lk,{pre}eijl->{pre}eijk", d, wt, optimize=True)
-    return out
 
 
 def ax_local_listing1(
@@ -227,80 +104,6 @@ def ax_local_listing1(
                         wijke += dx[l + k * nx] * shut[ij + l * nx * nx]
                     w_flat[e, ijk] = wijke
     return w_flat.reshape(num_e, nx, nx, nx).transpose(0, 3, 2, 1)
-
-
-def ax_element_matrix(
-    ref: ReferenceElement, g_e: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Densely assemble the ``(nx^3, nx^3)`` element matrix ``A^e``.
-
-    The paper stresses that forming ``A^e`` is prohibitively expensive in
-    production — we do it anyway (for small ``N``) to verify the
-    matrix-free kernels: ``A^e`` must be symmetric positive semi-definite
-    with the constant vector in its null space.
-
-    Parameters
-    ----------
-    ref:
-        Reference element.
-    g_e:
-        Geometric factors of a single element, shape ``(6, nx, nx, nx)``.
-
-    Returns
-    -------
-    Dense ``A^e`` in Listing-1 flat ordering (``i`` fastest).
-    """
-    nx = ref.n_points
-    ndof = nx ** 3
-    ident = np.eye(ndof)
-    basis = ident.reshape(ndof, nx, nx, nx).transpose(0, 3, 2, 1)  # columns -> fields
-    w = ax_local(ref, basis, np.broadcast_to(g_e[None], (ndof, 6, nx, nx, nx)))
-    return w.transpose(0, 3, 2, 1).reshape(ndof, ndof).T
-
-
-def ax_local_dense(
-    ref: ReferenceElement,
-    u: NDArray[np.float64],
-    g: NDArray[np.float64],
-) -> NDArray[np.float64]:
-    """Apply the densely assembled ``A^e`` of every element (small N only)."""
-    _check_shapes(ref, u, g)
-    nx = ref.n_points
-    num_e = u.shape[0]
-    out = np.empty_like(u)
-    for e in range(num_e):
-        a = ax_element_matrix(ref, g[e])
-        ue = u[e].transpose(2, 1, 0).reshape(-1)
-        we = a @ ue
-        out[e] = we.reshape(nx, nx, nx).transpose(2, 1, 0)
-    return out
-
-
-def helmholtz_local(
-    ref: ReferenceElement,
-    u: NDArray[np.float64],
-    g: NDArray[np.float64],
-    mass: NDArray[np.float64],
-    lam: float = 1.0,
-) -> NDArray[np.float64]:
-    """BK5-style Helmholtz operator ``w = D^T G D u + lam * B u``.
-
-    The paper notes that CEED's bake-off kernel BK5 "closely resembles the
-    local Poisson operator, but also considers one more geometric factor";
-    that extra factor is the collocation mass term ``B = w |J|`` which we
-    add here with coefficient ``lam`` (``lam = 0`` recovers ``Ax``).
-
-    Parameters
-    ----------
-    mass:
-        Diagonal mass ``(E, nx, nx, nx)`` from :class:`~repro.sem.geometry.Geometry`.
-    lam:
-        Helmholtz coefficient (>= 0 keeps the operator SPD after masking).
-    """
-    w = ax_local(ref, u, g)
-    if lam != 0.0:
-        w = w + lam * mass * u
-    return w
 
 
 def ax_flops(n: int, num_elements: int) -> int:

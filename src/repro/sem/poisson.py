@@ -20,8 +20,7 @@ from numpy.typing import NDArray
 from repro.sem.gather_scatter import GatherScatter
 from repro.sem.geometry import Geometry
 from repro.sem.mesh import BoxMesh
-from repro.sem.operators import ax_local
-from repro.sem.problem import AxBackend, SEMProblem, stiffness_diagonal
+from repro.sem.problem import AxBackend, SEMProblem
 from repro.sem.workspace import SolverWorkspace
 
 
@@ -34,11 +33,11 @@ class PoissonProblem(SEMProblem):
     mesh:
         The SEM mesh.
     ax_backend:
-        Local operator implementation — either a registry name
-        (``"einsum"``, ``"matmul"``, ``"listing1"``, ``"dense"``; see
-        :mod:`repro.sem.kernels`) or a callable.  Defaults to the
-        vectorized :func:`~repro.sem.operators.ax_local`.  The FPGA
-        accelerator simulator plugs in here (see
+        ``None`` (the default) runs the production kernel,
+        :func:`~repro.sem.kernels.ax_local_matmul`, which ``"matmul"``
+        also names.  A registered name or a plain ``(ref, u, g)``
+        callable runs in its place — the FPGA accelerator simulator
+        plugs in here (see
         :meth:`repro.core.accel.SEMAccelerator.as_ax_backend`).
     precision:
         Default solve precision policy: ``"fp64"`` (the historical
@@ -48,20 +47,19 @@ class PoissonProblem(SEMProblem):
         :meth:`solve` takes and the default the serving layer inherits;
         either precision can still be requested per solve.
 
-    Workspaces (one problem instance per concurrent solve), the one
-    backend call form, ``spec`` / ``solve`` and the operator pipeline
-    are the core's (see :class:`~repro.sem.problem.SEMProblem`); this
-    class adds the Dirichlet mask, applied to the input before the
-    scatter and to the result after the gather.
+    Workspaces (one problem instance per concurrent solve), the
+    backends, ``spec`` / ``solve`` and the operator pipeline are the
+    core's (see :class:`~repro.sem.problem.SEMProblem`); this class adds
+    the Dirichlet mask, applied to the input before the scatter and to
+    the result after the gather, and Poisson's names for the operator
+    (:meth:`apply_A`, :meth:`apply_A32`) and its diagonal
+    (:meth:`jacobi_diagonal`, with the masked boundary rows set to one).
     """
 
     kind: ClassVar[str] = "poisson"
-    _OPERATOR: ClassVar[str] = "apply_A"
-    _OPERATOR32: ClassVar[str] = "apply_A32"
-    _DIAGONAL: ClassVar[str] = "jacobi_diagonal"
 
     mesh: BoxMesh
-    ax_backend: AxBackend | str = ax_local
+    ax_backend: AxBackend = None
     precision: str = "fp64"
     # The spec/rebuild hand-off (see repro.sem.spec.ProblemParts):
     # prebuilt immutable state — typically shared-memory views attached
@@ -72,51 +70,31 @@ class PoissonProblem(SEMProblem):
     interior: NDArray[np.bool_] = field(init=False, repr=False)
     workspace: SolverWorkspace = field(init=False, repr=False)
 
+    apply_A = SEMProblem.apply
+    apply_A32 = SEMProblem.apply32
+    jacobi_diagonal = SEMProblem.diagonal
+
     def __post_init__(self, _parts: "object | None" = None) -> None:
         super().__post_init__(_parts)
         self.interior = ~self.mesh.boundary_mask()
         # 0/1 float twins of the mask per dtype, cast on first use.
         self._masks: dict[type, NDArray] = {}
 
+    @property
+    def operator(self) -> Callable[..., NDArray[np.float64]]:
+        """:meth:`apply_A`, as the instance has it at access time."""
+        return self.apply_A
+
+    @property
+    def operator32(self) -> Callable[..., NDArray[np.float32]]:
+        """:meth:`apply_A32`, as the instance has it at access time."""
+        return self.apply_A32
+
     def _mask(self, dtype: type) -> NDArray:
         mask = self._masks.get(dtype)
         if mask is None:
             mask = self._masks[dtype] = self.interior.astype(dtype)
         return mask
-
-    def apply_A(
-        self,
-        u_global: NDArray[np.float64],
-        out: NDArray[np.float64] | None = None,
-    ) -> NDArray[np.float64]:
-        """Global operator: mask -> scatter -> local Ax -> gather -> mask.
-
-        The returned operator is symmetric positive definite on the
-        interior DOFs (boundary rows/columns are identities times zero,
-        i.e. masked out), which CG requires.  Accepts one global vector
-        or a stacked ``(B, n)`` block; passing ``out`` makes the whole
-        application allocation-free (see
-        :meth:`~repro.sem.problem.SEMProblem._apply`).
-        """
-        return self._apply(u_global, out, np.float64)
-
-    def apply_A32(
-        self,
-        u_global: NDArray[np.float32],
-        out: NDArray[np.float32] | None = None,
-    ) -> NDArray[np.float32]:
-        """:meth:`apply_A` in fp32: the same pipeline over the cached
-        fp32 geometry, gather-scatter and mask twins.  Inputs and
-        outputs are fp32."""
-        return self._apply(u_global, out, np.float32)
-
-    def jacobi_diagonal(self) -> NDArray[np.float64]:
-        """Assembled diagonal of ``A`` for the Jacobi preconditioner:
-        the gathered :func:`~repro.sem.problem.stiffness_diagonal`, with
-        the masked boundary rows set to one."""
-        out = self.gs.gather(stiffness_diagonal(self.ref, self.geometry.g))
-        out[~self.interior] = 1.0
-        return out
 
     # ------------------------------------------------------------------
     def rhs_from_forcing(

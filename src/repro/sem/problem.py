@@ -3,16 +3,18 @@
 The paper runs the Poisson operator and its BK5/Helmholtz variant ("one
 more geometric factor") through one accelerator pipeline; so does this
 module.  :class:`SEMProblem` holds everything the two global problems
-share — the constructor tail, the workspaces, the Jacobi-diagonal cache,
-``spec`` / ``export_shared`` / ``solve`` / ``l2_error`` and
-the single operator pipeline :meth:`SEMProblem._apply`.
-:class:`~repro.sem.poisson.PoissonProblem` supplies the Dirichlet mask
-(``_mask``) and a diagonal with unit boundary rows;
-:class:`~repro.sem.helmholtz.HelmholtzProblem` supplies ``lam``, the
-mass term ``w += lam * mass * u`` (``_local_term``) and the same addend
-on the diagonal.  Precision is a parameter of the pipeline, not a second
-pipeline: it selects the workspace and the ``as_dtype`` twins of the
-gather-scatter, the geometry and the mask, and nothing else.
+share — the constructor tail, the workspaces, the operator
+(:meth:`~SEMProblem.apply` / :meth:`~SEMProblem.apply32`) and its
+:meth:`~SEMProblem.diagonal`, ``spec`` / ``export_shared`` / ``solve``
+/ ``l2_error`` — and the single operator pipeline
+:meth:`SEMProblem._apply`.  :class:`~repro.sem.poisson.PoissonProblem`
+supplies the Dirichlet mask (``_mask``) and its own names for the
+three methods; :class:`~repro.sem.helmholtz.HelmholtzProblem` supplies
+``lam``, the coefficient of the mass term ``lam * B u`` that the
+operator and its diagonal add.  Precision is a parameter of the
+pipeline, not a second pipeline: it selects the workspace and the
+``as_dtype`` twins of the gather-scatter, the geometry and the mask,
+and nothing else.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ from repro.sem import native
 from repro.sem.cg import check_precision, cg_solve, cg_solve_mixed
 from repro.sem.element import ReferenceElement
 from repro.sem.gather_scatter import GatherScatter
-from repro.sem.geometry import Geometry, geometric_factors
-from repro.sem.kernels import ax_local_matmul, resolve_ax_backend, uniform
+from repro.sem.geometry import geometric_factors
+from repro.sem.kernels import AxKernel, ax_local_matmul, get_ax_kernel
 from repro.sem.workspace import SolverWorkspace, cached_batch_workspace
 
-AxBackend = Callable[
-    [ReferenceElement, NDArray[np.float64], NDArray[np.float64]],
-    NDArray[np.float64],
-]
+#: A problem's ``ax_backend``: ``None`` (the production kernel), a
+#: registered kernel's name, or a plain ``(ref, u, g)`` callable.
+AxBackend = AxKernel | str | None
 
 
 def stiffness_diagonal(
@@ -58,25 +59,44 @@ def stiffness_diagonal(
     return diag
 
 
+def _backend(spec: AxBackend) -> AxKernel:
+    """The kernel an ``ax_backend`` value names: the production one for
+    ``None``, the registered one for a name, a callable as it is."""
+    if spec is None:
+        return ax_local_matmul
+    if isinstance(spec, str):
+        return get_ax_kernel(spec)
+    if not callable(spec):
+        raise TypeError(
+            f"ax_backend must be None, a kernel name or a callable, "
+            f"got {spec!r}"
+        )
+    return spec
+
+
 class SEMProblem:
     """What every global SEM problem on a box mesh is made of.
 
     Not constructed directly: a specialisation is a dataclass declaring
-    the fields ``mesh``, ``ax_backend``, ``precision``, the
-    ``_parts`` hand-off and (``init=False``) ``geometry``, ``gs`` and
+    the fields ``mesh``, ``ax_backend``, ``precision``, the ``_parts``
+    hand-off and (``init=False``) ``geometry``, ``gs`` and
     ``workspace``, and its ``__post_init__`` runs this class's as the
     constructor tail.
 
-    The problem owns a :class:`~repro.sem.workspace.SolverWorkspace`
-    sized for its mesh and calls its backend in one form,
-    ``ax_backend(ref, u_local, g, out=ws.w_local, workspace=ws)`` — a
-    plain ``(ref, u, g)`` callable (the accelerator adapter, a lambda)
-    is given that signature at construction by
-    :func:`~repro.sem.kernels.uniform` — so with a registered kernel the
-    CG hot path performs no field-sized allocations after warm-up.  The
-    shared buffers make one problem instance serve one solve at a time,
-    though that solve may carry a stacked ``(B, n)`` block of right-hand
-    sides through :meth:`batch_workspace`.
+    ``ax_backend=None``, every specialisation's default, is the
+    production kernel :func:`~repro.sem.kernels.ax_local_matmul`
+    (``"matmul"`` is another spelling of it).  With an unreplaced
+    gather-scatter the whole operator is then one compiled pass per
+    element (:meth:`_fused`); otherwise the kernel runs through the
+    problem's :class:`~repro.sem.workspace.SolverWorkspace`, so the CG
+    hot path performs no field-sized allocations after warm-up.  Any
+    other backend — a registered name, a plain ``(ref, u, g)`` callable
+    such as the accelerator model's — is called as
+    ``backend(ref, u, g)`` on the scattered fields (a stacked
+    ``(B, E, ...)`` block for a stacked input) and runs the layers one
+    by one.  The shared buffers make one problem instance serve one
+    solve at a time, though that solve may carry a stacked ``(B, n)``
+    block of right-hand sides through :meth:`batch_workspace`.
 
     Two things may be replaced on an instance after construction, and
     the core reads both at every use rather than caching them: the
@@ -87,11 +107,9 @@ class SEMProblem:
 
     #: The spec kind (see :data:`repro.sem.spec.PROBLEM_KINDS`).
     kind: ClassVar[str]
-    #: Names of the specialisation's public fp64 operator, fp32 operator
-    #: and assembled-diagonal methods.
-    _OPERATOR: ClassVar[str]
-    _OPERATOR32: ClassVar[str]
-    _DIAGONAL: ClassVar[str]
+    #: Coefficient of the mass term: the operator is ``A + lam B``, or
+    #: ``A`` where it is ``None`` (a Helmholtz problem's field sets it).
+    lam = None
 
     def __post_init__(self, _parts: "object | None" = None) -> None:
         check_precision(self.precision)
@@ -101,7 +119,7 @@ class SEMProblem:
         else:
             self.geometry = geometric_factors(self.mesh)
             self.gs = GatherScatter.from_mesh(self.mesh)
-        self.ax_backend = uniform(resolve_ax_backend(self.ax_backend))
+        self.ax_backend = _backend(self.ax_backend)
         self.workspace = SolverWorkspace.for_mesh(self.mesh)
         self._batch_workspaces: dict[object, SolverWorkspace] = {}
         self._precond_diag: NDArray[np.float64] | None = (
@@ -121,22 +139,23 @@ class SEMProblem:
 
     @property
     def operator(self) -> Callable[..., NDArray[np.float64]]:
-        """The global SPD operator callback (``apply_A`` / ``apply``).
+        """The global SPD operator callback, as the instance has it at
+        access time (:meth:`apply`, or what replaced it).
 
         The uniform solver-facing protocol; the serving layer
         (:mod:`repro.serve`) binds problems through this property.
         """
-        return getattr(self, self._OPERATOR)
+        return self.apply
 
     @property
     def operator32(self) -> Callable[..., NDArray[np.float32]]:
-        """The same operator in fp32 (``apply_A32`` / ``apply32``).
+        """The same operator in fp32 (:meth:`apply32`).
 
         The mixed-precision solvers
         (:func:`~repro.sem.cg.cg_solve_mixed`) drive their fp32 inner
         iterations through this.
         """
-        return getattr(self, self._OPERATOR32)
+        return self.apply32
 
     def precond_diag(self) -> NDArray[np.float64]:
         """The Jacobi diagonal, computed once and cached.
@@ -146,7 +165,7 @@ class SEMProblem:
         it; treat the returned array as read-only.
         """
         if self._precond_diag is None:
-            self._precond_diag = getattr(self, self._DIAGONAL)()
+            self._precond_diag = self.diagonal()
         return self._precond_diag
 
     def spec(self):
@@ -154,8 +173,8 @@ class SEMProblem:
 
         :func:`~repro.sem.spec.rebuild` re-runs the deterministic
         construction from it in any process (bit-identical solves).
-        Deformed meshes and unregistered backend callables are rejected
-        — use :meth:`export_shared` for the former.
+        Deformed meshes and backends other than the production kernel
+        are rejected — use :meth:`export_shared` for the former.
         """
         from repro.sem.spec import problem_spec
 
@@ -192,56 +211,92 @@ class SEMProblem:
         )
 
     # ------------------------------------------------------------------
-    # The operator pipeline and its two specialisation hooks.
+    # The operator, its diagonal, and the one pipeline behind both.
+    def apply(
+        self,
+        u_global: NDArray[np.float64],
+        out: NDArray[np.float64] | None = None,
+    ) -> NDArray[np.float64]:
+        """The global operator: mask -> scatter -> local ``Ax`` (+ ``lam``
+        times the mass) -> gather -> mask.
+
+        Symmetric positive definite on the unmasked DOFs, which CG
+        requires.  Accepts one global vector or a stacked ``(B, n)``
+        block (a batch of one runs the single-system path on its only
+        row); passing ``out`` makes the application allocation-free (see
+        :meth:`_apply`).
+        """
+        return self._apply(u_global, out, np.float64)
+
+    def apply32(
+        self,
+        u_global: NDArray[np.float32],
+        out: NDArray[np.float32] | None = None,
+    ) -> NDArray[np.float32]:
+        """:meth:`apply` in fp32: the same pipeline over the cached fp32
+        geometry, gather-scatter and mask twins.  Inputs and outputs are
+        fp32."""
+        return self._apply(u_global, out, np.float32)
+
+    def diagonal(self) -> NDArray[np.float64]:
+        """The assembled operator diagonal, for Jacobi preconditioning:
+        the gathered :func:`stiffness_diagonal` plus ``lam`` times the
+        mass, with masked rows set to one."""
+        diag = stiffness_diagonal(self.ref, self.geometry.g)
+        if self.lam is not None:
+            diag += self.lam * self.geometry.mass
+        out = self.gs.gather(diag)
+        mask = self._mask(np.float64)
+        if mask is not None:
+            out[mask == 0] = 1.0
+        return out
+
     def _mask(self, dtype: type) -> "NDArray | None":
         """The 0/1 global mask applied before scatter and after gather,
         in ``dtype`` — ``None`` (the default) for an unmasked operator."""
         return None
 
-    def _local_term(self, ws: SolverWorkspace, geo: Geometry, w_local) -> None:
-        """Add the problem's element-local term beyond the stiffness
-        ``Ax`` to ``w_local``, in place (``ws.u_local`` holds the
-        scattered input, ``ws.tmp`` is free scratch).  Default: none."""
-
-    def _fused(self, dtype: type) -> "tuple | None":
-        """``(ax_gs, d, mask, l2g, g)``: :func:`repro.sem.native.ax_gs_kernel`
-        and its operands in ``dtype`` if the kernel gives this operator the
-        layers' bits — the ``"matmul"`` kernel itself, an unreplaced
-        gather-scatter, a mask, no local term — else ``None``.  The
-        vectors are the caller's to check."""
-        if (self.ax_backend is not ax_local_matmul
-                or type(self)._local_term is not SEMProblem._local_term):
+    def _fused(self, dtype: type) -> "native.FusedPass | None":
+        """The compiled scatter -> ``Ax`` (+ mass term) -> gather-add
+        pass of this operator in ``dtype``, where it gives the layers'
+        bits — the production kernel and an unreplaced gather-scatter —
+        else ``None``.  The vectors are the caller's to check."""
+        if self.ax_backend is not ax_local_matmul:
             return None
-        gs, mask = self.gs.as_dtype(dtype), self._mask(dtype)
-        if type(gs) is not GatherScatter or mask is None:
+        gs = self.gs.as_dtype(dtype)
+        if type(gs) is not GatherScatter:
             return None
-        d, g = self.ref.deriv_as(dtype), self.geometry.as_dtype(dtype).g
+        d, geo = self.ref.deriv_as(dtype), self.geometry.as_dtype(dtype)
+        g, l2g = geo.g, gs.l2g_flat
+        mass = None if self.lam is None else geo.mass
         nx, size = d.shape[0], g.itemsize
         ax_gs = native.ax_gs_kernel(nx, gs.dtype)
         if (ax_gs is None or not d.flags.c_contiguous
                 or g.dtype != gs.dtype or not g.flags.aligned
                 or g.strides[2:] != (nx * nx * size, nx * size, size)
-                or gs.l2g_flat.dtype != np.int64
-                or not gs.l2g_flat.flags.c_contiguous):
+                or l2g.dtype != np.int64 or not l2g.flags.c_contiguous
+                or (mass is not None and (
+                    mass.dtype != gs.dtype or not mass.flags.c_contiguous
+                    or not mass.flags.aligned))):
             return None
-        return ax_gs, d, mask, gs.l2g_flat, g
+        return native.FusedPass(
+            ax_gs, self.n_dofs, d, self._mask(dtype), l2g, g, mass,
+            0.0 if self.lam is None else float(self.lam),
+        )
 
     def _solver_pass(self, operator: Callable, dtype: np.dtype):
         """:meth:`_fused` for the compiled CG loop
         (:func:`repro.sem.cg.cg_solve`) to call in place of ``operator``
-        on ``dtype`` vectors — when ``operator`` is the function of this
-        problem's own operator in that dtype, as the class declaring
-        ``_OPERATOR`` defines it; else ``None``."""
-        name = {np.dtype(np.float64): self._OPERATOR,
-                np.dtype(np.float32): self._OPERATOR32}.get(dtype)
-        owner = next(k for k in type(self).__mro__ if "_OPERATOR" in vars(k))
-        if name is None or operator is not vars(owner).get(name):
-            return None
-        return self._fused(dtype.type)
+        on ``dtype`` vectors — when ``operator`` is this problem's own
+        operator in that dtype (the function of :meth:`apply` /
+        :meth:`apply32`, under whatever public name); else ``None``."""
+        own = {np.dtype(np.float64): SEMProblem.apply,
+               np.dtype(np.float32): SEMProblem.apply32}.get(dtype)
+        return self._fused(dtype.type) if operator is own else None
 
     @hot_path
     def _apply(self, u_global: NDArray, out: "NDArray | None", dtype: type):
-        """mask -> scatter -> local Ax (+ local term) -> gather -> mask.
+        """mask -> scatter -> local Ax (+ mass term) -> gather -> mask.
 
         The body behind all four public operator methods.  Where
         :meth:`_fused` allows, that is one compiled pass per element with
@@ -249,10 +304,11 @@ class SEMProblem:
         and the layers' bits; otherwise the layers run one by one.  Every
         intermediate lives in the ``dtype`` workspace, so passing ``out``
         (as :func:`~repro.sem.cg.cg_solve` does) makes the application
-        allocation-free; in fp32 the gather-scatter and geometry twins
-        stream half the bytes per DOF, which is where the mixed solve's
-        speedup comes from on this bandwidth-bound operator (the first
-        fp32 call per batch size pays the one-time twin casts).
+        allocation-free with the production kernel; in fp32 the
+        gather-scatter and geometry twins stream half the bytes per DOF,
+        which is where the mixed solve's speedup comes from on this
+        bandwidth-bound operator (the first fp32 call per batch size pays
+        the one-time twin casts).
 
         A stacked ``(B, n)`` input applies the operator to all ``B``
         systems at once through the cached batched workspace — the path
@@ -267,18 +323,17 @@ class SEMProblem:
         fused = self._fused(dtype)
         # C reads ``u_global`` and writes ``out`` unchecked, zero-filled
         # first: ``out`` must be writeable, contiguous and apart from it.
-        if (fused is not None and u_global.dtype == fused[1].dtype
+        if (fused is not None and u_global.dtype == fused.d.dtype
                 and u_global.ndim in (1, 2) and u_global.flags.c_contiguous
                 and u_global.flags.aligned
-                and u_global.shape[-1] == fused[2].shape[0]
+                and u_global.shape[-1] == fused.n
                 and (out is None or (
                     out.flags.carray and out.dtype == u_global.dtype
                     and out.shape == u_global.shape
                     and not np.may_share_memory(u_global, out)))):
             if out is None:  # an out-less call allocates, as gather does
                 out = np.empty_like(u_global)  # lint: ignore[hot-path-alloc]
-            ax_gs, d, mask, l2g, g = fused
-            ax_gs(d, u_global, mask, l2g, g, out)
+            fused(u_global, out)
             return out
         gs = self.gs.as_dtype(dtype)
         geo = self.geometry.as_dtype(dtype)
@@ -289,14 +344,34 @@ class SEMProblem:
         if mask is not None:
             u_global = np.multiply(u_global, mask, out=ws.g_tmp)
         gs.scatter(u_global, out=ws.u_local)
-        w_local = self.ax_backend(
-            self.ref, ws.u_local, geo.g, out=ws.w_local, workspace=ws,
-        )
-        self._local_term(ws, geo, w_local)
+        if self.ax_backend is ax_local_matmul:
+            w_local = ax_local_matmul(
+                self.ref, ws.u_local, geo.g, out=ws.w_local, workspace=ws,
+            )
+        else:
+            w_local = self.ax_backend(self.ref, ws.u_local, geo.g)
+        if self.lam is not None:
+            self._add_mass(
+                geo.mass, ws.u_local, w_local,
+                ws.tmp[:self.mesh.num_elements],
+            )
         w = gs.gather(w_local, out=out)
         if mask is not None:
             np.multiply(w, mask, out=w)
         return w
+
+    @hot_path
+    def _add_mass(self, mass, u_local, w_local, tmp) -> None:
+        """``w += (mass * u) * lam`` in element space, one system at a
+        time through the single-system scratch ``tmp``: the rounding of
+        the fused pass's mass term, for every backend and dtype."""
+        lam = tmp.dtype.type(self.lam)
+        stacked = w_local.ndim == 5
+        for w_row, u_row in zip(w_local if stacked else (w_local,),
+                                u_local if stacked else (u_local,)):
+            np.multiply(mass, u_row, out=tmp)
+            np.multiply(tmp, lam, out=tmp)
+            w_row += tmp
 
     def solve(
         self,

@@ -7,7 +7,7 @@ picklable-by-value — it owns thread pools, scratch buffers and resolved
 callables.  Process-level sharding
 (:class:`repro.serve.procshard.ProcessShardedSolveService`) instead
 ships a :class:`ProblemSpec`: a tiny frozen description (kind, degree,
-element box, backend *name*, threads) plus optional shared-memory
+element box, precision) plus optional shared-memory
 manifests for the large immutable arrays.  :func:`rebuild` turns the
 spec back into a warm problem in any process; with manifests attached,
 the rebuilt problem's geometry, gather-scatter caches, nodal
@@ -36,7 +36,7 @@ from repro.sem.element import ReferenceElement
 from repro.sem.gather_scatter import GatherScatter, SharedGatherScatter
 from repro.sem.geometry import Geometry
 from repro.sem.helmholtz import HelmholtzProblem
-from repro.sem.kernels import ax_kernel_name
+from repro.sem.kernels import ax_local_matmul
 from repro.sem.mesh import BoxMesh
 from repro.sem.nekbone import NekboneCase
 from repro.sem.poisson import PoissonProblem
@@ -60,16 +60,15 @@ PROBLEM_KINDS: tuple[str, ...] = tuple(_PROBLEM_CLASSES)
 class ProblemSpec:
     """Frozen, picklable description of one SEM problem.
 
+    It names no kernel: a rebuilt problem runs the production one,
+    :func:`~repro.sem.kernels.ax_local_matmul`.
+
     Attributes
     ----------
     kind:
         One of :data:`PROBLEM_KINDS`.
     degree / shape / extent:
         The discretization: polynomial degree and the element box.
-    ax_backend:
-        Kernel *registry name* (``"einsum"``, ``"matmul"``, ...) — never
-        a callable, so the spec pickles by value and the rebuilding
-        process resolves the identical registered kernel.
     lam:
         Helmholtz coefficient (``None`` for the other kinds).
     precision:
@@ -108,7 +107,6 @@ class ProblemSpec:
     degree: int
     shape: tuple[int, int, int]
     extent: tuple[float, float, float]
-    ax_backend: str
     lam: float | None = None
     precision: str = "fp64"
     geometry: SharedArrayManifest | None = None
@@ -208,12 +206,11 @@ def _base_spec(problem) -> tuple[ProblemSpec, object]:
     """The shared-manifest-free spec of ``problem``, and the inner
     problem whose arrays it describes."""
     kind, inner = _classify(problem)
-    name = ax_kernel_name(inner.ax_backend)
-    if name is None:
+    if inner.ax_backend is not ax_local_matmul:
         raise ValueError(
-            "problem's ax backend is not a registered kernel; a picklable "
-            "spec needs a registry name (register the callable with "
-            "repro.sem.kernels.register_ax_kernel first)"
+            "problem's ax backend is not the production kernel; a spec "
+            "names no kernel (a rebuilt problem runs ax_local_matmul), so "
+            "a problem on any other backend has no spec"
         )
     mesh = inner.mesh
     spec = ProblemSpec(
@@ -221,8 +218,7 @@ def _base_spec(problem) -> tuple[ProblemSpec, object]:
         degree=mesh.ref.degree,
         shape=tuple(mesh.shape),
         extent=tuple(mesh.extent),
-        ax_backend=name,
-        lam=float(inner.lam) if hasattr(inner, "lam") else None,
+        lam=None if inner.lam is None else float(inner.lam),
         precision=inner.precision,
     )
     return spec, inner
@@ -242,7 +238,8 @@ def problem_spec(problem) -> ProblemSpec:
     TypeError
         For non-protocol problems.
     ValueError
-        For an unregistered backend callable or a deformed mesh.
+        For a backend other than the production kernel, or a deformed
+        mesh.
     """
     spec, inner = _base_spec(problem)
     pristine = BoxMesh.build(inner.mesh.ref, spec.shape, spec.extent)
@@ -389,7 +386,7 @@ def rebuild(spec: ProblemSpec):
             ),
         )
 
-    knobs = dict(ax_backend=spec.ax_backend, precision=spec.precision)
+    knobs = dict(precision=spec.precision)
     if spec.lam is not None:
         knobs["lam"] = spec.lam
     if spec.kind != NekboneCase.kind:

@@ -7,8 +7,8 @@ per-iteration temporary the solver stack needs for a fixed ``(E, nx)``
 local shape and global DOF count:
 
 * the six sum-factorization work arrays (``ur/us/ut``, ``wr/ws/wt``)
-  plus one elementwise scratch used by the ``Ax`` kernels
-  (:mod:`repro.sem.kernels`),
+  plus one elementwise scratch used by the numpy body of the ``Ax``
+  kernel (:mod:`repro.sem.kernels`) and by the Helmholtz mass term,
 * local scatter/gather buffers used by
   :meth:`repro.sem.poisson.PoissonProblem.apply_A`,
 * the CG vectors (``x``, ``r``, ``z``, ``p``, ``ap`` and an axpy
@@ -39,22 +39,13 @@ from numpy.typing import NDArray
 
 from repro.sem.mesh import BoxMesh
 
-#: Kernel scratch names, shaped ``(scratch_rows, nx, nx, nx)``: for
-#: large batched problems the blocked ``Ax`` kernels sweep one system's
-#: element block at a time (geometry stays cache-hot across the batch),
-#: so the scratch keeps single-system row count; only small batched
-#: problems (``batch * E * nx^3 <= FUSED_BATCH_DOFS``) size it
-#: ``batch * E`` so the fused all-systems GEMM path has room.
+#: Kernel scratch names, shaped ``(E, nx, nx, nx)`` at every batch size:
+#: the numpy body of the ``Ax`` kernel sweeps one system's element block
+#: at a time through the first rows (geometry stays cache-hot across
+#: the batch).
 KERNEL_SCRATCH_BUFFERS: tuple[str, ...] = (
     "ur", "us", "ut", "wr", "ws", "wt", "tmp",
 )
-
-#: Largest stacked-block DOF count (``batch * E * nx^3``) for which the
-#: batched kernels fuse all systems into single GEMM/ufunc sweeps (and
-#: the workspace allocates full-batch scratch).  Beyond it, fusing would
-#: blow the cache and the memory budget; the kernels fall back to the
-#: per-system element-block sweep.
-FUSED_BATCH_DOFS: int = 32768
 
 #: Local field buffer names, shaped ``(E, nx, nx, nx)`` for
 #: ``batch == 1`` and ``(batch, E, nx, nx, nx)`` otherwise.
@@ -164,17 +155,8 @@ class SolverWorkspace:
             raise ValueError(
                 f"dtype must be float64 or float32, got {self.dtype}"
             )
-        scratch_rows = self.num_elements
-        if (
-            self.batch > 1
-            and self.batch * self.num_elements * self.nx ** 3
-            <= FUSED_BATCH_DOFS
-        ):
-            scratch_rows = self.batch * self.num_elements
-        scratch_shape = (scratch_rows, self.nx, self.nx, self.nx)
-        local_shape: tuple[int, ...] = (
-            self.num_elements, self.nx, self.nx, self.nx
-        )
+        scratch_shape = (self.num_elements, self.nx, self.nx, self.nx)
+        local_shape: tuple[int, ...] = scratch_shape
         global_shape: tuple[int, ...] = (self.n_global,)
         if self.batch > 1:
             local_shape = (self.batch,) + local_shape

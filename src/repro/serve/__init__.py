@@ -60,7 +60,7 @@ Quick taste::
     from repro.sem import BoxMesh, PoissonProblem, ReferenceElement
     from repro.serve import ProcessShardedSolveService
 
-    problem = PoissonProblem(mesh, ax_backend="matmul")
+    problem = PoissonProblem(mesh)
     with ProcessShardedSolveService(problem, workers=2) as svc:
         tickets = [svc.submit(b, key=tenant) for tenant, b in stream]
         results = [t.result() for t in tickets]

@@ -12,10 +12,10 @@ from repro.core.calibration import (
     TABLE1_DEGREES,
 )
 from repro.hardware.fpga import STRATIX10_GX2800
+from oracles import ax_local
 from repro.sem import (
     BoxMesh,
     ReferenceElement,
-    ax_local,
     ax_local_listing1,
     geometric_factors,
 )

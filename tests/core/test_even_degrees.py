@@ -16,7 +16,8 @@ from repro.core.accel import AcceleratorConfig, SEMAccelerator, synthesize
 from repro.core.perfmodel import table1_design_throughput
 from repro.hardware.fpga import STRATIX10_GX2800
 from repro.hls import ax_grad_nest, max_conflict_free_unroll
-from repro.sem import ReferenceElement, BoxMesh, geometric_factors, ax_local
+from oracles import ax_local
+from repro.sem import ReferenceElement, BoxMesh, geometric_factors
 
 
 class TestOddGllCounts:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.sem.element import ReferenceElement
-from repro.sem.operators import ax_local, ax_local_listing1
+from oracles import ax_local
+from repro.sem.operators import ax_local_listing1
 
 DEGREES = st.integers(min_value=1, max_value=3)
 

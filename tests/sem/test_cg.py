@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sem import BoxMesh, PoissonProblem, ReferenceElement, cg, native
+from repro.sem import (
+    BoxMesh, HelmholtzProblem, PoissonProblem, ReferenceElement, cg, native,
+)
 from repro.sem.cg import (
     CGResult,
     cg_solve,
@@ -725,6 +727,26 @@ class TestCompiledLoop:
         assert cg._bind_operator(prob.apply_A, True, np.float64)[1] is None
         res = cg_solve(prob.apply_A, sem_block(prob)[0], tol=1e-8)
         assert res.converged and len(calls) == res.iterations + 1
+
+    def test_helmholtz_solves_in_one_call_with_the_python_loops_bits(
+        self, python_loop
+    ):
+        """The mass term rides in the fused pass and there is no mask:
+        ``p·Ap`` is a plain dot there, and the bits are the Python
+        loop's, stacked and solo."""
+        mesh = BoxMesh.build(ReferenceElement.from_degree(7), (2, 2, 2))
+        prob = HelmholtzProblem(mesh, lam=0.7)
+        assert cg._bind_operator(prob.apply, False, np.float64)[1] is not None
+        bs = np.random.default_rng(5).standard_normal((3, prob.n_dofs))
+        kwargs = dict(precond_diag=prob.precond_diag(), tol=1e-8,
+                      maxiter=500, workspace=prob.batch_workspace(3))
+        got = cg_solve_batched(prob.apply, bs, **kwargs)
+        assert got.all_converged
+        assert_same_block(got, python_loop(cg_solve_batched, prob.apply, bs,
+                                           **kwargs))
+        solo = cg_solve(prob.apply, bs[0], precond_diag=prob.precond_diag(),
+                        tol=1e-8, maxiter=500, workspace=prob.workspace)
+        assert solo.x.tobytes() == got.x[0].tobytes()
 
     def test_mixed_inner_solves(self, python_loop):
         prob = sem_problem((2, 2, 2), 7)

@@ -57,7 +57,7 @@ class TestOperator:
         u = rng.standard_normal(problem5.n_dofs)
         w = problem5.apply(u)
         u_local = problem5.gs.scatter(u)
-        from repro.sem.operators import ax_local
+        from oracles import ax_local
 
         stiff = problem5.gs.gather(
             ax_local(problem5.ref, u_local, problem5.geometry.g)

@@ -1,4 +1,4 @@
-"""Tests for repro.sem.kernels (BLAS kernel + the named registry)."""
+"""Tests for repro.sem.kernels (the production kernel + the registry)."""
 
 from __future__ import annotations
 
@@ -7,19 +7,17 @@ import functools
 import numpy as np
 import pytest
 
+from oracles import ax_local, ax_local_dense
 from repro.sem import (
     BoxMesh,
+    PoissonProblem,
     ReferenceElement,
     SolverWorkspace,
-    available_ax_kernels,
-    ax_local,
-    ax_local_dense,
     ax_local_listing1,
     ax_local_matmul,
     geometric_factors,
     get_ax_kernel,
     register_ax_kernel,
-    resolve_ax_backend,
 )
 
 
@@ -31,6 +29,10 @@ def random_fields(n: int, num_e: int = 3, seed: int = 0):
     u = rng.standard_normal((num_e, nx, nx, nx))
     g = rng.standard_normal((num_e, 6, nx, nx, nx))
     return ref, u, g
+
+
+def tiny_mesh():
+    return BoxMesh.build(ReferenceElement.from_degree(2), (2, 1, 1))
 
 
 class TestMatmulKernel:
@@ -135,12 +137,14 @@ class TestMatmulKernelNumpyBody(TestMatmulKernel):
 
 class TestRegistry:
     def test_builtin_names(self):
-        names = available_ax_kernels()
-        for name in ("einsum", "matmul", "listing1", "dense"):
-            assert name in names
+        """One name is built in, the production kernel's; the reference
+        kernels are the tests' oracles, not backends."""
+        assert get_ax_kernel("matmul") is ax_local_matmul
+        for gone in ("einsum", "listing1", "dense"):
+            with pytest.raises(KeyError):
+                get_ax_kernel(gone)
 
     def test_get_returns_callables(self):
-        assert get_ax_kernel("einsum") is ax_local
         assert get_ax_kernel("matmul") is ax_local_matmul
 
     def test_unknown_name_raises_with_alternatives(self):
@@ -148,19 +152,25 @@ class TestRegistry:
             get_ax_kernel("nope")
 
     def test_all_registered_kernels_agree(self):
+        """The production kernel and the paper's Listing 1 against the
+        einsum and dense oracles."""
         ref, u, g = random_fields(3, num_e=2, seed=33)
         w_ref = ax_local(ref, u, g)
         scale = np.abs(w_ref).max()
-        for name in ("matmul", "listing1", "dense"):
-            w = get_ax_kernel(name)(ref, u, g)
-            assert np.allclose(w, w_ref, atol=1e-10 * max(scale, 1.0)), name
+        for w in (get_ax_kernel("matmul")(ref, u, g),
+                  ax_local_listing1(ref, u, g), ax_local_dense(ref, u, g)):
+            assert np.allclose(w, w_ref, atol=1e-10 * max(scale, 1.0))
 
     def test_adapters_honor_out(self):
-        ref, u, g = random_fields(2, num_e=2, seed=7)
-        for name in ("listing1", "dense"):
-            out = np.empty_like(u)
-            result = get_ax_kernel(name)(ref, u, g, out=out)
-            assert result is out
+        """A plain ``(ref, u, g)`` backend needs no adapter: the problem
+        gathers its result straight into the operator's ``out``."""
+        mesh = tiny_mesh()
+        plain = PoissonProblem(mesh, ax_backend=ax_local_listing1)
+        v = np.random.default_rng(7).standard_normal(mesh.n_global)
+        want = PoissonProblem(mesh).apply_A(v)
+        out = np.full_like(v, np.nan)
+        assert plain.apply_A(v, out=out) is out
+        assert np.allclose(out, want, atol=1e-11 * max(np.abs(want).max(), 1))
 
     def test_register_and_overwrite_guard(self):
         sentinel = lambda ref, u, g, out=None, workspace=None: u  # noqa: E731
@@ -182,10 +192,14 @@ class TestRegistry:
             register_ax_kernel("_not_callable", 3)
 
     def test_resolve_passes_callables_through(self):
-        assert resolve_ax_backend(ax_local) is ax_local
-        assert resolve_ax_backend("matmul") is ax_local_matmul
+        """A problem's ``ax_backend``: nothing is the production kernel,
+        a name goes through the registry, a callable is used as it is."""
+        mesh = tiny_mesh()
+        assert PoissonProblem(mesh).ax_backend is ax_local_matmul
+        for spec, kernel in (("matmul", ax_local_matmul), (ax_local, ax_local)):
+            assert PoissonProblem(mesh, ax_backend=spec).ax_backend is kernel
         with pytest.raises(TypeError):
-            resolve_ax_backend(42)
+            PoissonProblem(mesh, ax_backend=42)
 
 
 class TestProblemsSelectByName:
@@ -215,17 +229,15 @@ class TestProblemsSelectByName:
         assert np.allclose(w1, w2, atol=1e-11 * max(np.abs(w2).max(), 1.0))
 
     def test_accelerator_kernel_by_name(self):
+        """The accelerator model computes with the kernel ``"matmul"``
+        names: the production one, to the bit."""
         from repro.core.accel import AcceleratorConfig, SEMAccelerator
         from repro.hardware.fpga import STRATIX10_GX2800
 
         ref, u, g = random_fields(3, num_e=2, seed=2)
-        acc_e = SEMAccelerator(AcceleratorConfig.banked(3), STRATIX10_GX2800)
-        acc_m = SEMAccelerator(
-            AcceleratorConfig.banked(3), STRATIX10_GX2800, ax_kernel="matmul"
-        )
-        w_e, _ = acc_e.run(u, g)
-        w_m, _ = acc_m.run(u, g)
-        assert np.allclose(w_m, w_e, atol=1e-11 * max(np.abs(w_e).max(), 1.0))
+        acc = SEMAccelerator(AcceleratorConfig.banked(3), STRATIX10_GX2800)
+        w, _ = acc.run(u, g)
+        assert np.array_equal(w, get_ax_kernel("matmul")(ref, u, g))
 
 
 @functools.cache
@@ -257,7 +269,7 @@ def _former_threads_surfaces():
         "NekboneCase": lambda **kw: NekboneCase(3, (2, 1, 1), **kw),
         "ProblemSpec": lambda **kw: ProblemSpec(
             kind="poisson", degree=3, shape=(2, 1, 1),
-            extent=(1.0, 1.0, 1.0), ax_backend="matmul", **kw
+            extent=(1.0, 1.0, 1.0), **kw
         ),
         "SEMAccelerator": lambda **kw: SEMAccelerator(
             AcceleratorConfig.banked(3), STRATIX10_GX2800, **kw
@@ -326,11 +338,8 @@ class TestBlockResidentScratch:
         assert np.array_equal(w, ax_local_matmul(ref, u, g))
 
     def test_stacked_sweep_shares_the_block_scratch(self):
-        from repro.sem.workspace import FUSED_BATCH_DOFS
-
         ref, u, g = random_fields(7, num_e=64, seed=10)
         ub = np.random.default_rng(11).standard_normal((2,) + u.shape)
-        assert ub.size > FUSED_BATCH_DOFS  # the per-system block sweep
         ws = SolverWorkspace(num_elements=64, nx=ref.n_points, batch=2)
         bufs = self._nan_scratch(ws)
         w = ax_local_matmul(ref, ub, g, workspace=ws)
@@ -353,39 +362,40 @@ class TestBatchedKernels:
             assert np.array_equal(wb[b], ax_local_matmul(ref, ub[b], g))
 
     def test_matmul_batched_workspace_fused_and_nested(self):
-        from repro.sem.workspace import FUSED_BATCH_DOFS
+        """A stacked block inside one element block and one spanning
+        several, through a workspace: every system is its solo call."""
+        from repro.sem.kernels import BLOCK_DOFS
 
         ref = ReferenceElement.from_degree(4)
         nx = ref.n_points
         rng = np.random.default_rng(23)
-        # Small case -> fused all-systems path.
-        e_small = 4
-        g_s = rng.standard_normal((e_small, 6, nx, nx, nx))
-        ub_s = rng.standard_normal((2, e_small, nx, nx, nx))
-        ws_s = SolverWorkspace(num_elements=e_small, nx=nx, batch=2)
-        assert 2 * e_small * nx ** 3 <= FUSED_BATCH_DOFS
-        w_s = ax_local_matmul(ref, ub_s, g_s, workspace=ws_s)
-        for b in range(2):
-            assert np.array_equal(w_s[b], ax_local_matmul(ref, ub_s[b], g_s))
-        # Large case -> per-system element-block sweep.
-        e_big = FUSED_BATCH_DOFS // nx ** 3 + 8
-        g_b = rng.standard_normal((e_big, 6, nx, nx, nx))
-        ub_b = rng.standard_normal((2, e_big, nx, nx, nx))
-        ws_b = SolverWorkspace(num_elements=e_big, nx=nx, batch=2)
-        w_b = ax_local_matmul(ref, ub_b, g_b, workspace=ws_b)
-        for b in range(2):
-            assert np.array_equal(w_b[b], ax_local_matmul(ref, ub_b[b], g_b))
+        for num_e in (4, 3 * (BLOCK_DOFS // nx ** 3) + 8):
+            g = rng.standard_normal((num_e, 6, nx, nx, nx))
+            ub = rng.standard_normal((2, num_e, nx, nx, nx))
+            ws = SolverWorkspace(num_elements=num_e, nx=nx, batch=2)
+            w = ax_local_matmul(ref, ub, g, workspace=ws)
+            for b in range(2):
+                assert np.array_equal(w[b], ax_local_matmul(ref, ub[b], g))
 
     def test_all_registered_kernels_accept_batched(self):
+        """The production kernel and the accelerator model's backend —
+        what a problem hands stacked blocks to — take them, the model
+        with one cycle report per system."""
+        from repro.core.accel import AcceleratorConfig, SEMAccelerator
+        from repro.hardware.fpga import STRATIX10_GX2800
+
         ref, u, g = random_fields(2, num_e=2, seed=24)
         rng = np.random.default_rng(25)
         ub = rng.standard_normal((2,) + u.shape)
         w_ref = np.stack([ax_local(ref, ub[b], g) for b in range(2)])
         scale = max(np.abs(w_ref).max(), 1.0)
-        for name in available_ax_kernels():
-            w = get_ax_kernel(name)(ref, ub, g)
+        acc = SEMAccelerator(AcceleratorConfig.banked(2), STRATIX10_GX2800)
+        for name, kernel in (("matmul", get_ax_kernel("matmul")),
+                             ("accelerator", acc.as_ax_backend())):
+            w = kernel(ref, ub, g)
             assert w.shape == ub.shape, name
             assert np.allclose(w, w_ref, atol=1e-10 * scale), name
+        assert len(acc.history) == 2
 
     def test_batched_shape_validation(self):
         ref, u, g = random_fields(3, num_e=2)
@@ -407,9 +417,7 @@ class TestRegistryErrorPaths:
         with pytest.raises(KeyError) as exc:
             get_ax_kernel("no_such_kernel")
         message = str(exc.value)
-        assert "no_such_kernel" in message
-        for name in ("einsum", "matmul", "listing1", "dense"):
-            assert name in message
+        assert "no_such_kernel" in message and "matmul" in message
 
     def test_duplicate_register_without_overwrite_raises(self):
         sentinel = lambda ref, u, g, out=None, workspace=None: u  # noqa: E731
@@ -433,19 +441,19 @@ class TestRegistryErrorPaths:
         def raw(ref, u, g):
             return u
 
-        assert resolve_ax_backend(raw) is raw
+        assert PoissonProblem(tiny_mesh(), ax_backend=raw).ax_backend is raw
 
     def test_resolve_rejects_non_callables(self):
-        for bad in (42, None, [], {"name": "matmul"}):
+        for bad in (42, [], {"name": "matmul"}):
             with pytest.raises(TypeError, match="callable"):
-                resolve_ax_backend(bad)
+                PoissonProblem(tiny_mesh(), ax_backend=bad)
 
     def test_resolve_unknown_name_raises_keyerror(self):
         with pytest.raises(KeyError, match="available"):
-            resolve_ax_backend("not_registered")
+            PoissonProblem(tiny_mesh(), ax_backend="not_registered")
 
     def test_accepts_keyword_caching_and_fallback(self):
-        from repro.sem.kernels import accepts_keyword
+        from repro.sem.cg import accepts_keyword
 
         assert accepts_keyword(ax_local_matmul, "out")
         assert not accepts_keyword(ax_local_matmul, "threads")
@@ -456,7 +464,7 @@ class TestRegistryErrorPaths:
 
         assert accepts_keyword(kwargs_sink, "anything")
         # Repeated probes hit the lru_cache (same result, no re-reflection).
-        from repro.sem.kernels import _accepts_keyword_cached
+        from repro.sem.cg import _accepts_keyword_cached
 
         _accepts_keyword_cached.cache_clear()
         accepts_keyword(ax_local_matmul, "out")
@@ -473,7 +481,7 @@ def test_accepts_keyword_does_not_pin_bound_instances():
     import gc
     import weakref
 
-    from repro.sem.kernels import accepts_keyword
+    from repro.sem.cg import accepts_keyword
 
     class Holder:
         def op(self, x, out=None):

@@ -173,7 +173,7 @@ class TestSolve:
 
         def backend(ref, u, g):
             calls.append(u.shape)
-            from repro.sem.operators import ax_local
+            from oracles import ax_local
 
             return ax_local(ref, u, g)
 

@@ -11,20 +11,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import ax_local, ax_local_dense
 from repro.sem import (
     BoxMesh,
     HelmholtzProblem,
     NekboneCase,
     PoissonProblem,
     ReferenceElement,
+    ax_local_listing1,
     rebuild,
 )
-from repro.sem import native
+from repro.sem import cg, native
 from repro.sem.kernels import (
     _REGISTRY,
-    ax_kernel_name,
     ax_local_matmul,
-    available_ax_kernels,
     get_ax_kernel,
     register_ax_kernel,
 )
@@ -37,11 +37,21 @@ SHAPES = ("solo", "b1", "b4")
 DEGREE, BOX = 3, (2, 2, 1)
 
 
+#: The ``ax_backend`` of each form: the production kernel by name, the
+#: einsum oracle, and plain ``(ref, u, g)`` callables — a lambda around
+#: the production kernel, the paper's Listing 1, the dense oracle.  Any
+#: other form is a registered name.
+BACKENDS = {
+    "matmul": "matmul",
+    "einsum": ax_local,
+    "plain": lambda ref, u, g: ax_local_matmul(ref, u, g),
+    "listing1": ax_local_listing1,
+    "dense": ax_local_dense,
+}
+
+
 def build(kind, form):
-    backend = (
-        (lambda ref, u, g: ax_local_matmul(ref, u, g))
-        if form == "plain" else form
-    )
+    backend = BACKENDS.get(form, form)
     if kind == "nekbone":
         return NekboneCase(DEGREE, BOX, ax_backend=backend)
     mesh = BoxMesh.build(ReferenceElement.from_degree(DEGREE), BOX)
@@ -108,10 +118,9 @@ def test_every_shape_equals_solo_rows(
 def test_plain_callable_equals_registered(
     problems, kind, dtype, shape, with_out
 ):
-    """A plain ``(ref, u, g)`` callable around a kernel is that kernel:
-    the adapter changes the call form, not one bit of the result (the
-    Helmholtz mass term used to be spelled differently on the
-    plain-callable branches)."""
+    """A plain ``(ref, u, g)`` callable around the production kernel is
+    that kernel: the layers it runs, mass term included, are the fused
+    pass to the bit."""
     got = apply(problems[kind, "plain"], dtype, shape, with_out)
     want = apply(problems[kind, "matmul"], dtype, shape, with_out)
     assert np.array_equal(got, want)
@@ -139,14 +148,14 @@ def registered_plain():
 
 
 def test_every_registered_kernel_is_named(registered_plain):
-    """``ax_kernel_name`` inverts ``get_ax_kernel`` for every entry —
-    the adapter-wrapped reference kernels and a registered plain
-    callable included — both as registered and as a problem holds it."""
-    assert registered_plain in available_ax_kernels()
-    for name in available_ax_kernels():
-        assert ax_kernel_name(get_ax_kernel(name)) == name
-        assert ax_kernel_name(build("poisson", name).ax_backend) == name
-    assert ax_kernel_name(build("poisson", "plain").ax_backend) is None
+    """A registered kernel is selected by its name — a problem built
+    with the name holds exactly the registered callable — and the
+    production kernel, which ``"matmul"`` names, is every default."""
+    for name in ("matmul", registered_plain):
+        assert build("poisson", name).ax_backend is get_ax_kernel(name)
+    assert get_ax_kernel("matmul") is ax_local_matmul
+    mesh = BoxMesh.build(ReferenceElement.from_degree(DEGREE), BOX)
+    assert PoissonProblem(mesh).ax_backend is ax_local_matmul
 
 
 @pytest.mark.parametrize("how", ("spec", "shared"))
@@ -155,7 +164,14 @@ def test_every_registered_kernel_is_named(registered_plain):
 )
 @pytest.mark.parametrize("kind", KINDS)
 def test_twins_equal_the_source(registered_plain, kind, form, how):
+    """A twin runs the production kernel — a spec names none — so a
+    problem on it has a twin that is the source to the bit, and a
+    problem on any other backend is refused one, by either route."""
     source = build(kind, form)
+    if form != "matmul":
+        with pytest.raises(ValueError, match="production kernel"):
+            make_twin(source, how)
+        return
     twin, cleanup = make_twin(source, how)
     try:
         assert type(twin) is type(source)
@@ -443,13 +459,54 @@ def test_registered_wrapper_kernel_sees_every_application(fused):
 
 
 def test_helmholtz_runs_its_layers(fused):
-    """The mass term is a local term: Helmholtz never takes the pass."""
-    problem = build("helmholtz", "matmul")
-    for op_name, dtype in (("apply", np.float64), ("apply32", np.float32)):
-        u = bank(problem, dtype)
-        got = getattr(problem, op_name)(u)
-        assert got.tobytes() == layered(problem, op_name, u).tobytes()
-    assert fused == []
+    """The mass term rides in the fused pass: Helmholtz's one compiled
+    call is its layers — stiffness, ``lam * (mass * u)``, gather — to
+    the byte, in both dtypes, stacked and solo."""
+    for degree in (3, 7):
+        mesh = BoxMesh.build(ReferenceElement.from_degree(degree), (2, 2, 2))
+        problem = HelmholtzProblem(mesh, 0.7)
+        for op_name, dtype in (("apply", np.float64), ("apply32", np.float32)):
+            u = bank(problem, dtype)
+            del fused[:]
+            got = getattr(problem, op_name)(u)
+            solo = getattr(problem, op_name)(u[0])
+            assert fused == [degree + 1] * 2
+            assert got.tobytes() == layered(problem, op_name, u).tobytes()
+            assert solo.tobytes() == layered(problem, op_name, u[0]).tobytes()
+            assert fused == [degree + 1] * 2
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_default_problem_solves_in_one_compiled_call(kind, monkeypatch):
+    """No backend named: ``problem.solve(b)`` runs the production kernel
+    fused with the gather-scatter inside the compiled CG loop, in both
+    precisions — one call per solve, the operator never called back."""
+    f64 = np.dtype(np.float64)
+    if (native.ax_gs_kernel(DEGREE + 1, f64) is None
+            or native.cg_passes(f64) is None):
+        pytest.skip("no compiled kernels on this host")
+    mesh = BoxMesh.build(ReferenceElement.from_degree(DEGREE), BOX)
+    problem = {
+        "poisson": lambda: PoissonProblem(mesh),
+        "helmholtz": lambda: HelmholtzProblem(mesh),
+        "nekbone": lambda: NekboneCase(DEGREE, BOX),
+    }[kind]()
+    inner = getattr(problem, "problem", problem)
+    assert inner.ax_backend is ax_local_matmul
+    for op, dtype in ((problem.operator, np.float64),
+                      (problem.operator32, np.float32)):
+        assert cg._bind_operator(op, True, dtype)[1] is not None
+
+    def no_callback(call):
+        raise AssertionError("the compiled loop called the operator back")
+
+    monkeypatch.setattr(native, "OperatorCall", no_callback)
+    b = bank(problem, np.float64)[0]
+    if kind != "helmholtz":
+        b = b * inner.interior
+    for precision in ("fp64", "mixed"):
+        res = problem.solve(b, tol=1e-8, maxiter=500, precision=precision)
+        assert res.converged
 
 
 def test_warm_fused_application_allocates_nothing_field_sized(fused):

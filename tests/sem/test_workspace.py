@@ -217,15 +217,12 @@ class TestBatchedWorkspace:
         assert ws.nbytes > 0
 
     def test_kernel_scratch_stays_single_system_when_large(self):
-        from repro.sem.workspace import FUSED_BATCH_DOFS
-
+        """At every batch size: the numpy body sweeps one system's
+        element block at a time through the same rows."""
         nx = 4
-        e_big = FUSED_BATCH_DOFS // nx ** 3 + 16
-        ws = SolverWorkspace(num_elements=e_big, nx=nx, batch=4)
-        assert ws.ur.shape == (e_big, nx, nx, nx)
-        # Small batched workspaces size scratch for the fused sweep.
-        ws_small = SolverWorkspace(num_elements=4, nx=nx, batch=4)
-        assert ws_small.ur.shape == (16, nx, nx, nx)
+        for num_e in (4, 528):
+            ws = SolverWorkspace(num_elements=num_e, nx=nx, batch=4)
+            assert ws.ur.shape == (num_e, nx, nx, nx)
 
     def test_require_batch(self):
         ws = SolverWorkspace(num_elements=2, nx=4, n_global=10, batch=3)
