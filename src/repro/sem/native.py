@@ -58,10 +58,11 @@ from repro.analysis.annotations import hot_path
 #: and no workspace buffer.
 MAX_NX: int = 16
 
-#: Measured, not a default to tune: ``-O3`` on gcc 12 unrolls the
-#: contractions into something slower than the numpy body.  ``-O2``
-#: vectorises from gcc 12 on; an older gcc builds a scalar kernel —
-#: correct, and slower.  That floor is documented, not detected.
+#: The element body spells out its vectors (GCC vector extensions) and
+#: its unrolling (``#pragma GCC unroll``): no autovectoriser is needed,
+#: and the bits are the source's — gcc 12.2's ``-O3`` build gives the
+#: ``-O2`` build's bytes (``tests/sem/test_native.py``).  A compiler
+#: without the vector extensions fails the build: the numpy body runs.
 _FLAGS: tuple[str, ...] = ("-O2", "-march=native", "-fPIC", "-shared")
 
 _C_REAL = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
@@ -71,49 +72,81 @@ _SOURCE = r"""
 #include <stdint.h>
 #define N3 (NX * NX * NX)
 #define AT(a, b, c) (((a) * NX + (b)) * NX + (c))
+/* A row of NX values is NC chunks of VL lanes, VL the largest power of
+   two <= NX that one vector register holds, the last chunk flush with
+   the row's end: where it overlaps the one before, both compute the
+   same lanes from the same operands in the same order, so the same
+   bits.  JB rows are blocked together: 4, 2 or 1, the most that divide
+   NX with JB * NC <= 4, so the gradient's accumulators fit 16
+   registers. */
+#define P2 (NX >= 16 ? 16 : NX >= 8 ? 8 : NX >= 4 ? 4 : NX >= 2 ? 2 : 1)
+#define VMAX ((int)(__BIGGEST_ALIGNMENT__ / sizeof(REAL)))
+#define VL (P2 < VMAX ? P2 : VMAX)
+#define NC ((NX + VL - 1) / VL)
+#define JB (NX % 4 == 0 && NC == 1 ? 4 : NX % 2 == 0 && NC <= 2 ? 2 : 1)
+#define OFF(c) ((c) + 1 < NC ? (c) * VL : NX - VL)
+#define LD(a, i, j, c) (*(const chunk *)((a) + AT(i, j, OFF(c))))
+#define ST(a, i, j, c) (*(chunk *)((a) + AT(i, j, OFF(c))))
+#define UNROLL _Pragma("GCC unroll 16")
+typedef REAL chunk
+    __attribute__((vector_size(VL * sizeof(REAL)), aligned(sizeof(REAL))));
 
 /* we = D^T G D ue on one element; Dt is D transposed, gc[c] the
-   element's component c of G.  Never inlined: both entry points run
-   this one copy of the machine code, so the same ue gives the same bits
-   through either. */
+   element's component c of G.  JB rows (i, j0.., :) at a time, each
+   chunk of each with its own accumulator: 3 * JB * NC independent FMA
+   chains in the gradient, JB * NC in the divergence.  Every value is a
+   chain of single-product updates acc += c * v from zero, so
+   contraction has exactly one FMA to form at each step: the bits are
+   the source's, whatever the -O level.  Never inlined: both entry
+   points run this one copy of the machine code, so the same ue gives
+   the same bits through either. */
 static __attribute__((noinline)) void element(
     const REAL *restrict D, const REAL *restrict Dt,
     const REAL *const gc[6], const REAL *restrict ue, REAL *restrict we)
 {
     REAL wr[N3], ws[N3], wt[N3];
     for (int i = 0; i < NX; i++)
-        for (int j = 0; j < NX; j++) {
-            /* gradient of row (i, j, :), then G while it is hot */
-            REAL r[NX] = {0}, s[NX] = {0}, t[NX] = {0};
-            for (int l = 0; l < NX; l++) {
-                const REAL dil = D[i * NX + l], djl = D[j * NX + l];
-                const REAL uijl = ue[AT(i, j, l)];
-                for (int k = 0; k < NX; k++) {
-                    r[k] += dil * ue[AT(l, j, k)];
-                    s[k] += djl * ue[AT(i, l, k)];
-                    t[k] += Dt[l * NX + k] * uijl;
+        for (int j0 = 0; j0 < NX; j0 += JB) {
+            /* gradient of rows (i, j0.., :), then G while they are hot */
+            chunk r[JB][NC] = {0}, s[JB][NC] = {0}, t[JB][NC] = {0};
+            UNROLL for (int l = 0; l < NX; l++)
+                UNROLL for (int b = 0; b < JB; b++)
+                    UNROLL for (int c = 0; c < NC; c++) {
+                        r[b][c] += D[i * NX + l] * LD(ue, l, j0 + b, c);
+                        s[b][c] += D[(j0 + b) * NX + l] * LD(ue, i, l, c);
+                        t[b][c] += LD(Dt, 0, l, c) * ue[AT(i, j0 + b, l)];
+                    }
+            UNROLL for (int b = 0; b < JB; b++)
+                UNROLL for (int c = 0; c < NC; c++) {
+                    const int j = j0 + b;
+                    chunk x = {0}, y = {0}, z = {0};
+                    x += LD(gc[0], i, j, c) * r[b][c];
+                    y += LD(gc[1], i, j, c) * r[b][c];
+                    z += LD(gc[2], i, j, c) * r[b][c];
+                    x += LD(gc[1], i, j, c) * s[b][c];
+                    y += LD(gc[3], i, j, c) * s[b][c];
+                    z += LD(gc[4], i, j, c) * s[b][c];
+                    x += LD(gc[2], i, j, c) * t[b][c];
+                    y += LD(gc[4], i, j, c) * t[b][c];
+                    z += LD(gc[5], i, j, c) * t[b][c];
+                    ST(wr, i, j, c) = x, ST(ws, i, j, c) = y;
+                    ST(wt, i, j, c) = z;
                 }
-            }
-            for (int k = 0; k < NX; k++) {
-                const int p = AT(i, j, k);
-                wr[p] = gc[0][p] * r[k] + gc[1][p] * s[k] + gc[2][p] * t[k];
-                ws[p] = gc[1][p] * r[k] + gc[3][p] * s[k] + gc[4][p] * t[k];
-                wt[p] = gc[2][p] * r[k] + gc[4][p] * s[k] + gc[5][p] * t[k];
-            }
         }
     for (int i = 0; i < NX; i++)
-        for (int j = 0; j < NX; j++) {
+        for (int j0 = 0; j0 < NX; j0 += JB) {
             /* divergence: the three transposed contractions */
-            REAL a[NX] = {0};
-            for (int l = 0; l < NX; l++) {
-                const REAL dli = D[l * NX + i], dlj = D[l * NX + j];
-                const REAL tijl = wt[AT(i, j, l)];
-                for (int k = 0; k < NX; k++)
-                    a[k] += dli * wr[AT(l, j, k)] + dlj * ws[AT(i, l, k)]
-                            + D[l * NX + k] * tijl;
-            }
-            for (int k = 0; k < NX; k++)
-                we[AT(i, j, k)] = a[k];
+            chunk a[JB][NC] = {0};
+            UNROLL for (int l = 0; l < NX; l++)
+                UNROLL for (int b = 0; b < JB; b++)
+                    UNROLL for (int c = 0; c < NC; c++) {
+                        a[b][c] += D[l * NX + i] * LD(wr, l, j0 + b, c);
+                        a[b][c] += D[l * NX + j0 + b] * LD(ws, i, l, c);
+                        a[b][c] += LD(D, 0, l, c) * wt[AT(i, j0 + b, l)];
+                    }
+            UNROLL for (int b = 0; b < JB; b++)
+                UNROLL for (int c = 0; c < NC; c++)
+                    ST(we, i, j0 + b, c) = a[b][c];
         }
 }
 

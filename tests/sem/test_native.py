@@ -125,9 +125,9 @@ def assert_close_to_einsum(ref, u, g, w):
 @pytest.mark.usefixtures("compiled")
 class TestValues:
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, native.MAX_NX))
     def test_interleaved_factors_all_degrees(self, n, dtype, c_calls):
-        ref, u, g = fields(n, dtype=dtype, seed=n)
+        ref, u, g = fields(n, num_e=2, dtype=dtype, seed=n)
         assert g.flags.c_contiguous
         assert_close_to_einsum(ref, u, g, ax_local_matmul(ref, u, g))
         assert c_calls == [(n + 1, np.dtype(dtype))]
@@ -152,6 +152,39 @@ class TestValues:
         u = u.astype(dtype)
         assert_close_to_einsum(ref, u, g, ax_local_matmul(ref, u, g))
         assert len(c_calls) == 1
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", range(1, native.MAX_NX))
+    def test_fused_pass_all_degrees(self, n, dtype):
+        """``ax_gs_native`` without and with mask and mass term, on two
+        stacked vectors over two elements sharing a face, against the
+        oracle scattered, applied and gathered in fp64."""
+        ref = ReferenceElement.from_degree(n)
+        mesh = BoxMesh.build(ref, (2, 1, 1))
+        nx, ng, rng = ref.n_points, mesh.n_global, np.random.default_rng(n)
+        _, _, g = fields(n, num_e=2, dtype=dtype, seed=n)
+        u = rng.standard_normal((2, ng)).astype(dtype)
+        mask = (rng.random(ng) < 0.8).astype(dtype)
+        mass = rng.uniform(0.5, 1.5, (2, nx, nx, nx)).astype(dtype)
+        l2g = mesh.l2g.reshape(-1).astype(np.int64)
+        ax_gs = native.ax_gs_kernel(nx, np.dtype(dtype))
+        f64 = lambda a: None if a is None else a.astype(np.float64)  # noqa: E731
+        for m, b, lam in ((None, None, 0.0), (mask, None, 0.0),
+                          (None, mass, 0.75), (mask, mass, 0.75)):
+            w = np.full_like(u, np.nan)
+            ax_gs(ref.deriv_as(dtype), u, m, l2g, g, b, lam, w)
+            um = f64(u) if m is None else f64(u) * f64(m)
+            local = um[:, l2g].reshape((2,) + mesh.l2g.shape)
+            wl = ax_local(ref, local, f64(g))
+            if b is not None:
+                wl += lam * f64(b) * local
+            exact = np.zeros((2, ng))
+            np.add.at(exact, (slice(None), l2g), wl.reshape(2, -1))
+            if m is not None:
+                exact *= f64(m)
+            scale = max(np.abs(wl).max(), 1.0)
+            bound = 2 * 16 * nx * np.finfo(dtype).eps * scale  # <= 2 terms
+            assert w.dtype == dtype and np.abs(w - exact).max() <= bound
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("batch", (1, 3, 8))
@@ -225,6 +258,27 @@ class TestExactContracts:
         for _ in range(5):
             assert np.array_equal(ax_local_matmul(ref, u, g, out=out), first)
         assert np.array_equal(u, u0) and np.array_equal(g, g0)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("nx", (4, 7, 8))
+    def test_bits_are_the_sources_not_the_optimisers(self, nx, dtype):
+        """Every sum is a chain of single-product updates, so contraction
+        has one FMA to form at each step: ``-O2`` and ``-O3`` builds of
+        the same source give the same bytes."""
+        ref, u, g = fields(nx - 1, num_e=4, dtype=dtype, seed=nx)
+        d, real = ref.deriv_as(dtype), native._C_REAL[np.dtype(dtype)]
+        size_t, ptr = ctypes.c_ssize_t, ctypes.c_void_p
+        out = []
+        for opt in ("-O2", "-O3"):
+            fn = ctypes.CDLL(native._build("ax", native._SOURCE, [
+                *native._FLAGS, opt, f"-DNX={nx}", f"-DREAL={real}"]
+            )).ax_native
+            fn.argtypes = [size_t, size_t, ptr, ptr, ptr, size_t, size_t, ptr]
+            w = np.full_like(u, np.nan)
+            fn(1, 4, d.ctypes.data, u.ctypes.data, g.ctypes.data,
+               *g.strides[:2], w.ctypes.data)
+            out.append(w.tobytes())
+        assert out[0] == out[1]
 
     def test_two_threads_at_once_equal_serial(self):
         """No globals, no heap, GIL released: two callers interleave
@@ -452,8 +506,8 @@ class TestRefusalsNeverReachC:
 
 def storage_beyond_a_call(source):
     """What a C source keeps from one call to the next: every
-    declaration at file scope (a function *definition* is none) and every
-    ``static`` local."""
+    declaration at file scope (a function *definition* is none, nor is a
+    ``typedef``) and every ``static`` local."""
     code = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
     code = re.sub(r"^[ \t]*#(?:.*\\\n)*.*$", "", code, flags=re.M)
     depth, top = 0, []
@@ -462,8 +516,9 @@ def storage_beyond_a_call(source):
         if depth == 0:
             top.append(ch)
         depth += ch == "{"
-    declared = re.findall(r"[^;}]*;", "".join(top))
-    # A type's closing "};" declares no object.
+    # A typedef declares no object, nor does a type's closing "};".
+    top = re.sub(r"\btypedef\b[^;]*;", "", "".join(top))
+    declared = re.findall(r"[^;}]*;", top)
     return [d.strip() for d in declared if d.strip() != ";"] + re.findall(
         r"\bstatic\b[^;{(]*[;=]", code)
 
@@ -482,6 +537,8 @@ class TestLoader:
             "#define X \\\n  int a;\ndouble hits;\n"
             "static void f(void) { static int n; }\nextern int e;\n"
             "struct s { int a; };\nstruct t { int b; } kept;\n"
+            "typedef double v4\n    __attribute__((vector_size(32)));\n"
+            "typedef struct { int c; } pair;\n"
         ) == ["double hits;", "extern int e;", "kept;", "static int n;"]
 
     @pytest.mark.parametrize("real", ("double", "float"))
