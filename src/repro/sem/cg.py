@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -179,18 +180,55 @@ def _row_fields(block, k: int, live: int) -> dict:
     )
 
 
-def _per_system(value, nb: int, name: str, dtype: type) -> NDArray:
-    """``value`` as a finite scalar-or-``(B,)`` array of ``dtype``."""
-    arr = np.asarray(value, dtype=dtype)
+def check_tol(value, name: str = "tol") -> NDArray[np.float64]:
+    """``value`` (a scalar or an array) as fp64, every entry finite and
+    ``>= 0``.
+
+    The one ``tol`` rule of the solvers and the serving front doors.  A
+    NaN tolerance poisons the ``res > stop`` active mask (comparisons
+    with NaN are False), freezing its system at 0 iterations as if it
+    had converged; a negative one runs it silently to its cap.
+    """
+    arr = np.asarray(value, dtype=np.float64)
+    # Entries as Python floats: a knob has one entry per system, and
+    # scalar comparisons are ~20x cheaper than ufuncs on a 0-d array.
+    # NaN fails both comparisons.
+    if not all(0.0 <= v < math.inf for v in arr.ravel().tolist()):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return arr
+
+
+def check_integral(value, name: str) -> NDArray[np.int64]:
+    """``value`` (a scalar or an array) as int64 when every entry is an
+    integral, non-bool, finite number in int64's range.
+
+    Anything else — ``2.7``, ``True``, ``1e400``, ``"5"`` — is a
+    ``ValueError``, never a truncation or an ``OverflowError``.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or not all(
+        math.isfinite(v) and v == int(v) and -(2**63) <= v < 2**63
+        for v in arr.ravel().tolist()
+    ):
+        raise ValueError(f"{name} must be an integral number, got {value!r}")
+    return arr.astype(np.int64, copy=False)
+
+
+def check_maxiter(value, name: str = "maxiter") -> NDArray[np.int64]:
+    """``value`` as int64 by :func:`check_integral`, every entry ``>= 0``:
+    the one ``maxiter`` rule of the solvers and the serving front doors."""
+    arr = check_integral(value, name)
+    if min(arr.ravel().tolist(), default=0) < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return arr
+
+
+def _per_system(arr: NDArray, nb: int, name: str) -> NDArray:
+    """``arr`` when it is a scalar or ``(B,)``."""
     if arr.ndim not in (0, 1) or (arr.ndim == 1 and arr.shape != (nb,)):
         raise ValueError(
             f"{name} must be a scalar or ({nb},), got shape {arr.shape}"
         )
-    if not np.isfinite(arr).all():
-        # A NaN tolerance poisons the res > stop active mask
-        # (comparisons with NaN are False), freezing that system at 0
-        # iterations as if it had converged — reject it loudly.
-        raise ValueError(f"{name} entries must be finite")
     return arr
 
 
@@ -237,10 +275,10 @@ def _validate(
     if not stacked:
         b = b[None]
     nb = b.shape[0]
-    tol = _per_system(tol, nb, "tol", np.float64)
-    maxiter = _per_system(maxiter, nb, "maxiter", np.int64)
-    if maxiter.min() < 0:
-        raise ValueError("maxiter entries must be >= 0")
+    tol = _per_system(check_tol(tol, "tol entries"), nb, "tol")
+    maxiter = _per_system(
+        check_maxiter(maxiter, "maxiter entries"), nb, "maxiter"
+    )
     _check_workspace(workspace, b.shape, b.dtype)
     if x0 is not None:
         x0 = np.asarray(x0, dtype=dtype)
@@ -665,7 +703,8 @@ def cg_solve_batched(
     ------
     ValueError
         On shape mismatches, non-positive preconditioner entries,
-        non-finite ``tol`` entries, negative ``maxiter`` entries, a
+        ``tol`` entries that are not finite and ``>= 0``, ``maxiter``
+        entries that are not integral, non-bool and ``>= 0``, a
         workspace of the wrong size or dtype, or a CG breakdown
         (``p_i^T A p_i <= 0`` on an active system), which indicates the
         operator is not SPD on that subspace.
@@ -872,7 +911,9 @@ def _refine(
     )
     nb = b.shape[0]
     _check_workspace(workspace32, b.shape, np.dtype(np.float32))
-    inner_tol = _per_system(inner_tol, nb, "inner_tol", np.float64)
+    inner_tol = _per_system(
+        check_tol(inner_tol, "inner_tol entries"), nb, "inner_tol"
+    )
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     apply_into, _ = _bind_operator(apply_A, not stacked, np.float64)

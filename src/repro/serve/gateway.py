@@ -64,6 +64,7 @@ import time
 
 import numpy as np
 
+from repro.sem.cg import check_integral
 from repro.serve.asyncio_front import AsyncSolveService
 from repro.serve.auth import QuotaLedger, Tenant, TenantRegistry
 from repro.serve.costmodel import CostModel
@@ -584,12 +585,15 @@ def _solve_kwargs(doc: dict) -> dict:
         raise ValueError("request is missing the rhs field 'b'")
     b = np.asarray(doc["b"], dtype=np.float64)
     kwargs = {"b": b}
-    for knob, caster in (
-        ("tol", float), ("maxiter", int), ("deadline", float),
-        ("priority", int),
-    ):
+    for knob in ("tol", "deadline"):
         if doc.get(knob) is not None:
-            kwargs[knob] = caster(doc[knob])
+            kwargs[knob] = float(doc[knob])
+    for knob in ("maxiter", "priority"):
+        value = doc.get(knob)
+        if value is not None:
+            if np.ndim(value):
+                raise ValueError(f"{knob} must be a number, got {value!r}")
+            kwargs[knob] = int(check_integral(value, knob))
     if doc.get("precision") is not None:
         kwargs["precision"] = str(doc["precision"])
     return kwargs

@@ -53,7 +53,9 @@ from repro.sem.cg import (
     MixedCGResult,
     cg_solve_batched,
     cg_solve_batched_mixed,
+    check_maxiter,
     check_precision,
+    check_tol,
 )
 from repro.serve.errors import DeadlineExceeded, ServiceClosed
 from repro.serve.scheduler import MicroBatcher
@@ -106,13 +108,9 @@ def check_request(
     if b.shape != (n,):
         raise ValueError(f"rhs must have shape ({n},), got {b.shape}")
     if tol is not None:
-        tol = float(tol)
-        if not np.isfinite(tol) or tol < 0:
-            raise ValueError(f"tol must be finite and >= 0, got {tol}")
+        tol = float(check_tol(tol))
     if maxiter is not None:
-        maxiter = int(maxiter)
-        if maxiter < 0:
-            raise ValueError(f"maxiter must be >= 0, got {maxiter}")
+        maxiter = int(check_maxiter(maxiter))
     if deadline is not None:
         deadline = float(deadline)
         if not np.isfinite(deadline) or deadline <= 0:

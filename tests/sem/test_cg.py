@@ -110,9 +110,10 @@ class TestCG:
 
     def test_maxiter_reached_reports_not_converged(self):
         a, _, b = spd_system(50, cond=1e6)
-        res = cg_solve(lambda v: a @ v, b, tol=1e-14, maxiter=2)
-        assert not res.converged
-        assert res.iterations == 2
+        for tol in (1e-14, 0.0):  # 0.0: no criterion, the cap alone stops
+            res = cg_solve(lambda v: a @ v, b, tol=tol, maxiter=2)
+            assert not res.converged
+            assert res.iterations == 2
 
     def test_residual_history_monotone_enough(self):
         # CG residuals are not strictly monotone, but the final residual
@@ -929,7 +930,14 @@ class TestPerSystemStopping:
         bad_arguments = (
             (dict(tol=float("nan")), "tol entries must be finite"),
             (dict(tol=float("inf")), "tol entries must be finite"),
+            (dict(tol=-1.0), "tol entries must be finite and >= 0"),
             (dict(maxiter=-1), "maxiter entries must be >= 0"),
+            # Truncating 2.7 to 2 or reading True as 1 would solve a
+            # request other than the one asked for; int(inf) raises
+            # OverflowError, not the ValueError every bad knob is.
+            (dict(maxiter=2.7), "maxiter entries must be an integral"),
+            (dict(maxiter=True), "maxiter entries must be an integral"),
+            (dict(maxiter=np.inf), "maxiter entries must be an integral"),
             (dict(x0=np.zeros(n + 1)), "x0 shape"),
             (dict(precond_diag=np.ones(n + 1)), "preconditioner shape"),
             (dict(precond_diag=np.zeros(n)), "non-positive"),
@@ -959,6 +967,10 @@ class TestPerSystemStopping:
                 call(name, tol=np.array([1e-8, np.nan, 1e-8, 1e-8]))
             with pytest.raises(ValueError, match=">= 0"):
                 call(name, maxiter=np.array([1, -2, 3, 4]))
+            with pytest.raises(ValueError, match=">= 0"):
+                call(name, tol=np.array([1e-8, -1.0, 1e-8, 1e-8]))
+            with pytest.raises(ValueError, match="integral"):
+                call(name, maxiter=np.array([10, 2.5, 10, 10]))
         for name in ("cg_solve_mixed", "cg_solve_batched_mixed"):
             batch = 4 if "batched" in name else 1
             with pytest.raises(ValueError, match="workspace dtype"):

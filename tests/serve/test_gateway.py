@@ -356,6 +356,16 @@ def http_request(method, path, token=None, body=b""):
     return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
 
 
+#: Integer knobs a request document may not carry: out of range,
+#: fractional, boolean, a string or a list.
+BAD_INTEGER_KNOBS = (
+    b'"maxiter": 1e400', b'"priority": 1e400', b'"maxiter": -1e400',
+    b'"maxiter": 2.5', b'"maxiter": true', b'"priority": true',
+    b'"priority": 0.5', b'"maxiter": "5"', b'"maxiter": [5]',
+    b'"maxiter": NaN',
+)
+
+
 def solve_body(b, **knobs):
     doc = {"b": np.asarray(b).tolist(), **knobs}
     return json.dumps(doc).encode()
@@ -461,6 +471,41 @@ class TestGatewayHTTP:
         assert body["error"] == "overloaded"
         assert body["retryable"] is True
         assert float(headers["retry-after"]) > 0.0
+
+    def test_bad_integer_knobs_are_400_not_a_dropped_connection(self):
+        """Every bad integer knob is a 400 before admission.  Cast with
+        ``int()``, ``1e400`` raises ``OverflowError``, which no status
+        maps (the connection would close with no reply), and ``2.5`` /
+        ``true`` would be solved as 2 / 1."""
+        backend = FakeBackend()
+
+        async def run():
+            registry = TenantRegistry()
+            tenant = registry.provision("acme")
+            gateway = Gateway(backend, registry)
+            out = []
+            async with GatewayServer(gateway) as server:
+                for knob in BAD_INTEGER_KNOBS:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port
+                    )
+                    writer.write(http_request(
+                        "POST", "/v1/solve", tenant.token,
+                        b'{"b": [0.0], ' + knob + b"}",
+                    ))
+                    await writer.drain()
+                    out.append(await asyncio.wait_for(
+                        read_http_response(reader), 10.0
+                    ))
+                    writer.close()
+                    await writer.wait_closed()
+            return out
+
+        for knob, (status, _headers, body) in zip(
+            BAD_INTEGER_KNOBS, asyncio.run(run())
+        ):
+            assert (status, body["error"]) == (400, "bad_request"), knob
+        assert backend.submits == []
 
     def test_rate_limit_and_quota_over_http(self):
         backend = FakeBackend()
@@ -766,6 +811,44 @@ class TestGatewayWebSocket:
         assert ok_reply["id"] == "good"
         assert ok_reply["status"] == 200
         assert ok_reply["iterations"] == 3
+
+    def test_bad_integer_knobs_get_a_400_reply(self):
+        """Over a session a bad integer knob is the client's error: a
+        400 on the request's own id (an unmapped ``OverflowError``
+        would be a 500 ``internal``), and the session stays up for the
+        next frame."""
+        backend = FakeBackend()
+
+        async def run():
+            registry = TenantRegistry()
+            tenant = registry.provision("acme")
+            gateway = Gateway(backend, registry)
+            async with GatewayServer(gateway) as server:
+                reader, writer, status, _h = await ws_connect(
+                    server.port, tenant.token
+                )
+                assert status == 101
+                for i, knob in enumerate(BAD_INTEGER_KNOBS):
+                    writer.write(client_frame(0x1, (
+                        f'{{"id": {i}, "b": [0.0], '.encode() + knob + b"}"
+                    )))
+                await writer.drain()
+                replies = {}
+                while len(replies) < len(BAD_INTEGER_KNOBS):
+                    _op, payload = await asyncio.wait_for(
+                        read_frame(reader), 10.0
+                    )
+                    reply = json.loads(payload)
+                    replies[reply["id"]] = reply
+                writer.close()
+                await writer.wait_closed()
+            return replies
+
+        replies = asyncio.run(run())
+        for i, knob in enumerate(BAD_INTEGER_KNOBS):
+            got = (replies[i]["status"], replies[i]["error"])
+            assert got == (400, "bad_request"), knob
+        assert backend.submits == []
 
 
 FRAME_LENGTHS = (

@@ -238,8 +238,9 @@ class TestProcShardLifecycle:
                 svc.submit(np.zeros(3))
             with pytest.raises(ValueError, match="tol"):
                 svc.submit(bank[0], tol=-1.0)
-            with pytest.raises(ValueError, match="maxiter"):
-                svc.submit(bank[0], maxiter=-2)
+            for maxiter in (-2, 2.5, True):
+                with pytest.raises(ValueError, match="maxiter"):
+                    svc.submit(bank[0], maxiter=maxiter)
             with pytest.raises(ValueError, match="keys length"):
                 svc.solve_many(bank[:3], keys=["a", "b"])
             # The fleet is still healthy after the bounces.

@@ -301,8 +301,9 @@ class TestSolveServiceSync:
         prob, bank = serving_problem
         with SolveService(prob, max_batch=4) as svc:
             good = svc.submit(bank[0])
-            with pytest.raises(ValueError, match="maxiter must be"):
-                svc.submit(bank[1], maxiter=-1)
+            for maxiter in (-1, 2.7, True, np.inf):
+                with pytest.raises(ValueError, match="maxiter must be"):
+                    svc.submit(bank[1], maxiter=maxiter)
             with pytest.raises(ValueError, match="tol must be"):
                 svc.submit(bank[1], tol=float("nan"))
             with pytest.raises(ValueError, match="tol must be"):

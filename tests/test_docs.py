@@ -54,7 +54,7 @@ def test_docs_code_blocks_execute(path):
         "must prove at least one of its examples executes"
     )
     # __file__ points at the guide so path-relative blocks (e.g. the
-    # BENCH_kernels.json schema check) resolve the repo root portably.
+    # BENCHMARK.json check) resolve the repo root portably.
     namespace: dict = {"__name__": f"docs_{path.stem}", "__file__": str(path)}
     for line, code in blocks:
         compiled = compile(code, f"{path.name}:{line}", "exec")
