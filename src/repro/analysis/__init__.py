@@ -31,6 +31,10 @@ This package turns those conventions into machine-checked rules:
   order-tracking lock wrapper that fails tests on lock-acquisition
   cycles, and a guarded-state race checker (``REPRO_RACECHECK=1``)
   that asserts lock ownership on every annotated attribute access;
+* a consumer census (:mod:`repro.analysis.census`) — ``python -m
+  repro.analysis census`` runs the examples, experiment drivers,
+  benchmarks and docs under a trace hook and lists the functions none
+  of them called;
 * the annotation vocabulary the rules consume
   (:mod:`repro.analysis.annotations`): ``# guarded-by: _lock``
   trailing comments, per-class ``_GUARDED_BY`` registries, the
@@ -49,7 +53,7 @@ from __future__ import annotations
 from repro.analysis.annotations import hot_path
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.engine import analyze_paths, analyze_source, iter_rules
+from repro.analysis.engine import analyze_paths, analyze_source
 from repro.analysis.findings import Finding
 from repro.analysis.runtime import (
     LockOrderError,
@@ -58,7 +62,6 @@ from repro.analysis.runtime import (
     TrackedLock,
     instrument,
     race_checked,
-    racecheck_active,
 )
 
 __all__ = [
@@ -74,7 +77,5 @@ __all__ = [
     "analyze_source",
     "hot_path",
     "instrument",
-    "iter_rules",
     "race_checked",
-    "racecheck_active",
 ]

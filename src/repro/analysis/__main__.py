@@ -1,6 +1,6 @@
 """CLI: ``python -m repro.analysis [--check] [paths...]``.
 
-Two modes:
+Three modes:
 
 * default (report): print **every** finding, including ones covered by
   the baseline (marked ``[baselined]``), and exit 0 — the exploration
@@ -9,6 +9,9 @@ Two modes:
   finding is *not* baselined, or if the baseline carries stale entries
   (suppressions matching nothing — dead weight that would mask a
   regression).
+* ``census``: run every consumer of the repository and list the
+  functions none of them called (:mod:`repro.analysis.census`); exits
+  non-zero if one carries no ``# census:`` reason, or a consumer fails.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.analysis import census
 from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import analyze_paths, known_rule_ids
@@ -26,6 +30,8 @@ DEFAULT_BASELINE = "analysis/baseline.toml"
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    if (sys.argv[1:] if argv is None else argv) == ["census"]:
+        return census.main(Path(__file__).resolve().parents[3])
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Project invariant linter (lock discipline, clock "

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -39,23 +38,6 @@ def name_matches(dotted: str | None, suffix: str) -> bool:
     if dotted is None:
         return False
     return dotted == suffix or dotted.endswith("." + suffix)
-
-
-def is_self_attribute(node: ast.AST, attr: str | None = None) -> bool:
-    """Is ``node`` an ``self.<attr>`` attribute access?"""
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-        and (attr is None or node.attr == attr)
-    )
-
-
-def functions_in(tree: ast.AST) -> "Iterator[ast.FunctionDef | ast.AsyncFunctionDef]":
-    """Every function definition in ``tree`` (nested ones included)."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def qualname_map(tree: ast.Module) -> dict[ast.AST, str]:
@@ -98,14 +80,3 @@ def enclosing_symbol(
             if best is None or span < best[0]:
                 best = (span, qual)
     return best[1] if best else "<module>"
-
-
-def function_args(node: "ast.FunctionDef | ast.AsyncFunctionDef") -> list[str]:
-    """All parameter names of a function, in declaration order."""
-    a = node.args
-    names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
-    if a.vararg:
-        names.append(a.vararg.arg)
-    if a.kwarg:
-        names.append(a.kwarg.arg)
-    return names

@@ -41,6 +41,7 @@ class BaselineEntry:
     symbol: str
     justification: str
 
+    # census: outside input: one per entry of a non-empty baseline file
     @property
     def key(self) -> tuple[str, str, str]:
         return (self.rule, self.path, self.symbol)

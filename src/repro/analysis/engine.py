@@ -27,13 +27,7 @@ PARSE_ERROR = "parse-error"
 _SKIP_DIRS = ("__pycache__", ".git", ".pytest_cache")
 
 
-def iter_rules() -> Iterator[tuple[str, object]]:
-    """Yield ``(rule_id, module)`` for every registered rule."""
-    for module in RULE_MODULES:
-        for rule_id in module.RULE_IDS:
-            yield rule_id, module
-
-
+# census: outside input: the --list-rules flag
 def known_rule_ids() -> tuple[str, ...]:
     """Every rule id the engine can emit (``parse-error`` included)."""
     return ALL_RULE_IDS + (PARSE_ERROR,)

@@ -44,11 +44,6 @@ _T = TypeVar("_T")
 _ACTIVE = os.environ.get("REPRO_RACECHECK", "") == "1"
 
 
-def racecheck_active() -> bool:
-    """Was ``REPRO_RACECHECK=1`` set when this module was imported?"""
-    return _ACTIVE
-
-
 class LockOrderError(RuntimeError):
     """Acquiring this lock would create a cycle in the lock-order graph."""
 
@@ -78,9 +73,6 @@ class LockOrderGraph:
             stack = []
             self._held.stack = stack
         return stack
-
-    def held_by_current_thread(self) -> tuple[str, ...]:
-        return tuple(self._stack())
 
     # -- graph ---------------------------------------------------------
     def _path(self, start: str, goal: str) -> "list[str] | None":
@@ -154,11 +146,6 @@ class LockOrderGraph:
 _DEFAULT_GRAPH = LockOrderGraph()
 
 
-def default_graph() -> LockOrderGraph:
-    """The process-wide lock-order graph."""
-    return _DEFAULT_GRAPH
-
-
 class TrackedLock:
     """A lock wrapper that knows its owner and reports acquisition order.
 
@@ -217,6 +204,7 @@ class TrackedLock:
         """Is the current thread holding this lock?"""
         return self._owner == threading.get_ident()
 
+    # census: synchronisation: the Lock protocol the race checker keeps
     def locked(self) -> bool:
         return self._count > 0
 
@@ -260,6 +248,7 @@ class _GuardedAttribute:
         self._check(instance, "write")
         instance.__dict__[self.name] = value
 
+    # census: synchronisation: the race check on deleting a guarded attribute
     def __delete__(self, instance: object) -> None:
         self._check(instance, "delete")
         del instance.__dict__[self.name]

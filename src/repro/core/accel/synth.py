@@ -6,7 +6,8 @@ utilization, and modeled power — combining:
 
 * the calibrated Table-I clock for calibrated degrees on the measured
   device (place-and-route outcomes are not derivable from first
-  principles; see DESIGN.md §3), a 300 MHz kernel cap otherwise;
+  principles; see :mod:`repro.core.calibration`), a 300 MHz kernel cap
+  otherwise;
 * the resource model ``R_base(N) + R_comp(N)`` with the structural BRAM
   estimator as a cross-check;
 * the fitted power model.

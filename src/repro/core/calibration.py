@@ -11,7 +11,7 @@ Provenance: every value is transcribed from Table I of the paper
 (arXiv:2010.13463).  Cells whose digits are ambiguous in the available
 scan (OCR damage) are marked ``approx`` and carry a reconstruction that
 is consistent with the paper's prose (the accelerator is logic-bound;
-utilization grows with N; see DESIGN.md §4-5).
+utilization grows with N).
 
 The *reference problem size* for all Table-I numbers is 4096 elements
 (the paper's Fig. 2 operating point).
@@ -105,16 +105,6 @@ STRATIX10_TABLE1: dict[int, Table1Row] = {
 def fmax_mhz(n: int) -> float:
     """Measured kernel clock of the degree-``n`` accelerator (Table I)."""
     return _row(n).fmax_mhz
-
-
-def measured_dofs_per_cycle(n: int) -> float:
-    """Measured throughput (DOF/cycle) at the reference size (Table I)."""
-    return _row(n).dofs_per_cycle
-
-
-def measured_power_w(n: int) -> float:
-    """Measured board power for the degree-``n`` accelerator (Table I)."""
-    return _row(n).power_w
 
 
 def stream_efficiency(n: int) -> float:

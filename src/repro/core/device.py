@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.util.units import BYTES_PER_DOUBLE, MEGA
+from repro.util.units import MEGA
 from repro.util.validation import check_positive
 
 
@@ -116,7 +116,7 @@ class OperatorCosts:
         """Measured-fabric costs used for the Stratix 10 / Agilex class:
         adder = 750 ALMs (+1500 regs), multiplier = 200 ALMs + 6 DSPs.
 
-        Derived in DESIGN.md §5 from the paper's device sizings: the
+        Derived from the paper's device sizings (§V-D): the
         ideal FPGA's 6.2M ALMs = 64 DOF/cycle x (102 adds x 750 +
         105 mults x 200) at N=15, and its 20k DSPs = 105 x 64 x 3 pin
         the *specialized* multiplier at 3 DSPs
@@ -215,9 +215,3 @@ class FPGADevice:
     def peak_bandwidth(self) -> float:
         """External-memory peak bandwidth in B/s."""
         return self.memory.peak_bandwidth
-
-    def bandwidth_dofs_per_cycle(self, kernel_mhz: float | None = None) -> float:
-        """The paper's ``T_B = B / (8 S f)`` in DOF/cycle at the kernel
-        clock (defaults to ``max_kernel_mhz``)."""
-        f = (kernel_mhz or self.max_kernel_mhz) * MEGA
-        return self.peak_bandwidth / (8 * BYTES_PER_DOUBLE * f)

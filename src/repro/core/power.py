@@ -62,16 +62,6 @@ class PowerModel:
             + self.mhz_w * fmax_mhz
         )
 
-    def predict_for_degree(self, n: int) -> float:
-        """Power prediction at a calibrated Table-I operating point."""
-        row = STRATIX10_TABLE1[n]
-        return self.predict(
-            row.logic_pct / 100.0,
-            row.bram_pct / 100.0,
-            row.dsp_pct / 100.0,
-            row.fmax_mhz,
-        )
-
 
 @lru_cache(maxsize=1)
 def fitted_power_model() -> PowerModel:

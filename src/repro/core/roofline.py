@@ -42,13 +42,3 @@ class Roofline:
         """Attainable FLOP/s for the ``Ax`` kernel at degree ``n``
         (uses the paper's ``I(N)``)."""
         return self.attainable(operational_intensity(n))
-
-    @property
-    def ridge_intensity(self) -> float:
-        """Intensity where the kernel turns compute-bound
-        (``P_peak / B`` FLOP/byte)."""
-        return self.peak_flops / self.peak_bandwidth
-
-    def is_memory_bound(self, n: int) -> bool:
-        """True when degree ``n``'s intensity sits left of the ridge."""
-        return operational_intensity(n) < self.ridge_intensity

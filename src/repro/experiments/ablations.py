@@ -126,14 +126,3 @@ def build_gxyz_split(n: int = 7, num_elements: int = REFERENCE_ELEMENTS) -> Expe
         "and pipeline stalls until split into six vectors (§III-B)."
     )
     return result
-
-
-def main() -> str:
-    """CLI entry: render all ablations."""
-    parts = [
-        build_journey().render(),
-        build_padding().render(),
-        build_memory_layout().render(),
-        build_gxyz_split().render(),
-    ]
-    return "\n\n".join(parts)

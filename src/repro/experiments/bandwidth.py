@@ -65,10 +65,3 @@ def build_stream() -> ExperimentResult:
         "paper blames for the 18-28% model error at small degrees."
     )
     return result
-
-
-def main() -> str:
-    """CLI entry: render both appendix artifacts."""
-    return "\n\n".join(
-        [build_bandwidth_utilization().render(), build_stream().render()]
-    )

@@ -46,7 +46,8 @@ class ExperimentResult:
     Attributes
     ----------
     exp_id:
-        DESIGN.md experiment id (e.g. ``"E-T1"``).
+        Experiment id printed in the header (``"E-T1"`` for Table I,
+        ``"E-F1"`` for Fig. 1; each driver's module docstring names its own).
     title:
         Human-readable caption.
     headers:

@@ -73,7 +73,8 @@ def build_fig1(
             result.add_row([n, c.name, round(c.y[-1], 1), round(mid, 1), round(c.y[0], 2)])
     result.notes.append(
         "FPGA curve: accelerator simulator (end-to-end, incl. launch); "
-        "host curves: calibrated latency-throughput models (DESIGN.md §3)."
+        "host curves: calibrated latency-throughput models "
+        "(repro.hardware.hostmodel)."
     )
     return result
 
@@ -95,10 +96,3 @@ def crossover_summary(result: ExperimentResult) -> list[str]:
         ]
         notes.append(f"N={n}: FPGA ({fpga:.0f} GF/s) beats {', '.join(slower) or 'nobody'}")
     return notes
-
-
-def main() -> str:
-    """CLI entry: render the Fig.-1 regeneration."""
-    result = build_fig1()
-    result.notes.extend(crossover_summary(result))
-    return result.render()

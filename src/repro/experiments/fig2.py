@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core.accel import AcceleratorConfig, SEMAccelerator, synthesize
 from repro.core.calibration import REFERENCE_ELEMENTS
+from repro.core.power import power_efficiency
 from repro.experiments.common import ExperimentResult
 from repro.hardware.catalog import CATALOG_ORDER, SYSTEM_CATALOG
 from repro.hardware.fpga import (
@@ -44,7 +45,7 @@ def _fpga_rows(result: ExperimentResult, num_elements: int) -> None:
                 "SEM-Acc (FPGA)",
                 n,
                 round(rep.gflops, 1),
-                round(rep.gflops / syn.power_w, 2),
+                round(power_efficiency(rep.gflops, syn.power_w), 2),
                 round(roof.attainable_for_degree(n) / 1e9, 1),
                 "measured(sim)",
             ]
@@ -116,8 +117,3 @@ def build_fig2(num_elements: int = REFERENCE_ELEMENTS) -> ExperimentResult:
         "at N=15 per the paper's quoted 2.69x/4.44x/4.52x."
     )
     return result
-
-
-def main() -> str:
-    """CLI entry: render the Fig.-2 regeneration."""
-    return build_fig2().render()

@@ -65,8 +65,3 @@ def build_fig3(num_elements: int = REFERENCE_ELEMENTS) -> ExperimentResult:
         "rest, as in the paper."
     )
     return result
-
-
-def main() -> str:
-    """CLI entry: render the Fig.-3 regeneration."""
-    return build_fig3().render()

@@ -55,8 +55,3 @@ def build_pcie_study(n: int = 7) -> ExperimentResult:
         "the geometry resident on the device."
     )
     return result
-
-
-def main() -> str:
-    """CLI entry: render the PCIe study."""
-    return build_pcie_study().render()

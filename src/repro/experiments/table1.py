@@ -15,6 +15,7 @@ from repro.core.calibration import (
     STRATIX10_TABLE1,
     TABLE1_DEGREES,
 )
+from repro.core.power import power_efficiency
 from repro.experiments.common import ExperimentResult
 from repro.hardware.fpga import STRATIX10_GX2800
 
@@ -43,7 +44,7 @@ def build_table1(num_elements: int = REFERENCE_ELEMENTS) -> ExperimentResult:
         syn = synthesize(cfg, STRATIX10_GX2800)
         ref = STRATIX10_TABLE1[n]
         err = model.model_error_pct(n, rep.dofs_per_cycle)
-        eff = rep.gflops / syn.power_w
+        eff = power_efficiency(rep.gflops, syn.power_w)
         result.add_row(
             [
                 n,
@@ -79,8 +80,3 @@ def build_table1(num_elements: int = REFERENCE_ELEMENTS) -> ExperimentResult:
         "repro.core.resources.base_resources_from_measurement)."
     )
     return result
-
-
-def main() -> str:
-    """CLI entry: render the regenerated Table I."""
-    return build_table1().render()

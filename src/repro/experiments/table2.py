@@ -41,8 +41,3 @@ def build_table2() -> ExperimentResult:
         "with empirically measured resource utilization."
     )
     return result
-
-
-def main() -> str:
-    """CLI entry: render the regenerated Table II."""
-    return build_table2().render()

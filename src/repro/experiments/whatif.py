@@ -94,14 +94,3 @@ def build_sizing() -> ExperimentResult:
         "~6.2M ALMs, ~20k DSPs, ~1.2 TB/s."
     )
     return result
-
-
-def main() -> str:
-    """CLI entry: render all three what-if artifacts."""
-    return "\n\n".join(
-        [
-            build_precision_whatif().render(),
-            build_dsp_specialization().render(),
-            build_sizing().render(),
-        ]
-    )

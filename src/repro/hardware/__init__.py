@@ -8,9 +8,6 @@ from repro.hardware.specs import ArchSpec, ArchType
 from repro.hardware.catalog import (
     CATALOG_ORDER,
     SYSTEM_CATALOG,
-    cpu_systems,
-    gpu_systems,
-    systems_of_type,
 )
 from repro.hardware.fpga import (
     AGILEX_027,
@@ -41,9 +38,6 @@ __all__ = [
     "ArchType",
     "CATALOG_ORDER",
     "SYSTEM_CATALOG",
-    "cpu_systems",
-    "gpu_systems",
-    "systems_of_type",
     "AGILEX_027",
     "IDEAL_FPGA",
     "PROJECTED_DEVICES",

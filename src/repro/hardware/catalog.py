@@ -51,22 +51,3 @@ SYSTEM_CATALOG: dict[str, ArchSpec] = {
         "NVIDIA A100 PCIe", ArchType.GPU, 7, 9746.0, 1555.0, 250.0, 765.0, 2020,
     ),
 }
-
-
-def systems_of_type(arch_type: ArchType) -> tuple[ArchSpec, ...]:
-    """All catalog systems of one class, in Table-II order."""
-    return tuple(
-        SYSTEM_CATALOG[name]
-        for name in CATALOG_ORDER
-        if SYSTEM_CATALOG[name].arch_type is arch_type
-    )
-
-
-def cpu_systems() -> tuple[ArchSpec, ...]:
-    """The three CPUs (Xeon 6130, i9-10920X, ThunderX2)."""
-    return systems_of_type(ArchType.CPU)
-
-
-def gpu_systems() -> tuple[ArchSpec, ...]:
-    """The five NVIDIA GPUs in Table-II order."""
-    return systems_of_type(ArchType.GPU)

@@ -1,6 +1,6 @@
 """Analytic CPU/GPU execution-time models for the comparison figures.
 
-The paper measured its nine systems; we model them (DESIGN.md §3).  For a
+The paper measured its nine systems; we model them.  For a
 problem of ``E`` elements at degree ``N`` the kernel time is
 
 ``t(E) = t_launch + flops(E) / (P_plateau(N) * ramp(E))``
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.cost import KernelCost, operational_intensity
+from repro.core.power import power_efficiency
 from repro.core.roofline import Roofline
 from repro.hardware.calibration import (
     HOST_E_HALF,
@@ -114,7 +115,7 @@ class HostExecutionModel:
             time_s=t,
             gflops=gflops,
             watts=watts,
-            gflops_per_w=gflops / watts,
+            gflops_per_w=power_efficiency(gflops, watts),
         )
 
     # ------------------------------------------------------------------

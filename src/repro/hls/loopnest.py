@@ -94,10 +94,6 @@ class Access:
     const: int = 0
     storage: Storage = Storage.BRAM
 
-    def depends_on(self, var: str) -> bool:
-        """True if the index varies with loop variable ``var``."""
-        return self.strides.get(var, 0) != 0
-
     def stride_of(self, var: str) -> int:
         """Stride with respect to ``var`` (0 when independent)."""
         return self.strides.get(var, 0)
@@ -142,6 +138,7 @@ class LoopNest:
             raise ValueError("op counts must be non-negative")
 
     # ------------------------------------------------------------------
+    # census: reference: part of ax_ops_per_dof's count (below)
     @property
     def trip_total(self) -> int:
         """Total body iterations (product of trip counts)."""
@@ -168,6 +165,7 @@ class LoopNest:
         return slots
 
     # ------------------------------------------------------------------
+    # census: reference: part of ax_ops_per_dof's count (below)
     def ops_total(self) -> tuple[int, int]:
         """Total ``(adds, mults)`` over all iterations."""
         return self.adds * self.trip_total, self.mults * self.trip_total
@@ -304,6 +302,7 @@ def ax_kernel_nests(n: int, unroll_i: int = 1) -> tuple[LoopNest, ...]:
     )
 
 
+# census: reference: tests/core/test_cost.py checks KernelCost against it
 def ax_ops_per_dof(n: int) -> tuple[int, int]:
     """Derive the paper's cost ``C(N)`` from the IR.
 

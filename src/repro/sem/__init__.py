@@ -17,12 +17,7 @@ if not hasattr(_np, "vecdot"):
     )
 
 from repro.sem.legendre import legendre, legendre_prime
-from repro.sem.quadrature import (
-    gll_points_and_weights,
-    gll_points,
-    gll_weights,
-    integrate,
-)
+from repro.sem.quadrature import gll_points_and_weights, integrate
 from repro.sem.basis import (
     barycentric_weights,
     lagrange_basis_matrix,
@@ -39,7 +34,7 @@ from repro.sem.geometry import (
     reference_gradient,
     G_COMPONENTS,
 )
-from repro.sem.operators import ax_local_listing1, ax_flops
+from repro.sem.operators import ax_local_listing1
 from repro.sem.gather_scatter import GatherScatter
 from repro.sem.kernels import (
     ax_local_matmul,
@@ -75,8 +70,6 @@ __all__ = [
     "legendre",
     "legendre_prime",
     "gll_points_and_weights",
-    "gll_points",
-    "gll_weights",
     "integrate",
     "barycentric_weights",
     "lagrange_basis_matrix",
@@ -94,7 +87,6 @@ __all__ = [
     "reference_gradient",
     "G_COMPONENTS",
     "ax_local_listing1",
-    "ax_flops",
     "ax_local_matmul",
     "get_ax_kernel",
     "register_ax_kernel",

@@ -12,6 +12,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 
+# census: reference: the weights of derivative_matrix_general
 def barycentric_weights(nodes: ArrayLike) -> NDArray[np.float64]:
     """Barycentric weights ``w_j = 1 / prod_{k != j} (x_j - x_k)``.
 

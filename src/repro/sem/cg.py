@@ -144,11 +144,6 @@ class BatchedCGResult:
     residual_history: NDArray[np.float64]
 
     @property
-    def batch(self) -> int:
-        """Number of systems in the block."""
-        return self.x.shape[0]
-
-    @property
     def all_converged(self) -> bool:
         """True if every system met its residual criterion."""
         return bool(np.all(self.converged))
@@ -432,6 +427,7 @@ def _start(b, r, tol, maxiter, tmp, res, stop, active) -> None:
         active &= maxiter > 0  # zero-cap requests never start iterating
 
 
+# census: no-compiler numpy body of cg_step (the CI leg "No C compiler")
 @hot_path
 def _numpy_step(x, r, z, p, ap, tmp, inv_m, step, dots, rr) -> None:
     """``x += step * p``, ``r -= step * Ap``, ``z = r * inv_m``,
@@ -446,6 +442,7 @@ def _numpy_step(x, r, z, p, ap, tmp, inv_m, step, dots, rr) -> None:
     _row_dots(r, r, tmp, rr)
 
 
+# census: no-compiler numpy body of cg_dir (the CI leg "No C compiler")
 @hot_path
 def _numpy_direction(p, z, step) -> None:
     """``p = step * p + z``: ``cg_dir``'s numpy body."""
@@ -453,6 +450,7 @@ def _numpy_direction(p, z, step) -> None:
     np.add(p, z, out=p)
 
 
+# census: refusal: the CG breakdown error (p.Ap <= 0)
 def _breakdown(worst: float) -> ValueError:
     return ValueError(
         f"CG breakdown: p^T A p = {worst:g} <= 0 on an active "
@@ -853,21 +851,6 @@ class BatchedMixedCGResult:
     residual_history: NDArray[np.float64]
     sweeps: NDArray[np.int64]
     inner_iterations: NDArray[np.int64]
-
-    @property
-    def batch(self) -> int:
-        """Number of systems in the block."""
-        return self.x.shape[0]
-
-    @property
-    def all_converged(self) -> bool:
-        """True if every system met its fp64 residual criterion."""
-        return bool(np.all(self.converged))
-
-    @property
-    def total_sweeps(self) -> int:
-        """Refinement sweeps the batched loop executed (slowest system)."""
-        return self.residual_history.shape[0] - 1
 
     def row(self, k: int) -> MixedCGResult:
         """System ``k`` as the :class:`MixedCGResult` of a solo solve of

@@ -58,6 +58,7 @@ def derivative_matrix(n_points: int) -> NDArray[np.float64]:
     return np.frombuffer(buf, dtype=np.float64).reshape(n_points, n_points).copy()
 
 
+# census: reference: test_derivative.py checks derivative_matrix against it
 def derivative_matrix_general(nodes: ArrayLike) -> NDArray[np.float64]:
     """Differentiation matrix for arbitrary distinct nodes (barycentric).
 

@@ -340,10 +340,6 @@ class GatherScatter:
             )
         return out
 
-    def gs(self, local: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Round-trip ``Q Q^T`` — the classic SEM direct-stiffness sum."""
-        return self.scatter(self.gather(local))
-
     # ------------------------------------------------------------------
     def multiplicity(self) -> NDArray[np.float64]:
         """Global node multiplicities (how many elements touch each node).

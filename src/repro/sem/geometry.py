@@ -283,6 +283,7 @@ def geometric_factors(mesh: BoxMesh) -> Geometry:
     return Geometry(g_soa=g_soa, jac=jac, mass=mass)
 
 
+# census: reference: test_geometry.py checks geometric_factors against it
 def affine_geometric_factors(
     ref: ReferenceElement, num_elements: int, hx: float, hy: float, hz: float
 ) -> Geometry:

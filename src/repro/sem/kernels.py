@@ -42,6 +42,7 @@ AxKernel = Callable[..., NDArray[np.float64]]
 BLOCK_DOFS: int = 16384
 
 
+# census: no-compiler numpy body of the Ax kernel (the CI leg "No C compiler")
 @hot_path
 def _ax_matmul_block(
     d: NDArray[np.float64],

@@ -161,15 +161,6 @@ class BoxMesh:
         mask[:, :, 0] = mask[:, :, -1] = True
         return mask.reshape(-1)
 
-    def multiplicity(self) -> NDArray[np.float64]:
-        """Number of elements sharing each global node (>= 1).
-
-        The inverse multiplicity is Nekbone's counterweight for averaging
-        element-local redundant values.
-        """
-        counts = np.bincount(self.l2g.reshape(-1), minlength=self.n_global)
-        return counts.astype(np.float64)
-
     def deform(self, fn: DeformFn) -> "BoxMesh":
         """Return a smoothly deformed copy of the mesh.
 

@@ -104,17 +104,3 @@ def ax_local_listing1(
                         wijke += dx[l + k * nx] * shut[ij + l * nx * nx]
                     w_flat[e, ijk] = wijke
     return w_flat.reshape(num_e, nx, nx, nx).transpose(0, 3, 2, 1)
-
-
-def ax_flops(n: int, num_elements: int) -> int:
-    """Total FLOPs of one ``Ax`` application: ``(12(N+1)+15) * E * (N+1)^3``.
-
-    Matches the paper's cost measure ``C(N)`` summed over adds and mults
-    (see :mod:`repro.core.cost` for the split).
-    """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    if num_elements < 0:
-        raise ValueError(f"element count must be >= 0, got {num_elements}")
-    nx = n + 1
-    return (12 * nx + 15) * num_elements * nx ** 3

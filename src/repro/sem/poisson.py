@@ -51,9 +51,9 @@ class PoissonProblem(SEMProblem):
     backends, ``spec`` / ``solve`` and the operator pipeline are the
     core's (see :class:`~repro.sem.problem.SEMProblem`); this class adds
     the Dirichlet mask, applied to the input before the scatter and to
-    the result after the gather, and Poisson's names for the operator
-    (:meth:`apply_A`, :meth:`apply_A32`) and its diagonal
-    (:meth:`jacobi_diagonal`, with the masked boundary rows set to one).
+    the result after the gather, and Poisson's name for the operator
+    diagonal (:meth:`jacobi_diagonal`, with the masked boundary rows set
+    to one).
     """
 
     kind: ClassVar[str] = "poisson"
@@ -70,8 +70,6 @@ class PoissonProblem(SEMProblem):
     interior: NDArray[np.bool_] = field(init=False, repr=False)
     workspace: SolverWorkspace = field(init=False, repr=False)
 
-    apply_A = SEMProblem.apply
-    apply_A32 = SEMProblem.apply32
     jacobi_diagonal = SEMProblem.diagonal
 
     def __post_init__(self, _parts: "object | None" = None) -> None:
@@ -79,16 +77,6 @@ class PoissonProblem(SEMProblem):
         self.interior = ~self.mesh.boundary_mask()
         # 0/1 float twins of the mask per dtype, cast on first use.
         self._masks: dict[type, NDArray] = {}
-
-    @property
-    def operator(self) -> Callable[..., NDArray[np.float64]]:
-        """:meth:`apply_A`, as the instance has it at access time."""
-        return self.apply_A
-
-    @property
-    def operator32(self) -> Callable[..., NDArray[np.float32]]:
-        """:meth:`apply_A32`, as the instance has it at access time."""
-        return self.apply_A32
 
     def _mask(self, dtype: type) -> NDArray:
         mask = self._masks.get(dtype)

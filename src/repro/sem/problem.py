@@ -140,22 +140,22 @@ class SEMProblem:
     @property
     def operator(self) -> Callable[..., NDArray[np.float64]]:
         """The global SPD operator callback, as the instance has it at
-        access time (:meth:`apply`, or what replaced it).
+        access time (:meth:`apply_A`, or what replaced it).
 
         The uniform solver-facing protocol; the serving layer
         (:mod:`repro.serve`) binds problems through this property.
         """
-        return self.apply
+        return self.apply_A
 
     @property
     def operator32(self) -> Callable[..., NDArray[np.float32]]:
-        """The same operator in fp32 (:meth:`apply32`).
+        """The same operator in fp32 (:meth:`apply_A32`).
 
         The mixed-precision solvers
         (:func:`~repro.sem.cg.cg_solve_mixed`) drive their fp32 inner
         iterations through this.
         """
-        return self.apply32
+        return self.apply_A32
 
     def precond_diag(self) -> NDArray[np.float64]:
         """The Jacobi diagonal, computed once and cached.
@@ -237,6 +237,10 @@ class SEMProblem:
         geometry, gather-scatter and mask twins.  Inputs and outputs are
         fp32."""
         return self._apply(u_global, out, np.float32)
+
+    #: The operator under the solvers' name (what :attr:`operator` returns).
+    apply_A = apply
+    apply_A32 = apply32
 
     def diagonal(self) -> NDArray[np.float64]:
         """The assembled operator diagonal, for Jacobi preconditioning:

@@ -78,16 +78,6 @@ def gll_points_and_weights(n_points: int) -> tuple[NDArray[np.float64], NDArray[
     return np.array(pts), np.array(wts)
 
 
-def gll_points(n_points: int) -> NDArray[np.float64]:
-    """Return only the GLL nodes (see :func:`gll_points_and_weights`)."""
-    return gll_points_and_weights(n_points)[0]
-
-
-def gll_weights(n_points: int) -> NDArray[np.float64]:
-    """Return only the GLL weights (see :func:`gll_points_and_weights`)."""
-    return gll_points_and_weights(n_points)[1]
-
-
 def integrate(values: NDArray[np.float64], weights: NDArray[np.float64]) -> float:
     """Apply a 1-D quadrature rule: ``sum_i w_i f(x_i)``."""
     v = np.asarray(values, dtype=np.float64)

@@ -74,11 +74,6 @@ class SharedArrayManifest:
     entries: tuple[tuple[str, int, tuple[int, ...], str], ...]
     creator_pid: int = -1
 
-    @property
-    def keys(self) -> tuple[str, ...]:
-        """The packed array names, in packing order."""
-        return tuple(key for key, _, _, _ in self.entries)
-
 
 def _aligned(offset: int) -> int:
     """Round ``offset`` up to the next :data:`_ALIGN` boundary."""
@@ -454,12 +449,6 @@ class SlotRing:
         with self._cond:
             self._error = None
             self._cond.notify_all()
-
-    @property
-    def in_use(self) -> int:
-        """Slots currently acquired and not yet released."""
-        with self._cond:
-            return len(self._slot_of)
 
     # -- lifecycle --------------------------------------------------------
     def close(self, unlink: bool | None = None) -> None:

@@ -191,12 +191,6 @@ class SolverWorkspace:
         )
 
     @property
-    def local_shape(self) -> tuple[int, ...]:
-        """Shape the local buffers were sized for (batch axis if ``> 1``)."""
-        shape = (self.num_elements, self.nx, self.nx, self.nx)
-        return (self.batch,) + shape if self.batch > 1 else shape
-
-    @property
     def nbytes(self) -> int:
         """Total bytes held by the workspace buffers (itemsize-aware:
         an fp32 workspace reports half the float footprint of its fp64
@@ -211,6 +205,7 @@ class SolverWorkspace:
         )
 
     # ------------------------------------------------------------------
+    # census: refusal: a workspace sized for another mesh, on the numpy body
     def require_local(self, num_elements: int, nx: int) -> None:
         """Raise unless the local buffers match ``(num_elements, nx)``."""
         if (num_elements, nx) != (self.num_elements, self.nx):

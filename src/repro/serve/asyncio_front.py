@@ -243,13 +243,6 @@ class AsyncSolveService:
         ))
         return list(await asyncio.gather(*futures))
 
-    # ------------------------------------------------------------------
-    @property
-    def stats(self):
-        """The underlying service's stats snapshot (aggregate for a
-        sharded service)."""
-        return self.service.stats
-
     async def aclose(self) -> None:
         """Drain and close the underlying service without blocking the
         loop (the close — queue drain + dispatcher join — runs on the

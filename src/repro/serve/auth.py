@@ -155,13 +155,6 @@ class TokenBucket:
                 return True, 0.0
             return False, (1.0 - self._tokens) / self.rate
 
-    @property
-    def tokens(self) -> float:
-        """Current token count (refilled to the clock's now)."""
-        with self._lock:
-            self._refill(self._clock())
-            return self._tokens
-
 
 @race_checked
 class QuotaLedger:
@@ -227,6 +220,7 @@ class QuotaLedger:
         with self._lock:
             return self._charged.get(tenant_id, 0)
 
+    # census: outside input: read by the GET /v1/stats handler
     def totals(self) -> dict[str, int]:
         """``{tenant_id: charged}`` snapshot across all tenants."""
         with self._lock:
@@ -316,8 +310,3 @@ class TenantRegistry:
         """The tenant's rate bucket (``None`` when unmetered)."""
         with self._lock:
             return self._buckets.get(tenant.tenant_id)
-
-    def tenants(self) -> tuple[Tenant, ...]:
-        """Every registered tenant."""
-        with self._lock:
-            return tuple(self._by_token.values())

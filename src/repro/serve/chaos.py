@@ -234,8 +234,3 @@ class FaultInjector:
     def kills_fired(self) -> int:
         with self._lock:
             return len(self._killed)
-
-    def dispatched(self, slot: int) -> int:
-        """How many blocks the parent has dispatched to this slot."""
-        with self._lock:
-            return self._dispatched.get(slot, 0)

@@ -171,12 +171,6 @@ class CostModel:
             cell.observe(iterations, self.alpha)
             self._global.observe(iterations, self.alpha)
 
-    @property
-    def observations(self) -> int:
-        """Total solves observed (all keys)."""
-        with self._lock:
-            return self._global.count
-
     def snapshot(self) -> dict[tuple, tuple[int, float]]:
         """``{(tenant, tol, precision): (count, mean_iterations)}`` for
         every exact key observed so far."""
@@ -290,12 +284,6 @@ class CostAwareRouter(Router):
         self.observe = observe
         self._lock = threading.Lock()
         self._outstanding = [0.0] * replicas
-
-    @property
-    def outstanding(self) -> tuple[float, ...]:
-        """Predicted iterations currently in flight per replica."""
-        with self._lock:
-            return tuple(self._outstanding)
 
     def pick(self, key: object | None, depths: Sequence[int]) -> int:
         """Least predicted outstanding work; ties break on queue depth,

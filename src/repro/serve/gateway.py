@@ -60,7 +60,6 @@ import base64
 import hashlib
 import json
 import threading
-import time
 
 import numpy as np
 
@@ -122,9 +121,6 @@ class Gateway:
     default_deadline:
         Deadline (seconds) applied to requests that don't carry one;
         ``None`` leaves them unbounded.
-    clock:
-        Monotonic-seconds callable used for latency stamps; inject a
-        fake for deterministic tests.
 
     Thread safety / loop affinity
     -----------------------------
@@ -140,7 +136,6 @@ class Gateway:
         admission: AdmissionPolicy | None = AdmissionPolicy(),
         cost_model: CostModel | None = None,
         default_deadline: float | None = None,
-        clock=time.monotonic,
     ) -> None:
         if isinstance(service, AsyncSolveService):
             self.async_service = service
@@ -153,7 +148,6 @@ class Gateway:
             cost_model if cost_model is not None else CostModel()
         )
         self.default_deadline = default_deadline
-        self.clock = clock
         self.ledger = QuotaLedger()
         #: Per-tenant iteration history (the
         #: ``StatsSnapshot.tenant_iterations`` source for this fleet).
@@ -173,7 +167,6 @@ class Gateway:
         )
         self._lock = threading.Lock()
         self._counters = {name: 0 for name in _COUNTERS}  # guarded-by: _lock
-        self._latencies: list[float] = []  # guarded-by: _lock
 
     # ------------------------------------------------------------------
     # Fleet introspection
@@ -210,12 +203,7 @@ class Gateway:
         with self._lock:
             return dict(self._counters)
 
-    def latencies(self) -> tuple[float, ...]:
-        """Gateway-observed latency (clock units) of every completed
-        request, in completion order — the soak harness's p99 source."""
-        with self._lock:
-            return tuple(self._latencies)
-
+    # census: outside input: the GET /v1/stats handler
     def stats_payload(self) -> dict:
         """The ``/v1/stats`` document: gateway counters, quota totals,
         per-tenant iteration history, and the backend fleet summary."""
@@ -373,7 +361,6 @@ class Gateway:
         tenant, effective = self.admit(token, priority)
         if deadline is None:
             deadline = self.default_deadline
-        start = self.clock()
         try:
             future = await self.async_service.submit(
                 b, tol=tol, maxiter=maxiter,
@@ -417,9 +404,6 @@ class Gateway:
             self._count("failed")
             raise
         self._count("completed")
-        elapsed = self.clock() - start
-        with self._lock:
-            self._latencies.append(elapsed)
         iterations = getattr(result, "iterations", None)
         if iterations is not None:
             self.tenant_stats.record_tenant(
@@ -885,6 +869,7 @@ class _WSClose(Exception):
     """A frame the server answers by closing the session with
     ``status`` (RFC 6455 section 7.4.1)."""
 
+    # census: refusal: the close frame answering a malformed WebSocket frame
     def __init__(self, status: int, reason: str) -> None:
         super().__init__(reason)
         self.payload = status.to_bytes(2, "big") + reason.encode()

@@ -229,6 +229,7 @@ class AdmissionPolicy:
             return True
         return (total_depth / healthy) >= self.shed_threshold(priority)
 
+    # census: refusal: the Retry-After hint of a shed request
     def retry_after(
         self, total_depth: int, healthy: int, priority: int = 0
     ) -> float:
@@ -272,10 +273,6 @@ class FleetHealth:
         self._states = [HealthState.HEALTHY] * slots
         self._restart_attempts = [0] * slots
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._states)
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -309,12 +306,6 @@ class FleetHealth:
         with self._lock:
             return any(s is HealthState.DEGRADED for s in self._states)
 
-    def restart_attempts(self, slot: int) -> int:
-        """Restarts attempted for this slot so far (circuit-breaker
-        progress)."""
-        with self._lock:
-            return self._restart_attempts[slot]
-
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------
@@ -335,6 +326,7 @@ class FleetHealth:
             if self._states[slot] is not HealthState.EJECTED:
                 self._states[slot] = HealthState.DEGRADED
 
+    # census: failure path: the circuit breaker ejects a slot past max_restarts
     def eject(self, slot: int) -> None:
         """Permanently remove a slot from rotation (circuit breaker, or
         an operator draining a replica for maintenance)."""

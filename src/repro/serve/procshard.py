@@ -190,8 +190,8 @@ class ProcessShardedSolveService:
     queue_watermark:
         Optional rebalancing threshold: when routing picks a worker
         whose depth has reached it, the request diverts to the
-        least-loaded healthy worker instead of piling on (counted in
-        :attr:`rebalanced`).  ``None`` disables diversion — the
+        least-loaded healthy worker instead of piling on.  ``None``
+        disables diversion — the
         router's pick is final.  Depths count *in-flight* requests per
         worker (submitted, not yet resolved) — the parent cannot
         cheaply observe a worker's internal queue, and in-flight is the
@@ -339,7 +339,6 @@ class ProcessShardedSolveService:
         }
         self._lock = threading.Lock()
         self._routed = [0] * workers  # guarded-by: _lock
-        self._rebalanced = 0  # guarded-by: _lock
         self._health_diverted = 0  # guarded-by: _lock
         self._shed = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
@@ -475,6 +474,7 @@ class ProcessShardedSolveService:
         elif tag == "expire":
             self._handle_expire(action[1], action[2], action[3])
 
+    # census: failure path: settles what the stopped supervisor left
     def _final_action(self, action: tuple) -> None:
         """Terminal settlement for an action after the supervisor exits:
         retries get one last immediate dispatch attempt (the workers
@@ -621,6 +621,7 @@ class ProcessShardedSolveService:
             with self._lock:
                 self._retried += 1
 
+    # census: failure path: a request's deadline lapses in flight
     def _handle_expire(
         self, replica: Replica, token: int, inflight: _Inflight
     ) -> None:
@@ -701,11 +702,11 @@ class ProcessShardedSolveService:
         to the live depths so the decision sees what per-request
         submission would have accumulated.  ``shed=False`` skips the
         gate for the later requests of a block admitted whole on its
-        first.  Returns ``(worker, rebalanced, health_diverted)`` for
-        the caller to book with :meth:`_count` once its hand-over
-        decides they count.  Raises
-        :class:`~repro.serve.errors.Overloaded` (counted in
-        :attr:`shed`) when every healthy worker's depth has reached
+        first.  Returns ``(worker, rebalanced, health_diverted)``; the
+        caller books a health diversion with :meth:`_count` once its
+        hand-over decides it counts.  Raises
+        :class:`~repro.serve.errors.Overloaded` (counted in the stats'
+        ``shed``) when every healthy worker's depth has reached
         ``shed_watermark``, :class:`~repro.serve.errors.FleetUnavailable`
         when no worker is in rotation.
         """
@@ -744,14 +745,12 @@ class ProcessShardedSolveService:
         self,
         target: int,
         routed: int = 1,
-        rebalanced: bool = False,
         health_diverted: bool = False,
     ) -> None:
         """Book ``routed`` requests handed to ``target`` and the
-        diversions that steered them there."""
+        health diversion that steered them there."""
         with self._lock:
             self._routed[target] += routed
-            self._rebalanced += rebalanced
             self._health_diverted += health_diverted
 
     def _hand_over(
@@ -869,7 +868,7 @@ class ProcessShardedSolveService:
             b, tol, maxiter, deadline, precision
         )
         self._check_open()
-        chosen, rebalanced, diverted = self._admit(key)
+        chosen, _, diverted = self._admit(key)
         deadline_at = (
             None if deadline is None else time.monotonic() + deadline
         )
@@ -886,8 +885,8 @@ class ProcessShardedSolveService:
             # The worker died between the health sample and the
             # registration.
             self._orphaned(inflight, exc)
-        if rebalanced or diverted:
-            self._count(chosen, 0, rebalanced, diverted)
+        if diverted:
+            self._count(chosen, 0, diverted)
         return inflight.ticket
 
     def try_submit(self, b, **knobs) -> SolveTicket | None:
@@ -938,11 +937,9 @@ class ProcessShardedSolveService:
         order: list[tuple[int, int]] = []
         for i, item in enumerate(validated):
             key = None if keys is None else keys[i]
-            chosen, rebalanced, diverted = self._admit(
-                key, planned, shed=i == 0
-            )
-            if rebalanced or diverted:
-                self._count(chosen, 0, rebalanced, diverted)
+            chosen, _, diverted = self._admit(key, planned, shed=i == 0)
+            if diverted:
+                self._count(chosen, 0, diverted)
             planned[chosen] += 1
             slot = groups.setdefault(chosen, [])
             order.append((chosen, len(slot)))
@@ -971,17 +968,6 @@ class ProcessShardedSolveService:
                     self._orphaned(inflight, exc)
         tickets = [dispatched[chosen][pos].ticket for chosen, pos in order]
         return [t.result() for t in tickets]
-
-    def flush(self) -> None:
-        """Ask every live worker to drain its pending queue now.
-
-        Returns once every live worker has *solved* its pending
-        requests; the results themselves may still be in flight on the
-        pipes for a moment (wait on the tickets for delivery).  Workers
-        that die mid-flush are skipped — their in-flight tickets fail
-        (or retry) through the crash path, not through this call.
-        """
-        self._ask_live("flush")
 
     def close(self) -> None:
         """Drain every worker, join the processes, unlink shared memory.
@@ -1036,24 +1022,11 @@ class ProcessShardedSolveService:
             return tuple(self._routed)
 
     @property
-    def rebalanced(self) -> int:
-        """Requests diverted off their routed worker by the watermark."""
-        with self._lock:
-            return self._rebalanced
-
-    @property
     def health_diverted(self) -> int:
         """Requests steered off an out-of-rotation worker by health
-        gating (distinct from watermark :attr:`rebalanced`)."""
+        gating (distinct from the watermark diversion)."""
         with self._lock:
             return self._health_diverted
-
-    @property
-    def shed(self) -> int:
-        """Requests refused at admission with
-        :class:`~repro.serve.errors.Overloaded`."""
-        with self._lock:
-            return self._shed
 
     @property
     def spec(self):

@@ -47,6 +47,7 @@ from repro.serve.stats import perf_epoch_offset
 _CTX = multiprocessing.get_context("spawn")
 
 
+# census: failure path: an unpicklable worker-side exception
 def _sendable_error(exc: BaseException) -> BaseException:
     """``exc`` if it survives pickling, else a faithful ``RuntimeError``.
 
@@ -130,14 +131,14 @@ def _worker_main(
     wire carries a relative quantity) or ``None``; ``precision`` the
     request's solve policy (``"fp64"`` / ``"mixed"`` / ``None`` = the
     worker service's default); ``("stats", token)``, ``("info",
-    token)``, ``("flush", token)``, ``("close",)``.  Worker -> parent:
+    token)``, ``("close",)``.  Worker -> parent:
     ``("ready", pid)`` / ``("fatal", exc)`` once at startup, then
     ``("done_block", [(req_id, ok, result | exc), ...])`` blocks of
     results (a successful ``result`` is the CGResult/MixedCGResult
     metadata with ``x=None`` — the solution bytes ride the ring, not
     the pipe), ``("stats", token, snapshot,
-    clock_offset)``, ``("info", token, dict)``, ``("flushed", token)``,
-    and ``("bye",)`` after a graceful drain.
+    clock_offset)``, ``("info", token, dict)``, and ``("bye",)`` after
+    a graceful drain.
 
     ``slow_schedule`` maps 1-based ``solve_block`` ordinals to seconds
     slept before ingesting that block — the deterministic slow-solve
@@ -317,9 +318,6 @@ def _worker_main(
                 send(("stats", msg[1], svc.stats, perf_epoch_offset()))
             elif tag == "info":
                 send(("info", msg[1], _worker_info(problem, spec, ring, pinned)))
-            elif tag == "flush":
-                svc.flush()
-                send(("flushed", msg[1]))
             elif tag == "close":
                 # Drain: close() resolves every pending ticket (their
                 # callbacks enqueue the remaining results), then the
@@ -619,7 +617,7 @@ class Replica:
                             inflight = self.pending.pop(req_id, None)
                         if inflight is not None:
                             self._settle(inflight, ok, payload)
-                elif tag in ("stats", "info", "flushed"):
+                elif tag in ("stats", "info"):
                     with self.state_lock:
                         reply = self.replies.pop(msg[1], None)
                     if reply is not None:
@@ -799,6 +797,7 @@ class Replica:
             process.terminate()
         return tokens
 
+    # census: failure path: the deadline watchdog takes a lapsed registration
     def claim(self, token: int, inflight: "_Inflight") -> bool:
         """Take ``inflight``'s registration for the deadline watchdog;
         ``False`` if a reply, a crash sweep or a later registration got

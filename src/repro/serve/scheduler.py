@@ -294,14 +294,14 @@ class MicroBatcher(Generic[T]):
 class Router:
     """Base class of the shard routing policies.
 
-    A router maps one request onto one of ``replicas`` queues.  The
-    sharded service calls :meth:`pick` on every submit, passing the
-    request's routing key (may be ``None``) and the live per-replica
-    queue depths.
+    A router maps one request onto one of ``replicas`` queues: each
+    subclass defines ``pick(key, depths) -> int``, which the sharded
+    service calls on every submit with the request's routing key (may
+    be ``None``) and the live per-replica queue depths.
 
     Thread safety
     -------------
-    :meth:`pick` may be called from any number of client threads
+    ``pick`` may be called from any number of client threads
     concurrently; subclasses guard their mutable state (the round-robin
     cursor) with a lock.  The ``depths`` argument is a point-in-time
     sample — a router must tolerate it being slightly stale.
@@ -309,7 +309,7 @@ class Router:
     Attributes
     ----------
     uses_depths:
-        Whether :meth:`pick` reads ``depths``.  Policies that don't
+        Whether ``pick`` reads ``depths``.  Policies that don't
         (round-robin, keyed tenant picks) advertise ``False`` so the
         sharded service can skip sampling every replica queue — K lock
         acquisitions — on the hot submit path.  Defaults to ``True``
@@ -324,25 +324,6 @@ class Router:
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.replicas = replicas
-
-    def pick(self, key: object | None, depths: Sequence[int]) -> int:
-        """Choose the replica index for one request.
-
-        Parameters
-        ----------
-        key:
-            The request's routing key (tenant id); ``None`` when the
-            caller didn't supply one.
-        depths:
-            Live queue depth of each replica, ``len(depths) ==
-            replicas``.
-
-        Returns
-        -------
-        int
-            Replica index in ``[0, replicas)``.
-        """
-        raise NotImplementedError
 
 
 @race_checked
@@ -381,6 +362,7 @@ class LeastLoadedRouter(Router):
     spraying single-request batches across all replicas).
     """
 
+    # census: failure path: diverts a request off an overloaded queue
     def pick(self, key: object | None, depths: Sequence[int]) -> int:
         """Return the index of the minimum entry of ``depths``."""
         return min(range(self.replicas), key=depths.__getitem__)
@@ -622,7 +604,7 @@ def pick_with_diversion(
     -------
     (int, bool, bool)
         The final target index; whether the watermark diverted the
-        request off the pick (the caller's ``rebalanced`` accounting);
+        request off the pick;
         and whether health gating moved it off an unhealthy target
         (the caller's health-diversion accounting).
 

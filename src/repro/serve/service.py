@@ -196,6 +196,7 @@ class SolveTicket:
         """
         self._future.add_done_callback(lambda _f: fn(self))
 
+    # census: failure path: the gateway disowns a request past its deadline
     def cancel(self) -> bool:
         """Disown the request: drop its result when (and if) it arrives.
 
@@ -224,6 +225,7 @@ class SolveTicket:
             except InvalidStateError:
                 pass
 
+    # census: failure path: resolves a ticket with its error
     def _fail(self, error: BaseException) -> None:
         if not self._future.cancelled():
             try:

@@ -340,6 +340,7 @@ class ServiceStats:
             self._queue_depth = queue_depth
             self._max_queue_depth = max(self._max_queue_depth, queue_depth)
 
+    # census: failure path: rolls back a submission whose enqueue failed
     def record_rejected(self) -> None:
         """Roll back one :meth:`record_submit` whose enqueue failed
         (e.g. the queue was closed while the producer blocked).
@@ -354,6 +355,7 @@ class ServiceStats:
             if self._submitted == 0 and self._batches == 0:
                 self._first_submit = None
 
+    # census: failure path: requests whose deadline tripped before a solve
     def record_expired(self, count: int = 1) -> None:
         """``count`` requests' deadlines tripped before a solve started.
 
@@ -387,6 +389,7 @@ class ServiceStats:
                 count + 1, total + float(iterations)
             )
 
+    # census: fault detection: the zero-copy audit counter
     def record_copy_bytes(self, nbytes: int) -> None:
         """``nbytes`` of request payload crossed a copying transport hop
         (see :attr:`StatsSnapshot.copy_bytes`).  Zero-copy paths simply

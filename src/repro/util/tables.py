@@ -52,11 +52,6 @@ class TextTable:
             return format(cell, self.floatfmt)
         return str(cell)
 
-    @property
-    def nrows(self) -> int:
-        """Number of data rows added so far."""
-        return len(self._rows)
-
     def render(self) -> str:
         """Return the formatted table as a single string."""
         widths = [len(h) for h in self.headers]
@@ -72,6 +67,3 @@ class TextTable:
         for row in self._rows:
             lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
         return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()

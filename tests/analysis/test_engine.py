@@ -5,13 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.engine import (
-    analyze_paths,
-    analyze_source,
-    iter_rules,
-    known_rule_ids,
-)
+from repro.analysis.engine import analyze_paths, analyze_source, known_rule_ids
 from repro.analysis.findings import SourceFile
+from repro.analysis.rules import ALL_RULE_IDS
 
 BAD_CLASS = """
 import threading
@@ -99,7 +95,7 @@ class TestAnalyzePaths:
 
 class TestRuleRegistry:
     def test_every_rule_id_unique_and_known(self):
-        ids = [rule_id for rule_id, _ in iter_rules()]
+        ids = list(ALL_RULE_IDS)
         assert len(ids) == len(set(ids))
         assert set(ids) < set(known_rule_ids())
         assert "parse-error" in known_rule_ids()

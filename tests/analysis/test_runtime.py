@@ -5,6 +5,7 @@ broken code."""
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
@@ -16,7 +17,6 @@ from repro.analysis.runtime import (
     TrackedLock,
     instrument,
     race_checked,
-    racecheck_active,
 )
 
 
@@ -204,7 +204,7 @@ class TestRaceChecker:
     def test_race_checked_is_identity_when_disarmed(self):
         # The suite does not set REPRO_RACECHECK for this module, so
         # the production decorator must be a no-op here.
-        if racecheck_active():
+        if os.environ.get("REPRO_RACECHECK") == "1":
             pytest.skip("REPRO_RACECHECK=1 set for this run")
         cls = race_checked(Counter)
         assert cls is Counter

@@ -13,8 +13,6 @@ from repro.core.calibration import (
     TABLE1_DEGREES,
     bandwidth_ramp,
     fmax_mhz,
-    measured_dofs_per_cycle,
-    measured_power_w,
     stream_efficiency,
 )
 from repro.core.cost import flops_per_dof
@@ -66,8 +64,6 @@ class TestTable1Internal:
 class TestAccessors:
     def test_basic_lookups(self):
         assert fmax_mhz(7) == 274.0
-        assert measured_dofs_per_cycle(11) == 3.96
-        assert measured_power_w(15) == 99.65
 
     def test_unknown_degree_raises(self):
         with pytest.raises(KeyError, match="no Table-I calibration"):
@@ -82,7 +78,7 @@ class TestAccessors:
         n = 7
         eff = stream_efficiency(n)
         back = eff * STRATIX10_PEAK_BANDWIDTH / (64.0 * fmax_mhz(n) * 1e6)
-        assert back == pytest.approx(measured_dofs_per_cycle(n))
+        assert back == pytest.approx(STRATIX10_TABLE1[n].dofs_per_cycle)
 
 
 class TestRamp:

@@ -75,9 +75,13 @@ class TestFPGADevice:
 
     def test_bandwidth_dofs_per_cycle(self):
         # 76.8 GB/s / (64 B x 300 MHz) = 4 - the paper's T_B for this FPGA.
+        from repro.core.throughput import bandwidth_throughput
+
         dev = self.make()
-        assert dev.bandwidth_dofs_per_cycle() == pytest.approx(4.0)
-        assert dev.bandwidth_dofs_per_cycle(150.0) == pytest.approx(8.0)
+        t_b = bandwidth_throughput(dev.peak_bandwidth, 300e6)
+        assert t_b == pytest.approx(4.0)
+        t_b_half_clock = bandwidth_throughput(dev.peak_bandwidth, 150e6)
+        assert t_b_half_clock == pytest.approx(8.0)
 
     def test_usable_fraction(self):
         fab = FPGAFabric(

@@ -61,7 +61,7 @@ class TestMeasuredMode:
 
 
 class TestProjections:
-    """The §V-D headline numbers, asserted exactly as DESIGN.md §5 lists."""
+    """The §V-D headline numbers, asserted exactly as the paper states."""
 
     def test_agilex(self):
         pm = PerformanceModel(AGILEX_027, mode=ConstraintMode.PROJECTION)

@@ -8,13 +8,19 @@ from repro.core.calibration import STRATIX10_TABLE1, TABLE1_DEGREES
 from repro.core.power import PowerModel, fitted_power_model, power_efficiency
 
 
+def predict_at_table1_row(model, n):
+    row = STRATIX10_TABLE1[n]
+    return model.predict(row.logic_pct / 100.0, row.bram_pct / 100.0,
+                         row.dsp_pct / 100.0, row.fmax_mhz)
+
+
 class TestFit:
     def test_reproduces_calibration_points(self):
         # The 5-parameter fit must hit the 8 measured powers within a few
         # watts (the granularity the efficiency comparison needs).
         model = fitted_power_model()
         for n in TABLE1_DEGREES:
-            predicted = model.predict_for_degree(n)
+            predicted = predict_at_table1_row(model, n)
             measured = STRATIX10_TABLE1[n].power_w
             assert abs(predicted - measured) < 6.0, (n, predicted, measured)
 
@@ -22,7 +28,7 @@ class TestFit:
         # All Table-I powers are 77-100 W; predictions must stay nearby.
         model = fitted_power_model()
         for n in TABLE1_DEGREES:
-            assert 70.0 < model.predict_for_degree(n) < 110.0
+            assert 70.0 < predict_at_table1_row(model, n) < 110.0
 
     def test_cached_singleton(self):
         assert fitted_power_model() is fitted_power_model()

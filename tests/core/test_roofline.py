@@ -18,14 +18,16 @@ class TestRoofline:
 
     def test_ridge(self):
         r = Roofline(peak_flops=1e12, peak_bandwidth=100e9)
-        assert r.ridge_intensity == pytest.approx(10.0)
-        assert r.attainable(r.ridge_intensity) == pytest.approx(1e12)
+        # The ridge sits at peak / bandwidth = 10 FLOP/B: the roof is
+        # reached there and not before.
+        assert r.attainable(10.0) == pytest.approx(1e12)
+        assert r.attainable(9.0) < 1e12
 
     def test_stratix_ax_roofline(self):
         # 76.8 GB/s x I(7) = 133.2 GFLOP/s - Fig. 3's roofline at N=7.
         r = Roofline(peak_flops=500e9, peak_bandwidth=76.8e9)
         assert r.attainable_for_degree(7) == pytest.approx(133.2e9, rel=1e-3)
-        assert r.is_memory_bound(7)
+        assert r.attainable_for_degree(7) < r.peak_flops  # memory-bound
 
     def test_ax_kernel_memory_bound_on_all_table2_systems(self):
         # The paper's premise: this kernel is memory-bound on every
@@ -34,13 +36,15 @@ class TestRoofline:
         # crosses its ridge just below N=15.
         from repro.hardware.catalog import SYSTEM_CATALOG
 
-        for name, spec in SYSTEM_CATALOG.items():
+        def memory_bound(spec, n):
             r = Roofline(spec.peak_flops, spec.peak_bandwidth)
+            return r.attainable_for_degree(n) < r.peak_flops
+
+        for name, spec in SYSTEM_CATALOG.items():
             expected = name != "NVIDIA RTX 2060 Super"
-            assert r.is_memory_bound(7) == expected, name
-            assert r.is_memory_bound(11) == expected, name
-        tx2 = SYSTEM_CATALOG["Marvell ThunderX2"]
-        assert not Roofline(tx2.peak_flops, tx2.peak_bandwidth).is_memory_bound(15)
+            assert memory_bound(spec, 7) == expected, name
+            assert memory_bound(spec, 11) == expected, name
+        assert not memory_bound(SYSTEM_CATALOG["Marvell ThunderX2"], 15)
 
     def test_monotone_in_intensity(self):
         r = Roofline(1e12, 100e9)

@@ -163,6 +163,20 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Table II" in out
 
+    def test_all(self, capsys):
+        from repro.experiments.__main__ import main
+
+        assert main(["all"]) == 0
+        out = capsys.readouterr().out
+        assert "== E-T1:" in out and "== E-F3:" in out
+
+    def test_export(self, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        assert main(["export", str(tmp_path)]) == 0
+        assert f"to {tmp_path}/" in capsys.readouterr().out
+        assert sorted(tmp_path.glob("E-T1*.csv"))
+
     def test_bad_args(self, capsys):
         from repro.experiments.__main__ import main
 

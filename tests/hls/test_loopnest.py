@@ -36,7 +36,6 @@ class TestLoop:
 class TestAccess:
     def test_strides(self):
         a = Access("u", AccessKind.LOAD, {"i": 1, "k": 64})
-        assert a.depends_on("i") and not a.depends_on("j")
         assert a.stride_of("k") == 64 and a.stride_of("j") == 0
 
     def test_default_storage_is_bram(self):

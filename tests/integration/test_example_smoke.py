@@ -1,8 +1,8 @@
 """Smoke tests that run the (fast) example scripts end to end.
 
 Examples are user-facing documentation; they must execute against the
-current API.  Slow examples (convergence sweeps) are exercised via their
-underlying functions elsewhere; here we run the quick ones whole.
+current API.  The paper-side examples below each run whole in about a
+second; the serving examples are CI smoke steps of their own.
 """
 
 from __future__ import annotations
@@ -57,3 +57,18 @@ class TestFastExamples:
         out = capsys.readouterr().out
         assert "solution agreement" in out
         assert "0.00e+00" in out  # identical iterates
+
+    def test_poisson_convergence(self, capsys):
+        run_example("poisson_convergence.py")
+        out = capsys.readouterr().out
+        assert "spectral convergence" in out
+
+    def test_helmholtz_bk5(self, capsys):
+        run_example("helmholtz_bk5.py")
+        out = capsys.readouterr().out
+        assert "identical numerics" in out
+
+    def test_nekbone_proxy(self, capsys):
+        run_example("nekbone_proxy.py")
+        out = capsys.readouterr().out
+        assert "FPGA-backed case (27 elements): 25 iterations" in out

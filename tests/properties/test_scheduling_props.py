@@ -205,7 +205,7 @@ def test_quota_sums_exactly_to_admitted_work(data, quotas, events):
     depth = data.draw(st.integers(min_value=0, max_value=24))
     policy = AdmissionPolicy(soft_limit=8, hard_limit=16)
     gateway = Gateway(
-        FakeBackend([depth]), registry, admission=policy, clock=clock,
+        FakeBackend([depth]), registry, admission=policy,
     )
     admitted = {t.tenant_id: 0 for t in tenants}
     for _ in range(events):

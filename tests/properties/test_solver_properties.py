@@ -68,7 +68,7 @@ def test_mesh_invariants(ex, ey, ez, degree):
     ids = np.unique(mesh.l2g)
     assert ids[0] == 0 and ids[-1] == mesh.n_global - 1
     assert len(ids) == mesh.n_global
-    mult = mesh.multiplicity()
+    mult = np.bincount(mesh.l2g.ravel(), minlength=mesh.n_global)
     assert mult.min() >= 1 and mult.max() <= 8  # at most 8 elements share a vertex
     boundary = mesh.boundary_mask()
     interior = (ngx - 2) * (ngy - 2) * (ngz - 2)

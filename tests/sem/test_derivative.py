@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from repro.sem.derivative import derivative_matrix, derivative_matrix_general
-from repro.sem.quadrature import gll_points, gll_points_and_weights
+from repro.sem.quadrature import gll_points_and_weights
 
 
 class TestDerivativeMatrix:
     @pytest.mark.parametrize("npts", range(2, 14))
     def test_exact_on_polynomials(self, npts):
         d = derivative_matrix(npts)
-        x = gll_points(npts)
+        x = gll_points_and_weights(npts)[0]
         for deg in range(npts):
             p = x ** deg
             dp = deg * x ** (deg - 1) if deg > 0 else np.zeros_like(x)
@@ -67,7 +67,7 @@ class TestGeneralDerivativeMatrix:
     @pytest.mark.parametrize("npts", (3, 7, 12))
     def test_agrees_with_gll_formula(self, npts):
         d1 = derivative_matrix(npts)
-        d2 = derivative_matrix_general(gll_points(npts))
+        d2 = derivative_matrix_general(gll_points_and_weights(npts)[0])
         assert np.allclose(d1, d2, atol=1e-9)
 
     def test_works_on_uniform_nodes(self):

@@ -10,7 +10,8 @@ from repro.sem.element import ReferenceElement
 from repro.sem.geometry import geometric_factors
 from repro.sem.mesh import BoxMesh
 from oracles import ax_element_matrix, ax_local, ax_local_dense, helmholtz_local
-from repro.sem.operators import ax_flops, ax_local_listing1
+from repro.core.cost import KernelCost
+from repro.sem.operators import ax_local_listing1
 
 
 @pytest.fixture(scope="module")
@@ -146,16 +147,18 @@ class TestHelmholtz:
 
 
 class TestCostAccounting:
+    """The ``Ax`` FLOP count has one description, :class:`KernelCost`."""
+
     @pytest.mark.parametrize("n", (1, 7, 15))
     def test_ax_flops_formula(self, n):
         nx = n + 1
-        assert ax_flops(n, 10) == (12 * nx + 15) * 10 * nx ** 3
+        assert KernelCost(n).flops(10) == (12 * nx + 15) * 10 * nx ** 3
 
     def test_invalid_args(self):
         with pytest.raises(ValueError, match=">= 1"):
-            ax_flops(0, 5)
+            KernelCost(0)
         with pytest.raises(ValueError, match=">= 0"):
-            ax_flops(3, -1)
+            KernelCost(3).flops(-1)
 
 
 class TestValidation:

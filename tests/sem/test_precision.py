@@ -237,7 +237,7 @@ class TestBatchedMixed:
             workspace32=prob.batch_workspace(3, dtype=np.float32),
         )
         assert isinstance(res, BatchedMixedCGResult)
-        assert res.all_converged
+        assert np.all(res.converged)
         nb = np.linalg.norm(bs, axis=1)
         true = np.linalg.norm(
             bs - np.stack([prob.apply_A(res.x[k]) for k in range(3)]),
@@ -276,7 +276,8 @@ class TestBatchedMixed:
             workspace=prob.batch_workspace(2),
             workspace32=prob.batch_workspace(2, dtype=np.float32),
         )
-        assert res.inner_iterations.shape == (res.total_sweeps, 2)
+        sweeps = res.residual_history.shape[0] - 1
+        assert res.inner_iterations.shape == (sweeps, 2)
         for k in range(2):
             sweeps_k = int(res.sweeps[k])
             prefix = res.inner_iterations[:sweeps_k, k]

@@ -5,36 +5,31 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sem.quadrature import (
-    gll_points,
-    gll_points_and_weights,
-    gll_weights,
-    integrate,
-)
+from repro.sem.quadrature import gll_points_and_weights, integrate
 
 
 class TestNodes:
     @pytest.mark.parametrize("npts", range(2, 20))
     def test_endpoints_included(self, npts):
-        x = gll_points(npts)
+        x = gll_points_and_weights(npts)[0]
         assert x[0] == -1.0 and x[-1] == 1.0
 
     @pytest.mark.parametrize("npts", range(2, 20))
     def test_sorted_and_distinct(self, npts):
-        x = gll_points(npts)
+        x = gll_points_and_weights(npts)[0]
         assert np.all(np.diff(x) > 0)
 
     @pytest.mark.parametrize("npts", range(2, 20))
     def test_antisymmetric(self, npts):
-        x = gll_points(npts)
+        x = gll_points_and_weights(npts)[0]
         assert np.allclose(x, -x[::-1], atol=1e-15)
 
     def test_three_point_rule_is_simpson_nodes(self):
-        assert np.allclose(gll_points(3), [-1.0, 0.0, 1.0])
+        assert np.allclose(gll_points_and_weights(3)[0], [-1.0, 0.0, 1.0])
 
     def test_four_point_known_values(self):
         # Interior nodes of the 4-point GLL rule: +-1/sqrt(5).
-        x = gll_points(4)
+        x = gll_points_and_weights(4)[0]
         assert x[1] == pytest.approx(-1.0 / np.sqrt(5.0), abs=1e-14)
         assert x[2] == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-14)
 
@@ -43,32 +38,32 @@ class TestNodes:
             gll_points_and_weights(1)
 
     def test_cache_returns_fresh_arrays(self):
-        a = gll_points(5)
+        a = gll_points_and_weights(5)[0]
         a[0] = 99.0
-        b = gll_points(5)
+        b = gll_points_and_weights(5)[0]
         assert b[0] == -1.0
 
 
 class TestWeights:
     @pytest.mark.parametrize("npts", range(2, 20))
     def test_positive_and_sum_to_two(self, npts):
-        w = gll_weights(npts)
+        w = gll_points_and_weights(npts)[1]
         assert np.all(w > 0)
         assert w.sum() == pytest.approx(2.0, abs=1e-13)
 
     @pytest.mark.parametrize("npts", range(2, 20))
     def test_symmetric(self, npts):
-        w = gll_weights(npts)
+        w = gll_points_and_weights(npts)[1]
         assert np.allclose(w, w[::-1], atol=1e-14)
 
     def test_three_point_weights_are_simpson(self):
-        assert np.allclose(gll_weights(3), [1 / 3, 4 / 3, 1 / 3])
+        assert np.allclose(gll_points_and_weights(3)[1], [1 / 3, 4 / 3, 1 / 3])
 
     def test_endpoint_weight_formula(self):
         # w_0 = 2 / (N (N+1)) for the GLL rule.
         for npts in range(2, 12):
             n = npts - 1
-            w = gll_weights(npts)
+            w = gll_points_and_weights(npts)[1]
             assert w[0] == pytest.approx(2.0 / (n * (n + 1)), rel=1e-12)
 
 

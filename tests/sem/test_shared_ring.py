@@ -60,10 +60,10 @@ class TestSlotRingHandoff:
             o1, s1 = ring.acquire()
             assert o1 == 1
             assert int(ring.req_seq[s1]) == o1
-            assert ring.in_use == 1
+            assert len(ring._slot_of) == 1
             ring.release(o1)
             ring.release(o1)  # idempotent per ordinal
-            assert ring.in_use == 0
+            assert len(ring._slot_of) == 0
         finally:
             ring.close()
 
@@ -181,7 +181,7 @@ class TestSlotRingInterrupt:
             with pytest.raises(RuntimeError, match="owner died"):
                 ring.acquire(timeout=0)
             # In-flight slots stay owned across the interrupt.
-            assert ring.in_use == 1
+            assert len(ring._slot_of) == 1
             ring.resume()
             ring.release(ordinal)
             assert ring.acquire(timeout=0) is not None

@@ -60,7 +60,7 @@ class TestSharedArrays:
         }
         shm, manifest = export_shared_arrays(arrays)
         try:
-            assert manifest.keys == ("a", "b", "c")
+            assert [entry[0] for entry in manifest.entries] == ["a", "b", "c"]
             roundtripped = pickle.loads(pickle.dumps(manifest))
             attach_shm, views = attach_shared_arrays(roundtripped)
             for key, arr in arrays.items():
@@ -108,7 +108,7 @@ class TestGatherScatterShared:
             assert not twin._inv_mult_local.flags.writeable
             assert np.array_equal(twin._inv_mult_local, gs._inv_mult_local)
             # The l2g map and the two float caches are the whole export.
-            assert set(handle.arrays.keys) == {
+            assert set(e[0] for e in handle.arrays.entries) == {
                 "l2g_flat", "mult", "inv_mult_local",
             }
             del twin

@@ -23,7 +23,6 @@ class TestConstruction:
         ref = ReferenceElement.from_degree(3)
         mesh = BoxMesh.build(ref, (2, 2, 1))
         ws = SolverWorkspace.for_mesh(mesh)
-        assert ws.local_shape == mesh.l2g.shape
         assert ws.n_global == mesh.n_global
         assert ws.ur.shape == mesh.l2g.shape
         assert ws.cg_p.shape == (mesh.n_global,)
@@ -213,7 +212,6 @@ class TestBatchedWorkspace:
         assert ws.cg_p.shape == (5, 20)
         assert ws.cg_rz.shape == (5,)
         assert ws.cg_active.shape == (5,)
-        assert ws.local_shape == (5, 3, 4, 4, 4)
         assert ws.nbytes > 0
 
     def test_kernel_scratch_stays_single_system_when_large(self):

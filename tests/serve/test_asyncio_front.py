@@ -48,7 +48,7 @@ class TestAsyncSolve:
                 results = await asvc.solve_many(
                     bank[:8], tol=1e-10, maxiter=200
                 )
-                return results, asvc.stats
+                return results, asvc.service.stats
 
         results, stats = asyncio.run(run())
         for b, got in zip(bank[:8], results):

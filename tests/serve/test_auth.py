@@ -80,7 +80,8 @@ class TestTokenBucket:
         bucket = TokenBucket(rate=100.0, burst=2, clock=clock)
         bucket.acquire()
         clock.advance(1000.0)
-        assert bucket.tokens == 2.0
+        assert bucket.acquire()[0] and bucket.acquire()[0]
+        assert not bucket.acquire()[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,17 @@ from repro.serve import (
 )
 
 
+
+def observations(model):
+    """Solves a cost model has seen: the sum of its exact-key counts."""
+    return sum(count for count, _ in model.snapshot().values())
+
+
+def outstanding(router):
+    """Predicted iterations in flight per replica."""
+    with router._lock:
+        return tuple(router._outstanding)
+
 class TestCostModel:
     def test_cold_model_predicts_default(self):
         model = CostModel(default_cost=37.0)
@@ -75,7 +86,7 @@ class TestCostModel:
         model.observe("a", 1e-8, None, 10)
         model.observe("a", 1e-8, None, 10)
         model.observe("b", 1e-2, "mixed", 4)
-        assert model.observations == 3
+        assert observations(model) == 3
         snap = model.snapshot()
         assert snap[("a", 1e-8, None)] == (2, 10.0)
         assert snap[("b", 1e-2, "mixed")] == (1, 4.0)
@@ -121,14 +132,14 @@ class TestCostAwareRouter:
     def test_begin_finish_balance_exactly(self):
         router = CostAwareRouter(2)
         cost = router.begin_request(0, "t", 1e-8, None)
-        assert router.outstanding == (cost, 0.0)
+        assert outstanding(router) == (cost, 0.0)
         router.finish_request(0, cost, "t", 1e-8, None, 12)
-        assert router.outstanding == (0.0, 0.0)
+        assert outstanding(router) == (0.0, 0.0)
 
     def test_finish_clamps_at_zero(self):
         router = CostAwareRouter(1)
         router.finish_request(0, 999.0, "t", 1e-8, None, None)
-        assert router.outstanding == (0.0,)
+        assert outstanding(router) == (0.0,)
 
     def test_finish_with_none_iterations_teaches_nothing(self):
         # Failed/cancelled solves release their charge but don't feed
@@ -136,14 +147,14 @@ class TestCostAwareRouter:
         router = CostAwareRouter(1)
         cost = router.begin_request(0, "t", 1e-8, None)
         router.finish_request(0, cost, "t", 1e-8, None, None)
-        assert router.model.observations == 0
+        assert observations(router.model) == 0
 
     def test_observe_false_keeps_model_untouched(self):
         model = CostModel()
         router = CostAwareRouter(1, model=model, observe=False)
         cost = router.begin_request(0, "t", 1e-8, None)
         router.finish_request(0, cost, "t", 1e-8, None, 50)
-        assert model.observations == 0
+        assert observations(model) == 0
 
     def test_balances_unequal_item_sizes(self):
         # The property the p99 win rests on: predicted *work* (not
@@ -158,7 +169,7 @@ class TestCostAwareRouter:
             for key, tol in (("tight", 1e-12), ("loose", 1e-2)):
                 chosen = router.pick(key, [0, 0])
                 router.begin_request(chosen, key, tol, None)
-        out = router.outstanding
+        out = outstanding(router)
         assert abs(out[0] - out[1]) <= 120.0
         assert sum(out) == pytest.approx(8 * 120.0 + 8 * 8.0)
 
@@ -211,13 +222,13 @@ class TestAttachCostFeedback:
         router = CostAwareRouter(2)
         ticket = self._FakeTicket()
         attach_cost_feedback(router, ticket, 1, "t", 1e-8, None)
-        assert router.outstanding[1] > 0.0
+        assert outstanding(router)[1] > 0.0
 
         class R:
             iterations = 17
 
         ticket.resolve(self._Done(result=R()))
-        assert router.outstanding == (0.0, 0.0)
+        assert outstanding(router) == (0.0, 0.0)
         assert router.model.predict("t", 1e-8, None) == 17.0
 
     def test_failure_releases_without_observing(self):
@@ -225,16 +236,16 @@ class TestAttachCostFeedback:
         ticket = self._FakeTicket()
         attach_cost_feedback(router, ticket, 0, "t", 1e-8, None)
         ticket.resolve(self._Done(error=RuntimeError("boom")))
-        assert router.outstanding == (0.0,)
-        assert router.model.observations == 0
+        assert outstanding(router) == (0.0,)
+        assert observations(router.model) == 0
 
     def test_cancellation_releases_without_observing(self):
         router = CostAwareRouter(1)
         ticket = self._FakeTicket()
         attach_cost_feedback(router, ticket, 0, "t", 1e-8, None)
         ticket.resolve(self._Done(cancelled=True))
-        assert router.outstanding == (0.0,)
-        assert router.model.observations == 0
+        assert outstanding(router) == (0.0,)
+        assert observations(router.model) == 0
 
 
 class TestCostPolicyEndToEnd:
@@ -271,8 +282,8 @@ class TestCostPolicyEndToEnd:
             for t in tickets:
                 t.result(timeout=60.0)
         # Every completion released its charge and taught the model.
-        assert router.outstanding == (0.0, 0.0)
-        assert model.observations == 8
+        assert outstanding(router) == (0.0, 0.0)
+        assert observations(model) == 8
         assert model.predict("acme", 1e-10, None) >= 1.0
 
     def test_solve_many_feeds_the_cost_model(
@@ -290,7 +301,7 @@ class TestCostPolicyEndToEnd:
                 bank[:8], tol=1e-10, maxiter=200,
                 keys=[f"t{i % 3}" for i in range(8)],
             )
-        assert router.model.observations == 8
-        assert router.outstanding == (0.0, 0.0)
+        assert observations(router.model) == 8
+        assert outstanding(router) == (0.0, 0.0)
         for b, got in zip(bank, results):
             assert_same_result(got, sequential_solve(prob, b))

@@ -373,7 +373,7 @@ class TestGatewayLatencyFakeClock:
             for t in ("flow", "batch0", "batch1")
         }
         gateway = Gateway(
-            backend, registry, admission=None, clock=clock
+            backend, registry, admission=None
         )
         rng = np.random.default_rng(seed)
         jobs = []
@@ -382,11 +382,16 @@ class TestGatewayLatencyFakeClock:
             tol = (1e-10, 1e-4, 1e-8)[rng.integers(3)]
             jobs.append((tenant, tol))
 
+        latencies = []
+
+        async def timed(tenant, tol):
+            start = clock()
+            await gateway.solve(tokens[tenant], np.zeros(1), tol=tol)
+            latencies.append(clock() - start)
+
         async def run():
             tasks = [
-                asyncio.ensure_future(gateway.solve(
-                    tokens[tenant], np.zeros(1), tol=tol
-                ))
+                asyncio.ensure_future(timed(tenant, tol))
                 for tenant, tol in jobs
             ]
             # Let every submit reach the backend, then drain simulated
@@ -398,7 +403,7 @@ class TestGatewayLatencyFakeClock:
             await asyncio.gather(*tasks)
 
         asyncio.run(run())
-        return gateway.latencies()
+        return latencies
 
     def test_p99_bounded_and_reproducible(self):
         latencies = self.run_sim(seed=7)

@@ -77,7 +77,6 @@ class TestPolicies:
 class TestFleetHealth:
     def test_starts_all_healthy(self):
         h = FleetHealth(3)
-        assert len(h) == 3
         assert h.states == (HealthState.HEALTHY,) * 3
         assert h.mask() == (True, True, True)
         assert h.healthy_count == 3
@@ -109,11 +108,9 @@ class TestFleetHealth:
 
     def test_restart_attempts_accumulate(self):
         h = FleetHealth(2)
-        assert h.restart_attempts(0) == 0
         assert h.record_restart_attempt(0) == 1
         assert h.record_restart_attempt(0) == 2
-        assert h.restart_attempts(0) == 2
-        assert h.restart_attempts(1) == 0
+        assert h.record_restart_attempt(1) == 1
 
     def test_rejects_empty_fleet(self):
         with pytest.raises(ValueError):

@@ -250,7 +250,7 @@ class TestProcShardLifecycle:
     def test_watermark_diverts_and_counts(self, serving_problem):
         """Tenant affinity yields to the watermark: once the owner's
         depth (in-flight request count) is at it, requests divert to
-        the least-loaded worker, each counted in ``rebalanced``."""
+        the least-loaded worker, each counted in ``routed`` there."""
         prob, bank = serving_problem
         with ProcessShardedSolveService(
             prob, workers=2, policy="tenant", max_batch=8,
@@ -261,8 +261,7 @@ class TestProcShardLifecycle:
                 svc.submit(bank[k], key="hot-tenant") for k in range(6)
             ]
             routed = svc.routed
-            rebalanced = svc.rebalanced
-            svc.flush()
+            svc.close()  # drains: every ticket resolves
             for t in tickets:
                 t.result(timeout=60)
         # The first `watermark` requests stay home; later ones divert
@@ -271,7 +270,6 @@ class TestProcShardLifecycle:
         assert sum(routed) == 6
         assert 2 <= routed[owner] <= 3
         assert routed[1 - owner] >= 3
-        assert rebalanced >= 3
 
 
 class TestProcShardCrash:
@@ -286,7 +284,7 @@ class TestProcShardCrash:
         hangs, and close still unlinks the shared blocks."""
         prob, bank = serving_problem
         svc = ProcessShardedSolveService(
-            prob, workers=2, policy="round-robin", max_batch=8,
+            prob, workers=2, policy="round-robin", max_batch=3,
             max_wait=30.0, tol=1e-10, maxiter=200,
             retry=RetryPolicy(max_attempts=1),
             restart=RestartPolicy(max_restarts=1, backoff_base=0.01),
@@ -306,8 +304,9 @@ class TestProcShardCrash:
             assert svc.alive_workers == (False, True)
             # Round-robin keeps picking the ejected slot every other
             # request; health gating lands all of them on worker 1.
+            # Three fill worker 1's batch (max_batch=3): it solves them
+            # at once, while the lone parked request waited on max_wait.
             survivors = [svc.submit(b) for b in bank[1:4]]
-            svc.flush()
             for t, b in zip(survivors, bank[1:4]):
                 assert_same_result(
                     t.result(timeout=60), sequential_solve(prob, b)

@@ -169,7 +169,7 @@ class TestRingCrashRecovery:
             assert tuple(sorted(rings_after.values())) == blocks_before
             # Every orphaned slot was recycled on the way.
             assert wait_until(
-                lambda: all(w.ring.in_use == 0 for w in svc._workers)
+                lambda: all(len(w.ring._slot_of) == 0 for w in svc._workers)
             )
             assert svc.stats.copy_bytes == 0
         finally:

@@ -59,3 +59,30 @@ def test_docs_code_blocks_execute(path):
     for line, code in blocks:
         compiled = compile(code, f"{path.name}:{line}", "exec")
         exec(compiled, namespace)  # noqa: S102 - the point of the test
+
+
+REPO_ROOT = DOCS_DIR.parent
+_MD_PATH = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b")
+
+
+def _referencing_files() -> list[pathlib.Path]:
+    files = [REPO_ROOT / "README.md", *doc_files()]
+    for tree in ("src", "examples"):
+        files += sorted((REPO_ROOT / tree).rglob("*.py"))
+    return files
+
+
+def test_every_named_markdown_file_exists():
+    """A ``*.md`` path named in the code, the examples or the docs is
+    either repo-relative or relative to the file that names it, and the
+    file it names exists."""
+    missing = [
+        f"{path.relative_to(REPO_ROOT)}: {name}"
+        for path in _referencing_files()
+        for name in _MD_PATH.findall(path.read_text())
+        if not (REPO_ROOT / name).exists()
+        and not (path.parent / name).exists()
+    ]
+    assert not missing, "\n".join(
+        ["named markdown files that do not exist:", *missing]
+    )
