@@ -26,7 +26,7 @@ from repro.sem.basis import (
 )
 from repro.sem.derivative import derivative_matrix, derivative_matrix_general
 from repro.sem.element import ReferenceElement
-from repro.sem.mesh import BoxMesh, flatten_local, unflatten_local
+from repro.sem.mesh import BoxMesh
 from repro.sem.geometry import (
     Geometry,
     geometric_factors,
@@ -79,8 +79,6 @@ __all__ = [
     "derivative_matrix_general",
     "ReferenceElement",
     "BoxMesh",
-    "flatten_local",
-    "unflatten_local",
     "Geometry",
     "geometric_factors",
     "affine_geometric_factors",

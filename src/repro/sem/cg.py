@@ -497,10 +497,11 @@ def _compiled_loop(
     if fused is not None and fused.n == x.shape[1]:
         state.fused, state.ne = fused.ax_gs.unmasked, fused.g.shape[0]
         state.g_estride, state.g_cstride = fused.g.strides[:2]
-        state.D, state.mask, state.mass, state.l2g, state.g = (
-            None if a is None else a.ctypes.data
-            for a in (fused.d, fused.mask, fused.mass, fused.l2g, fused.g))
-        state.lam = fused.lam
+        state.s0, state.s1, state.lam = fused.s0, fused.s1, fused.lam
+        state.D, state.mask, state.mass, state.org, state.edge, state.g = (
+            None if a is None else a.ctypes.data for a in (
+                fused.d, fused.mask, fused.mass, fused.org, fused.edge,
+                fused.g))
     else:
         def call() -> int:
             try:

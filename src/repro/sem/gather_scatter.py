@@ -15,8 +15,8 @@ fp64; a global id no local slot maps to is simply left at zero.  Stacked
 never depends on ``B`` or on its batchmates.
 
 The operator is stateless after construction — the l2g map, the node
-multiplicities and their inverses (which make the Nekbone ``glsc3`` inner
-product :meth:`GatherScatter.dot` a single fused three-operand reduction)
+multiplicities and the map's affine form (:attr:`GatherScatter.affine`,
+the element origins and strides the compiled pass addresses rows by)
 are read-only — so one instance serves any number of threads, solve
 replicas and dtype twins.  ``gather``/``scatter`` accept ``out=`` so the
 allocation-free solver path (:mod:`repro.sem.workspace`) can reuse
@@ -66,11 +66,14 @@ class GatherScatter:
     local_shape:
         ``(E, nx, nx, nx)`` shape of local fields.
     dtype:
-        Floating dtype of the operator's float caches (multiplicities,
-        inverse-multiplicity weights), of the vectors it allocates and
-        of the vectors it accepts with ``out=``.  The l2g map is
-        dtype-independent and shared across precisions via
-        :meth:`as_dtype`.
+        Floating dtype of the operator's float cache (multiplicities),
+        of the vectors it allocates and of the vectors it accepts with
+        ``out=``.  The l2g map is dtype-independent and shared across
+        precisions via :meth:`as_dtype`.
+    affine:
+        ``(org, s0, s1)``, ``org`` a contiguous ``(E,)`` int64 array,
+        with ``l2g[e, a, b, c] == org[e] + a*s0 + b*s1 + c`` for every
+        local node (every mesh map has it), else ``None``.
     """
 
     l2g_flat: NDArray[np.int64]
@@ -79,7 +82,7 @@ class GatherScatter:
     dtype: "np.dtype | type" = field(default=np.float64, compare=False)
     # Construction-time caches (set via object.__setattr__; frozen class).
     _mult: NDArray[np.float64] = field(init=False, repr=False, compare=False)
-    _inv_mult_local: NDArray[np.float64] = field(
+    affine: "tuple[NDArray[np.int64], int, int] | None" = field(
         init=False, repr=False, compare=False
     )
 
@@ -99,18 +102,11 @@ class GatherScatter:
             )
         object.__setattr__(self, "dtype", dtype)
         counts = np.bincount(self.l2g_flat, minlength=self.n_global)
-        # Multiplicities honor the owning dtype (a bare astype(float)
-        # here used to pin them fp64, silently promoting every fp32
-        # kernel touching them); the reciprocals are computed in fp64
-        # and *rounded once* to the target, never accumulated in it.
-        mult64 = counts.astype(np.float64)
-        safe_mult = np.where(mult64 > 0, mult64, 1.0)
-        inv_mult_local64 = (1.0 / safe_mult)[self.l2g_flat]
-        object.__setattr__(self, "_mult", mult64.astype(dtype, copy=False))
+        # In the owning dtype: pinned to fp64 they once silently
+        # promoted every fp32 kernel touching them.
+        object.__setattr__(self, "_mult", counts.astype(dtype))
         object.__setattr__(
-            self, "_inv_mult_local",
-            inv_mult_local64.astype(dtype, copy=False),
-        )
+            self, "affine", _affine(self.l2g_flat, self.local_shape))
 
     @classmethod
     def from_mesh(
@@ -127,8 +123,8 @@ class GatherScatter:
     def as_dtype(self, dtype: "np.dtype | type") -> "GatherScatter":
         """A twin of this operator whose float caches live in ``dtype``.
 
-        The l2g map is shared with ``self``; the multiplicities and
-        inverse weights are cast *once*.  Twins are cached per dtype —
+        The l2g map and its affine form are shared with ``self``; the
+        multiplicities are cast *once*.  Twins are cached per dtype —
         the only state filled in after construction, and its entries
         are as immutable as ``self`` — so the mixed solve path resolves
         its fp32 operator with a dict lookup, and every solve replica
@@ -147,10 +143,6 @@ class GatherScatter:
             for name, value in (
                 ("dtype", dtype),
                 ("_mult", self._mult.astype(dtype, copy=False)),
-                (
-                    "_inv_mult_local",
-                    self._inv_mult_local.astype(dtype, copy=False),
-                ),
                 ("_dtype_twins", {}),
             ):
                 object.__setattr__(twin, name, value)
@@ -163,10 +155,10 @@ class GatherScatter:
     def export_shared(self) -> "tuple[object, SharedGatherScatter]":
         """Export the construction-time caches into one shared block.
 
-        The l2g map and the (inverse) multiplicities are the operator's
-        whole state — one ``E * nx^3`` int64 array plus a float array of
-        the same length and one of ``n_global``.  Worker processes
-        attach them zero-copy via :meth:`attach_shared`.
+        The l2g map and the multiplicities are the operator's whole
+        state — one ``E * nx^3`` int64 array and a float array of
+        ``n_global``.  Worker processes attach them zero-copy via
+        :meth:`attach_shared`.
 
         Returns
         -------
@@ -179,7 +171,6 @@ class GatherScatter:
         shm, manifest = export_shared_arrays({
             "l2g_flat": self.l2g_flat,
             "mult": self._mult,
-            "inv_mult_local": self._inv_mult_local,
         })
         handle = SharedGatherScatter(
             arrays=manifest,
@@ -192,8 +183,9 @@ class GatherScatter:
     def attach_shared(cls, handle: SharedGatherScatter) -> "GatherScatter":
         """Rebuild an operator over an exported block, zero-copy.
 
-        Skips :meth:`__post_init__` entirely — no bincount — and views
-        the shared caches read-only.  The shared mapping's lifetime is
+        Skips the bincount of :meth:`__post_init__` (only :attr:`affine`
+        is worked out again) and views the shared caches read-only.  The
+        shared mapping's lifetime is
         tied to the returned object.
         """
         from repro.sem.shared import attach_shared_arrays
@@ -206,7 +198,7 @@ class GatherScatter:
             ("local_shape", tuple(handle.local_shape)),
             ("dtype", views["mult"].dtype),
             ("_mult", views["mult"]),
-            ("_inv_mult_local", views["inv_mult_local"]),
+            ("affine", _affine(views["l2g_flat"], handle.local_shape)),
             ("_shm", shm),
         ):
             object.__setattr__(gs, name, value)
@@ -349,28 +341,17 @@ class GatherScatter:
         """
         return self._mult.copy()
 
-    def dot(self, a: NDArray[np.float64], b: NDArray[np.float64]) -> float:
-        """Global inner product of two *local* redundant fields.
 
-        Interface values are weighted by the inverse multiplicity so each
-        global DOF is counted exactly once — Nekbone's ``glsc3`` pattern.
-        The weights are cached at construction and the triple product is
-        one fused reduction (no per-call ``bincount`` or temporaries).
-        An fp32 twin still accumulates the reduction in fp64: inner
-        products steer convergence decisions, so only the *storage* of
-        the operands drops precision, never the sum itself.
-        """
-        if self._inv_mult_local.dtype == np.float64:
-            return float(
-                np.einsum(
-                    "i,i,i->",
-                    a.reshape(-1), self._inv_mult_local, b.reshape(-1),
-                )
-            )
-        return float(
-            np.einsum(
-                "i,i,i->",
-                a.reshape(-1), self._inv_mult_local, b.reshape(-1),
-                dtype=np.float64,
-            )
-        )
+def _affine(l2g_flat: NDArray[np.int64], local_shape: tuple):
+    """``(org, s0, s1)`` with ``l2g[e, a, b, c] == org[e] + a*s0 + b*s1
+    + c`` over a whole ``(E, nx, nx, nx)`` map, ``nx > 1``, else ``None``."""
+    e, *nx = local_shape
+    if e < 1 or len(nx) != 3 or not 1 < nx[0] == nx[1] == nx[2]:
+        return None
+    l2g = l2g_flat.reshape(local_shape)
+    org = np.ascontiguousarray(l2g[:, 0, 0, 0], dtype=np.int64)
+    s0, s1 = int(l2g[0, 1, 0, 0] - org[0]), int(l2g[0, 0, 1, 0] - org[0])
+    i = np.arange(nx[0])
+    rebuilt = (org[:, None, None, None] + i[:, None, None] * s0
+               + i[:, None] * s1 + i)
+    return (org, s0, s1) if np.array_equal(rebuilt, l2g) else None

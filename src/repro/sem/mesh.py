@@ -1,11 +1,12 @@
 """Structured hexahedral SEM meshes of a box domain.
 
 A :class:`BoxMesh` carries per-element nodal coordinates in the layout used
-throughout the library: arrays of shape ``(E, nx, nx, nx)`` indexed
-``[e, i, j, k]`` where ``i`` runs along the reference ``r`` direction
-(Listing 1's fastest index: the flattened local id is
-``ijk = i + j*nx + k*nx*nx``), and a local-to-global map for the
-gather-scatter (direct-stiffness) operation.
+throughout the library: C-ordered arrays of shape ``(E, nx, nx, nx)``
+indexed ``[e, i, j, k]``, ``i``, ``j``, ``k`` along ``x``, ``y``, ``z``,
+and a local-to-global map for the gather-scatter (direct-stiffness)
+operation.  Global nodes are numbered ``z``-fastest, the element's
+memory-fastest axis, so every element row ``[e, i, j, :]`` is a run of
+contiguous global nodes (the map is affine, see :attr:`BoxMesh.l2g`).
 
 Meshes may be smoothly deformed through :meth:`BoxMesh.deform`; all
 geometric factors are computed spectrally from the nodal coordinates, so
@@ -49,7 +50,9 @@ class BoxMesh:
         Local-to-global node map, shape ``(E, nx, nx, nx)``, values in
         ``[0, n_global)``.  Shared faces/edges/vertices receive the same
         global id, which is what makes the gather-scatter assemble the
-        continuous system.
+        continuous system.  Global node ``(gx, gy, gz)`` is
+        ``(gx*ngy + gy)*ngz + gz``, so ``l2g[e, i, j, k] == l2g[e, 0, 0,
+        0] + i*ngy*ngz + j*ngz + k``: affine, with unit inner stride.
     """
 
     ref: ReferenceElement
@@ -117,8 +120,8 @@ class BoxMesh:
                     coords[1, e] = gy_nodes[gyi][None, :, None]
                     coords[2, e] = gz_nodes[gzi][None, None, :]
                     gid = (
-                        gzi[None, None, :] * ngy + gyi[None, :, None]
-                    ) * ngx + gxi[:, None, None]
+                        gxi[:, None, None] * ngy + gyi[None, :, None]
+                    ) * ngz + gzi[None, None, :]
                     l2g[e] = gid
         return cls(
             ref=ref,
@@ -155,7 +158,7 @@ class BoxMesh:
         the homogeneous Poisson problem).
         """
         ngx, ngy, ngz = self.global_grid
-        mask = np.zeros((ngz, ngy, ngx), dtype=bool)
+        mask = np.zeros((ngx, ngy, ngz), dtype=bool)
         mask[0, :, :] = mask[-1, :, :] = True
         mask[:, 0, :] = mask[:, -1, :] = True
         mask[:, :, 0] = mask[:, :, -1] = True
@@ -177,17 +180,3 @@ class BoxMesh:
             )
         return replace(self, coords=new_coords)
 
-
-def flatten_local(a: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Flatten ``(E, nx, nx, nx)`` local arrays to ``(E, nx^3)`` with
-    Listing 1's ordering ``ijk = i + j*nx + k*nx*nx`` (``i`` fastest)."""
-    if a.ndim != 4:
-        raise ValueError(f"expected (E, nx, nx, nx), got shape {a.shape}")
-    return a.transpose(0, 3, 2, 1).reshape(a.shape[0], -1)
-
-
-def unflatten_local(a: NDArray[np.float64], nx: int) -> NDArray[np.float64]:
-    """Inverse of :func:`flatten_local`."""
-    if a.ndim != 2 or a.shape[1] != nx ** 3:
-        raise ValueError(f"expected (E, {nx ** 3}), got shape {a.shape}")
-    return a.reshape(a.shape[0], nx, nx, nx).transpose(0, 3, 2, 1)

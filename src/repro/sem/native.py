@@ -186,19 +186,22 @@ static __attribute__((noinline, optimize("fp-contract=off"))) void mass_term(
 
 /* w = Q^T (D^T G D + lam B) Q (mask * u) for nb stacked global vectors,
    C-contiguous (nb, n): scatter, Ax and gather-add in one pass per
-   element, no element-local field in memory.  l2g maps the ne * N3
-   local nodes to [0, n); g is as for ax_native.  mask == NULL is no
-   mask, mass == NULL no mass term (else B, contiguous (ne, N3)).  Each
-   row takes its contributions in ascending local index -- the order of
-   np.add.at, so the bits of scatter -> ax_native (-> mass term) ->
-   gather.  The closing mask is the caller's: ax_gs_native's, or the CG
-   loop's p.Ap sweep. */
+   element, no element-local field in memory.  Node (i, j, k) of element
+   e is global node org[e] + i*s0 + j*s1 + k in [0, n): rows are copied
+   in and added back whole.  g is as for ax_native.  mask == NULL is no
+   mask, else only elements with edge[e] != 0 (a node's mask is not 1)
+   multiply by it.  mass == NULL no mass term (else B, contiguous (ne,
+   N3)).  Each node takes its contributions in ascending local index --
+   np.add.at's order, so the bits of scatter -> ax_native (-> mass term)
+   -> gather.  The closing mask is the caller's: ax_gs_native's, or the
+   CG loop's p.Ap sweep. */
 void ax_gs_add(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
                const REAL *restrict D, const REAL *restrict u,
-               const REAL *restrict mask, const int64_t *restrict l2g,
-               const char *restrict g, ptrdiff_t g_estride,
-               ptrdiff_t g_cstride, const REAL *restrict mass, double lam,
-               REAL *restrict w)
+               const REAL *restrict mask, const int64_t *restrict org,
+               ptrdiff_t s0, ptrdiff_t s1,
+               const unsigned char *restrict edge, const char *restrict g,
+               ptrdiff_t g_estride, ptrdiff_t g_cstride,
+               const REAL *restrict mass, double lam, REAL *restrict w)
 {
     REAL Dt[NX * NX];
     for (int k = 0; k < NX; k++)
@@ -207,25 +210,33 @@ void ax_gs_add(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
     for (ptrdiff_t i = 0; i < nb * n; i++)
         w[i] = 0;
     for (ptrdiff_t e = 0; e < ne; e++) {
-        const int64_t *le = l2g + e * N3;
+        const REAL *m = mask && edge[e] ? mask + org[e] : NULL;
         const REAL *gc[6];
         for (int c = 0; c < 6; c++)
             gc[c] = (const REAL *)(g + e * g_estride + c * g_cstride);
         for (ptrdiff_t b = 0; b < nb; b++) {
-            const REAL *ub = u + b * n;
-            REAL *wb = w + b * n;
+            const REAL *ub = u + b * n + org[e];
+            REAL *wb = w + b * n + org[e];
             REAL ue[N3], we[N3];
-            if (mask)
-                for (int p = 0; p < N3; p++)
-                    ue[p] = ub[le[p]] * mask[le[p]];
-            else
-                for (int p = 0; p < N3; p++)
-                    ue[p] = ub[le[p]];
+            for (int i = 0; i < NX; i++)
+                for (int j = 0; j < NX; j++) {
+                    const ptrdiff_t o = i * s0 + j * s1;
+                    if (m)
+                        for (int k = 0; k < NX; k++)
+                            ue[AT(i, j, k)] = ub[o + k] * m[o + k];
+                    else
+                        for (int k = 0; k < NX; k++)
+                            ue[AT(i, j, k)] = ub[o + k];
+                }
             element(D, Dt, gc, ue, we);
             if (mass)
                 mass_term(mass + e * N3, (REAL)lam, ue, we);
-            for (int p = 0; p < N3; p++)
-                wb[le[p]] += we[p];
+            for (int i = 0; i < NX; i++)
+                for (int j = 0; j < NX; j++) {
+                    REAL *row = wb + i * s0 + j * s1;
+                    for (int k = 0; k < NX; k++)
+                        row[k] += we[AT(i, j, k)];
+                }
         }
     }
 }
@@ -234,13 +245,15 @@ void ax_gs_add(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
    mask, if any. */
 void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
                   const REAL *restrict D, const REAL *restrict u,
-                  const REAL *restrict mask, const int64_t *restrict l2g,
+                  const REAL *restrict mask, const int64_t *restrict org,
+                  ptrdiff_t s0, ptrdiff_t s1,
+                  const unsigned char *restrict edge,
                   const char *restrict g, ptrdiff_t g_estride,
                   ptrdiff_t g_cstride, const REAL *restrict mass,
                   double lam, REAL *restrict w)
 {
-    ax_gs_add(nb, ne, n, D, u, mask, l2g, g, g_estride, g_cstride, mass,
-              lam, w);
+    ax_gs_add(nb, ne, n, D, u, mask, org, s0, s1, edge, g, g_estride,
+              g_cstride, mass, lam, w);
     if (mask)
         for (REAL *wb = w; wb < w + nb * n; wb += n)
             for (ptrdiff_t i = 0; i < n; i++)
@@ -354,11 +367,13 @@ struct cg_loop {
        masked here if there is a mask), else call() into Python, non-zero
        on an exception */
     void (*fused)(ptrdiff_t, ptrdiff_t, ptrdiff_t, const REAL *,
-                  const REAL *, const REAL *, const int64_t *, const char *,
+                  const REAL *, const REAL *, const int64_t *, ptrdiff_t,
+                  ptrdiff_t, const unsigned char *, const char *,
                   ptrdiff_t, ptrdiff_t, const REAL *, double, REAL *);
-    ptrdiff_t ne, g_estride, g_cstride;
+    ptrdiff_t ne, s0, s1, g_estride, g_cstride;
     const REAL *D, *mask, *mass;  /* mask, mass: NULL for none */
-    const int64_t *l2g;
+    const int64_t *org;
+    const unsigned char *edge;
     const char *g;
     double lam;
     int (*call)(void);
@@ -379,8 +394,9 @@ int cg_solve(struct cg_loop *s)
         if (!live)
             break;
         if (s->fused) {
-            s->fused(nb, s->ne, n, s->D, s->p, s->mask, s->l2g, s->g,
-                     s->g_estride, s->g_cstride, s->mass, s->lam, s->ap);
+            s->fused(nb, s->ne, n, s->D, s->p, s->mask, s->org, s->s0,
+                     s->s1, s->edge, s->g, s->g_estride, s->g_cstride,
+                     s->mass, s->lam, s->ap);
             if (s->mask)
                 mask_dot(nb, n, s->mask, s->p, s->ap, pap);
             else
@@ -473,20 +489,24 @@ def ax_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
 
 
 def ax_gs_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
-    """``ax_gs(d, u, mask, l2g, g, mass, lam, w)`` from
+    """``ax_gs(d, u, mask, org, s0, s1, edge, g, mass, lam, w)`` from
     :func:`ax_kernel`'s shared object, or ``None`` where that is ``None``.
 
     It writes ``w = mask * Q^T (A + lam B) Q (mask * u)`` for a global
     ``(n,)`` or stacked ``(B, n)`` ``u`` in one pass per element, to the
     bit what ``scatter`` -> ``ax`` (-> ``w += lam * (mass * u)``) ->
-    ``gather`` give, and checks nothing: the caller guarantees ``d`` and
-    ``g`` as for :func:`ax_kernel`, aligned C-contiguous ``u`` and
-    writeable ``w`` of that dtype and shape that do not overlap, a
-    contiguous ``(n,)`` ``mask`` of it (``None``: no mask), a contiguous
-    int64 ``l2g`` of ``E * nx^3`` entries in ``[0, n)`` and a contiguous
-    ``(E, nx, nx, nx)`` ``mass`` of it (``None``: no mass term).  Its
-    attribute ``unmasked`` is the address of the same pass without the
-    closing mask, which ``cg_solve`` (:func:`cg_passes`) calls.
+    ``gather`` give, node ``(i, j, k)`` of element ``e`` being global node
+    ``org[e] + i*s0 + j*s1 + k`` (``GatherScatter.affine``).  It checks
+    nothing: the caller guarantees ``d`` and ``g`` as for
+    :func:`ax_kernel`, aligned C-contiguous ``u`` and writeable ``w`` of
+    that dtype and shape that do not overlap, a contiguous int64 ``(E,)``
+    ``org`` whose nodes are all in ``[0, n)``, a contiguous ``(n,)``
+    ``mask`` of the dtype and a uint8 ``(E,)`` ``edge``, 0 only where no
+    node of the element has a mask other than 1 (both ``None``: no mask),
+    and a contiguous ``(E, nx, nx, nx)`` ``mass`` of the dtype (``None``:
+    no mass term).  Its attribute ``unmasked`` is the address of the same
+    pass without the closing mask, which ``cg_solve`` (:func:`cg_passes`)
+    calls.
     """
     return _cached(_load_ax, nx, dtype)[1]
 
@@ -531,7 +551,7 @@ def _load_ax(nx: int, dtype: np.dtype) -> "tuple[Callable | None, ...]":
     size_t, ptr = ctypes.c_ssize_t, ctypes.c_void_p
     fn, gs_fn = lib.ax_native, lib.ax_gs_native
     fn.argtypes = [size_t, size_t, ptr, ptr, ptr, size_t, size_t, ptr]
-    gs_fn.argtypes = ([size_t] * 3 + [ptr] * 5
+    gs_fn.argtypes = ([size_t] * 3 + [ptr] * 4 + [size_t] * 2 + [ptr] * 2
                       + [size_t, size_t, ptr, ctypes.c_double, ptr])
     fn.restype = gs_fn.restype = None
 
@@ -542,10 +562,11 @@ def _load_ax(nx: int, dtype: np.dtype) -> "tuple[Callable | None, ...]":
            w.ctypes.data)
 
     @hot_path
-    def ax_gs(d, u, mask, l2g, g, mass, lam, w) -> None:
+    def ax_gs(d, u, mask, org, s0, s1, edge, g, mass, lam, w) -> None:
         gs_fn(u.shape[0] if u.ndim == 2 else 1, g.shape[0], u.shape[-1],
               d.ctypes.data, u.ctypes.data,
-              None if mask is None else mask.ctypes.data, l2g.ctypes.data,
+              None if mask is None else mask.ctypes.data, org.ctypes.data,
+              s0, s1, None if edge is None else edge.ctypes.data,
               g.ctypes.data, g.strides[0], g.strides[1],
               None if mass is None else mass.ctypes.data, lam, w.ctypes.data)
 
@@ -567,9 +588,9 @@ class CGLoop(ctypes.Structure):
             "res", "history", "stop", "active", "exhausted", "iterations",
             "maxiter", "fused")),
         *((name, ctypes.c_ssize_t) for name in (
-            "ne", "g_estride", "g_cstride")),
+            "ne", "s0", "s1", "g_estride", "g_cstride")),
         *((name, ctypes.c_void_p)
-          for name in ("D", "mask", "mass", "l2g", "g")),
+          for name in ("D", "mask", "mass", "org", "edge", "g")),
         ("lam", ctypes.c_double),
         ("call", OperatorCall),
         ("worst", ctypes.c_double),
@@ -579,21 +600,24 @@ class CGLoop(ctypes.Structure):
 class FusedPass(NamedTuple):
     """One problem's operator in one dtype as :func:`ax_gs_kernel`'s
     pass: the pass and every operand but the vectors — ``mask`` and
-    ``mass`` ``None`` where the operator has none, ``n`` the global
-    size.  ``fused(u, w)`` writes ``w = A u``."""
+    ``edge``, ``mass`` ``None`` where the operator has none, ``n`` the
+    global size.  ``fused(u, w)`` writes ``w = A u``."""
 
     ax_gs: Callable
     n: int
     d: np.ndarray
     mask: "np.ndarray | None"
-    l2g: np.ndarray
+    org: np.ndarray
+    s0: int
+    s1: int
+    edge: "np.ndarray | None"
     g: np.ndarray
     mass: "np.ndarray | None"
     lam: float
 
     def __call__(self, u, w) -> None:
-        self.ax_gs(self.d, u, self.mask, self.l2g, self.g, self.mass,
-                   self.lam, w)
+        self.ax_gs(self.d, u, self.mask, self.org, self.s0, self.s1,
+                   self.edge, self.g, self.mass, self.lam, w)
 
 
 def _load_cg(dtype: np.dtype) -> "tuple[Callable, ...] | None":

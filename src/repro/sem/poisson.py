@@ -73,10 +73,11 @@ class PoissonProblem(SEMProblem):
     jacobi_diagonal = SEMProblem.diagonal
 
     def __post_init__(self, _parts: "object | None" = None) -> None:
-        super().__post_init__(_parts)
+        # The mask first: the core's constructor reads it.
         self.interior = ~self.mesh.boundary_mask()
         # 0/1 float twins of the mask per dtype, cast on first use.
         self._masks: dict[type, NDArray] = {}
+        super().__post_init__(_parts)
 
     def _mask(self, dtype: type) -> NDArray:
         mask = self._masks.get(dtype)

@@ -102,7 +102,8 @@ class SEMProblem:
     the core reads both at every use rather than caching them: the
     public operator methods (``problem.apply_A = wrapper`` is what
     :attr:`operator` hands out from then on) and ``problem.gs`` (the
-    pipeline asks ``self.gs`` for its ``as_dtype`` twin per application).
+    pipeline asks ``self.gs`` for its ``as_dtype`` twin per application;
+    a replacement numbers the nodes as the mesh, as the mask assumes).
     """
 
     #: The spec kind (see :data:`repro.sem.spec.PROBLEM_KINDS`).
@@ -125,6 +126,10 @@ class SEMProblem:
         self._precond_diag: NDArray[np.float64] | None = (
             None if _parts is None else _parts.precond_diag
         )
+        # The fused pass masks only elements with a mask value other than 1.
+        mask = self._mask(np.float64)
+        self._edge = None if mask is None else (
+            mask[self.mesh.l2g] != 1).any(axis=(1, 2, 3)).astype(np.uint8)
 
     # ------------------------------------------------------------------
     @property
@@ -263,28 +268,29 @@ class SEMProblem:
     def _fused(self, dtype: type) -> "native.FusedPass | None":
         """The compiled scatter -> ``Ax`` (+ mass term) -> gather-add
         pass of this operator in ``dtype``, where it gives the layers'
-        bits — the production kernel and an unreplaced gather-scatter —
-        else ``None``.  The vectors are the caller's to check."""
+        bits — the production kernel and an unreplaced gather-scatter
+        with an :attr:`~GatherScatter.affine` map — else ``None``.  The
+        vectors are the caller's to check."""
         if self.ax_backend is not ax_local_matmul:
             return None
         gs = self.gs.as_dtype(dtype)
-        if type(gs) is not GatherScatter:
+        if type(gs) is not GatherScatter or gs.affine is None:
             return None
         d, geo = self.ref.deriv_as(dtype), self.geometry.as_dtype(dtype)
-        g, l2g = geo.g, gs.l2g_flat
+        g, (org, s0, s1) = geo.g, gs.affine
         mass = None if self.lam is None else geo.mass
         nx, size = d.shape[0], g.itemsize
         ax_gs = native.ax_gs_kernel(nx, gs.dtype)
         if (ax_gs is None or not d.flags.c_contiguous
                 or g.dtype != gs.dtype or not g.flags.aligned
                 or g.strides[2:] != (nx * nx * size, nx * size, size)
-                or l2g.dtype != np.int64 or not l2g.flags.c_contiguous
                 or (mass is not None and (
                     mass.dtype != gs.dtype or not mass.flags.c_contiguous
                     or not mass.flags.aligned))):
             return None
         return native.FusedPass(
-            ax_gs, self.n_dofs, d, self._mask(dtype), l2g, g, mass,
+            ax_gs, self.n_dofs, d, self._mask(dtype), org, s0, s1,
+            self._edge, g, mass,
             0.0 if self.lam is None else float(self.lam),
         )
 

@@ -66,20 +66,6 @@ class TestGatherScatter:
             qqt(gs, qqt(gs, a)), qqt(gs, mult_local * a), atol=1e-11
         )
 
-    def test_weighted_dot_counts_each_global_dof_once(self, gs3):
-        mesh, gs = gs3
-        ones = np.ones(gs.local_shape)
-        assert gs.dot(ones, ones) == pytest.approx(float(gs.n_global), rel=1e-12)
-
-    def test_dot_matches_global_dot_for_continuous_fields(self, gs3):
-        mesh, gs = gs3
-        rng = np.random.default_rng(6)
-        vg = rng.standard_normal(gs.n_global)
-        wg = rng.standard_normal(gs.n_global)
-        assert gs.dot(gs.scatter(vg), gs.scatter(wg)) == pytest.approx(
-            float(np.dot(vg, wg)), rel=1e-12
-        )
-
     def test_shape_validation(self, gs3):
         _, gs = gs3
         with pytest.raises(ValueError, match="expected"):
@@ -146,16 +132,6 @@ class TestPrecomputedFastPath:
         assert np.array_equal(
             gs.multiplicity(), np.array([2.0, 0.0, 3.0, 3.0, 0.0])
         )
-
-    def test_dot_on_sparse_map(self):
-        gs = GatherScatter(
-            l2g_flat=np.array([0, 2, 2, 0], dtype=np.int64),
-            n_global=4,
-            local_shape=(1, 1, 2, 2),
-        )
-        ones = np.ones((1, 1, 2, 2))
-        # Two populated global nodes, each counted once.
-        assert gs.dot(ones, ones) == pytest.approx(2.0)
 
 
 class TestBatched:

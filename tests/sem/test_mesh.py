@@ -1,4 +1,4 @@
-"""Tests for repro.sem.mesh (BoxMesh, local flattening)."""
+"""Tests for repro.sem.mesh (BoxMesh and its node numbering)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.sem.element import ReferenceElement
-from repro.sem.mesh import BoxMesh, flatten_local, unflatten_local
+from repro.sem.mesh import BoxMesh
 
 
 class TestBuild:
@@ -90,25 +90,28 @@ class TestDeform:
             mesh3.deform(lambda x, y, z: (x[..., :-1], y[..., :-1], z[..., :-1]))
 
 
-class TestFlattening:
-    def test_roundtrip(self, rng):
-        nx = 4
-        a = rng.standard_normal((3, nx, nx, nx))
-        assert np.array_equal(unflatten_local(flatten_local(a), nx), a)
+class TestAffineNumbering:
+    """Global ids run z-fastest, the element's memory-fastest axis, so
+    every element's map is ``org[e] + a*s0 + b*s1 + c``."""
 
-    def test_listing1_ordering(self):
-        # flat index must be i + j*nx + k*nx^2.
-        nx = 3
-        a = np.empty((1, nx, nx, nx))
-        for i in range(nx):
-            for j in range(nx):
-                for k in range(nx):
-                    a[0, i, j, k] = i + j * nx + k * nx * nx
-        flat = flatten_local(a)
-        assert np.array_equal(flat[0], np.arange(nx ** 3, dtype=float))
-
-    def test_bad_shapes_raise(self):
-        with pytest.raises(ValueError, match="expected"):
-            flatten_local(np.zeros((2, 3, 3)))
-        with pytest.raises(ValueError, match="expected"):
-            unflatten_local(np.zeros((2, 28)), 3)
+    @pytest.mark.parametrize("deformed", (False, True))
+    @pytest.mark.parametrize("shape", ((1, 1, 1), (2, 1, 1), (3, 2, 5)))
+    @pytest.mark.parametrize("degree", (1, 3, 7))
+    def test_origin_and_strides_rebuild_l2g(self, degree, shape, deformed):
+        mesh = BoxMesh.build(ReferenceElement.from_degree(degree), shape)
+        if deformed:
+            mesh = mesh.deform(lambda x, y, z: (
+                x + 0.05 * np.sin(np.pi * y) * np.sin(np.pi * z),
+                y + 0.04 * np.sin(np.pi * z) * np.sin(np.pi * x),
+                z + 0.03 * np.sin(np.pi * x) * np.sin(np.pi * y),
+            ))
+        l2g = mesh.l2g
+        org = l2g[:, 0, 0, 0]
+        s0, s1 = l2g[0, 1, 0, 0] - org[0], l2g[0, 0, 1, 0] - org[0]
+        assert s0 > s1 > 1  # rows (a, b, :) are contiguous and apart
+        _, ngy, ngz = mesh.global_grid
+        assert (s0, s1) == (ngy * ngz, ngz)
+        i = np.arange(mesh.ref.n_points)
+        rebuilt = (org[:, None, None, None] + i[:, None, None] * s0
+                   + i[:, None] * s1 + i)
+        assert rebuilt.dtype == l2g.dtype and np.array_equal(rebuilt, l2g)

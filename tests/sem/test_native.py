@@ -158,21 +158,29 @@ class TestValues:
     def test_fused_pass_all_degrees(self, n, dtype):
         """``ax_gs_native`` without and with mask and mass term, on two
         stacked vectors over two elements sharing a face, against the
-        oracle scattered, applied and gathered in fp64."""
+        oracle scattered, applied and gathered in fp64.  The mask zeroes
+        nodes of the first element's outer face only, so the second
+        element's edge byte is 0 and it skips the multiply."""
         ref = ReferenceElement.from_degree(n)
         mesh = BoxMesh.build(ref, (2, 1, 1))
         nx, ng, rng = ref.n_points, mesh.n_global, np.random.default_rng(n)
         _, _, g = fields(n, num_e=2, dtype=dtype, seed=n)
         u = rng.standard_normal((2, ng)).astype(dtype)
-        mask = (rng.random(ng) < 0.8).astype(dtype)
+        mask = np.ones(ng, dtype)
+        mask[mesh.l2g[0, 0]] = rng.random((nx, nx)) < 0.8
+        mask[mesh.l2g[0, 0, 0, 0]] = 0
+        edge = (mask[mesh.l2g] != 1).any(axis=(1, 2, 3)).astype(np.uint8)
+        assert edge.tolist() == [1, 0]
         mass = rng.uniform(0.5, 1.5, (2, nx, nx, nx)).astype(dtype)
-        l2g = mesh.l2g.reshape(-1).astype(np.int64)
+        l2g = mesh.l2g.reshape(-1)
+        org, s0, s1 = mesh.l2g[:, 0, 0, 0].copy(), nx * nx, nx
         ax_gs = native.ax_gs_kernel(nx, np.dtype(dtype))
         f64 = lambda a: None if a is None else a.astype(np.float64)  # noqa: E731
-        for m, b, lam in ((None, None, 0.0), (mask, None, 0.0),
-                          (None, mass, 0.75), (mask, mass, 0.75)):
+        for m, e, b, lam in ((None, None, None, 0.0), (mask, edge, None, 0.0),
+                             (None, None, mass, 0.75),
+                             (mask, edge, mass, 0.75)):
             w = np.full_like(u, np.nan)
-            ax_gs(ref.deriv_as(dtype), u, m, l2g, g, b, lam, w)
+            ax_gs(ref.deriv_as(dtype), u, m, org, s0, s1, e, g, b, lam, w)
             um = f64(u) if m is None else f64(u) * f64(m)
             local = um[:, l2g].reshape((2,) + mesh.l2g.shape)
             wl = ax_local(ref, local, f64(g))

@@ -6,10 +6,13 @@ numbers in a normal build.  Here :data:`repro.sem.native._SOURCE` is
 compiled with ``-fsanitize=address,undefined -fno-sanitize-recover=all``
 into one executable with a small C driver that runs ``ax_native``,
 ``ax_gs_add`` and ``ax_gs_native`` on random data in buffers of exactly
-the size the call may touch, each only ``sizeof(REAL)``-aligned.  Any
-finding aborts the driver; two negative controls show that an overrun
-and a misaligned operand do.  A toolchain without the sanitizer
-runtimes skips, saying so.
+the size the call may touch, each only ``sizeof(REAL)``-aligned.  The
+fused pass runs on a real box, two elements sharing a face and addressed
+by origin and strides, with the mask on one outer face, so one element
+multiplies by the mask and the other skips it.  Any finding aborts the
+driver; two negative controls show that an overrun (an element origin
+one row past the end) and a misaligned operand do.  A toolchain without
+the sanitizer runtimes skips, saying so.
 """
 
 from __future__ import annotations
@@ -49,8 +52,10 @@ static REAL *fresh(size_t n, REAL **block)
 
 int main(void)
 {
-    enum { NB = 2, NE = 3 };
-    const ptrdiff_t nl = NE * N3, n = nl / 2 + 1;  /* nodes shared */
+    /* two elements sharing a face along x, numbered z-fastest: node
+       (i, j, k) of element e is global node org[e] + i*NX*NX + j*NX + k */
+    enum { NB = 2, NE = 2 };
+    const ptrdiff_t nl = NE * N3, n = (2 * NX - 1) * NX * NX;
     const ptrdiff_t es = 6 * N3 * sizeof(REAL), cs = N3 * sizeof(REAL);
     REAL *blocks[9];
     REAL *D = fresh(NX * NX, &blocks[0]), *g = fresh(NE * 6 * N3, &blocks[1]);
@@ -58,17 +63,20 @@ int main(void)
     REAL *ug = fresh(NB * n, &blocks[4]), *wg = fresh(NB * n, &blocks[5]);
     REAL *mask = fresh(n, &blocks[6]), *mass = fresh(nl, &blocks[7]);
     REAL *wm = fresh(NB * n, &blocks[8]);
-    int64_t *l2g = malloc(nl * sizeof *l2g);
-    for (ptrdiff_t p = 0; p < nl; p++)
-        l2g[p] = (int64_t)((draw() + 0.5) * (double)n) % n;
-    ax_native(NB, NE + OVERRUN, D, (REAL *)((char *)u + SHIFT),
-              (const char *)g, es, cs, w);
-    ax_gs_add(NB, NE, n, D, ug, NULL, l2g, (const char *)g, es, cs, NULL,
-              0.0, wg);
-    ax_gs_add(NB, NE, n, D, ug, mask, l2g, (const char *)g, es, cs, mass,
-              0.5, wg);
-    ax_gs_native(NB, NE, n, D, ug, mask, l2g, (const char *)g, es, cs,
-                 mass, 0.5, wm);
+    int64_t *org = malloc(NE * sizeof *org);
+    unsigned char *edge = malloc(NE);
+    for (ptrdiff_t i = 0; i < n; i++)  /* 0 on element 0's face x = 0 */
+        mask[i] = (REAL)(i >= NX * NX);
+    org[0] = 0, org[1] = (NX - 1) * NX * NX + OVERRUN * NX;
+    edge[0] = 1, edge[1] = 0;
+    ax_gs_add(NB, NE, n, D, ug, NULL, org, NX * NX, NX, NULL,
+              (const char *)g, es, cs, NULL, 0.0, wg);
+    ax_gs_add(NB, NE, n, D, ug, mask, org, NX * NX, NX, edge,
+              (const char *)g, es, cs, mass, 0.5, wg);
+    ax_gs_native(NB, NE, n, D, ug, mask, org, NX * NX, NX, edge,
+                 (const char *)g, es, cs, mass, 0.5, wm);
+    ax_native(NB, NE, D, (REAL *)((char *)u + SHIFT), (const char *)g, es,
+              cs, w);
     double sum = 0.0;
     for (ptrdiff_t i = 0; i < NB * nl; i++)
         sum += w[i];
@@ -77,7 +85,8 @@ int main(void)
     printf("ok %g\n", sum);
     for (int b = 0; b < 9; b++)
         free(blocks[b]);
-    free(l2g);
+    free(org);
+    free(edge);
     return 0;
 }
 """
@@ -142,7 +151,7 @@ def test_entry_points_run_clean(tmp_path, nx, dtype):
 
 
 @pytest.mark.parametrize("overrun,shift,finding", (
-    (1, 0, "AddressSanitizer: heap-buffer-overflow"),  # one element more
+    (1, 0, "AddressSanitizer: heap-buffer-overflow"),  # org a row past n
     (0, 1, "misaligned address"),  # u one byte off
 ))
 def test_a_bad_operand_is_caught(tmp_path, overrun, shift, finding):

@@ -22,6 +22,7 @@ from repro.sem import (
     rebuild,
 )
 from repro.sem import cg, native
+from repro.sem.gather_scatter import GatherScatter
 from repro.sem.kernels import (
     _REGISTRY,
     ax_local_matmul,
@@ -471,6 +472,79 @@ def test_helmholtz_runs_its_layers(fused):
             assert got.tobytes() == layered(problem, op_name, u).tobytes()
             assert solo.tobytes() == layered(problem, op_name, u[0]).tobytes()
             assert fused == [degree + 1] * 2
+
+
+def renumbered(problem, new_of_old):
+    """``problem`` with global node ``i`` renamed ``new_of_old[i]``: its
+    gather-scatter over the renamed map (a plain ``GatherScatter``) and,
+    for Poisson, its mask moved along."""
+    mesh = problem.mesh
+    problem.gs = GatherScatter(
+        new_of_old[mesh.l2g].reshape(-1), mesh.n_global, mesh.l2g.shape)
+    if isinstance(problem, PoissonProblem):
+        interior = np.empty_like(problem.interior)
+        interior[new_of_old] = problem.interior
+        problem.interior = interior
+        problem._masks.clear()
+    return problem
+
+
+def deformed_3x2x5():
+    mesh = BoxMesh.build(ReferenceElement.from_degree(DEGREE), (3, 2, 5))
+    return mesh.deform(lambda x, y, z: (
+        x + 0.04 * np.sin(np.pi * y) * np.sin(np.pi * z),
+        y + 0.03 * np.sin(np.pi * z) * np.sin(np.pi * x),
+        z + 0.02 * np.sin(np.pi * x) * np.sin(np.pi * y),
+    ))
+
+
+def relabelled_twins(fused, kind, dtype, new_of_old):
+    """The fused pass's output on a deformed 3x2x5 mesh, and the same
+    problem's output over the map relabelled by ``new_of_old``, taken
+    back to the mesh's numbering: stacked and solo, each as bytes."""
+    mesh = deformed_3x2x5()
+    make = {"poisson": lambda: PoissonProblem(mesh),
+            "helmholtz": lambda: HelmholtzProblem(mesh, 0.7)}[kind]
+    op_name = "apply" if dtype is np.float64 else "apply32"
+    plain, relabelled = make(), renumbered(make(), new_of_old)
+    assert relabelled._fused(dtype) is None
+    u = bank(plain, dtype)
+    u_relabelled = np.empty_like(u)
+    u_relabelled[:, new_of_old] = u
+    del fused[:]
+    got = [getattr(plain, op_name)(v).tobytes() for v in (u, u[0])]
+    assert fused == [DEGREE + 1] * 2
+    want = [getattr(relabelled, op_name)(v)[..., new_of_old].tobytes()
+            for v in (u_relabelled, u_relabelled[0])]
+    assert fused == [DEGREE + 1] * 2  # the relabelled map ran the layers
+    return got, want
+
+
+@pytest.mark.parametrize("kind", ("poisson", "helmholtz"))
+@pytest.mark.parametrize("dtype", DTYPES, ids=("fp64", "fp32"))
+def test_the_z_fastest_numbering_is_an_exact_relabelling(fused, kind, dtype):
+    """The fused pass on the mesh's z-fastest numbering gives, to the
+    byte, the layers on the x-fastest numbering it replaced, permuted:
+    every node takes the same contributions in the same order.  That
+    map is affine with a non-unit inner stride, which the fused pass
+    does not take."""
+    ngx, ngy, ngz = deformed_3x2x5().global_grid
+    gx, gy, gz = np.meshgrid(
+        np.arange(ngx), np.arange(ngy), np.arange(ngz), indexing="ij")
+    x_fastest = ((gz * ngy + gy) * ngx + gx).reshape(-1)
+    got, want = relabelled_twins(fused, kind, dtype, x_fastest)
+    assert got == want
+
+
+@pytest.mark.parametrize("kind", ("poisson", "helmholtz"))
+@pytest.mark.parametrize("dtype", DTYPES, ids=("fp64", "fp32"))
+def test_a_map_without_the_affine_form_runs_the_layers(fused, kind, dtype):
+    """A shuffled numbering has no origin-and-strides form: ``_fused``
+    steps aside and the layers give the same bytes, permuted."""
+    n = deformed_3x2x5().n_global
+    shuffled = np.random.default_rng(3).permutation(n)
+    got, want = relabelled_twins(fused, kind, dtype, shuffled)
+    assert got == want
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -101,15 +101,17 @@ class TestGatherScatterShared:
             assert np.array_equal(twin.gather(local), gs.gather(local))
             g = rng.standard_normal(gs.n_global)
             assert np.array_equal(twin.scatter(g), gs.scatter(g))
-            assert twin.dot(local, local) == gs.dot(local, local)
             # The shared caches are the same bytes, read-only.
             assert not twin.l2g_flat.flags.writeable
             assert np.array_equal(twin.l2g_flat, gs.l2g_flat)
-            assert not twin._inv_mult_local.flags.writeable
-            assert np.array_equal(twin._inv_mult_local, gs._inv_mult_local)
-            # The l2g map and the two float caches are the whole export.
+            assert not twin._mult.flags.writeable
+            assert np.array_equal(twin._mult, gs._mult)
+            # The affine form is worked out again on attach, not shared.
+            (org, s0, s1), (org0, s00, s10) = twin.affine, gs.affine
+            assert (s0, s1) == (s00, s10) and np.array_equal(org, org0)
+            # The l2g map and the multiplicities are the whole export.
             assert set(e[0] for e in handle.arrays.entries) == {
-                "l2g_flat", "mult", "inv_mult_local",
+                "l2g_flat", "mult",
             }
             del twin
         finally:
