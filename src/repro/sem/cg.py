@@ -69,6 +69,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -463,6 +464,22 @@ def _breakdown(worst: float) -> ValueError:
 #: allocates: more than any solve in the examples or benchmarks takes.
 _HISTORY_BLOCK: int = 1024
 
+#: Fewest elements at which the compiled loop runs the fused pass as two
+#: parts on two threads (where the thread may use two CPUs and the map
+#: has a split plane).  Median ms per iteration, one CPU -> two, on a
+#: 2-vCPU Xeon guest (gcc 12.2, N = 7, fp64 Poisson): E = 8, 0.039 ->
+#: 0.066; E = 27, 0.110 -> 0.124; E = 64, 0.288 -> 0.271, and 21.7 ->
+#: 18.1 at B = 8; E = 512, 3.7-3.9 -> 2.4-2.6.  The two threads' round
+#: trip costs ~0.6 us, so what a small mesh loses is, presumably, the
+#: halves of ``p`` and ``A p`` that cross between the cores' caches
+#: every iteration.
+SPLIT_MIN_ELEMENTS: int = 64
+
+#: ``True`` in a fleet worker (``repro.serve.replica`` sets it as the
+#: worker starts): its process is one of K on K CPUs whether or not
+#: pinning it took, so its solves never split.
+FLEET_WORKER: bool = False
+
 
 def _compiled_loop(
     apply_into, fused, maxiter, x, r, z, p, ap, inv_m, step, rz, pap,
@@ -473,7 +490,9 @@ def _compiled_loop(
     compiled passes or where a buffer is not one C may write through.
 
     With ``fused`` C applies the operator itself, and a solve is one
-    call without the GIL; otherwise it calls ``apply_into`` back."""
+    call without the GIL — its fused pass split in two parts on two
+    threads where :func:`_splits` says so, with the same bits; otherwise
+    it calls ``apply_into`` back."""
     passes = native.cg_passes(x.dtype)
     nb, vecs = x.shape[0], (x, r, p, ap)
     if inv_m is not None:
@@ -502,6 +521,12 @@ def _compiled_loop(
             None if a is None else a.ctypes.data for a in (
                 fused.d, fused.mask, fused.mass, fused.org, fused.edge,
                 fused.g))
+        if _splits(fused):
+            plane, slot = fused.split
+            stash = np.empty((int(slot.max()) + 1) * nb * fused.d.size,
+                             x.dtype)
+            state.plane, state.replay = plane, fused.ax_gs.replay
+            state.stash, state.slot = stash.ctypes.data, slot.ctypes.data
     else:
         def call() -> int:
             try:
@@ -523,6 +548,20 @@ def _compiled_loop(
             raise errors[0] if errors else _breakdown(state.worst)
         if state.it < state.cap or state.it == cap:
             return np.concatenate(history)
+
+
+def _splits(fused) -> bool:
+    """Whether the compiled loop runs ``fused`` as two parts on two
+    threads: its map has a split plane, it has at least
+    :data:`SPLIT_MIN_ELEMENTS` elements, this is no
+    :data:`FLEET_WORKER`, and this thread may run on two CPUs as far as
+    it can tell (a thread pinned to one, or on a platform that cannot
+    say, does not split).  Either way the bits are the same."""
+    if (FLEET_WORKER or fused.split is None
+            or fused.g.shape[0] < SPLIT_MIN_ELEMENTS):
+        return False
+    return (hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
 
 
 def _cg_iterate(

@@ -15,8 +15,9 @@ fp64; a global id no local slot maps to is simply left at zero.  Stacked
 never depends on ``B`` or on its batchmates.
 
 The operator is stateless after construction — the l2g map, the node
-multiplicities and the map's affine form (:attr:`GatherScatter.affine`,
+multiplicities, the map's affine form (:attr:`GatherScatter.affine`,
 the element origins and strides the compiled pass addresses rows by)
+and the plane that pass may split at (:attr:`GatherScatter.split`)
 are read-only — so one instance serves any number of threads, solve
 replicas and dtype twins.  ``gather``/``scatter`` accept ``out=`` so the
 allocation-free solver path (:mod:`repro.sem.workspace`) can reuse
@@ -74,6 +75,9 @@ class GatherScatter:
         ``(org, s0, s1)``, ``org`` a contiguous ``(E,)`` int64 array,
         with ``l2g[e, a, b, c] == org[e] + a*s0 + b*s1 + c`` for every
         local node (every mesh map has it), else ``None``.
+    split:
+        ``(plane, slot)``, the :func:`split_plane` of :attr:`affine`,
+        else ``None``.  Worked out with it, from the same map.
     """
 
     l2g_flat: NDArray[np.int64]
@@ -83,6 +87,9 @@ class GatherScatter:
     # Construction-time caches (set via object.__setattr__; frozen class).
     _mult: NDArray[np.float64] = field(init=False, repr=False, compare=False)
     affine: "tuple[NDArray[np.int64], int, int] | None" = field(
+        init=False, repr=False, compare=False
+    )
+    split: "tuple[int, NDArray[np.int64]] | None" = field(
         init=False, repr=False, compare=False
     )
 
@@ -105,8 +112,8 @@ class GatherScatter:
         # In the owning dtype: pinned to fp64 they once silently
         # promoted every fp32 kernel touching them.
         object.__setattr__(self, "_mult", counts.astype(dtype))
-        object.__setattr__(
-            self, "affine", _affine(self.l2g_flat, self.local_shape))
+        for name, value in _addressing(self.l2g_flat, self.local_shape):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_mesh(
@@ -184,9 +191,9 @@ class GatherScatter:
         """Rebuild an operator over an exported block, zero-copy.
 
         Skips the bincount of :meth:`__post_init__` (only :attr:`affine`
-        is worked out again) and views the shared caches read-only.  The
-        shared mapping's lifetime is
-        tied to the returned object.
+        and :attr:`split` are worked out again) and views the shared
+        caches read-only.  The shared mapping's lifetime is tied to the
+        returned object.
         """
         from repro.sem.shared import attach_shared_arrays
 
@@ -198,7 +205,7 @@ class GatherScatter:
             ("local_shape", tuple(handle.local_shape)),
             ("dtype", views["mult"].dtype),
             ("_mult", views["mult"]),
-            ("affine", _affine(views["l2g_flat"], handle.local_shape)),
+            *_addressing(views["l2g_flat"], handle.local_shape),
             ("_shm", shm),
         ):
             object.__setattr__(gs, name, value)
@@ -342,6 +349,15 @@ class GatherScatter:
         return self._mult.copy()
 
 
+def _addressing(l2g_flat: NDArray[np.int64], local_shape: tuple):
+    """The ``("affine", ...)`` and ``("split", ...)`` attributes of a
+    map, one from the other, so no pass pairs one map's strides with
+    another's plane."""
+    affine = _affine(l2g_flat, local_shape)
+    return (("affine", affine), ("split", None if affine is None
+                                  else split_plane(*affine, local_shape[1])))
+
+
 def _affine(l2g_flat: NDArray[np.int64], local_shape: tuple):
     """``(org, s0, s1)`` with ``l2g[e, a, b, c] == org[e] + a*s0 + b*s1
     + c`` over a whole ``(E, nx, nx, nx)`` map, ``nx > 1``, else ``None``."""
@@ -355,3 +371,35 @@ def _affine(l2g_flat: NDArray[np.int64], local_shape: tuple):
     rebuilt = (org[:, None, None, None] + i[:, None, None] * s0
                + i[:, None] * s1 + i)
     return (org, s0, s1) if np.array_equal(rebuilt, l2g) else None
+
+
+def split_plane(
+    org: NDArray[np.int64], s0: int, s1: int, nx: int
+) -> "tuple[int, NDArray[np.int64]] | None":
+    """``(plane, slot)``: where the compiled fused pass over an ``(org,
+    s0, s1)`` map (:attr:`GatherScatter.affine`) splits into two parts
+    that write apart, or ``None`` where it cannot.
+
+    ``plane`` is a global node plane ``[plane*s0, (plane+1)*s0)`` that is
+    an element face: every element row lies in one plane, and each
+    element lies wholly on one side of this one, touching it at most
+    with its first or last row.  Of the planes with elements on both
+    sides it is the one that halves the elements most evenly.
+    ``slot[e]`` (int64) numbers the elements that touch the plane in
+    ascending order — their place in the pass's stash — and is -1 for
+    the rest."""
+    org = np.asarray(org, dtype=np.int64)
+    if (s1 < nx or s0 <= 0 or not org.size
+            or (org % s0 + (nx - 1) * (s1 + 1) >= s0).any()):
+        return None
+    low = org // s0  # each element's first plane
+    best, plane = org.size, -1
+    for p in sorted(set(low.tolist()))[1:]:  # np.unique loads numpy.ma
+        below = int((low < p).sum())
+        straddle = ((low < p) & (low + nx - 1 > p)).any()
+        if not straddle and abs(org.size - 2 * below) < best:
+            best, plane = abs(org.size - 2 * below), p
+    if plane < 0:
+        return None
+    touch = (low == plane) | (low + nx - 1 == plane)
+    return plane, np.where(touch, np.cumsum(touch) - 1, -1).astype(np.int64)

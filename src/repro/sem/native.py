@@ -21,7 +21,10 @@ pass, 9 reads + 4 writes where twelve numpy calls made 17 + 7 — and
 finished rows and the scalar recurrence, with ``A p`` from the fused
 pass (its closing mask folded into the ``p.Ap`` sweep) or from a Python
 callback.  With the fused pass a whole solve is one call, and the GIL
-stays released from its first iteration to its last.
+stays released from its first iteration to its last; the call may run
+the fused pass as two parts on two threads
+(:func:`~repro.sem.gather_scatter.split_plane`), with the bits of the
+whole pass.
 
 :func:`ax_kernel`, :func:`ax_gs_kernel` and :func:`cg_passes` are the
 whole interface: one shared object per ``(nx, dtype)`` (the ``Ax``
@@ -194,22 +197,42 @@ static __attribute__((noinline, optimize("fp-contract=off"))) void mass_term(
    N3)).  Each node takes its contributions in ascending local index --
    np.add.at's order, so the bits of scatter -> ax_native (-> mass term)
    -> gather.  The closing mask is the caller's: ax_gs_native's, or the
-   CG loop's p.Ap sweep. */
+   CG loop's p.Ap sweep.
+
+   plane < 0 is the whole mesh.  Else the sweep is one of two parts
+   split at the node plane [plane*s0, (plane+1)*s0), an element face:
+   part 0 zeroes and accumulates the nodes below the plane from the
+   elements whose origin is below it, part 1 the nodes above it from
+   the rest, so the parts write apart and may run at once.  An
+   element's row i on the plane goes to its (nb, NX, NX) slot of the
+   stash, slot[e], instead of into w; ax_gs_replay adds the slots in
+   once both parts are done. */
 void ax_gs_add(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
                const REAL *restrict D, const REAL *restrict u,
                const REAL *restrict mask, const int64_t *restrict org,
                ptrdiff_t s0, ptrdiff_t s1,
                const unsigned char *restrict edge, const char *restrict g,
                ptrdiff_t g_estride, ptrdiff_t g_cstride,
-               const REAL *restrict mass, double lam, REAL *restrict w)
+               const REAL *restrict mass, double lam, int part,
+               ptrdiff_t plane, REAL *restrict stash,
+               const int64_t *restrict slot, REAL *restrict w)
 {
+    const ptrdiff_t cut = plane * s0;  /* the plane's first node */
+    /* the nodes this call owns: [lo, hi) */
+    const ptrdiff_t lo = plane >= 0 && part ? cut + s0 : 0;
+    const ptrdiff_t hi = plane >= 0 && !part ? cut : n;
     REAL Dt[NX * NX];
     for (int k = 0; k < NX; k++)
         for (int l = 0; l < NX; l++)
             Dt[l * NX + k] = D[k * NX + l];
-    for (ptrdiff_t i = 0; i < nb * n; i++)
-        w[i] = 0;
+    for (ptrdiff_t b = 0; b < nb; b++)
+        for (ptrdiff_t i = lo; i < hi; i++)
+            w[b * n + i] = 0;
     for (ptrdiff_t e = 0; e < ne; e++) {
+        if (plane >= 0 && (org[e] >= cut) != part)
+            continue;
+        /* the element's row i on the plane, if 0 <= face < NX */
+        const ptrdiff_t face = plane >= 0 ? plane - org[e] / s0 : -1;
         const REAL *m = mask && edge[e] ? mask + org[e] : NULL;
         const REAL *gc[6];
         for (int c = 0; c < 6; c++)
@@ -231,14 +254,43 @@ void ax_gs_add(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
             element(D, Dt, gc, ue, we);
             if (mass)
                 mass_term(mass + e * N3, (REAL)lam, ue, we);
-            for (int i = 0; i < NX; i++)
+            for (int i = 0; i < NX; i++) {
+                if (i == face) {
+                    REAL *st = stash + (slot[e] * nb + b) * NX * NX;
+                    for (int p = 0; p < NX * NX; p++)
+                        st[p] = we[AT(i, 0, p)];
+                    continue;
+                }
                 for (int j = 0; j < NX; j++) {
                     REAL *row = wb + i * s0 + j * s1;
                     for (int k = 0; k < NX; k++)
                         row[k] += we[AT(i, j, k)];
                 }
+            }
         }
     }
+}
+
+/* The plane of a split ax_gs_add once both parts are done: zeroed, then
+   each stashed row added in, elements in ascending order -- every node
+   takes the additions, in the order, of the whole-mesh pass, so its
+   bits. */
+void ax_gs_replay(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
+                  const int64_t *restrict org, ptrdiff_t s0, ptrdiff_t s1,
+                  ptrdiff_t plane, const REAL *restrict stash,
+                  const int64_t *restrict slot, REAL *restrict w)
+{
+    for (ptrdiff_t b = 0; b < nb; b++)
+        for (ptrdiff_t i = plane * s0; i < (plane + 1) * s0; i++)
+            w[b * n + i] = 0;
+    for (ptrdiff_t e = 0; e < ne; e++)
+        for (ptrdiff_t b = 0; slot[e] >= 0 && b < nb; b++) {
+            const REAL *st = stash + (slot[e] * nb + b) * NX * NX;
+            REAL *wb = w + b * n + plane * s0 + org[e] % s0;
+            for (int j = 0; j < NX; j++)
+                for (int k = 0; k < NX; k++)
+                    wb[j * s1 + k] += st[j * NX + k];
+        }
 }
 
 /* w = mask * Q^T (D^T G D + lam B) Q (mask * u): ax_gs_add, then the
@@ -253,7 +305,7 @@ void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
                   double lam, REAL *restrict w)
 {
     ax_gs_add(nb, ne, n, D, u, mask, org, s0, s1, edge, g, g_estride,
-              g_cstride, mass, lam, w);
+              g_cstride, mass, lam, 0, -1, NULL, NULL, w);
     if (mask)
         for (REAL *wb = w; wb < w + nb * n; wb += n)
             for (ptrdiff_t i = 0; i < n; i++)
@@ -266,10 +318,13 @@ void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
 #: ``x``, ``r``, ``z``, ``p`` are the numpy body's bits given its scalars.
 #: No ``errno`` either: the loop's ``sqrt`` is the instruction, as numpy's.
 _CG_FLAGS: tuple[str, ...] = (
-    *_FLAGS, "-O3", "-ffp-contract=off", "-fno-math-errno")
+    *_FLAGS, "-O3", "-ffp-contract=off", "-fno-math-errno", "-pthread")
 
 _CG_SOURCE = r"""
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stddef.h>
 #include <stdint.h>
 /* Every sum: products rounded to REAL, element i added into fp64 lane
@@ -369,10 +424,18 @@ struct cg_loop {
     void (*fused)(ptrdiff_t, ptrdiff_t, ptrdiff_t, const REAL *,
                   const REAL *, const REAL *, const int64_t *, ptrdiff_t,
                   ptrdiff_t, const unsigned char *, const char *,
-                  ptrdiff_t, ptrdiff_t, const REAL *, double, REAL *);
-    ptrdiff_t ne, s0, s1, g_estride, g_cstride;
+                  ptrdiff_t, ptrdiff_t, const REAL *, double, int,
+                  ptrdiff_t, REAL *, const int64_t *, REAL *);
+    /* with replay (ax_gs_replay) the fused pass runs as its two parts,
+       split at plane, on two threads, then replay adds the stash, one
+       slot[e] per element on the plane, into it; NULL: whole */
+    void (*replay)(ptrdiff_t, ptrdiff_t, ptrdiff_t, const int64_t *,
+                   ptrdiff_t, ptrdiff_t, ptrdiff_t, const REAL *,
+                   const int64_t *, REAL *);
+    ptrdiff_t ne, s0, s1, g_estride, g_cstride, plane;
     const REAL *D, *mask, *mass;  /* mask, mass: NULL for none */
-    const int64_t *org;
+    REAL *stash;
+    const int64_t *org, *slot;
     const unsigned char *edge;
     const char *g;
     double lam;
@@ -380,9 +443,61 @@ struct cg_loop {
     double worst;              /* out: p.Ap of a breakdown */
 };
 
+/* Part `part` of the fused pass, split at `plane` (< 0: whole). */
+static void fused_part(const struct cg_loop *s, int part, ptrdiff_t plane)
+{
+    s->fused(s->nb, s->ne, s->n, s->D, s->p, s->mask, s->org, s->s0, s->s1,
+             s->edge, s->g, s->g_estride, s->g_cstride, s->mass, s->lam,
+             part, plane, s->stash, s->slot, s->ap);
+}
+
+/* The helper thread of a split solve and what it shares with cg_solve,
+   on cg_solve's stack.  In round k cg_solve sets go = k to start the
+   parts, runs part 0, and then part 1 is whoever's first to move
+   claimed from k - 1 to k: the helper, which then sets done = k once
+   the part is written, or cg_solve itself where the helper has not
+   begun it -- so a helper with no CPU to run on costs the solve no
+   wait.  go = -1 ends the helper.  Both wait by polling and yielding,
+   never by sleeping: waking a sleeping thread wakes an idle CPU, and a
+   poll sees the flag within one yield.  On a 2-vCPU guest at E = 512 a
+   helper that slept on a condition variable gave 1.35x over one thread
+   where polling gives 1.59x, and a pthread barrier lost to one thread
+   whenever the host was busy. */
+struct helper {
+    const struct cg_loop *s;
+    _Atomic ptrdiff_t go, claimed, done;
+};
+
+/* Whether this thread takes part 1 of round k. */
+static int claim(struct helper *h, ptrdiff_t k)
+{
+    ptrdiff_t prev = k - 1;
+    return atomic_compare_exchange_strong(&h->claimed, &prev, k);
+}
+
+static void *helper_main(void *arg)
+{
+    struct helper *h = arg;
+    for (ptrdiff_t seen = 0;;) {
+        ptrdiff_t k;
+        while ((k = atomic_load_explicit(&h->go, memory_order_acquire))
+               == seen)
+            sched_yield();
+        if (k < 0)
+            return NULL;
+        seen = k;
+        if (claim(h, k)) {
+            fused_part(h->s, 1, h->s->plane);
+            atomic_store_explicit(&h->done, k, memory_order_release);
+        }
+    }
+}
+
 /* _cg_iterate's loop, pass for pass and scalar for scalar, until no row
-   is live or it == cap.  0, or -1 on a breakdown, or call()'s status. */
-int cg_solve(struct cg_loop *s)
+   is live or it == cap; with h, the fused pass as its two parts, part 1
+   on h's thread where it claims it first.  0, or -1 on a breakdown, or
+   call()'s status. */
+static int iterate(struct cg_loop *s, struct helper *h)
 {
     const ptrdiff_t nb = s->nb, n = s->n;
     unsigned char *active = s->active;
@@ -394,9 +509,20 @@ int cg_solve(struct cg_loop *s)
         if (!live)
             break;
         if (s->fused) {
-            s->fused(nb, s->ne, n, s->D, s->p, s->mask, s->org, s->s0,
-                     s->s1, s->edge, s->g, s->g_estride, s->g_cstride,
-                     s->mass, s->lam, s->ap);
+            if (h) {  /* the two parts at once, then the plane */
+                const ptrdiff_t k = h->go + 1;
+                atomic_store_explicit(&h->go, k, memory_order_release);
+                fused_part(s, 0, s->plane);
+                if (claim(h, k))
+                    fused_part(s, 1, s->plane);
+                else
+                    while (atomic_load_explicit(&h->done,
+                                                memory_order_acquire) != k)
+                        sched_yield();
+                s->replay(nb, s->ne, n, s->org, s->s0, s->s1, s->plane,
+                          s->stash, s->slot, s->ap);
+            } else
+                fused_part(s, 0, -1);
             if (s->mask)
                 mask_dot(nb, n, s->mask, s->p, s->ap, pap);
             else
@@ -455,6 +581,23 @@ int cg_solve(struct cg_loop *s)
     }
     return 0;
 }
+
+/* iterate(), with the fused pass split in two where s->replay is set and
+   a helper thread starts (else whole, the same bits); the helper is
+   joined before any return. */
+int cg_solve(struct cg_loop *s)
+{
+    struct helper h = {.s = s, .go = 0, .claimed = 0, .done = 0};
+    pthread_t thread;
+    const int split = s->fused && s->replay
+        && !pthread_create(&thread, NULL, helper_main, &h);
+    const int status = iterate(s, split ? &h : NULL);
+    if (split) {
+        atomic_store_explicit(&h.go, -1, memory_order_release);
+        pthread_join(thread, NULL);
+    }
+    return status;
+}
 """
 
 _lock = threading.Lock()
@@ -506,7 +649,9 @@ def ax_gs_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
     and a contiguous ``(E, nx, nx, nx)`` ``mass`` of the dtype (``None``:
     no mass term).  Its attribute ``unmasked`` is the address of the same
     pass without the closing mask, which ``cg_solve`` (:func:`cg_passes`)
-    calls.
+    calls, whole or as the two parts of a split at a plane
+    (:func:`~repro.sem.gather_scatter.split_plane`); ``replay`` is the
+    address of the call that adds the plane in after the parts.
     """
     return _cached(_load_ax, nx, dtype)[1]
 
@@ -571,6 +716,7 @@ def _load_ax(nx: int, dtype: np.dtype) -> "tuple[Callable | None, ...]":
               None if mass is None else mass.ctypes.data, lam, w.ctypes.data)
 
     ax_gs.unmasked = ctypes.cast(lib.ax_gs_add, ctypes.c_void_p).value
+    ax_gs.replay = ctypes.cast(lib.ax_gs_replay, ctypes.c_void_p).value
     return ax, ax_gs
 
 
@@ -586,11 +732,11 @@ class CGLoop(ctypes.Structure):
         *((name, ctypes.c_void_p) for name in (
             "x", "r", "z", "p", "ap", "step", "invm", "rz", "pap", "coef",
             "res", "history", "stop", "active", "exhausted", "iterations",
-            "maxiter", "fused")),
+            "maxiter", "fused", "replay")),
         *((name, ctypes.c_ssize_t) for name in (
-            "ne", "s0", "s1", "g_estride", "g_cstride")),
-        *((name, ctypes.c_void_p)
-          for name in ("D", "mask", "mass", "org", "edge", "g")),
+            "ne", "s0", "s1", "g_estride", "g_cstride", "plane")),
+        *((name, ctypes.c_void_p) for name in (
+            "D", "mask", "mass", "stash", "org", "slot", "edge", "g")),
         ("lam", ctypes.c_double),
         ("call", OperatorCall),
         ("worst", ctypes.c_double),
@@ -601,7 +747,9 @@ class FusedPass(NamedTuple):
     """One problem's operator in one dtype as :func:`ax_gs_kernel`'s
     pass: the pass and every operand but the vectors — ``mask`` and
     ``edge``, ``mass`` ``None`` where the operator has none, ``n`` the
-    global size.  ``fused(u, w)`` writes ``w = A u``."""
+    global size, ``split`` its map's :attr:`GatherScatter.split
+    <repro.sem.gather_scatter.GatherScatter.split>`.  ``fused(u, w)``
+    writes ``w = A u``, whole, on this thread."""
 
     ax_gs: Callable
     n: int
@@ -614,6 +762,7 @@ class FusedPass(NamedTuple):
     g: np.ndarray
     mass: "np.ndarray | None"
     lam: float
+    split: "tuple[int, np.ndarray] | None"
 
     def __call__(self, u, w) -> None:
         self.ax_gs(self.d, u, self.mask, self.org, self.s0, self.s1,

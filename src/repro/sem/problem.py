@@ -291,7 +291,7 @@ class SEMProblem:
         return native.FusedPass(
             ax_gs, self.n_dofs, d, self._mask(dtype), org, s0, s1,
             self._edge, g, mass,
-            0.0 if self.lam is None else float(self.lam),
+            0.0 if self.lam is None else float(self.lam), gs.split,
         )
 
     def _solver_pass(self, operator: Callable, dtype: np.dtype):

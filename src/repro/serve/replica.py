@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from repro.analysis.runtime import race_checked
-from repro.sem import native
+from repro.sem import cg, native
 from repro.sem.shared import SlotRing
 from repro.serve.errors import ServiceClosed, WorkerCrashed
 from repro.serve.stats import perf_epoch_offset
@@ -164,6 +164,8 @@ def _worker_main(
     from repro.sem.spec import rebuild
     from repro.serve.service import SolveService
 
+    # One CPU per worker, pinned or not: its solves never split.
+    cg.FLEET_WORKER = True
     pinned: "tuple[int, ...] | None" = None
     if pin_to is not None and hasattr(os, "sched_setaffinity"):
         try:  # best-effort: containers may deny affinity changes

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
@@ -651,6 +654,18 @@ def python_loop():
     return run
 
 
+@contextlib.contextmanager
+def one_cpu(pin=True):
+    """This thread pinned to one of its CPUs for the block (``pin``)."""
+    allowed = os.sched_getaffinity(0)
+    if pin:
+        os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
 def assert_same_block(got, want):
     """Field-by-field bit equality of two batched results (NaNs too)."""
     assert type(got) is type(want)
@@ -813,6 +828,83 @@ class TestCompiledLoop:
         a, _, b = spd_system(12)
         with pytest.raises(ValueError, match=r"CG breakdown: p\^T A p = -"):
             cg_solve(lambda v: -(v @ a.T), b)
+
+    @pytest.mark.parametrize("shape,splits", (((5, 2, 1), True),
+                                              ((1, 3, 2), False)))
+    @pytest.mark.parametrize("batch", (1, 3))
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    @pytest.mark.parametrize("kind", ("poisson", "helmholtz"))
+    def test_two_cpus_give_one_cpus_bits(self, monkeypatch, kind, dtype,
+                                         batch, shape, splits):
+        """The fused pass split in two at a plane (5 x-columns: an uneven
+        split) is the whole pass, to the bit; a one-column mesh has no
+        plane and never splits."""
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("this process may use one CPU only")
+        monkeypatch.setattr(cg, "SPLIT_MIN_ELEMENTS", 1)
+        mesh = BoxMesh.build(ReferenceElement.from_degree(3), shape)
+        prob = (PoissonProblem(mesh) if kind == "poisson"
+                else HelmholtzProblem(mesh, lam=0.7))
+        op = prob.apply if dtype == np.float64 else prob.apply32
+        bs = np.random.default_rng(7).standard_normal((batch, prob.n_dofs))
+        bs = (bs if kind == "helmholtz" else bs * prob.interior).astype(dtype)
+        kwargs = dict(precond_diag=prob.precond_diag().astype(dtype),
+                      dtype=dtype, tol=1e-7, maxiter=400)
+        fused = prob._fused(dtype)
+        if fused is None:
+            pytest.skip("no compiled fused pass on this host")
+        got, split = {}, {}
+        for cpus in (1, 2):
+            with one_cpu(cpus == 1):
+                split[cpus] = cg._splits(fused)
+                got[cpus] = (cg_solve(op, bs[0], **kwargs) if batch == 1
+                             else cg_solve_batched(op, bs, **kwargs))
+        assert split == {1: False, 2: splits}
+        for name in ("x", "iterations", "residual_history"):
+            one, two = (np.asarray(getattr(got[k], name)) for k in (1, 2))
+            assert one.tobytes() == two.tobytes(), name
+
+    def test_a_fleet_worker_never_splits(self, monkeypatch):
+        """A fleet worker's process is one of K on K CPUs, pinned or not
+        (pinning is best-effort): its solves run whole."""
+        monkeypatch.setattr(cg, "SPLIT_MIN_ELEMENTS", 1)
+        mesh = BoxMesh.build(ReferenceElement.from_degree(3), (4, 2, 1))
+        fused = PoissonProblem(mesh)._fused(np.float64)
+        if fused is None:
+            pytest.skip("no compiled fused pass on this host")
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("this process may use one CPU only")
+        assert cg._splits(fused)
+        monkeypatch.setattr(cg, "FLEET_WORKER", True)
+        assert not cg._splits(fused)
+
+    def test_the_helper_thread_never_outlives_the_call(self, monkeypatch):
+        """A split solve, then one that ends in the ``p·Ap < 0`` refusal
+        (``lam`` made negative after construction): the process has as
+        many threads after either as before, and the refusal is the
+        unsplit solve's ``ValueError``."""
+        monkeypatch.setattr(cg, "SPLIT_MIN_ELEMENTS", 1)
+        prob = HelmholtzProblem(
+            BoxMesh.build(ReferenceElement.from_degree(3), (4, 2, 1)))
+        fused = prob._fused(np.float64)
+        if fused is None:
+            pytest.skip("no compiled fused pass on this host")
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("this process may use one CPU only")
+        assert cg._splits(fused)
+        b = np.random.default_rng(8).standard_normal(prob.n_dofs)
+        before = len(os.listdir("/proc/self/task"))
+        assert cg_solve(prob.apply, b, tol=1e-8).converged
+        assert len(os.listdir("/proc/self/task")) == before
+        prob.lam = -1e3
+        refusals = []
+        for cpus in (2, 1):
+            with one_cpu(cpus == 1), pytest.raises(
+                    ValueError, match=r"CG breakdown: p\^T A p = -") as err:
+                cg_solve(prob.apply, b)
+            refusals.append(str(err.value))
+            assert len(os.listdir("/proc/self/task")) == before
+        assert refusals[0] == refusals[1]
 
     def test_two_threads_solve_at_once_as_serially(self):
         """The loop keeps nothing between calls and runs without the GIL:

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.sem.gather_scatter import GatherScatter
+from repro.sem.gather_scatter import GatherScatter, split_plane
 from repro.sem.mesh import BoxMesh
 
 
@@ -404,3 +404,43 @@ class TestSharedGatherScatter:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert got == {k: True for k in range(4)}
+
+
+class TestSplitPlane:
+    """Where the compiled CG loop may split the fused pass in two."""
+
+    def test_the_most_even_face_plane_and_its_slots(self):
+        """5 x-columns of 2 elements: the plane after column 2 (the first
+        of the two even splits), slots for the 4 elements touching it in
+        ascending order."""
+        from repro.sem.element import ReferenceElement
+
+        mesh = BoxMesh.build(ReferenceElement.from_degree(3), (5, 2, 1))
+        gs = GatherScatter.from_mesh(mesh)
+        org, s0, s1 = gs.affine
+        plane, slot = gs.split
+        low = org // s0
+        assert plane == 6 and (low < plane).sum() == 4
+        touch = (low == 3) | (low == 6)
+        assert slot.dtype == np.int64
+        assert slot[touch].tolist() == [0, 1, 2, 3]
+        assert (slot[~touch] == -1).all()
+        assert gs.as_dtype(np.float32).split is gs.split
+
+    @pytest.mark.parametrize("org,s0,s1", (
+        ([0, 16, 32], 16, 4),  # one x-column: no plane has both sides
+        ([0, 16], 16, 4),      # element 1 starts inside element 0
+        ([0, 48], 15, 4),      # rows run past their plane
+        ([0, 48], 16, 3),      # rows overlap
+        ([48, 0], -16, 4),     # planes numbered downward
+    ))
+    def test_no_plane(self, org, s0, s1):
+        assert split_plane(np.array(org), s0, s1, 4) is None
+
+    def test_a_map_without_the_affine_form_has_no_plane(self, gs3):
+        mesh, gs = gs3
+        shuffled = np.random.default_rng(3).permutation(mesh.n_global)
+        twin = GatherScatter(
+            shuffled[gs.l2g_flat], mesh.n_global, gs.local_shape)
+        assert gs.split is not None
+        assert twin.affine is None and twin.split is None

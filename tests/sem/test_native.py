@@ -533,7 +533,8 @@ def storage_beyond_a_call(source):
 
 class TestLoader:
     def test_source_is_carried_by_the_package(self):
-        for name in ("ax_native", "ax_gs_add", "ax_gs_native"):
+        for name in ("ax_native", "ax_gs_add", "ax_gs_replay",
+                     "ax_gs_native"):
             assert f"void {name}(" in native._SOURCE
         for name in ("cg_dot", "cg_step", "cg_dir"):
             assert f"void {name}(" in native._CG_SOURCE
@@ -551,14 +552,15 @@ class TestLoader:
 
     @pytest.mark.parametrize("real", ("double", "float"))
     def test_sources_compile_clean_under_werror(self, real, tmp_path):
-        """Built as the loader builds them (codegen warnings included),
-        exporting every entry point and nothing else."""
+        """Built as the loader builds them (codegen warnings included;
+        the CG loop with ``-pthread``), exporting every entry point and
+        nothing else."""
         cc = shutil.which("cc") or shutil.which("gcc")
         if cc is None:
             pytest.skip("no C compiler on this host")
         for source, flags, entries in (
             (native._SOURCE, (*native._FLAGS, "-DNX=8"),
-             ("ax_native", "ax_gs_add", "ax_gs_native")),
+             ("ax_native", "ax_gs_add", "ax_gs_replay", "ax_gs_native")),
             (native._CG_SOURCE, native._CG_FLAGS,
              ("cg_dot", "cg_step", "cg_dir", "cg_solve")),
         ):
@@ -571,8 +573,9 @@ class TestLoader:
             assert done.returncode == 0, done.stderr.decode()
             lib = ctypes.CDLL(str(built))
             assert all(hasattr(lib, name) for name in entries)
-            assert not hasattr(lib, "element")
-            assert not hasattr(lib, "mask_dot")
+            for name in ("element", "mask_dot", "fused_part", "helper_main",
+                         "iterate"):
+                assert not hasattr(lib, name)
 
     def test_two_loaders_with_the_same_arguments_stay_apart(
         self, fresh_loader

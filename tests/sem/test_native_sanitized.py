@@ -1,18 +1,27 @@
-"""The compiled ``Ax`` source under AddressSanitizer and UBSan.
+"""The compiled sources under AddressSanitizer, UBSan and ThreadSanitizer.
 
 The element body reads rows as vector chunks through cast pointers;
 an out-of-bounds or misaligned access there would give plausible
 numbers in a normal build.  Here :data:`repro.sem.native._SOURCE` is
 compiled with ``-fsanitize=address,undefined -fno-sanitize-recover=all``
 into one executable with a small C driver that runs ``ax_native``,
-``ax_gs_add`` and ``ax_gs_native`` on random data in buffers of exactly
-the size the call may touch, each only ``sizeof(REAL)``-aligned.  The
-fused pass runs on a real box, two elements sharing a face and addressed
-by origin and strides, with the mask on one outer face, so one element
-multiplies by the mask and the other skips it.  Any finding aborts the
+``ax_gs_add``, ``ax_gs_replay`` and ``ax_gs_native`` on random data in
+buffers of exactly the size the call may touch, each only
+``sizeof(REAL)``-aligned.  The fused pass runs on a real box, two
+elements sharing a face and addressed by origin and strides, with the
+mask on one outer face, so one element multiplies by the mask and the
+other skips it; then as the two parts of a split at that face and the
+replay, which must give the whole pass's bytes.  Any finding aborts the
 driver; two negative controls show that an overrun (an element origin
-one row past the end) and a misaligned operand do.  A toolchain without
-the sanitizer runtimes skips, saying so.
+one row past the end) and a misaligned operand do.
+
+The split CG loop runs under ``-fsanitize=thread``: :data:`_SOURCE` and
+:data:`_CG_SOURCE` in one executable whose driver runs ``cg_solve`` on
+the same box split at its shared face, one element per part, the
+second part on whichever thread claims it first, and must run clean.  A
+negative control splits at a plane inside the first element, so both
+parts write the same rows: that must be reported as a data race.  A
+toolchain without the sanitizer runtimes skips, saying so.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from repro.sem import native
 DRIVER = r"""
 #include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 
 static unsigned long long state = 88172645463325252ull;
 
@@ -57,24 +67,34 @@ int main(void)
     enum { NB = 2, NE = 2 };
     const ptrdiff_t nl = NE * N3, n = (2 * NX - 1) * NX * NX;
     const ptrdiff_t es = 6 * N3 * sizeof(REAL), cs = N3 * sizeof(REAL);
-    REAL *blocks[9];
+    REAL *blocks[11];
     REAL *D = fresh(NX * NX, &blocks[0]), *g = fresh(NE * 6 * N3, &blocks[1]);
     REAL *u = fresh(NB * nl, &blocks[2]), *w = fresh(NB * nl, &blocks[3]);
     REAL *ug = fresh(NB * n, &blocks[4]), *wg = fresh(NB * n, &blocks[5]);
     REAL *mask = fresh(n, &blocks[6]), *mass = fresh(nl, &blocks[7]);
-    REAL *wm = fresh(NB * n, &blocks[8]);
-    int64_t *org = malloc(NE * sizeof *org);
+    REAL *wm = fresh(NB * n, &blocks[8]), *ws = fresh(NB * n, &blocks[9]);
+    REAL *stash = fresh(NE * NB * NX * NX, &blocks[10]);
+    int64_t *org = malloc(NE * sizeof *org), slot[NE] = {0, 1};
     unsigned char *edge = malloc(NE);
     for (ptrdiff_t i = 0; i < n; i++)  /* 0 on element 0's face x = 0 */
         mask[i] = (REAL)(i >= NX * NX);
     org[0] = 0, org[1] = (NX - 1) * NX * NX + OVERRUN * NX;
     edge[0] = 1, edge[1] = 0;
     ax_gs_add(NB, NE, n, D, ug, NULL, org, NX * NX, NX, NULL,
-              (const char *)g, es, cs, NULL, 0.0, wg);
+              (const char *)g, es, cs, NULL, 0.0, 0, -1, NULL, NULL, wg);
     ax_gs_add(NB, NE, n, D, ug, mask, org, NX * NX, NX, edge,
-              (const char *)g, es, cs, mass, 0.5, wg);
+              (const char *)g, es, cs, mass, 0.5, 0, -1, NULL, NULL, wg);
     ax_gs_native(NB, NE, n, D, ug, mask, org, NX * NX, NX, edge,
                  (const char *)g, es, cs, mass, 0.5, wm);
+    /* the same pass split at the shared face x = NX - 1, one element a
+       part: the whole pass's bytes */
+    for (int part = 0; part < 2; part++)
+        ax_gs_add(NB, NE, n, D, ug, mask, org, NX * NX, NX, edge,
+                  (const char *)g, es, cs, mass, 0.5, part, NX - 1, stash,
+                  slot, ws);
+    ax_gs_replay(NB, NE, n, org, NX * NX, NX, NX - 1, stash, slot, ws);
+    if (memcmp(ws, wg, NB * n * sizeof *ws))
+        return puts("split != whole"), 1;
     ax_native(NB, NE, D, (REAL *)((char *)u + SHIFT), (const char *)g, es,
               cs, w);
     double sum = 0.0;
@@ -83,11 +103,69 @@ int main(void)
     for (ptrdiff_t i = 0; i < NB * n; i++)
         sum += wg[i] + wm[i];
     printf("ok %g\n", sum);
-    for (int b = 0; b < 9; b++)
+    for (int b = 0; b < 11; b++)
         free(blocks[b]);
     free(org);
     free(edge);
     return 0;
+}
+"""
+
+SPLIT_DRIVER = r"""
+#include <stdio.h>
+#include <stdlib.h>
+
+static unsigned long long state = 88172645463325252ull;
+
+static double draw(void)  /* xorshift64: in [-0.5, 0.5) */
+{
+    state ^= state << 13, state ^= state >> 7, state ^= state << 17;
+    return (double)(state >> 11) / 9007199254740992.0 - 0.5;
+}
+
+int main(void)
+{
+    /* the two-element box of the ASan driver, an SPD operator on it
+       (diagonal G and mass term), PLANE the split */
+    enum { NB = 2, NE = 2, CAP = 6 };
+    const ptrdiff_t n = (2 * NX - 1) * NX * NX, nv = NB * n;
+    REAL *D = malloc(NX * NX * sizeof *D), *g = calloc(NE * 6 * N3, sizeof *g);
+    REAL *mass = malloc(NE * N3 * sizeof *mass);
+    REAL *x = calloc(nv, sizeof *x), *r = malloc(nv * sizeof *r);
+    REAL *p = malloc(nv * sizeof *p), *ap = malloc(nv * sizeof *ap);
+    REAL *stash = malloc(NE * NB * NX * NX * sizeof *stash);
+    REAL step[NB];
+    double rz[NB], pap[NB], coef[NB] = {0}, res[NB], stop[NB] = {0};
+    double history[CAP * NB];
+    unsigned char active[NB] = {1, 1}, exhausted[NB] = {0};
+    int64_t iterations[NB] = {0}, org[NE] = {0, (NX - 1) * NX * NX};
+    int64_t slot[NE] = {0, 1};
+    for (int i = 0; i < NX * NX; i++)
+        D[i] = (REAL)draw();
+    for (int e = 0; e < NE; e++)
+        for (int c = 0; c < 6; c += c == 0 ? 3 : 2)  /* G = diag */
+            for (int i = 0; i < N3; i++)
+                g[(e * 6 + c) * N3 + i] = (REAL)(1.0 + 0.1 * draw());
+    for (int i = 0; i < NE * N3; i++)
+        mass[i] = (REAL)(1.0 + 0.1 * draw());
+    for (ptrdiff_t i = 0; i < nv; i++)
+        p[i] = r[i] = (REAL)draw();
+    cg_dot(NB, n, r, r, rz);
+    struct cg_loop s = {
+        .nb = NB, .n = n, .cap = CAP, .x = x, .r = r, .z = r, .p = p,
+        .ap = ap, .step = step, .rz = rz, .pap = pap, .coef = coef,
+        .res = res, .history = history, .stop = stop, .active = active,
+        .exhausted = exhausted, .iterations = iterations,
+        .fused = ax_gs_add, .replay = ax_gs_replay, .ne = NE,
+        .s0 = NX * NX, .s1 = NX, .g_estride = 6 * N3 * sizeof(REAL),
+        .g_cstride = N3 * sizeof(REAL), .plane = PLANE, .D = D,
+        .mass = mass, .stash = stash, .org = org, .slot = slot,
+        .g = (const char *)g, .lam = 0.5};
+    const int status = cg_solve(&s);
+    printf("ok %d %td %g\n", status, s.it, res[0] + res[1]);
+    free(D), free(g), free(mass), free(x), free(r), free(p), free(ap);
+    free(stash);
+    return status;
 }
 """
 
@@ -98,25 +176,26 @@ FLAGS = tuple(f for f in native._FLAGS if f not in ("-fPIC", "-shared")
               ) + ("-O1",)
 SANITIZE = ("-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
             "-fno-sanitize-recover=all")
+THREADS = ("-g", "-fno-omit-frame-pointer", "-fsanitize=thread", "-pthread")
 ENV = dict(os.environ, ASAN_OPTIONS="detect_leaks=0:abort_on_error=0",
-           UBSAN_OPTIONS="print_stacktrace=1")
+           UBSAN_OPTIONS="print_stacktrace=1", TSAN_OPTIONS="exitcode=66")
 
 
 @functools.cache
-def sanitizing_compiler() -> "tuple[str | None, str]":
-    """The host's C compiler if it builds and runs a sanitized program,
-    else ``(None, why not)``."""
+def sanitizing_compiler(sanitize=SANITIZE) -> "tuple[str | None, str]":
+    """The host's C compiler if it builds and runs a program under the
+    ``sanitize`` flags, else ``(None, why not)``."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         return None, "no C compiler on this host"
     with tempfile.TemporaryDirectory() as scratch:
         probe = os.path.join(scratch, "probe")
         built = subprocess.run(
-            [cc, *SANITIZE, "-o", probe, "-x", "c", "-"],
+            [cc, *sanitize, "-o", probe, "-x", "c", "-"],
             input=b"int main(void) { return 0; }", capture_output=True,
             timeout=120)
         if built.returncode:
-            return None, (f"{cc} has no ASan/UBSan runtime: "
+            return None, (f"{cc} has no {' '.join(sanitize)} runtime: "
                           f"{built.stderr.decode(errors='replace')[-200:]}")
         ran = subprocess.run([probe], capture_output=True, env=ENV,
                              timeout=60)
@@ -157,3 +236,40 @@ def test_entry_points_run_clean(tmp_path, nx, dtype):
 def test_a_bad_operand_is_caught(tmp_path, overrun, shift, finding):
     ran = run_driver(tmp_path, 8, np.float64, overrun=overrun, shift=shift)
     assert ran.returncode != 0 and finding in ran.stderr
+
+
+def run_split(tmp_path, nx, dtype, plane):
+    cc, why = sanitizing_compiler(THREADS)
+    if cc is None:
+        pytest.skip(why)
+    exe = tmp_path / "split"
+    built = subprocess.run(
+        [cc, *FLAGS, *THREADS, f"-DNX={nx}",
+         f"-DREAL={native._C_REAL[np.dtype(dtype)]}", f"-DPLANE={plane}",
+         "-o", str(exe), "-x", "c", "-", "-lm"],
+        input=(native._SOURCE + native._CG_SOURCE + SPLIT_DRIVER).encode(),
+        capture_output=True, timeout=300)
+    assert built.returncode == 0, built.stderr.decode()
+    return subprocess.run([str(exe)], capture_output=True, text=True,
+                          env=ENV, timeout=120)
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+@pytest.mark.parametrize("nx", (2, 8))
+def test_the_split_loop_runs_clean_under_tsan(tmp_path, nx, dtype):
+    """Split at the shared face x = nx - 1: one element a part."""
+    ran = run_split(tmp_path, nx, dtype, plane=nx - 1)
+    assert ran.returncode == 0, ran.stderr
+    assert "ThreadSanitizer" not in ran.stderr
+    assert ran.stdout.startswith("ok 0 6 ") and "nan" not in ran.stdout
+
+
+def test_parts_that_write_the_same_rows_are_a_data_race(tmp_path):
+    """Plane 1 is inside element 0, whose rows above it part 1 zeroes
+    and adds to as well.  Part 1 runs on the helper only where the
+    helper claims it first, which on one CPU it may never do."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: the parts may never run at once")
+    ran = run_split(tmp_path, 8, np.float64, plane=1)
+    assert ran.returncode != 0
+    assert "ThreadSanitizer: data race" in ran.stderr

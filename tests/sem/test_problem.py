@@ -547,6 +547,31 @@ def test_a_map_without_the_affine_form_runs_the_layers(fused, kind, dtype):
     assert got == want
 
 
+def test_a_replaced_map_brings_its_own_split_plane(monkeypatch):
+    """``problem.gs`` replaced after construction by the mesh mirrored
+    in x — still affine, its planes numbered downward (``s0 < 0``), so
+    no plane to split at: the compiled solve reads the plane with the
+    strides, from the new map, and gives the layers' bytes."""
+    f64 = np.dtype(np.float64)
+    if (native.ax_gs_kernel(DEGREE + 1, f64) is None
+            or native.cg_passes(f64) is None):
+        pytest.skip("no compiled kernels on this host")
+    monkeypatch.setattr(cg, "SPLIT_MIN_ELEMENTS", 1)
+    problem = poisson(box=(4, 4, 4))
+    assert problem.gs.split is not None
+    s0 = problem.gs.affine[1]
+    node = np.arange(problem.n_dofs)
+    mirrored = (problem.n_dofs // s0 - 1 - node // s0) * s0 + node % s0
+    renumbered(problem, mirrored)
+    assert problem.gs.affine[1] == -s0 and problem.gs.split is None
+    assert problem._fused(np.float64) is not None
+    b = bank(problem, np.float64)[0] * problem.interior
+    got = problem.solve(b, tol=1e-8, maxiter=500)
+    want = layered(problem, "solve", b, tol=1e-8, maxiter=500)
+    assert got.iterations == want.iterations
+    assert got.x.tobytes() == want.x.tobytes()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_default_problem_solves_in_one_compiled_call(kind, monkeypatch):
     """No backend named: ``problem.solve(b)`` runs the production kernel

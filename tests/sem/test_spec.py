@@ -109,6 +109,12 @@ class TestGatherScatterShared:
             # The affine form is worked out again on attach, not shared.
             (org, s0, s1), (org0, s00, s10) = twin.affine, gs.affine
             assert (s0, s1) == (s00, s10) and np.array_equal(org, org0)
+            # So is the split plane, from the same map.
+            if gs.split is None:
+                assert twin.split is None
+            else:
+                (plane, slot), (plane0, slot0) = twin.split, gs.split
+                assert plane == plane0 and np.array_equal(slot, slot0)
             # The l2g map and the multiplicities are the whole export.
             assert set(e[0] for e in handle.arrays.entries) == {
                 "l2g_flat", "mult",
