@@ -50,9 +50,12 @@ scalars; only the sums' order differs) and runs without a compiler and
 for buffers C must not be handed.  No parameter selects a path.
 
 Inner products read their operands once and accumulate in fp64, fp32
-products rounded to fp32 first: compiled, in eight fixed lanes; in the
-numpy body one BLAS ``ddot`` per fp64 row (``np.vecdot``), a
-``multiply`` into fp32 storage + a pairwise ``sum`` per fp32 row.
+products rounded to fp32 first: compiled, in two fixed halves of the
+row (``[0, h)`` and ``[h, n)``, ``h = n // 16 * 8``), each in eight
+fixed lanes, the halves added — the same sums whether one thread or two
+take the halves; in the numpy body one BLAS ``ddot`` per fp64 row
+(``np.vecdot``), a ``multiply`` into fp32 storage + a pairwise ``sum``
+per fp32 row.
 Either way a row's value is a function of that row alone — never of
 ``B`` or of its batchmates — and no other arithmetic reads across rows,
 so a system solved inside a stacked block is **bit-identical** to the
@@ -464,15 +467,17 @@ def _breakdown(worst: float) -> ValueError:
 #: allocates: more than any solve in the examples or benchmarks takes.
 _HISTORY_BLOCK: int = 1024
 
-#: Fewest elements at which the compiled loop runs the fused pass as two
-#: parts on two threads (where the thread may use two CPUs and the map
-#: has a split plane).  Median ms per iteration, one CPU -> two, on a
-#: 2-vCPU Xeon guest (gcc 12.2, N = 7, fp64 Poisson): E = 8, 0.039 ->
-#: 0.066; E = 27, 0.110 -> 0.124; E = 64, 0.288 -> 0.271, and 21.7 ->
-#: 18.1 at B = 8; E = 512, 3.7-3.9 -> 2.4-2.6.  The two threads' round
-#: trip costs ~0.6 us, so what a small mesh loses is, presumably, the
-#: halves of ``p`` and ``A p`` that cross between the cores' caches
-#: every iteration.
+#: Fewest elements at which the compiled loop runs a solve's passes as
+#: two parts on two threads (where the thread may use two CPUs and the
+#: map has a split plane).  Median ms per iteration, one CPU -> two, on a
+#: 2-vCPU Xeon guest (gcc 12.2, fp64 Poisson, interleaved rounds, two
+#: sittings): at N = 7, E = 8, 0.027 -> 0.027 (two ahead in 9 and 7 of
+#: 15 rounds); E = 27, 0.082 -> 0.073 and 0.088 -> 0.077 (14 of 15
+#: both times); E = 64, 0.218 -> 0.133 (15 of 15), and 2.1 -> 1.2 at
+#: B = 8; E = 512, 3.3 -> 1.5.  At N = 3, E = 27, 0.014 -> 0.017 (1 of
+#: 9); E = 64, 0.027 -> 0.025 (7 of 9); E = 125, 0.048 -> 0.037 (9 of
+#: 9).  So 27 elements win at N = 7 and lose at N = 3, and from 64 up
+#: both win.  The two threads' round trip costs ~0.6 us, four an iteration.
 SPLIT_MIN_ELEMENTS: int = 64
 
 #: ``True`` in a fleet worker (``repro.serve.replica`` sets it as the
@@ -490,7 +495,7 @@ def _compiled_loop(
     compiled passes or where a buffer is not one C may write through.
 
     With ``fused`` C applies the operator itself, and a solve is one
-    call without the GIL — its fused pass split in two parts on two
+    call without the GIL — every pass of it split in two parts on two
     threads where :func:`_splits` says so, with the same bits; otherwise
     it calls ``apply_into`` back."""
     passes = native.cg_passes(x.dtype)
@@ -551,9 +556,9 @@ def _compiled_loop(
 
 
 def _splits(fused) -> bool:
-    """Whether the compiled loop runs ``fused`` as two parts on two
-    threads: its map has a split plane, it has at least
-    :data:`SPLIT_MIN_ELEMENTS` elements, this is no
+    """Whether the compiled loop runs the passes of a solve with
+    ``fused`` as two parts on two threads: its map has a split plane,
+    it has at least :data:`SPLIT_MIN_ELEMENTS` elements, this is no
     :data:`FLEET_WORKER`, and this thread may run on two CPUs as far as
     it can tell (a thread pinned to one, or on a platform that cannot
     say, does not split).  Either way the bits are the same."""

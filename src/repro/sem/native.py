@@ -20,11 +20,13 @@ pass, 9 reads + 4 writes where twelve numpy calls made 17 + 7 — and
 ``cg_solve``, the loop around them: the stopping test, the freezing of
 finished rows and the scalar recurrence, with ``A p`` from the fused
 pass (its closing mask folded into the ``p.Ap`` sweep) or from a Python
-callback.  With the fused pass a whole solve is one call, and the GIL
-stays released from its first iteration to its last; the call may run
-the fused pass as two parts on two threads
-(:func:`~repro.sem.gather_scatter.split_plane`), with the bits of the
-whole pass.
+callback.  Every sum is taken in two fixed halves of its row, each in
+eight fp64 lanes, and the halves added.  With the fused pass a whole
+solve is one call, and the GIL stays released from its first iteration
+to its last; the call may run every pass as two parts on two threads —
+the fused pass split at a node plane
+(:func:`~repro.sem.gather_scatter.split_plane`), the vector passes at
+the rows' halves — with the bits of one thread.
 
 :func:`ax_kernel`, :func:`ax_gs_kernel` and :func:`cg_passes` are the
 whole interface: one shared object per ``(nx, dtype)`` (the ``Ax``
@@ -327,17 +329,30 @@ _CG_SOURCE = r"""
 #include <stdatomic.h>
 #include <stddef.h>
 #include <stdint.h>
-/* Every sum: products rounded to REAL, element i added into fp64 lane
-   i % 8, the lanes folded in one fixed order -- a row's value is a
-   function of that row alone, whatever nb, the BLAS or its threads. */
+/* Every sum: products rounded to REAL, then a row's two halves, [0, h)
+   and [h, n) with h = n / 16 * 8 (RANGE), each summed on its own --
+   element i into fp64 lane (i - lo) % 8 of its half, the lanes folded
+   in one fixed order -- and the two halves added.  A row's value is a
+   function of that row alone, whatever nb, the BLAS or its threads, and
+   of whether one thread sums both halves or two threads one each. */
+#define RANGE(n, part) \
+    const ptrdiff_t h = (n) / 16 * 8; \
+    const ptrdiff_t lo = part ? h : 0, hi = part ? (n) : h;
 #define FOLD(s) \
     (((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7])))
 #define SWEEP(BODY) \
-    ptrdiff_t i = 0; \
-    for (; i + 8 <= n; i += 8) \
+    ptrdiff_t i = lo; \
+    for (; i + 8 <= hi; i += 8) \
         for (int l = 0; l < 8; l++) BODY(i + l, l) \
-    for (int l = 0; i < n; i++, l++) BODY(i, l)
+    for (int l = 0; i < hi; i++, l++) BODY(i, l)
 #define DOT(i, l) { const REAL ab = a[i] * b[i]; s[l] += ab; }
+/* ap *= mask, then DOT: the fused operator's closing mask and p.Ap in
+   one sweep, DOT's bits. */
+#define MASKDOT(i, l) { \
+        const REAL wi = ap[i] * mask[i]; \
+        ap[i] = wi; \
+        const REAL ab = p[i] * wi; \
+        s[l] += ab; }
 #define STEP(i, l) { \
         const REAL ri = r[i] - alpha * ap[i]; \
         REAL zi = ri; \
@@ -348,10 +363,12 @@ _CG_SOURCE = r"""
         s[l] += rzi; \
         t[l] += rri; }
 
-/* out[k] = a[k] . b[k] over nb C-contiguous rows of n. */
-void cg_dot(ptrdiff_t nb, ptrdiff_t n, const REAL *a, const REAL *b,
-            double *out)
+/* Half `part` of each of nb C-contiguous rows of n, for the passes
+   below: out[k] = the half of a[k] . b[k]. */
+static void dot_half(ptrdiff_t nb, ptrdiff_t n, int part, const REAL *a,
+                     const REAL *b, double *out)
 {
+    RANGE(n, part)
     for (ptrdiff_t k = 0; k < nb; k++, a += n, b += n) {
         double s[8] = {0};
         SWEEP(DOT)
@@ -359,14 +376,29 @@ void cg_dot(ptrdiff_t nb, ptrdiff_t n, const REAL *a, const REAL *b,
     }
 }
 
-/* One sweep per row: x += step*p, r -= step*ap, z = r*invm, rz = r.z,
-   rr = r.r.  invm == NULL is "no preconditioner": z (which then aliases
-   r) is never touched and rz == rr. */
-void cg_step(ptrdiff_t nb, ptrdiff_t n, const REAL *step,
-             const REAL *restrict p, const REAL *restrict ap,
-             const REAL *restrict invm, REAL *restrict x, REAL *restrict r,
-             REAL *restrict z, double *rz, double *rr)
+/* ap *= mask and out[k] = the half of p[k] . ap[k]. */
+static void mask_dot_half(ptrdiff_t nb, ptrdiff_t n, int part,
+                          const REAL *restrict mask, const REAL *restrict p,
+                          REAL *restrict ap, double *out)
 {
+    RANGE(n, part)
+    for (ptrdiff_t k = 0; k < nb; k++, p += n, ap += n) {
+        double s[8] = {0};
+        SWEEP(MASKDOT)
+        out[k] = FOLD(s);
+    }
+}
+
+/* x += step*p, r -= step*ap, z = r*invm, and rz[k], rr[k] the half of
+   r.z, r.r.  invm == NULL is "no preconditioner": z (which then aliases
+   r) is never touched and rz == rr. */
+static void step_half(ptrdiff_t nb, ptrdiff_t n, int part, const REAL *step,
+                      const REAL *restrict p, const REAL *restrict ap,
+                      const REAL *restrict invm, REAL *restrict x,
+                      REAL *restrict r, REAL *restrict z, double *rz,
+                      double *rr)
+{
+    RANGE(n, part)
     for (ptrdiff_t k = 0; k < nb; k++) {
         const REAL alpha = step[k];
         double s[8] = {0}, t[8] = {0};
@@ -378,32 +410,62 @@ void cg_step(ptrdiff_t nb, ptrdiff_t n, const REAL *step,
     }
 }
 
-/* p = step*p + z, row by row. */
-void cg_dir(ptrdiff_t nb, ptrdiff_t n, const REAL *step,
-            const REAL *restrict z, REAL *restrict p)
+/* p = step*p + z on the half. */
+static void dir_half(ptrdiff_t nb, ptrdiff_t n, int part, const REAL *step,
+                     const REAL *restrict z, REAL *restrict p)
 {
+    RANGE(n, part)
     for (ptrdiff_t k = 0; k < nb; k++, z += n, p += n) {
         const REAL beta = step[k];
-        for (ptrdiff_t i = 0; i < n; i++)
+        for (ptrdiff_t i = lo; i < hi; i++)
             p[i] = beta * p[i] + z[i];
     }
 }
 
-/* ap *= mask, then out[k] = p[k] . ap[k]: the fused operator's closing
-   mask and cg_dot in one sweep, cg_dot's bits. */
-#define MASKDOT(i, l) { \
-        const REAL wi = ap[i] * mask[i]; \
-        ap[i] = wi; \
-        const REAL ab = p[i] * wi; \
-        s[l] += ab; }
-static void mask_dot(ptrdiff_t nb, ptrdiff_t n, const REAL *restrict mask,
-                     const REAL *restrict p, REAL *restrict ap, double *out)
+/* out[k] = sums[k] + sums[nb + k]: a row's two halves, added. */
+static void add_halves(ptrdiff_t nb, const double *sums, double *out)
 {
-    for (ptrdiff_t k = 0; k < nb; k++, p += n, ap += n) {
-        double s[8] = {0};
-        SWEEP(MASKDOT)
-        out[k] = FOLD(s);
+    for (ptrdiff_t k = 0; k < nb; k++)
+        out[k] = sums[k] + sums[nb + k];
+}
+
+/* out[k] = a[k] . b[k] over nb C-contiguous rows of n. */
+void cg_dot(ptrdiff_t nb, ptrdiff_t n, const REAL *a, const REAL *b,
+            double *out)
+{
+    for (ptrdiff_t k = 0; k < nb; k++, a += n, b += n) {
+        double sums[2];
+        for (int part = 0; part < 2; part++)
+            dot_half(1, n, part, a, b, sums + part);
+        add_halves(1, sums, out + k);
     }
+}
+
+/* One sweep per row: x += step*p, r -= step*ap, z = r*invm, rz = r.z,
+   rr = r.r; invm as for step_half. */
+void cg_step(ptrdiff_t nb, ptrdiff_t n, const REAL *step,
+             const REAL *restrict p, const REAL *restrict ap,
+             const REAL *restrict invm, REAL *restrict x, REAL *restrict r,
+             REAL *restrict z, double *rz, double *rr)
+{
+    for (ptrdiff_t k = 0; k < nb; k++) {
+        const ptrdiff_t o = k * n;
+        double sums[4];
+        for (int part = 0; part < 2; part++)
+            step_half(1, n, part, step + k, p + o, ap + o,
+                      invm ? invm + o : NULL, x + o, r + o,
+                      invm ? z + o : z, sums + part, sums + 2 + part);
+        add_halves(1, sums, rz + k);
+        add_halves(1, sums + 2, rr + k);
+    }
+}
+
+/* p = step*p + z, row by row. */
+void cg_dir(ptrdiff_t nb, ptrdiff_t n, const REAL *step,
+            const REAL *restrict z, REAL *restrict p)
+{
+    for (int part = 0; part < 2; part++)
+        dir_half(nb, n, part, step, z, p);
 }
 
 /* One solve's state, field for field native.CGLoop.  (nb, n) vectors,
@@ -426,9 +488,10 @@ struct cg_loop {
                   ptrdiff_t, const unsigned char *, const char *,
                   ptrdiff_t, ptrdiff_t, const REAL *, double, int,
                   ptrdiff_t, REAL *, const int64_t *, REAL *);
-    /* with replay (ax_gs_replay) the fused pass runs as its two parts,
-       split at plane, on two threads, then replay adds the stash, one
-       slot[e] per element on the plane, into it; NULL: whole */
+    /* with replay (ax_gs_replay) every pass of an iteration runs as its
+       two parts on two threads: the fused pass split at plane, then
+       replay adds the stash, one slot[e] per element on the plane, into
+       it; the vector passes at each row's halves.  NULL: one thread */
     void (*replay)(ptrdiff_t, ptrdiff_t, ptrdiff_t, const int64_t *,
                    ptrdiff_t, ptrdiff_t, ptrdiff_t, const REAL *,
                    const int64_t *, REAL *);
@@ -443,6 +506,10 @@ struct cg_loop {
     double worst;              /* out: p.Ap of a breakdown */
 };
 
+/* The passes of an iteration, in order: A p (fused), p.Ap with the
+   closing mask, the step, the direction. */
+enum phase { AP, PAP, STEP, DIR };
+
 /* Part `part` of the fused pass, split at `plane` (< 0: whole). */
 static void fused_part(const struct cg_loop *s, int part, ptrdiff_t plane)
 {
@@ -451,53 +518,104 @@ static void fused_part(const struct cg_loop *s, int part, ptrdiff_t plane)
              part, plane, s->stash, s->slot, s->ap);
 }
 
-/* The helper thread of a split solve and what it shares with cg_solve,
-   on cg_solve's stack.  In round k cg_solve sets go = k to start the
-   parts, runs part 0, and then part 1 is whoever's first to move
-   claimed from k - 1 to k: the helper, which then sets done = k once
-   the part is written, or cg_solve itself where the helper has not
-   begun it -- so a helper with no CPU to run on costs the solve no
-   wait.  go = -1 ends the helper.  Both wait by polling and yielding,
-   never by sleeping: waking a sleeping thread wakes an idle CPU, and a
-   poll sees the flag within one yield.  On a 2-vCPU guest at E = 512 a
-   helper that slept on a condition variable gave 1.35x over one thread
-   where polling gives 1.59x, and a pthread barrier lost to one thread
-   whenever the host was busy. */
-struct helper {
+/* The two parts of every pass of a solve and the helper thread that
+   may take part 1, on cg_solve's stack; sums is 4 * nb fp64: each
+   half's sums of a pass, row by row.  With a helper (split), in round k
+   cg_solve sets phase, then go = k to start the pass's parts, runs part
+   0, and then part 1 is whoever's first to move claimed from k - 1 to
+   k: the helper, which then sets done = k once the part is written, or
+   cg_solve itself where the helper has not begun it -- so a helper with
+   no CPU to run on costs the solve no wait.  The helper reads phase
+   only once it has claimed the round, which cg_solve does not leave
+   before done = k.  go = -1 ends the helper.  Both wait by polling and
+   yielding, never by sleeping: waking a sleeping thread wakes an idle
+   CPU, and a poll sees the flag within one yield.  On a 2-vCPU guest at
+   E = 512 a helper that slept on a condition variable gave 1.35x over
+   one thread where polling gives 1.59x, and a pthread barrier lost to
+   one thread whenever the host was busy. */
+struct team {
     const struct cg_loop *s;
+    double *sums;
+    int split, phase;
     _Atomic ptrdiff_t go, claimed, done;
 };
 
+/* Part `part` of pass `phase`: of the fused pass split at the plane, or
+   of every row's half, its sums into t->sums. */
+static void run(const struct team *t, int phase, int part)
+{
+    const struct cg_loop *s = t->s;
+    const ptrdiff_t nb = s->nb, n = s->n;
+    double *sums = t->sums + part * nb;
+    switch (phase) {
+    case AP:
+        fused_part(s, part, s->plane);
+        break;
+    case PAP:
+        if (s->mask)
+            mask_dot_half(nb, n, part, s->mask, s->p, s->ap, sums);
+        else
+            dot_half(nb, n, part, s->p, s->ap, sums);
+        break;
+    case STEP:
+        step_half(nb, n, part, s->step, s->p, s->ap, s->invm, s->x, s->r,
+                  s->z, sums, sums + 2 * nb);
+        break;
+    case DIR:
+        dir_half(nb, n, part, s->step, s->z, s->p);
+    }
+}
+
 /* Whether this thread takes part 1 of round k. */
-static int claim(struct helper *h, ptrdiff_t k)
+static int claim(struct team *t, ptrdiff_t k)
 {
     ptrdiff_t prev = k - 1;
-    return atomic_compare_exchange_strong(&h->claimed, &prev, k);
+    return atomic_compare_exchange_strong(&t->claimed, &prev, k);
 }
 
 static void *helper_main(void *arg)
 {
-    struct helper *h = arg;
+    struct team *t = arg;
     for (ptrdiff_t seen = 0;;) {
         ptrdiff_t k;
-        while ((k = atomic_load_explicit(&h->go, memory_order_acquire))
+        while ((k = atomic_load_explicit(&t->go, memory_order_acquire))
                == seen)
             sched_yield();
         if (k < 0)
             return NULL;
         seen = k;
-        if (claim(h, k)) {
-            fused_part(h->s, 1, h->s->plane);
-            atomic_store_explicit(&h->done, k, memory_order_release);
+        if (claim(t, k)) {
+            run(t, t->phase, 1);
+            atomic_store_explicit(&t->done, k, memory_order_release);
         }
     }
 }
 
+/* Both parts of pass `phase`: at once, part 1 on the helper where it
+   claims it first, or one after the other where there is no helper. */
+static void both(struct team *t, int phase)
+{
+    if (!t->split) {
+        run(t, phase, 0);
+        run(t, phase, 1);
+        return;
+    }
+    const ptrdiff_t k = atomic_load_explicit(&t->go, memory_order_relaxed)
+        + 1;
+    t->phase = phase;
+    atomic_store_explicit(&t->go, k, memory_order_release);
+    run(t, phase, 0);
+    if (claim(t, k))
+        run(t, phase, 1);
+    else
+        while (atomic_load_explicit(&t->done, memory_order_acquire) != k)
+            sched_yield();
+}
+
 /* _cg_iterate's loop, pass for pass and scalar for scalar, until no row
-   is live or it == cap; with h, the fused pass as its two parts, part 1
-   on h's thread where it claims it first.  0, or -1 on a breakdown, or
-   call()'s status. */
-static int iterate(struct cg_loop *s, struct helper *h)
+   is live or it == cap; every pass as its two parts, at once where t
+   has a helper.  0, or -1 on a breakdown, or call()'s status. */
+static int iterate(struct cg_loop *s, struct team *t)
 {
     const ptrdiff_t nb = s->nb, n = s->n;
     unsigned char *active = s->active;
@@ -508,31 +626,19 @@ static int iterate(struct cg_loop *s, struct helper *h)
             live |= active[k];
         if (!live)
             break;
-        if (s->fused) {
-            if (h) {  /* the two parts at once, then the plane */
-                const ptrdiff_t k = h->go + 1;
-                atomic_store_explicit(&h->go, k, memory_order_release);
-                fused_part(s, 0, s->plane);
-                if (claim(h, k))
-                    fused_part(s, 1, s->plane);
-                else
-                    while (atomic_load_explicit(&h->done,
-                                                memory_order_acquire) != k)
-                        sched_yield();
-                s->replay(nb, s->ne, n, s->org, s->s0, s->s1, s->plane,
-                          s->stash, s->slot, s->ap);
-            } else
-                fused_part(s, 0, -1);
-            if (s->mask)
-                mask_dot(nb, n, s->mask, s->p, s->ap, pap);
-            else
-                cg_dot(nb, n, s->p, s->ap, pap);
-        } else {
+        if (s->fused && t->split) {  /* the two parts, then the plane */
+            both(t, AP);
+            s->replay(nb, s->ne, n, s->org, s->s0, s->s1, s->plane,
+                      s->stash, s->slot, s->ap);
+        } else if (s->fused)
+            fused_part(s, 0, -1);
+        else {
             const int status = s->call();
             if (status)
                 return status;
-            cg_dot(nb, n, s->p, s->ap, pap);
         }
+        both(t, PAP);
+        add_halves(nb, t->sums, pap);
         double worst = 0.0;
         for (ptrdiff_t k = 0; k < nb; k++)
             if (active[k] && pap[k] <= 0.0) {
@@ -561,15 +667,16 @@ static int iterate(struct cg_loop *s, struct helper *h)
                 coef[k] = rz[k] / pap[k];
             s->step[k] = (REAL)(coef[k] * (double)active[k]);  /* alpha */
         }
-        cg_step(nb, n, s->step, s->p, s->ap, s->invm, s->x, s->r, s->z,
-                pap, res);
+        both(t, STEP);  /* pap: the new r.z, res: r.r */
+        add_halves(nb, t->sums, pap);
+        add_halves(nb, t->sums + 2 * nb, res);
         for (ptrdiff_t k = 0; k < nb; k++) {
             if (active[k])
                 coef[k] = pap[k] / rz[k];
             s->step[k] = (REAL)(coef[k] * (double)active[k]);  /* beta */
             rz[k] = pap[k];
         }
-        cg_dir(nb, n, s->step, s->z, s->p);
+        both(t, DIR);
         for (ptrdiff_t k = 0; k < nb; k++) {
             res[k] = sqrt(res[k]);
             s->history[k] = res[k];
@@ -582,18 +689,20 @@ static int iterate(struct cg_loop *s, struct helper *h)
     return 0;
 }
 
-/* iterate(), with the fused pass split in two where s->replay is set and
-   a helper thread starts (else whole, the same bits); the helper is
-   joined before any return. */
+/* iterate(), each pass's part 1 on a helper thread where s->replay is
+   set and the helper starts (else on this thread, the same bits); the
+   helper is joined before any return. */
 int cg_solve(struct cg_loop *s)
 {
-    struct helper h = {.s = s, .go = 0, .claimed = 0, .done = 0};
+    double sums[4 * s->nb];
+    struct team t = {.s = s, .sums = sums, .go = 0, .claimed = 0,
+                     .done = 0};
     pthread_t thread;
-    const int split = s->fused && s->replay
-        && !pthread_create(&thread, NULL, helper_main, &h);
-    const int status = iterate(s, split ? &h : NULL);
-    if (split) {
-        atomic_store_explicit(&h.go, -1, memory_order_release);
+    t.split = s->fused && s->replay
+        && !pthread_create(&thread, NULL, helper_main, &t);
+    const int status = iterate(s, &t);
+    if (t.split) {
+        atomic_store_explicit(&t.go, -1, memory_order_release);
         pthread_join(thread, NULL);
     }
     return status;

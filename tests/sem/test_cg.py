@@ -830,15 +830,18 @@ class TestCompiledLoop:
             cg_solve(lambda v: -(v @ a.T), b)
 
     @pytest.mark.parametrize("shape,splits", (((5, 2, 1), True),
-                                              ((1, 3, 2), False)))
+                                              ((1, 3, 2), False),
+                                              ((3, 2, 1), True)))
     @pytest.mark.parametrize("batch", (1, 3))
     @pytest.mark.parametrize("dtype", (np.float64, np.float32))
     @pytest.mark.parametrize("kind", ("poisson", "helmholtz"))
     def test_two_cpus_give_one_cpus_bits(self, monkeypatch, kind, dtype,
                                          batch, shape, splits):
-        """The fused pass split in two at a plane (5 x-columns: an uneven
-        split) is the whole pass, to the bit; a one-column mesh has no
-        plane and never splits."""
+        """Every pass split in two — the fused pass at a plane (5
+        x-columns: an uneven split), the vector passes at each row's
+        halves (n = 448 at 5 x 2 x 1, a multiple of 16; n = 280 at
+        3 x 2 x 1, not) — is the whole pass, to the bit; a one-column
+        mesh has no plane and never splits."""
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("this process may use one CPU only")
         monkeypatch.setattr(cg, "SPLIT_MIN_ELEMENTS", 1)

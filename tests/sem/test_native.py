@@ -429,6 +429,36 @@ class TestCGPasses:
                                       getattr(block, name)[k])
             assert [float(s[0]) for s in one] == [float(s[k]) for s in sums]
 
+    @pytest.mark.parametrize("nb", (1, 3))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", (1, 7, 8, 15, 16, 17, 23, 448, 1001))
+    def test_a_sum_is_its_two_halves_in_eight_lanes(self, n, dtype, nb):
+        """The one definition of a row sum, pinned in pure Python: the
+        halves ``[0, h)`` and ``[h, n)``, ``h = n // 16 * 8``; product
+        ``i`` rounded to the dtype and added into fp64 lane ``i % 8``
+        from the half's start; the lanes folded as ``FOLD``; the two
+        halves added."""
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal((2, nb, n)).astype(dtype)
+        got = np.empty(nb)
+        native.cg_passes(np.dtype(dtype))[0](
+            nb, n, a.ctypes.data, b.ctypes.data, got.ctypes.data)
+
+        def fold(s):
+            return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5])
+                                                      + (s[3] + s[7]))
+
+        h = n // 16 * 8
+        for k in range(nb):
+            halves = []
+            for lo, hi in ((0, h), (h, n)):
+                lanes = [0.0] * 8
+                for i in range(lo, hi):
+                    lanes[(i - lo) % 8] += float(a[k, i] * b[k, i])
+                halves.append(fold(lanes))
+            want = halves[0] + halves[1]
+            assert got[k].tobytes() == np.float64(want).tobytes(), (k, n)
+
     def test_what_c_must_not_write_through_gets_the_numpy_body(self):
         """A strided, an unaligned and a read-only buffer, and a scalar
         of the wrong dtype: each alone keeps the solve's loop out of C."""

@@ -17,11 +17,14 @@ one row past the end) and a misaligned operand do.
 
 The split CG loop runs under ``-fsanitize=thread``: :data:`_SOURCE` and
 :data:`_CG_SOURCE` in one executable whose driver runs ``cg_solve`` on
-the same box split at its shared face, one element per part, the
-second part on whichever thread claims it first, and must run clean.  A
-negative control splits at a plane inside the first element, so both
-parts write the same rows: that must be reported as a data race.  A
-toolchain without the sanitizer runtimes skips, saying so.
+the same box, masked and Jacobi-preconditioned, every pass as two
+parts — the fused pass split at the shared face, one element per part,
+the vector passes at each row's halves — the second part on whichever
+thread claims it first, and must run clean.  Two negative controls
+must be reported as a data race: a split at a plane inside the first
+element, so both fused parts write the same rows, and a source whose
+second half of a row starts 8 nodes early, so both vector parts do.
+A toolchain without the sanitizer runtimes skips, saying so.
 """
 
 from __future__ import annotations
@@ -126,13 +129,16 @@ static double draw(void)  /* xorshift64: in [-0.5, 0.5) */
 int main(void)
 {
     /* the two-element box of the ASan driver, an SPD operator on it
-       (diagonal G and mass term), PLANE the split */
-    enum { NB = 2, NE = 2, CAP = 6 };
+       (diagonal G and mass term), the mask on element 0's face x = 0 and
+       a Jacobi diagonal, PLANE the split, CAP iterations */
+    enum { NB = 2, NE = 2 };
     const ptrdiff_t n = (2 * NX - 1) * NX * NX, nv = NB * n;
     REAL *D = malloc(NX * NX * sizeof *D), *g = calloc(NE * 6 * N3, sizeof *g);
     REAL *mass = malloc(NE * N3 * sizeof *mass);
     REAL *x = calloc(nv, sizeof *x), *r = malloc(nv * sizeof *r);
+    REAL *z = malloc(nv * sizeof *z), *invm = malloc(nv * sizeof *invm);
     REAL *p = malloc(nv * sizeof *p), *ap = malloc(nv * sizeof *ap);
+    REAL *mask = malloc(n * sizeof *mask);
     REAL *stash = malloc(NE * NB * NX * NX * sizeof *stash);
     REAL step[NB];
     double rz[NB], pap[NB], coef[NB] = {0}, res[NB], stop[NB] = {0};
@@ -140,6 +146,9 @@ int main(void)
     unsigned char active[NB] = {1, 1}, exhausted[NB] = {0};
     int64_t iterations[NB] = {0}, org[NE] = {0, (NX - 1) * NX * NX};
     int64_t slot[NE] = {0, 1};
+    unsigned char edge[NE] = {1, 0};
+    for (ptrdiff_t i = 0; i < n; i++)
+        mask[i] = (REAL)(i >= NX * NX);
     for (int i = 0; i < NX * NX; i++)
         D[i] = (REAL)draw();
     for (int e = 0; e < NE; e++)
@@ -148,23 +157,27 @@ int main(void)
                 g[(e * 6 + c) * N3 + i] = (REAL)(1.0 + 0.1 * draw());
     for (int i = 0; i < NE * N3; i++)
         mass[i] = (REAL)(1.0 + 0.1 * draw());
-    for (ptrdiff_t i = 0; i < nv; i++)
-        p[i] = r[i] = (REAL)draw();
-    cg_dot(NB, n, r, r, rz);
+    for (ptrdiff_t i = 0; i < nv; i++) {
+        r[i] = (REAL)draw() * mask[i % n];
+        invm[i] = (REAL)(1.0 + 0.1 * draw());
+        p[i] = z[i] = r[i] * invm[i];
+    }
+    cg_dot(NB, n, r, z, rz);
     struct cg_loop s = {
-        .nb = NB, .n = n, .cap = CAP, .x = x, .r = r, .z = r, .p = p,
-        .ap = ap, .step = step, .rz = rz, .pap = pap, .coef = coef,
+        .nb = NB, .n = n, .cap = CAP, .x = x, .r = r, .z = z, .p = p,
+        .ap = ap, .step = step, .invm = invm, .rz = rz, .pap = pap,
+        .coef = coef,
         .res = res, .history = history, .stop = stop, .active = active,
         .exhausted = exhausted, .iterations = iterations,
         .fused = ax_gs_add, .replay = ax_gs_replay, .ne = NE,
         .s0 = NX * NX, .s1 = NX, .g_estride = 6 * N3 * sizeof(REAL),
         .g_cstride = N3 * sizeof(REAL), .plane = PLANE, .D = D,
-        .mass = mass, .stash = stash, .org = org, .slot = slot,
-        .g = (const char *)g, .lam = 0.5};
+        .mask = mask, .mass = mass, .stash = stash, .org = org,
+        .slot = slot, .edge = edge, .g = (const char *)g, .lam = 0.5};
     const int status = cg_solve(&s);
     printf("ok %d %td %g\n", status, s.it, res[0] + res[1]);
-    free(D), free(g), free(mass), free(x), free(r), free(p), free(ap);
-    free(stash);
+    free(D), free(g), free(mass), free(x), free(r), free(z), free(invm);
+    free(p), free(ap), free(mask), free(stash);
     return status;
 }
 """
@@ -238,7 +251,8 @@ def test_a_bad_operand_is_caught(tmp_path, overrun, shift, finding):
     assert ran.returncode != 0 and finding in ran.stderr
 
 
-def run_split(tmp_path, nx, dtype, plane):
+def run_split(tmp_path, nx, dtype, plane, cg_source=native._CG_SOURCE,
+              cap=6):
     cc, why = sanitizing_compiler(THREADS)
     if cc is None:
         pytest.skip(why)
@@ -246,8 +260,9 @@ def run_split(tmp_path, nx, dtype, plane):
     built = subprocess.run(
         [cc, *FLAGS, *THREADS, f"-DNX={nx}",
          f"-DREAL={native._C_REAL[np.dtype(dtype)]}", f"-DPLANE={plane}",
+         f"-DCAP={cap}",
          "-o", str(exe), "-x", "c", "-", "-lm"],
-        input=(native._SOURCE + native._CG_SOURCE + SPLIT_DRIVER).encode(),
+        input=(native._SOURCE + cg_source + SPLIT_DRIVER).encode(),
         capture_output=True, timeout=300)
     assert built.returncode == 0, built.stderr.decode()
     return subprocess.run([str(exe)], capture_output=True, text=True,
@@ -257,7 +272,10 @@ def run_split(tmp_path, nx, dtype, plane):
 @pytest.mark.parametrize("dtype", (np.float64, np.float32))
 @pytest.mark.parametrize("nx", (2, 8))
 def test_the_split_loop_runs_clean_under_tsan(tmp_path, nx, dtype):
-    """Split at the shared face x = nx - 1: one element a part."""
+    """Split at the shared face x = nx - 1: one element a part, and every
+    vector pass at the rows' halves for six iterations, with a mask and a
+    Jacobi diagonal (at nx = 8 both halves of a row hold nodes; at
+    nx = 2, n = 12 and the first half is empty)."""
     ran = run_split(tmp_path, nx, dtype, plane=nx - 1)
     assert ran.returncode == 0, ran.stderr
     assert "ThreadSanitizer" not in ran.stderr
@@ -271,5 +289,20 @@ def test_parts_that_write_the_same_rows_are_a_data_race(tmp_path):
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: the parts may never run at once")
     ran = run_split(tmp_path, 8, np.float64, plane=1)
+    assert ran.returncode != 0
+    assert "ThreadSanitizer: data race" in ran.stderr
+
+
+def test_halves_that_overlap_are_a_data_race(tmp_path):
+    """The vector passes' part 1 starting 8 nodes below the half, so
+    both parts update ``x``, ``r``, ``z`` and ``p`` there.  A vector part
+    is short, so a busy host may run many rounds before the helper
+    claims one: 300 iterations, 900 of them."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: the parts may never run at once")
+    ranges = "lo = part ? h : 0"
+    assert native._CG_SOURCE.count(ranges) == 1
+    ran = run_split(tmp_path, 8, np.float64, plane=7, cg_source=(
+        native._CG_SOURCE.replace(ranges, "lo = part ? h - 8 : 0")), cap=300)
     assert ran.returncode != 0
     assert "ThreadSanitizer: data race" in ran.stderr
