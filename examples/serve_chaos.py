@@ -33,7 +33,6 @@ from repro.serve import (
     FaultInjector,
     FaultPlan,
     FleetUnavailable,
-    Overloaded,
     ProcessShardedSolveService,
     RestartPolicy,
     RetryPolicy,
@@ -59,13 +58,12 @@ def sequential(problem: PoissonProblem, b: np.ndarray):
 
 def submit_with_patience(svc, b, timeout=120.0):
     """A well-behaved client: back off and resubmit on the retryable
-    errors (Overloaded; FleetUnavailable while every worker is
-    mid-respawn)."""
+    FleetUnavailable (every worker mid-respawn)."""
     deadline = time.monotonic() + timeout
     while True:
         try:
             return svc.submit(b)
-        except (FleetUnavailable, Overloaded):
+        except FleetUnavailable:
             if time.monotonic() >= deadline:
                 raise
             time.sleep(0.05)

@@ -2,9 +2,9 @@
 """Process-sharded serving: K worker processes, one shared geometry,
 zero-copy request/response rings.
 
-``examples/serve_sharded.py`` shards *within* one process — its
-replicas' BLAS runs in parallel, but every route/ticket/stat still
-crosses one GIL.  This demo runs the process-level tier:
+One :class:`~repro.serve.SolveService` is one core's ceiling, and
+replicas *within* one process would still cross one GIL for every
+route, ticket and stat.  This demo runs the process-level tier:
 
 1. export the serving problem's immutable arrays (geometric factors,
    gather-scatter caches, coordinates, quadrature, Jacobi diagonal)
@@ -16,9 +16,8 @@ crosses one GIL.  This demo runs the process-level tier:
    rhs **directly into a ring slot**, the worker solves a read-only
    view of it and writes the solution back **in place**, and the pipe
    carries only doorbells (slot ordinals and scalar knobs),
-2. route a keyed tenant stream through consistent hashing, exactly as
-   the thread-shard does — same routing front, same watermark
-   semantics,
+2. route a keyed tenant stream through consistent hashing, so one
+   tenant's requests meet in one worker's queue,
 3. verify every result that crossed a process boundary is bit-identical
    to a sequential warm ``cg_solve`` — and a mixed-precision tail to
    ``cg_solve_mixed`` — with the audited transport copy count

@@ -14,11 +14,11 @@ in three tiers:
 * :class:`ProcessShardedSolveService` — K worker *processes*
   (:mod:`repro.serve.replica`: one worker slot, both ends of its wire
   protocol) behind a pluggable router: ``tenant`` (consistent hashing —
-  a tenant's requests batch together), ``least-loaded``,
-  ``round-robin`` or ``cost``, with watermark rebalancing and aggregate
-  fleet stats.  Each worker rebuilds the problem from a picklable spec
-  with the big immutable arrays attached zero-copy from shared memory
-  (one physical copy of the geometry across the fleet) and runs its own
+  a tenant's requests batch together), ``round-robin`` or ``cost``,
+  with health-gated picks and aggregate fleet stats.  Each worker
+  rebuilds the problem from a picklable spec with the big immutable
+  arrays attached zero-copy from shared memory (one physical copy of
+  the geometry across the fleet) and runs its own
   ``SolveService`` under its own GIL — which is why it scales where
   in-process replicas do not (``docs/serving.md`` has the table).
 * :class:`AsyncSolveService` — an asyncio facade over either: ``await
@@ -39,7 +39,8 @@ budgets.  Failures surface through one error taxonomy
 (:mod:`repro.serve.errors`): :class:`ServiceClosed`,
 :class:`DeadlineExceeded`, :class:`FleetUnavailable` (a
 :class:`WorkerCrashed` is only ever its ``__cause__``, never itself a
-client-visible outcome), and retryable :class:`Overloaded`.
+client-visible outcome); the gateway adds retryable
+:class:`Overloaded`.
 Deterministic fault injection for tests and drills lives in
 :mod:`repro.serve.chaos` (:class:`FaultPlan` / :class:`FaultInjector`).
 
@@ -47,7 +48,8 @@ On top of the fleet sits the **multi-tenant gateway**
 (:mod:`repro.serve.gateway`): :class:`Gateway` is the
 protocol-independent admission core — bearer-token auth
 (:class:`TenantRegistry`), per-tenant :class:`TokenBucket` rate limits,
-priority-aware early shedding (:class:`AdmissionPolicy`), exact
+priority-aware shedding (:class:`AdmissionPolicy`, the stack's one
+shed point), exact
 :class:`QuotaLedger` accounting, gateway-side deadline enforcement, and
 a :class:`CostModel` that learns expected iterations per ``(tenant,
 tol, precision)`` from completed solves; share that model with a
@@ -99,7 +101,6 @@ from repro.serve.health import (
 )
 from repro.serve.procshard import ProcessShardedSolveService
 from repro.serve.scheduler import (
-    LeastLoadedRouter,
     MicroBatcher,
     QueueClosed,
     RoundRobinRouter,
@@ -151,7 +152,6 @@ __all__ = [
     "CostAwareRouter",
     "Router",
     "TenantRouter",
-    "LeastLoadedRouter",
     "RoundRobinRouter",
     "resolve_router",
     "attach_cost_feedback",

@@ -146,8 +146,9 @@ class AsyncSolveService:
             here, before any future exists).
         ~repro.serve.errors.ServiceClosed
             If the service has been closed.
-        ~repro.serve.errors.Overloaded
-            If admission control shed the request (retryable).
+        ~repro.serve.errors.FleetUnavailable
+            If the backend is a fleet with no worker in rotation
+            (retryable).
 
         Notes
         -----

@@ -297,6 +297,7 @@ class TenantRegistry:
             raise AuthError("unknown bearer token")
         return tenant
 
+    # census: security: the kill switch for a leaked or retired token
     def revoke(self, token: str) -> bool:
         """Forget a token; returns whether it existed.  The tenant's
         bucket is dropped with it."""

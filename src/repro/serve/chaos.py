@@ -3,7 +3,7 @@
 Resilience code that is only exercised by real crashes is resilience
 code that is never exercised.  This module makes every failure mode of
 :class:`~repro.serve.procshard.ProcessShardedSolveService` a scheduled,
-seeded, replayable event:
+replayable event:
 
 * **kill worker K after M dispatches** — the parent terminates the
   worker process immediately after sending it its M-th request, which
@@ -17,13 +17,13 @@ seeded, replayable event:
   faults exercise the ring hand-off: a dropped doorbell leaves a
   staged slot that the watchdog must reclaim.
 * **slow solves** — a worker sleeps a scheduled amount before solving a
-  specific request ordinal, which exercises queue-depth divergence,
-  watermark diversion, and deadline expiry under load.
+  specific request ordinal, which exercises queue-depth divergence
+  and deadline expiry under load.
 
 A :class:`FaultPlan` is a frozen *description* of the faults (what, to
 which worker slot, on which 1-based dispatch ordinal).  It is pure data:
-hashable, printable, and buildable from a seed so CI can replay the
-exact same chaos forever.  A :class:`FaultInjector` is the *live
+hashable and printable, so CI can replay the exact same chaos
+forever.  A :class:`FaultInjector` is the *live
 counter state* for one service run — it watches dispatches and answers
 "does a fault fire now?".  Plans are reusable; injectors are not (their
 counters advance), so pass a plan to the service and let it build the
@@ -37,7 +37,6 @@ ever, and the respawned worker in slot 0 is not re-killed.
 
 from __future__ import annotations
 
-import random
 import threading
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -58,7 +57,7 @@ def _freeze_ordinal_map(raw: Mapping[int, int], noun: str) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A frozen, seeded schedule of faults for one fleet.
+    """A frozen schedule of faults for one fleet.
 
     All ordinals are 1-based dispatch counts per worker *slot* (counted
     across respawns, so a fault fires at most once per slot).
@@ -142,44 +141,6 @@ class FaultPlan:
                 k: first_kill_after + k * stagger for k in range(workers)
             }
         )
-
-    @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        workers: int,
-        *,
-        kills: int = 1,
-        max_ordinal: int = 8,
-        slow_every: int | None = None,
-        slow_seconds: float = 0.01,
-    ) -> "FaultPlan":
-        """Build a reproducible random plan from a seed.
-
-        ``kills`` distinct slots get a kill at a random ordinal in
-        ``[1, max_ordinal]``; optionally every ``slow_every``-th block
-        ordinal (up to ``max_ordinal``) of every slot sleeps
-        ``slow_seconds``.  Same seed → same plan, forever.
-        """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if not 0 <= kills <= workers:
-            raise ValueError(
-                f"kills must be in [0, {workers}], got {kills}"
-            )
-        rng = random.Random(seed)
-        victims = rng.sample(range(workers), kills)
-        kill_after = {
-            slot: rng.randint(1, max_ordinal) for slot in sorted(victims)
-        }
-        slow: dict[int, dict[int, float]] = {}
-        if slow_every is not None and slow_every >= 1:
-            for slot in range(workers):
-                slow[slot] = {
-                    o: slow_seconds
-                    for o in range(slow_every, max_ordinal + 1, slow_every)
-                }
-        return cls(kill_after=kill_after, slow_solves=slow)
 
 
 @race_checked

@@ -47,7 +47,7 @@ policies) are untouched — the shard tiers probe with ``getattr``.
 from __future__ import annotations
 
 import threading
-from typing import Mapping, Sequence
+from typing import ClassVar, Sequence
 
 from repro.analysis.runtime import race_checked
 from repro.serve.scheduler import Router
@@ -84,22 +84,10 @@ class _Estimate:
 class CostModel:
     """Expected-iterations estimator keyed by ``(tenant, tol, precision)``.
 
-    Parameters
-    ----------
-    alpha:
-        EWMA weight of each new observation (``0 < alpha <= 1``).  The
-        default ``0.3`` tracks drift (mesh deformation between a flow
-        tenant's timesteps) while smoothing one-off outliers.
-    default_cost:
-        Prediction for a completely cold model (no observation at any
-        fallback level yet).  One "average solve" in the serving
-        shape's typical band; only the *relative* costs matter to the
-        router, so the absolute default is uncritical.
-
     Prediction falls back hierarchically: exact ``(tenant, tol,
     precision)`` history first, then ``(tol, precision)`` across
     tenants (a new tenant at a known tolerance starts from its
-    tolerance class), then the global mean, then ``default_cost``.
+    tolerance class), then the global mean, then :attr:`DEFAULT_COST`.
 
     Thread safety
     -------------
@@ -108,19 +96,21 @@ class CostModel:
     O(1) work under it.
     """
 
+    #: EWMA weight of each new observation: tracks drift (mesh
+    #: deformation between a flow tenant's timesteps) while smoothing
+    #: one-off outliers.
+    ALPHA: ClassVar[float] = 0.3
+    #: Prediction for a completely cold model (no observation at any
+    #: fallback level yet).  One "average solve" in the serving shape's
+    #: typical band; only the *relative* costs matter to the router, so
+    #: the absolute default is uncritical.
+    DEFAULT_COST: ClassVar[float] = 50.0
+
     _GUARDED_BY = {
         "_exact": "_lock", "_by_tol": "_lock", "_global": "_lock",
     }
 
-    def __init__(self, alpha: float = 0.3, default_cost: float = 50.0) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if default_cost <= 0:
-            raise ValueError(
-                f"default_cost must be > 0, got {default_cost}"
-            )
-        self.alpha = alpha
-        self.default_cost = default_cost
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._exact: dict[tuple, _Estimate] = {}
         self._by_tol: dict[tuple, _Estimate] = {}
@@ -141,7 +131,7 @@ class CostModel:
             if cell is None or cell.count == 0:
                 cell = self._global
             if cell.count == 0:
-                return self.default_cost
+                return self.DEFAULT_COST
             # A converged-in-zero-iterations solve (b == 0) must not
             # make a key look free to the router.
             return max(cell.mean, 1.0)
@@ -163,13 +153,13 @@ class CostModel:
             cell = self._exact.get(key)
             if cell is None:
                 cell = self._exact[key] = _Estimate()
-            cell.observe(iterations, self.alpha)
+            cell.observe(iterations, self.ALPHA)
             tol_key = (tol, precision)
             cell = self._by_tol.get(tol_key)
             if cell is None:
                 cell = self._by_tol[tol_key] = _Estimate()
-            cell.observe(iterations, self.alpha)
-            self._global.observe(iterations, self.alpha)
+            cell.observe(iterations, self.ALPHA)
+            self._global.observe(iterations, self.ALPHA)
 
     def snapshot(self) -> dict[tuple, tuple[int, float]]:
         """``{(tenant, tol, precision): (count, mean_iterations)}`` for
@@ -180,71 +170,16 @@ class CostModel:
                 for key, cell in self._exact.items()
             }
 
-    def seed(
-        self, history: Mapping[tuple, tuple[int, float]]
-    ) -> None:
-        """Warm-start from recorded per-tenant history.
-
-        Parameters
-        ----------
-        history:
-            ``{(tenant, tol, precision): (count, mean_iterations)}`` —
-            the shape of :attr:`CostModel.snapshot` and of
-            :attr:`~repro.serve.stats.StatsSnapshot.tenant_iterations`
-            (where the per-key value is ``(count, iterations_sum)``;
-            pass ``(count, total / count)`` means — see
-            :meth:`from_stats`).
-
-        Existing cells are *not* overwritten: seeding is for cold
-        starts, live observations always win.
-        """
-        with self._lock:
-            for key, (count, mean) in history.items():
-                if count < 1:
-                    continue
-                tenant, tol, precision = key
-                if key not in self._exact:
-                    cell = self._exact[key] = _Estimate()
-                    cell.count = int(count)
-                    cell.mean = float(mean)
-                tol_key = (tol, precision)
-                if tol_key not in self._by_tol:
-                    cell = self._by_tol[tol_key] = _Estimate()
-                    cell.count = int(count)
-                    cell.mean = float(mean)
-                if self._global.count == 0:
-                    self._global.count = int(count)
-                    self._global.mean = float(mean)
-
-    @classmethod
-    def from_stats(
-        cls,
-        tenant_iterations: Mapping[tuple, tuple[int, float]],
-        alpha: float = 0.3,
-        default_cost: float = 50.0,
-    ) -> "CostModel":
-        """Build a model pre-seeded from a
-        :attr:`~repro.serve.stats.StatsSnapshot.tenant_iterations`
-        history (``{key: (count, iterations_sum)}``)."""
-        model = cls(alpha=alpha, default_cost=default_cost)
-        model.seed({
-            key: (count, total / count)
-            for key, (count, total) in tenant_iterations.items()
-            if count > 0
-        })
-        return model
-
 
 @race_checked
 class CostAwareRouter(Router):
     """Route each request to the replica with the least predicted
     outstanding work.
 
-    The scheduling upgrade over :class:`~repro.serve.scheduler.
-    LeastLoadedRouter`: instead of counting queued requests, the router
-    keeps a per-replica ledger of predicted iterations still in flight
-    (fed through the ``begin_request``/``finish_request`` protocol) and
-    places each request where that ledger is smallest.  Queue depths
+    Instead of counting queued requests, the router keeps a per-replica
+    ledger of predicted iterations still in flight (fed through the
+    ``begin_request``/``finish_request`` protocol) and places each
+    request where that ledger is smallest.  Queue depths
     act only as a tie-breaker — they catch work the ledger cannot see,
     such as requests submitted by clients bypassing the cost hooks.
 
@@ -255,12 +190,10 @@ class CostAwareRouter(Router):
     model:
         The shared :class:`CostModel`; a private one is created when
         omitted.  Pass the gateway's model so predictions warm up from
-        the same observations the gateway records.
-    observe:
-        Whether ``finish_request`` feeds actual iteration counts back
-        into the model (default).  Disable when another layer (a
-        gateway observing through its own completion hook into the same
-        shared model) already does, to avoid double-weighting.
+        the same observations the gateway records.  ``finish_request``
+        always feeds actual iteration counts back into it (a gateway
+        over this router skips its own observation, so nothing is
+        weighted twice).
 
     Thread safety
     -------------
@@ -277,11 +210,9 @@ class CostAwareRouter(Router):
         self,
         replicas: int,
         model: CostModel | None = None,
-        observe: bool = True,
     ) -> None:
         super().__init__(replicas)
         self.model = model if model is not None else CostModel()
-        self.observe = observe
         self._lock = threading.Lock()
         self._outstanding = [0.0] * replicas
 
@@ -331,5 +262,5 @@ class CostAwareRouter(Router):
             self._outstanding[replica] = max(
                 0.0, self._outstanding[replica] - cost
             )
-        if self.observe and iterations is not None:
+        if iterations is not None:
             self.model.observe(key, tol, precision, iterations)

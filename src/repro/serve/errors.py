@@ -1,7 +1,7 @@
 """The serving stack's failure vocabulary — one taxonomy, three fronts.
 
 Every serving tier (:class:`~repro.serve.service.SolveService`, the
-process fleet, and the asyncio facade) surfaces the
+process fleet, the asyncio facade and the gateway) surfaces the
 same small set of errors, so a client written against one front handles
 failures from all of them:
 
@@ -10,8 +10,8 @@ error                  retryable?  meaning
 =====================  ==========  =========================================
 :class:`ServiceClosed` no          submit after :meth:`close` — the service
                                    is gone, not busy.
-:class:`Overloaded`    yes         admission control shed the request:
-                                   surviving capacity cannot absorb it right
+:class:`Overloaded`    yes         the gateway's admission policy shed the
+                                   request: capacity cannot absorb it right
                                    now.  Back off and resubmit.
 :class:`DeadlineExceeded` no       the request's own deadline expired before
                                    it could be solved (queued too long, or
@@ -92,18 +92,15 @@ class FleetUnavailable(RuntimeError):
 
 
 class Overloaded(RuntimeError):
-    """Admission control shed the request: every healthy replica's
-    queue is at or past the ``shed_watermark``, so surviving capacity
-    cannot absorb the load the watermark diversion would move.
-    Retryable by design — back off and resubmit; shedding exists so an
-    overloaded fleet degrades by refusing work it cannot do in time,
-    instead of queueing itself into timeout storms.
+    """The gateway's :class:`~repro.serve.health.AdmissionPolicy` shed
+    the request: the pending load per healthy replica is past the
+    threshold of the request's priority.  Retryable by design — back
+    off and resubmit; shedding exists so an overloaded fleet degrades
+    by refusing work it cannot do in time, instead of queueing itself
+    into timeout storms.
 
-    The gateway tier raises it too — for loads shed *before* the fleet
-    watermark — and attaches a deterministic backoff hint as a
-    ``retry_after`` attribute (seconds; surfaced as HTTP 429 +
-    ``Retry-After``).  The attribute is optional: fleet-level sheds
-    carry none and clients fall back to their own backoff."""
+    Carries a deterministic backoff hint as a ``retry_after`` attribute
+    (seconds; surfaced as HTTP 429 + ``Retry-After``)."""
 
     retry_after: "float | None" = None
 

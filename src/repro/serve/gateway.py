@@ -14,15 +14,15 @@ the caller, and therefore the layer that owns tenancy:
    (:class:`~repro.serve.errors.RateLimited`, HTTP 429 +
    ``Retry-After``).
 3. **Admission control** — an :class:`~repro.serve.health.
-   AdmissionPolicy` sheds load *before* the fleet's own
-   ``shed_watermark``, priority-aware (background traffic sheds first,
-   interactive last), returning retryable
-   :class:`~repro.serve.errors.Overloaded` with a deterministic
-   backoff hint instead of queueing the fleet into timeout storms.
+   AdmissionPolicy`, the stack's one shed point, sheds load
+   priority-aware (background traffic sheds first, interactive last),
+   returning retryable :class:`~repro.serve.errors.Overloaded` with a
+   deterministic backoff hint instead of queueing the fleet into
+   timeout storms.
 4. **Quota accounting** — a :class:`~repro.serve.auth.QuotaLedger`
-   charged exactly when a request is handed to the fleet and refunded
-   when the fleet itself refuses, so charged totals equal admitted
-   work to the unit.
+   charged before a request is handed to the fleet and refunded
+   exactly when the backend refuses it, so charged totals equal
+   admitted work to the unit.
 5. **Deadline propagation** — a request's time budget rides the
    existing ``deadline=`` machinery down to the workers *and* is
    enforced gateway-side: a reply that misses its budget is answered
@@ -66,7 +66,7 @@ import numpy as np
 from repro.sem.cg import check_integral
 from repro.serve.asyncio_front import AsyncSolveService
 from repro.serve.auth import QuotaLedger, Tenant, TenantRegistry
-from repro.serve.costmodel import CostModel
+from repro.serve.costmodel import CostAwareRouter, CostModel
 from repro.serve.errors import (
     AuthError,
     DeadlineExceeded,
@@ -108,19 +108,16 @@ class Gateway:
     admission:
         The :class:`~repro.serve.health.AdmissionPolicy`; the default
         policy sheds priority-0 load at 8 pending requests per healthy
-        replica.  ``None`` disables gateway-side shedding (the fleet's
-        own ``shed_watermark`` still applies).
+        replica.  ``None`` disables shedding.
     cost_model:
         The :class:`~repro.serve.costmodel.CostModel` fed by completed
         solves.  Pass the same instance to a backend
         :class:`~repro.serve.costmodel.CostAwareRouter` so routing
         predictions warm up from gateway observations; when the
-        backend's router *is* cost-aware and observes on its own, the
-        gateway detects it and skips the duplicate model update (the
-        per-tenant stats history is recorded either way).
-    default_deadline:
-        Deadline (seconds) applied to requests that don't carry one;
-        ``None`` leaves them unbounded.
+        backend's router is a cost-aware router over this same model,
+        it observes on its own and the gateway skips the duplicate
+        model update (the per-tenant stats history is recorded either
+        way).
 
     Thread safety / loop affinity
     -----------------------------
@@ -135,7 +132,6 @@ class Gateway:
         registry: TenantRegistry,
         admission: AdmissionPolicy | None = AdmissionPolicy(),
         cost_model: CostModel | None = None,
-        default_deadline: float | None = None,
     ) -> None:
         if isinstance(service, AsyncSolveService):
             self.async_service = service
@@ -147,7 +143,6 @@ class Gateway:
         self.cost_model = (
             cost_model if cost_model is not None else CostModel()
         )
-        self.default_deadline = default_deadline
         self.ledger = QuotaLedger()
         #: Per-tenant iteration history (the
         #: ``StatsSnapshot.tenant_iterations`` source for this fleet).
@@ -156,9 +151,9 @@ class Gateway:
         # cost-aware; observing the same completion into the same model
         # twice would double-weight it.
         router = getattr(self.backend, "_router", None)
-        self._router_observes = bool(
-            getattr(router, "observe", False)
-            and getattr(router, "model", None) is self.cost_model
+        self._router_observes = (
+            isinstance(router, CostAwareRouter)
+            and router.model is self.cost_model
         )
         # Sharded backends route by key (tenant affinity); a plain
         # SolveService takes no `key` argument at all.
@@ -228,7 +223,6 @@ class Gateway:
                 "completed": fleet.completed,
                 "failed": fleet.failed,
                 "expired": fleet.expired,
-                "shed": fleet.shed,
                 "queue_depth": fleet.queue_depth,
                 "copy_bytes": fleet.copy_bytes,
                 "solves_per_second": fleet.solves_per_second,
@@ -340,10 +334,9 @@ class Gateway:
             Per-request solve knobs (service defaults apply when
             omitted), validated by the backend at submit.
         deadline:
-            Time budget in seconds; defaults to the gateway's
-            ``default_deadline``.  Propagated into the fleet's
-            ``deadline=`` machinery *and* enforced here: a reply that
-            misses the budget raises
+            Time budget in seconds (``None``: unbounded).  Propagated
+            into the fleet's ``deadline=`` machinery *and* enforced
+            here: a reply that misses the budget raises
             :class:`~repro.serve.errors.DeadlineExceeded` and the
             underlying ticket is cancelled (drop-only — its batch is
             undisturbed; a staged ring slot is reclaimed by the
@@ -359,20 +352,16 @@ class Gateway:
             system.
         """
         tenant, effective = self.admit(token, priority)
-        if deadline is None:
-            deadline = self.default_deadline
         try:
             future = await self.async_service.submit(
                 b, tol=tol, maxiter=maxiter,
                 key=tenant.tenant_id if self._routes_by_key else None,
                 deadline=deadline, precision=precision,
             )
-        except (Overloaded, FleetUnavailable, ServiceClosed):
-            # The fleet itself refused after the charge: the work was
-            # never admitted, so the quota must not count it.
-            self.refund(tenant)
-            raise
         except BaseException:
+            # The backend refused after the charge (unavailable, closed,
+            # a request it rejects): the work was never admitted, so the
+            # quota must not count it.
             self.refund(tenant)
             raise
         self._count("admitted")
@@ -608,8 +597,10 @@ class GatewayServer:
     ``GET /v1/healthz``
         Unauthenticated liveness (``status``/``healthy_replicas``).
     ``GET /v1/stats``
-        Authenticated operator stats (gateway counters, quota totals,
-        per-tenant iteration history, fleet summary).
+        Authenticated operator stats: ``gateway`` counters,
+        ``quota_charged``, ``tenant_iterations`` and a ``fleet``
+        summary (``submitted``, ``completed``, ``failed``, ``expired``,
+        ``queue_depth``, ``copy_bytes``, ``solves_per_second``).
 
     Parameters
     ----------

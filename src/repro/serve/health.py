@@ -26,13 +26,13 @@ decorrelated restarts across many hosts can subclass and override
 Operators drive :class:`FleetHealth` too: :meth:`~FleetHealth.eject` a
 healthy worker slot for maintenance and routing will steer around it.
 
-:class:`AdmissionPolicy` is the gateway-side extension of the same
-idea: the fleet's ``shed_watermark`` is its last line of defence, but a
-front door that *knows* the fleet's health and queue depths can shed
-earlier and smarter — priority-aware soft limits below the hard
-watermark, with deterministic ``retry_after`` backoff hints instead of
-bare refusals.  It is pure policy arithmetic (no locks, no clocks), so
-the gateway's admission decisions are exactly reproducible in tests.
+:class:`AdmissionPolicy` is the serving stack's one shed point, applied
+at the gateway's front door: it knows the fleet's health and queue
+depths and sheds by priority — soft limits for background traffic, a
+hard limit for everything — with deterministic ``retry_after`` backoff
+hints instead of bare refusals.  It is pure policy arithmetic (no
+locks, no clocks), so the gateway's admission decisions are exactly
+reproducible in tests.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.analysis.runtime import race_checked
 
@@ -66,37 +67,34 @@ class RetryPolicy:
         as the first).  When a crash consumes the last attempt the
         ticket fails with
         :class:`~repro.serve.errors.FleetUnavailable`.
-    backoff_base / backoff_factor / backoff_max:
+    backoff_base:
         The delay before retry ``k`` (1-based) is
-        ``min(backoff_max, backoff_base * backoff_factor**(k-1))``
+        ``min(BACKOFF_MAX, backoff_base * BACKOFF_FACTOR**(k-1))``
         seconds.  Deterministic — no jitter — so fault-injection runs
         reproduce exactly.
     """
 
+    BACKOFF_FACTOR: ClassVar[float] = 2.0
+    BACKOFF_MAX: ClassVar[float] = 0.25
+
     max_attempts: int = 3
     backoff_base: float = 0.01
-    backoff_factor: float = 2.0
-    backoff_max: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff_base/backoff_max must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0")
 
     def backoff(self, attempt: int) -> float:
         """Seconds to wait before retry number ``attempt`` (1-based)."""
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
         return min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
+            self.BACKOFF_MAX,
+            self.backoff_base * self.BACKOFF_FACTOR ** (attempt - 1),
         )
 
 
@@ -111,51 +109,55 @@ class RestartPolicy:
         is :attr:`~HealthState.EJECTED` instead of respawned — a worker
         that keeps dying is a fault to surface, not to hide behind an
         infinite restart storm.
-    backoff_base / backoff_factor / backoff_max:
+    backoff_base:
         Delay before restart ``k`` of a slot (1-based):
-        ``min(backoff_max, backoff_base * backoff_factor**(k-1))``
+        ``min(BACKOFF_MAX, backoff_base * BACKOFF_FACTOR**(k-1))``
         seconds.  Deterministic (no jitter) for reproducible chaos runs.
     """
 
+    BACKOFF_FACTOR: ClassVar[float] = 2.0
+    BACKOFF_MAX: ClassVar[float] = 2.0
+
     max_restarts: int = 5
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_restarts < 1:
             raise ValueError(
                 f"max_restarts must be >= 1, got {self.max_restarts}"
             )
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff_base/backoff_max must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0")
 
     def backoff(self, restart: int) -> float:
         """Seconds to wait before restart number ``restart`` (1-based)."""
         if restart < 1:
             raise ValueError(f"restart must be >= 1, got {restart}")
         return min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (restart - 1),
+            self.BACKOFF_MAX,
+            self.backoff_base * self.BACKOFF_FACTOR ** (restart - 1),
         )
 
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """Priority-aware load shedding *before* the fleet watermark.
+    """Priority-aware load shedding at the gateway's front door.
 
-    The fleet's ``shed_watermark`` refuses work only once every healthy
-    queue is already saturated; by then latency SLOs are gone.  A
-    gateway applies this policy at its own front door instead: shed
-    when the *per-healthy-replica* pending load crosses a soft limit
-    that depends on the request's priority, so background traffic backs
-    off while interactive traffic still flows — and the fleet watermark
-    (the hard limit here, which should sit at or below it) is reached
-    only when even top-priority load exceeds capacity.
+    The serving stack's one shed point: shed when the
+    *per-healthy-replica* pending load crosses a limit that depends on
+    the request's priority, so background traffic backs off while
+    interactive traffic still flows, and only load past the hard limit
+    turns top-priority requests away.
+
+    There are :attr:`LEVELS` priority classes; priorities clamp to
+    ``[0, LEVELS - 1]`` and the shed threshold interpolates linearly
+    from ``soft_limit`` (priority 0) to ``hard_limit`` (top priority).
+    A shed request's backoff hint is ``RETRY_AFTER_BASE * (1 +
+    overshoot)`` seconds, capped at :attr:`RETRY_AFTER_MAX`, where
+    ``overshoot`` is how many requests-per-replica past the threshold
+    the fleet currently is.  Deterministic (no jitter) for the same
+    reason the retry/restart policies are — admission decisions replay
+    exactly in tests.
 
     Parameters
     ----------
@@ -164,28 +166,15 @@ class AdmissionPolicy:
         (lowest) requests shed.
     hard_limit:
         Pending requests per healthy replica at which *every* priority
-        sheds.  Set it at (or just below) the backend's
-        ``shed_watermark`` so the gateway's refusal — which carries a
-        backoff hint — always fires before the fleet's bare one.
-    levels:
-        Number of priority classes; priorities clamp to
-        ``[0, levels - 1]``.  The shed threshold interpolates linearly
-        from ``soft_limit`` (priority 0) to ``hard_limit`` (top
-        priority).
-    retry_after_base / retry_after_max:
-        The deterministic backoff hint: ``retry_after_base * (1 +
-        overshoot)`` seconds, capped at ``retry_after_max``, where
-        ``overshoot`` is how many requests-per-replica past the
-        threshold the fleet currently is.  Deterministic (no jitter)
-        for the same reason the retry/restart policies are — admission
-        decisions replay exactly in tests.
+        sheds.
     """
+
+    LEVELS: ClassVar[int] = 3
+    RETRY_AFTER_BASE: ClassVar[float] = 0.05
+    RETRY_AFTER_MAX: ClassVar[float] = 2.0
 
     soft_limit: int = 8
     hard_limit: int = 16
-    levels: int = 3
-    retry_after_base: float = 0.05
-    retry_after_max: float = 2.0
 
     def __post_init__(self) -> None:
         if self.soft_limit < 1:
@@ -197,25 +186,17 @@ class AdmissionPolicy:
                 f"hard_limit ({self.hard_limit}) must be >= "
                 f"soft_limit ({self.soft_limit})"
             )
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if self.retry_after_base < 0 or self.retry_after_max < 0:
-            raise ValueError(
-                "retry_after_base/retry_after_max must be >= 0"
-            )
 
     def clamp_priority(self, priority: int) -> int:
-        """Clamp a requested priority into ``[0, levels - 1]``."""
-        return max(0, min(int(priority), self.levels - 1))
+        """Clamp a requested priority into ``[0, LEVELS - 1]``."""
+        return max(0, min(int(priority), self.LEVELS - 1))
 
     def shed_threshold(self, priority: int) -> float:
         """Pending-per-healthy-replica load at which this priority
         sheds (linear from ``soft_limit`` to ``hard_limit``)."""
         p = self.clamp_priority(priority)
-        if self.levels == 1:
-            return float(self.soft_limit)
         return self.soft_limit + (
-            (self.hard_limit - self.soft_limit) * p / (self.levels - 1)
+            (self.hard_limit - self.soft_limit) * p / (self.LEVELS - 1)
         )
 
     def should_shed(
@@ -235,14 +216,14 @@ class AdmissionPolicy:
     ) -> float:
         """Deterministic backoff hint (seconds) for one shed request."""
         if healthy < 1:
-            return self.retry_after_max
+            return self.RETRY_AFTER_MAX
         overshoot = max(
             0.0,
             total_depth / healthy - self.shed_threshold(priority),
         )
         return min(
-            self.retry_after_max,
-            self.retry_after_base * (1.0 + overshoot),
+            self.RETRY_AFTER_MAX,
+            self.RETRY_AFTER_BASE * (1.0 + overshoot),
         )
 
 

@@ -20,9 +20,8 @@ quadrature arrays, the Jacobi diagonal) are exported **once** into
 every worker.  ``K`` processes, one physical copy of the geometry —
 instead of ``K`` rebuilt or pickled duplicates.
 
-Admission and routing happen parent-side (policy routers, the
-``queue_watermark`` diversion, the shed gate and the health-gated pick
-step); a parent-side reader bridges replies back into
+Routing happens parent-side (a policy router and the health-gated
+pick step); a parent-side reader bridges replies back into
 :class:`~repro.serve.service.SolveTicket`\\ s, so the client API is
 :class:`~repro.serve.service.SolveService`'s plus a routing ``key``.
 Because every worker rebuilds the *same* problem from the *same* shared
@@ -76,13 +75,13 @@ Self-healing (the fleet is always supervised):
   ``__cause__`` — a crash is never itself a client-visible outcome),
   and only when the time budget runs out does it see
   :class:`~repro.serve.errors.DeadlineExceeded`.
-* **Health-gated routing + admission control.**  Routing never targets
-  a ``DEGRADED``/``EJECTED`` worker (the
-  :func:`~repro.serve.scheduler.pick_with_diversion` health gate);
-  with ``shed_watermark`` set, submits are shed with retryable
-  :class:`~repro.serve.errors.Overloaded` once every *healthy*
-  worker's in-flight depth reaches the mark — graceful degradation
-  instead of unbounded queueing while the fleet heals.
+* **Health-gated routing.**  Routing never targets a
+  ``DEGRADED``/``EJECTED`` worker (the
+  :func:`~repro.serve.scheduler.pick_healthy` gate); with no worker in
+  rotation a submit raises
+  :class:`~repro.serve.errors.FleetUnavailable`.  The fleet sheds
+  nothing: load shedding is the gateway's
+  :class:`~repro.serve.health.AdmissionPolicy`, the one shed point.
 * **Deterministic fault injection.**  A
   :class:`~repro.serve.chaos.FaultPlan` (see
   :mod:`repro.serve.chaos`) kills worker ``K`` after its ``M``-th
@@ -107,8 +106,8 @@ Guarantees:
   :class:`~repro.serve.stats.StatsSnapshot`\\ s whose
   ``perf_counter`` stamps are rebased onto the parent's clock at
   transfer time (:func:`~repro.serve.stats.perf_epoch_offset`); the
-  parent adds its own ``retries`` / ``restarts`` / ``expired`` /
-  ``shed`` counters to the merged snapshot.
+  parent adds its own ``retries`` / ``restarts`` / ``expired``
+  counters to the merged snapshot.
 """
 
 from __future__ import annotations
@@ -129,7 +128,6 @@ from repro.serve.chaos import FaultInjector, FaultPlan
 from repro.serve.errors import (
     DeadlineExceeded,
     FleetUnavailable,
-    Overloaded,
     ServiceClosed,
     WorkerCrashed,
 )
@@ -143,7 +141,7 @@ from repro.serve.replica import MAX_RING_SLOTS, Replica, _Inflight, unstage
 from repro.serve.scheduler import (
     Router,
     attach_cost_feedback,
-    pick_with_diversion,
+    pick_healthy,
     resolve_router,
 )
 from repro.serve.service import SolveTicket, _WouldBlock, check_request
@@ -178,8 +176,8 @@ class ProcessShardedSolveService:
     policy:
         ``"tenant"`` (consistent hash on the request's routing key, so
         one tenant's requests meet in one worker's queue and coalesce
-        into the same batches), ``"least-loaded"`` (live depths),
-        ``"round-robin"``, ``"cost"`` (predicted-work placement via
+        into the same batches), ``"round-robin"``, ``"cost"``
+        (predicted-work placement via
         :class:`~repro.serve.costmodel.CostAwareRouter`), or a ready
         :class:`~repro.serve.scheduler.Router` sized for ``workers``.
     max_batch / max_wait / max_pending / tol / maxiter / precision:
@@ -187,23 +185,6 @@ class ProcessShardedSolveService:
         :class:`~repro.serve.service.SolveService`; omitted knobs take
         that dataclass's own defaults (only what was set is forwarded,
         so there is exactly one set of defaults).
-    queue_watermark:
-        Optional rebalancing threshold: when routing picks a worker
-        whose depth has reached it, the request diverts to the
-        least-loaded healthy worker instead of piling on.  ``None``
-        disables diversion — the
-        router's pick is final.  Depths count *in-flight* requests per
-        worker (submitted, not yet resolved) — the parent cannot
-        cheaply observe a worker's internal queue, and in-flight is the
-        quantity backpressure actually acts on.
-    shed_watermark:
-        Optional admission-control threshold: when *every* healthy
-        worker's depth has reached it, ``submit`` raises the retryable
-        :class:`~repro.serve.errors.Overloaded` instead of queueing —
-        refusing work the surviving capacity cannot absorb in time,
-        rather than queueing into timeout storms.  ``None`` (the
-        default) never sheds.  Must be ``>= queue_watermark`` when both
-        are set (diversion rebalances *below* the shed point).
     retry:
         :class:`~repro.serve.health.RetryPolicy` governing transparent
         resubmission of requests lost to a worker crash (solves are
@@ -273,8 +254,6 @@ class ProcessShardedSolveService:
         tol: "float | object" = _UNSET,
         maxiter: "int | object" = _UNSET,
         precision: "str | object" = _UNSET,
-        queue_watermark: int | None = None,
-        shed_watermark: int | None = None,
         retry: RetryPolicy = RetryPolicy(),
         restart: RestartPolicy = RestartPolicy(),
         chaos: "FaultPlan | FaultInjector | None" = None,
@@ -282,24 +261,6 @@ class ProcessShardedSolveService:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if queue_watermark is not None and queue_watermark < 1:
-            raise ValueError(
-                f"queue_watermark must be >= 1, got {queue_watermark}"
-            )
-        if shed_watermark is not None:
-            if shed_watermark < 1:
-                raise ValueError(
-                    f"shed_watermark must be >= 1, got {shed_watermark}"
-                )
-            if (
-                queue_watermark is not None
-                and shed_watermark < queue_watermark
-            ):
-                raise ValueError(
-                    f"shed_watermark ({shed_watermark}) must be >= "
-                    f"queue_watermark ({queue_watermark}): diversion "
-                    "rebalances below the shed point"
-                )
         if not 1 <= ring_slots <= MAX_RING_SLOTS:
             raise ValueError(
                 f"ring_slots must be in [1, {MAX_RING_SLOTS}], got "
@@ -324,11 +285,8 @@ class ProcessShardedSolveService:
         self.policy = (
             policy if isinstance(policy, str) else type(policy).__name__
         )
-        self.queue_watermark = queue_watermark
-        self.shed_watermark = shed_watermark
         self.health = FleetHealth(workers)
         self._router = resolve_router(policy, workers)
-        self._least_loaded = resolve_router("least-loaded", workers)
         knobs = dict(
             max_batch=max_batch, max_wait=max_wait, max_pending=max_pending,
             tol=tol, maxiter=maxiter, precision=precision,
@@ -340,7 +298,6 @@ class ProcessShardedSolveService:
         self._lock = threading.Lock()
         self._routed = [0] * workers  # guarded-by: _lock
         self._health_diverted = 0  # guarded-by: _lock
-        self._shed = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
         self.workers = workers
         self.ring_slots = ring_slots
@@ -692,54 +649,31 @@ class ProcessShardedSolveService:
         self,
         key: object | None,
         planned: Sequence[int] | None = None,
-        shed: bool = True,
-    ) -> tuple[int, bool, bool]:
-        """Admit and route one request: health mask → depth sample →
-        shed gate → :func:`~repro.serve.scheduler.pick_with_diversion`.
+    ) -> tuple[int, bool]:
+        """Route one request: health mask → depth sample →
+        :func:`~repro.serve.scheduler.pick_healthy`.
 
         ``planned`` counts, per worker, requests the caller has routed
         but not yet handed over (a block being planned); they are added
         to the live depths so the decision sees what per-request
-        submission would have accumulated.  ``shed=False`` skips the
-        gate for the later requests of a block admitted whole on its
-        first.  Returns ``(worker, rebalanced, health_diverted)``; the
-        caller books a health diversion with :meth:`_count` once its
-        hand-over decides it counts.  Raises
-        :class:`~repro.serve.errors.Overloaded` (counted in the stats'
-        ``shed``) when every healthy worker's depth has reached
-        ``shed_watermark``, :class:`~repro.serve.errors.FleetUnavailable`
-        when no worker is in rotation.
+        submission would have accumulated.  Returns ``(worker,
+        health_diverted)``; the caller books a health diversion with
+        :meth:`_count` once its hand-over decides it counts.  Raises
+        :class:`~repro.serve.errors.FleetUnavailable` when no worker is
+        in rotation.
         """
         mask = self.health.mask()
         healthy = None if all(mask) else mask
         # Sampling depths takes every replica's state lock; skip it on
-        # the hot path when neither the policy, a watermark, admission
-        # control nor health steering reads it.
-        if (
-            self._router.uses_depths
-            or self.queue_watermark is not None
-            or self.shed_watermark is not None
-            or healthy is not None
-        ):
+        # the hot path when neither the policy nor health steering
+        # reads it.
+        if self._router.uses_depths or healthy is not None:
             depths = self.queue_depths
             if planned is not None:
                 depths = tuple(map(operator.add, depths, planned))
         else:
             depths = (0,) * len(mask)
-        if shed and self.shed_watermark is not None:
-            admitting = [d for d, ok in zip(depths, mask) if ok]
-            if admitting and min(admitting) >= self.shed_watermark:
-                with self._lock:
-                    self._shed += 1
-                raise Overloaded(
-                    "every healthy worker's queue is at the shed "
-                    f"watermark ({self.shed_watermark}); retry after "
-                    "backoff"
-                )
-        return pick_with_diversion(
-            self._router, self._least_loaded, key, depths,
-            self.queue_watermark, healthy=healthy,
-        )
+        return pick_healthy(self._router, key, depths, healthy)
 
     def _count(
         self,
@@ -845,9 +779,6 @@ class ProcessShardedSolveService:
             boundary).
         ~repro.serve.errors.ServiceClosed
             After :meth:`close`.
-        ~repro.serve.errors.Overloaded
-            When ``shed_watermark`` is set and every healthy worker is
-            at it (retryable — back off and resubmit).
         ~repro.serve.errors.FleetUnavailable
             When no healthy worker exists to route to.  (A worker that
             dies under the request never raises here: the ticket is
@@ -868,7 +799,7 @@ class ProcessShardedSolveService:
             b, tol, maxiter, deadline, precision
         )
         self._check_open()
-        chosen, _, diverted = self._admit(key)
+        chosen, diverted = self._admit(key)
         deadline_at = (
             None if deadline is None else time.monotonic() + deadline
         )
@@ -895,7 +826,7 @@ class ProcessShardedSolveService:
         :meth:`SolveService.try_submit
         <repro.serve.service.SolveService.try_submit>`).  The request
         is routed as usual, a refused attempt is counted nowhere, and
-        shed, closed and unavailable fleets still raise."""
+        closed and unavailable fleets still raise."""
         try:
             # Through self.submit, not around it: a wrapper put on
             # ``submit`` must see every request.
@@ -919,8 +850,7 @@ class ProcessShardedSolveService:
         tier pays, so they travel in bulk); routing decisions that read
         depths see the live in-flight counts plus the requests already
         planned within this call, exactly as per-request submission
-        would have accumulated them; the shed gate sees the block once,
-        on its first request.  A group lost to a dying worker is
+        would have accumulated them.  A group lost to a dying worker is
         transparently redispatched under the retry policy.
         """
         if keys is not None and len(keys) != len(bs):
@@ -937,7 +867,7 @@ class ProcessShardedSolveService:
         order: list[tuple[int, int]] = []
         for i, item in enumerate(validated):
             key = None if keys is None else keys[i]
-            chosen, _, diverted = self._admit(key, planned, shed=i == 0)
+            chosen, diverted = self._admit(key, planned)
             if diverted:
                 self._count(chosen, 0, diverted)
             planned[chosen] += 1
@@ -1015,8 +945,8 @@ class ProcessShardedSolveService:
 
     @property
     def routed(self) -> tuple[int, ...]:
-        """Requests handed to each worker (diversions land on the
-        worker they were diverted *to*; a retry counts again on the
+        """Requests handed to each worker (a health diversion lands on
+        the worker it was steered *to*; a retry counts again on the
         worker that served the redispatch)."""
         with self._lock:
             return tuple(self._routed)
@@ -1024,7 +954,7 @@ class ProcessShardedSolveService:
     @property
     def health_diverted(self) -> int:
         """Requests steered off an out-of-rotation worker by health
-        gating (distinct from the watermark diversion)."""
+        gating."""
         with self._lock:
             return self._health_diverted
 
@@ -1090,14 +1020,13 @@ class ProcessShardedSolveService:
         counters sum, ``wall_seconds`` spans the earliest submission to
         the latest completion across them, so ``solves_per_second``
         reads as fleet throughput — plus the outcomes decided here,
-        which no worker saw (``shed``, ``retries``, ``restarts`` and
+        which no worker saw (``retries``, ``restarts`` and
         parent-side ``expired``: requests the watchdog or a crash
         failed on their deadline), added to whatever the workers
         reported."""
         merged = merge_snapshots(self.replica_stats)
         with self._lock:
             extra = {
-                "shed": self._shed,
                 "expired": self._expired,
                 "retries": self._retried,
                 "restarts": self._restarts,

@@ -18,9 +18,9 @@ This module also hosts the *routing* policies of the sharded service
 ``K`` replica queues, a :class:`Router` decides which replica a request
 lands on —
 :class:`TenantRouter` (consistent hashing, so one tenant's requests
-always meet in the same queue and coalesce into the same batches),
-:class:`LeastLoadedRouter` (live queue depths), and
-:class:`RoundRobinRouter`.  Routers are small, thread-safe, and
+always meet in the same queue and coalesce into the same batches) and
+:class:`RoundRobinRouter`; :mod:`repro.serve.costmodel` adds the
+cost-aware one.  Routers are small, thread-safe, and
 stateless apart from their own counters, so one instance serves any
 number of concurrent submitters.
 """
@@ -32,7 +32,7 @@ import hashlib
 import threading
 import time
 from collections import deque
-from typing import Generic, Sequence, TypeVar
+from typing import ClassVar, Generic, Sequence, TypeVar
 
 # QueueClosed/ServiceClosed moved to repro.serve.errors (the shared
 # failure taxonomy); re-exported here because this module is their
@@ -48,11 +48,10 @@ __all__ = [
     "ServiceClosed",
     "Router",
     "RoundRobinRouter",
-    "LeastLoadedRouter",
     "TenantRouter",
     "ROUTING_POLICIES",
     "resolve_router",
-    "pick_with_diversion",
+    "pick_healthy",
     "attach_cost_feedback",
 ]
 
@@ -352,29 +351,13 @@ class RoundRobinRouter(Router):
             return chosen
 
 
-class LeastLoadedRouter(Router):
-    """Route each request to the replica with the shallowest queue.
-
-    Balances instantaneous load: a replica stalled on a slow batch
-    accumulates depth and stops receiving new work until it drains.
-    Ties break toward the lowest replica index, so an idle fleet fills
-    replica 0 first (keeping partial batches together instead of
-    spraying single-request batches across all replicas).
-    """
-
-    # census: failure path: diverts a request off an overloaded queue
-    def pick(self, key: object | None, depths: Sequence[int]) -> int:
-        """Return the index of the minimum entry of ``depths``."""
-        return min(range(self.replicas), key=depths.__getitem__)
-
-
 class TenantRouter(Router):
     """Consistent-hash routing: one tenant's requests share one replica.
 
     The serving win of sharding comes from *affinity*: requests that
     coalesce well (same tenant, similar tolerances, arriving together)
     should meet in the same replica's queue.  The router hashes the
-    request key onto a ring of ``vnodes`` virtual points per replica
+    request key onto a ring of :attr:`VNODES` virtual points per replica
     (the classic consistent-hashing construction), so
 
     * the same key always lands on the same replica — its requests
@@ -388,44 +371,35 @@ class TenantRouter(Router):
     per-process salting (``PYTHONHASHSEED``) would move every tenant on
     restart.
 
+    Requests submitted *without* a key go round-robin.
+
     Parameters
     ----------
     replicas:
         Number of replica queues.
-    vnodes:
-        Virtual points per replica on the ring; more points smooth the
-        keyspace split across replicas.
-    fallback:
-        Policy for requests submitted *without* a key; defaults to a
-        private :class:`RoundRobinRouter`.
     """
 
-    def __init__(
-        self,
-        replicas: int,
-        vnodes: int = 64,
-        fallback: Router | None = None,
-    ) -> None:
+    #: Virtual points per replica on the ring; more points smooth the
+    #: keyspace split across replicas.
+    VNODES: ClassVar[int] = 64
+    uses_depths = False
+
+    def __init__(self, replicas: int) -> None:
         super().__init__(replicas)
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
         ring = [
             (_stable_hash(f"replica-{r}:vnode-{v}"), r)
             for r in range(replicas)
-            for v in range(vnodes)
+            for v in range(self.VNODES)
         ]
         ring.sort()
         self._points = [point for point, _ in ring]
         self._owners = [owner for _, owner in ring]
-        self._fallback = fallback or RoundRobinRouter(replicas)
-        # Keyed picks never read depths; keyless ones defer to the
-        # fallback, so depth sampling is only worth it if IT wants them.
-        self.uses_depths = self._fallback.uses_depths
+        self._keyless = RoundRobinRouter(replicas)
 
     def pick(self, key: object | None, depths: Sequence[int]) -> int:
-        """Return the ring owner of ``key`` (fallback policy if ``None``)."""
+        """Return the ring owner of ``key`` (round-robin if ``None``)."""
         if key is None:
-            return self._fallback.pick(None, depths)
+            return self._keyless.pick(None, depths)
         idx = bisect.bisect_right(self._points, _stable_hash(key))
         if idx == len(self._points):  # wrap past the last ring point
             idx = 0
@@ -450,7 +424,7 @@ def _stable_hash(key: object) -> int:
 
 #: Routing policy names accepted by the sharded service.
 ROUTING_POLICIES: tuple[str, ...] = (
-    "tenant", "least-loaded", "round-robin", "cost",
+    "tenant", "round-robin", "cost",
 )
 
 
@@ -462,7 +436,7 @@ def resolve_router(
     Parameters
     ----------
     policy:
-        ``"tenant"``, ``"least-loaded"``, ``"round-robin"``, ``"cost"``
+        ``"tenant"``, ``"round-robin"``, ``"cost"``
         (predicted-work placement —
         :class:`~repro.serve.costmodel.CostAwareRouter` over a private
         :class:`~repro.serve.costmodel.CostModel`; construct the router
@@ -492,8 +466,6 @@ def resolve_router(
         return policy
     if policy == "tenant":
         return TenantRouter(replicas)
-    if policy == "least-loaded":
-        return LeastLoadedRouter(replicas)
     if policy == "round-robin":
         return RoundRobinRouter(replicas)
     if policy == "cost":
@@ -554,64 +526,42 @@ def attach_cost_feedback(
     ticket.add_done_callback(_release)
 
 
-def _least_loaded_healthy(
-    depths: Sequence[int], healthy: Sequence[bool]
-) -> int:
-    """Index of the shallowest queue among the healthy targets
-    (ties break low, matching :class:`LeastLoadedRouter`)."""
-    return min(
-        (i for i in range(len(healthy)) if healthy[i]),
-        key=depths.__getitem__,
-    )
-
-
-def pick_with_diversion(
+def pick_healthy(
     router: Router,
-    fallback: Router,
     key: object | None,
     depths: Sequence[int],
-    queue_watermark: int | None,
     healthy: Sequence[bool] | None = None,
-) -> tuple[int, bool, bool]:
-    """One routed pick plus health gating and the watermark diversion.
+) -> tuple[int, bool]:
+    """One routed pick, health-gated.
 
     The routing step of
     :class:`~repro.serve.procshard.ProcessShardedSolveService`: ask
     ``router`` for a worker; when it is not healthy, steer to the
-    shallowest healthy queue; and when the final target's depth has
-    reached ``queue_watermark``, divert via ``fallback`` (typically
-    least-loaded) instead of piling on.  Health always wins: with any
-    worker out of rotation the diversion goes to the shallowest
-    *healthy* queue.
+    shallowest healthy queue (ties break low).
 
     Parameters
     ----------
-    router / fallback:
-        The policy router and the diversion fallback (both sized for
-        ``len(depths)`` targets).
+    router:
+        The policy router (sized for ``len(depths)`` targets).
     key:
         The request's routing key (may be ``None``).
     depths:
         Per-target depth sample the decision should see.
-    queue_watermark:
-        Diversion threshold; ``None`` disables diversion.
     healthy:
         Optional per-target admission mask (``True`` = routable).
-        ``None`` means every target is routable — the pre-resilience
-        behavior, with no masking overhead.
+        ``None`` means every target is routable, with no masking
+        overhead.
 
     Returns
     -------
-    (int, bool, bool)
-        The final target index; whether the watermark diverted the
-        request off the pick;
-        and whether health gating moved it off an unhealthy target
-        (the caller's health-diversion accounting).
+    (int, bool)
+        The final target index, and whether health gating moved it off
+        an unhealthy target (the caller's health-diversion accounting).
 
     Raises
     ------
     ValueError
-        If a router returns an out-of-range index — a buggy custom
+        If the router returns an out-of-range index — a buggy custom
         policy must fail loudly, not silently wrap onto the last
         target.
     FleetUnavailable
@@ -630,19 +580,10 @@ def pick_with_diversion(
             f"router {type(router).__name__} picked worker "
             f"{chosen}, expected 0..{replicas - 1}"
         )
-    health_diverted = False
-    if not all_healthy and not healthy[chosen]:
-        chosen = _least_loaded_healthy(depths, healthy)
-        health_diverted = True
-    if queue_watermark is None or depths[chosen] < queue_watermark:
-        return chosen, False, health_diverted
-    if all_healthy:
-        diverted = fallback.pick(key, depths)
-        if not 0 <= diverted < replicas:
-            raise ValueError(
-                f"fallback {type(fallback).__name__} picked worker "
-                f"{diverted}, expected 0..{replicas - 1}"
-            )
-    else:
-        diverted = _least_loaded_healthy(depths, healthy)
-    return diverted, diverted != chosen, health_diverted
+    if all_healthy or healthy[chosen]:
+        return chosen, False
+    shallowest = min(
+        (i for i in range(replicas) if healthy[i]),
+        key=depths.__getitem__,
+    )
+    return shallowest, True

@@ -81,15 +81,12 @@ class StatsSnapshot:
         boundary, rebase them onto the receiving process's clock with
         :meth:`rebased` + :func:`perf_epoch_offset` (the process-level
         shard does this at snapshot-transfer time).
-    expired / retries / restarts / shed:
+    expired / retries / restarts:
         Resilience counters.  ``expired`` — requests whose deadline
         tripped before a solve started (they are neither completed nor
         failed: ``completed + failed + expired <= submitted``).
         ``retries`` — crash-lost requests transparently resubmitted.
         ``restarts`` — dead workers respawned into their slot.
-        ``shed`` — requests refused at admission with
-        :class:`~repro.serve.errors.Overloaded` (not counted in
-        ``submitted``; they never entered a queue).
     copy_bytes:
         Request-payload bytes copied through a serialization/transport
         hop on their way to a solver (pickled rhs vectors crossing a
@@ -104,11 +101,10 @@ class StatsSnapshot:
         Per-tenant solve-cost history:
         ``{(tenant, tol, precision): (count, iterations_sum)}``.  The
         raw material of cost-predicted scheduling — a
-        :class:`~repro.serve.costmodel.CostModel` warm-starts from it
-        via :meth:`~repro.serve.costmodel.CostModel.from_stats`.
-        Recorded by whichever layer knows the tenant (the gateway;
-        plain services never learn tenant identities), so most
-        service-level snapshots carry an empty mapping.
+        :class:`~repro.serve.costmodel.CostModel` predicts from the same
+        observations.  Recorded by whichever layer knows the tenant
+        (the gateway; plain services never learn tenant identities), so
+        most service-level snapshots carry an empty mapping.
     """
 
     submitted: int
@@ -125,7 +121,6 @@ class StatsSnapshot:
     expired: int = 0
     retries: int = 0
     restarts: int = 0
-    shed: int = 0
     copy_bytes: int = 0
     tenant_iterations: dict[tuple, tuple[int, float]] = field(
         default_factory=dict
@@ -201,7 +196,7 @@ def merge_snapshots(snapshots: Iterable[StatsSnapshot]) -> StatsSnapshot:
         replica A's may be microseconds older than replica B's.
     """
     submitted = completed = failed = batches = 0
-    expired = retries = restarts = shed = copy_bytes = 0
+    expired = retries = restarts = copy_bytes = 0
     histogram: dict[int, int] = {}
     tenants: dict[tuple, tuple[int, float]] = {}
     queue_depth = max_queue_depth = 0
@@ -216,7 +211,6 @@ def merge_snapshots(snapshots: Iterable[StatsSnapshot]) -> StatsSnapshot:
         expired += snap.expired
         retries += snap.retries
         restarts += snap.restarts
-        shed += snap.shed
         copy_bytes += snap.copy_bytes
         for size, count in snap.batch_histogram.items():
             histogram[size] = histogram.get(size, 0) + count
@@ -258,7 +252,6 @@ def merge_snapshots(snapshots: Iterable[StatsSnapshot]) -> StatsSnapshot:
         expired=expired,
         retries=retries,
         restarts=restarts,
-        shed=shed,
         copy_bytes=copy_bytes,
         tenant_iterations=tenants,
     )

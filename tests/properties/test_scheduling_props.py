@@ -35,11 +35,7 @@ from repro.serve import (
     QuotaExceeded,
     TenantRegistry,
 )
-from repro.serve.scheduler import (
-    LeastLoadedRouter,
-    TenantRouter,
-    pick_with_diversion,
-)
+from repro.serve.scheduler import TenantRouter, pick_healthy
 
 
 class FakeClock:
@@ -75,25 +71,21 @@ class FakeBackend:
 @given(
     soft=st.integers(min_value=1, max_value=32),
     extra=st.integers(min_value=0, max_value=32),
-    levels=st.integers(min_value=1, max_value=5),
     depth=st.integers(min_value=0, max_value=2048),
     healthy=st.integers(min_value=1, max_value=16),
     priority=st.integers(min_value=0, max_value=8),
 )
 @settings(max_examples=200, deadline=None)
 def test_no_starvation_while_capacity_exists(
-    soft, extra, levels, depth, healthy, priority
+    soft, extra, depth, healthy, priority
 ):
-    policy = AdmissionPolicy(
-        soft_limit=soft, hard_limit=soft + extra, levels=levels
-    )
+    policy = AdmissionPolicy(soft_limit=soft, hard_limit=soft + extra)
     load = depth / healthy
     shed = policy.should_shed(depth, healthy, priority)
     # Capacity exists below the soft limit: nobody starves there.
     if load < policy.soft_limit:
         assert not shed
-    # Past the hard limit everyone sheds — the fleet watermark would
-    # refuse anyway, and the gateway's refusal carries a backoff hint.
+    # Past the hard limit everyone sheds, with a backoff hint.
     if load >= policy.hard_limit:
         assert shed
     # Monotone in priority: admitting p implies admitting p+1.
@@ -102,7 +94,7 @@ def test_no_starvation_while_capacity_exists(
     # Every shed comes with a bounded, deterministic backoff hint.
     if shed:
         hint = policy.retry_after(depth, healthy, priority)
-        assert 0.0 <= hint <= policy.retry_after_max
+        assert 0.0 <= hint <= policy.RETRY_AFTER_MAX
         assert hint == policy.retry_after(depth, healthy, priority)
 
 
@@ -155,9 +147,6 @@ def test_cost_routing_never_hits_ejected_replicas(data, replicas):
         st.booleans(), min_size=replicas, max_size=replicas,
     ))
     key = data.draw(st.one_of(st.none(), st.text(max_size=8)))
-    watermark = data.draw(st.one_of(
-        st.none(), st.integers(min_value=1, max_value=32)
-    ))
     router = CostAwareRouter(replicas)
     # Random outstanding work so the pick is not always replica 0.
     for replica in range(replicas):
@@ -165,18 +154,11 @@ def test_cost_routing_never_hits_ejected_replicas(data, replicas):
             min_value=0.0, max_value=200.0, allow_nan=False
         ))
         router._outstanding[replica] = cost
-    fallback = LeastLoadedRouter(replicas)
     if not any(healthy):
         with pytest.raises(FleetUnavailable):
-            pick_with_diversion(
-                router, fallback, key, depths, watermark,
-                healthy=healthy,
-            )
+            pick_healthy(router, key, depths, healthy)
         return
-    chosen, _rebalanced, _diverted = pick_with_diversion(
-        router, fallback, key, depths, watermark,
-        healthy=healthy,
-    )
+    chosen, _diverted = pick_healthy(router, key, depths, healthy)
     assert 0 <= chosen < replicas
     assert healthy[chosen]
 

@@ -190,18 +190,19 @@ class TestTenantRegistry:
 
 class TestAdmissionPolicy:
     def test_threshold_interpolates_by_priority(self):
-        policy = AdmissionPolicy(soft_limit=8, hard_limit=16, levels=3)
+        policy = AdmissionPolicy(soft_limit=8, hard_limit=16)
+        assert policy.LEVELS == 3
         assert policy.shed_threshold(0) == 8.0
         assert policy.shed_threshold(1) == 12.0
         assert policy.shed_threshold(2) == 16.0
 
     def test_priority_clamps_to_levels(self):
-        policy = AdmissionPolicy(levels=3)
+        policy = AdmissionPolicy()
         assert policy.clamp_priority(-5) == 0
         assert policy.clamp_priority(99) == 2
 
     def test_low_priority_sheds_first(self):
-        policy = AdmissionPolicy(soft_limit=8, hard_limit=16, levels=3)
+        policy = AdmissionPolicy(soft_limit=8, hard_limit=16)
         # 10 pending on 1 healthy replica: past soft (8), below hard.
         assert policy.should_shed(10, 1, priority=0)
         assert not policy.should_shed(10, 1, priority=2)
@@ -214,13 +215,11 @@ class TestAdmissionPolicy:
     def test_no_healthy_replica_always_sheds(self):
         policy = AdmissionPolicy()
         assert policy.should_shed(0, 0, priority=2)
-        assert policy.retry_after(0, 0) == policy.retry_after_max
+        assert policy.retry_after(0, 0) == policy.RETRY_AFTER_MAX
 
     def test_retry_after_grows_with_overshoot_and_caps(self):
-        policy = AdmissionPolicy(
-            soft_limit=8, hard_limit=16, retry_after_base=0.05,
-            retry_after_max=2.0,
-        )
+        policy = AdmissionPolicy(soft_limit=8, hard_limit=16)
+        assert (policy.RETRY_AFTER_BASE, policy.RETRY_AFTER_MAX) == (0.05, 2.0)
         light = policy.retry_after(9, 1, priority=0)
         heavy = policy.retry_after(30, 1, priority=0)
         assert light < heavy
@@ -231,17 +230,8 @@ class TestAdmissionPolicy:
         hints = {policy.retry_after(12, 1, 0) for _ in range(10)}
         assert len(hints) == 1
 
-    def test_single_level_policy(self):
-        policy = AdmissionPolicy(soft_limit=4, hard_limit=8, levels=1)
-        assert policy.shed_threshold(0) == 4.0
-        assert policy.shed_threshold(7) == 4.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AdmissionPolicy(soft_limit=0)
         with pytest.raises(ValueError):
             AdmissionPolicy(soft_limit=8, hard_limit=4)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(levels=0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(retry_after_base=-0.1)

@@ -44,14 +44,6 @@ class TestFaultPlan:
         )
         assert plan.kill_after == {0: 2, 1: 5, 2: 8}
 
-    def test_from_seed_is_reproducible(self):
-        a = FaultPlan.from_seed(7, 4, kills=2, slow_every=3)
-        b = FaultPlan.from_seed(7, 4, kills=2, slow_every=3)
-        c = FaultPlan.from_seed(8, 4, kills=2, slow_every=3)
-        assert a.kill_after == b.kill_after
-        assert a.slow_solves == b.slow_solves
-        assert a != c or a.kill_after != c.kill_after
-
     def test_plan_is_picklable(self):
         """Plans (and the slow schedules carved from them) cross the
         spawn boundary to the worker processes."""

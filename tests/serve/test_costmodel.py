@@ -26,8 +26,8 @@ def outstanding(router):
 
 class TestCostModel:
     def test_cold_model_predicts_default(self):
-        model = CostModel(default_cost=37.0)
-        assert model.predict("t", 1e-8, None) == 37.0
+        model = CostModel()
+        assert model.predict("t", 1e-8, None) == CostModel.DEFAULT_COST
 
     def test_first_observation_sets_mean_exactly(self):
         model = CostModel()
@@ -35,10 +35,12 @@ class TestCostModel:
         assert model.predict("t", 1e-8, None) == 12.0
 
     def test_ewma_update(self):
-        model = CostModel(alpha=0.5)
+        model = CostModel()
         model.observe("t", 1e-8, None, 10)
         model.observe("t", 1e-8, None, 20)
-        assert model.predict("t", 1e-8, None) == 15.0
+        assert model.predict("t", 1e-8, None) == pytest.approx(
+            10.0 + CostModel.ALPHA * 10.0
+        )
 
     def test_fallback_to_tolerance_class(self):
         # A new tenant at a known tolerance starts from its tolerance
@@ -73,14 +75,6 @@ class TestCostModel:
         with pytest.raises(ValueError):
             model.observe("t", 1e-8, None, -1)
 
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            CostModel(alpha=0.0)
-        with pytest.raises(ValueError):
-            CostModel(alpha=1.5)
-        with pytest.raises(ValueError):
-            CostModel(default_cost=0.0)
-
     def test_observations_and_snapshot(self):
         model = CostModel()
         model.observe("a", 1e-8, None, 10)
@@ -91,23 +85,6 @@ class TestCostModel:
         assert snap[("a", 1e-8, None)] == (2, 10.0)
         assert snap[("b", 1e-2, "mixed")] == (1, 4.0)
 
-    def test_seed_warm_starts_without_overwriting(self):
-        model = CostModel()
-        model.observe("live", 1e-8, None, 5)
-        model.seed({
-            ("live", 1e-8, None): (100, 99.0),   # must NOT overwrite
-            ("cold", 1e-2, None): (3, 14.0),
-        })
-        assert model.predict("live", 1e-8, None) == 5.0
-        assert model.predict("cold", 1e-2, None) == 14.0
-
-    def test_from_stats_converts_sums_to_means(self):
-        # StatsSnapshot.tenant_iterations records (count, iterations_sum).
-        model = CostModel.from_stats({
-            ("t", 1e-8, None): (4, 48.0),
-            ("dead", 1e-8, None): (0, 0.0),  # empty cells skipped
-        })
-        assert model.predict("t", 1e-8, None) == 12.0
 
 
 class TestCostAwareRouter:
@@ -148,13 +125,6 @@ class TestCostAwareRouter:
         cost = router.begin_request(0, "t", 1e-8, None)
         router.finish_request(0, cost, "t", 1e-8, None, None)
         assert observations(router.model) == 0
-
-    def test_observe_false_keeps_model_untouched(self):
-        model = CostModel()
-        router = CostAwareRouter(1, model=model, observe=False)
-        cost = router.begin_request(0, "t", 1e-8, None)
-        router.finish_request(0, cost, "t", 1e-8, None, 50)
-        assert observations(model) == 0
 
     def test_balances_unequal_item_sizes(self):
         # The property the p99 win rests on: predicted *work* (not
@@ -213,7 +183,7 @@ class TestAttachCostFeedback:
 
     def test_plain_router_is_untouched(self):
         # Routers without the protocol must not grow callbacks.
-        router = resolve_router("least-loaded", 2)
+        router = resolve_router("round-robin", 2)
         ticket = self._FakeTicket()
         attach_cost_feedback(router, ticket, 0, "t", 1e-8, None)
         assert ticket._callbacks == []

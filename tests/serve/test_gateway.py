@@ -18,12 +18,14 @@ from repro.serve import (
     CostAwareRouter,
     CostModel,
     DeadlineExceeded,
+    FleetUnavailable,
     Gateway,
     GatewayServer,
     Overloaded,
     ProcessShardedSolveService,
     QuotaExceeded,
     RateLimited,
+    ServiceClosed,
     SolveService,
     Tenant,
     TenantRegistry,
@@ -200,9 +202,7 @@ class TestAdmissionPipeline:
         backend = FakeBackend(depths=(5, 5))
         gateway, tenant, _clock = make_gateway(
             backend=backend, priority=2,
-            admission=AdmissionPolicy(
-                soft_limit=4, hard_limit=8, levels=3
-            ),
+            admission=AdmissionPolicy(soft_limit=4, hard_limit=8),
         )
         tenant_out, effective = gateway.admit(tenant.token, priority=2)
         assert effective == 2
@@ -226,21 +226,50 @@ class TestAdmissionPipeline:
 
 
 class TestGatewaySolve:
-    def test_fleet_refusal_refunds_quota(self):
-        backend = FakeBackend()
-        backend.submit_error = Overloaded("fleet watermark")
-        gateway, tenant, _clock = make_gateway(
-            backend=backend, quota=5
-        )
+    @pytest.mark.parametrize("refusal", [
+        pytest.param(
+            FleetUnavailable("no worker in rotation"), id="unavailable"
+        ),
+        pytest.param(ServiceClosed("submit on a closed service"), id="closed"),
+        pytest.param({"b": np.zeros(3)}, id="mis-sized-rhs"),
+        pytest.param({"tol": -1.0}, id="negative-tol"),
+        pytest.param({"maxiter": 2.7}, id="fractional-maxiter"),
+    ])
+    def test_fleet_refusal_refunds_quota(
+        self, refusal, serving_problem, fresh_problem
+    ):
+        """Every refusal a backend still has — no worker in rotation, a
+        closed service, and the ValueErrors of a real SolveService's
+        request check — is charged at admit and refunded exactly:
+        nothing counts as admitted and the counters conserve."""
+        _prob, bank = serving_problem
+        if isinstance(refusal, Exception):
+            backend = FakeBackend()
+            backend.submit_error = refusal
+            expected, request = type(refusal), {"b": np.zeros(3)}
+        else:
+            backend = SolveService(
+                fresh_problem, max_wait=0.002, background=True
+            )
+            expected, request = ValueError, {"b": bank[0], **refusal}
+        gateway, tenant, _clock = make_gateway(backend=backend, quota=5)
 
         async def run():
-            with pytest.raises(Overloaded):
-                await gateway.solve(tenant.token, np.zeros(3))
+            try:
+                with pytest.raises(expected):
+                    await gateway.solve(tenant.token, **request)
+            finally:
+                await gateway.aclose()
 
         asyncio.run(run())
-        # Charged at admit, refunded when the fleet refused: exact.
+        counters = gateway.counters
         assert gateway.ledger.charged("acme") == 0
-        assert gateway.counters["admitted"] == 0
+        assert counters["requests"] == 1
+        assert counters["admitted"] == 0
+        assert counters["admitted"] == (
+            counters["completed"] + counters["failed"]
+            + counters["expired"]
+        )
 
     def test_completion_records_history_and_cost(self):
         backend = FakeBackend()
@@ -295,22 +324,6 @@ class TestGatewaySolve:
         assert backend.tickets[0].cancelled()
         assert backend.submits[0]["deadline"] == 0.05
         assert gateway.counters["expired"] == 1
-
-    def test_default_deadline_applies(self):
-        backend = FakeBackend()
-        clock = FakeClock()
-        registry = TenantRegistry(clock=clock)
-        tenant = registry.provision("acme")
-        gateway = Gateway(
-            backend, registry, default_deadline=0.05
-        )
-
-        async def run():
-            with pytest.raises(DeadlineExceeded):
-                await gateway.solve(tenant.token, np.zeros(3))
-
-        asyncio.run(run())
-        assert backend.submits[0]["deadline"] == 0.05
 
     def test_skips_double_observe_with_cost_router_backend(self):
         model = CostModel()

@@ -15,23 +15,21 @@ from repro.serve import (
 
 class TestPolicies:
     def test_retry_backoff_is_capped_exponential(self):
-        p = RetryPolicy(
-            max_attempts=4, backoff_base=0.01, backoff_factor=2.0,
-            backoff_max=0.03,
-        )
+        p = RetryPolicy(max_attempts=4, backoff_base=0.01)
+        assert (p.BACKOFF_FACTOR, p.BACKOFF_MAX) == (2.0, 0.25)
         assert p.backoff(1) == pytest.approx(0.01)
         assert p.backoff(2) == pytest.approx(0.02)
-        assert p.backoff(3) == pytest.approx(0.03)  # capped
-        assert p.backoff(10) == pytest.approx(0.03)
+        assert p.backoff(5) == pytest.approx(0.16)
+        assert p.backoff(6) == pytest.approx(0.25)  # capped
+        assert p.backoff(10) == pytest.approx(0.25)
 
     def test_restart_backoff_is_capped_exponential(self):
-        p = RestartPolicy(
-            max_restarts=3, backoff_base=0.05, backoff_factor=2.0,
-            backoff_max=0.15,
-        )
+        p = RestartPolicy(max_restarts=3, backoff_base=0.05)
+        assert (p.BACKOFF_FACTOR, p.BACKOFF_MAX) == (2.0, 2.0)
         assert p.backoff(1) == pytest.approx(0.05)
         assert p.backoff(2) == pytest.approx(0.10)
-        assert p.backoff(3) == pytest.approx(0.15)  # capped
+        assert p.backoff(6) == pytest.approx(1.60)
+        assert p.backoff(7) == pytest.approx(2.0)  # capped
 
     def test_backoff_is_deterministic_no_jitter(self):
         """Chaos runs must replay exactly: same attempt, same delay."""
@@ -43,8 +41,6 @@ class TestPolicies:
         [
             {"max_attempts": 0},
             {"backoff_base": -0.1},
-            {"backoff_max": -1.0},
-            {"backoff_factor": 0.5},
         ],
     )
     def test_retry_policy_validation(self, kwargs):
@@ -56,7 +52,6 @@ class TestPolicies:
         [
             {"max_restarts": 0},
             {"backoff_base": -0.1},
-            {"backoff_factor": 0.9},
         ],
     )
     def test_restart_policy_validation(self, kwargs):

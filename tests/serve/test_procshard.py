@@ -35,7 +35,7 @@ def shm_exists(name: str) -> bool:
 
 class TestProcShardBitIdentity:
     @pytest.mark.parametrize(
-        "policy", ("tenant", "least-loaded", "round-robin")
+        "policy", ("tenant", "round-robin")
     )
     def test_k2_bit_identical_to_sequential(
         self, serving_problem, policy, sequential_solve, assert_same_result
@@ -219,8 +219,6 @@ class TestProcShardLifecycle:
         prob, bank = serving_problem
         with pytest.raises(ValueError, match="workers"):
             ProcessShardedSolveService(prob, workers=0)
-        with pytest.raises(ValueError, match="queue_watermark"):
-            ProcessShardedSolveService(prob, workers=1, queue_watermark=0)
         with pytest.raises(TypeError, match="export_shared"):
             ProcessShardedSolveService(object(), workers=1)
 
@@ -246,30 +244,6 @@ class TestProcShardLifecycle:
             # The fleet is still healthy after the bounces.
             got = svc.submit(bank[0]).result(timeout=60)
         assert_same_result(got, sequential_solve(prob, bank[0]))
-
-    def test_watermark_diverts_and_counts(self, serving_problem):
-        """Tenant affinity yields to the watermark: once the owner's
-        depth (in-flight request count) is at it, requests divert to
-        the least-loaded worker, each counted in ``routed`` there."""
-        prob, bank = serving_problem
-        with ProcessShardedSolveService(
-            prob, workers=2, policy="tenant", max_batch=8,
-            max_wait=30.0, queue_watermark=2, tol=1e-10, maxiter=200,
-        ) as svc:
-            owner = svc._router.pick("hot-tenant", (0, 0))
-            tickets = [
-                svc.submit(bank[k], key="hot-tenant") for k in range(6)
-            ]
-            routed = svc.routed
-            svc.close()  # drains: every ticket resolves
-            for t in tickets:
-                t.result(timeout=60)
-        # The first `watermark` requests stay home; later ones divert
-        # (a depth tie can break back to the owner once, hence the
-        # one-request slack).
-        assert sum(routed) == 6
-        assert 2 <= routed[owner] <= 3
-        assert routed[1 - owner] >= 3
 
 
 class TestProcShardCrash:

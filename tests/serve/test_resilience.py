@@ -375,32 +375,13 @@ class TestDeadlines:
 
 
 class TestSheddingAndHealthGating:
-    def test_procshard_sheds_with_overloaded_at_the_watermark(
-        self, serving_problem, sequential_solve, assert_same_result
-    ):
-        prob, bank = serving_problem
-        svc = ProcessShardedSolveService(
-            prob, workers=1, max_batch=8, max_wait=30.0,
-            tol=1e-10, maxiter=200, shed_watermark=1,
-        )
-        try:
-            parked = svc.submit(bank[0])  # depth 1 == watermark
-            with pytest.raises(Overloaded):
-                svc.submit(bank[1])
-            assert svc.stats.shed == 1
-            svc.close()  # drains: the parked ticket resolves
-            got = parked.result(timeout=60)
-        finally:
-            svc.close()
-        assert_same_result(got, sequential_solve(prob, bank[0]))
-
     def test_procshard_routes_around_ejected_worker(
         self, serving_problem, sequential_solve, assert_same_result
     ):
         prob, bank = serving_problem
         with ProcessShardedSolveService(
             prob, workers=2, policy="round-robin", max_batch=8,
-            max_wait=0.002, tol=1e-10, maxiter=200, shed_watermark=4,
+            max_wait=0.002, tol=1e-10, maxiter=200,
         ) as svc:
             # Operator drains (live) worker 0: every request must land
             # on 1.

@@ -1,5 +1,5 @@
 """Tests for the routing policies in repro.serve.scheduler and the one
-routing step (``pick_with_diversion``) the process fleet builds on."""
+routing step (``pick_healthy``) the process fleet builds on."""
 
 from __future__ import annotations
 
@@ -7,13 +7,20 @@ import numpy as np
 import pytest
 
 from repro.serve import (
+    AdmissionPolicy,
+    CostAwareRouter,
+    CostModel,
     FleetUnavailable,
-    LeastLoadedRouter,
+    Gateway,
+    ProcessShardedSolveService,
+    RestartPolicy,
+    RetryPolicy,
     RoundRobinRouter,
+    TenantRegistry,
     TenantRouter,
     resolve_router,
 )
-from repro.serve.scheduler import pick_with_diversion
+from repro.serve.scheduler import ROUTING_POLICIES, pick_healthy
 
 
 class TestRouters:
@@ -21,12 +28,6 @@ class TestRouters:
         router = RoundRobinRouter(3)
         picks = [router.pick(None, (0, 0, 0)) for _ in range(7)]
         assert picks == [0, 1, 2, 0, 1, 2, 0]
-
-    def test_least_loaded_picks_shallowest(self):
-        router = LeastLoadedRouter(3)
-        assert router.pick(None, (5, 2, 9)) == 1
-        assert router.pick(None, (0, 0, 0)) == 0  # ties break low
-        assert router.pick("ignored", (3, 3, 1)) == 2
 
     def test_tenant_affinity_1k_requests(self):
         """Same key -> same replica across 1000 picks, regardless of the
@@ -74,17 +75,11 @@ class TestRouters:
     def test_uses_depths_flags(self):
         """Depth-blind policies advertise it, so the sharded submit path
         can skip sampling every replica queue."""
-        assert LeastLoadedRouter(2).uses_depths is True
         assert RoundRobinRouter(2).uses_depths is False
-        assert TenantRouter(2).uses_depths is False  # round-robin fallback
-        assert TenantRouter(2, fallback=LeastLoadedRouter(2)).uses_depths \
-            is True
+        assert TenantRouter(2).uses_depths is False  # keyless: round-robin
 
     def test_resolve_router(self):
         assert isinstance(resolve_router("tenant", 2), TenantRouter)
-        assert isinstance(
-            resolve_router("least-loaded", 2), LeastLoadedRouter
-        )
         assert isinstance(resolve_router("round-robin", 2), RoundRobinRouter)
         ready = TenantRouter(2)
         assert resolve_router(ready, 2) is ready
@@ -94,18 +89,14 @@ class TestRouters:
             resolve_router("random", 2)
         with pytest.raises(ValueError, match="replicas"):
             RoundRobinRouter(0)
-        with pytest.raises(ValueError, match="vnodes"):
-            TenantRouter(2, vnodes=0)
 
 
 class TestPickWithDiversion:
-    """The routing step on plain depth tuples — no fleet, no workers."""
+    """The health-gated routing step (:func:`pick_healthy`) on plain
+    depth tuples — no fleet, no workers."""
 
-    def pick(self, router, depths, watermark=None, healthy=None, key=None):
-        return pick_with_diversion(
-            router, LeastLoadedRouter(len(depths)), key, depths, watermark,
-            healthy=healthy,
-        )
+    def pick(self, router, depths, healthy=None, key=None):
+        return pick_healthy(router, key, depths, healthy)
 
     def test_bad_router_pick_rejected(self):
         """A buggy custom router returning an out-of-range index (e.g.
@@ -118,45 +109,65 @@ class TestPickWithDiversion:
         with pytest.raises(ValueError, match="picked worker -1"):
             self.pick(BrokenRouter(2), (0, 0))
 
-    def test_watermark_diverts_to_least_loaded(self):
-        """Tenant affinity yields to the watermark: an owner at it
-        loses the request to the shallowest queue, and only a pick that
-        actually moved counts as rebalanced."""
-        router = TenantRouter(3)
-        owner = router.pick("hot-tenant", (0, 0, 0))
-        depths = [5, 5, 5]
-        depths[owner] = 2
-        others = [i for i in range(3) if i != owner]
-        depths[others[1]] = 1
-        assert self.pick(
-            router, tuple(depths), watermark=2, key="hot-tenant"
-        ) == (others[1], True, False)
-        # Already the shallowest: the diversion lands back home.
-        depths[owner] = 1
-        depths[others[1]] = 4
-        assert self.pick(
-            router, tuple(depths), watermark=1, key="hot-tenant"
-        ) == (owner, False, False)
-
     def test_health_beats_the_pick(self):
         """An out-of-rotation pick is steered to the shallowest healthy
-        queue, and a watermark diversion never lands on an unhealthy
-        one however shallow it is."""
+        queue (ties break low); a healthy pick stands however deep its
+        queue is."""
         assert self.pick(
             RoundRobinRouter(3), (0, 4, 2), healthy=(False, True, True)
-        ) == (2, False, True)
+        ) == (2, True)
+        assert self.pick(
+            RoundRobinRouter(3), (0, 3, 3), healthy=(False, True, True)
+        ) == (1, True)
         router = RoundRobinRouter(3)
         router.pick(None, ())  # advance the rotation to worker 1
         assert self.pick(
-            router, (0, 3, 5), watermark=3, healthy=(False, True, True)
-        ) == (1, False, False)
-        router = RoundRobinRouter(3)
-        router.pick(None, ())
-        router.pick(None, ())  # ... to worker 2
-        assert self.pick(
-            router, (0, 3, 5), watermark=3, healthy=(False, True, True)
-        ) == (1, True, False)
+            router, (0, 3, 5), healthy=(False, True, True)
+        ) == (1, False)
+        assert self.pick(RoundRobinRouter(2), (9, 0)) == (0, False)
 
     def test_all_unhealthy_raises_fleet_unavailable(self):
         with pytest.raises(FleetUnavailable, match="out of rotation"):
             self.pick(RoundRobinRouter(2), (0, 0), healthy=(False, False))
+
+
+#: Constructor -> the keywords it no longer takes.
+REMOVED_KNOBS = {
+    "ProcessShardedSolveService": (
+        lambda **kw: ProcessShardedSolveService(object(), **kw),
+        ("queue_watermark", "shed_watermark"),
+    ),
+    "Gateway": (
+        lambda **kw: Gateway(None, TenantRegistry(), **kw),
+        ("default_deadline",),
+    ),
+    "TenantRouter": (
+        lambda **kw: TenantRouter(2, **kw), ("vnodes", "fallback"),
+    ),
+    "CostAwareRouter": (lambda **kw: CostAwareRouter(2, **kw), ("observe",)),
+    "CostModel": (CostModel, ("alpha", "default_cost")),
+    "RetryPolicy": (RetryPolicy, ("backoff_factor", "backoff_max")),
+    "RestartPolicy": (RestartPolicy, ("backoff_factor", "backoff_max")),
+    "AdmissionPolicy": (
+        AdmissionPolicy, ("levels", "retry_after_base", "retry_after_max"),
+    ),
+}
+
+
+@pytest.mark.parametrize("owner, keyword", [
+    (owner, keyword)
+    for owner, (_, keywords) in REMOVED_KNOBS.items()
+    for keyword in keywords
+])
+def test_removed_knobs_are_type_errors(owner, keyword):
+    """The serving surface has only the values some caller sets: each
+    removed keyword is refused by its constructor, and the routing
+    policy names are the three that remain."""
+    build, _ = REMOVED_KNOBS[owner]
+    with pytest.raises(TypeError, match=keyword):
+        build(**{keyword: 1})
+    assert ROUTING_POLICIES == ("tenant", "round-robin", "cost")
+    with pytest.raises(ValueError) as refused:
+        resolve_router("least-loaded", 2)
+    for name in ROUTING_POLICIES:
+        assert repr(name) in str(refused.value)

@@ -84,7 +84,7 @@ class TestCopyBytesAudit:
 
 class TestRingPipeBitIdentity:
     @pytest.mark.parametrize(
-        "policy", ("tenant", "least-loaded", "round-robin")
+        "policy", ("tenant", "round-robin")
     )
     def test_fp64_identical_across_transports(
         self, serving_problem, policy, sequential_solve, assert_same_result
