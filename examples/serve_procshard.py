@@ -85,12 +85,6 @@ def main() -> None:
         print(f"rings {rings}: request side read-only in the workers, "
               f"core pinning (best-effort): "
               f"{[info['pinned_cpus'] for info in infos]}")
-        paths = {(info["ax_native"], info["cg_native"]) for info in infos}
-        assert len(paths) == 1  # bit-identity presumes one Ax and CG path
-        print("Ax kernel and CG passes in every worker: "
-              + ("compiled (repro.sem.native)" if paths == {(True, True)}
-                 else "numpy body where (ax_native, cg_native) = "
-                      f"{paths.pop()} says False"))
 
         # 2. A keyed tenant stream through consistent-hash routing.
         keys = [f"tenant-{k % 6}" for k in range(len(requests))]

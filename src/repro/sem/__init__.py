@@ -8,12 +8,12 @@ BK5-style Helmholtz variant, gather-scatter, and preconditioned CG.
 
 import numpy as _np
 
-if not hasattr(_np, "vecdot"):
+if not hasattr(_np, "vecdot"):  # new in numpy 2.0
     # pip enforces pyproject's floor; running from src/ on the path
     # (as the benchmark does) bypasses it, so fail here, by name.
     raise ImportError(
-        "repro.sem needs numpy >= 2.0 (the CG inner products are "
-        f"np.vecdot); the installed numpy is {_np.__version__}"
+        "repro.sem needs numpy >= 2.0 (pyproject's floor); the installed "
+        f"numpy is {_np.__version__}"
     )
 
 from repro.sem.legendre import legendre, legendre_prime

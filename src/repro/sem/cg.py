@@ -31,40 +31,38 @@ same ``ValueError`` from every name.
 
 The loop is allocation-free: every vector is bound once at entry — from
 a :class:`~repro.sem.workspace.SolverWorkspace` when one is passed,
-otherwise freshly allocated — and every update runs through in-place
-ufuncs.  If the operator callback accepts an ``out=`` keyword (as
-:meth:`repro.sem.poisson.PoissonProblem.apply_A` does), ``A p`` is also
-computed without allocating, so a warm iteration performs zero
-field-sized heap allocations.
+otherwise freshly allocated — and the whole loop runs in C
+(:func:`repro.sem.native.cg_passes`, :func:`_compiled_loop`).  A SEM
+problem's own operator is applied there by its fused compiled pass, so
+such a solve is one call that never takes the GIL; any other operator
+is called back once per iteration, into a preallocated buffer when it
+accepts an ``out=`` keyword (as
+:meth:`repro.sem.poisson.PoissonProblem.apply_A` does), so a warm
+iteration performs zero field-sized heap allocations.  There is no
+second path: a workspace buffer C cannot write through is refused by
+name, and a host without a C compiler cannot solve.
+
+Before the solve each rhs row is scaled by the exact power of two that
+brings ``max|b_i|`` into ``[0.5, 1)`` (:func:`_validate`), and ``x``,
+the residual norms and the history are scaled back after
+(:func:`_finish`).  Scaling by a power of two is exact, so a
+normal-range rhs gets the bits it would get unscaled, while a tiny or a
+huge one no longer underflows or overflows ``||b||^2`` — and the fp32
+inner solves of the mixed path see the whole fp64 range.  A row that is
+exactly zero keeps ``tol`` as an absolute threshold.
 
 The vector half of an iteration is three streaming passes — ``p.Ap``;
 ``x``, ``r``, ``z`` with ``r.z`` and ``r.r`` summed in the sweep that
-produces them; ``p`` — and where the host has a C compiler the whole
-loop around them runs in C (:func:`repro.sem.native.cg_passes`,
-:func:`_compiled_loop`), step for step the numpy loop's.  A SEM
-problem's own operator is applied there by its fused compiled pass, so
-such a solve is one call that never takes the GIL; any other operator
-is called back once per iteration.  The numpy body is the same
-arithmetic (``x``, ``r``, ``z``, ``p`` agree to the bit given the same
-scalars; only the sums' order differs) and runs without a compiler and
-for buffers C must not be handed.  No parameter selects a path.
-
-Inner products read their operands once and accumulate in fp64, fp32
-products rounded to fp32 first: compiled, in two fixed halves of the
-row (``[0, h)`` and ``[h, n)``, ``h = n // 16 * 8``), each in eight
-fixed lanes, the halves added — the same sums whether one thread or two
-take the halves; in the numpy body one BLAS ``ddot`` per fp64 row
-(``np.vecdot``), a ``multiply`` into fp32 storage + a pairwise ``sum``
-per fp32 row.
-Either way a row's value is a function of that row alone — never of
-``B`` or of its batchmates — and no other arithmetic reads across rows,
-so a system solved inside a stacked block is **bit-identical** to the
-same system solved alone — the property the micro-batching serving
-layer (:mod:`repro.serve`) is built on.  Only the numpy body's fp64
-value also depends on the BLAS thread count: OpenBLAS splits a ``ddot``
-longer than 10^4 elements across its threads, so
-``OPENBLAS_NUM_THREADS=1`` and ``=2`` differ in the last ulp there — a
-per-process constant fleet workers inherit with their environment.
+produces them; ``p`` — each operand once per pass.  Inner products read
+their operands once and accumulate in fp64, fp32 products rounded to
+fp32 first, in two fixed halves of the row (``[0, h)`` and ``[h, n)``,
+``h = n // 16 * 8``), each in eight fixed lanes, the halves added — the
+same sums whether one thread or two take the halves.  A row's value is
+a function of that row alone — never of ``B`` or of its batchmates —
+and no other arithmetic reads across rows, so a system solved inside a
+stacked block is **bit-identical** to the same system solved alone —
+the property the micro-batching serving layer (:mod:`repro.serve`) is
+built on.  No BLAS call is made, so the BLAS thread count moves no bit.
 """
 
 from __future__ import annotations
@@ -81,7 +79,9 @@ from numpy.typing import NDArray
 
 from repro.analysis.annotations import hot_path
 from repro.sem import native
-from repro.sem.workspace import SolverWorkspace
+from repro.sem.workspace import (
+    BATCH_SCALAR_BUFFERS, GLOBAL_BUFFERS, SolverWorkspace,
+)
 
 #: ``apply_A(v)`` / ``apply_A(v, out=buf)``, in the dtype it is handed.
 Operator = Callable[..., NDArray[np.floating]]
@@ -232,6 +232,8 @@ def _per_system(arr: NDArray, nb: int, name: str) -> NDArray:
 
 
 def _check_workspace(workspace, shape, dtype) -> None:
+    """Refuse a workspace of another size or dtype, or one with a buffer
+    C cannot write through (strided, unaligned or read-only), by name."""
     if workspace is None:
         return
     workspace.require_batch(shape[0])
@@ -240,21 +242,42 @@ def _check_workspace(workspace, shape, dtype) -> None:
         raise ValueError(
             f"workspace dtype {workspace.cg_x.dtype} != solve dtype {dtype}"
         )
+    f64, flag = np.dtype(np.float64), np.dtype(np.bool_)
+    for name in (*GLOBAL_BUFFERS, *BATCH_SCALAR_BUFFERS, "cg_active"):
+        buf = getattr(workspace, name)
+        want = (dtype if name in GLOBAL_BUFFERS
+                else flag if name == "cg_active" else f64)
+        if buf.dtype == want and buf.flags.carray:
+            continue
+        flaw = (f"{buf.dtype}, not {want}" if buf.dtype != want
+                else "strided" if not buf.flags.c_contiguous
+                else "unaligned" if not buf.flags.aligned else "read-only")
+        raise ValueError(f"workspace buffer {name} is {flaw}: the "
+                         "compiled CG loop writes through it unchecked")
+
+
+def _shift(b: NDArray[np.float64]) -> NDArray[np.int64]:
+    """Per row of ``b``, the power of two that brings ``max|b_i|`` into
+    ``[0.5, 1)``; 0 for a row that is zero or not finite."""
+    peak = np.maximum(b.max(axis=1, initial=0.0), -b.min(axis=1, initial=0.0))
+    return np.where(np.isfinite(peak), -np.frexp(peak)[1], 0)
 
 
 def _validate(
     b, x0, precond_diag, tol, maxiter, workspace, dtype, stacked: bool
 ) -> tuple:
-    """The one set of argument checks behind all four solver names.
+    """The one set of argument checks behind all four solver names, and
+    the rhs scaling every solve gets.
 
-    Returns ``(b, x0, md, tol, maxiter)``: rhs and initial guess as
-    ``(B, n)`` arrays of ``dtype`` (a solo system lifted to a ``(1, n)``
-    view), the Jacobi diagonal as given (``(n,)`` or ``(B, n)``) and
-    ``tol``/``maxiter`` as scalar-or-``(B,)`` fp64/int64 arrays.
+    Returns ``(b, x0, md, tol, maxiter), shift``: rhs and initial guess
+    as ``(B, n)`` arrays of ``dtype`` (a solo system lifted to a
+    ``(1, n)`` block), each row scaled by ``2^shift`` (:func:`_shift`,
+    before any cast to ``dtype``; the rhs into the workspace's ``cg_b``
+    when there is one), the Jacobi diagonal as given (``(n,)`` or
+    ``(B, n)``) and ``tol``/``maxiter`` as scalar-or-``(B,)``
+    fp64/int64 arrays.  :func:`_finish` scales the result back.
     """
-    # C order: ddot sums a strided row in another order than a
-    # contiguous one, and ||b|| must not depend on the caller's layout.
-    b = np.asarray(b, dtype=dtype, order="C")
+    b = np.asarray(b, dtype=np.float64)
     if stacked:
         if b.ndim != 2 or b.shape[0] < 1:
             raise ValueError(
@@ -278,12 +301,11 @@ def _validate(
     maxiter = _per_system(
         check_maxiter(maxiter, "maxiter entries"), nb, "maxiter"
     )
-    _check_workspace(workspace, b.shape, b.dtype)
+    _check_workspace(workspace, b.shape, dtype)
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=dtype)
+        x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != shape:
             raise ValueError(f"x0 shape {x0.shape} != b shape {shape}")
-        x0 = x0.reshape(b.shape)
     md = None
     if precond_diag is not None:
         md = np.asarray(precond_diag, dtype=dtype)
@@ -294,7 +316,13 @@ def _validate(
             )
         if (md <= 0).any():
             raise ValueError("Jacobi preconditioner has non-positive entries")
-    return b, x0, md, tol, maxiter
+    shift = _shift(b)
+    scaled = (np.empty(b.shape, dtype) if workspace is None
+              else workspace.cg_b.reshape(b.shape))
+    b = np.ldexp(b, shift[:, None], out=scaled)
+    if x0 is not None:
+        x0 = np.ldexp(x0.reshape(b.shape), shift[:, None]).astype(dtype)
+    return (b, x0, md, tol, maxiter), shift
 
 
 @functools.lru_cache(maxsize=512)
@@ -379,79 +407,30 @@ def _buffers(workspace, b, vectors, scalars) -> list[NDArray]:
     )
 
 
-def _raw(arrays, dtype, shape, written: bool) -> bool:
-    """Whether C may be handed a bare pointer to each of ``arrays``."""
-    return all(
-        a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
-        and a.flags.aligned and (a.flags.writeable or not written)
-        for a in arrays
-    )
+@hot_path
+def _row_dots(a_vec, b_vec, dst) -> None:
+    # Per-system inner products into the fp64 ``dst``: C's ``cg_dot``.
+    native.cg_passes(a_vec.dtype)[0](
+        *a_vec.shape, a_vec.ctypes.data, b_vec.ctypes.data, dst.ctypes.data)
 
 
 @hot_path
-def _row_dots(a_vec, b_vec, tmp, dst) -> None:
-    # Per-system inner products into the fp64 ``dst``.
-    passes = native.cg_passes(a_vec.dtype)
-    if (passes is not None
-            and _raw((a_vec, b_vec), a_vec.dtype, a_vec.shape, False)
-            and _raw((dst,), np.float64, a_vec.shape[:1], True)):
-        passes[0](*a_vec.shape, a_vec.ctypes.data, b_vec.ctypes.data,
-                  dst.ctypes.data)
-        return
-    if a_vec.dtype == np.float64:
-        # One cblas_ddot per row: each operand is read once and nothing
-        # field-sized is written.  (einsum("ij,ij->i") is not a
-        # substitute: past 8192 elements a row's value depends on B.)
-        np.vecdot(a_vec, b_vec, out=dst)
-        return
-    # fp32 vectors: dtype=float64 pins the accumulator — the precision
-    # contract is that products round to fp32 storage and the sum never
-    # does.  (vecdot(dtype=float64) would allocate two field-sized
-    # casts and multiply in fp64.)
-    np.multiply(a_vec, b_vec, out=tmp)
-    np.add.reduce(tmp, axis=1, out=dst, dtype=np.float64)
-
-
-@hot_path
-def _row_norms(vec, tmp, dst) -> None:
-    _row_dots(vec, vec, tmp, dst)
+def _row_norms(vec, dst) -> None:
+    _row_dots(vec, vec, dst)
     np.sqrt(dst, out=dst)
 
 
-def _start(b, r, tol, maxiter, tmp, res, stop, active) -> None:
+def _start(b, r, tol, maxiter, res, stop, active) -> None:
     """Initial ``||r_i||``, thresholds ``tol_i * ||b_i||`` and live mask."""
-    _row_norms(b, tmp, stop)
+    _row_norms(b, stop)
     stop[...] = tol * np.where(stop > 0, stop, 1.0)  # absolute if b = 0
-    _row_norms(r, tmp, res)
+    _row_norms(r, res)
     # A NaN/inf rhs row compares False and so never starts iterating;
     # its threshold is non-finite too (an inf row would pass inf <= inf),
     # so ``converged`` is res <= stop *and* a finite res.
     np.greater(res, stop, out=active)
     if maxiter.ndim:
         active &= maxiter > 0  # zero-cap requests never start iterating
-
-
-# census: no-compiler numpy body of cg_step (the CI leg "No C compiler")
-@hot_path
-def _numpy_step(x, r, z, p, ap, tmp, inv_m, step, dots, rr) -> None:
-    """``x += step * p``, ``r -= step * Ap``, ``z = r * inv_m``,
-    ``dots = r.z``, ``rr = r.r``: ``cg_step``'s numpy body."""
-    np.multiply(p, step[:, None], out=tmp)
-    np.add(x, tmp, out=x)
-    np.multiply(ap, step[:, None], out=tmp)
-    np.subtract(r, tmp, out=r)
-    if inv_m is not None:
-        np.multiply(r, inv_m, out=z)
-    _row_dots(r, z, tmp, dots)
-    _row_dots(r, r, tmp, rr)
-
-
-# census: no-compiler numpy body of cg_dir (the CI leg "No C compiler")
-@hot_path
-def _numpy_direction(p, z, step) -> None:
-    """``p = step * p + z``: ``cg_dir``'s numpy body."""
-    np.multiply(p, step[:, None], out=p)
-    np.add(p, z, out=p)
 
 
 # census: refusal: the CG breakdown error (p.Ap <= 0)
@@ -489,24 +468,16 @@ FLEET_WORKER: bool = False
 def _compiled_loop(
     apply_into, fused, maxiter, x, r, z, p, ap, inv_m, step, rz, pap,
     coef, res, stop, active, iterations, exhausted,
-) -> "NDArray | None":
+) -> NDArray[np.float64]:
     """Run the loop of :func:`_cg_iterate` as ``native.cg_solve`` and
-    return its residual history — ``None`` (nothing run) without
-    compiled passes or where a buffer is not one C may write through.
+    return its residual history.  Every buffer is one C may write
+    through (:func:`_check_workspace`, or fresh).
 
     With ``fused`` C applies the operator itself, and a solve is one
     call without the GIL — every pass of it split in two parts on two
     threads where :func:`_splits` says so, with the same bits; otherwise
     it calls ``apply_into`` back."""
-    passes = native.cg_passes(x.dtype)
-    nb, vecs = x.shape[0], (x, r, p, ap)
-    if inv_m is not None:
-        vecs += (z, inv_m)
-    if (passes is None or not _raw(vecs, x.dtype, x.shape, True)
-            or not _raw((step,), x.dtype, (nb,), True)
-            or not _raw((rz, pap, coef, res, stop), np.float64, (nb,), True)
-            or not _raw((active, exhausted), np.bool_, (nb,), True)):
-        return None
+    nb = x.shape[0]
     state = native.CGLoop(nb=nb, n=x.shape[1], **{
         name: None if a is None else a.ctypes.data for name, a in (
             ("x", x), ("r", r), ("z", z), ("p", p), ("ap", ap),
@@ -547,7 +518,7 @@ def _compiled_loop(
         block = np.empty((min(cap - state.it, _HISTORY_BLOCK), nb))
         state.history, state.cap = block.ctypes.data, state.it + len(block)
         start = state.it
-        status = passes[3](state)
+        status = native.cg_passes(x.dtype)[3](state)
         history.append(block[: state.it - start])
         if status:
             raise errors[0] if errors else _breakdown(state.worst)
@@ -574,16 +545,14 @@ def _cg_iterate(
 ) -> BatchedCGResult:
     """Jacobi-PCG over a ``(B, n)`` block; arguments as :func:`_validate`
     returns them, operator and ``fused`` pass as :func:`_bind_operator`
-    binds them.  The loop is compiled (:func:`_compiled_loop`) where the
-    host allows, else the numpy body below; the two run the same passes
-    in the same order.  The returned ``x`` aliases the workspace's buffer
-    when one is given (:func:`_finish` copies it out)."""
+    binds them.  The returned ``x`` aliases the workspace's buffer when
+    one is given (:func:`_finish` copies it out)."""
     nb = b.shape[0]
     (
-        x, r, z, p, ap, tmp, inv_m, rz, pap, coef, step, res, stop, active,
+        x, r, z, p, ap, inv_m, rz, pap, coef, step, res, stop, active,
     ) = _buffers(
         workspace, b,
-        ("cg_x", "cg_r", "cg_z", "cg_p", "cg_ap", "cg_tmp", "cg_invm"),
+        ("cg_x", "cg_r", "cg_z", "cg_p", "cg_ap", "cg_invm"),
         ("cg_rz", "cg_pap", "cg_alpha", "cg_beta", "cg_res", "cg_stop"),
     )
     x[...] = 0.0 if x0 is None else x0
@@ -595,16 +564,15 @@ def _cg_iterate(
         np.divide(1.0, md, out=inv_m)  # broadcasts a shared (n,) diagonal
         np.multiply(r, inv_m, out=z)
     np.copyto(p, z)
-    _row_dots(r, z, tmp, rz)
-    _start(b, r, tol, maxiter, tmp, res, stop, active)
+    _row_dots(r, z, rz)
+    _start(b, r, tol, maxiter, res, stop, active)
 
     # The scalar recurrence (rz, pap and their ratio ``coef`` = alpha,
-    # then beta) stays fp64 on every path; ``step`` is that ratio masked
-    # to the live systems and rounded to the *vector* dtype.  For fp32
-    # vectors the rounding is load-bearing: broadcasting the fp64 array
-    # would promote each update to fp64 and round only on store, which
-    # is not the fp32 arithmetic the mixed path is specified in (a
-    # Python-float alpha times an fp32 array multiplies in fp32).
+    # then beta) stays fp64; ``step`` is that ratio masked to the live
+    # systems and rounded to the *vector* dtype.  For fp32 vectors the
+    # rounding is load-bearing: an fp64 step would promote each update
+    # to fp64 and round only on store, which is not the fp32 arithmetic
+    # the mixed path is specified in.
     if b.dtype != np.float64:
         step = np.empty(nb, dtype=b.dtype)
     coef.fill(0.0)
@@ -616,47 +584,6 @@ def _cg_iterate(
     history = _compiled_loop(
         apply_into, fused, maxiter, x, r, z, p, ap, inv_m, step, rz, pap,
         coef, res, stop, active, iterations, exhausted)
-    if history is None:
-        history = [res.copy()]
-        iter_cap = int(maxiter.max())
-        it = 0
-        while active.any() and it < iter_cap:
-            apply_into(p, ap)
-            _row_dots(p, ap, tmp, pap)
-            bad = active & (pap <= 0.0)
-            if bad.any():
-                worst = float(pap[bad].min())
-                if worst <= -1e-300:
-                    raise _breakdown(worst)
-                # Exact zero directions: those systems' subspaces are
-                # solved; freeze them and let the others continue.
-                active &= ~bad
-                exhausted |= bad
-                if not active.any():
-                    break
-            it += 1
-            iterations += active  # a system counts the steps it was live for
-            # Masked step: frozen systems get alpha = beta = 0, freezing
-            # their x and r exactly (bit-for-bit) while the rest iterate.
-            np.divide(rz, pap, out=coef, where=active)
-            np.multiply(coef, active, out=step)  # alpha
-            # x, r, z; pap now carries rz_new and res ||r||^2
-            _numpy_step(x, r, z, p, ap, tmp, inv_m, step, pap, res)
-            np.divide(pap, rz, out=coef, where=active)
-            np.multiply(coef, active, out=step)  # beta
-            np.copyto(rz, pap)
-            # Frozen systems have beta = 0, so their p is simply parked at
-            # their (frozen) z: nothing reads it, since their alpha is 0.
-            _numpy_direction(p, z, step)
-            np.sqrt(res, out=res)
-            history.append(res.copy())
-            active &= ~(res <= stop)  # (a NaN residual stays live to its cap)
-            if maxiter.ndim:
-                # Per-request iteration caps: freeze systems at their own
-                # maxiter (their x is already exactly the capped iterate).
-                active &= it < maxiter
-        history = np.stack(history)
-
     return BatchedCGResult(
         x=x,
         iterations=iterations,
@@ -666,10 +593,17 @@ def _cg_iterate(
     )
 
 
-def _finish(res, workspace: SolverWorkspace | None, stacked: bool):
-    """A loop's result as the caller gets it: row 0 for a solo solve,
-    else the block with ``x`` copied out of the workspace so it outlives
-    the next solve there (a workspace-free solve already owns ``x``)."""
+def _finish(res, workspace: SolverWorkspace | None, stacked: bool, shift):
+    """A loop's result as the caller gets it: ``x``, the residual norms
+    and the history scaled back by ``2^-shift`` (:func:`_validate`), then
+    row 0 for a solo solve, else the block with ``x`` copied out of the
+    workspace so it outlives the next solve there (a workspace-free
+    solve already owns ``x``)."""
+    # In place: the loops hand back x in a buffer of theirs and fresh
+    # norm and history arrays.
+    np.ldexp(res.x, -shift[:, None], out=res.x)
+    np.ldexp(res.residual_norm, -shift, out=res.residual_norm)
+    np.ldexp(res.residual_history, -shift, out=res.residual_history)
     if not stacked:
         return res.row(0)
     return res if workspace is None else replace(res, x=res.x.copy())
@@ -760,13 +694,13 @@ def cg_solve_batched(
     instance per concurrent solve, or serialized access (the lock
     :class:`repro.serve.SolveService` holds).
     """
-    args = _validate(
+    args, shift = _validate(
         b, x0, precond_diag, tol, maxiter, workspace, np.dtype(dtype),
         stacked=True,
     )
     apply_into, fused = _bind_operator(apply_A, False, dtype)
     res = _cg_iterate(apply_into, *args, workspace, fused)
-    return _finish(res, workspace, True)
+    return _finish(res, workspace, True, shift)
 
 
 def cg_solve(
@@ -792,13 +726,13 @@ def cg_solve(
     :class:`BatchedCGResult`.
     """
     stacked = np.ndim(b) == 2
-    args = _validate(
+    args, shift = _validate(
         b, x0, precond_diag, tol, maxiter, workspace, np.dtype(dtype),
         stacked,
     )
     apply_into, fused = _bind_operator(apply_A, not stacked, dtype)
     res = _cg_iterate(apply_into, *args, workspace, fused)
-    return _finish(res, workspace, stacked)
+    return _finish(res, workspace, stacked, shift)
 
 
 # ----------------------------------------------------------------------
@@ -933,7 +867,7 @@ def _refine(
     """The refinement loop behind both mixed names: fp64 sweeps around
     fp32 :func:`_cg_iterate` solves.  ``stacked=False`` is the solo lift
     (1-D rhs, operators handed 1-D row views, row 0 returned)."""
-    b, x0, md, tol, maxiter = _validate(
+    (b, x0, md, tol, maxiter), shift = _validate(
         b, x0, precond_diag, tol, maxiter, workspace, np.dtype(np.float64),
         stacked,
     )
@@ -946,9 +880,8 @@ def _refine(
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     apply_into, _ = _bind_operator(apply_A, not stacked, np.float64)
     apply_into32, fused32 = _bind_operator(apply_A32, not stacked, np.float32)
-    x, r, ap, tmp, res, stop, active = _buffers(
-        workspace, b, ("cg_x", "cg_r", "cg_ap", "cg_tmp"),
-        ("cg_res", "cg_stop"),
+    x, r, ap, res, stop, active = _buffers(
+        workspace, b, ("cg_x", "cg_r", "cg_ap"), ("cg_res", "cg_stop"),
     )
     # The preconditioner is cast to fp32 once for every inner solve.
     md32 = None if md is None else md.astype(np.float32)
@@ -959,7 +892,7 @@ def _refine(
         np.copyto(x, x0)
         apply_into(x, ap)
         np.subtract(b, ap, out=r)
-    _start(b, r, tol, maxiter, tmp, res, stop, active)
+    _start(b, r, tol, maxiter, res, stop, active)
 
     sweeps = np.zeros(nb, dtype=np.int64)
     inner_hist: list[NDArray[np.int64]] = []
@@ -978,7 +911,7 @@ def _refine(
         np.add(x, inner.x, out=x)  # fp64 accumulation; frozen rows add 0
         apply_into(x, ap)
         np.subtract(b, ap, out=r)  # TRUE residual, recomputed in fp64
-        _row_norms(r, tmp, res)
+        _row_norms(r, res)
         sweeps += active  # a system counts the sweeps it was live for
         inner_hist.append(np.where(active, inner.iterations, 0))
         history.append(res.copy())
@@ -1000,7 +933,7 @@ def _refine(
         sweeps=sweeps,
         inner_iterations=inner_iterations,
     )
-    return _finish(res, workspace, stacked)
+    return _finish(res, workspace, stacked, shift)
 
 
 def cg_solve_batched_mixed(

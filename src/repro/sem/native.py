@@ -31,10 +31,10 @@ the rows' halves — with the bits of one thread.
 :func:`ax_kernel`, :func:`ax_gs_kernel` and :func:`cg_passes` are the
 whole interface: one shared object per ``(nx, dtype)`` (the ``Ax``
 entry points) and one per dtype, built with the host's C compiler on
-first use.  On *any* failure they warn once, stop trying for the rest
-of the process and return ``None``, and
-:func:`repro.sem.kernels.ax_local_matmul` / :mod:`repro.sem.cg` run
-their numpy bodies instead: a C compiler is optional, never required.
+first use.  They are the only executing path, so a C compiler is
+required: an ``nx`` above :data:`MAX_NX` or a dtype other than native
+fp64 / fp32 is a ``ValueError``, and a build that fails is a
+``RuntimeError`` naming the compiler and the end of what it said.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import stat
 import subprocess
 import tempfile
 import threading
-import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,7 +66,7 @@ MAX_NX: int = 16
 #: its unrolling (``#pragma GCC unroll``): no autovectoriser is needed,
 #: and the bits are the source's — gcc 12.2's ``-O3`` build gives the
 #: ``-O2`` build's bytes (``tests/sem/test_native.py``).  A compiler
-#: without the vector extensions fails the build: the numpy body runs.
+#: without the vector extensions fails the build.
 _FLAGS: tuple[str, ...] = ("-O2", "-march=native", "-fPIC", "-shared")
 
 _C_REAL = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
@@ -317,7 +316,7 @@ void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
 
 #: The vector passes want ``-O3`` (gcc 12's ``-O2`` cost model leaves the
 #: step sweep scalar) and no contraction: one rounding per operation, so
-#: ``x``, ``r``, ``z``, ``p`` are the numpy body's bits given its scalars.
+#: ``x``, ``r``, ``z``, ``p`` are numpy's bits given the same scalars.
 #: No ``errno`` either: the loop's ``sqrt`` is the instruction, as numpy's.
 _CG_FLAGS: tuple[str, ...] = (
     *_FLAGS, "-O3", "-ffp-contract=off", "-fno-math-errno", "-pthread")
@@ -710,13 +709,13 @@ int cg_solve(struct cg_loop *s)
 """
 
 _lock = threading.Lock()
-_kernels: dict[tuple, "tuple | None"] = {}
-_failures: list[str] = []  # non-empty: native is off for this process
+_kernels: dict[tuple, tuple] = {}
 
 
 def _cached(load: Callable, *args):
     # A warm call costs one dict lookup.  The loader is part of the key:
-    # two loaders taking the same arguments must not share an entry.
+    # two loaders taking the same arguments must not share an entry.  A
+    # loader that raises leaves no entry: the next call tries again.
     key = (load, *args)
     try:
         return _kernels[key]
@@ -727,22 +726,22 @@ def _cached(load: Callable, *args):
             return _kernels[key]
 
 
-def ax_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
-    """``ax(d, u, g, w)`` compiled for ``(nx, dtype)``, or ``None`` — "run
-    the numpy body": ``nx`` above :data:`MAX_NX`, a dtype other than
-    native fp64 / fp32, or a toolchain failure.
+def ax_kernel(nx: int, dtype: np.dtype) -> Callable:
+    """``ax(d, u, g, w)`` compiled for ``(nx, dtype)``.
 
     The callable writes ``w = D^T G D u`` and checks nothing: the caller
     guarantees aligned C-contiguous ``d``, ``u`` and writeable ``w`` of
     that dtype, ``w`` shaped like ``u``, and a shape-checked ``g`` of it
-    whose every ``g[e, c]`` block is contiguous.
+    whose every ``g[e, c]`` block is contiguous.  ``nx`` outside
+    ``[1, MAX_NX]`` or a dtype other than native fp64 / fp32 is a
+    ``ValueError``; a build or load that fails, a ``RuntimeError``.
     """
     return _cached(_load_ax, nx, dtype)[0]
 
 
-def ax_gs_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
+def ax_gs_kernel(nx: int, dtype: np.dtype) -> Callable:
     """``ax_gs(d, u, mask, org, s0, s1, edge, g, mass, lam, w)`` from
-    :func:`ax_kernel`'s shared object, or ``None`` where that is ``None``.
+    :func:`ax_kernel`'s shared object; it raises as that does.
 
     It writes ``w = mask * Q^T (A + lam B) Q (mask * u)`` for a global
     ``(n,)`` or stacked ``(B, n)`` ``u`` in one pass per element, to the
@@ -765,10 +764,9 @@ def ax_gs_kernel(nx: int, dtype: np.dtype) -> "Callable | None":
     return _cached(_load_ax, nx, dtype)[1]
 
 
-def cg_passes(dtype: np.dtype) -> "tuple[Callable, ...] | None":
+def cg_passes(dtype: np.dtype) -> "tuple[Callable, ...]":
     """``(cg_dot, cg_step, cg_dir, cg_solve)`` of :data:`_CG_SOURCE`
-    compiled for ``dtype``, or ``None`` — "run the numpy body" — as
-    :func:`ax_kernel`.
+    compiled for ``dtype``; it raises as :func:`ax_kernel` does.
 
     The passes take *addresses* (``arr.ctypes.data``) and check nothing:
     the caller guarantees aligned C-contiguous ``(nb, n)`` vectors of
@@ -779,29 +777,28 @@ def cg_passes(dtype: np.dtype) -> "tuple[Callable, ...] | None":
     return _cached(_load_cg, dtype)
 
 
-def _library(
-    stem: str, source: str, dtype: np.dtype, *flags: str
-) -> "ctypes.CDLL | None":
+def _library(stem: str, source: str, dtype: np.dtype, *flags: str):
     real = _C_REAL.get(dtype)
-    if real is None or _failures:
-        return None
+    if real is None:
+        raise ValueError(
+            f"no compiled {stem} kernel for dtype {dtype}: the kernels "
+            "take native-order float64 or float32")
     try:
         return ctypes.CDLL(_build(stem, source, [*flags, f"-DREAL={real}"]))
-    except Exception as exc:  # boundary: any failure means "numpy path"
-        _failures.append(repr(exc))
-        warnings.warn(
-            f"repro.sem.native: no compiled {stem} kernel, the numpy body "
-            f"runs instead ({exc!r})", RuntimeWarning, stacklevel=6,
-        )
-        return None
+    except Exception as exc:  # boundary: one typed error for every cause
+        cc = os.environ.get("CC")
+        named = f"$CC={cc!r}" if cc else "$CC unset, so cc or gcc"
+        raise RuntimeError(
+            f"repro.sem.native: no {stem} kernel, and a C compiler is "
+            f"required ({named}): {type(exc).__name__}: {exc}") from exc
 
 
-def _load_ax(nx: int, dtype: np.dtype) -> "tuple[Callable | None, ...]":
+def _load_ax(nx: int, dtype: np.dtype) -> "tuple[Callable, Callable]":
     if not 1 <= nx <= MAX_NX:
-        return None, None
+        raise ValueError(
+            f"no compiled Ax kernel for nx = {nx}: nx must be in "
+            f"[1, {MAX_NX}] (native.MAX_NX, the element's stack budget)")
     lib = _library("ax", _SOURCE, dtype, *_FLAGS, f"-DNX={nx}")
-    if lib is None:
-        return None, None
     size_t, ptr = ctypes.c_ssize_t, ctypes.c_void_p
     fn, gs_fn = lib.ax_native, lib.ax_gs_native
     fn.argtypes = [size_t, size_t, ptr, ptr, ptr, size_t, size_t, ptr]
@@ -878,10 +875,8 @@ class FusedPass(NamedTuple):
                    self.edge, self.g, self.mass, self.lam, w)
 
 
-def _load_cg(dtype: np.dtype) -> "tuple[Callable, ...] | None":
+def _load_cg(dtype: np.dtype) -> "tuple[Callable, ...]":
     lib = _library("cg", _CG_SOURCE, dtype, *_CG_FLAGS)
-    if lib is None:
-        return None
     size_t, ptr = ctypes.c_ssize_t, ctypes.c_void_p
     for fn, pointers in ((lib.cg_dot, 3), (lib.cg_step, 9), (lib.cg_dir, 3)):
         fn.argtypes = [size_t, size_t] + [ptr] * pointers

@@ -87,7 +87,7 @@ class SEMProblem:
     production kernel :func:`~repro.sem.kernels.ax_local_matmul`
     (``"matmul"`` is another spelling of it).  With an unreplaced
     gather-scatter the whole operator is then one compiled pass per
-    element (:meth:`_fused`); otherwise the kernel runs through the
+    element (:meth:`_fused`); otherwise the layers run through the
     problem's :class:`~repro.sem.workspace.SolverWorkspace`, so the CG
     hot path performs no field-sized allocations after warm-up.  Any
     other backend — a registered name, a plain ``(ref, u, g)`` callable
@@ -280,8 +280,7 @@ class SEMProblem:
         g, (org, s0, s1) = geo.g, gs.affine
         mass = None if self.lam is None else geo.mass
         nx, size = d.shape[0], g.itemsize
-        ax_gs = native.ax_gs_kernel(nx, gs.dtype)
-        if (ax_gs is None or not d.flags.c_contiguous
+        if (not d.flags.c_contiguous
                 or g.dtype != gs.dtype or not g.flags.aligned
                 or g.strides[2:] != (nx * nx * size, nx * size, size)
                 or (mass is not None and (
@@ -289,8 +288,8 @@ class SEMProblem:
                     or not mass.flags.aligned))):
             return None
         return native.FusedPass(
-            ax_gs, self.n_dofs, d, self._mask(dtype), org, s0, s1,
-            self._edge, g, mass,
+            native.ax_gs_kernel(nx, gs.dtype), self.n_dofs, d,
+            self._mask(dtype), org, s0, s1, self._edge, g, mass,
             0.0 if self.lam is None else float(self.lam), gs.split,
         )
 
@@ -356,7 +355,7 @@ class SEMProblem:
         gs.scatter(u_global, out=ws.u_local)
         if self.ax_backend is ax_local_matmul:
             w_local = ax_local_matmul(
-                self.ref, ws.u_local, geo.g, out=ws.w_local, workspace=ws,
+                self.ref, ws.u_local, geo.g, out=ws.w_local,
             )
         else:
             w_local = self.ax_backend(self.ref, ws.u_local, geo.g)

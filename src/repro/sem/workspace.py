@@ -6,13 +6,13 @@ by the same rules.  :class:`SolverWorkspace` preallocates every
 per-iteration temporary the solver stack needs for a fixed ``(E, nx)``
 local shape and global DOF count:
 
-* the six sum-factorization work arrays (``ur/us/ut``, ``wr/ws/wt``)
-  plus one elementwise scratch used by the numpy body of the ``Ax``
-  kernel (:mod:`repro.sem.kernels`) and by the Helmholtz mass term,
-* local scatter/gather buffers used by
-  :meth:`repro.sem.poisson.PoissonProblem.apply_A`,
-* the CG vectors (``x``, ``r``, ``z``, ``p``, ``ap`` and an axpy
-  scratch) consumed by :func:`repro.sem.cg.cg_solve`.
+* local scatter/gather buffers and one element-space scratch (``tmp``,
+  for the Helmholtz mass term) used by the layered path of
+  :meth:`repro.sem.poisson.PoissonProblem.apply_A` — the compiled
+  ``Ax`` kernel keeps its own scratch on the C stack,
+* the CG vectors (``x``, ``r``, ``z``, ``p``, ``ap``, the scaled
+  right-hand side ``b`` and the inverse Jacobi diagonal) and per-system
+  scalars consumed by :func:`repro.sem.cg.cg_solve`.
 
 One serving knob extends the workspace beyond one solve at a time:
 ``batch`` sizes every buffer with a leading ``(B, ...)`` system
@@ -39,25 +39,22 @@ from numpy.typing import NDArray
 
 from repro.sem.mesh import BoxMesh
 
-#: Kernel scratch names, shaped ``(E, nx, nx, nx)`` at every batch size:
-#: the numpy body of the ``Ax`` kernel sweeps one system's element block
-#: at a time through the first rows (geometry stays cache-hot across
-#: the batch).
-KERNEL_SCRATCH_BUFFERS: tuple[str, ...] = (
-    "ur", "us", "ut", "wr", "ws", "wt", "tmp",
-)
+#: Element-space scratch, shaped ``(E, nx, nx, nx)`` at every batch
+#: size: the layered operator adds the mass term one system at a time
+#: through it.
+SCRATCH_BUFFERS: tuple[str, ...] = ("tmp",)
 
 #: Local field buffer names, shaped ``(E, nx, nx, nx)`` for
 #: ``batch == 1`` and ``(batch, E, nx, nx, nx)`` otherwise.
 LOCAL_FIELD_BUFFERS: tuple[str, ...] = ("u_local", "w_local")
 
 #: All local (element-space) buffer names.
-LOCAL_BUFFERS: tuple[str, ...] = KERNEL_SCRATCH_BUFFERS + LOCAL_FIELD_BUFFERS
+LOCAL_BUFFERS: tuple[str, ...] = SCRATCH_BUFFERS + LOCAL_FIELD_BUFFERS
 
 #: Global (assembled-space) buffer names, shaped ``(n_global,)`` for
 #: ``batch == 1`` and ``(batch, n_global)`` otherwise.
 GLOBAL_BUFFERS: tuple[str, ...] = (
-    "cg_x", "cg_r", "cg_z", "cg_p", "cg_ap", "cg_tmp", "cg_invm", "g_tmp",
+    "cg_x", "cg_r", "cg_z", "cg_p", "cg_ap", "cg_b", "cg_invm", "g_tmp",
 )
 
 #: Per-system scalar buffers of the batched CG loop, shaped ``(batch,)``.
@@ -84,9 +81,7 @@ class SolverWorkspace:
         once.  ``1`` (the default) keeps the historical unbatched
         shapes; ``B > 1`` prepends a system axis to the local field and
         global (CG) buffers for :func:`repro.sem.cg.cg_solve_batched`.
-        The kernel scratch stays single-system — the blocked kernels
-        sweep the batch one system at a time per element block, reusing
-        the same cache-resident scratch and geometry.
+        The element-space scratch ``tmp`` stays single-system.
     dtype:
         Floating dtype of every float buffer (``np.float64`` or
         ``np.float32``).  The default keeps the historical fp64 shapes
@@ -114,12 +109,6 @@ class SolverWorkspace:
     batch: int = 1
     dtype: "np.dtype | type" = np.float64
 
-    ur: NDArray[np.float64] = field(init=False, repr=False)
-    us: NDArray[np.float64] = field(init=False, repr=False)
-    ut: NDArray[np.float64] = field(init=False, repr=False)
-    wr: NDArray[np.float64] = field(init=False, repr=False)
-    ws: NDArray[np.float64] = field(init=False, repr=False)
-    wt: NDArray[np.float64] = field(init=False, repr=False)
     tmp: NDArray[np.float64] = field(init=False, repr=False)
     u_local: NDArray[np.float64] = field(init=False, repr=False)
     w_local: NDArray[np.float64] = field(init=False, repr=False)
@@ -128,7 +117,7 @@ class SolverWorkspace:
     cg_z: NDArray[np.float64] = field(init=False, repr=False)
     cg_p: NDArray[np.float64] = field(init=False, repr=False)
     cg_ap: NDArray[np.float64] = field(init=False, repr=False)
-    cg_tmp: NDArray[np.float64] = field(init=False, repr=False)
+    cg_b: NDArray[np.float64] = field(init=False, repr=False)
     cg_invm: NDArray[np.float64] = field(init=False, repr=False)
     g_tmp: NDArray[np.float64] = field(init=False, repr=False)
     cg_rz: NDArray[np.float64] = field(init=False, repr=False)
@@ -161,7 +150,7 @@ class SolverWorkspace:
         if self.batch > 1:
             local_shape = (self.batch,) + local_shape
             global_shape = (self.batch,) + global_shape
-        for name in KERNEL_SCRATCH_BUFFERS:
+        for name in SCRATCH_BUFFERS:
             setattr(self, name, np.empty(scratch_shape, dtype=self.dtype))
         for name in LOCAL_FIELD_BUFFERS:
             setattr(self, name, np.empty(local_shape, dtype=self.dtype))
@@ -195,26 +184,13 @@ class SolverWorkspace:
         """Total bytes held by the workspace buffers (itemsize-aware:
         an fp32 workspace reports half the float footprint of its fp64
         twin; ``cg_active`` stays 1 byte per system)."""
-        names = (
-            KERNEL_SCRATCH_BUFFERS + LOCAL_FIELD_BUFFERS
-            + GLOBAL_BUFFERS + BATCH_SCALAR_BUFFERS
-        )
+        names = LOCAL_BUFFERS + GLOBAL_BUFFERS + BATCH_SCALAR_BUFFERS
         return (
             sum(getattr(self, name).nbytes for name in names)
             + self.cg_active.nbytes
         )
 
     # ------------------------------------------------------------------
-    # census: refusal: a workspace sized for another mesh, on the numpy body
-    def require_local(self, num_elements: int, nx: int) -> None:
-        """Raise unless the local buffers match ``(num_elements, nx)``."""
-        if (num_elements, nx) != (self.num_elements, self.nx):
-            raise ValueError(
-                f"workspace sized for (E={self.num_elements}, "
-                f"nx={self.nx}), got fields with (E={num_elements}, "
-                f"nx={nx})"
-            )
-
     def require_global(self, n_global: int) -> None:
         """Raise unless the global buffers hold ``n_global`` entries."""
         if n_global != self.n_global:

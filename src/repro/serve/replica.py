@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from repro.analysis.runtime import race_checked
-from repro.sem import cg, native
+from repro.sem import cg
 from repro.sem.shared import SlotRing
 from repro.serve.errors import ServiceClosed, WorkerCrashed
 from repro.serve.stats import perf_epoch_offset
@@ -98,14 +98,6 @@ def _worker_info(problem, spec, ring, pinned) -> dict:
         "ring_dtype": str(np.dtype(ring.manifest.dtype)),
         "ring_rhs_writeable": bool(ring.rhs.flags.writeable),
         "pinned_cpus": pinned,
-        "ax_native": all(  # fleet == sequential presumes one Ax path
-            native.ax_kernel(inner.ref.n_points, np.dtype(t)) is not None
-            for t in (np.float64, np.float32)
-        ),
-        "cg_native": all(  # ... and one path through the CG vector passes
-            native.cg_passes(np.dtype(t)) is not None
-            for t in (np.float64, np.float32)
-        ),
     }
 
 

@@ -11,11 +11,11 @@ them into stacked batched solves.
 
 Guarantees:
 
-* **Bit-identical results.**  Both CG paths take each inner product row
-  by row (one BLAS ``ddot`` per fp64 row, multiply + fp64 pairwise sum
-  per fp32 row — never a function of the batch size), the gather adds
-  in local order one row at a time, and the batched kernels sweep
-  systems through the identical op sequence, so every request's
+* **Bit-identical results.**  The CG loop takes each inner product row
+  by row (two fixed halves of eight fp64 lanes — never a function of
+  the batch size), the gather adds in local order one row at a time,
+  and the batched kernels sweep systems through the identical op
+  sequence, so every request's
   :class:`~repro.sem.cg.CGResult` is bit-for-bit what a sequential
   warm :func:`~repro.sem.cg.cg_solve` would have produced — batching is
   purely a throughput decision, invisible to numerics.

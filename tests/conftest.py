@@ -31,17 +31,18 @@ def pytest_runtest_call(item):
 
 
 @pytest.fixture
-def numpy_body(monkeypatch):
-    """Pin ``ax_local_matmul``, the fused operator pass and the CG vector
-    passes to their numpy bodies — the path a host without a C compiler
-    runs.  The per-path contract classes (``...NumpyBody`` twins) use it
-    so that each path is held to its own relative contracts and never
-    compared with the other."""
-    from repro.sem import native
+def reference_loop(monkeypatch):
+    """Run every CG solve of the test through ``oracles.python_cg_loop``
+    in place of the compiled loop: the loop of ``_cg_iterate`` in Python
+    (the numpy body the loop had before it moved to C), driving C's
+    passes and calling the operator back every iteration.  The
+    ``...NumpyBody`` classes hold that reference — the one the compiled
+    loop's bits are checked against — to the contracts of the compiled
+    path, each within itself and never compared with the other."""
+    from oracles import python_cg_loop
+    from repro.sem import cg
 
-    monkeypatch.setattr(native, "ax_kernel", lambda nx, dtype: None)
-    monkeypatch.setattr(native, "ax_gs_kernel", lambda nx, dtype: None)
-    monkeypatch.setattr(native, "cg_passes", lambda dtype: None)
+    monkeypatch.setattr(cg, "_compiled_loop", python_cg_loop)
 
 
 @pytest.fixture

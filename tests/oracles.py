@@ -1,12 +1,14 @@
-"""Reference ``Ax`` implementations the production kernel is checked
-against.
+"""References the compiled passes are checked against.
 
 :func:`ax_local` spells ``w = D^T G D u`` as einsum contractions (the
 library's kernel before the compiled one), :func:`ax_element_matrix` /
 :func:`ax_local_dense` assemble and apply the dense element matrix
-(small ``N`` only), and :func:`helmholtz_local` adds the BK5 mass term.
-They are oracles: slow, allocating, and called by nothing under
-``src/``.  Each also works as a plain ``(ref, u, g)`` problem backend.
+(small ``N`` only), and :func:`helmholtz_local` adds the BK5 mass term;
+each also works as a plain ``(ref, u, g)`` problem backend.
+:func:`row_dots`, :func:`cg_step` and :func:`cg_direction` are the CG
+vector passes in numpy, and :func:`python_cg_loop` is the CG loop in
+Python around C's passes.  They are oracles: slow, allocating, and
+called by nothing under ``src/``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.sem import cg, native
 from repro.sem.element import ReferenceElement
 from repro.sem.operators import _check_shapes
 
@@ -23,68 +26,34 @@ def ax_local(
     u: NDArray[np.float64],
     g: NDArray[np.float64],
     out: NDArray[np.float64] | None = None,
-    workspace=None,
 ) -> NDArray[np.float64]:
     """Vectorized ``w = D^T G D u`` per element, as einsum contractions.
 
     ``u`` is ``(E, nx, nx, nx)`` or a stacked ``(B, E, nx, nx, nx)``
     block, swept one system at a time (each row is its solo call's
-    bits).  ``out`` receives the result, and a
-    :class:`~repro.sem.workspace.SolverWorkspace` lends its scratch.
+    bits).  ``out`` receives the result.
     """
     _check_shapes(ref, u, g)
     if u.ndim == 5:
         if out is None:
             out = np.empty_like(u)
         for b in range(u.shape[0]):
-            ax_local(ref, u[b], g, out=out[b], workspace=workspace)
-        return out
-    if out is not None and not out.flags.c_contiguous:
-        np.copyto(out, ax_local(ref, u, g, workspace=workspace))
+            ax_local(ref, u[b], g, out=out[b])
         return out
     # A dtype-matched D keeps every contraction in the field's precision.
     d = ref.deriv_as(u.dtype)
+    ur = np.einsum("il,eljk->eijk", d, u, optimize=True)
+    us = np.einsum("jl,eilk->eijk", d, u, optimize=True)
+    ut = np.einsum("kl,eijl->eijk", d, u, optimize=True)
+    wr = g[:, 0] * ur + g[:, 1] * us + g[:, 2] * ut
+    ws = g[:, 1] * ur + g[:, 3] * us + g[:, 4] * ut
+    wt = g[:, 2] * ur + g[:, 4] * us + g[:, 5] * ut
+    w = np.einsum("li,eljk->eijk", d, wr, optimize=True)
+    w += np.einsum("lj,eilk->eijk", d, ws, optimize=True)
+    w += np.einsum("lk,eijl->eijk", d, wt, optimize=True)
     if out is None:
-        out = np.empty_like(u)
-    if workspace is None:
-        ur = np.einsum("il,eljk->eijk", d, u, optimize=True)
-        us = np.einsum("jl,eilk->eijk", d, u, optimize=True)
-        ut = np.einsum("kl,eijl->eijk", d, u, optimize=True)
-        wr = g[:, 0] * ur + g[:, 1] * us + g[:, 2] * ut
-        ws = g[:, 1] * ur + g[:, 3] * us + g[:, 4] * ut
-        wt = g[:, 2] * ur + g[:, 4] * us + g[:, 5] * ut
-        np.einsum("li,eljk->eijk", d, wr, out=out, optimize=True)
-        out += np.einsum("lj,eilk->eijk", d, ws, optimize=True)
-        out += np.einsum("lk,eijl->eijk", d, wt, optimize=True)
-        return out
-    ne = u.shape[0]
-    workspace.require_local(ne, ref.n_points)
-    ur, us, ut = workspace.ur[:ne], workspace.us[:ne], workspace.ut[:ne]
-    wr, ws, wt = workspace.wr[:ne], workspace.ws[:ne], workspace.wt[:ne]
-    tmp = workspace.tmp[:ne]
-    np.einsum("il,eljk->eijk", d, u, out=ur, optimize=True)
-    np.einsum("jl,eilk->eijk", d, u, out=us, optimize=True)
-    np.einsum("kl,eijl->eijk", d, u, out=ut, optimize=True)
-    np.multiply(g[:, 0], ur, out=wr)
-    np.multiply(g[:, 1], us, out=tmp)
-    wr += tmp
-    np.multiply(g[:, 2], ut, out=tmp)
-    wr += tmp
-    np.multiply(g[:, 1], ur, out=ws)
-    np.multiply(g[:, 3], us, out=tmp)
-    ws += tmp
-    np.multiply(g[:, 4], ut, out=tmp)
-    ws += tmp
-    np.multiply(g[:, 2], ur, out=wt)
-    np.multiply(g[:, 4], us, out=tmp)
-    wt += tmp
-    np.multiply(g[:, 5], ut, out=tmp)
-    wt += tmp
-    np.einsum("li,eljk->eijk", d, wr, out=out, optimize=True)
-    np.einsum("lj,eilk->eijk", d, ws, out=tmp, optimize=True)
-    out += tmp
-    np.einsum("lk,eijl->eijk", d, wt, out=tmp, optimize=True)
-    out += tmp
+        return w
+    np.copyto(out, w)
     return out
 
 
@@ -131,3 +100,79 @@ def helmholtz_local(
     if lam != 0.0:
         w = w + lam * mass * u
     return w
+
+
+# ----------------------------------------------------------------------
+# The CG vector passes and loop
+
+
+def row_dots(a: NDArray, b: NDArray) -> NDArray[np.float64]:
+    """Per-row inner products of ``(B, n)`` blocks: the products in the
+    operands' dtype (fp32 products rounded to fp32), summed in fp64."""
+    return np.add.reduce(a * b, axis=1, dtype=np.float64)
+
+
+def cg_step(x, r, z, p, ap, inv_m, step):
+    """``x += step * p``, ``r -= step * Ap``, ``z = r * inv_m`` in place,
+    one rounding per operation as C's ``cg_step``; returns ``(r.z,
+    r.r)``."""
+    x += p * step[:, None]
+    r -= ap * step[:, None]
+    if inv_m is not None:
+        np.multiply(r, inv_m, out=z)
+    return row_dots(r, z), row_dots(r, r)
+
+
+def cg_direction(p, z, step) -> None:
+    """``p = step * p + z`` in place, as C's ``cg_dir``."""
+    p *= step[:, None]
+    p += z
+
+
+def python_cg_loop(
+    apply_into, fused, maxiter, x, r, z, p, ap, inv_m, step, rz, pap,
+    coef, res, stop, active, iterations, exhausted,
+):
+    """``repro.sem.cg._compiled_loop`` with its loop in Python: the same
+    buffers and the same stopping, freezing and scalar recurrence,
+    driving C's ``cg_dot``, ``cg_step`` and ``cg_dir`` one call at a
+    time and calling the operator back every iteration (``fused`` is
+    not used).  Returns the residual history, as the compiled loop."""
+    dot, c_step, c_dir = native.cg_passes(x.dtype)[:3]
+
+    def at(a):
+        return None if a is None else a.ctypes.data
+
+    history, it = [res.copy()], 0
+    while active.any() and it < int(maxiter.max()):
+        apply_into(p, ap)
+        dot(*p.shape, at(p), at(ap), at(pap))
+        bad = active & (pap <= 0.0)
+        if bad.any():
+            worst = float(pap[bad].min())
+            if worst <= -1e-300:
+                raise cg._breakdown(worst)
+            # Exact zero directions: those systems' subspaces are
+            # solved; freeze them and let the others continue.
+            active &= ~bad
+            exhausted |= bad
+            if not active.any():
+                break
+        it += 1
+        iterations += active  # a system counts the steps it was live for
+        # Masked step: frozen systems get alpha = beta = 0, freezing
+        # their x and r exactly while the rest iterate.
+        np.divide(rz, pap, out=coef, where=active)
+        np.multiply(coef, active, out=step)  # alpha
+        # x, r, z; pap now carries rz_new and res ||r||^2
+        c_step(*x.shape, *map(at, (step, p, ap, inv_m, x, r, z, pap, res)))
+        np.divide(pap, rz, out=coef, where=active)
+        np.multiply(coef, active, out=step)  # beta
+        np.copyto(rz, pap)
+        c_dir(*p.shape, *map(at, (step, z, p)))
+        np.sqrt(res, out=res)
+        history.append(res.copy())
+        active &= ~(res <= stop)  # (a NaN residual stays live to its cap)
+        if maxiter.ndim:
+            active &= it < maxiter  # per-request caps
+    return np.stack(history)

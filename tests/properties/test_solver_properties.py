@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sem.cg import cg_solve
@@ -100,3 +102,40 @@ def test_small_deformations_keep_mesh_valid(degree, amp, seed):
     assert np.all(geo.jac > 0)
     # Volume change is bounded by the deformation amplitude.
     assert geo.mass.sum() == pytest.approx(1.0, rel=10 * amp + 1e-9)
+
+
+@functools.cache
+def _masked_poisson():
+    """Poisson at N = 5 on 4 x 4 x 4 elements and an interior-masked
+    white-noise rhs."""
+    from repro.sem import PoissonProblem
+
+    prob = PoissonProblem(BoxMesh.build(ReferenceElement.from_degree(5),
+                                        (4, 4, 4)))
+    rng = np.random.default_rng(17)
+    return prob, rng.standard_normal(prob.n_dofs) * prob.interior
+
+
+@given(k=st.integers(min_value=-1000, max_value=1000))
+@example(k=-1000)
+@example(k=-600)  # ||b||^2 underflows to 0 in fp64
+@example(k=-140)  # b underflows in fp32
+@example(k=140)  # b overflows in fp32
+@example(k=600)  # ||b||^2 overflows in fp64
+@example(k=1000)
+@settings(max_examples=15, deadline=None)
+@pytest.mark.parametrize("precision", ("fp64", "mixed"))
+def test_a_scaled_rhs_is_solved_or_reported_unsolved(precision, k):
+    """``b * 2^k`` over the whole fp64 exponent range, at either
+    precision: a result reported converged meets ``tol`` on its true
+    residual, computed on the system scaled back by ``2^-k`` (where
+    nothing under- or overflows), or it says it did not converge.  Never
+    ``converged`` on a wrong ``x``."""
+    prob, b = _masked_poisson()
+    tol = 1e-8
+    b_k = np.ldexp(b, k)
+    res = prob.solve(b_k, tol=tol, maxiter=1000, precision=precision)
+    if res.converged:
+        b_0, x_0 = np.ldexp(b_k, -k), np.ldexp(res.x, -k)
+        true = np.linalg.norm(b_0 - prob.apply_A(x_0))
+        assert true <= tol * np.linalg.norm(b_0)

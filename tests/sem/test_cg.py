@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 
 import numpy as np
 import pytest
 
+from oracles import python_cg_loop, row_dots
 from repro.sem import (
     BoxMesh, HelmholtzProblem, PoissonProblem, ReferenceElement, cg, native,
 )
@@ -373,12 +375,11 @@ class TestBatchedCG:
 
 
 class TestRowDots:
-    """The inner products — compiled: eight fixed fp64 lanes; numpy
-    body: one ddot per fp64 row, multiply + fp64 pairwise sum per fp32
-    row.  Either way a row's value never depends on B."""
+    """The inner products, C's eight fixed fp64 lanes in two fixed
+    halves of the row: a row's value never depends on B."""
 
     # 8193 is past einsum's blocking, 24389/185193 past the 10^4
-    # elements above which OpenBLAS splits a ddot across its threads.
+    # elements above which OpenBLAS would split a ddot across threads.
     SIZES = (343, 8193, 24389, 185193)
 
     @pytest.mark.parametrize("n", SIZES)
@@ -389,59 +390,37 @@ class TestRowDots:
         rng = np.random.default_rng(n)
         a = rng.standard_normal((8, n)).astype(dtype)
         b = rng.standard_normal((8, n)).astype(dtype)
-        tmp = np.empty_like(a)
         for nb in (2, 8):
             block = np.empty(nb)
-            _row_dots(a[:nb], b[:nb], tmp[:nb], block)
+            _row_dots(a[:nb], b[:nb], block)
             for k in range(nb):
                 solo = np.empty(1)
-                _row_dots(a[k:k + 1], b[k:k + 1], tmp[:1], solo)
+                _row_dots(a[k:k + 1], b[k:k + 1], solo)
                 assert solo[0] == block[k], (nb, k)
 
-    @pytest.mark.parametrize("n", SIZES)
-    def test_fp64_is_blas_ddot_and_fp32_the_fp64_pairwise_sum(
-        self, n, numpy_body
-    ):
-        from repro.sem.cg import _row_dots
-
-        rng = np.random.default_rng(n + 1)
-        a = rng.standard_normal((3, n))
-        b = rng.standard_normal((3, n))
-        got = np.empty(3)
-        tmp = np.full_like(a, np.nan)
-        _row_dots(a, b, tmp, got)
-        assert np.isnan(tmp).all()  # nothing field-sized was written
-        assert got.tolist() == [float(np.dot(x, y)) for x, y in zip(a, b)]
-        a32, b32 = a.astype(np.float32), b.astype(np.float32)
-        _row_dots(a32, b32, np.empty_like(a32), got)
-        want = np.add.reduce(a32 * b32, axis=1, dtype=np.float64)
-        assert got.tolist() == want.tolist()
-
     @pytest.mark.parametrize("path", ("compiled", "numpy_body"))
-    def test_fp32_products_round_to_fp32_and_the_sum_never_does(
-        self, path, request
-    ):
+    def test_fp32_products_round_to_fp32_and_the_sum_never_does(self, path):
         """A cancellation both wrong arithmetics fail: ``(1 + 2^-12)^2``
         rounds to ``1 + 2^-11`` in fp32 (an fp64 product keeps the
         ``2^-24``), and between ``+2^24`` and ``-2^24`` an fp32 sum
-        drops every such term."""
+        drops every such term — in C's ``cg_dot`` and in the numpy
+        ``oracles.row_dots`` it is checked against."""
         from repro.sem.cg import _row_dots
 
-        if path == "numpy_body":
-            request.getfixturevalue("numpy_body")
-        elif native.cg_passes(np.dtype(np.float32)) is None:
-            pytest.skip("no compiled CG passes on this host")
         a = np.full((2, 1003), 1 + 2.0 ** -12, dtype=np.float32)
         a[:, 0], a[:, -1] = 2.0 ** 12, -(2.0 ** 12)
         b = a.copy()
         b[:, -1] = 2.0 ** 12
         got = np.empty(2)
-        _row_dots(a, b, np.empty_like(a), got)
+        if path == "compiled":
+            _row_dots(a, b, got)
+        else:
+            got = row_dots(a, b)
         assert got.tolist() == [1001 * (1 + 2.0 ** -11)] * 2
 
     def test_rhs_layout_does_not_change_a_solve(self):
-        """ddot sums a strided row in another order than a contiguous
-        one; the solvers take ``b`` in C order so ||b|| cannot tell."""
+        """The solvers take ``b`` into a C-order block of their own, so
+        neither ||b|| nor anything after it can tell a strided rhs."""
         prob = sem_problem(shape=(3, 3, 3), degree=7)
         assert prob.n_dofs > 10_000
         bs = sem_block(prob, batch=2)
@@ -473,9 +452,9 @@ def test_import_fails_loudly_below_the_numpy_floor(monkeypatch):
 
 
 class TestRowEqualsSoloAboveTenThousandDofs:
-    """Row == solo at a size where BLAS may split a dot product across
-    threads: N=7 on 4x4x4 elements, 24 389 DOFs (whatever the BLAS
-    thread count of this process is, both sides share it)."""
+    """Row == solo at a size where each row's sums take both halves
+    and, with two CPUs, both threads: N=7 on 4x4x4 elements, 24 389
+    DOFs."""
 
     @pytest.fixture(scope="class")
     def big(self):
@@ -504,10 +483,10 @@ class TestRowEqualsSoloAboveTenThousandDofs:
             assert_same_result(block.row(k), solo)
 
 
-@pytest.mark.usefixtures("numpy_body")
+@pytest.mark.usefixtures("reference_loop")
 class TestRowEqualsSoloNumpyBody(TestRowEqualsSoloAboveTenThousandDofs):
-    """Row == solo on the Ax path of a host without a C compiler: the
-    contract holds within each path, and nothing compares across them."""
+    """Row == solo on the reference loop, which calls the operator back
+    every iteration: the contract holds within it."""
 
     test_solo_equals_block_row_bit_for_bit = (
         TestBatchedCG.test_solo_equals_block_row_bit_for_bit
@@ -522,8 +501,6 @@ def pass_calls(monkeypatch):
 
     def spying(dtype):
         passes = real(dtype)
-        if passes is None:
-            pytest.skip("no compiled CG passes on this host")
 
         def recorded(name, fn):
             return lambda *args: (calls.append(name), fn(*args))[1]
@@ -578,77 +555,52 @@ class TestCompiledPasses:
         assert np.array_equal(frozen_x, solo_ws.cg_x)
         assert np.array_equal(frozen_r, solo_ws.cg_r)
 
-    @pytest.mark.parametrize("flaw", ("strided", "unaligned"))
+    @pytest.mark.parametrize("flaw", ("strided", "unaligned", "read-only"))
     @pytest.mark.parametrize("dtype", (np.float64, np.float32))
-    def test_flawed_buffers_take_the_numpy_body(self, flaw, dtype, pass_calls):
-        """A workspace C must not write through: no compiled step runs,
-        row == solo still holds and the answer is the sound workspace's
-        to rounding."""
+    @pytest.mark.parametrize("name", ("cg_x", "cg_p", "cg_b", "cg_res"))
+    def test_flawed_buffers_are_refused_by_name(self, name, dtype, flaw,
+                                                pass_calls):
+        """A workspace buffer C would write through unchecked, strided,
+        unaligned or read-only: a ``ValueError`` naming it and its flaw
+        before any pass runs, from the plain and the mixed solve alike,
+        and the workspace serves again once mended."""
         prob = sem_problem()
-        bs = sem_block(prob, batch=3).astype(dtype)
+        ws = SolverWorkspace.for_mesh(prob.mesh, batch=3, dtype=dtype)
+        sound = getattr(ws, name)
+        if flaw == "strided":
+            wide = np.zeros(sound.shape[:-1] + (2 * sound.shape[-1],),
+                            sound.dtype)
+            setattr(ws, name, wide[..., ::2])
+        elif flaw == "unaligned":
+            raw = np.zeros(sound.nbytes + 1, dtype=np.uint8)
+            setattr(ws, name, raw[1:].view(sound.dtype).reshape(sound.shape))
+        else:
+            sound.setflags(write=False)
+        bs = sem_block(prob, batch=3)
         apply_A = prob.apply_A if dtype == np.float64 else prob.apply_A32
-        diag = prob.precond_diag().astype(dtype)
-
-        def flawed(batch):
-            ws = SolverWorkspace.for_mesh(prob.mesh, batch=batch, dtype=dtype)
-            shape, size = ws.cg_x.shape, ws.cg_x.dtype.itemsize
-            if flaw == "strided":
-                wide = np.empty(shape[:-1] + (2 * shape[-1],), dtype)
-                ws.cg_x = wide[..., ::2]
-            else:
-                raw = np.empty(ws.cg_x.nbytes + 1, dtype=np.uint8)
-                ws.cg_x = raw[1:].view(dtype).reshape(shape)
-            assert not (ws.cg_x.flags.c_contiguous and ws.cg_x.flags.aligned)
-            assert ws.cg_x.strides[-1] in (size, 2 * size)
-            return ws
-
-        kwargs = dict(precond_diag=diag, tol=1e-4, maxiter=200, dtype=dtype)
-        sound = cg_solve_batched(apply_A, bs, **kwargs)
-        assert "solve" in pass_calls
-        del pass_calls[:]
-        block = cg_solve_batched(apply_A, bs, workspace=flawed(3), **kwargs)
-        for k in range(3):
-            solo = cg_solve(apply_A, bs[k], workspace=flawed(1), **kwargs)
-            assert_same_result(block.row(k), solo)
-        assert np.all(block.converged) and set(pass_calls) == {"dot"}
-        scale = np.abs(sound.x).max()
-        assert np.allclose(block.x, sound.x, rtol=1e-3, atol=1e-3 * scale)
-
-    def test_read_only_buffer_is_numpys_own_refusal(self, pass_calls):
-        prob = sem_problem()
-        ws = prob.batch_workspace(1)
-        ws.cg_p.setflags(write=False)
-        try:
-            with pytest.raises(ValueError, match="read-only"):
-                solve("fp64", prob, sem_block(prob)[0], workspace=ws)
-        finally:
-            ws.cg_p.setflags(write=True)  # the problem caches it
-        assert "solve" not in pass_calls
+        with pytest.raises(ValueError, match=f"buffer {name} is {flaw}"):
+            cg_solve_batched(apply_A, bs, workspace=ws, dtype=dtype)
+        if dtype == np.float32:
+            with pytest.raises(ValueError, match=f"buffer {name} is {flaw}"):
+                cg_solve_batched_mixed(prob.apply_A, prob.apply_A32, bs,
+                                       workspace32=ws)
+        assert pass_calls == []
+        sound.setflags(write=True)
+        setattr(ws, name, sound)
+        assert cg_solve_batched(apply_A, bs, workspace=ws, dtype=dtype,
+                                tol=1e-4).all_converged
 
 
 @pytest.fixture
 def python_loop():
     """``python_loop(fn, *args, **kwargs)``: the call with the loop of
-    ``_cg_iterate`` run in Python, driving C's three passes one call at
-    a time — the compiled path as it was before the loop moved to C."""
-    if native.cg_passes(np.dtype(np.float64)) is None:
-        pytest.skip("no compiled CG passes on this host")
-
-    def at(a):
-        return None if a is None else a.ctypes.data
-
-    def c_step(x, r, z, p, ap, tmp, inv_m, step, dots, rr):
-        native.cg_passes(x.dtype)[1](
-            *x.shape, *map(at, (step, p, ap, inv_m, x, r, z, dots, rr)))
-
-    def c_direction(p, z, step):
-        native.cg_passes(p.dtype)[2](*p.shape, *map(at, (step, z, p)))
+    ``_cg_iterate`` run in Python (``oracles.python_cg_loop``), driving
+    C's three passes one call at a time — the compiled path as it was
+    before the loop moved to C."""
 
     def run(fn, *args, **kwargs):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cg, "_compiled_loop", lambda *a: None)
-            patch.setattr(cg, "_numpy_step", c_step)
-            patch.setattr(cg, "_numpy_direction", c_direction)
+            patch.setattr(cg, "_compiled_loop", python_cg_loop)
             return fn(*args, **kwargs)
 
     return run
@@ -800,13 +752,13 @@ class TestCompiledLoop:
         assert raised.value is exc and len(calls) == 4
 
     @pytest.mark.parametrize("path", ("compiled", "numpy_body"))
-    def test_a_residual_exactly_at_its_threshold_stops(self, path, request):
+    def test_a_residual_exactly_at_its_threshold_stops(self, path,
+                                                       request):
         """``||r|| <= tol * ||b||``: a residual equal to its threshold,
-        to the bit, ends the solve at that iteration on both loops."""
+        to the bit, ends the solve at that iteration, on the compiled
+        loop and on the reference loop."""
         if path == "numpy_body":
-            request.getfixturevalue("numpy_body")
-        elif native.cg_passes(np.dtype(np.float64)) is None:
-            pytest.skip("no compiled CG passes on this host")
+            request.getfixturevalue("reference_loop")
         a, b = np.diag([1.0, 3.0]), np.array([1.0, 1.0])
         r1 = cg_solve(lambda v: v @ a.T, b, tol=1e-300, maxiter=1)
         norm_b, r1 = float(np.sqrt(b @ b)), r1.residual_norm
@@ -820,14 +772,20 @@ class TestCompiledLoop:
         assert res.iterations == 1 and res.converged
 
     @pytest.mark.parametrize("path", ("compiled", "numpy_body"))
-    def test_a_breakdown_is_the_same_refusal(self, path, request):
-        if path == "numpy_body":
-            request.getfixturevalue("numpy_body")
-        elif native.cg_passes(np.dtype(np.float64)) is None:
-            pytest.skip("no compiled CG passes on this host")
+    def test_a_breakdown_is_the_same_refusal(self, path, python_loop):
+        """Each loop refuses, and the Python loop's refusal is the
+        compiled loop's, to the reported ``p^T A p``."""
         a, _, b = spd_system(12)
-        with pytest.raises(ValueError, match=r"CG breakdown: p\^T A p = -"):
-            cg_solve(lambda v: -(v @ a.T), b)
+        runs = [cg_solve]
+        if path == "numpy_body":
+            runs.append(functools.partial(python_loop, cg_solve))
+        said = []
+        for run in runs:
+            with pytest.raises(ValueError,
+                               match=r"CG breakdown: p\^T A p = -") as err:
+                run(lambda v: -(v @ a.T), b)
+            said.append(str(err.value))
+        assert said[-1] == said[0]
 
     @pytest.mark.parametrize("shape,splits", (((5, 2, 1), True),
                                               ((1, 3, 2), False),
@@ -854,8 +812,6 @@ class TestCompiledLoop:
         kwargs = dict(precond_diag=prob.precond_diag().astype(dtype),
                       dtype=dtype, tol=1e-7, maxiter=400)
         fused = prob._fused(dtype)
-        if fused is None:
-            pytest.skip("no compiled fused pass on this host")
         got, split = {}, {}
         for cpus in (1, 2):
             with one_cpu(cpus == 1):
@@ -873,8 +829,6 @@ class TestCompiledLoop:
         monkeypatch.setattr(cg, "SPLIT_MIN_ELEMENTS", 1)
         mesh = BoxMesh.build(ReferenceElement.from_degree(3), (4, 2, 1))
         fused = PoissonProblem(mesh)._fused(np.float64)
-        if fused is None:
-            pytest.skip("no compiled fused pass on this host")
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("this process may use one CPU only")
         assert cg._splits(fused)
@@ -890,8 +844,6 @@ class TestCompiledLoop:
         prob = HelmholtzProblem(
             BoxMesh.build(ReferenceElement.from_degree(3), (4, 2, 1)))
         fused = prob._fused(np.float64)
-        if fused is None:
-            pytest.skip("no compiled fused pass on this host")
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("this process may use one CPU only")
         assert cg._splits(fused)
@@ -1104,6 +1056,31 @@ class TestPerSystemStopping:
                 assert sum(row.inner_iterations) == row.iterations
 
 
+class TestRhsScale:
+    """Every solve runs on its rhs rows scaled by an exact power of two
+    and scales the result back, so a power-of-two multiple of a rhs is
+    solved with the same bits, scaled, whatever the exponent."""
+
+    @pytest.mark.parametrize("precision", ("fp64", "mixed"))
+    @pytest.mark.parametrize("k", (-100, 100, -700, 700))
+    def test_a_power_of_two_times_b_is_x_times_it_bit_for_bit(
+        self, precision, k
+    ):
+        prob = sem_problem()
+        bs = sem_block(prob, batch=3)
+        kwargs = dict(precond_diag=prob.precond_diag(), tol=1e-9,
+                      maxiter=400, workspace=True)
+        want = solve(precision, prob, bs, **kwargs)
+        got = solve(precision, prob, np.ldexp(bs, k), **kwargs)
+        assert np.all(want.converged) and np.all(got.converged)
+        assert np.array_equal(got.iterations, want.iterations)
+        assert got.x.tobytes() == np.ldexp(want.x, k).tobytes()
+        assert got.residual_history.tobytes() == np.ldexp(
+            want.residual_history, k).tobytes()
+        solo = solve(precision, prob, np.ldexp(bs[1], k), **kwargs)
+        assert_same_result(solo, got.row(1))
+
+
 class TestExhaustedSubspace:
     """Exact-zero-direction freezes report converged: the iterate is the
     exact solution on the (exhausted) Krylov subspace."""
@@ -1205,6 +1182,6 @@ class TestNonFiniteRhs:
             assert_same_result(block.row(k), solo)
 
 
-@pytest.mark.usefixtures("numpy_body")
+@pytest.mark.usefixtures("reference_loop")
 class TestNonFiniteRhsNumpyBody(TestNonFiniteRhs):
-    """The same refusals from the numpy body of the vector passes."""
+    """The same refusals from the reference loop."""

@@ -106,33 +106,60 @@ class TestMatmulKernel:
         out = np.full_like(u, np.nan)
         with pytest.raises(TypeError, match="out is float64 but u is float32"):
             ax_local_matmul(ref, u32, g32, out=out)
-        assert np.isnan(out).all()  # refused before either path ran
+        assert np.isnan(out).all()  # refused before the kernel ran
         assert ax_local_matmul(ref, u32, g32).dtype == np.float32
 
     def test_workspace_path_matches(self):
+        """A forwarded ``workspace=`` (the traced wrapper of
+        ``benchmarks/e2e/semtrace.py`` forwards one) is accepted and
+        changes no bit: the kernel needs no scratch."""
         ref, u, g = random_fields(6, num_e=4)
         ws = SolverWorkspace(num_elements=4, nx=ref.n_points)
         out = np.empty_like(u)
         w = ax_local_matmul(ref, u, g, out=out, workspace=ws)
-        assert np.allclose(w, ax_local_matmul(ref, u, g), atol=1e-12)
-
-    def test_workspace_shape_mismatch_raises(self):
-        ref, u, g = random_fields(4, num_e=3)
-        ws = SolverWorkspace(num_elements=2, nx=ref.n_points)
-        with pytest.raises(ValueError, match="workspace sized for"):
-            ax_local_matmul(ref, u, g, workspace=ws)
-
-    def test_einsum_workspace_path_matches(self):
-        ref, u, g = random_fields(5, num_e=4)
-        ws = SolverWorkspace(num_elements=4, nx=ref.n_points)
-        out = np.empty_like(u)
-        w = ax_local(ref, u, g, out=out, workspace=ws)
-        assert np.allclose(w, ax_local(ref, u, g), atol=1e-12)
+        assert w is out and np.array_equal(w, ax_local_matmul(ref, u, g))
 
 
-@pytest.mark.usefixtures("numpy_body")
+def _unaligned(a):
+    """A copy of ``a`` one byte off its dtype's alignment."""
+    out = np.empty(a.nbytes + 1, np.uint8)[1:].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    assert not out.flags.aligned
+    return out
+
+
+def _strided_blocks(g):
+    """A copy of ``g`` whose ``(nx, nx, nx)`` blocks are strided."""
+    out = np.empty(g.shape + (2,), g.dtype)[..., 0]
+    out[...] = g
+    return out
+
+
+@pytest.fixture
+def numpy_body_operands(monkeypatch):
+    """``ax_local_matmul``, here and as the registry's ``"matmul"``,
+    handed the operands its numpy body used to take in C's place — ``u``
+    unaligned, ``g`` with strided blocks — which it now copies once into
+    contiguous native arrays; each result must be the plain call's
+    bits."""
+    from repro.sem import kernels
+
+    plain = kernels.ax_local_matmul
+
+    def relaid(ref, u, g, out=None, workspace=None):
+        got = plain(ref, _unaligned(u), _strided_blocks(g), out=out,
+                    workspace=workspace)
+        assert np.array_equal(got, plain(ref, u, g))
+        return got
+
+    monkeypatch.setitem(globals(), "ax_local_matmul", relaid)
+    monkeypatch.setitem(kernels._REGISTRY, "matmul", relaid)
+
+
+@pytest.mark.usefixtures("numpy_body_operands")
 class TestMatmulKernelNumpyBody(TestMatmulKernel):
-    """The same cases on the path of a host without a C compiler."""
+    """The same cases on the operands that used to take the numpy
+    body."""
 
 
 class TestRegistry:
@@ -304,52 +331,6 @@ class TestThreadsOptionIsGone:
         assert np.array_equal(twin.apply_A(b), prob.apply_A(b))
 
 
-@pytest.mark.usefixtures("numpy_body")
-class TestBlockResidentScratch:
-    """A workspace-backed sweep of the numpy body keeps its seven work
-    arrays per block instead of streaming the full-size scratch fields
-    — shown by which rows a call writes, not by timing.  (The compiled
-    kernel's scratch is one element on its stack; it writes none.)"""
-
-    @staticmethod
-    def _nan_scratch(ws):
-        from repro.sem.workspace import KERNEL_SCRATCH_BUFFERS
-
-        bufs = [getattr(ws, name) for name in KERNEL_SCRATCH_BUFFERS]
-        for buf in bufs:
-            buf.fill(np.nan)
-        return bufs
-
-    @pytest.mark.parametrize("num_e", (40, 64, 512))
-    def test_only_one_block_of_rows_per_slot_is_written(self, num_e):
-        from repro.sem.kernels import BLOCK_DOFS
-
-        ref, u, g = random_fields(7, num_e=num_e, seed=9)
-        nx = ref.n_points
-        block = BLOCK_DOFS // nx ** 3
-        # 40 = one full block + a remainder, 64 = two, 512 = sixteen.
-        assert block == 32
-        ws = SolverWorkspace(num_elements=num_e, nx=nx)
-        bufs = self._nan_scratch(ws)
-        w = ax_local_matmul(ref, u, g, workspace=ws)
-        for buf in bufs:
-            assert not np.isnan(buf[:block]).any()
-            assert np.isnan(buf[block:]).all()
-        assert np.array_equal(w, ax_local_matmul(ref, u, g))
-
-    def test_stacked_sweep_shares_the_block_scratch(self):
-        ref, u, g = random_fields(7, num_e=64, seed=10)
-        ub = np.random.default_rng(11).standard_normal((2,) + u.shape)
-        ws = SolverWorkspace(num_elements=64, nx=ref.n_points, batch=2)
-        bufs = self._nan_scratch(ws)
-        w = ax_local_matmul(ref, ub, g, workspace=ws)
-        for buf in bufs:
-            assert not np.isnan(buf[:32]).any()
-            assert np.isnan(buf[32:]).all()
-        for b in range(2):
-            assert np.array_equal(w[b], ax_local_matmul(ref, ub[b], g))
-
-
 class TestBatchedKernels:
     """Stacked (B, E, ...) inputs through every registered kernel."""
 
@@ -360,22 +341,6 @@ class TestBatchedKernels:
         wb = ax_local_matmul(ref, ub, g)
         for b in range(3):
             assert np.array_equal(wb[b], ax_local_matmul(ref, ub[b], g))
-
-    def test_matmul_batched_workspace_fused_and_nested(self):
-        """A stacked block inside one element block and one spanning
-        several, through a workspace: every system is its solo call."""
-        from repro.sem.kernels import BLOCK_DOFS
-
-        ref = ReferenceElement.from_degree(4)
-        nx = ref.n_points
-        rng = np.random.default_rng(23)
-        for num_e in (4, 3 * (BLOCK_DOFS // nx ** 3) + 8):
-            g = rng.standard_normal((num_e, 6, nx, nx, nx))
-            ub = rng.standard_normal((2, num_e, nx, nx, nx))
-            ws = SolverWorkspace(num_elements=num_e, nx=nx, batch=2)
-            w = ax_local_matmul(ref, ub, g, workspace=ws)
-            for b in range(2):
-                assert np.array_equal(w[b], ax_local_matmul(ref, ub[b], g))
 
     def test_all_registered_kernels_accept_batched(self):
         """The production kernel and the accelerator model's backend —
@@ -405,9 +370,10 @@ class TestBatchedKernels:
             ax_local_matmul(ref, u[None], g[:1])
 
 
-@pytest.mark.usefixtures("numpy_body")
+@pytest.mark.usefixtures("numpy_body_operands")
 class TestBatchedKernelsNumpyBody(TestBatchedKernels):
-    """Stacked == per-system on the numpy body, compared with itself."""
+    """Stacked == per-system on the operands that used to take the
+    numpy body."""
 
 
 class TestRegistryErrorPaths:

@@ -287,9 +287,9 @@ class TestBatchedMixed:
             assert int(res.iterations[k]) == int(prefix.sum())
 
 
-@pytest.mark.usefixtures("numpy_body")
+@pytest.mark.usefixtures("reference_loop")
 class TestBatchedMixedNumpyBody(TestBatchedMixed):
-    """Stacked-mixed == solo-mixed on the numpy body of the kernel."""
+    """Stacked-mixed == solo-mixed on the reference loop."""
 
 
 class TestFp64BitIdentity:

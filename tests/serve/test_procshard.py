@@ -413,26 +413,18 @@ class TestProcShardMixed:
                 assert info["precision"] == "fp64"  # the fleet default
         assert not shm_exists(block)  # unlinked on close
 
-    def test_workers_attest_the_ax_path_of_the_parent(self, serving_problem):
-        """Fleet == sequential presumes the parent and every worker run
-        the same ``Ax`` path and the same CG vector passes (compiled or
-        numpy body) at both precisions; a worker that could not build
-        either says so here (and warns once on its stderr)."""
-        from repro.sem import native
-
+    def test_workers_attest_no_kernel_path(self, serving_problem):
+        """There is one ``Ax`` path and one path through the CG passes,
+        the compiled one: no worker reports which it runs."""
         prob, _ = serving_problem
-        dtypes = [np.dtype(t) for t in (np.float64, np.float32)]
-        parent = all(
-            native.ax_kernel(prob.ref.n_points, t) is not None for t in dtypes
-        )
-        parent_cg = all(native.cg_passes(t) is not None for t in dtypes)
         with ProcessShardedSolveService(
             prob, workers=2, policy="round-robin", max_batch=8,
             max_wait=0.002, tol=1e-10, maxiter=200,
         ) as svc:
             infos = svc.worker_info()
-        assert [info["ax_native"] for info in infos] == [parent, parent]
-        assert [info["cg_native"] for info in infos] == [parent_cg, parent_cg]
+        assert len(infos) == 2
+        for info in infos:
+            assert not {"ax_native", "cg_native"} & set(info)
 
     def test_fleet_default_mixed_from_problem_precision(
         self, sequential_solve, assert_same_result
