@@ -49,7 +49,9 @@ the residual norms and the history are scaled back after
 normal-range rhs gets the bits it would get unscaled, while a tiny or a
 huge one no longer underflows or overflows ``||b||^2`` — and the fp32
 inner solves of the mixed path see the whole fp64 range.  A row that is
-exactly zero keeps ``tol`` as an absolute threshold.
+exactly zero keeps ``tol`` as an absolute threshold.  A row whose ``x``
+leaves that range when scaled back (it overflows, or falls into
+subnormals and loses bits) is reported not converged.
 
 The vector half of an iteration is three streaming passes — ``p.Ap``;
 ``x``, ``r``, ``z`` with ``r.z`` and ``r.r`` summed in the sweep that
@@ -598,12 +600,23 @@ def _finish(res, workspace: SolverWorkspace | None, stacked: bool, shift):
     and the history scaled back by ``2^-shift`` (:func:`_validate`), then
     row 0 for a solo solve, else the block with ``x`` copied out of the
     workspace so it outlives the next solve there (a workspace-free
-    solve already owns ``x``)."""
+    solve already owns ``x``).  A row whose ``x`` does not scale back
+    exactly — it overflows, or falls into subnormals and loses bits —
+    is one the caller cannot hold: it is not converged, whatever its
+    residual said."""
     # In place: the loops hand back x in a buffer of theirs and fresh
-    # norm and history arrays.
-    np.ldexp(res.x, -shift[:, None], out=res.x)
-    np.ldexp(res.residual_norm, -shift, out=res.residual_norm)
-    np.ldexp(res.residual_history, -shift, out=res.residual_history)
+    # norm and history arrays.  Row by row, so an IEEE overflow or
+    # inexact underflow names its row; numpy raises it once the whole
+    # row is written.
+    with np.errstate(over="raise", under="raise"):
+        for k, row in enumerate(res.x):
+            try:
+                np.ldexp(row, -shift[k], out=row)
+            except FloatingPointError:
+                res.converged[k] = False
+    with np.errstate(over="ignore", under="ignore"):
+        np.ldexp(res.residual_norm, -shift, out=res.residual_norm)
+        np.ldexp(res.residual_history, -shift, out=res.residual_history)
     if not stacked:
         return res.row(0)
     return res if workspace is None else replace(res, x=res.x.copy())

@@ -16,12 +16,14 @@ on the way.
 :data:`_CG_SOURCE` is the other half of an iteration in the same
 style: ``p.Ap``, then ``x``/``r``/``z`` with ``r.z`` and ``r.r`` folded
 into the sweep that produces them, then ``p`` — each operand once per
-pass, 9 reads + 4 writes where twelve numpy calls made 17 + 7 — and
-``cg_solve``, the loop around them: the stopping test, the freezing of
-finished rows and the scalar recurrence, with ``A p`` from the fused
-pass (its closing mask folded into the ``p.Ap`` sweep) or from a Python
-callback.  Every sum is taken in two fixed halves of its row, each in
-eight fp64 lanes, and the halves added.  With the fused pass a whole
+pass, 9 reads + 4 writes where twelve numpy calls made 17 + 7, each
+full block of 8 nodes one vector operation (GCC vector extensions, as
+in the element body) — and ``cg_solve``, the loop around them: the
+stopping test, the freezing of finished rows and the scalar
+recurrence, with ``A p`` from the fused pass (its closing mask folded
+into the ``p.Ap`` sweep) or from a Python callback.  Every sum is taken
+in two fixed halves of its row, each in eight fp64 lanes, and the
+halves added.  With the fused pass a whole
 solve is one call, and the GIL stays released from its first iteration
 to its last; the call may run every pass as two parts on two threads —
 the fused pass split at a node plane
@@ -314,10 +316,14 @@ void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
 }
 """
 
-#: The vector passes want ``-O3`` (gcc 12's ``-O2`` cost model leaves the
-#: step sweep scalar) and no contraction: one rounding per operation, so
-#: ``x``, ``r``, ``z``, ``p`` are numpy's bits given the same scalars.
-#: No ``errno`` either: the loop's ``sqrt`` is the instruction, as numpy's.
+#: The vector passes spell out their vectors, as the element body does:
+#: gcc 12.2 at ``-O3`` compiles a sum into lane ``(i - lo) % 8`` as
+#: unrolled scalar code, so no autovectoriser is asked to find them.
+#: ``-O3`` stays to unswitch the step's ``invm`` test out of its loop.
+#: No contraction: one rounding per operation, so ``x``, ``r``, ``z``,
+#: ``p`` are numpy's bits given the same scalars, and ``-O2`` and ``-O3``
+#: builds give the same bytes (``tests/sem/test_native.py``).  No
+#: ``errno`` either: the loop's ``sqrt`` is the instruction, as numpy's.
 _CG_FLAGS: tuple[str, ...] = (
     *_FLAGS, "-O3", "-ffp-contract=off", "-fno-math-errno", "-pthread")
 
@@ -339,28 +345,43 @@ _CG_SOURCE = r"""
     const ptrdiff_t lo = part ? h : 0, hi = part ? (n) : h;
 #define FOLD(s) \
     (((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7])))
+/* A sweep takes each full block of 8 nodes as one operation on a vec
+   of 8 REALs (aligned to one REAL only), its products widened into the
+   8 fp64 lanes at once, and the ragged tail node by node into the same
+   lanes.  BODY(AT, ADD) is spelled once for both: AT(v) is v's block
+   from i or its node i, ADD(s, v) adds v into every lane of s or into
+   lane l.  Lane l takes nodes lo + l, lo + 8 + l, ... either way, with
+   the same roundings in the same order: a vec changes no bit. */
+typedef REAL vec
+    __attribute__((vector_size(8 * sizeof(REAL)), aligned(sizeof(REAL))));
+typedef double lanes __attribute__((vector_size(8 * sizeof(double))));
+#define AT8(v) (*(vec *)((v) + i))
+#define AT1(v) ((v)[i])
+#define ADD8(s, v) (s += __builtin_convertvector(v, lanes))
+#define ADD1(s, v) (s[l] += v)
 #define SWEEP(BODY) \
     ptrdiff_t i = lo; \
-    for (; i + 8 <= hi; i += 8) \
-        for (int l = 0; l < 8; l++) BODY(i + l, l) \
-    for (int l = 0; i < hi; i++, l++) BODY(i, l)
-#define DOT(i, l) { const REAL ab = a[i] * b[i]; s[l] += ab; }
+    for (; i + 8 <= hi; i += 8) BODY(AT8, ADD8) \
+    for (int l = 0; i < hi; i++, l++) BODY(AT1, ADD1)
+#define DOT(AT, ADD) { const __auto_type ab = AT(a) * AT(b); ADD(s, ab); }
 /* ap *= mask, then DOT: the fused operator's closing mask and p.Ap in
    one sweep, DOT's bits. */
-#define MASKDOT(i, l) { \
-        const REAL wi = ap[i] * mask[i]; \
-        ap[i] = wi; \
-        const REAL ab = p[i] * wi; \
-        s[l] += ab; }
-#define STEP(i, l) { \
-        const REAL ri = r[i] - alpha * ap[i]; \
-        REAL zi = ri; \
-        x[i] += alpha * p[i]; \
-        r[i] = ri; \
-        if (invm) z[i] = zi = ri * invm[i]; \
-        const REAL rzi = ri * zi, rri = ri * ri; \
-        s[l] += rzi; \
-        t[l] += rri; }
+#define MASKDOT(AT, ADD) { \
+        const __auto_type wi = AT(ap) * AT(mask); \
+        AT(ap) = wi; \
+        const __auto_type ab = AT(p) * wi; \
+        ADD(s, ab); }
+#define STEP(AT, ADD) { \
+        const __auto_type ri = AT(r) - alpha * AT(ap); \
+        __auto_type zi = ri; \
+        AT(x) += alpha * AT(p); \
+        AT(r) = ri; \
+        if (invm) AT(z) = zi = ri * AT(invm); \
+        const __auto_type rzi = ri * zi; \
+        const __auto_type rri = ri * ri; \
+        ADD(s, rzi); \
+        ADD(t, rri); }
+#define DIR(AT, ADD) { AT(p) = beta * AT(p) + AT(z); }
 
 /* Half `part` of each of nb C-contiguous rows of n, for the passes
    below: out[k] = the half of a[k] . b[k]. */
@@ -369,7 +390,7 @@ static void dot_half(ptrdiff_t nb, ptrdiff_t n, int part, const REAL *a,
 {
     RANGE(n, part)
     for (ptrdiff_t k = 0; k < nb; k++, a += n, b += n) {
-        double s[8] = {0};
+        lanes s = {0};
         SWEEP(DOT)
         out[k] = FOLD(s);
     }
@@ -382,7 +403,7 @@ static void mask_dot_half(ptrdiff_t nb, ptrdiff_t n, int part,
 {
     RANGE(n, part)
     for (ptrdiff_t k = 0; k < nb; k++, p += n, ap += n) {
-        double s[8] = {0};
+        lanes s = {0};
         SWEEP(MASKDOT)
         out[k] = FOLD(s);
     }
@@ -400,7 +421,7 @@ static void step_half(ptrdiff_t nb, ptrdiff_t n, int part, const REAL *step,
     RANGE(n, part)
     for (ptrdiff_t k = 0; k < nb; k++) {
         const REAL alpha = step[k];
-        double s[8] = {0}, t[8] = {0};
+        lanes s = {0}, t = {0};
         SWEEP(STEP)
         rz[k] = FOLD(s);
         rr[k] = FOLD(t);
@@ -416,8 +437,7 @@ static void dir_half(ptrdiff_t nb, ptrdiff_t n, int part, const REAL *step,
     RANGE(n, part)
     for (ptrdiff_t k = 0; k < nb; k++, z += n, p += n) {
         const REAL beta = step[k];
-        for (ptrdiff_t i = lo; i < hi; i++)
-            p[i] = beta * p[i] + z[i];
+        SWEEP(DIR)
     }
 }
 
@@ -876,7 +896,12 @@ class FusedPass(NamedTuple):
 
 
 def _load_cg(dtype: np.dtype) -> "tuple[Callable, ...]":
-    lib = _library("cg", _CG_SOURCE, dtype, *_CG_FLAGS)
+    return _cg_entry_points(_library("cg", _CG_SOURCE, dtype, *_CG_FLAGS))
+
+
+def _cg_entry_points(lib: ctypes.CDLL) -> "tuple[Callable, ...]":
+    """``(cg_dot, cg_step, cg_dir, cg_solve)`` of a build of
+    :data:`_CG_SOURCE`, typed for ``ctypes``."""
     size_t, ptr = ctypes.c_ssize_t, ctypes.c_void_p
     for fn, pointers in ((lib.cg_dot, 3), (lib.cg_step, 9), (lib.cg_dir, 3)):
         fn.argtypes = [size_t, size_t] + [ptr] * pointers

@@ -406,16 +406,20 @@ class SlotRing:
             If ``timeout`` elapses with the ring still full.
         """
         with self._cond:
-            while True:
-                if self._error is not None:
-                    raise type(self._error)(*self._error.args)
-                if self._free:
-                    return self._claim_locked()
-                if not self._cond.wait(timeout=timeout):
-                    raise TimeoutError(
-                        f"no free ring slot within {timeout}s "
-                        f"({self.manifest.slots} slots all in flight)"
-                    )
+            # wait_for looks at the ring once more when the wait times
+            # out: release() notifies one waiter, and one whose wait
+            # expired as the notify came would otherwise swallow it and
+            # leave a free slot beside an acquirer blocked for good.
+            self._cond.wait_for(
+                lambda: self._error is not None or self._free, timeout)
+            if self._error is not None:
+                raise type(self._error)(*self._error.args)
+            if not self._free:
+                raise TimeoutError(
+                    f"no free ring slot within {timeout}s "
+                    f"({self.manifest.slots} slots all in flight)"
+                )
+            return self._claim_locked()
 
     def _claim_locked(self) -> tuple[int, int]:
         slot = self._free.pop()

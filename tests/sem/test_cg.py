@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -1079,6 +1080,27 @@ class TestRhsScale:
             want.residual_history, k).tobytes()
         solo = solve(precision, prob, np.ldexp(bs[1], k), **kwargs)
         assert_same_result(solo, got.row(1))
+
+    @pytest.mark.parametrize("precision", ("fp64", "mixed"))
+    @pytest.mark.parametrize("k", (1020, -1064))
+    def test_an_x_the_caller_cannot_hold_is_not_converged(self, precision,
+                                                          k):
+        """At ``2^1020`` the scaled-back ``x`` overflows; at ``2^-1064``
+        it falls into subnormals and loses bits.  The solve itself meets
+        ``tol`` on the scaled system, but the row is not converged, and
+        nothing warns."""
+        prob = PoissonProblem(BoxMesh.build(ReferenceElement.from_degree(5),
+                                            (4, 4, 4)))
+        rng = np.random.default_rng(17)
+        b = np.ldexp(rng.standard_normal(prob.n_dofs) * prob.interior, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = prob.solve(b, tol=1e-8, maxiter=1000, precision=precision)
+        assert res.converged is False
+        if k > 0:  # x is scaled back all the same
+            assert not np.isfinite(res.x).all()
+        else:
+            assert 0 < np.abs(res.x).max() < np.finfo(np.float64).tiny
 
 
 class TestExhaustedSubspace:

@@ -8,7 +8,8 @@ full call, a repeat == itself, threaded == serial — each compared with
 itself, never with a reference (they sum in different orders on
 purpose).  *The CG passes*: against numpy on the same scalars — the
 vectors to the bit (one rounding per operation on both sides), the sums
-to a bound fixed from ``n`` and the dtype.  *The loader and its
+to a bound fixed from ``n`` and the dtype — and their sums to the byte
+against the one lane-by-lane definition, in pure Python.  *The loader and its
 refusals*: what C cannot take is copied or refused before C runs, every
 way a build can fail is one ``RuntimeError`` naming ``$CC``, and the
 loader never trusts a directory somebody else can write.
@@ -264,6 +265,25 @@ class TestExactContracts:
             out.append(w.tobytes())
         assert out[0] == out[1]
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_cg_bits_are_the_sources_not_the_optimisers(self, dtype):
+        """The CG passes' vectors are the source's and built with
+        contraction off: ``-O2`` and ``-O3`` builds of ``cg_dot``,
+        ``cg_step`` and ``cg_dir`` give the same bytes on ragged rows."""
+        real = native._C_REAL[np.dtype(dtype)]
+        out = []
+        for opt in ("-O2", "-O3"):
+            passes = native._cg_entry_points(ctypes.CDLL(native._build(
+                "cg", native._CG_SOURCE,
+                [*native._CG_FLAGS, opt, f"-DREAL={real}"])))
+            for precond in (True, False):
+                state = CGState(3, 1001, dtype, precond, seed=11)
+                sums = state.iterate([0.5, 1.25, 0.0], [0.75, 0.3, 2.0],
+                                     passes)
+                out.append(b"".join(a.tobytes() for a in (
+                    *sums, state.x, state.r, state.z, state.p)))
+        assert out[:2] == out[2:]
+
     def test_two_threads_at_once_equal_serial(self):
         """No globals, no heap, GIL released: two callers interleave
         freely.  Each thread's inputs differ, so a shared scratch would
@@ -312,12 +332,13 @@ class CGState:
             twin.z = twin.r
         return twin
 
-    def iterate(self, alpha, beta):
+    def iterate(self, alpha, beta, passes=None):
         """C's ``p.Ap``, the step under ``alpha``, the direction under
-        ``beta``; returns the three sums (the vectors moved in place)."""
+        ``beta`` (of ``passes``, else :func:`native.cg_passes`); returns
+        the three sums (the vectors moved in place)."""
         at = lambda a: None if a is None else a.ctypes.data  # noqa: E731
-        shape, (dot, step, direction) = self.x.shape, native.cg_passes(
-            self.x.dtype)[:3]
+        shape, (dot, step, direction) = self.x.shape, (
+            passes or native.cg_passes(self.x.dtype))[:3]
         dot(*shape, *map(at, (self.p, self.ap, self.dots)))
         p_ap = self.dots.copy()
         self.step[:] = alpha
@@ -344,6 +365,30 @@ def assert_sums_close(got, want, a, b):
     terms = np.abs(a.astype(np.float64) * b.astype(np.float64)).sum(axis=1)
     bound = a.shape[1] * np.finfo(float).eps * terms
     assert (np.abs(got - want) <= bound).all()
+
+
+#: Row lengths around the halves and the blocks of 8: none, one, ragged.
+LANE_NS = (1, 7, 8, 15, 16, 17, 23, 448, 1001)
+
+
+def lane_sum(products) -> np.float64:
+    """The one definition of a row sum, pinned in pure Python: the
+    halves ``[0, h)`` and ``[h, n)``, ``h = n // 16 * 8``; product ``i``
+    (already rounded to its dtype) added into fp64 lane ``i % 8`` from
+    the half's start; the lanes folded as ``FOLD``; the halves added."""
+    def fold(s):
+        return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5])
+                                                  + (s[3] + s[7]))
+
+    terms, n = products.tolist(), len(products)
+    h = n // 16 * 8
+    halves = []
+    for lo, hi in ((0, h), (h, n)):
+        lanes = [0.0] * 8
+        for i in range(lo, hi):
+            lanes[(i - lo) % 8] += terms[i]
+        halves.append(fold(lanes))
+    return np.float64(halves[0] + halves[1])
 
 
 class TestCGPasses:
@@ -392,33 +437,35 @@ class TestCGPasses:
 
     @pytest.mark.parametrize("nb", (1, 3))
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("n", (1, 7, 8, 15, 16, 17, 23, 448, 1001))
+    @pytest.mark.parametrize("n", LANE_NS)
     def test_a_sum_is_its_two_halves_in_eight_lanes(self, n, dtype, nb):
-        """The one definition of a row sum, pinned in pure Python: the
-        halves ``[0, h)`` and ``[h, n)``, ``h = n // 16 * 8``; product
-        ``i`` rounded to the dtype and added into fp64 lane ``i % 8``
-        from the half's start; the lanes folded as ``FOLD``; the two
-        halves added."""
+        """``cg_dot`` is :func:`lane_sum` of the products, to the byte."""
         rng = np.random.default_rng(n)
         a, b = rng.standard_normal((2, nb, n)).astype(dtype)
         got = np.empty(nb)
         native.cg_passes(np.dtype(dtype))[0](
             nb, n, a.ctypes.data, b.ctypes.data, got.ctypes.data)
-
-        def fold(s):
-            return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5])
-                                                      + (s[3] + s[7]))
-
-        h = n // 16 * 8
         for k in range(nb):
-            halves = []
-            for lo, hi in ((0, h), (h, n)):
-                lanes = [0.0] * 8
-                for i in range(lo, hi):
-                    lanes[(i - lo) % 8] += float(a[k, i] * b[k, i])
-                halves.append(fold(lanes))
-            want = halves[0] + halves[1]
-            assert got[k].tobytes() == np.float64(want).tobytes(), (k, n)
+            assert got[k].tobytes() == lane_sum(a[k] * b[k]).tobytes(), (k, n)
+
+    @pytest.mark.parametrize("precond", (True, False))
+    @pytest.mark.parametrize("nb", (1, 3))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", LANE_NS)
+    def test_the_steps_sums_are_their_two_halves_in_eight_lanes(
+            self, n, dtype, nb, precond):
+        """``cg_step``'s ``r.z`` and ``r.r`` are :func:`lane_sum` of the
+        products of the ``r`` and ``z`` it wrote, to the byte."""
+        state = CGState(nb, n, dtype, precond, seed=n)
+        state.step[:] = np.random.default_rng(n).uniform(0.1, 2.0, nb)
+        at = lambda a: None if a is None else a.ctypes.data  # noqa: E731
+        native.cg_passes(np.dtype(dtype))[1](nb, n, *map(at, (
+            state.step, state.p, state.ap, state.inv_m, state.x, state.r,
+            state.z, state.dots, state.rr)))
+        for k in range(nb):
+            r, z = state.r[k], state.z[k]
+            assert state.dots[k].tobytes() == lane_sum(r * z).tobytes()
+            assert state.rr[k].tobytes() == lane_sum(r * r).tobytes()
 
     def test_what_c_must_not_write_through_is_refused(self):
         """A workspace scalar of the wrong dtype, like a strided,

@@ -15,6 +15,14 @@ replay, which must give the whole pass's bytes.  Any finding aborts the
 driver; two negative controls show that an overrun (an element origin
 one row past the end) and a misaligned operand do.
 
+:data:`_CG_SOURCE`'s vector passes read and write each full block of 8
+nodes through a cast pointer too.  A second driver runs ``cg_dot``,
+``cg_step`` (with and without a Jacobi diagonal) and ``cg_dir`` under
+the same sanitizers on rows of 1, 7, 8, 9, 15, 17 and 1001 nodes, one
+and three rows, in exactly-sized, ``sizeof(REAL)``-aligned buffers; a
+source whose full-block loop runs one block further must be reported as
+a heap buffer overflow.
+
 The split CG loop runs under ``-fsanitize=thread``: :data:`_SOURCE` and
 :data:`_CG_SOURCE` in one executable whose driver runs ``cg_solve`` on
 the same box, masked and Jacobi-preconditioned, every pass as two
@@ -40,7 +48,7 @@ import pytest
 
 from repro.sem import native
 
-DRIVER = r"""
+HELPERS = r"""
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -62,7 +70,9 @@ static REAL *fresh(size_t n, REAL **block)
         (*block)[i] = (REAL)draw();
     return *block + 1;
 }
+"""
 
+DRIVER = HELPERS + r"""
 int main(void)
 {
     /* two elements sharing a face along x, numbered z-fastest: node
@@ -114,18 +124,45 @@ int main(void)
 }
 """
 
-SPLIT_DRIVER = r"""
-#include <stdio.h>
-#include <stdlib.h>
-
-static unsigned long long state = 88172645463325252ull;
-
-static double draw(void)  /* xorshift64: in [-0.5, 0.5) */
+CG_DRIVER = HELPERS + r"""
+int main(void)
 {
-    state ^= state << 13, state ^= state >> 7, state ^= state << 17;
-    return (double)(state >> 11) / 9007199254740992.0 - 0.5;
+    /* every vector pass, nb rows of n, on buffers of exactly nb * n
+       (step: nb) values, each only sizeof(REAL)-aligned: a full block
+       of 8, none, a ragged tail, both halves of a row */
+    static const ptrdiff_t sizes[] = {1, 7, 8, 9, 15, 17, 1001};
+    double sum = 0.0;
+    for (ptrdiff_t nb = 1; nb <= 3; nb += 2)
+        for (int c = 0; c < (int)(sizeof sizes / sizeof *sizes); c++) {
+            const ptrdiff_t n = sizes[c], nv = nb * n;
+            REAL *blocks[7];
+            REAL *x = fresh(nv, &blocks[0]), *r = fresh(nv, &blocks[1]);
+            REAL *z = fresh(nv, &blocks[2]), *p = fresh(nv, &blocks[3]);
+            REAL *ap = fresh(nv, &blocks[4]), *invm = fresh(nv, &blocks[5]);
+            REAL *step = fresh(nb, &blocks[6]);
+            double *out = malloc(3 * nb * sizeof *out);
+            for (ptrdiff_t i = 0; i < nv; i++)
+                invm[i] = (REAL)(1.0 + 0.5 * draw());
+            cg_dot(nb, n, p, ap, out);
+            cg_step(nb, n, step, p, ap, invm, x, r, z, out + nb,
+                    out + 2 * nb);
+            cg_step(nb, n, step, p, ap, NULL, x, r, r, out + nb,
+                    out + 2 * nb);
+            cg_dir(nb, n, step, z, p);
+            for (ptrdiff_t i = 0; i < nv; i++)
+                sum += x[i] + p[i];
+            for (ptrdiff_t k = 0; k < 3 * nb; k++)
+                sum += out[k];
+            for (int b = 0; b < 7; b++)
+                free(blocks[b]);
+            free(out);
+        }
+    printf("ok %g\n", sum);
+    return 0;
 }
+"""
 
+SPLIT_DRIVER = HELPERS + r"""
 int main(void)
 {
     /* the two-element box of the ASan driver, an SPD operator on it
@@ -218,20 +255,31 @@ def sanitizing_compiler(sanitize=SANITIZE) -> "tuple[str | None, str]":
         return cc, ""
 
 
-def run_driver(tmp_path, nx, dtype, overrun=0, shift=0):
-    cc, why = sanitizing_compiler()
+def build_and_run(tmp_path, sanitize, source, *defines):
+    """``source`` built with :data:`FLAGS`, ``sanitize`` and ``defines``
+    into one executable, and its run; skips where ``sanitize`` has no
+    runtime here."""
+    cc, why = sanitizing_compiler(sanitize)
     if cc is None:
         pytest.skip(why)
     exe = tmp_path / "driver"
     built = subprocess.run(
-        [cc, *FLAGS, *SANITIZE, f"-DNX={nx}",
-         f"-DREAL={native._C_REAL[np.dtype(dtype)]}",
-         f"-DOVERRUN={overrun}", f"-DSHIFT={shift}", "-o", str(exe), "-x", "c", "-"],
-        input=(native._SOURCE + DRIVER).encode(), capture_output=True,
-        timeout=300)
+        [cc, *FLAGS, *sanitize, *defines, "-o", str(exe), "-x", "c", "-",
+         "-lm"],
+        input=source.encode(), capture_output=True, timeout=300)
     assert built.returncode == 0, built.stderr.decode()
     return subprocess.run([str(exe)], capture_output=True, text=True,
                           env=ENV, timeout=120)
+
+
+def real(dtype) -> str:
+    return f"-DREAL={native._C_REAL[np.dtype(dtype)]}"
+
+
+def run_driver(tmp_path, nx, dtype, overrun=0, shift=0):
+    return build_and_run(
+        tmp_path, SANITIZE, native._SOURCE + DRIVER, f"-DNX={nx}",
+        real(dtype), f"-DOVERRUN={overrun}", f"-DSHIFT={shift}")
 
 
 @pytest.mark.parametrize("dtype", (np.float64, np.float32))
@@ -251,22 +299,37 @@ def test_a_bad_operand_is_caught(tmp_path, overrun, shift, finding):
     assert ran.returncode != 0 and finding in ran.stderr
 
 
+def run_cg(tmp_path, dtype, cg_source=native._CG_SOURCE):
+    return build_and_run(tmp_path, (*SANITIZE, "-pthread"),
+                         cg_source + CG_DRIVER, real(dtype))
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_the_cg_passes_run_clean(tmp_path, dtype):
+    """``cg_dot``, ``cg_step`` with and without ``invm`` and ``cg_dir``
+    on n in {1, 7, 8, 9, 15, 17, 1001}, nb in {1, 3}: every full block
+    of 8 a vector load or store, every tail node by node."""
+    ran = run_cg(tmp_path, dtype)
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout.startswith("ok ") and "nan" not in ran.stdout
+
+
+def test_a_block_past_the_row_is_caught(tmp_path):
+    """The full-block loop bound loosened by one block: the last block
+    of the last row reads and writes past its end."""
+    bound = "i + 8 <= hi"
+    assert native._CG_SOURCE.count(bound) == 1
+    ran = run_cg(tmp_path, np.float64, native._CG_SOURCE.replace(
+        bound, "i + 8 <= hi + 8"))
+    assert ran.returncode != 0
+    assert "AddressSanitizer: heap-buffer-overflow" in ran.stderr
+
+
 def run_split(tmp_path, nx, dtype, plane, cg_source=native._CG_SOURCE,
               cap=6):
-    cc, why = sanitizing_compiler(THREADS)
-    if cc is None:
-        pytest.skip(why)
-    exe = tmp_path / "split"
-    built = subprocess.run(
-        [cc, *FLAGS, *THREADS, f"-DNX={nx}",
-         f"-DREAL={native._C_REAL[np.dtype(dtype)]}", f"-DPLANE={plane}",
-         f"-DCAP={cap}",
-         "-o", str(exe), "-x", "c", "-", "-lm"],
-        input=(native._SOURCE + cg_source + SPLIT_DRIVER).encode(),
-        capture_output=True, timeout=300)
-    assert built.returncode == 0, built.stderr.decode()
-    return subprocess.run([str(exe)], capture_output=True, text=True,
-                          env=ENV, timeout=120)
+    return build_and_run(
+        tmp_path, THREADS, native._SOURCE + cg_source + SPLIT_DRIVER,
+        f"-DNX={nx}", real(dtype), f"-DPLANE={plane}", f"-DCAP={cap}")
 
 
 @pytest.mark.parametrize("dtype", (np.float64, np.float32))
@@ -285,10 +348,12 @@ def test_the_split_loop_runs_clean_under_tsan(tmp_path, nx, dtype):
 def test_parts_that_write_the_same_rows_are_a_data_race(tmp_path):
     """Plane 1 is inside element 0, whose rows above it part 1 zeroes
     and adds to as well.  Part 1 runs on the helper only where the
-    helper claims it first, which on one CPU it may never do."""
+    helper claims it first, which on one CPU it may never do, and a busy
+    host may run many rounds before it does: 300 iterations, as for the
+    halves below."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: the parts may never run at once")
-    ran = run_split(tmp_path, 8, np.float64, plane=1)
+    ran = run_split(tmp_path, 8, np.float64, plane=1, cap=300)
     assert ran.returncode != 0
     assert "ThreadSanitizer: data race" in ran.stderr
 

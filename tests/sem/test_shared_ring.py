@@ -155,6 +155,43 @@ class TestSlotRingBackpressure:
             ring.close()
 
 
+    def test_a_notify_taken_by_an_expired_wait_strands_no_slot(self):
+        """``release`` notifies one waiter.  Here the first in line has
+        a timeout that expires while ``release`` holds the lock, and a
+        second waits with none: whichever the notify reaches, the freed
+        slot is taken, and once it comes back the blocked acquirer gets
+        it — no slot sits free beside a blocked acquirer."""
+        ring = SlotRing.create(1, 2)
+        try:
+            held, _ = ring.acquire()
+            got = {}
+
+            def client(name, timeout):
+                try:
+                    got[name] = ring.acquire(timeout=timeout)
+                except TimeoutError:
+                    got[name] = None
+
+            expiring = threading.Thread(target=client, args=("expiring", 0.2))
+            blocked = threading.Thread(target=client, args=("blocked", None),
+                                       daemon=True)
+            expiring.start()
+            time.sleep(0.05)
+            blocked.start()
+            time.sleep(0.05)
+            with ring._cond:  # the first wait expires while this holds it
+                time.sleep(0.4)
+                ring.release(held)
+            expiring.join(10.0)
+            assert not expiring.is_alive()
+            if got["expiring"] is not None:
+                ring.release(got["expiring"][0])
+            blocked.join(10.0)
+            assert not blocked.is_alive() and got["blocked"] is not None
+        finally:
+            ring.close()
+
+
 class TestSlotRingInterrupt:
     def test_interrupt_wakes_blocked_acquirer_and_resume_reopens(self):
         ring = SlotRing.create(1, 2)
