@@ -436,10 +436,15 @@ def _start(b, r, tol, maxiter, res, stop, active) -> None:
 
 
 # census: refusal: the CG breakdown error (p.Ap <= 0)
-def _breakdown(worst: float) -> ValueError:
+def _breakdown(pap, active, shift) -> ValueError:
+    """The refusal of a loop that stopped on ``p^T A p < 0``: the live
+    row with the least ``p^T A p``, scaled back by ``2^(-2 shift)`` to
+    the system the caller posed (``p`` scales as ``b``)."""
+    row = int(np.argmin(np.where(active & (pap <= 0.0), pap, np.inf)))
+    value = float(np.ldexp(pap[row], -2 * int(shift[row])))
     return ValueError(
-        f"CG breakdown: p^T A p = {worst:g} <= 0 on an active "
-        "system (operator not SPD?)"
+        f"CG breakdown: p^T A p = {value!r} <= 0 on system {row} "
+        "(operator not SPD?)"
     )
 
 
@@ -472,8 +477,10 @@ def _compiled_loop(
     coef, res, stop, active, iterations, exhausted,
 ) -> NDArray[np.float64]:
     """Run the loop of :func:`_cg_iterate` as ``native.cg_solve`` and
-    return its residual history.  Every buffer is one C may write
-    through (:func:`_check_workspace`, or fresh).
+    return its residual history, or ``None`` if it stopped on a
+    breakdown (``pap`` and ``active`` as the iteration found them).
+    Every buffer is one C may write through (:func:`_check_workspace`,
+    or fresh).
 
     With ``fused`` C applies the operator itself, and a solve is one
     call without the GIL — every pass of it split in two parts on two
@@ -522,8 +529,10 @@ def _compiled_loop(
         start = state.it
         status = native.cg_passes(x.dtype)[3](state)
         history.append(block[: state.it - start])
+        if errors:
+            raise errors[0]
         if status:
-            raise errors[0] if errors else _breakdown(state.worst)
+            return None
         if state.it < state.cap or state.it == cap:
             return np.concatenate(history)
 
@@ -543,12 +552,13 @@ def _splits(fused) -> bool:
 
 
 def _cg_iterate(
-    apply_into, b, x0, md, tol, maxiter, workspace, fused=None
+    apply_into, b, x0, md, tol, maxiter, workspace, fused, shift
 ) -> BatchedCGResult:
-    """Jacobi-PCG over a ``(B, n)`` block; arguments as :func:`_validate`
-    returns them, operator and ``fused`` pass as :func:`_bind_operator`
-    binds them.  The returned ``x`` aliases the workspace's buffer when
-    one is given (:func:`_finish` copies it out)."""
+    """Jacobi-PCG over a ``(B, n)`` block; arguments and ``shift`` as
+    :func:`_validate` returns them, operator and ``fused`` pass as
+    :func:`_bind_operator` binds them.  The returned ``x`` aliases the
+    workspace's buffer when one is given (:func:`_finish` copies it
+    out)."""
     nb = b.shape[0]
     (
         x, r, z, p, ap, inv_m, rz, pap, coef, step, res, stop, active,
@@ -586,6 +596,8 @@ def _cg_iterate(
     history = _compiled_loop(
         apply_into, fused, maxiter, x, r, z, p, ap, inv_m, step, rz, pap,
         coef, res, stop, active, iterations, exhausted)
+    if history is None:
+        raise _breakdown(pap, active, shift)
     return BatchedCGResult(
         x=x,
         iterations=iterations,
@@ -712,7 +724,7 @@ def cg_solve_batched(
         stacked=True,
     )
     apply_into, fused = _bind_operator(apply_A, False, dtype)
-    res = _cg_iterate(apply_into, *args, workspace, fused)
+    res = _cg_iterate(apply_into, *args, workspace, fused, shift)
     return _finish(res, workspace, True, shift)
 
 
@@ -744,7 +756,7 @@ def cg_solve(
         stacked,
     )
     apply_into, fused = _bind_operator(apply_A, not stacked, dtype)
-    res = _cg_iterate(apply_into, *args, workspace, fused)
+    res = _cg_iterate(apply_into, *args, workspace, fused, shift)
     return _finish(res, workspace, stacked, shift)
 
 
@@ -919,7 +931,7 @@ def _refine(
         r32[~active] = 0.0  # frozen systems: zero rhs => zero correction
         inner = _cg_iterate(
             apply_into32, r32, None, md32, inner_tol, maxiter, workspace32,
-            fused32,
+            fused32, shift,
         )
         np.add(x, inner.x, out=x)  # fp64 accumulation; frozen rows add 0
         apply_into(x, ap)

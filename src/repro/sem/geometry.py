@@ -9,7 +9,9 @@ evaluated at each GLL point, with ``(p, q)`` in the order
 ``(rr, rs, rt, ss, st, tt)`` — exactly the ``gxyz[0..5]`` layout consumed
 by Listing 1.  All derivatives are taken spectrally (apply ``D`` to the
 nodal coordinates), so curved elements are handled exactly at the
-discretization's own accuracy.
+discretization's own accuracy.  :func:`geometric_factors` forms ``G`` in
+closed form from the cofactors of the Jacobian (cross products of its
+columns, no matrix inverse), a block of whole elements at a time.
 
 Storage is split (SoA): the six components live in one C-contiguous
 ``(6, E, nx, nx, nx)`` array (:attr:`Geometry.g_soa`) so each component
@@ -88,21 +90,6 @@ class Geometry:
                 self, "g_soa", np.ascontiguousarray(self.g_soa)
             )
 
-    @classmethod
-    def from_interleaved(
-        cls,
-        g: NDArray[np.float64],
-        jac: NDArray[np.float64],
-        mass: NDArray[np.float64],
-    ) -> "Geometry":
-        """Build from the historical ``(E, 6, nx, nx, nx)`` layout (copies)."""
-        if g.ndim != 5 or g.shape[1] != 6:
-            raise ValueError(
-                f"interleaved g must be (E, 6, nx, nx, nx), got {g.shape}"
-            )
-        g_soa = np.ascontiguousarray(g.transpose(1, 0, 2, 3, 4))
-        return cls(g_soa=g_soa, jac=jac, mass=mass)
-
     @property
     def g(self) -> NDArray[np.float64]:
         """Zero-copy ``(E, 6, nx, nx, nx)`` compatibility view.
@@ -112,26 +99,6 @@ class Geometry:
         layout.
         """
         return self.g_soa.transpose(1, 0, 2, 3, 4)
-
-    def component(self, c: "int | str") -> NDArray[np.float64]:
-        """Contiguous ``(E, nx, nx, nx)`` view of one symmetric component.
-
-        ``c`` is an index into, or a name from, :data:`G_COMPONENTS`.
-        """
-        if isinstance(c, str):
-            try:
-                c = G_COMPONENTS.index(c)
-            except ValueError:
-                raise KeyError(
-                    f"unknown G component {c!r}; "
-                    f"available: {', '.join(G_COMPONENTS)}"
-                ) from None
-        return self.g_soa[c]
-
-    @property
-    def num_elements(self) -> int:
-        """Number of elements the factors were computed for."""
-        return self.g_soa.shape[1]
 
     # ------------------------------------------------------------------
     # Reduced-precision twins (mixed-precision solve path)
@@ -239,48 +206,78 @@ class Geometry:
         return geo
 
 
+#: Nodes per block of :func:`geometric_factors` (whole elements, at
+#: least one): a block's two dozen temporaries stay a few MB.
+_BLOCK_NODES = 16384
+
+
 def geometric_factors(mesh: BoxMesh) -> Geometry:
     """Compute :class:`Geometry` for every element of ``mesh``.
+
+    The factors are taken in closed form from cofactors, as Nek5000
+    forms them: with ``a_p = dx/dr_p`` the Jacobian's columns,
+    ``c_0 = a_1 x a_2``, ``c_1 = a_2 x a_0`` and ``c_2 = a_0 x a_1`` are
+    ``|J|`` times the rows of its inverse, so ``|J| = a_0 . c_0`` and
+    ``G_pq = w3 (c_p . c_q) / |J|``.  The mesh is swept in blocks of
+    whole elements, about :data:`_BLOCK_NODES` nodes each, written
+    straight into the result, so no temporary is larger than a block.
 
     Raises
     ------
     ValueError
         If any nodal Jacobian determinant is not positive and finite
-        (a tangled mesh, or NaN / infinite / overflowing coordinates).
+        (a tangled mesh, or NaN / infinite / overflowing coordinates),
+        or any factor is not finite (coordinates whose scales differ
+        past the range of a double).
     """
     ref = mesh.ref
     w3 = ref.weights_3d()
-
-    # Jacobian matrix entries dx_m/dr_p, each (E, nx, nx, nx).
-    grads = [reference_gradient(ref, mesh.coords[m]) for m in range(3)]
-    # jmat[..., m, p] = dx_m / dr_p
-    jmat = np.stack(
-        [np.stack(grads[m], axis=-1) for m in range(3)], axis=-2
-    )  # (E, nx, nx, nx, 3(m), 3(p))
-
-    jac = np.linalg.det(jmat)
-    # Select the good nodes, not the bad ones: NaN fails ``jac <= 0``
-    # too, and a determinant that overflowed to +inf is no Jacobian.
-    good = np.isfinite(jac) & (jac > 0)
-    if not np.all(good):
-        bad = int(np.count_nonzero(~good))
+    shape = mesh.coords.shape[1:]
+    g_soa = np.empty((6,) + shape)
+    jac = np.empty(shape)
+    step = max(1, _BLOCK_NODES // w3.size)
+    bad = 0
+    with np.errstate(all="ignore"):  # refused below, node by node
+        for lo in range(0, shape[0], step):
+            blk = slice(lo, lo + step)
+            # grads[m][p] = dx_m / dr_p, so column p is a_p[m].
+            grads = [reference_gradient(ref, mesh.coords[m, blk])
+                     for m in range(3)]
+            a = [[grads[m][p] for m in range(3)] for p in range(3)]
+            c = [_cross(a[1], a[2]), _cross(a[2], a[0]), _cross(a[0], a[1])]
+            j = _dot(a[0], c[0])
+            jac[blk] = j
+            scale = w3 / j
+            comp = 0
+            for p in range(3):
+                for q in range(p, 3):
+                    np.multiply(scale, _dot(c[p], c[q]), out=g_soa[comp, blk])
+                    comp += 1
+            # Select the good nodes, not the bad ones: NaN fails
+            # ``j <= 0`` too, and a determinant that overflowed to +inf
+            # is no Jacobian.
+            good = np.isfinite(j) & (j > 0)
+            good &= np.isfinite(g_soa[:, blk]).all(axis=0)
+            bad += int(good.size - np.count_nonzero(good))
+    if bad:
         raise ValueError(
             f"mesh is tangled: {bad} nodal Jacobians are not positive "
-            "and finite"
+            "and finite, or give factors that are not finite"
         )
-    jinv = np.linalg.inv(jmat)  # jinv[..., p, m] = dr_p / dx_m
-
-    scale = w3[None] * jac  # (E, nx, nx, nx)
-    g_soa = np.empty((6, mesh.num_elements) + jac.shape[1:])
-    comp = 0
-    for p in range(3):
-        for q in range(p, 3):
-            g_soa[comp] = scale * np.einsum(
-                "...m,...m->...", jinv[..., p, :], jinv[..., q, :]
-            )
-            comp += 1
     mass = w3[None] * jac
     return Geometry(g_soa=g_soa, jac=jac, mass=mass)
+
+
+def _cross(u, v):
+    """``u x v`` of two vector fields given as three component arrays."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    """``u . v`` of two vector fields given as three component arrays."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 # census: reference: test_geometry.py checks geometric_factors against it

@@ -522,7 +522,6 @@ struct cg_loop {
     const char *g;
     double lam;
     int (*call)(void);
-    double worst;              /* out: p.Ap of a breakdown */
 };
 
 /* The passes of an iteration, in order: A p (fused), p.Ap with the
@@ -665,10 +664,8 @@ static int iterate(struct cg_loop *s, struct team *t)
                 worst = pap[k] < worst ? pap[k] : worst;
             }
         if (bad) {
-            if (worst <= -1e-300) {
-                s->worst = worst;
-                return -1;
-            }
+            if (worst <= -1e-300)
+                return -1;  /* pap, active: as found, for the caller */
             /* exact zero directions: solved subspaces, frozen */
             live = 0;
             for (ptrdiff_t k = 0; k < nb; k++) {
@@ -865,7 +862,6 @@ class CGLoop(ctypes.Structure):
             "D", "mask", "mass", "stash", "org", "slot", "edge", "g")),
         ("lam", ctypes.c_double),
         ("call", OperatorCall),
-        ("worst", ctypes.c_double),
     ]
 
 

@@ -20,12 +20,12 @@ The *exporting* process owns the block: it keeps the returned
 ``SharedMemory`` handle and must eventually ``close()`` + ``unlink()``
 it (:class:`repro.sem.spec.SharedProblemExport` and
 :class:`repro.serve.procshard.ProcessShardedSolveService` do this on
-``close``).  *Attaching* processes only ever ``close()`` their mapping —
-:func:`attach_shared_arrays` unregisters the attachment from the
-``multiprocessing`` resource tracker so a worker exiting can never tear
-the block down under the exporter (the stdlib tracker would otherwise
-unlink segments it saw, destroying the fleet's shared state when the
-first worker dies).
+``close``).  *Attaching* processes only ever ``close()`` their mapping,
+and no attacher's ``multiprocessing`` resource tracker may tear the
+block down under the exporter: a worker the exporter started shares
+the exporter's tracker, where its attach dedupes into the exporter's
+own entry, and any other process unregisters its attachment
+(:func:`_untrack`).
 
 Attached views are marked non-writeable: the shared state is immutable
 by contract, and a stray in-place write in one worker corrupting every
@@ -35,6 +35,7 @@ an immediate ``ValueError``.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
@@ -63,10 +64,9 @@ class SharedArrayManifest:
         One ``(key, offset, shape, dtype_str)`` record per packed
         array, in packing order.
     creator_pid:
-        PID of the exporting process.  Attaches from *other* processes
-        are untracked from the resource tracker (they must never unlink
-        the block); an attach inside the exporting process keeps the
-        exporter's own tracker registration intact.
+        PID of the exporting process.  Attaches outside it and its
+        ``multiprocessing`` children are untracked from the resource
+        tracker (:func:`_untrack`).
     """
 
     block: str
@@ -80,45 +80,39 @@ def _aligned(offset: int) -> int:
     return -(-offset // _ALIGN) * _ALIGN
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Remove an *attached* block from this process's resource tracker.
+def _untrack(shm: shared_memory.SharedMemory, creator_pid: int) -> None:
+    """Keep an *attached* block from being unlinked by this process's
+    resource tracker.
 
     The stdlib registers every ``SharedMemory`` with the
     ``multiprocessing`` resource tracker, which unlinks whatever it
-    tracked when the process exits.  That is correct for the exporting
-    owner and catastrophic for attachers: a worker exiting (or crashing)
-    would destroy the block every other worker is still mapping.  Only
-    the exporter may unlink; attachers are untracked here.
+    still tracks when it exits.  A process that ``multiprocessing``
+    started shares its parent's tracker, where registrations dedupe
+    into one set: an attach there only re-adds the exporter's own entry
+    (the tracker outlives every worker, and the exporter's unlink
+    removes the entry once), so it is left alone — unregistering it too
+    made two workers attaching at once remove the one entry twice, and
+    the tracker logged a ``KeyError``.  Any other process has a tracker
+    of its own, which would destroy the block every other process is
+    still mapping when that process exits: its attach is untracked.
     """
+    parent = multiprocessing.parent_process()
+    if creator_pid in (os.getpid(), parent and parent.pid):
+        return
     try:  # pragma: no cover - exercised indirectly; stdlib-internal name
         from multiprocessing import resource_tracker
 
         resource_tracker.unregister(shm._name, "shared_memory")
     except Exception:
         # Tracker layouts differ across Python patch versions; failing
-        # to untrack degrades to a spurious unlink warning at worker
-        # exit, never to corruption.
+        # to untrack degrades to a spurious unlink warning at exit,
+        # never to corruption.
         pass
 
 
 def unlink_shared_block(shm: shared_memory.SharedMemory) -> None:
-    """Unlink an exported block, keeping the resource tracker balanced.
-
-    Worker attaches may have stripped the name from a *shared* tracker
-    (spawned children inherit the exporter's tracker process, where
-    registrations dedupe into one set — see :func:`_untrack`), in which
-    case a bare ``unlink()`` would make the tracker log a spurious
-    ``KeyError``.  Re-registering first is idempotent when the entry
-    survived and restores it when it didn't, so the unlink's internal
-    unregistration always finds its entry.  ``FileNotFoundError`` (an
-    already-unlinked block) is swallowed — unlink is idempotent here.
-    """
-    try:  # pragma: no cover - stdlib-internal name, see _untrack
-        from multiprocessing import resource_tracker
-
-        resource_tracker.register(shm._name, "shared_memory")
-    except Exception:
-        pass
+    """Unlink an exported block; ``FileNotFoundError`` (an
+    already-unlinked block) is swallowed — unlink is idempotent here."""
     try:
         shm.unlink()
     except FileNotFoundError:
@@ -204,13 +198,7 @@ def attach_shared_arrays(
         If the block no longer exists (the exporter unlinked it).
     """
     shm = shared_memory.SharedMemory(name=manifest.block, create=False)
-    if manifest.creator_pid != os.getpid():
-        # A foreign attacher must never let its resource tracker unlink
-        # the exporter's block.  An in-process attach is left tracked:
-        # the tracker's cache is a set, so the attach deduped against
-        # the exporter's own registration and untracking here would
-        # strip it — unbalancing the exporter's eventual unlink.
-        _untrack(shm)
+    _untrack(shm, manifest.creator_pid)
     views: dict[str, NDArray] = {}
     for key, off, shape, dtype_str in manifest.entries:
         view = np.ndarray(
@@ -242,9 +230,8 @@ class SlotRingManifest:
         is fp64 for both the fp64 and mixed-precision solve paths, so
         one payload dtype carries both).
     creator_pid:
-        PID of the creating (parent) process; foreign attaches are
-        untracked from the resource tracker exactly like
-        :class:`SharedArrayManifest` attaches.
+        PID of the creating (parent) process; attaches are tracked or
+        untracked exactly like :class:`SharedArrayManifest` attaches.
     """
 
     block: str
@@ -294,7 +281,7 @@ class SlotRing:
 
     Ownership mirrors :func:`export_shared_arrays`: the creator keeps
     the handle and eventually ``close(unlink=True)``\\ s; attachers (the
-    workers) are untracked and only ever ``close()`` their mapping.
+    workers) only ever ``close()`` their mapping.
     Attached ``rhs`` and ``req_seq`` views are read-only — a worker can
     never corrupt a request in flight; ``x`` and ``resp_seq`` stay
     writable (they are the worker's reply channel).
@@ -379,12 +366,11 @@ class SlotRing:
     def attach(cls, manifest: SlotRingManifest) -> "SlotRing":
         """Map an existing ring (worker side, non-owning).
 
-        Foreign attaches are untracked from the resource tracker so a
-        dying worker can never unlink the parent's ring.
+        No attacher's resource tracker may unlink the parent's ring
+        (:func:`_untrack`).
         """
         shm = shared_memory.SharedMemory(name=manifest.block, create=False)
-        if manifest.creator_pid != os.getpid():
-            _untrack(shm)
+        _untrack(shm, manifest.creator_pid)
         return cls(shm, manifest, owner=False)
 
     # -- parent-side slot accounting -------------------------------------

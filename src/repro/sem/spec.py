@@ -155,7 +155,7 @@ class SharedProblemExport:
     manifests), :attr:`blocks` are the owning ``SharedMemory`` handles.
     Call :meth:`close` exactly once when the fleet is done — it unmaps
     *and unlinks* the blocks, which is the exporter's job alone
-    (attachers are untracked; see :mod:`repro.sem.shared`).
+    (see :mod:`repro.sem.shared`).
     """
 
     spec: ProblemSpec

@@ -5,7 +5,8 @@ library's kernel before the compiled one), :func:`ax_element_matrix` /
 :func:`ax_local_dense` assemble and apply the dense element matrix
 (small ``N`` only), and :func:`helmholtz_local` adds the BK5 mass term;
 each also works as a plain ``(ref, u, g)`` problem backend.
-:func:`row_dots`, :func:`cg_step` and :func:`cg_direction` are the CG
+:func:`lapack_geometric_factors` forms ``G`` by matrix inverse (the
+library's formula before its closed form).  :func:`row_dots`, :func:`cg_step` and :func:`cg_direction` are the CG
 vector passes in numpy, and :func:`python_cg_loop` is the CG loop in
 Python around C's passes.  They are oracles: slow, allocating, and
 called by nothing under ``src/``.
@@ -16,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.sem import cg, native
+from repro.sem import native
 from repro.sem.element import ReferenceElement
+from repro.sem.geometry import reference_gradient
 from repro.sem.operators import _check_shapes
 
 
@@ -102,6 +104,23 @@ def helmholtz_local(
     return w
 
 
+def lapack_geometric_factors(mesh):
+    """``(g_soa, jac)`` of ``mesh`` from a batched ``np.linalg.det`` and
+    ``np.linalg.inv`` of every nodal 3x3 Jacobian, ``G_pq = w3 |J|
+    sum_m (dr_p/dx_m)(dr_q/dx_m)``."""
+    grads = [reference_gradient(mesh.ref, mesh.coords[m]) for m in range(3)]
+    # jmat[..., m, p] = dx_m / dr_p
+    jmat = np.stack([np.stack(grads[m], axis=-1) for m in range(3)], axis=-2)
+    jac = np.linalg.det(jmat)
+    jinv = np.linalg.inv(jmat)  # jinv[..., p, m] = dr_p / dx_m
+    scale = mesh.ref.weights_3d()[None] * jac
+    g_soa = np.stack([
+        scale * np.einsum("...m,...m->...", jinv[..., p, :], jinv[..., q, :])
+        for p in range(3) for q in range(p, 3)
+    ])
+    return g_soa, jac
+
+
 # ----------------------------------------------------------------------
 # The CG vector passes and loop
 
@@ -137,7 +156,8 @@ def python_cg_loop(
     buffers and the same stopping, freezing and scalar recurrence,
     driving C's ``cg_dot``, ``cg_step`` and ``cg_dir`` one call at a
     time and calling the operator back every iteration (``fused`` is
-    not used).  Returns the residual history, as the compiled loop."""
+    not used).  Returns the residual history, or ``None`` on a
+    breakdown, as the compiled loop."""
     dot, c_step, c_dir = native.cg_passes(x.dtype)[:3]
 
     def at(a):
@@ -149,9 +169,8 @@ def python_cg_loop(
         dot(*p.shape, at(p), at(ap), at(pap))
         bad = active & (pap <= 0.0)
         if bad.any():
-            worst = float(pap[bad].min())
-            if worst <= -1e-300:
-                raise cg._breakdown(worst)
+            if pap[bad].min() <= -1e-300:
+                return None
             # Exact zero directions: those systems' subspaces are
             # solved; freeze them and let the others continue.
             active &= ~bad

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import re
 import warnings
 
 import numpy as np
@@ -1101,6 +1102,41 @@ class TestRhsScale:
             assert not np.isfinite(res.x).all()
         else:
             assert 0 < np.abs(res.x).max() < np.finfo(np.float64).tiny
+
+    @pytest.mark.parametrize("path", ("compiled", "numpy_body"))
+    @pytest.mark.parametrize("precision", ("fp64", "mixed"))
+    @pytest.mark.parametrize("batch", (1, 3))
+    def test_a_breakdown_is_reported_in_the_callers_scale(
+        self, batch, precision, path, request
+    ):
+        """The negated Poisson operator breaks down at once.  The loop
+        runs on the same scaled system for ``b`` and ``b·2^20``, so the
+        ``p^T A p`` reported for the second is ``2^40`` times the first's,
+        exactly, on the same row."""
+        if path == "numpy_body":
+            request.getfixturevalue("reference_loop")
+        prob = sem_problem()
+        b = sem_block(prob, batch=batch)
+        if batch == 1:
+            b = b[0]
+        stacked = "_batched" if batch > 1 else ""
+        if precision == "fp64":
+            fn = functools.partial(getattr(cg, "cg_solve" + stacked),
+                                   lambda v: -prob.apply_A(v))
+        else:
+            fn = functools.partial(getattr(cg, f"cg_solve{stacked}_mixed"),
+                                   lambda v: -prob.apply_A(v),
+                                   lambda v: -prob.apply_A32(v))
+        said = []
+        for k in (0, 20):
+            with pytest.raises(ValueError) as err:
+                fn(np.ldexp(b, k))
+            said.append(re.fullmatch(
+                r"CG breakdown: p\^T A p = (\S+) <= 0 on system (\d+) "
+                r"\(operator not SPD\?\)", str(err.value)).groups())
+        (value, row), (value20, row20) = said
+        assert float(value) < 0.0 and float(value20) == float(value) * 2**40
+        assert row20 == row and int(row) < batch
 
 
 class TestExhaustedSubspace:

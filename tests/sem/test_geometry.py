@@ -90,12 +90,16 @@ class TestCurvedFactors:
         with pytest.raises(ValueError, match="tangled"):
             geometric_factors(mesh.deform(lambda x, y, z: (-x, y, z)))
 
-    @pytest.mark.parametrize("case", ("nan", "inf", "overflow", "inverted"))
+    @pytest.mark.parametrize(
+        "case", ("nan", "inf", "overflow", "inverted", "g_overflow")
+    )
     def test_bad_coordinates_refused_at_construction(self, case):
         """Regression: the check was ``np.any(jac <= 0)``, which is False
         for NaN (and for a Jacobian that overflowed to +inf), so a mesh
         with one NaN coordinate became a Geometry with NaN factors — a
-        problem whose every solve is NaN instead of a refusal."""
+        problem whose every solve is NaN instead of a refusal.  And a
+        mesh whose Jacobians are all finite and positive can still have
+        factors past the range of a double (``g_overflow``)."""
         from repro.sem import HelmholtzProblem, PoissonProblem
 
         def poke(value, index):
@@ -105,17 +109,21 @@ class TestCurvedFactors:
                 return x, y, z
             return f
 
-        degree, deform = {
-            "nan": (3, poke(np.nan, (1, 2, 1, 0))),
+        unit = (1.0, 1.0, 1.0)
+        degree, extent, deform = {
+            "nan": (3, unit, poke(np.nan, (1, 2, 1, 0))),
             # Stretching a corner outwards keeps every *finite* Jacobian
             # positive: only NaN and +inf are left to notice.
-            "inf": (1, poke(np.inf, (0, 1, 0, 0))),
-            "overflow": (3, lambda x, y, z: (1e200 * x, 1e200 * y, z)),
-            "inverted": (3, lambda x, y, z: (-x, y, z)),
+            "inf": (1, unit, poke(np.inf, (0, 1, 0, 0))),
+            "overflow": (3, unit, lambda x, y, z: (1e200 * x, 1e200 * y, z)),
+            "inverted": (3, unit, lambda x, y, z: (-x, y, z)),
+            # |J| ~ 1e148, but G_rr ~ |J| (dr/dx)^2 ~ 1e448.
+            "g_overflow": (3, (1e-150, 1e150, 1e150),
+                           lambda x, y, z: (x, y, z)),
         }[case]
         ref = ReferenceElement.from_degree(degree)
         with np.errstate(all="ignore"):
-            mesh = BoxMesh.build(ref, (2, 2, 2)).deform(deform)
+            mesh = BoxMesh.build(ref, (2, 2, 2), extent=extent).deform(deform)
             for build in (
                 geometric_factors,
                 PoissonProblem,
@@ -124,8 +132,51 @@ class TestCurvedFactors:
                 with pytest.raises(ValueError, match="tangled"):
                     build(mesh)
 
-    def test_num_elements_property(self, curved_geo3, curved_mesh3):
-        assert curved_geo3.num_elements == curved_mesh3.num_elements
+
+class TestClosedFormAgainstLapack:
+    """The cofactor form of ``geometric_factors`` against the matrix
+    inverse it replaced (``oracles.lapack_geometric_factors``), on meshes
+    that end in a ragged block."""
+
+    SHAPES = {1: (13, 13, 13), 3: (7, 7, 6), 7: (5, 3, 3)}
+
+    def mesh(self, degree, deformed):
+        ref = ReferenceElement.from_degree(degree)
+        mesh = BoxMesh.build(ref, self.SHAPES[degree], extent=(1.0, 0.7, 1.3))
+        if not deformed:
+            return mesh
+        amp = np.random.default_rng(38 + degree).uniform(0.02, 0.06, 3)
+        return mesh.deform(lambda x, y, z: (
+            x + amp[0] * np.sin(np.pi * y) * np.sin(np.pi * z),
+            y + amp[1] * np.sin(np.pi * z) * np.sin(np.pi * x),
+            z + amp[2] * np.sin(np.pi * x) * np.sin(np.pi * y),
+        ))
+
+    @pytest.mark.parametrize("deformed", (False, True), ids=("box", "deformed"))
+    @pytest.mark.parametrize("degree", (1, 3, 7))
+    def test_matches_lapack(self, degree, deformed):
+        from oracles import lapack_geometric_factors
+        from repro.sem import geometry
+
+        mesh = self.mesh(degree, deformed)
+        step = max(1, geometry._BLOCK_NODES // mesh.ref.n_points ** 3)
+        assert mesh.num_elements > step and mesh.num_elements % step
+        geo = geometric_factors(mesh)
+        g_ref, jac_ref = lapack_geometric_factors(mesh)
+        # Each node's entries against that node's largest one.
+        scale = np.abs(g_ref).max(axis=0)
+        assert np.all(np.abs(geo.g_soa - g_ref) <= 1e-13 * scale)
+        assert np.all(np.abs(geo.jac - jac_ref) <= 1e-13 * jac_ref)
+        assert np.array_equal(geo.mass, mesh.ref.weights_3d()[None] * geo.jac)
+        gm = np.empty(geo.jac.shape + (3, 3))
+        for c, (p, q) in enumerate(
+            (p, q) for p in range(3) for q in range(p, 3)
+        ):
+            gm[..., p, q] = gm[..., q, p] = geo.g_soa[c]
+        assert np.all(np.linalg.eigvalsh(gm) >= -1e-13 * scale[..., None])
+        if not deformed:
+            for c in (1, 2, 4):  # rs, rt, st
+                assert np.all(np.abs(geo.g_soa[c]) <= 1e-12 * scale)
 
 
 class TestSoALayout:
@@ -141,34 +192,12 @@ class TestSoALayout:
     def test_g_view_matches_soa_and_shares_memory(self, curved_geo3):
         geo = curved_geo3
         g = geo.g
-        assert g.shape[0] == geo.num_elements and g.shape[1] == 6
+        assert g.shape[:2] == (geo.g_soa.shape[1], 6)
         for c in range(6):
             comp = g[:, c]
             assert comp.flags.c_contiguous  # the point of the layout
             assert np.shares_memory(comp, geo.g_soa)
             assert np.array_equal(comp, geo.g_soa[c])
-
-    def test_component_accessor(self, curved_geo3):
-        from repro.sem.geometry import G_COMPONENTS
-
-        geo = curved_geo3
-        for c, name in enumerate(G_COMPONENTS):
-            assert geo.component(c) is geo.g_soa[c] or np.array_equal(
-                geo.component(c), geo.g_soa[c]
-            )
-            assert np.array_equal(geo.component(name), geo.g_soa[c])
-        with pytest.raises(KeyError, match="available"):
-            geo.component("zz")
-
-    def test_from_interleaved_round_trip(self, curved_geo3):
-        from repro.sem.geometry import Geometry
-
-        geo = curved_geo3
-        rebuilt = Geometry.from_interleaved(
-            np.array(geo.g), geo.jac, geo.mass
-        )
-        assert np.array_equal(rebuilt.g_soa, geo.g_soa)
-        assert rebuilt.num_elements == geo.num_elements
 
     def test_bad_shapes_rejected(self, ref3):
         from repro.sem.geometry import Geometry
@@ -178,12 +207,6 @@ class TestSoALayout:
                 g_soa=np.zeros((5, 2, 4, 4, 4)),
                 jac=np.ones((2, 4, 4, 4)),
                 mass=np.ones((2, 4, 4, 4)),
-            )
-        with pytest.raises(ValueError, match="interleaved"):
-            Geometry.from_interleaved(
-                np.zeros((2, 5, 4, 4, 4)),
-                np.ones((2, 4, 4, 4)),
-                np.ones((2, 4, 4, 4)),
             )
 
     def test_all_kernels_match_on_soa_geometry(self, ref3):

@@ -6,9 +6,13 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.sem import (
     BoxMesh,
@@ -85,6 +89,91 @@ class TestSharedArrays:
         shm.unlink()
         with pytest.raises(FileNotFoundError):
             attach_shared_arrays(manifest)
+
+
+#: Two spawned workers attach one exported block at once, ``ROUNDS``
+#: times, then the exporter unlinks it and exits.
+ATTACH_AT_ONCE = """
+import multiprocessing as mp
+import os
+import numpy as np
+from repro.sem.shared import (
+    attach_shared_arrays, export_shared_arrays, unlink_shared_block)
+
+ROUNDS = 100
+
+def attach(manifest, barrier):
+    for _ in range(ROUNDS):
+        barrier.wait(timeout=30)
+        shm, views = attach_shared_arrays(manifest)
+        del views
+        shm.close()
+
+if __name__ == "__main__":
+    ctx = mp.get_context("spawn")
+    shm, manifest = export_shared_arrays({"a": np.arange(8.0)})
+    barrier = ctx.Barrier(2)
+    workers = [ctx.Process(target=attach, args=(manifest, barrier))
+               for _ in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+        assert w.exitcode == 0
+    shm.close()
+    unlink_shared_block(shm)
+    assert not os.path.exists("/dev/shm/" + manifest.block)
+"""
+
+
+class TestResourceTracker:
+    """The ``multiprocessing`` resource tracker's books match the
+    fleet's: it logs to the stderr of the process that started it, and
+    that process's children share it."""
+
+    @staticmethod
+    def run(*args: str) -> subprocess.CompletedProcess:
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_workers_attaching_at_once_keep_it_balanced(self, tmp_path):
+        """Each worker used to unregister its attach from the tracker it
+        shares with the exporter, so two attaches at once removed the
+        exporter's one entry twice and the tracker printed a
+        ``KeyError`` traceback."""
+        script = tmp_path / "attach_at_once.py"
+        script.write_text(ATTACH_AT_ONCE)
+        done = self.run(str(script))
+        assert done.returncode == 0, done.stderr
+        assert "resource_tracker" not in done.stderr, done.stderr
+        assert "KeyError" not in done.stderr, done.stderr
+
+    def test_a_foreign_attacher_never_unlinks(self, tmp_path):
+        """A process that is no ``multiprocessing`` child of the exporter
+        has a tracker of its own: its attach is untracked, so its exit
+        leaves the block to the exporter."""
+        shm, manifest = export_shared_arrays({"a": np.arange(8.0)})
+        try:
+            path = tmp_path / "manifest.pkl"
+            path.write_bytes(pickle.dumps(manifest))
+            done = self.run(
+                "-c",
+                "import pickle, sys\n"
+                "from repro.sem.shared import attach_shared_arrays\n"
+                "m = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+                "shm, views = attach_shared_arrays(m)\n"
+                "assert views['a'][7] == 7.0\n"
+                "del views\n"
+                "shm.close()\n", str(path))
+            assert done.returncode == 0, done.stderr
+            assert "resource_tracker" not in done.stderr, done.stderr
+            assert os.path.exists("/dev/shm/" + manifest.block)
+        finally:
+            shm.close()
+            shm.unlink()
 
 
 class TestGatherScatterShared:
