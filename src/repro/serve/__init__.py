@@ -7,8 +7,9 @@ in three tiers:
   single-RHS solve requests (from scripts via
   :meth:`SolveService.solve_many`, or from concurrent client threads
   via :meth:`SolveService.submit` with a background dispatcher) and
-  dynamically coalesces them — up to ``max_batch`` requests, waiting at
-  most ``max_wait`` — into warm
+  dynamically coalesces them — up to ``max_batch`` requests, a forming
+  burst waiting at most ``max_wait`` and a lone request not at all —
+  into warm
   :func:`~repro.sem.cg.cg_solve_batched` dispatches through the
   problem's cache of batched workspaces, one solve at a time.
 * :class:`ProcessShardedSolveService` — K worker *processes*

@@ -184,7 +184,10 @@ class ProcessShardedSolveService:
         Forwarded to every worker's in-process
         :class:`~repro.serve.service.SolveService`; omitted knobs take
         that dataclass's own defaults (only what was set is forwarded,
-        so there is exactly one set of defaults).
+        so there is exactly one set of defaults).  ``max_wait`` is a
+        worker's linger for a forming burst of two or more; a request
+        alone in a worker's queue when its dispatcher looks is solved
+        at once.
     retry:
         :class:`~repro.serve.health.RetryPolicy` governing transparent
         resubmission of requests lost to a worker crash (solves are

@@ -192,24 +192,19 @@ def _worker_main(
                 pass
 
     # Finished results flow through a local queue to a pump thread that
-    # sweeps everything available into one done_block per send — while
-    # one message is in flight, later completions pile up and ride the
-    # next one (opportunistic coalescing, exactly like micro-batching).
+    # sweeps everything already queued into one done_block per send —
+    # while one message is in flight, later completions pile up and ride
+    # the next one (opportunistic coalescing, exactly like
+    # micro-batching).  The pump never lingers for a result that is not
+    # there yet: what it holds, it sends.
     results: "queue.SimpleQueue" = queue.SimpleQueue()
-
-    #: Seconds the pump lingers for the next finished result before
-    #: shipping the block: tickets of one stacked solve resolve
-    #: microseconds apart, so this tiny linger folds a whole batch into
-    #: one pipe message at a sub-millisecond delivery-latency cost.
-    pump_linger = 2e-4
 
     def pump() -> None:
         while True:
-            item = results.get()
-            block = [item]
+            block = [results.get()]
             while True:
                 try:
-                    block.append(results.get(timeout=pump_linger))
+                    block.append(results.get_nowait())
                 except queue.Empty:
                     break
             stop = any(entry is None for entry in block)

@@ -7,7 +7,9 @@ solve amortizes geometry traffic and dispatch overhead across all of
 them.  :class:`MicroBatcher` implements the standard compromise — a
 dispatch fires as soon as ``max_batch`` requests are pending, or
 ``max_wait`` seconds after the oldest pending request arrived, whichever
-comes first.
+comes first.  Only a forming burst lingers: a request that is alone when
+the dispatcher looks goes out at once, since an idle device gains
+nothing by waiting for batchmates that may never come.
 
 The batcher is a plain thread-safe data structure (one condition
 variable, one deque); the policy loop that calls :meth:`take_batch`
@@ -64,9 +66,12 @@ class MicroBatcher(Generic[T]):
     max_batch:
         Largest number of items a single :meth:`take_batch` returns.
     max_wait:
-        Seconds :meth:`take_batch` lingers after the first pending item
-        for more to coalesce.  ``0.0`` pops whatever is pending
-        immediately (pure opportunistic batching).
+        Seconds :meth:`take_batch` lingers, counted from the oldest
+        pending item's arrival, for a forming burst to fill a batch.
+        It lingers only while two or more items are pending: a request
+        that is alone when the dispatcher looks goes out at once.
+        ``0.0`` pops whatever is pending immediately (pure
+        opportunistic batching).
     max_pending:
         Backpressure bound: :meth:`put` blocks (or, with
         ``block=False``, declines) while this many items are queued.
@@ -217,11 +222,13 @@ class MicroBatcher(Generic[T]):
     def take_batch(self) -> list[T]:
         """Block until a batch is ready and pop up to ``max_batch`` items.
 
-        A batch is ready when ``max_batch`` items are pending, or the
-        oldest pending item has waited ``max_wait`` since it was
-        enqueued (so time the dispatcher spent solving the previous
-        batch counts against the linger), or the batcher is closed
-        (drain mode).
+        A batch is ready when exactly one item is pending (a lone
+        request never waits for company), when ``max_batch`` items are
+        pending, when the oldest pending item has waited ``max_wait``
+        since it was enqueued (so time the dispatcher spent solving the
+        previous batch counts against the linger), or when the batcher
+        is closed (drain mode).  Lingering therefore only happens while
+        two or more items are pending — a burst that is forming.
 
         Returns
         -------
@@ -233,14 +240,14 @@ class MicroBatcher(Generic[T]):
             while not self._items and not self._closed:
                 self._cond.wait()
             while (
-                self._items
-                and len(self._items) < self.max_batch
+                1 < len(self._items) < self.max_batch
                 and not self._closed
             ):
-                # Linger for stragglers: this is the "dynamic" in
-                # dynamic micro-batching.  The deadline is the oldest
-                # item's arrival + max_wait, the documented per-request
-                # latency bound.
+                # Linger for stragglers while a burst is forming: this
+                # is the "dynamic" in dynamic micro-batching.  A lone
+                # request is no burst — it leaves at once.  The deadline
+                # is the oldest item's arrival + max_wait, the
+                # documented per-request latency bound.
                 remaining = self._items[0][0] + self.max_wait \
                     - time.monotonic()
                 if remaining <= 0:

@@ -33,7 +33,8 @@ Two front-ends share the machinery:
 * ``background=True`` — a dispatcher thread batches concurrent
   :meth:`SolveService.submit` calls from many clients, firing a batch
   when ``max_batch`` requests are pending or ``max_wait`` seconds after
-  the oldest arrived.
+  the oldest arrived — and at once when the request it finds is alone,
+  since only a burst of two or more is worth lingering for.
 """
 
 from __future__ import annotations
@@ -275,7 +276,9 @@ class SolveService:
         Latency bound on coalescing: the background dispatcher fires a
         partial batch once the *oldest* pending request has waited this
         many seconds since arrival (time spent solving the previous
-        batch counts).  Ignored by the synchronous front-end, which
+        batch counts).  It lingers only while two or more requests are
+        pending: a request that is alone when the dispatcher looks is
+        solved at once.  Ignored by the synchronous front-end, which
         drains on demand.
     max_pending:
         Backpressure bound on queued requests; ``submit`` blocks while

@@ -44,11 +44,31 @@ class TestAsyncSolve:
             svc = SolveService(
                 fresh_problem, max_batch=8, max_wait=0.05, background=True,
             )
-            async with AsyncSolveService(svc) as asvc:
-                results = await asvc.solve_many(
-                    bank[:8], tol=1e-10, maxiter=200
-                )
-                return results, asvc.service.stats
+            # The dispatcher may look at the queue only once all eight
+            # are in: the loop thread holds the batcher's (reentrant)
+            # lock until the eighth put, so a loop descheduled between
+            # two submits cannot hand the dispatcher a lone request.
+            batcher = svc._batcher
+            put, held = batcher.put, [True]
+
+            def put_then_let_go(item, block=True):
+                depth = put(item, block)
+                if depth == 8 and held[0]:
+                    held[0] = False
+                    batcher._cond.release()
+                return depth
+
+            batcher._cond.acquire()
+            batcher.put = put_then_let_go
+            try:
+                async with AsyncSolveService(svc) as asvc:
+                    results = await asvc.solve_many(
+                        bank[:8], tol=1e-10, maxiter=200
+                    )
+                    return results, asvc.service.stats
+            finally:
+                if held[0]:
+                    batcher._cond.release()
 
         results, stats = asyncio.run(run())
         for b, got in zip(bank[:8], results):
@@ -328,7 +348,9 @@ class TestAsyncCancellation:
         prob, bank = serving_problem
 
         async def run():
-            # Huge max_wait parks the partial batch until close() drains.
+            # Huge max_wait parks the forming burst until close() drains
+            # it (the first request may leave alone; the loop does not
+            # yield before the cancel, so the outcome is the same).
             svc = SolveService(
                 fresh_problem, max_batch=8, max_wait=30.0, background=True,
             )

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -192,20 +193,36 @@ class TestProcShardLifecycle:
     def test_drain_on_close_resolves_all_tickets(
         self, serving_problem, sequential_solve, assert_same_result
     ):
-        """Requests parked in lingering partial batches (max_wait huge)
-        must all resolve — correctly — when the service closes."""
+        """Requests parked in the workers (each asleep on its first
+        block, the rest queued behind it) must all resolve — correctly
+        — when the service closes."""
         prob, bank = serving_problem
         svc = ProcessShardedSolveService(
             prob, workers=2, policy="round-robin", max_batch=8,
             max_wait=30.0, tol=1e-10, maxiter=200,
+            chaos=FaultPlan(slow_solves={0: {1: 1.0}, 1: {1: 1.0}}),
         )
         tickets = [svc.submit(b) for b in bank[:5]]
-        assert not any(t.done() for t in tickets)  # all lingering
+        assert not any(t.done() for t in tickets)  # all parked
         svc.close()
         for t, b in zip(tickets, bank[:5]):
             assert t.done()
             assert_same_result(t.result(), sequential_solve(prob, b))
         assert svc.closed
+
+    def test_a_lone_request_does_not_linger(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
+        """A request alone in a worker's queue is solved at once: it
+        does not wait out ``max_wait`` for batchmates."""
+        prob, bank = serving_problem
+        with ProcessShardedSolveService(
+            prob, workers=1, max_wait=5.0, tol=1e-10, maxiter=200,
+        ) as svc:
+            t0 = time.monotonic()
+            got = svc.submit(bank[0]).result(timeout=60)
+            assert time.monotonic() - t0 < 2.5
+        assert_same_result(got, sequential_solve(prob, bank[0]))
 
     def test_submit_after_close_raises(self, serving_problem):
         prob, bank = serving_problem
@@ -259,13 +276,14 @@ class TestProcShardCrash:
         prob, bank = serving_problem
         svc = ProcessShardedSolveService(
             prob, workers=2, policy="round-robin", max_batch=3,
-            max_wait=30.0, tol=1e-10, maxiter=200,
+            max_wait=0.002, tol=1e-10, maxiter=200,
             retry=RetryPolicy(max_attempts=1),
             restart=RestartPolicy(max_restarts=1, backoff_base=0.01),
+            chaos=FaultPlan(slow_solves={0: {1: 30.0}}),
         )
         blocks = svc.shared_blocks
         try:
-            parked = svc.submit(bank[0])  # worker 0, parked by max_wait
+            parked = svc.submit(bank[0])  # worker 0, asleep on it
             svc._workers[0].process.terminate()
             with pytest.raises(FleetUnavailable) as failed:
                 parked.result(timeout=60)
@@ -278,8 +296,7 @@ class TestProcShardCrash:
             assert svc.alive_workers == (False, True)
             # Round-robin keeps picking the ejected slot every other
             # request; health gating lands all of them on worker 1.
-            # Three fill worker 1's batch (max_batch=3): it solves them
-            # at once, while the lone parked request waited on max_wait.
+            # Worker 1 was never wedged: it solves all three.
             survivors = [svc.submit(b) for b in bank[1:4]]
             for t, b in zip(survivors, bank[1:4]):
                 assert_same_result(

@@ -472,9 +472,10 @@ class TestTicketCancel:
         svc = ProcessShardedSolveService(
             prob, workers=1, max_batch=8, max_wait=30.0,
             tol=1e-10, maxiter=200,
+            chaos=FaultPlan(slow_solves={0: {1: 1.0}}),
         )
         try:
-            parked = svc.submit(bank[0])
+            parked = svc.submit(bank[0])  # the worker sleeps on it
             assert parked.cancel() is True
             assert parked.cancelled()
         finally:

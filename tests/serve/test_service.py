@@ -39,11 +39,39 @@ class TestMicroBatcher:
         assert mb.take_batch_nowait() == []
 
     def test_take_waits_at_most_max_wait(self):
+        """A burst short of ``max_batch`` lingers until the oldest item
+        has waited ``max_wait``, then leaves as it is."""
         mb = MicroBatcher(max_batch=8, max_wait=0.05)
+        mb.put("first")
+        mb.put("second")
+        t0 = time.monotonic()
+        assert mb.take_batch() == ["first", "second"]
+        assert 0.04 <= time.monotonic() - t0 < 1.0
+
+    def test_a_lone_request_does_not_linger(self):
+        """One pending item is no burst: it leaves at once, whatever
+        ``max_wait`` says."""
+        mb = MicroBatcher(max_batch=8, max_wait=5.0)
         mb.put("only")
         t0 = time.monotonic()
         assert mb.take_batch() == ["only"]
         assert time.monotonic() - t0 < 1.0
+
+    def test_a_burst_still_coalesces(self):
+        """Two pending items are a forming burst: the dispatcher
+        lingers, and a third arriving ~50 ms later fills the batch,
+        which leaves then — well before ``max_wait``."""
+        mb = MicroBatcher(max_batch=3, max_wait=5.0)
+        mb.put(0)
+        mb.put(1)
+        straggler = threading.Timer(0.05, mb.put, args=(2,))
+        t0 = time.monotonic()
+        straggler.start()
+        try:
+            assert mb.take_batch() == [0, 1, 2]
+            assert time.monotonic() - t0 < 2.5
+        finally:
+            straggler.join(timeout=5)
 
     def test_backpressure_blocks_then_admits(self):
         mb = MicroBatcher(max_batch=2, max_wait=0.0, max_pending=2)
