@@ -1,14 +1,15 @@
 #!/usr/bin/env python
-"""Process-sharded serving: K worker processes, one shared geometry,
+"""Process-sharded serving: K worker processes, one shared problem block,
 zero-copy request/response rings.
 
 One :class:`~repro.serve.SolveService` is one core's ceiling, and
 replicas *within* one process would still cross one GIL for every
 route, ticket and stat.  This demo runs the process-level tier:
 
-1. export the serving problem's immutable arrays (geometric factors,
-   gather-scatter caches, coordinates, quadrature, Jacobi diagonal)
-   into shared memory and spin up a K=2
+1. export the serving problem's immutable arrays (geometric factors
+   and their fp32 twin, gather-scatter map and multiplicities,
+   coordinates, quadrature, Jacobi diagonal) into one shared-memory
+   block and spin up a K=2
    :class:`~repro.serve.ProcessShardedSolveService` — each worker
    process rebuilds the problem from a picklable spec and attaches the
    SAME physical pages (the workers attest to it below); each worker
@@ -23,7 +24,8 @@ route, ticket and stat.  This demo runs the process-level tier:
    ``cg_solve_mixed`` — with the audited transport copy count
    ``stats.copy_bytes == 0``,
 4. close: every worker drains, the processes join, and the shared
-   blocks — geometry and rings — are unlinked from ``/dev/shm``.
+   blocks — the problem block and the rings — are unlinked from
+   ``/dev/shm``.
 
 Run:  PYTHONPATH=src python examples/serve_procshard.py
 """
@@ -73,12 +75,17 @@ def main() -> None:
         # 1. The sharing proof, attested by the workers themselves.
         infos = svc.worker_info()
         pids = sorted(info["pid"] for info in infos)
-        blocks = {info["geometry_block"] for info in infos}
+        blocks = {info["problem_block"] for info in infos}
         assert len(pids) == 2 and os.getpid() not in pids
-        assert blocks == {svc.spec.geometry.block}
-        assert all(not info["g_soa_writeable"] for info in infos)
-        print(f"workers {pids} share one geometry block "
-              f"{svc.spec.geometry.block} (read-only, zero-copy)")
+        assert blocks == {svc.spec.arrays.block}
+        assert len(svc.shared_blocks) == 1 + 2  # the problem + 2 rings
+        for info in infos:
+            assert info["g_soa_in_block"] and info["g32_soa_in_block"]
+            assert not info["g_soa_writeable"]
+            assert not info["g32_soa_writeable"]
+        print(f"workers {pids} share one problem block "
+              f"{svc.spec.arrays.block} (fp64 and fp32 geometry "
+              f"read-only, zero-copy)")
         rings = [info["ring_block"] for info in infos]
         assert len(set(rings)) == 2  # one slot ring per worker
         assert all(info["ring_rhs_writeable"] is False for info in infos)

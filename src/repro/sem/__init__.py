@@ -61,7 +61,6 @@ from repro.sem.shared import (
 from repro.sem.spec import (
     ProblemSpec,
     SharedProblemExport,
-    problem_spec,
     export_shared_problem,
     rebuild,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "export_shared_arrays",
     "ProblemSpec",
     "SharedProblemExport",
-    "problem_spec",
     "export_shared_problem",
     "rebuild",
 ]

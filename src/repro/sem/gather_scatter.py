@@ -19,11 +19,14 @@ multiplicities, the map's affine form (:attr:`GatherScatter.affine`,
 the element origins and strides the compiled pass addresses rows by)
 and the plane that pass may split at (:attr:`GatherScatter.split`)
 are read-only — so one instance serves any number of threads, solve
-replicas and dtype twins.  ``gather``/``scatter`` accept ``out=`` so the
-allocation-free solver path (:mod:`repro.sem.workspace`) can reuse
-preallocated buffers; on that path the input and ``out`` must both be in
-the operator's dtype (a mismatch would make numpy cast element by element
-through its generic loop, ~20x slower, so it is refused, not served).
+replicas and dtype twins.  A fleet worker's operator adopts the map and
+multiplicities as views of the one problem block :mod:`repro.sem.spec`
+attaches, so workers do no bincount.  ``gather``/``scatter`` accept
+``out=`` so the allocation-free solver path (:mod:`repro.sem.workspace`)
+can reuse preallocated buffers; on that path the input and ``out`` must
+both be in the operator's dtype (a mismatch would make numpy cast
+element by element through its generic loop, ~20x slower, so it is
+refused, not served).
 """
 
 from __future__ import annotations
@@ -36,22 +39,6 @@ from numpy.typing import NDArray
 
 from repro.analysis.annotations import hot_path
 from repro.sem.mesh import BoxMesh
-
-
-@dataclass(frozen=True)
-class SharedGatherScatter:
-    """Picklable handle to a :meth:`GatherScatter.export_shared` export.
-
-    Carries the :class:`~repro.sem.shared.SharedArrayManifest` of the
-    operator's construction-time caches plus the scalar state
-    (:attr:`n_global`, :attr:`local_shape`) that
-    :meth:`GatherScatter.attach_shared` needs to rebuild an instance
-    without recounting the multiplicities.
-    """
-
-    arrays: object  # SharedArrayManifest (kept loose to avoid a cycle)
-    n_global: int
-    local_shape: tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -156,57 +143,22 @@ class GatherScatter:
             twins[dtype.str] = twin
         return twin
 
-    # ------------------------------------------------------------------
-    # Shared-memory protocol (process-level sharding)
-    # ------------------------------------------------------------------
-    def export_shared(self) -> "tuple[object, SharedGatherScatter]":
-        """Export the construction-time caches into one shared block.
-
-        The l2g map and the multiplicities are the operator's whole
-        state — one ``E * nx^3`` int64 array and a float array of
-        ``n_global``.  Worker processes attach them zero-copy via
-        :meth:`attach_shared`.
-
-        Returns
-        -------
-        (SharedMemory, SharedGatherScatter)
-            The owning handle (``close()`` + ``unlink()`` is the
-            caller's job) and the picklable handle workers attach from.
-        """
-        from repro.sem.shared import export_shared_arrays
-
-        shm, manifest = export_shared_arrays({
-            "l2g_flat": self.l2g_flat,
-            "mult": self._mult,
-        })
-        handle = SharedGatherScatter(
-            arrays=manifest,
-            n_global=self.n_global,
-            local_shape=tuple(self.local_shape),
-        )
-        return shm, handle
-
     @classmethod
-    def attach_shared(cls, handle: SharedGatherScatter) -> "GatherScatter":
-        """Rebuild an operator over an exported block, zero-copy.
-
-        Skips the bincount of :meth:`__post_init__` (only :attr:`affine`
-        and :attr:`split` are worked out again) and views the shared
-        caches read-only.  The shared mapping's lifetime is tied to the
-        returned object.
-        """
-        from repro.sem.shared import attach_shared_arrays
-
-        shm, views = attach_shared_arrays(handle.arrays)
+    def _from_views(
+        cls, l2g_flat: NDArray[np.int64], mult: NDArray, local_shape: tuple
+    ) -> "GatherScatter":
+        """The operator over a map and multiplicities that are already
+        counted (:func:`repro.sem.spec.rebuild`'s shared-memory views),
+        adopted as they are: no bincount, only :attr:`affine` and
+        :attr:`split` are worked out again."""
         gs = cls.__new__(cls)
         for name, value in (
-            ("l2g_flat", views["l2g_flat"]),
-            ("n_global", int(handle.n_global)),
-            ("local_shape", tuple(handle.local_shape)),
-            ("dtype", views["mult"].dtype),
-            ("_mult", views["mult"]),
-            *_addressing(views["l2g_flat"], handle.local_shape),
-            ("_shm", shm),
+            ("l2g_flat", l2g_flat),
+            ("n_global", int(mult.size)),
+            ("local_shape", tuple(local_shape)),
+            ("dtype", mult.dtype),
+            ("_mult", mult),
+            *_addressing(l2g_flat, local_shape),
         ):
             object.__setattr__(gs, name, value)
         return gs

@@ -20,6 +20,11 @@ paper's banked external-memory layout, and what lets the ``Ax`` kernels'
 ``g[:, c]`` reads run without numpy's strided chunked-buffer path.  The
 historical interleaved ``(E, 6, nx, nx, nx)`` shape survives as the
 zero-copy compatibility view :attr:`Geometry.g`.
+
+A :class:`Geometry` is plain arrays and knows nothing of shared memory:
+a fleet worker's is built over views of the one problem block that
+:mod:`repro.sem.spec` packs and attaches, fp32 twin included
+(:meth:`Geometry.adopt_twin`).
 """
 
 from __future__ import annotations
@@ -136,10 +141,11 @@ class Geometry:
     def adopt_twin(self, twin: "Geometry") -> None:
         """Register an externally built dtype twin (shared-memory path).
 
-        A process-sharded worker attaches the parent's fp32 geometry
-        export and installs it here, so :meth:`as_dtype` resolves to the
-        shared pages instead of each worker paying a private field-sized
-        cast.  The twin must match this geometry's shapes exactly.
+        A process-sharded worker views the parent's exported fp32 factors
+        (:func:`repro.sem.spec.rebuild`) and installs them here, so
+        :meth:`as_dtype` resolves to the shared pages instead of each
+        worker paying a private field-sized cast.  The twin must match
+        this geometry's shapes exactly.
         """
         if twin.g_soa.shape != self.g_soa.shape:
             raise ValueError(
@@ -155,55 +161,6 @@ class Geometry:
             twins = {}
             object.__setattr__(self, "_dtype_twins", twins)
         twins[np.dtype(twin.g_soa.dtype).str] = twin
-
-    # ------------------------------------------------------------------
-    # Shared-memory protocol (process-level sharding)
-    # ------------------------------------------------------------------
-    def export_shared(self):
-        """Export the geometric arrays into one shared-memory block.
-
-        The geometry is the largest immutable array set a solve carries
-        (``g_soa`` alone is ``6 * E * nx^3`` doubles); the process-level
-        shard (:class:`repro.serve.procshard.ProcessShardedSolveService`)
-        exports it once and every worker attaches the same physical
-        pages instead of recomputing or copying per process.
-
-        Returns
-        -------
-        (SharedMemory, SharedArrayManifest)
-            The owning handle (the caller must eventually ``close()`` +
-            ``unlink()`` it) and the picklable manifest that
-            :meth:`attach_shared` consumes in any process.
-        """
-        from repro.sem.shared import export_shared_arrays
-
-        return export_shared_arrays(
-            {"g_soa": self.g_soa, "jac": self.jac, "mass": self.mass}
-        )
-
-    @classmethod
-    def attach_shared(cls, manifest) -> "Geometry":
-        """Rebuild a :class:`Geometry` over an exported block, zero-copy.
-
-        The returned instance's arrays are read-only views into the
-        shared pages (a stray in-place write raises instead of
-        corrupting every attached process); the shared-memory mapping's
-        lifetime is tied to the returned object.
-
-        Parameters
-        ----------
-        manifest:
-            The :class:`~repro.sem.shared.SharedArrayManifest` from
-            :meth:`export_shared`.
-        """
-        from repro.sem.shared import attach_shared_arrays
-
-        shm, views = attach_shared_arrays(manifest)
-        geo = cls(g_soa=views["g_soa"], jac=views["jac"], mass=views["mass"])
-        # Keep the mapping alive exactly as long as the views are
-        # reachable (frozen dataclass: bypass the frozen __setattr__).
-        object.__setattr__(geo, "_shm", shm)
-        return geo
 
 
 #: Nodes per block of :func:`geometric_factors` (whole elements, at

@@ -48,8 +48,8 @@ class HelmholtzProblem(SEMProblem):
 
     Everything else — workspaces (one problem instance per concurrent
     solve), the operator (:meth:`apply`, :meth:`apply32`) and its
-    :meth:`diagonal`, stacked ``(B, n)`` inputs, ``spec`` / ``solve`` —
-    is the core's (see :class:`~repro.sem.problem.SEMProblem`).
+    :meth:`diagonal`, stacked ``(B, n)`` inputs, ``export_shared`` /
+    ``solve`` — is the core's (see :class:`~repro.sem.problem.SEMProblem`).
     """
 
     kind: ClassVar[str] = "helmholtz"
@@ -58,8 +58,8 @@ class HelmholtzProblem(SEMProblem):
     lam: float = 1.0
     ax_backend: AxBackend = None
     precision: str = "fp64"
-    # Spec/rebuild hand-off (see repro.sem.spec.ProblemParts), as in
-    # PoissonProblem: adopt prebuilt (possibly shared-memory) state.
+    # Rebuild hand-off (see repro.sem.spec.ProblemParts), as in
+    # PoissonProblem: adopt prebuilt shared-memory state.
     _parts: InitVar["object | None"] = None
     geometry: Geometry = field(init=False)
     gs: GatherScatter = field(init=False)

@@ -6,9 +6,12 @@ build a box of elements, set up the SEM operator, run a fixed number of
 CG iterations on a manufactured right-hand side, and report the solve's
 MFLOPS.  :class:`NekboneCase` reproduces that workflow on this library's
 substrate, with the usual Nekbone element-count sweep helper.  The case
-wraps a :class:`~repro.sem.poisson.PoissonProblem` and delegates the
-solver-facing protocol to it; :meth:`NekboneCase.run` is that problem's
-``solve`` on the manufactured right-hand side plus the FLOP accounting.
+is a driver, not a problem: it builds a
+:class:`~repro.sem.poisson.PoissonProblem` (:attr:`NekboneCase.problem`),
+and :meth:`NekboneCase.run` is that problem's ``solve`` on the
+manufactured right-hand side plus the FLOP accounting.  To serve or
+share the case's system, hand ``case.problem`` to the service or the
+fleet.
 
 FLOP accounting follows Nekbone's convention: the ``Ax`` kernel's
 ``(12(N+1)+15)`` FLOPs/DOF plus the CG vector operations
@@ -19,10 +22,7 @@ the gather-scatter additions counted once per interface DOF).
 from __future__ import annotations
 
 import time
-from dataclasses import InitVar, dataclass, field
-from typing import ClassVar
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from repro.core.cost import flops_per_dof
 from repro.sem.cg import CGResult, MixedCGResult
@@ -92,24 +92,21 @@ class NekboneCase:
         Default solve precision policy (``"fp64"`` or ``"mixed"``),
         forwarded to the underlying problem; ``"mixed"`` makes
         :meth:`run` use the fp32-inner refinement solver.
-    """
 
-    kind: ClassVar[str] = "nekbone"
+    Attributes
+    ----------
+    problem:
+        The case's :class:`~repro.sem.poisson.PoissonProblem` — what a
+        :class:`~repro.serve.SolveService` or a process fleet serves.
+    """
 
     n: int
     shape: tuple[int, int, int]
     ax_backend: AxBackend = None
     precision: str = "fp64"
-    # Spec/rebuild hand-off: a pre-built underlying problem (typically
-    # one whose immutable state is attached from shared memory) adopted
-    # instead of constructing a fresh one.
-    _problem: InitVar["PoissonProblem | None"] = None
     problem: PoissonProblem = field(init=False)
 
-    def __post_init__(self, _problem: "PoissonProblem | None" = None) -> None:
-        if _problem is not None:
-            self.problem = _problem
-            return
+    def __post_init__(self) -> None:
         ref = ReferenceElement.from_degree(self.n)
         mesh = BoxMesh.build(ref, self.shape)
         self.problem = PoissonProblem(
@@ -120,59 +117,6 @@ class NekboneCase:
     def num_elements(self) -> int:
         """Total elements of the case."""
         return self.problem.mesh.num_elements
-
-    # ------------------------------------------------------------------
-    # Solver-facing protocol (delegated to the underlying problem) so a
-    # NekboneCase can be handed directly to repro.serve.SolveService.
-    @property
-    def n_dofs(self) -> int:
-        """Global DOF count of the underlying problem."""
-        return self.problem.n_dofs
-
-    @property
-    def operator(self):
-        """The global SPD operator callback (``problem.apply_A``)."""
-        return self.problem.operator
-
-    @property
-    def operator32(self):
-        """The fp32 twin operator callback (``problem.apply_A32``)."""
-        return self.problem.operator32
-
-    @property
-    def workspace(self):
-        """The underlying problem's unbatched workspace."""
-        return self.problem.workspace
-
-    def precond_diag(self):
-        """Cached Jacobi diagonal of the underlying problem."""
-        return self.problem.precond_diag()
-
-    def batch_workspace(self, batch: int, dtype=np.float64):
-        """Cached batched workspace of the underlying problem."""
-        return self.problem.batch_workspace(batch, dtype=dtype)
-
-    def solve(self, b, tol: float = 1e-10, maxiter: int = 1000,
-              x0=None, precision: "str | None" = None):
-        """Solve through the underlying problem (see
-        :meth:`repro.sem.poisson.PoissonProblem.solve`)."""
-        return self.problem.solve(
-            b, tol=tol, maxiter=maxiter, x0=x0, precision=precision
-        )
-
-    def spec(self):
-        """A picklable :class:`~repro.sem.spec.ProblemSpec` (see
-        :meth:`repro.sem.poisson.PoissonProblem.spec`)."""
-        from repro.sem.spec import problem_spec
-
-        return problem_spec(self)
-
-    def export_shared(self):
-        """Export immutable arrays for worker fleets (see
-        :meth:`repro.sem.poisson.PoissonProblem.export_shared`)."""
-        from repro.sem.spec import export_shared_problem
-
-        return export_shared_problem(self)
 
     def run(
         self, iterations: int = 100, tol: float = 0.0

@@ -48,12 +48,12 @@ class PoissonProblem(SEMProblem):
         either precision can still be requested per solve.
 
     Workspaces (one problem instance per concurrent solve), the
-    backends, ``spec`` / ``solve`` and the operator pipeline are the
-    core's (see :class:`~repro.sem.problem.SEMProblem`); this class adds
-    the Dirichlet mask, applied to the input before the scatter and to
-    the result after the gather, and Poisson's name for the operator
-    diagonal (:meth:`jacobi_diagonal`, with the masked boundary rows set
-    to one).
+    backends, ``export_shared`` / ``solve`` and the operator pipeline
+    are the core's (see :class:`~repro.sem.problem.SEMProblem`); this
+    class adds the Dirichlet mask, applied to the input before the
+    scatter and to the result after the gather, and Poisson's name for
+    the operator diagonal (:meth:`jacobi_diagonal`, with the masked
+    boundary rows set to one).
     """
 
     kind: ClassVar[str] = "poisson"
@@ -61,9 +61,9 @@ class PoissonProblem(SEMProblem):
     mesh: BoxMesh
     ax_backend: AxBackend = None
     precision: str = "fp64"
-    # The spec/rebuild hand-off (see repro.sem.spec.ProblemParts):
-    # prebuilt immutable state — typically shared-memory views attached
-    # by a worker process — adopted instead of recomputed.
+    # The rebuild hand-off (see repro.sem.spec.ProblemParts): prebuilt
+    # immutable state — shared-memory views attached by a worker
+    # process — adopted instead of recomputed.
     _parts: InitVar["object | None"] = None
     geometry: Geometry = field(init=False)
     gs: GatherScatter = field(init=False)

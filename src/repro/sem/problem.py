@@ -5,8 +5,8 @@ more geometric factor") through one accelerator pipeline; so does this
 module.  :class:`SEMProblem` holds everything the two global problems
 share — the constructor tail, the workspaces, the operator
 (:meth:`~SEMProblem.apply` / :meth:`~SEMProblem.apply32`) and its
-:meth:`~SEMProblem.diagonal`, ``spec`` / ``export_shared`` / ``solve``
-/ ``l2_error`` — and the single operator pipeline
+:meth:`~SEMProblem.diagonal`, ``export_shared`` / ``solve`` /
+``l2_error`` — and the single operator pipeline
 :meth:`SEMProblem._apply`.  :class:`~repro.sem.poisson.PoissonProblem`
 supplies the Dirichlet mask (``_mask``) and its own names for the
 three methods; :class:`~repro.sem.helmholtz.HelmholtzProblem` supplies
@@ -173,27 +173,17 @@ class SEMProblem:
             self._precond_diag = self.diagonal()
         return self._precond_diag
 
-    def spec(self):
-        """A picklable :class:`~repro.sem.spec.ProblemSpec` of this problem.
-
-        :func:`~repro.sem.spec.rebuild` re-runs the deterministic
-        construction from it in any process (bit-identical solves).
-        Deformed meshes and backends other than the production kernel
-        are rejected — use :meth:`export_shared` for the former.
-        """
-        from repro.sem.spec import problem_spec
-
-        return problem_spec(self)
-
     def export_shared(self):
         """Export the immutable arrays to shared memory for worker fleets.
 
         Returns a :class:`~repro.sem.spec.SharedProblemExport` whose
-        ``spec`` rebuilds this problem in any process with the geometry,
-        gather-scatter caches, coordinates, quadrature arrays and
-        Jacobi diagonal attached zero-copy — one physical copy across
-        every worker.  The caller owns the export: ``close()`` it when
-        the fleet is done.
+        ``spec`` rebuilds this problem in any process over one attached
+        block — geometry and its fp32 twin, gather-scatter map and
+        multiplicities, coordinates, quadrature arrays and Jacobi
+        diagonal, zero-copy: one physical copy across every worker.
+        The caller owns the export: ``close()`` it when the fleet is
+        done.  :func:`~repro.sem.spec.export_shared_problem` says what
+        it refuses.
         """
         from repro.sem.spec import export_shared_problem
 

@@ -1,28 +1,27 @@
-"""Picklable problem specs: rebuild a solve-identical problem anywhere.
+"""Picklable problem specs: one shared block rebuilds a problem anywhere.
 
 A problem object (:class:`~repro.sem.poisson.PoissonProblem`,
-:class:`~repro.sem.helmholtz.HelmholtzProblem`,
-:class:`~repro.sem.nekbone.NekboneCase`) is deliberately *not*
-picklable-by-value — it owns thread pools, scratch buffers and resolved
-callables.  Process-level sharding
+:class:`~repro.sem.helmholtz.HelmholtzProblem`) is deliberately *not*
+picklable-by-value — it owns scratch buffers and resolved callables.
+Process-level sharding
 (:class:`repro.serve.procshard.ProcessShardedSolveService`) instead
 ships a :class:`ProblemSpec`: a tiny frozen description (kind, degree,
-element box, precision) plus optional shared-memory
-manifests for the large immutable arrays.  :func:`rebuild` turns the
-spec back into a warm problem in any process; with manifests attached,
-the rebuilt problem's geometry, gather-scatter caches, nodal
-coordinates, quadrature arrays and Jacobi diagonal are zero-copy views
-onto the exporter's physical pages — ``K`` workers, one copy of
-``g_soa``.
+element box, precision) plus the manifest of one shared-memory block
+that holds every large immutable array of the problem.
+:func:`export_shared_problem` packs that block; :func:`rebuild` attaches
+it once in any process and builds the problem over its views — the
+geometry and its fp32 twin, the gather-scatter map and multiplicities,
+the nodal coordinates, the quadrature arrays and the Jacobi diagonal
+are zero-copy views onto the exporter's physical pages: ``K`` workers,
+one copy of ``g_soa``.  This module is the only one that knows the
+block's layout.
 
 Which problems a spec can describe is one table, kind -> class; each
 class names its own ``kind`` (and a Helmholtz problem its ``lam``), so
 classifying a problem and rebuilding one read the same table.
 
-Bit-identity is the contract, twice over: a problem rebuilt from a
-plain spec re-runs the identical deterministic construction, and a
-problem rebuilt from a *shared* export doesn't even recompute — it
-reads the exporter's own arrays, so there is nothing left to differ.
+Bit-identity is the contract: a rebuilt problem does not recompute
+anything it could differ in — it reads the exporter's own arrays.
 """
 
 from __future__ import annotations
@@ -33,23 +32,23 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.sem.element import ReferenceElement
-from repro.sem.gather_scatter import GatherScatter, SharedGatherScatter
+from repro.sem.gather_scatter import GatherScatter
 from repro.sem.geometry import Geometry
 from repro.sem.helmholtz import HelmholtzProblem
 from repro.sem.kernels import ax_local_matmul
 from repro.sem.mesh import BoxMesh
-from repro.sem.nekbone import NekboneCase
 from repro.sem.poisson import PoissonProblem
 from repro.sem.shared import (
     SharedArrayManifest,
     SlotRingManifest,
     attach_shared_arrays,
     export_shared_arrays,
+    unlink_shared_block,
 )
 
 #: Problem kind -> class, keyed by each class's own ``kind`` attribute.
 _PROBLEM_CLASSES: dict[str, type] = {
-    cls.kind: cls for cls in (PoissonProblem, HelmholtzProblem, NekboneCase)
+    cls.kind: cls for cls in (PoissonProblem, HelmholtzProblem)
 }
 
 #: Problem kinds a spec can describe (the serving protocol's problems).
@@ -69,36 +68,25 @@ class ProblemSpec:
         One of :data:`PROBLEM_KINDS`.
     degree / shape / extent:
         The discretization: polynomial degree and the element box.
+    arrays:
+        The :class:`~repro.sem.shared.SharedArrayManifest` of the one
+        block :func:`export_shared_problem` packs: the geometric
+        factors and their fp32 twin, the gather-scatter map and
+        multiplicities, the nodal coordinates, the reference element's
+        quadrature arrays and the assembled Jacobi diagonal.
     lam:
-        Helmholtz coefficient (``None`` for the other kinds).
+        Helmholtz coefficient (``None`` for Poisson).
     precision:
         Default solve precision policy of the rebuilt problem
         (``"fp64"`` or ``"mixed"``); per-request precision still works
         either way.
-    geometry / gather_scatter / extras:
-        Optional shared-memory handles (set by
-        :func:`export_shared_problem`): the
-        :class:`~repro.sem.shared.SharedArrayManifest` of the geometric
-        factors, the :class:`~repro.sem.gather_scatter.
-        SharedGatherScatter` of the l2g map and multiplicity caches, and
-        a manifest with the nodal coordinates, reference-element
-        quadrature arrays
-        (``points``/``weights``/``deriv``) and the assembled Jacobi
-        diagonal.  ``None`` means :func:`rebuild` recomputes instead of
-        attaching.
-    geometry32:
-        Optional manifest of the fp32 geometry twin
-        (:meth:`~repro.sem.geometry.Geometry.as_dtype`), exported
-        alongside the fp64 factors so every worker's mixed-precision
-        inner solves stream one parent-owned fp32 copy instead of each
-        paying a private field-sized cast.
     ring:
         Optional :class:`~repro.sem.shared.SlotRingManifest` of the
         request/response slot ring assigned to the worker rebuilding
         from this spec (the zero-copy serving transport; see
-        :class:`~repro.sem.shared.SlotRing`).  Unlike the manifests
-        above, which every worker shares, a ring is **per worker** —
-        the parent stamps each worker's spec with its own ring via
+        :class:`~repro.sem.shared.SlotRing`).  Unlike :attr:`arrays`,
+        which every worker shares, a ring is **per worker** — the parent
+        stamps each worker's spec with its own ring via
         :meth:`SharedProblemExport.spec_with_ring`.  :func:`rebuild`
         ignores it; the serving layer attaches it beside the problem.
     """
@@ -107,43 +95,30 @@ class ProblemSpec:
     degree: int
     shape: tuple[int, int, int]
     extent: tuple[float, float, float]
+    arrays: SharedArrayManifest
     lam: float | None = None
     precision: str = "fp64"
-    geometry: SharedArrayManifest | None = None
-    gather_scatter: SharedGatherScatter | None = None
-    extras: SharedArrayManifest | None = None
-    geometry32: SharedArrayManifest | None = None
     ring: SlotRingManifest | None = None
 
     @property
     def shared_blocks(self) -> tuple[str, ...]:
         """Names of the shared-memory blocks this spec attaches to."""
-        names = []
-        if self.geometry is not None:
-            names.append(self.geometry.block)
-        if self.gather_scatter is not None:
-            names.append(self.gather_scatter.arrays.block)
-        if self.extras is not None:
-            names.append(self.extras.block)
-        if self.geometry32 is not None:
-            names.append(self.geometry32.block)
-        if self.ring is not None:
-            names.append(self.ring.block)
-        return tuple(names)
+        ring = () if self.ring is None else (self.ring.block,)
+        return (self.arrays.block,) + ring
 
 
 @dataclass(frozen=True)
 class ProblemParts:
     """Prebuilt immutable state handed to a problem's constructor.
 
-    The ``_parts`` hand-off of :func:`rebuild`: when present, the problem
-    adopts these instead of recomputing, so attached shared-memory state
-    flows into the ordinary constructors without a second code path.
+    The ``_parts`` hand-off of :func:`rebuild`: the problem adopts these
+    instead of recomputing, so attached shared-memory state flows into
+    the ordinary constructors without a second code path.
     """
 
     geometry: Geometry
     gather_scatter: GatherScatter
-    precond_diag: NDArray | None = None
+    precond_diag: NDArray
 
 
 @dataclass
@@ -152,171 +127,125 @@ class SharedProblemExport:
 
     The exporting process keeps this object: :attr:`spec` is the
     picklable hand-off for workers (:func:`rebuild` attaches its
-    manifests), :attr:`blocks` are the owning ``SharedMemory`` handles.
-    Call :meth:`close` exactly once when the fleet is done — it unmaps
-    *and unlinks* the blocks, which is the exporter's job alone
-    (see :mod:`repro.sem.shared`).
+    block), :attr:`block` is the owning ``SharedMemory`` handle.
+    Call :meth:`close` when the fleet is done — it unmaps *and unlinks*
+    the block, which is the exporter's job alone (see
+    :mod:`repro.sem.shared`).
     """
 
     spec: ProblemSpec
-    blocks: tuple
+    block: object  # SharedMemory; None once closed
 
     @property
     def block_names(self) -> tuple[str, ...]:
-        """The shared blocks' names (``/dev/shm`` entries on Linux)."""
-        return tuple(shm.name for shm in self.blocks)
+        """The live block's name (its ``/dev/shm`` entry on Linux), or
+        nothing once closed."""
+        return () if self.block is None else (self.block.name,)
 
     def spec_with_ring(self, ring: SlotRingManifest) -> ProblemSpec:
         """This export's spec stamped with one worker's ring descriptor.
 
-        The per-worker hand-off of the zero-copy transport: the shared
-        problem manifests are common to the fleet, the ring is the one
-        per-worker block — a respawned worker gets the *same* ring
-        manifest back, re-attaching the slots its predecessor left.
+        The per-worker hand-off of the zero-copy transport: the problem
+        block is common to the fleet, the ring is the one per-worker
+        block — a respawned worker gets the *same* ring manifest back,
+        re-attaching the slots its predecessor left.
         """
         return replace(self.spec, ring=ring)
 
     def close(self, unlink: bool = True) -> None:
-        """Unmap (and by default unlink) every exported block.  Idempotent."""
-        from repro.sem.shared import unlink_shared_block
+        """Unmap (and by default unlink) the block.  Idempotent."""
+        shm, self.block = self.block, None
+        if shm is None:
+            return
+        try:
+            shm.close()
+        except (OSError, BufferError):  # pragma: no cover - teardown race
+            pass
+        if unlink:
+            unlink_shared_block(shm)
 
-        for shm in self.blocks:
-            try:
-                shm.close()
-            except (OSError, BufferError):  # pragma: no cover - teardown race
-                pass
-            if unlink:
-                unlink_shared_block(shm)
-        self.blocks = ()
 
+def export_shared_problem(problem) -> SharedProblemExport:
+    """Pack ``problem``'s immutable arrays into one shared block.
 
-def _classify(problem) -> tuple[str, object]:
-    """``(kind, inner_problem)`` of a protocol problem, or raise."""
+    The block holds the geometric factors (``g_soa``/``jac``/``mass``)
+    and their fp32 twin (exported unconditionally — half the fp64
+    factors' size, it lets any worker honor a per-request
+    ``precision="mixed"`` zero-copy even when the problem's default
+    policy is fp64), the gather-scatter's ``l2g_flat`` map and
+    multiplicities, the nodal coordinates (so deformed meshes travel
+    too), the reference element's quadrature arrays and the
+    (force-computed) Jacobi diagonal.  Every worker that
+    :func:`rebuild`-s the returned spec attaches this one block — one
+    physical copy of the big arrays across the whole fleet.  A packing
+    failure leaves no block behind
+    (:func:`~repro.sem.shared.export_shared_arrays` unlinks it).
+
+    Returns
+    -------
+    SharedProblemExport
+        Keep it for the fleet's lifetime; ``close()`` unlinks the block.
+
+    Raises
+    ------
+    TypeError
+        For anything but a :class:`PoissonProblem` or
+        :class:`HelmholtzProblem`.
+    ValueError
+        For a backend other than the production kernel: a spec names no
+        kernel, so a problem on any other backend has no spec.
+    """
     kind = getattr(problem, "kind", None)
     if not isinstance(problem, _PROBLEM_CLASSES.get(kind, ())):
         raise TypeError(
             f"problem {type(problem).__name__} has no spec; expected a "
-            "PoissonProblem, HelmholtzProblem or NekboneCase"
+            "PoissonProblem or HelmholtzProblem"
         )
-    # A NekboneCase wraps the problem whose arrays the spec describes.
-    return kind, getattr(problem, "problem", problem)
-
-
-def _base_spec(problem) -> tuple[ProblemSpec, object]:
-    """The shared-manifest-free spec of ``problem``, and the inner
-    problem whose arrays it describes."""
-    kind, inner = _classify(problem)
-    if inner.ax_backend is not ax_local_matmul:
+    if problem.ax_backend is not ax_local_matmul:
         raise ValueError(
             "problem's ax backend is not the production kernel; a spec "
             "names no kernel (a rebuilt problem runs ax_local_matmul), so "
             "a problem on any other backend has no spec"
         )
-    mesh = inner.mesh
+    geo, gs, mesh = problem.geometry, problem.gs, problem.mesh
+    geo32 = geo.as_dtype(np.float32)
+    shm, manifest = export_shared_arrays({
+        "g_soa": geo.g_soa,
+        "jac": geo.jac,
+        "mass": geo.mass,
+        "g_soa32": geo32.g_soa,
+        "jac32": geo32.jac,
+        "mass32": geo32.mass,
+        "l2g_flat": gs.l2g_flat,
+        "mult": gs.multiplicity(),
+        "coords": mesh.coords,
+        "ref_points": mesh.ref.points,
+        "ref_weights": mesh.ref.weights,
+        "ref_deriv": mesh.ref.deriv,
+        "precond_diag": problem.precond_diag(),
+    })
     spec = ProblemSpec(
         kind=kind,
         degree=mesh.ref.degree,
         shape=tuple(mesh.shape),
         extent=tuple(mesh.extent),
-        lam=None if inner.lam is None else float(inner.lam),
-        precision=inner.precision,
+        arrays=manifest,
+        lam=None if problem.lam is None else float(problem.lam),
+        precision=problem.precision,
     )
-    return spec, inner
-
-
-def problem_spec(problem) -> ProblemSpec:
-    """A plain (no shared memory) picklable spec of ``problem``.
-
-    :func:`rebuild` re-runs the deterministic construction from this
-    spec, so the mesh must be reproducible from ``(degree, shape,
-    extent)`` — a deformed mesh is rejected here (its coordinates only
-    travel through :func:`export_shared_problem`, which ships them in
-    shared memory).
-
-    Raises
-    ------
-    TypeError
-        For non-protocol problems.
-    ValueError
-        For a backend other than the production kernel, or a deformed
-        mesh.
-    """
-    spec, inner = _base_spec(problem)
-    pristine = BoxMesh.build(inner.mesh.ref, spec.shape, spec.extent)
-    if not np.array_equal(pristine.coords, inner.mesh.coords):
-        raise ValueError(
-            "mesh coordinates are not reproducible from (degree, shape, "
-            "extent) — the mesh was deformed; use export_shared(), which "
-            "ships the coordinates in shared memory"
-        )
-    return spec
-
-
-def export_shared_problem(problem) -> SharedProblemExport:
-    """Export ``problem``'s immutable arrays and return spec + blocks.
-
-    Four blocks are created: the geometric factors
-    (:meth:`~repro.sem.geometry.Geometry.export_shared`), the
-    gather-scatter caches (:meth:`~repro.sem.gather_scatter.
-    GatherScatter.export_shared`), an extras block with the nodal
-    coordinates, the reference element's quadrature arrays and the
-    (force-computed) Jacobi diagonal, and the fp32 geometry twin for
-    the mixed-precision inner solves (exported unconditionally — it is
-    half the fp64 factors' size, and shipping it lets any worker honor
-    a per-request ``precision="mixed"`` zero-copy even when the
-    problem's default policy is fp64).  Every worker that
-    :func:`rebuild`-s the returned spec attaches these same blocks —
-    one physical copy of the big arrays across the whole fleet,
-    deformed meshes included (the coordinates ride along).
-
-    Returns
-    -------
-    SharedProblemExport
-        Keep it for the fleet's lifetime; ``close()`` unlinks the blocks.
-    """
-    spec, inner = _base_spec(problem)
-    blocks: list = []
-    try:
-        geo_shm, geo_manifest = inner.geometry.export_shared()
-        blocks.append(geo_shm)
-        gs_shm, gs_handle = inner.gs.export_shared()
-        blocks.append(gs_shm)
-        ref = inner.mesh.ref
-        extras_shm, extras_manifest = export_shared_arrays({
-            "coords": inner.mesh.coords,
-            "ref_points": ref.points,
-            "ref_weights": ref.weights,
-            "ref_deriv": ref.deriv,
-            "precond_diag": problem.precond_diag(),
-        })
-        blocks.append(extras_shm)
-        geo32_shm, geo32_manifest = (
-            inner.geometry.as_dtype(np.float32).export_shared()
-        )
-        blocks.append(geo32_shm)
-    except BaseException:
-        for shm in blocks:
-            shm.close()
-            shm.unlink()
-        raise
-    spec = replace(
-        spec,
-        geometry=geo_manifest,
-        gather_scatter=gs_handle,
-        extras=extras_manifest,
-        geometry32=geo32_manifest,
-    )
-    return SharedProblemExport(spec=spec, blocks=tuple(blocks))
+    return SharedProblemExport(spec=spec, block=shm)
 
 
 def rebuild(spec: ProblemSpec):
     """Reconstruct a warm, solve-identical problem from a spec.
 
-    With shared manifests the big arrays are attached zero-copy
-    (read-only views whose mappings live as long as the objects holding
-    them); without, the deterministic construction is re-run.  Either
-    way the rebuilt problem's solves are bit-identical to the source
-    problem's — the process-shard's serving contract rests on this.
+    Attaches the spec's block once and builds the problem over
+    read-only views of it: nothing big is recomputed or copied, so the
+    rebuilt problem's solves are bit-identical to the source problem's
+    — the process-shard's serving contract rests on this.  The one
+    mapping lives as long as the returned problem, or any of its
+    reference element, mesh, geometry (and fp32 twin) and
+    gather-scatter that outlives it (each holds it as ``_shm``).
 
     Parameters
     ----------
@@ -326,73 +255,57 @@ def rebuild(spec: ProblemSpec):
 
     Returns
     -------
-    PoissonProblem | HelmholtzProblem | NekboneCase
+    PoissonProblem | HelmholtzProblem
         Per ``spec.kind``, ready to solve through.
 
     Raises
     ------
     ValueError
-        For an unknown kind or a spec with only one of the
-        geometry/gather-scatter manifests.
+        For an unknown kind.
+    FileNotFoundError
+        If the exporter has already unlinked the block.
     """
-    if spec.kind not in PROBLEM_KINDS:
+    cls = _PROBLEM_CLASSES.get(spec.kind)
+    if cls is None:
         raise ValueError(
             f"unknown problem kind {spec.kind!r}; expected one of "
             f"{PROBLEM_KINDS}"
         )
-    if (spec.geometry is None) != (spec.gather_scatter is None):
-        raise ValueError(
-            "spec must carry both the geometry and gather-scatter "
-            "manifests (or neither)"
-        )
-    if spec.geometry32 is not None and spec.geometry is None:
-        raise ValueError(
-            "spec carries an fp32 geometry manifest without the fp64 "
-            "geometry it twins"
-        )
-    extras_shm = extras = None
-    if spec.extras is not None:
-        extras_shm, extras = attach_shared_arrays(spec.extras)
-    if extras is not None and "ref_points" in extras:
-        ref = ReferenceElement(
-            degree=spec.degree,
-            points=extras["ref_points"],
-            weights=extras["ref_weights"],
-            deriv=extras["ref_deriv"],
-        )
-    else:
-        ref = ReferenceElement.from_degree(spec.degree)
-    mesh = BoxMesh.build(ref, spec.shape, spec.extent)
-    if extras is not None and "coords" in extras:
-        mesh = replace(mesh, coords=extras["coords"])
-    if extras_shm is not None:
-        # Tie the extras mapping to the object holding its views.
-        object.__setattr__(mesh, "_shm", extras_shm)
-
-    parts = None
-    if spec.geometry is not None:
-        geometry = Geometry.attach_shared(spec.geometry)
-        if spec.geometry32 is not None:
-            # Install the parent's shared fp32 twin, so as_dtype()
-            # resolves to the exported pages instead of a private cast.
-            geometry.adopt_twin(Geometry.attach_shared(spec.geometry32))
-        parts = ProblemParts(
-            geometry=geometry,
-            gather_scatter=GatherScatter.attach_shared(spec.gather_scatter),
-            precond_diag=(
-                extras["precond_diag"]
-                if extras is not None and "precond_diag" in extras
-                else None
-            ),
-        )
-
+    shm, views = attach_shared_arrays(spec.arrays)
+    ref = ReferenceElement(
+        degree=spec.degree,
+        points=views["ref_points"],
+        weights=views["ref_weights"],
+        deriv=views["ref_deriv"],
+    )
+    coords, l2g_flat, mult = views["coords"], views["l2g_flat"], views["mult"]
+    local_shape = coords.shape[1:]
+    mesh = BoxMesh(
+        ref=ref, shape=tuple(spec.shape), extent=tuple(spec.extent),
+        coords=coords, l2g=l2g_flat.reshape(local_shape),
+        n_global=mult.size,
+    )
+    geometry = Geometry(
+        g_soa=views["g_soa"], jac=views["jac"], mass=views["mass"]
+    )
+    # The parent's fp32 twin, so as_dtype() resolves to the shared
+    # pages instead of a private cast.
+    geometry32 = Geometry(
+        g_soa=views["g_soa32"], jac=views["jac32"], mass=views["mass32"]
+    )
+    geometry.adopt_twin(geometry32)
+    gs = GatherScatter._from_views(l2g_flat, mult, local_shape)
     knobs = dict(precision=spec.precision)
     if spec.lam is not None:
         knobs["lam"] = spec.lam
-    if spec.kind != NekboneCase.kind:
-        return _PROBLEM_CLASSES[spec.kind](mesh, **knobs, _parts=parts)
-    # A NekboneCase wraps the Poisson problem the spec's arrays describe.
-    return NekboneCase(
-        n=spec.degree, shape=spec.shape, **knobs,
-        _problem=PoissonProblem(mesh, **knobs, _parts=parts),
-    )
+    problem = cls(mesh, **knobs, _parts=ProblemParts(
+        geometry=geometry, gather_scatter=gs,
+        precond_diag=views["precond_diag"],
+    ))
+    # Views do not pin their mapping, and the mapping goes when the
+    # SharedMemory handle does: every object built over the views holds
+    # the handle (last in, so its views are released first), so none
+    # can outlive the one mapping and read unmapped memory.
+    for holder in (problem, ref, mesh, geometry, geometry32, gs):
+        object.__setattr__(holder, "_shm", shm)
+    return problem

@@ -18,8 +18,8 @@ in three tiers:
   a tenant's requests batch together), ``round-robin`` or ``cost``,
   with health-gated picks and aggregate fleet stats.  Each worker
   rebuilds the problem from a picklable spec with the big immutable
-  arrays attached zero-copy from shared memory (one physical copy of
-  the geometry across the fleet) and runs its own
+  arrays attached zero-copy from one shared-memory block (one physical
+  copy of the problem across the fleet) and runs its own
   ``SolveService`` under its own GIL — which is why it scales where
   in-process replicas do not (``docs/serving.md`` has the table).
 * :class:`AsyncSolveService` — an asyncio facade over either: ``await

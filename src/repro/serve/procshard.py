@@ -13,12 +13,13 @@ thread, own workspaces) over a problem rebuilt from a picklable
 
 The paper's core observation — SEM throughput is bound by how well the
 memory system is exploited, not by FLOPs — shapes the design: the big
-immutable arrays (``Geometry.g_soa``, the gather-scatter
-l2g map and multiplicity caches, nodal coordinates,
-quadrature arrays, the Jacobi diagonal) are exported **once** into
-``multiprocessing.shared_memory`` blocks and attached zero-copy by
-every worker.  ``K`` processes, one physical copy of the geometry —
-instead of ``K`` rebuilt or pickled duplicates.
+immutable arrays (``Geometry.g_soa`` and its fp32 twin, the
+gather-scatter l2g map and multiplicities, nodal coordinates,
+quadrature arrays, the Jacobi diagonal) are exported **once** into one
+``multiprocessing.shared_memory`` block (its layout is
+:mod:`repro.sem.spec`'s alone) and attached zero-copy by every worker.
+``K`` processes, one physical copy of the problem — instead of ``K``
+rebuilt or pickled duplicates.
 
 Routing happens parent-side (a policy router and the health-gated
 pick step); a parent-side reader bridges replies back into
@@ -62,7 +63,7 @@ Self-healing (the fleet is always supervised):
   worker that keeps dying trips the circuit breaker
   (``max_restarts``) and is ``EJECTED`` for the service's lifetime.
   Respawned workers rebuild from the *same* picklable spec re-attached
-  to the *existing* shared-memory export — the geometry is never
+  to the *existing* shared problem block — the problem is never
   re-exported — and are re-admitted to routing on a successful
   handshake.
 * **Deadlines + transparent retry.**  Requests carry an optional
@@ -144,7 +145,12 @@ from repro.serve.scheduler import (
     pick_healthy,
     resolve_router,
 )
-from repro.serve.service import SolveTicket, _WouldBlock, check_request
+from repro.serve.service import (
+    SolveTicket,
+    _WouldBlock,
+    check_problem,
+    check_request,
+)
 from repro.serve.stats import StatsSnapshot, merge_snapshots, perf_epoch_offset
 
 __all__ = ["ProcessShardedSolveService"]
@@ -161,11 +167,12 @@ class ProcessShardedSolveService:
     Parameters
     ----------
     problem:
-        A :class:`~repro.sem.poisson.PoissonProblem`,
-        :class:`~repro.sem.helmholtz.HelmholtzProblem` or
-        :class:`~repro.sem.nekbone.NekboneCase` — anything providing
-        the spec protocol (``export_shared()``, ``n_dofs``).  Its
-        immutable arrays are exported to shared memory once; every
+        An :class:`~repro.sem.problem.SEMProblem` (a
+        :class:`~repro.sem.poisson.PoissonProblem` or
+        :class:`~repro.sem.helmholtz.HelmholtzProblem`; a
+        :class:`~repro.sem.nekbone.NekboneCase` serves its
+        ``case.problem``) on the production kernel.  Its immutable
+        arrays are exported to one shared-memory block once; every
         worker (including respawned ones) rebuilds a solve-identical
         problem attached to the same physical pages.  The parent's
         problem instance itself is *not* used to solve — it is the
@@ -278,13 +285,7 @@ class ProcessShardedSolveService:
                 f"restart must be a RestartPolicy, got "
                 f"{type(restart).__name__}"
             )
-        if not hasattr(problem, "export_shared"):
-            raise TypeError(
-                f"problem {type(problem).__name__} lacks export_shared(); "
-                "process sharding rebuilds workers from a shared-memory "
-                "spec (PoissonProblem, HelmholtzProblem and NekboneCase "
-                "all provide it)"
-            )
+        check_problem(problem)
         self.policy = (
             policy if isinstance(policy, str) else type(policy).__name__
         )
@@ -964,14 +965,15 @@ class ProcessShardedSolveService:
     @property
     def spec(self):
         """The picklable :class:`~repro.sem.spec.ProblemSpec` workers
-        rebuilt their problems from (shared manifests included)."""
+        rebuilt their problems from (the problem block's manifest
+        included)."""
         return self._export.spec
 
     @property
     def shared_blocks(self) -> tuple[str, ...]:
-        """Names of the live shared-memory blocks — the problem export
-        plus one slot ring per worker (empty after close)."""
-        return tuple(self._export.block_names) + sum(
+        """Names of the live shared-memory blocks — the one problem
+        block plus one slot ring per worker (empty after close)."""
+        return self._export.block_names + sum(
             (replica.blocks for replica in self._workers), ()
         )
 
@@ -1000,9 +1002,10 @@ class ProcessShardedSolveService:
             return self._retried
 
     def worker_info(self) -> tuple[dict, ...]:
-        """One introspection dict per live worker (pid, attached block
-        names, geometry writability) — the zero-copy sharing, attested
-        by the workers themselves."""
+        """One introspection dict per live worker (pid, the problem
+        block and the ring it maps, whether its fp64 and fp32 ``g_soa``
+        are read-only views into that block) — the zero-copy sharing,
+        attested by the workers themselves."""
         return tuple(info for info, in self._ask_live("info"))
 
     @property

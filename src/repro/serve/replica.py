@@ -65,33 +65,26 @@ def _sendable_error(exc: BaseException) -> BaseException:
 def _worker_info(problem, spec, ring, pinned) -> dict:
     """Introspection payload for the parent's ``worker_info`` (tests
     prove the zero-copy sharing through it)."""
-    inner = getattr(problem, "problem", problem)
-    geo = inner.geometry
-    shm = getattr(geo, "_shm", None)
-    # fp32 attestation: the mixed path's geometry twin must be the
-    # parent's shared export, not a private worker-side cast.
-    twins = getattr(geo, "_dtype_twins", None) or {}
-    twin32 = twins.get(np.dtype(np.float32).str)
-    shm32 = None if twin32 is None else getattr(twin32, "_shm", None)
+    # Block attestation: the one problem block this worker maps, and
+    # that its fp64 factors and the mixed path's fp32 twin are read-only
+    # views into it — the parent's export, not a private worker cast.
+    block = np.frombuffer(problem._shm.buf, np.uint8)
+    g_soa = problem.geometry.g_soa
+    g32_soa = problem.geometry.as_dtype(np.float32).g_soa
     return {
         "pid": os.getpid(),
         "n_dofs": int(problem.n_dofs),
-        "geometry_block": None if shm is None else shm.name,
-        "g_soa_writeable": bool(geo.g_soa.flags.writeable),
+        "problem_block": problem._shm.name,
+        "g_soa_in_block": bool(np.may_share_memory(g_soa, block)),
+        "g_soa_writeable": bool(g_soa.flags.writeable),
+        "g32_soa_in_block": bool(np.may_share_memory(g32_soa, block)),
+        "g32_soa_writeable": bool(g32_soa.flags.writeable),
         "shared_blocks": tuple(spec.shared_blocks),
         "precision": spec.precision,
-        "geometry32_block": None if shm32 is None else shm32.name,
-        "geometry32_dtype": (
-            None if twin32 is None else str(twin32.g_soa.dtype)
-        ),
-        "g32_soa_writeable": (
-            None if twin32 is None
-            else bool(twin32.g_soa.flags.writeable)
-        ),
         # Ring attestation: which shared slot ring this worker solves
         # out of (name/slots/dtype), and that its request side really
         # is the parent's block mapped read-only — the payload twin of
-        # the one-geometry-copy attestation above.
+        # the one-problem-block attestation above.
         "ring_block": ring.manifest.block,
         "ring_slots": int(ring.manifest.slots),
         "ring_n": int(ring.manifest.n),

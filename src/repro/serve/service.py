@@ -58,13 +58,22 @@ from repro.sem.cg import (
     check_precision,
     check_tol,
 )
+from repro.sem.problem import SEMProblem
 from repro.serve.errors import DeadlineExceeded, ServiceClosed
 from repro.serve.scheduler import MicroBatcher
 from repro.serve.stats import ServiceStats, StatsSnapshot
 
-#: Attributes the solver-facing problem protocol requires
-#: (PoissonProblem, HelmholtzProblem and NekboneCase all provide them).
-_PROTOCOL = ("operator", "precond_diag", "batch_workspace", "n_dofs")
+def check_problem(problem) -> None:
+    """Refuse anything but an :class:`~repro.sem.problem.SEMProblem` —
+    what every serving front solves through — with a ``TypeError``
+    that names the fix (a :class:`~repro.sem.nekbone.NekboneCase` is a
+    driver; its ``case.problem`` is what is served)."""
+    if not isinstance(problem, SEMProblem):
+        raise TypeError(
+            f"problem {type(problem).__name__} is not an SEMProblem; "
+            "serve a PoissonProblem or HelmholtzProblem (for a "
+            "NekboneCase, serve its case.problem)"
+        )
 
 
 def check_request(
@@ -265,11 +274,11 @@ class SolveService:
     Parameters
     ----------
     problem:
-        A :class:`~repro.sem.poisson.PoissonProblem`,
-        :class:`~repro.sem.helmholtz.HelmholtzProblem` or
-        :class:`~repro.sem.nekbone.NekboneCase` (anything exposing
-        ``operator`` / ``precond_diag()`` / ``batch_workspace()`` /
-        ``n_dofs``).
+        An :class:`~repro.sem.problem.SEMProblem`: a
+        :class:`~repro.sem.poisson.PoissonProblem` or
+        :class:`~repro.sem.helmholtz.HelmholtzProblem` (a
+        :class:`~repro.sem.nekbone.NekboneCase` serves its
+        ``case.problem``); anything else is a ``TypeError``.
     max_batch:
         Largest number of requests coalesced into one stacked solve.
     max_wait:
@@ -299,8 +308,6 @@ class SolveService:
         time (one fp64 :func:`~repro.sem.cg.cg_solve_batched`, one
         fp32-inner :func:`~repro.sem.cg.cg_solve_batched_mixed`), so
         each request's numerics are exactly its precision's solo path.
-        ``"mixed"`` requires the problem to expose an ``operator32``
-        twin.
     background:
         Spawn the dispatcher thread.  Without it, batches fire inside
         ``submit`` whenever ``max_batch`` requests are pending, and
@@ -339,28 +346,14 @@ class SolveService:
     )
 
     def __post_init__(self) -> None:
-        missing = [a for a in _PROTOCOL if not hasattr(self.problem, a)]
-        if missing:
-            raise TypeError(
-                f"problem {type(self.problem).__name__} lacks the solver "
-                f"protocol attribute(s) {missing}; expected a "
-                "PoissonProblem, HelmholtzProblem or NekboneCase"
-            )
+        check_problem(self.problem)
         if self.precision is None:
-            self.precision = getattr(self.problem, "precision", "fp64")
+            self.precision = self.problem.precision
         check_precision(self.precision)
         if self.max_pending is None and self.background:
             self.max_pending = 4 * self.max_batch
         self._operator = self.problem.operator
-        # The fp32 twin is optional problem equipment (not part of
-        # _PROTOCOL): fp64-only problems keep working unchanged, and a
-        # mixed request against one bounces at submission.
-        self._operator32 = getattr(self.problem, "operator32", None)
-        if self.precision == "mixed" and self._operator32 is None:
-            raise TypeError(
-                f"precision='mixed' needs an operator32 twin, which "
-                f"problem {type(self.problem).__name__} does not expose"
-            )
+        self._operator32 = self.problem.operator32
         self._diag = self.problem.precond_diag()
         self._n = int(self.problem.n_dofs)
         # Held around every stacked solve: the problem's workspaces are
@@ -519,11 +512,6 @@ class SolveService:
             self.precision if precision is None else precision,
             snapshot=snapshot,
         )
-        if precision_val == "mixed" and self._operator32 is None:
-            raise TypeError(
-                f"precision='mixed' needs an operator32 twin, which "
-                f"problem {type(self.problem).__name__} does not expose"
-            )
         return _Request(
             ticket=SolveTicket(), b=b, tol=tol_val, maxiter=maxiter_val,
             deadline_at=(

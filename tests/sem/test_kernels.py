@@ -296,7 +296,7 @@ def _former_threads_surfaces():
         "NekboneCase": lambda **kw: NekboneCase(3, (2, 1, 1), **kw),
         "ProblemSpec": lambda **kw: ProblemSpec(
             kind="poisson", degree=3, shape=(2, 1, 1),
-            extent=(1.0, 1.0, 1.0), **kw
+            extent=(1.0, 1.0, 1.0), arrays=None, **kw
         ),
         "SEMAccelerator": lambda **kw: SEMAccelerator(
             AcceleratorConfig.banked(3), STRATIX10_GX2800, **kw
@@ -323,12 +323,18 @@ class TestThreadsOptionIsGone:
 
         ref = ReferenceElement.from_degree(3)
         prob = PoissonProblem(BoxMesh.build(ref, (2, 2, 1)), ax_backend="matmul")
-        spec = pickle.loads(pickle.dumps(prob.spec()))
-        twin = rebuild(spec)
-        for obj in (spec, twin, twin.workspace, twin.batch_workspace(4)):
-            assert not hasattr(obj, "threads")
-        b = np.random.default_rng(6).standard_normal(prob.n_dofs) * prob.interior
-        assert np.array_equal(twin.apply_A(b), prob.apply_A(b))
+        export = prob.export_shared()
+        try:
+            spec = pickle.loads(pickle.dumps(export.spec))
+            twin = rebuild(spec)
+            for obj in (spec, twin, twin.workspace, twin.batch_workspace(4)):
+                assert not hasattr(obj, "threads")
+            b = (np.random.default_rng(6).standard_normal(prob.n_dofs)
+                 * prob.interior)
+            assert np.array_equal(twin.apply_A(b), prob.apply_A(b))
+            del twin
+        finally:
+            export.close()
 
 
 class TestBatchedKernels:

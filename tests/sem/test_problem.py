@@ -6,6 +6,7 @@ layers it replaces to the bit, and step aside wherever they are
 replaced or its operands are not C's to write."""
 
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -54,7 +55,7 @@ BACKENDS = {
 def build(kind, form):
     backend = BACKENDS.get(form, form)
     if kind == "nekbone":
-        return NekboneCase(DEGREE, BOX, ax_backend=backend)
+        return NekboneCase(DEGREE, BOX, ax_backend=backend).problem
     mesh = BoxMesh.build(ReferenceElement.from_degree(DEGREE), BOX)
     if kind == "poisson":
         return PoissonProblem(mesh, ax_backend=backend)
@@ -128,11 +129,14 @@ def test_plain_callable_equals_registered(
 
 
 def make_twin(problem, how):
-    """``(twin, cleanup)`` of a problem by one of the two routes."""
-    if how == "spec":
-        return rebuild(problem.spec()), lambda: None
+    """``(twin, cleanup)`` of a problem from its export's spec, as the
+    exporter holds it (``"shared"``) or as a worker receives it, after
+    a pickle round trip (``"spec"``)."""
     export = problem.export_shared()
-    return rebuild(export.spec), export.close
+    spec = export.spec
+    if how == "spec":
+        spec = pickle.loads(pickle.dumps(spec))
+    return rebuild(spec), export.close
 
 
 REGISTERED_PLAIN = "_test_problem_plain"
@@ -187,14 +191,37 @@ def test_twins_equal_the_source(registered_plain, kind, form, how):
         cleanup()
 
 
+@pytest.mark.parametrize("kind", ("poisson", "helmholtz"))
+def test_deformed_twins_equal_the_source(kind):
+    """A deformed mesh's coordinates ride in the shared block: its
+    twin, as a worker receives it, is the source to the bit in every
+    dtype and shape."""
+    mesh = BoxMesh.build(ReferenceElement.from_degree(DEGREE), BOX).deform(
+        lambda x, y, z: (x + 0.03 * np.sin(np.pi * y), y, z)
+    )
+    source = (PoissonProblem(mesh) if kind == "poisson"
+              else HelmholtzProblem(mesh, 0.7))
+    twin, cleanup = make_twin(source, "spec")
+    try:
+        assert np.array_equal(twin.mesh.coords, mesh.coords)
+        assert np.array_equal(twin.precond_diag(), source.precond_diag())
+        for dtype, shape in itertools.product(DTYPES, SHAPES):
+            assert np.array_equal(
+                apply(twin, dtype, shape, True),
+                apply(source, dtype, shape, True),
+            )
+    finally:
+        del twin
+        cleanup()
+
+
 @pytest.mark.parametrize("precision", ("fp64", "mixed"))
 @pytest.mark.parametrize("kind", KINDS)
 def test_service_equals_problem_solve(problems, kind, precision):
     problem = problems[kind, "matmul"]
-    inner = getattr(problem, "problem", problem)
     bs = bank(problem, np.float64)
     if kind != "helmholtz":
-        bs = bs * inner.interior
+        bs = bs * problem.interior
     want = [
         problem.solve(b, tol=1e-9, maxiter=200, precision=precision)
         for b in bs
@@ -585,10 +612,9 @@ def test_a_default_problem_solves_in_one_compiled_call(kind, monkeypatch):
     problem = {
         "poisson": lambda: PoissonProblem(mesh),
         "helmholtz": lambda: HelmholtzProblem(mesh),
-        "nekbone": lambda: NekboneCase(DEGREE, BOX),
+        "nekbone": lambda: NekboneCase(DEGREE, BOX).problem,
     }[kind]()
-    inner = getattr(problem, "problem", problem)
-    assert inner.ax_backend is ax_local_matmul
+    assert problem.ax_backend is ax_local_matmul
     for op, dtype in ((problem.operator, np.float64),
                       (problem.operator32, np.float32)):
         assert cg._bind_operator(op, True, dtype)[1] is not None
@@ -599,7 +625,7 @@ def test_a_default_problem_solves_in_one_compiled_call(kind, monkeypatch):
     monkeypatch.setattr(native, "OperatorCall", no_callback)
     b = bank(problem, np.float64)[0]
     if kind != "helmholtz":
-        b = b * inner.interior
+        b = b * problem.interior
     for precision in ("fp64", "mixed"):
         res = problem.solve(b, tol=1e-8, maxiter=500, precision=precision)
         assert res.converged

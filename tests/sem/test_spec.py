@@ -1,9 +1,10 @@
-"""Tests for repro.sem.spec (picklable problem specs + rebuild) and the
-shared-memory export/attach protocol in repro.sem.shared / geometry /
-gather_scatter."""
+"""Tests for repro.sem.spec (the one shared problem block, its picklable
+spec and rebuild) and the shared-memory export/attach protocol in
+repro.sem.shared."""
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import subprocess
@@ -16,7 +17,6 @@ import repro
 
 from repro.sem import (
     BoxMesh,
-    GatherScatter,
     HelmholtzProblem,
     NekboneCase,
     PoissonProblem,
@@ -25,7 +25,7 @@ from repro.sem import (
     cosine_manufactured,
     export_shared_arrays,
     attach_shared_arrays,
-    problem_spec,
+    export_shared_problem,
     rebuild,
     sine_manufactured,
 )
@@ -180,54 +180,60 @@ class TestGatherScatterShared:
     def test_attached_twin_matches_original(self, poisson):
         prob, _ = poisson
         gs = prob.gs
-        shm, handle = gs.export_shared()
+        export = prob.export_shared()
         try:
-            twin = GatherScatter.attach_shared(handle)
-            assert twin.n_global == gs.n_global
-            assert twin.local_shape == gs.local_shape
+            twin = rebuild(export.spec)
+            twin_gs = twin.gs
+            assert twin_gs.n_global == gs.n_global
+            assert twin_gs.local_shape == gs.local_shape
             rng = np.random.default_rng(1)
             local = rng.standard_normal(gs.local_shape)
-            assert np.array_equal(twin.gather(local), gs.gather(local))
+            assert np.array_equal(twin_gs.gather(local), gs.gather(local))
             g = rng.standard_normal(gs.n_global)
-            assert np.array_equal(twin.scatter(g), gs.scatter(g))
-            # The shared caches are the same bytes, read-only.
-            assert not twin.l2g_flat.flags.writeable
-            assert np.array_equal(twin.l2g_flat, gs.l2g_flat)
-            assert not twin._mult.flags.writeable
-            assert np.array_equal(twin._mult, gs._mult)
+            assert np.array_equal(twin_gs.scatter(g), gs.scatter(g))
+            # The shared caches are the same bytes, read-only: the
+            # multiplicities are the exporter's, not a worker bincount.
+            assert not twin_gs.l2g_flat.flags.writeable
+            assert np.array_equal(twin_gs.l2g_flat, gs.l2g_flat)
+            assert not twin_gs._mult.flags.writeable
+            assert np.array_equal(twin_gs._mult, gs._mult)
+            assert twin_gs.dtype == gs.dtype
             # The affine form is worked out again on attach, not shared.
-            (org, s0, s1), (org0, s00, s10) = twin.affine, gs.affine
+            (org, s0, s1), (org0, s00, s10) = twin_gs.affine, gs.affine
             assert (s0, s1) == (s00, s10) and np.array_equal(org, org0)
             # So is the split plane, from the same map.
             if gs.split is None:
-                assert twin.split is None
+                assert twin_gs.split is None
             else:
-                (plane, slot), (plane0, slot0) = twin.split, gs.split
+                (plane, slot), (plane0, slot0) = twin_gs.split, gs.split
                 assert plane == plane0 and np.array_equal(slot, slot0)
-            # The l2g map and the multiplicities are the whole export.
-            assert set(e[0] for e in handle.arrays.entries) == {
-                "l2g_flat", "mult",
-            }
-            del twin
+            del twin, twin_gs
         finally:
-            shm.close()
-            shm.unlink()
+            export.close()
 
 
 class TestProblemSpec:
     def test_plain_spec_rebuild_bit_identical(self, poisson):
+        """What a worker receives — the export's spec after a pickle
+        round trip — rebuilds a problem whose solve is the source's."""
         prob, b = poisson
         want = warm_solve(prob, b)
-        spec = prob.spec()
-        assert spec.kind == "poisson"
-        assert not hasattr(spec, "ax_backend")  # a spec names no kernel
-        assert spec.geometry is None and spec.extras is None
-        twin = rebuild(pickle.loads(pickle.dumps(spec)))
-        assert_same_result(warm_solve(twin, b), want)
+        export = prob.export_shared()
+        try:
+            spec = pickle.loads(pickle.dumps(export.spec))
+            assert spec.kind == "poisson"
+            assert not hasattr(spec, "ax_backend")  # a spec names no kernel
+            assert spec.arrays.block == export.block_names[0]
+            twin = rebuild(spec)
+            assert_same_result(warm_solve(twin, b), want)
+            del twin
+        finally:
+            export.close()
 
     def test_spec_rejects_unregistered_callable_backend(self):
         """A spec names no kernel, so only a problem on the production
-        one has a spec: any other backend is refused."""
+        one has a spec: any other backend is refused, before any block
+        exists."""
         mesh = BoxMesh.build(ReferenceElement.from_degree(2), (1, 1, 1))
         from oracles import ax_local
 
@@ -235,41 +241,55 @@ class TestProblemSpec:
             return ax_local(ref, u, g)
 
         prob = PoissonProblem(mesh, ax_backend=custom)
+        before = set(os.listdir("/dev/shm"))
         with pytest.raises(ValueError, match="production kernel"):
-            prob.spec()
-
-    def test_spec_rejects_deformed_mesh(self):
-        mesh = BoxMesh.build(ReferenceElement.from_degree(2), (2, 1, 1))
-        deformed = mesh.deform(
-            lambda x, y, z: (x + 0.02 * np.sin(np.pi * y), y, z)
-        )
-        prob = PoissonProblem(deformed, ax_backend="matmul")
-        with pytest.raises(ValueError, match="deformed"):
-            prob.spec()
+            prob.export_shared()
+        assert set(os.listdir("/dev/shm")) == before
 
     def test_spec_rejects_non_protocol_object(self):
         with pytest.raises(TypeError, match="no spec"):
-            problem_spec(object())
+            export_shared_problem(object())
+        case = NekboneCase(2, (1, 1, 1))
+        with pytest.raises(TypeError, match="no spec"):
+            export_shared_problem(case)
 
-    def test_rebuild_unknown_kind(self):
-        spec = ProblemSpec(
-            kind="stokes", degree=2, shape=(1, 1, 1),
-            extent=(1.0, 1.0, 1.0),
-        )
-        with pytest.raises(ValueError, match="unknown problem kind"):
-            rebuild(spec)
-
-    def test_rebuild_rejects_partial_manifests(self, poisson):
+    def test_rebuild_unknown_kind(self, poisson):
         prob, _ = poisson
         export = prob.export_shared()
         try:
             from dataclasses import replace
 
-            lopsided = replace(export.spec, gather_scatter=None)
-            with pytest.raises(ValueError, match="both"):
-                rebuild(lopsided)
+            spec = replace(export.spec, kind="stokes")
+            with pytest.raises(ValueError, match="unknown problem kind"):
+                rebuild(spec)
         finally:
             export.close()
+
+    def test_a_failed_export_leaves_nothing(self, poisson, monkeypatch):
+        """Packing that raises after the block exists surfaces its
+        error, and ``/dev/shm`` is exactly as it was before."""
+        prob, _ = poisson
+        from repro.sem import shared
+
+        created = []
+
+        class Unpackable(shared.shared_memory.SharedMemory):
+            """A real block whose pages refuse the copy into them."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self.name)
+
+            @property
+            def buf(self):
+                raise RuntimeError("packing failed")
+
+        monkeypatch.setattr(shared.shared_memory, "SharedMemory", Unpackable)
+        before = set(os.listdir("/dev/shm"))
+        with pytest.raises(RuntimeError, match="packing failed"):
+            prob.export_shared()
+        assert len(created) == 1  # the block existed when packing failed
+        assert set(os.listdir("/dev/shm")) == before
 
 
 class TestSharedExport:
@@ -278,8 +298,8 @@ class TestSharedExport:
         want = warm_solve(prob, b)
         export = prob.export_shared()
         try:
-            # geometry (fp64 + fp32 twin), gather-scatter, mesh coords.
-            assert len(export.block_names) == 4
+            # One block: every array a worker attaches.
+            assert len(export.block_names) == 1
             for name in export.block_names:
                 assert os.path.exists(f"/dev/shm/{name}")
             spec = pickle.loads(pickle.dumps(export.spec))
@@ -294,6 +314,17 @@ class TestSharedExport:
             assert np.array_equal(
                 twin.precond_diag(), prob.precond_diag()
             )
+            # The fp32 twin is the exported one, read-only, not a cast.
+            g32 = twin.geometry.as_dtype(np.float32).g_soa
+            assert not g32.flags.writeable
+            assert np.array_equal(
+                g32, prob.geometry.as_dtype(np.float32).g_soa
+            )
+            block = np.frombuffer(twin._shm.buf, np.uint8)
+            for arr in (twin.geometry.g_soa, g32, twin.gs._mult,
+                        twin.mesh.coords, twin.precond_diag()):
+                assert np.may_share_memory(arr, block)
+            del block
             assert_same_result(warm_solve(twin, b), want)
             del twin
         finally:
@@ -302,6 +333,29 @@ class TestSharedExport:
         for name in names:
             assert not os.path.exists(f"/dev/shm/{name}")
         export.close()  # idempotent
+
+    def test_parts_outlive_the_rebuilt_problem(self, poisson):
+        """The geometry, its fp32 twin, the gather-scatter and the mesh
+        of a rebuilt problem keep the one mapping alive after the
+        problem itself is gone."""
+        prob, _ = poisson
+        export = prob.export_shared()
+        try:
+            twin = rebuild(export.spec)
+            geo, gs, mesh = twin.geometry, twin.gs, twin.mesh
+            geo32 = geo.as_dtype(np.float32)
+            del twin
+            gc.collect()
+            assert np.array_equal(geo.g_soa, prob.geometry.g_soa)
+            assert np.array_equal(
+                geo32.g_soa, prob.geometry.as_dtype(np.float32).g_soa
+            )
+            assert np.array_equal(gs._mult, prob.gs._mult)
+            assert np.array_equal(mesh.coords, prob.mesh.coords)
+            assert np.array_equal(mesh.ref.deriv, prob.mesh.ref.deriv)
+            del geo, geo32, gs, mesh
+        finally:
+            export.close()
 
     def test_deformed_mesh_travels_via_shared_coords(self):
         mesh = BoxMesh.build(ReferenceElement.from_degree(2), (2, 1, 1))
@@ -340,16 +394,17 @@ class TestSharedExport:
             export.close()
 
     def test_nekbone_shared_roundtrip(self):
+        """A Nekbone case's system travels as its ``case.problem``."""
         case = NekboneCase(2, (2, 1, 1), ax_backend="matmul")
         _, forcing = sine_manufactured(case.problem.mesh.extent)
         b = case.problem.rhs_from_forcing(forcing)
-        want = warm_solve(case, b)
-        export = case.export_shared()
+        want = warm_solve(case.problem, b)
+        export = case.problem.export_shared()
         try:
             spec = export.spec
-            assert spec.kind == "nekbone"
+            assert spec.kind == "poisson"
             twin = rebuild(spec)
-            assert isinstance(twin, NekboneCase)
+            assert isinstance(twin, PoissonProblem)
             assert_same_result(warm_solve(twin, b), want)
             del twin
         finally:

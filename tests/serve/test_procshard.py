@@ -13,6 +13,7 @@ import pytest
 
 from repro.sem import (
     BoxMesh,
+    NekboneCase,
     PoissonProblem,
     ReferenceElement,
     sine_manufactured,
@@ -139,8 +140,8 @@ class TestProcShardSharedMemory:
     ):
         """The sharing proof: both workers attest (from inside their own
         processes) that their geometry is a read-only view into the SAME
-        named shared-memory block, and the blocks vanish from /dev/shm
-        on close."""
+        named shared-memory problem block, and the blocks vanish from
+        /dev/shm on close."""
         prob, bank = serving_problem
         svc = ProcessShardedSolveService(
             prob, workers=2, policy="round-robin", max_batch=8,
@@ -148,20 +149,23 @@ class TestProcShardSharedMemory:
         )
         try:
             blocks = svc.shared_blocks
-            # geometry (fp64 + fp32 twin), gather-scatter, extras —
-            # plus one request/response slot ring per worker.
-            assert len(blocks) == 4 + 2
-            export_blocks = blocks[:4]
-            ring_blocks = blocks[4:]
+            # One problem block — plus one request/response slot ring
+            # per worker.
+            assert len(blocks) == 1 + 2
+            export_blocks = blocks[:1]
+            ring_blocks = blocks[1:]
             assert all(shm_exists(name) for name in blocks)
             infos = svc.worker_info()
             assert len(infos) == 2
             # Two distinct processes...
             assert len({info["pid"] for info in infos}) == 2
             assert all(info["pid"] != os.getpid() for info in infos)
-            # ...attached to one geometry block (the spec's own).
-            geometry_blocks = {info["geometry_block"] for info in infos}
-            assert geometry_blocks == {svc.spec.geometry.block}
+            # ...attached to one problem block (the spec's own), their
+            # geometry read-only views into it.
+            problem_blocks = {info["problem_block"] for info in infos}
+            assert problem_blocks == {svc.spec.arrays.block}
+            assert problem_blocks == set(export_blocks)
+            assert all(info["g_soa_in_block"] for info in infos)
             assert all(not info["g_soa_writeable"] for info in infos)
             # Each worker sees the export blocks plus its OWN ring
             # (rings are per-worker, not fleet-wide).
@@ -236,8 +240,18 @@ class TestProcShardLifecycle:
         prob, bank = serving_problem
         with pytest.raises(ValueError, match="workers"):
             ProcessShardedSolveService(prob, workers=0)
-        with pytest.raises(TypeError, match="export_shared"):
+        with pytest.raises(TypeError, match="not an SEMProblem"):
             ProcessShardedSolveService(object(), workers=1)
+
+    def test_a_nekbone_case_is_refused_naming_its_problem(self):
+        """A case is a driver, not a problem: the fleet refuses it with
+        a ``TypeError`` naming what to serve, before any block or
+        worker exists."""
+        case = NekboneCase(2, (1, 1, 1))
+        before = set(os.listdir("/dev/shm"))
+        with pytest.raises(TypeError, match=r"case\.problem"):
+            ProcessShardedSolveService(case, workers=1)
+        assert set(os.listdir("/dev/shm")) <= before
 
     def test_bad_requests_bounce_parent_side(
         self, serving_problem, sequential_solve, assert_same_result
@@ -410,8 +424,8 @@ class TestProcShardMixed:
         assert_same_result(fp64, sequential_solve(prob, bank[0]))
 
     def test_workers_attest_shared_fp32_geometry(self, serving_problem):
-        """Workers attach the parent's exported fp32 geometry twin
-        (one shared block, read-only) rather than re-casting fp64 —
+        """Workers view the parent's exported fp32 geometry twin (in
+        the one problem block, read-only) rather than re-casting fp64 —
         attested per worker via worker_info."""
         prob, _ = serving_problem
         with ProcessShardedSolveService(
@@ -420,12 +434,12 @@ class TestProcShardMixed:
         ) as svc:
             infos = svc.worker_info()
             assert len(infos) == 2
-            blocks = {info["geometry32_block"] for info in infos}
+            blocks = {info["problem_block"] for info in infos}
             assert len(blocks) == 1  # one shared block, all workers on it
             (block,) = blocks
             assert block is not None and shm_exists(block)
             for info in infos:
-                assert info["geometry32_dtype"] == "float32"
+                assert info["g32_soa_in_block"] is True
                 assert info["g32_soa_writeable"] is False
                 assert info["precision"] == "fp64"  # the fleet default
         assert not shm_exists(block)  # unlinked on close

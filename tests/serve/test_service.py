@@ -340,7 +340,7 @@ class TestSolveServiceSync:
             assert_same_result(good.result(), sequential_solve(prob, bank[0]))
 
     def test_non_protocol_problem_rejected(self):
-        with pytest.raises(TypeError, match="solver.*protocol"):
+        with pytest.raises(TypeError, match="not an SEMProblem"):
             SolveService(object())
 
     def test_failure_propagates_to_every_ticket(self, serving_problem):
@@ -581,16 +581,25 @@ class TestOtherProblems:
             assert_same_result(got, want)
 
     def test_nekbone_case_service(self, assert_same_result):
+        """A Nekbone case is served through its ``case.problem``."""
         case = NekboneCase(3, (2, 2, 1), ax_backend="matmul")
-        _, forcing = sine_manufactured(case.problem.mesh.extent)
-        b = case.problem.rhs_from_forcing(forcing)
-        with SolveService(case, max_batch=2) as svc:
+        prob = case.problem
+        _, forcing = sine_manufactured(prob.mesh.extent)
+        b = prob.rhs_from_forcing(forcing)
+        with SolveService(prob, max_batch=2) as svc:
             results = svc.solve_many([b, 3.0 * b])
         want = cg_solve(
-            case.operator, b, precond_diag=case.precond_diag(),
-            tol=1e-10, maxiter=1000, workspace=case.workspace,
+            prob.operator, b, precond_diag=prob.precond_diag(),
+            tol=1e-10, maxiter=1000, workspace=prob.workspace,
         )
         assert_same_result(results[0], want)
+
+    def test_a_nekbone_case_is_refused_naming_its_problem(self):
+        """A case is a driver, not a problem: serving one is a
+        ``TypeError`` that names what to serve instead."""
+        case = NekboneCase(2, (1, 1, 1))
+        with pytest.raises(TypeError, match=r"case\.problem"):
+            SolveService(case)
 
 
 class TestStats:
@@ -909,32 +918,6 @@ class TestMixedPrecisionService:
             got64 = t_fp64.result(timeout=60)
         assert isinstance(got, MixedCGResult)
         assert not isinstance(got64, MixedCGResult)
-
-    def test_mixed_bounces_without_operator32(self, serving_problem):
-        """A problem lacking the fp32 twin keeps working for fp64 and
-        rejects mixed at submission (and at construction for a mixed
-        service default) with a clear TypeError."""
-        prob, bank = serving_problem
-
-        class Fp64Only:
-            n_dofs = prob.n_dofs
-            operator = staticmethod(prob.apply_A)
-            workspace = prob.workspace
-
-            def precond_diag(self):
-                return prob.precond_diag()
-
-            def batch_workspace(self, batch, dtype=np.float64):
-                return prob.batch_workspace(batch, dtype=dtype)
-
-        with SolveService(Fp64Only(), max_batch=2) as svc:
-            ticket = svc.submit(bank[0])
-            svc.flush()
-            assert ticket.result(timeout=60).converged
-            with pytest.raises(TypeError, match="operator32"):
-                svc.submit(bank[0], precision="mixed")
-        with pytest.raises(TypeError, match="operator32"):
-            SolveService(Fp64Only(), precision="mixed")
 
     def test_invalid_precision_bounces_at_submit(self, serving_problem):
         prob, bank = serving_problem
