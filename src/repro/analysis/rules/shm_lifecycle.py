@@ -7,8 +7,8 @@ ring-slot leak rehearsed).  The rule demands that the *enclosing
 function* of every ``create=True`` call contain a visible release path:
 
 * a ``try`` whose ``finally`` or ``except`` handlers call ``.close()``
-  / ``.unlink()`` or one of the project teardown helpers
-  (``unlink_shared_block`` / ``_untrack``), or
+  / ``.unlink()`` or the project teardown helper
+  (``unlink_shared_block``), or
 * a ``weakref.finalize(...)`` registration (teardown tied to object
   lifetime rather than scope).
 
@@ -33,8 +33,8 @@ RULE_IDS = (RULE_ID,)
 
 #: Method names that release a shared-memory segment.
 _RELEASE_ATTRS = ("close", "unlink")
-#: Project helpers that encapsulate the close+unlink pair.
-_RELEASE_HELPERS = ("unlink_shared_block", "_untrack")
+#: Project helpers that release a segment.
+_RELEASE_HELPERS = ("unlink_shared_block",)
 
 
 def _is_shm_create(node: ast.Call) -> bool:

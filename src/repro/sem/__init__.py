@@ -17,7 +17,7 @@ if not hasattr(_np, "vecdot"):  # new in numpy 2.0
     )
 
 from repro.sem.legendre import legendre, legendre_prime
-from repro.sem.quadrature import gll_points_and_weights, integrate
+from repro.sem.quadrature import gll_points_and_weights
 from repro.sem.basis import (
     barycentric_weights,
     lagrange_basis_matrix,
@@ -54,7 +54,6 @@ from repro.sem.nekbone import (
 from repro.sem.shared import (
     SharedArrayManifest,
     SlotRing,
-    SlotRingManifest,
     attach_shared_arrays,
     export_shared_arrays,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "legendre",
     "legendre_prime",
     "gll_points_and_weights",
-    "integrate",
     "barycentric_weights",
     "lagrange_basis_matrix",
     "interpolate",
@@ -103,7 +101,6 @@ __all__ = [
     "element_sweep",
     "SharedArrayManifest",
     "SlotRing",
-    "SlotRingManifest",
     "attach_shared_arrays",
     "export_shared_arrays",
     "ProblemSpec",

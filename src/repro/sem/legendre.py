@@ -70,11 +70,6 @@ def legendre_prime(n: int, x: ArrayLike) -> NDArray[np.float64]:
     return out
 
 
-def legendre_and_prime(n: int, x: ArrayLike) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Return ``(L_n(x), L_n'(x))`` in one call (shared recurrence work)."""
-    return legendre(n, x), legendre_prime(n, x)
-
-
 def q_and_evaluations(n: int, x: ArrayLike) -> tuple[
     NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]
 ]:

@@ -102,16 +102,6 @@ class PoissonProblem(SEMProblem):
         b[~self.interior] = 0.0
         return b
 
-    def nodal_values(
-        self, u: Callable[[NDArray, NDArray, NDArray], NDArray]
-    ) -> NDArray[np.float64]:
-        """Evaluate an analytic field at the global nodes."""
-        x, y, z = self.mesh.coords
-        u_local = u(x, y, z)
-        # Average the redundant interface copies (they are identical for a
-        # continuous analytic field, so a plain gather/multiplicity works).
-        return self.gs.gather(u_local) / self.gs.multiplicity()
-
 
 def sine_manufactured(
     extent: tuple[float, float, float] = (1.0, 1.0, 1.0),

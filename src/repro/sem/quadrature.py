@@ -76,12 +76,3 @@ def gll_points_and_weights(n_points: int) -> tuple[NDArray[np.float64], NDArray[
         raise ValueError(f"GLL rule needs at least 2 points, got {n_points}")
     pts, wts = _gll_cached(n_points)
     return np.array(pts), np.array(wts)
-
-
-def integrate(values: NDArray[np.float64], weights: NDArray[np.float64]) -> float:
-    """Apply a 1-D quadrature rule: ``sum_i w_i f(x_i)``."""
-    v = np.asarray(values, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if v.shape != w.shape:
-        raise ValueError(f"shape mismatch: values {v.shape} vs weights {w.shape}")
-    return float(np.dot(w, v))

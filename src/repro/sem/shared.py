@@ -16,16 +16,22 @@ duplicate it per worker.  This module is the substrate for that sharing:
 
 Ownership protocol
 ------------------
-The *exporting* process owns the block: it keeps the returned
-``SharedMemory`` handle and must eventually ``close()`` + ``unlink()``
-it (:class:`repro.sem.spec.SharedProblemExport` and
-:class:`repro.serve.procshard.ProcessShardedSolveService` do this on
-``close``).  *Attaching* processes only ever ``close()`` their mapping,
-and no attacher's ``multiprocessing`` resource tracker may tear the
-block down under the exporter: a worker the exporter started shares
-the exporter's tracker, where its attach dedupes into the exporter's
-own entry, and any other process unregisters its attachment
-(:func:`_untrack`).
+The *exporting* process owns the block.  :func:`export_shared_arrays`
+creates it, packs it and closes its own mapping at once; the
+``SharedMemory`` handle it returns is kept only to ``unlink()`` the
+block when the fleet is done (:class:`repro.sem.spec.SharedProblemExport`
+and :class:`SlotRing` do this on ``close``), and, through the
+``multiprocessing`` resource tracker it registered with, to reclaim the
+block should the exporter die first.
+
+Everyone, the exporter included, reads the block through
+:func:`attach_shared_arrays`: it maps the block's file (Linux:
+``/dev/shm/<name>``) and builds every view with ``np.frombuffer`` over
+that one mapping, so each view keeps the mapping alive — the pages stay
+mapped while any view (or a slice of one) lives and go with the last.
+An attach makes no ``SharedMemory``: nothing registers with a resource
+tracker, and there is nothing to close.  Unlinking removes only the
+name; views already taken stay valid.
 
 Attached views are marked non-writeable: the shared state is immutable
 by contract, and a stray in-place write in one worker corrupting every
@@ -35,7 +41,8 @@ an immediate ``ValueError``.
 
 from __future__ import annotations
 
-import multiprocessing
+import math
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -47,6 +54,9 @@ from numpy.typing import NDArray
 #: Byte alignment of each packed array inside a block (cache-line sized,
 #: so attached views start aligned like a fresh np.empty would).
 _ALIGN: int = 64
+
+#: Where POSIX shared-memory blocks live as files.
+_SHM_DIR: str = "/dev/shm"
 
 
 @dataclass(frozen=True)
@@ -63,16 +73,11 @@ class SharedArrayManifest:
     entries:
         One ``(key, offset, shape, dtype_str)`` record per packed
         array, in packing order.
-    creator_pid:
-        PID of the exporting process.  Attaches outside it and its
-        ``multiprocessing`` children are untracked from the resource
-        tracker (:func:`_untrack`).
     """
 
     block: str
     nbytes: int
     entries: tuple[tuple[str, int, tuple[int, ...], str], ...]
-    creator_pid: int = -1
 
 
 def _aligned(offset: int) -> int:
@@ -80,34 +85,14 @@ def _aligned(offset: int) -> int:
     return -(-offset // _ALIGN) * _ALIGN
 
 
-def _untrack(shm: shared_memory.SharedMemory, creator_pid: int) -> None:
-    """Keep an *attached* block from being unlinked by this process's
-    resource tracker.
-
-    The stdlib registers every ``SharedMemory`` with the
-    ``multiprocessing`` resource tracker, which unlinks whatever it
-    still tracks when it exits.  A process that ``multiprocessing``
-    started shares its parent's tracker, where registrations dedupe
-    into one set: an attach there only re-adds the exporter's own entry
-    (the tracker outlives every worker, and the exporter's unlink
-    removes the entry once), so it is left alone — unregistering it too
-    made two workers attaching at once remove the one entry twice, and
-    the tracker logged a ``KeyError``.  Any other process has a tracker
-    of its own, which would destroy the block every other process is
-    still mapping when that process exits: its attach is untracked.
-    """
-    parent = multiprocessing.parent_process()
-    if creator_pid in (os.getpid(), parent and parent.pid):
-        return
-    try:  # pragma: no cover - exercised indirectly; stdlib-internal name
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        # Tracker layouts differ across Python patch versions; failing
-        # to untrack degrades to a spurious unlink warning at exit,
-        # never to corruption.
-        pass
+def _map(name: str, nbytes: int) -> mmap.mmap:
+    """Map block ``name`` read-write from its file, closing the file
+    descriptor at once (the mapping alone keeps the pages)."""
+    fd = os.open(os.path.join(_SHM_DIR, name), os.O_RDWR)
+    try:
+        return mmap.mmap(fd, nbytes)
+    finally:
+        os.close(fd)
 
 
 def unlink_shared_block(shm: shared_memory.SharedMemory) -> None:
@@ -133,8 +118,9 @@ def export_shared_arrays(
     Returns
     -------
     (SharedMemory, SharedArrayManifest)
-        The owning handle (caller must eventually ``close()`` +
-        ``unlink()`` it) and the picklable manifest attachers consume.
+        The owning handle, its mapping already closed — keep it to
+        unlink the block (:func:`unlink_shared_block`) — and the
+        picklable manifest :func:`attach_shared_arrays` maps.
 
     Raises
     ------
@@ -143,39 +129,32 @@ def export_shared_arrays(
     """
     if not arrays:
         raise ValueError("export_shared_arrays needs at least one array")
-    packed: list[tuple[str, int, tuple[int, ...], str, NDArray]] = []
+    packed: list[tuple[str, int, NDArray]] = []
     offset = 0
     for key, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         offset = _aligned(offset)
-        packed.append((key, offset, arr.shape, arr.dtype.str, arr))
+        packed.append((key, offset, arr))
         offset += arr.nbytes
     shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
     try:
-        for key, off, shape, dtype_str, arr in packed:
-            view = np.ndarray(
-                shape, dtype=np.dtype(dtype_str), buffer=shm.buf, offset=off
-            )
-            view[...] = arr
-    except BaseException:
+        for _, off, arr in packed:
+            np.frombuffer(shm.buf, arr.dtype, arr.size, off)[:] = arr.ravel()
         shm.close()
-        shm.unlink()
+    except BaseException:
+        unlink_shared_block(shm)
         raise
     manifest = SharedArrayManifest(
         block=shm.name,
         nbytes=shm.size,
         entries=tuple(
-            (key, off, tuple(shape), dtype_str)
-            for key, off, shape, dtype_str, _ in packed
+            (key, off, arr.shape, arr.dtype.str) for key, off, arr in packed
         ),
-        creator_pid=os.getpid(),
     )
     return shm, manifest
 
 
-def attach_shared_arrays(
-    manifest: SharedArrayManifest,
-) -> tuple[shared_memory.SharedMemory, "dict[str, NDArray]"]:
+def attach_shared_arrays(manifest: SharedArrayManifest) -> "dict[str, NDArray]":
     """Map a manifest's block and return read-only zero-copy views.
 
     Parameters
@@ -187,60 +166,44 @@ def attach_shared_arrays(
 
     Returns
     -------
-    (SharedMemory, dict[str, NDArray])
-        The mapping handle — it must stay referenced as long as any view
-        is in use (callers tie it to the owning object's lifetime) — and
-        one non-writeable view per manifest entry.  No bytes are copied.
+    dict[str, NDArray]
+        One non-writeable view per manifest entry, each holding the
+        block's one mapping.  No bytes are copied.
 
     Raises
     ------
     FileNotFoundError
         If the block no longer exists (the exporter unlinked it).
     """
-    shm = shared_memory.SharedMemory(name=manifest.block, create=False)
-    _untrack(shm, manifest.creator_pid)
+    mapping = _map(manifest.block, manifest.nbytes)
     views: dict[str, NDArray] = {}
     for key, off, shape, dtype_str in manifest.entries:
-        view = np.ndarray(
-            shape, dtype=np.dtype(dtype_str), buffer=shm.buf, offset=off
-        )
+        view = np.frombuffer(
+            mapping, dtype_str, math.prod(shape), off
+        ).reshape(shape)
         view.flags.writeable = False
         views[key] = view
-    return shm, views
+    return views
+
+
+def mapped_block(view: NDArray) -> "NDArray | None":
+    """The whole shared block ``view`` lies in, as ``uint8`` over the
+    view's own mapping — or ``None`` for an array on no shared block.
+
+    Attestation only: ``np.may_share_memory(a, mapped_block(v))`` says
+    that ``a`` reads the very pages ``v`` does.
+    """
+    base = view
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap):
+        return np.frombuffer(base.obj, np.uint8)
+    return None
 
 
 # ----------------------------------------------------------------------
 # Request/response slot rings (the zero-copy serving transport)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SlotRingManifest:
-    """Picklable description of one request/response slot ring.
-
-    Attributes
-    ----------
-    block:
-        The ``SharedMemory`` name of the ring's backing block.
-    slots:
-        Number of request/response slots in the ring.
-    n:
-        Payload vector length: each slot holds one ``(n,)`` rhs and one
-        ``(n,)`` solution vector.
-    dtype:
-        Numpy dtype string of the payload slabs (the serving boundary
-        is fp64 for both the fp64 and mixed-precision solve paths, so
-        one payload dtype carries both).
-    creator_pid:
-        PID of the creating (parent) process; attaches are tracked or
-        untracked exactly like :class:`SharedArrayManifest` attaches.
-    """
-
-    block: str
-    slots: int
-    n: int
-    dtype: str
-    creator_pid: int = -1
-
-
 class SlotRing:
     """A fixed-size shared-memory request/response ring.
 
@@ -251,7 +214,7 @@ class SlotRing:
     the worker writes solutions back **in place** — the pipe is demoted
     to a doorbell that carries slot ordinals and scalar knobs.
 
-    Layout (one ``SharedMemory`` block, 64-byte-aligned sections)::
+    Layout (one :func:`export_shared_arrays` block, one entry each)::
 
         req_seq  : int64  (slots,)   request sequence headers
         resp_seq : int64  (slots,)   response sequence headers
@@ -279,53 +242,36 @@ class SlotRing:
     the slot-owning worker dies or the service closes);
     :meth:`resume` re-opens the ring after a respawn re-attaches it.
 
-    Ownership mirrors :func:`export_shared_arrays`: the creator keeps
-    the handle and eventually ``close(unlink=True)``\\ s; attachers (the
-    workers) only ever ``close()`` their mapping.
-    Attached ``rhs`` and ``req_seq`` views are read-only — a worker can
-    never corrupt a request in flight; ``x`` and ``resp_seq`` stay
-    writable (they are the worker's reply channel).
+    Ownership is :func:`export_shared_arrays`'s: the creator keeps the
+    block's handle and unlinks it on :meth:`close`; both sides read
+    through :func:`attach_shared_arrays`.  Each side can write only its
+    own two views: the creator ``req_seq`` and ``rhs``, a worker
+    ``resp_seq`` and ``x`` (its reply channel) — a worker can never
+    corrupt a request in flight.
     """
 
     def __init__(
         self,
-        shm: shared_memory.SharedMemory,
-        manifest: SlotRingManifest,
-        owner: bool,
+        manifest: SharedArrayManifest,
+        block: shared_memory.SharedMemory | None = None,
     ) -> None:
-        self._shm = shm
+        views = attach_shared_arrays(manifest)
         self.manifest = manifest
-        self.owner = owner
-        slots, n = manifest.slots, manifest.n
-        dtype = np.dtype(manifest.dtype)
-        seq = np.dtype(np.int64)
-        off = 0
-        self.req_seq = np.ndarray(
-            (slots,), dtype=seq, buffer=shm.buf, offset=off
-        )
-        off = _aligned(off + self.req_seq.nbytes)
-        self.resp_seq = np.ndarray(
-            (slots,), dtype=seq, buffer=shm.buf, offset=off
-        )
-        off = _aligned(off + self.resp_seq.nbytes)
-        self.rhs = np.ndarray(
-            (slots, n), dtype=dtype, buffer=shm.buf, offset=off
-        )
-        off = _aligned(off + self.rhs.nbytes)
-        self.x = np.ndarray(
-            (slots, n), dtype=dtype, buffer=shm.buf, offset=off
-        )
-        if not owner:
-            # The worker side replies through x/resp_seq only.
-            self.req_seq.flags.writeable = False
-            self.rhs.flags.writeable = False
+        #: The creator's handle, kept to unlink the block; None when
+        #: attached.
+        self._block = block
+        self.owner = block is not None
+        self.req_seq, self.resp_seq = views["req_seq"], views["resp_seq"]
+        self.rhs, self.x = views["rhs"], views["x"]
+        written = ("req_seq", "rhs") if self.owner else ("resp_seq", "x")
+        for key in written:
+            views[key].flags.writeable = True
         # Parent-side slot accounting (meaningless on attached rings).
         self._cond = threading.Condition()
-        self._free: list[int] = list(range(slots))
+        self._free: list[int] = list(range(len(self.req_seq)))
         self._slot_of: dict[int, int] = {}  # live ordinal -> slot
         self._next_ordinal = 1
         self._error: BaseException | None = None
-        self._closed = False
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -337,41 +283,22 @@ class SlotRing:
             raise ValueError(f"slots must be >= 1, got {slots}")
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        dtype = np.dtype(dtype)
-        seq_nbytes = slots * np.dtype(np.int64).itemsize
-        slab_nbytes = slots * n * dtype.itemsize
-        size = (
-            _aligned(seq_nbytes) + _aligned(seq_nbytes)
-            + _aligned(slab_nbytes) + slab_nbytes
-        )
-        shm = shared_memory.SharedMemory(create=True, size=size)
+        block, manifest = export_shared_arrays({
+            "req_seq": np.zeros(slots, np.int64),
+            "resp_seq": np.zeros(slots, np.int64),
+            "rhs": np.zeros((slots, n), dtype),
+            "x": np.zeros((slots, n), dtype),
+        })
         try:
-            manifest = SlotRingManifest(
-                block=shm.name, slots=int(slots), n=int(n), dtype=dtype.str,
-                creator_pid=os.getpid(),
-            )
-            ring = cls(shm, manifest, owner=True)
-            ring.req_seq[:] = 0
-            ring.resp_seq[:] = 0
+            return cls(manifest, block)
         except BaseException:
-            # The segment is kernel-side state: if ring construction
-            # dies between create and handoff, release it here or it
-            # leaks in /dev/shm until reboot.
-            shm.close()
-            shm.unlink()
+            unlink_shared_block(block)
             raise
-        return ring
 
     @classmethod
-    def attach(cls, manifest: SlotRingManifest) -> "SlotRing":
-        """Map an existing ring (worker side, non-owning).
-
-        No attacher's resource tracker may unlink the parent's ring
-        (:func:`_untrack`).
-        """
-        shm = shared_memory.SharedMemory(name=manifest.block, create=False)
-        _untrack(shm, manifest.creator_pid)
-        return cls(shm, manifest, owner=False)
+    def attach(cls, manifest: SharedArrayManifest) -> "SlotRing":
+        """Map an existing ring (worker side, non-owning)."""
+        return cls(manifest)
 
     # -- parent-side slot accounting -------------------------------------
     def acquire(self, timeout: float | None = None) -> tuple[int, int]:
@@ -403,7 +330,7 @@ class SlotRing:
             if not self._free:
                 raise TimeoutError(
                     f"no free ring slot within {timeout}s "
-                    f"({self.manifest.slots} slots all in flight)"
+                    f"({len(self._slot_of)} slots all in flight)"
                 )
             return self._claim_locked()
 
@@ -441,19 +368,11 @@ class SlotRing:
             self._cond.notify_all()
 
     # -- lifecycle --------------------------------------------------------
-    def close(self, unlink: bool | None = None) -> None:
-        """Unmap the block; the owner unlinks it too (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if unlink is None:
-            unlink = self.owner
-        # Views alias shm.buf; drop them before closing the mapping or
-        # SharedMemory.close() raises BufferError on exported pointers.
+    def close(self, unlink: bool = True) -> None:
+        """Drop this side's views and, on the creator, unlink the block
+        unless ``unlink=False``.  Idempotent.  A view taken from the
+        ring before reads its bytes for as long as it lives."""
         self.req_seq = self.resp_seq = self.rhs = self.x = None
-        try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - teardown race
-            pass
-        if unlink:
-            unlink_shared_block(self._shm)
+        if unlink and self._block is not None:
+            unlink_shared_block(self._block)
+            self._block = None

@@ -40,7 +40,6 @@ from repro.sem.mesh import BoxMesh
 from repro.sem.poisson import PoissonProblem
 from repro.sem.shared import (
     SharedArrayManifest,
-    SlotRingManifest,
     attach_shared_arrays,
     export_shared_arrays,
     unlink_shared_block,
@@ -81,7 +80,7 @@ class ProblemSpec:
         (``"fp64"`` or ``"mixed"``); per-request precision still works
         either way.
     ring:
-        Optional :class:`~repro.sem.shared.SlotRingManifest` of the
+        Optional :class:`~repro.sem.shared.SharedArrayManifest` of the
         request/response slot ring assigned to the worker rebuilding
         from this spec (the zero-copy serving transport; see
         :class:`~repro.sem.shared.SlotRing`).  Unlike :attr:`arrays`,
@@ -98,7 +97,7 @@ class ProblemSpec:
     arrays: SharedArrayManifest
     lam: float | None = None
     precision: str = "fp64"
-    ring: SlotRingManifest | None = None
+    ring: SharedArrayManifest | None = None
 
     @property
     def shared_blocks(self) -> tuple[str, ...]:
@@ -127,14 +126,14 @@ class SharedProblemExport:
 
     The exporting process keeps this object: :attr:`spec` is the
     picklable hand-off for workers (:func:`rebuild` attaches its
-    block), :attr:`block` is the owning ``SharedMemory`` handle.
-    Call :meth:`close` when the fleet is done — it unmaps *and unlinks*
-    the block, which is the exporter's job alone (see
+    block), :attr:`block` is the owning ``SharedMemory`` handle, kept
+    only to unlink the block.  Call :meth:`close` when the fleet is
+    done — unlinking is the exporter's job alone (see
     :mod:`repro.sem.shared`).
     """
 
     spec: ProblemSpec
-    block: object  # SharedMemory; None once closed
+    block: object  # SharedMemory, already unmapped; None once closed
 
     @property
     def block_names(self) -> tuple[str, ...]:
@@ -142,7 +141,7 @@ class SharedProblemExport:
         nothing once closed."""
         return () if self.block is None else (self.block.name,)
 
-    def spec_with_ring(self, ring: SlotRingManifest) -> ProblemSpec:
+    def spec_with_ring(self, ring: SharedArrayManifest) -> ProblemSpec:
         """This export's spec stamped with one worker's ring descriptor.
 
         The per-worker hand-off of the zero-copy transport: the problem
@@ -152,16 +151,11 @@ class SharedProblemExport:
         """
         return replace(self.spec, ring=ring)
 
-    def close(self, unlink: bool = True) -> None:
-        """Unmap (and by default unlink) the block.  Idempotent."""
+    def close(self) -> None:
+        """Unlink the block.  Idempotent.  Problems already rebuilt
+        from it keep reading their views."""
         shm, self.block = self.block, None
-        if shm is None:
-            return
-        try:
-            shm.close()
-        except (OSError, BufferError):  # pragma: no cover - teardown race
-            pass
-        if unlink:
+        if shm is not None:
             unlink_shared_block(shm)
 
 
@@ -242,10 +236,7 @@ def rebuild(spec: ProblemSpec):
     Attaches the spec's block once and builds the problem over
     read-only views of it: nothing big is recomputed or copied, so the
     rebuilt problem's solves are bit-identical to the source problem's
-    — the process-shard's serving contract rests on this.  The one
-    mapping lives as long as the returned problem, or any of its
-    reference element, mesh, geometry (and fp32 twin) and
-    gather-scatter that outlives it (each holds it as ``_shm``).
+    — the process-shard's serving contract rests on this.
 
     Parameters
     ----------
@@ -271,7 +262,7 @@ def rebuild(spec: ProblemSpec):
             f"unknown problem kind {spec.kind!r}; expected one of "
             f"{PROBLEM_KINDS}"
         )
-    shm, views = attach_shared_arrays(spec.arrays)
+    views = attach_shared_arrays(spec.arrays)
     ref = ReferenceElement(
         degree=spec.degree,
         points=views["ref_points"],
@@ -298,14 +289,7 @@ def rebuild(spec: ProblemSpec):
     knobs = dict(precision=spec.precision)
     if spec.lam is not None:
         knobs["lam"] = spec.lam
-    problem = cls(mesh, **knobs, _parts=ProblemParts(
+    return cls(mesh, **knobs, _parts=ProblemParts(
         geometry=geometry, gather_scatter=gs,
         precond_diag=views["precond_diag"],
     ))
-    # Views do not pin their mapping, and the mapping goes when the
-    # SharedMemory handle does: every object built over the views holds
-    # the handle (last in, so its views are released first), so none
-    # can outlive the one mapping and read unmapped memory.
-    for holder in (problem, ref, mesh, geometry, geometry32, gs):
-        object.__setattr__(holder, "_shm", shm)
-    return problem

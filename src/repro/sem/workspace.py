@@ -179,17 +179,6 @@ class SolverWorkspace:
             batch=batch, dtype=dtype,
         )
 
-    @property
-    def nbytes(self) -> int:
-        """Total bytes held by the workspace buffers (itemsize-aware:
-        an fp32 workspace reports half the float footprint of its fp64
-        twin; ``cg_active`` stays 1 byte per system)."""
-        names = LOCAL_BUFFERS + GLOBAL_BUFFERS + BATCH_SCALAR_BUFFERS
-        return (
-            sum(getattr(self, name).nbytes for name in names)
-            + self.cg_active.nbytes
-        )
-
     # ------------------------------------------------------------------
     def require_global(self, n_global: int) -> None:
         """Raise unless the global buffers hold ``n_global`` entries."""

@@ -356,7 +356,7 @@ class ProcessShardedSolveService:
         except BaseException:
             for replica in self._workers:
                 replica.join(0.0)
-            self._export.close(unlink=True)
+            self._export.close()
             raise
         self._supervisor = threading.Thread(
             target=self._supervisor_loop,
@@ -929,7 +929,7 @@ class ProcessShardedSolveService:
             replica.begin_close()
         for replica in self._workers:
             replica.join(self.JOIN_TIMEOUT)
-        self._export.close(unlink=True)
+        self._export.close()
 
     def __enter__(self):
         return self

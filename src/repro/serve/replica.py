@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.analysis.runtime import race_checked
 from repro.sem import cg
-from repro.sem.shared import SlotRing
+from repro.sem.shared import SlotRing, mapped_block
 from repro.serve.errors import ServiceClosed, WorkerCrashed
 from repro.serve.stats import perf_epoch_offset
 
@@ -65,19 +65,22 @@ def _sendable_error(exc: BaseException) -> BaseException:
 def _worker_info(problem, spec, ring, pinned) -> dict:
     """Introspection payload for the parent's ``worker_info`` (tests
     prove the zero-copy sharing through it)."""
-    # Block attestation: the one problem block this worker maps, and
-    # that its fp64 factors and the mixed path's fp32 twin are read-only
-    # views into it — the parent's export, not a private worker cast.
-    block = np.frombuffer(problem._shm.buf, np.uint8)
+    # Block attestation: the one problem block this worker maps, found
+    # through the fp64 factors' own mapping, and that the mixed path's
+    # fp32 twin is a read-only view into the same pages — the parent's
+    # export, not a private worker cast.
     g_soa = problem.geometry.g_soa
     g32_soa = problem.geometry.as_dtype(np.float32).g_soa
+    block = mapped_block(g_soa)
+    in_block = block is not None and block.nbytes == spec.arrays.nbytes
     return {
         "pid": os.getpid(),
         "n_dofs": int(problem.n_dofs),
-        "problem_block": problem._shm.name,
-        "g_soa_in_block": bool(np.may_share_memory(g_soa, block)),
+        "problem_block": spec.arrays.block,
+        "g_soa_in_block": in_block,
         "g_soa_writeable": bool(g_soa.flags.writeable),
-        "g32_soa_in_block": bool(np.may_share_memory(g32_soa, block)),
+        "g32_soa_in_block": bool(
+            in_block and np.may_share_memory(g32_soa, block)),
         "g32_soa_writeable": bool(g32_soa.flags.writeable),
         "shared_blocks": tuple(spec.shared_blocks),
         "precision": spec.precision,
@@ -86,9 +89,9 @@ def _worker_info(problem, spec, ring, pinned) -> dict:
         # is the parent's block mapped read-only — the payload twin of
         # the one-problem-block attestation above.
         "ring_block": ring.manifest.block,
-        "ring_slots": int(ring.manifest.slots),
-        "ring_n": int(ring.manifest.n),
-        "ring_dtype": str(np.dtype(ring.manifest.dtype)),
+        "ring_slots": ring.rhs.shape[0],
+        "ring_n": ring.rhs.shape[1],
+        "ring_dtype": str(ring.rhs.dtype),
         "ring_rhs_writeable": bool(ring.rhs.flags.writeable),
         "pinned_cpus": pinned,
     }
@@ -252,7 +255,7 @@ def _worker_main(
                 for item in block:
                     req_id, ordinal, slot = item[0], item[1], item[2]
                     if (
-                        0 <= slot < ring.manifest.slots
+                        0 <= slot < len(ring.req_seq)
                         and int(ring.req_seq[slot]) == ordinal
                     ):
                         good.append(item)
@@ -854,9 +857,9 @@ class Replica:
             self.reader.join(timeout=5.0)
         self.conn.close()
         # Wake any straggler blocked staging a slot before the ring is
-        # torn down.  Parent-side views of slots may still be
-        # referenced (SlotRing.close tolerates that); the /dev/shm
-        # entry is unlinked regardless.
+        # torn down.  A parent-side view of a slot still referenced
+        # keeps reading its bytes; the /dev/shm entry is unlinked
+        # regardless.
         self.ring.interrupt(ServiceClosed(
             "submit on a closed process-sharded service"
         ))

@@ -4,10 +4,15 @@ must fail loudly, never hang the suite)."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import _timeout_guard
+import repro
 from repro.sem import BoxMesh, ReferenceElement, geometric_factors
 
 
@@ -43,6 +48,22 @@ def reference_loop(monkeypatch):
     from repro.sem import cg
 
     monkeypatch.setattr(cg, "_compiled_loop", python_cg_loop)
+
+
+@pytest.fixture
+def run_python():
+    """``run_python(*args)`` runs ``python *args`` in a fresh interpreter
+    that imports this checkout's ``repro``, and returns its
+    ``CompletedProcess`` (text output captured): a script that may die
+    of a signal fails its test instead of the suite."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    return run
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ import pytest
 
 from repro.sem.legendre import (
     legendre,
-    legendre_and_prime,
     legendre_prime,
     q_and_evaluations,
 )
@@ -83,12 +82,6 @@ class TestLegendrePrime:
     def test_negative_degree_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
             legendre_prime(-2, 0.0)
-
-    def test_and_prime_consistency(self):
-        x = np.linspace(-1, 1, 9)
-        p, dp = legendre_and_prime(7, x)
-        assert np.allclose(p, legendre(7, x))
-        assert np.allclose(dp, legendre_prime(7, x))
 
 
 class TestQFunction:

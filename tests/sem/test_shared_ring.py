@@ -1,18 +1,19 @@
 """Tests for repro.sem.shared.SlotRing — the zero-copy slot-ring
 transport primitive: hand-off protocol, wraparound ordinals,
-full-ring backpressure (block, never overwrite), interrupt/resume, and
-read-only attached views."""
+full-ring backpressure (block, never overwrite), interrupt/resume,
+read-only attached views, and views that outlive their ring."""
 
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.sem.shared import SlotRing, SlotRingManifest
+from repro.sem.shared import SharedArrayManifest, SlotRing
 
 
 def shm_exists(name: str) -> bool:
@@ -45,10 +46,10 @@ class TestSlotRingLifecycle:
         ring = SlotRing.create(2, 3)
         try:
             m = ring.manifest
-            assert isinstance(m, SlotRingManifest)
-            assert m.slots == 2 and m.n == 3
-            assert m.dtype == np.dtype(np.float64).str
-            assert m.creator_pid == os.getpid()
+            assert isinstance(m, SharedArrayManifest)
+            assert pickle.loads(pickle.dumps(m)) == m
+            assert [entry[0] for entry in m.entries] == [
+                "req_seq", "resp_seq", "rhs", "x"]
         finally:
             ring.close()
 
@@ -241,6 +242,10 @@ class TestSlotRingAttach:
             # The reply channel stays writable.
             assert worker.resp_seq.flags.writeable
             assert worker.x.flags.writeable
+            # The owner writes only the request side.
+            assert ring.req_seq.flags.writeable and ring.rhs.flags.writeable
+            assert not ring.resp_seq.flags.writeable
+            assert not ring.x.flags.writeable
         finally:
             worker.close()
             ring.close()
@@ -253,3 +258,31 @@ class TestSlotRingAttach:
         assert shm_exists(name)  # only the owner unlinks
         ring.close()
         assert not shm_exists(name)
+
+
+#: Holds each side's ``x`` view past its ring's ``close`` (the owner's
+#: unlinks the block) and reads the bytes the worker wrote.
+X_OUTLIVES_RING = """
+import gc
+from repro.sem.shared import SlotRing
+ring = SlotRing.create(2, 3)
+worker = SlotRing.attach(ring.manifest)
+worker.x[1] = [1.0, 2.0, 3.0]
+owner_x, worker_x = ring.x, worker.x
+worker.close()
+ring.close()
+del ring, worker
+gc.collect()
+print(*owner_x[1], *worker_x[1])
+"""
+
+
+class TestSlotRingViewLifetime:
+    def test_an_x_view_outlives_its_ring_on_both_sides(self, run_python):
+        """A view taken from a ring keeps its pages after the ring is
+        closed, on the owner side and on the attach side.  Views that
+        did not hold their mapping read unmapped pages and the process
+        died of a signal, so the script runs on its own."""
+        done = run_python("-c", X_OUTLIVES_RING)
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        assert done.stdout.split() == ["1.0", "2.0", "3.0"] * 2

@@ -7,13 +7,9 @@ from __future__ import annotations
 import gc
 import os
 import pickle
-import subprocess
-import sys
 
 import numpy as np
 import pytest
-
-import repro
 
 from repro.sem import (
     BoxMesh,
@@ -29,6 +25,7 @@ from repro.sem import (
     rebuild,
     sine_manufactured,
 )
+from repro.sem.shared import mapped_block, unlink_shared_block
 from repro.sem.spec import ProblemSpec
 
 
@@ -66,18 +63,15 @@ class TestSharedArrays:
         try:
             assert [entry[0] for entry in manifest.entries] == ["a", "b", "c"]
             roundtripped = pickle.loads(pickle.dumps(manifest))
-            attach_shm, views = attach_shared_arrays(roundtripped)
+            views = attach_shared_arrays(roundtripped)
             for key, arr in arrays.items():
                 assert np.array_equal(views[key], arr)
                 assert views[key].dtype == arr.dtype
                 assert not views[key].flags.writeable
                 with pytest.raises(ValueError):
                     views[key][...] = 0
-            del views
-            attach_shm.close()
         finally:
-            shm.close()
-            shm.unlink()
+            unlink_shared_block(shm)
 
     def test_empty_export_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -85,8 +79,7 @@ class TestSharedArrays:
 
     def test_attach_after_unlink_fails(self):
         shm, manifest = export_shared_arrays({"x": np.zeros(4)})
-        shm.close()
-        shm.unlink()
+        unlink_shared_block(shm)
         with pytest.raises(FileNotFoundError):
             attach_shared_arrays(manifest)
 
@@ -105,9 +98,8 @@ ROUNDS = 100
 def attach(manifest, barrier):
     for _ in range(ROUNDS):
         barrier.wait(timeout=30)
-        shm, views = attach_shared_arrays(manifest)
+        views = attach_shared_arrays(manifest)
         del views
-        shm.close()
 
 if __name__ == "__main__":
     ctx = mp.get_context("spawn")
@@ -120,7 +112,6 @@ if __name__ == "__main__":
     for w in workers:
         w.join(timeout=60)
         assert w.exitcode == 0
-    shm.close()
     unlink_shared_block(shm)
     assert not os.path.exists("/dev/shm/" + manifest.block)
 """
@@ -131,49 +122,39 @@ class TestResourceTracker:
     fleet's: it logs to the stderr of the process that started it, and
     that process's children share it."""
 
-    @staticmethod
-    def run(*args: str) -> subprocess.CompletedProcess:
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        return subprocess.run([sys.executable, *args],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
-
-    def test_workers_attaching_at_once_keep_it_balanced(self, tmp_path):
+    def test_workers_attaching_at_once_keep_it_balanced(self, tmp_path,
+                                                        run_python):
         """Each worker used to unregister its attach from the tracker it
         shares with the exporter, so two attaches at once removed the
         exporter's one entry twice and the tracker printed a
         ``KeyError`` traceback."""
         script = tmp_path / "attach_at_once.py"
         script.write_text(ATTACH_AT_ONCE)
-        done = self.run(str(script))
+        done = run_python(str(script))
         assert done.returncode == 0, done.stderr
         assert "resource_tracker" not in done.stderr, done.stderr
         assert "KeyError" not in done.stderr, done.stderr
 
-    def test_a_foreign_attacher_never_unlinks(self, tmp_path):
+    def test_a_foreign_attacher_never_unlinks(self, tmp_path, run_python):
         """A process that is no ``multiprocessing`` child of the exporter
-        has a tracker of its own: its attach is untracked, so its exit
-        leaves the block to the exporter."""
+        has a tracker of its own: its attach registers nothing with it,
+        so its exit leaves the block to the exporter."""
         shm, manifest = export_shared_arrays({"a": np.arange(8.0)})
         try:
             path = tmp_path / "manifest.pkl"
             path.write_bytes(pickle.dumps(manifest))
-            done = self.run(
+            done = run_python(
                 "-c",
                 "import pickle, sys\n"
                 "from repro.sem.shared import attach_shared_arrays\n"
                 "m = pickle.loads(open(sys.argv[1], 'rb').read())\n"
-                "shm, views = attach_shared_arrays(m)\n"
-                "assert views['a'][7] == 7.0\n"
-                "del views\n"
-                "shm.close()\n", str(path))
+                "views = attach_shared_arrays(m)\n"
+                "assert views['a'][7] == 7.0\n", str(path))
             assert done.returncode == 0, done.stderr
             assert "resource_tracker" not in done.stderr, done.stderr
             assert os.path.exists("/dev/shm/" + manifest.block)
         finally:
-            shm.close()
-            shm.unlink()
+            unlink_shared_block(shm)
 
 
 class TestGatherScatterShared:
@@ -292,6 +273,20 @@ class TestProblemSpec:
         assert set(os.listdir("/dev/shm")) == before
 
 
+#: Reads the Jacobi diagonal of a rebuilt problem after everything else
+#: built over the block is collected; prints it beside the source's.
+BARE_ARRAY = """
+import gc
+from repro.sem import BoxMesh, PoissonProblem, ReferenceElement, rebuild
+prob = PoissonProblem(BoxMesh.build(ReferenceElement.from_degree(3), (2, 2, 2)))
+export = prob.export_shared()
+d = rebuild(export.spec).precond_diag()
+gc.collect()
+print(float(d.sum()).hex(), float(prob.precond_diag().sum()).hex())
+export.close()
+"""
+
+
 class TestSharedExport:
     def test_shared_rebuild_bit_identical_zero_copy(self, poisson):
         prob, b = poisson
@@ -320,7 +315,8 @@ class TestSharedExport:
             assert np.array_equal(
                 g32, prob.geometry.as_dtype(np.float32).g_soa
             )
-            block = np.frombuffer(twin._shm.buf, np.uint8)
+            block = mapped_block(twin.geometry.g_soa)
+            assert block.nbytes == spec.arrays.nbytes
             for arr in (twin.geometry.g_soa, g32, twin.gs._mult,
                         twin.mesh.coords, twin.precond_diag()):
                 assert np.may_share_memory(arr, block)
@@ -334,10 +330,21 @@ class TestSharedExport:
             assert not os.path.exists(f"/dev/shm/{name}")
         export.close()  # idempotent
 
+    def test_a_bare_array_outlives_everything_else(self, run_python):
+        """An array handed out bare — here the Jacobi diagonal — keeps
+        the block's pages mapped after the rebuilt problem and every
+        other object built over the block are collected.  Views that
+        did not hold their mapping read unmapped pages here and the
+        process died of SIGSEGV, so the script runs on its own."""
+        done = run_python("-c", BARE_ARRAY)
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        got, want = done.stdout.split()
+        assert got == want
+
     def test_parts_outlive_the_rebuilt_problem(self, poisson):
         """The geometry, its fp32 twin, the gather-scatter and the mesh
-        of a rebuilt problem keep the one mapping alive after the
-        problem itself is gone."""
+        of a rebuilt problem keep reading the block after the problem
+        itself is gone."""
         prob, _ = poisson
         export = prob.export_shared()
         try:

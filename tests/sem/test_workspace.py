@@ -26,7 +26,6 @@ class TestConstruction:
         assert ws.n_global == mesh.n_global
         assert ws.tmp.shape == mesh.l2g.shape
         assert ws.cg_p.shape == (mesh.n_global,)
-        assert ws.nbytes > 0
 
     def test_kernel_only_workspace(self):
         ws = SolverWorkspace(num_elements=4, nx=5)
@@ -211,7 +210,6 @@ class TestBatchedWorkspace:
         assert ws.cg_p.shape == (5, 20)
         assert ws.cg_rz.shape == (5,)
         assert ws.cg_active.shape == (5,)
-        assert ws.nbytes > 0
 
     def test_kernel_scratch_stays_single_system_when_large(self):
         """At every batch size: the layered operator adds the mass term
@@ -246,24 +244,6 @@ class TestBatchedWorkspace:
             assert name in sizing or isinstance(value, np.ndarray), name
         for gone in ("executor", "shutdown", "__enter__", "__exit__"):
             assert not hasattr(ws, gone)
-
-    def test_nbytes_matches_actual_buffer_bytes(self):
-        """nbytes must equal the real total — the 1-byte bool buffer
-        (cg_active) used to be billed at 8 bytes per entry."""
-        from repro.sem.workspace import (
-            BATCH_SCALAR_BUFFERS, GLOBAL_BUFFERS, LOCAL_BUFFERS,
-        )
-
-        for kwargs in (
-            dict(num_elements=2, nx=4, n_global=10, batch=3),
-            dict(num_elements=3, nx=3, n_global=7),
-            dict(num_elements=4, nx=5),
-        ):
-            ws = SolverWorkspace(**kwargs)
-            names = LOCAL_BUFFERS + GLOBAL_BUFFERS + BATCH_SCALAR_BUFFERS
-            actual = sum(getattr(ws, n).nbytes for n in names)
-            actual += ws.cg_active.nbytes
-            assert ws.nbytes == actual
 
 
 class TestBatchedAllocationFree:
