@@ -91,6 +91,23 @@ class TestShmLifecycle:
         # attach-only (create=False) uses all pass.
         assert analyze("shm_good.py") == []
 
+    def test_tracker_bookkeeping_is_no_release(self):
+        """Only ``close``, ``unlink`` and ``unlink_shared_block`` release
+        a block: dropping it from a resource tracker is no release."""
+        template = (
+            "from multiprocessing import shared_memory\n"
+            "def make(size):\n"
+            "    shm = shared_memory.SharedMemory(create=True, size=size)\n"
+            "    try:\n"
+            "        return shm.name\n"
+            "    finally:\n"
+            "        {}(shm)\n"
+        )
+        for helper, want in (("_untrack", ["shm-lifecycle"]),
+                             ("unlink_shared_block", [])):
+            src = SourceFile.parse("x.py", template.format(helper))
+            assert rules_of(analyze_source(src, AnalysisConfig())) == want
+
 
 # ----------------------------------------------------------------------
 # hot-path-alloc

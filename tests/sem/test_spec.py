@@ -83,6 +83,47 @@ class TestSharedArrays:
         with pytest.raises(FileNotFoundError):
             attach_shared_arrays(manifest)
 
+    def test_views_read_their_bytes_after_unlink(self):
+        """Unlinking removes the name only: views already attached keep
+        the block's pages through their own mapping."""
+        shm, manifest = export_shared_arrays({"x": np.arange(5.0)})
+        views = attach_shared_arrays(manifest)
+        unlink_shared_block(shm)
+        unlink_shared_block(shm)  # idempotent
+        assert not os.path.exists("/dev/shm/" + manifest.block)
+        assert views["x"].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_attach_registers_nothing_with_the_tracker(self, monkeypatch):
+        """Only the exporter registers the block; an attach makes no
+        ``SharedMemory`` and so leaves the resource tracker alone."""
+        from multiprocessing import resource_tracker
+
+        shm, manifest = export_shared_arrays({"x": np.zeros(4)})
+        try:
+            calls = []
+            for name in ("register", "unregister"):
+                monkeypatch.setattr(resource_tracker, name,
+                                    lambda *a, name=name: calls.append(name))
+            views = attach_shared_arrays(manifest)
+            del views
+            assert calls == []
+        finally:
+            monkeypatch.undo()
+            unlink_shared_block(shm)
+
+    def test_mapped_block_spans_the_whole_block(self):
+        shm, manifest = export_shared_arrays(
+            {"a": np.arange(3.0), "b": np.arange(4, dtype=np.int32)})
+        try:
+            views = attach_shared_arrays(manifest)
+            block = mapped_block(views["b"][1:])
+            assert block.dtype == np.uint8
+            assert block.nbytes == manifest.nbytes
+            assert np.may_share_memory(views["a"], block)
+            assert mapped_block(np.arange(3.0)) is None
+        finally:
+            unlink_shared_block(shm)
+
 
 #: Two spawned workers attach one exported block at once, ``ROUNDS``
 #: times, then the exporter unlinks it and exits.
