@@ -87,6 +87,7 @@ from repro.serve.errors import (
     DeadlineExceeded,
     FleetUnavailable,
     Overloaded,
+    QueueClosed,
     QuotaExceeded,
     RateLimited,
     ServiceClosed,
@@ -103,7 +104,6 @@ from repro.serve.health import (
 from repro.serve.procshard import ProcessShardedSolveService
 from repro.serve.scheduler import (
     MicroBatcher,
-    QueueClosed,
     RoundRobinRouter,
     Router,
     TenantRouter,

@@ -551,16 +551,23 @@ def _result_payload(result) -> dict:
 
 
 def _solve_kwargs(doc: dict) -> dict:
-    """Extract/validate the solve knobs of one request document."""
+    """Extract/validate the solve knobs of one request document.
+
+    JSON integers are unbounded: one too large for a float64 is a
+    ``ValueError`` (a 400) like any other bad value, not the
+    ``OverflowError`` the conversion raises.
+    """
     if not isinstance(doc, dict):
         raise ValueError("request body must be a JSON object")
     if "b" not in doc:
         raise ValueError("request is missing the rhs field 'b'")
-    b = np.asarray(doc["b"], dtype=np.float64)
-    kwargs = {"b": b}
-    for knob in ("tol", "deadline"):
-        if doc.get(knob) is not None:
-            kwargs[knob] = float(doc[knob])
+    try:
+        kwargs = {"b": np.asarray(doc["b"], dtype=np.float64)}
+        for knob in ("tol", "deadline"):
+            if doc.get(knob) is not None:
+                kwargs[knob] = float(doc[knob])
+    except OverflowError as exc:
+        raise ValueError(f"number out of float64 range: {exc}") from None
     for knob in ("maxiter", "priority"):
         value = doc.get(knob)
         if value is not None:

@@ -138,7 +138,7 @@ from repro.serve.health import (
     RestartPolicy,
     RetryPolicy,
 )
-from repro.serve.replica import MAX_RING_SLOTS, Replica, _Inflight, unstage
+from repro.serve.replica import MAX_RING_SLOTS, Replica, unstage
 from repro.serve.scheduler import (
     Router,
     attach_cost_feedback,
@@ -146,6 +146,7 @@ from repro.serve.scheduler import (
     resolve_router,
 )
 from repro.serve.service import (
+    SolveRequest,
     SolveTicket,
     _WouldBlock,
     check_problem,
@@ -473,7 +474,7 @@ class ProcessShardedSolveService:
             self._schedule(self.restart.backoff(n), ("respawn", slot))
 
     def _replica_exited(
-        self, replica: Replica, orphans: "list[_Inflight]",
+        self, replica: Replica, orphans: "list[SolveRequest]",
         crash: WorkerCrashed,
     ) -> None:
         """A worker generation ended (its reader's ``on_exit``): unless
@@ -484,72 +485,74 @@ class ProcessShardedSolveService:
         if not final:
             self.health.mark_degraded(replica.index)
             self._restart_or_eject(replica.index)
-        for inflight in orphans:
-            self._orphaned(inflight, crash, final)
+        for request in orphans:
+            self._orphaned(request, crash, final)
 
     def _orphaned(
-        self, inflight: _Inflight, cause: "BaseException | None",
+        self, request: SolveRequest, cause: "BaseException | None",
         final: bool = False,
     ) -> None:
         """Decide the fate of a request no replica holds: the one place
         a crash turns into a retry, an expiry or a failure.
 
-        The caller *owns* ``inflight`` — it removed its registration
+        The caller *owns* ``request`` — it removed its registration
         (the exit sweep), or dispatch refused it before registering
         (``cause`` is then what dispatch raised), or its retry timer
         just fired — which is what makes it safe to settle here without
         asking anyone.  ``final`` is the shutdown settlement: nobody is
         left to retry on.
         """
-        ticket = inflight.ticket
+        ticket = request.ticket
         retry = False
         if ticket.done():
             pass  # cancelled client-side: just free the slot
-        elif inflight.spent():
+        elif request.spent():
             with self._lock:
                 self._expired += 1
             ticket._fail(DeadlineExceeded(
                 f"request deadline expired with the request orphaned "
-                f"after {inflight.attempts} attempt(s), before it could "
+                f"after {request.attempts} attempt(s), before it could "
                 "be dispatched again"
             ))
-        elif final or inflight.attempts >= self.retry.max_attempts:
+        elif final or request.attempts >= self.retry.max_attempts:
             error = FleetUnavailable(
-                f"request failed after {inflight.attempts} attempt(s); "
+                f"request failed after {request.attempts} attempt(s); "
                 f"last: {cause}"
             )
             error.__cause__ = cause
             ticket._fail(error)
         else:
             retry = True
-            if inflight.staged is None:
+            if request.staged is None:
                 # Validation hands out zero-copy views of the caller's
                 # array; a retry outliving the submit call must not
                 # alias memory the caller is free to mutate.
-                inflight.b = np.array(inflight.b)
+                request.b = np.array(request.b)
         # A live request's staged rhs is copied out of the slot here, so
         # the retry carries bit-identical bytes wherever it lands.
-        unstage([inflight])
+        unstage([request])
         if retry:
             self._schedule(
-                self.retry.backoff(max(inflight.attempts, 1)),
-                ("retry", inflight),
+                self.retry.backoff(max(request.attempts, 1)),
+                ("retry", request),
             )
 
-    def _handle_retry(self, inflight: _Inflight, final: bool = False) -> None:
+    def _handle_retry(
+        self, request: SolveRequest, final: bool = False
+    ) -> None:
         """Redispatch one orphaned request to a healthy worker.
 
         ``final`` marks the supervisor's shutdown settlement: no more
         rescheduling — dispatch now or fail the ticket with the
         taxonomy error that explains why.
         """
-        if inflight.ticket.done() or inflight.spent():
-            self._orphaned(inflight, None)  # nothing left to place
+        if request.ticket.done() or request.spent():
+            self._orphaned(request, None)  # nothing left to place
             return
         live = [i for i, ok in enumerate(self.health.mask()) if ok]
         if not live:
             if final or not self.health.any_recoverable():
-                self._orphaned(inflight, WorkerCrashed(
+                self._orphaned(request, WorkerCrashed(
                     f"no healthy worker to retry on; fleet state "
                     f"{[s.value for s in self.health.states]}"
                 ), final=True)
@@ -557,43 +560,43 @@ class ProcessShardedSolveService:
                 # A respawn is pending; park the retry until it lands.
                 # No attempt is charged — nothing was dispatched.
                 self._schedule(
-                    self.RETRY_REQUEUE_WAIT, ("retry", inflight)
+                    self.RETRY_REQUEUE_WAIT, ("retry", request)
                 )
             return
         try:
             # Bounded slot acquisition: the supervisor thread runs every
             # timer — it must not park indefinitely on one full ring.
             self._hand_over(
-                min(live, key=self.queue_depths.__getitem__), [inflight],
+                min(live, key=self.queue_depths.__getitem__), [request],
                 acquire_timeout=self.RETRY_REQUEUE_WAIT,
             )
         except TimeoutError as exc:
             # Ring full: no attempt was charged (nothing registered);
             # requeue unless this is the shutdown settlement.
             if final:
-                self._orphaned(inflight, exc, final)
+                self._orphaned(request, exc, final)
             else:
                 self._schedule(
-                    self.RETRY_REQUEUE_WAIT, ("retry", inflight)
+                    self.RETRY_REQUEUE_WAIT, ("retry", request)
                 )
         except (WorkerCrashed, ServiceClosed) as exc:
-            self._orphaned(inflight, exc, final)
+            self._orphaned(request, exc, final)
         else:
             with self._lock:
                 self._retried += 1
 
     # census: failure path: a request's deadline lapses in flight
     def _handle_expire(
-        self, replica: Replica, token: int, inflight: _Inflight
+        self, replica: Replica, token: int, request: SolveRequest
     ) -> None:
         """Deadline watchdog: fail a request still unresolved a grace
         past its deadline (lost send, wedged worker) — if it can still
         :meth:`~repro.serve.replica.Replica.claim` the registration;
         a reply or a crash sweep that got there first owns the request
         instead."""
-        if not inflight.spent() or not replica.claim(token, inflight):
+        if not request.spent() or not replica.claim(token, request):
             return
-        ticket = inflight.ticket
+        ticket = request.ticket
         if not ticket.done():
             with self._lock:
                 self._expired += 1
@@ -607,7 +610,7 @@ class ProcessShardedSolveService:
         # staged slot of a lost request is reclaimed here; if a wedged
         # worker later completes it anyway, the stale write is caught by
         # the sequence-header check, never silently served.
-        unstage([inflight])
+        unstage([request])
 
     def _ask_live(self, tag: str) -> list[tuple]:
         """:meth:`~repro.serve.replica.Replica.ask` every worker in
@@ -621,44 +624,16 @@ class ProcessShardedSolveService:
         return replies
 
     # ------------------------------------------------------------------
-    # Validation / hand-over plumbing
+    # Routing / hand-over plumbing
     # ------------------------------------------------------------------
-    def _validate_request(
-        self, b, tol, maxiter, deadline, precision=None
-    ) -> tuple:
-        """Validate one request parent-side (bad requests must bounce
-        before crossing the process boundary).  ``None`` knobs pass
-        through for the worker's service to resolve; the checks
-        themselves are :func:`repro.serve.service.check_request` — the
-        same single source of truth the workers apply.
-
-        Validation takes a zero-copy *view* (``snapshot=False``): the
-        one write that moves the bytes is the staging store into the
-        ring slot, and dispatch happens within the same client call,
-        before the caller can mutate its array.
-        """
-        return check_request(
-            self._n, b, tol, maxiter, deadline, precision,
-            snapshot=False,
-        )
-
-    def _check_open(self) -> None:
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed(
-                    "submit on a closed process-sharded service"
-                )
-
     def _admit(
-        self,
-        key: object | None,
-        planned: Sequence[int] | None = None,
+        self, key: object | None, planned: Sequence[int]
     ) -> tuple[int, bool]:
         """Route one request: health mask → depth sample →
         :func:`~repro.serve.scheduler.pick_healthy`.
 
         ``planned`` counts, per worker, requests the caller has routed
-        but not yet handed over (a block being planned); they are added
+        but not yet handed over (the rest of its block); they are added
         to the live depths so the decision sees what per-request
         submission would have accumulated.  Returns ``(worker,
         health_diverted)``; the caller books a health diversion with
@@ -672,21 +647,16 @@ class ProcessShardedSolveService:
         # the hot path when neither the policy nor health steering
         # reads it.
         if self._router.uses_depths or healthy is not None:
-            depths = self.queue_depths
-            if planned is not None:
-                depths = tuple(map(operator.add, depths, planned))
+            depths = tuple(map(operator.add, self.queue_depths, planned))
         else:
             depths = (0,) * len(mask)
         return pick_healthy(self._router, key, depths, healthy)
 
     def _count(
-        self,
-        target: int,
-        routed: int = 1,
-        health_diverted: bool = False,
+        self, target: int, routed: int, health_diverted: int = 0
     ) -> None:
         """Book ``routed`` requests handed to ``target`` and the
-        health diversion that steered them there."""
+        ``health_diverted`` of them health gating steered there."""
         with self._lock:
             self._routed[target] += routed
             self._health_diverted += health_diverted
@@ -694,34 +664,102 @@ class ProcessShardedSolveService:
     def _hand_over(
         self,
         chosen: int,
-        inflights: "list[_Inflight]",
+        requests: "list[SolveRequest]",
         acquire_timeout: "float | None" = None,
-    ) -> None:
+    ) -> int:
         """:meth:`~repro.serve.replica.Replica.dispatch` a group to
         worker ``chosen`` and do what the fleet owes a registered
         request: book it as routed, arm the deadline watchdog (which is
         also what eventually fails a chaos-*dropped* send), and — on
         its first registration only, a retry keeps its charge — wire it
-        into the router's cost feedback.
+        into the router's cost feedback.  Returns how many of the
+        group's first requests were handed over (at least one).
         Raises what ``dispatch`` raises — before anything registered."""
         replica = self._workers[chosen]
         # Read before dispatch registers them: until then the caller
         # alone holds these requests.
-        fresh = [inf for inf in inflights if inf.attempts == 0]
-        tokens = replica.dispatch(inflights, acquire_timeout)
+        fresh = [request.attempts == 0 for request in requests]
+        tokens = replica.dispatch(requests, acquire_timeout)
         now = time.monotonic()
-        for token, inf in zip(tokens, inflights):
-            if inf.deadline_at is not None:
+        for token, request, first in zip(tokens, requests, fresh):
+            if request.deadline_at is not None:
                 self._schedule(
-                    max(inf.deadline_at - now, 0.0) + self.EXPIRE_GRACE,
-                    ("expire", replica, token, inf),
+                    max(request.deadline_at - now, 0.0) + self.EXPIRE_GRACE,
+                    ("expire", replica, token, request),
                 )
-        for inf in fresh:
-            attach_cost_feedback(
-                self._router, inf.ticket, chosen, inf.key, inf.tol,
-                inf.precision,
-            )
-        self._count(chosen, len(inflights))
+            if first:
+                attach_cost_feedback(
+                    self._router, request.ticket, chosen, request.key,
+                    request.tol, request.precision,
+                )
+        self._count(chosen, len(tokens))
+        return len(tokens)
+
+    def _place(
+        self, requests: "list[SolveRequest]", block: bool = True
+    ) -> list[SolveTicket]:
+        """Route and hand over: the one way a client's requests reach
+        the workers, for :meth:`submit`, :meth:`try_submit` and
+        :meth:`solve_many`.
+
+        Every request is routed first — decisions that read depths see
+        the live in-flight counts plus the requests already routed in
+        this call, exactly as one-at-a-time submission would have
+        accumulated them — then each addressed worker gets its group in
+        as few doorbell messages as its ring allows: one, unless the
+        ring fills (see :meth:`~repro.serve.replica.Replica.dispatch`).
+        The requests come validated as zero-copy views of the caller's
+        arrays (``check_request(..., snapshot=False)``): the one write
+        that moves their bytes is the staging store into a ring slot,
+        made here, before the caller can touch its arrays again.
+
+        A refusal that lands before anything of the call was handed
+        over is raised: :class:`~repro.serve.errors.ServiceClosed`, or
+        ``_WouldBlock`` when ``block`` is false (one request) and the
+        routed ring is full — nothing is counted, and ``try_submit``
+        routes again when it comes back to block.  After that, the rest
+        of a group a closing fleet refuses has its tickets failed, and
+        the rest of one that a worker dead since the health sample
+        refuses joins the retries.
+        """
+        with self._lock:
+            if self._closed:
+                raise ServiceClosed(
+                    "submit on a closed process-sharded service"
+                )
+        planned = [0] * self.workers
+        diverted = [0] * self.workers
+        groups: dict[int, list[SolveRequest]] = {}
+        for request in requests:
+            chosen, moved = self._admit(request.key, planned)
+            planned[chosen] += 1
+            diverted[chosen] += moved
+            groups.setdefault(chosen, []).append(request)
+        placed = False
+        for chosen, group in groups.items():
+            # A doorbell carries what the worker's ring takes at once;
+            # the rest of the group goes in the next.
+            while group:
+                try:
+                    group = group[self._hand_over(
+                        chosen, group, None if block else 0.0
+                    ):]
+                except TimeoutError:
+                    raise _WouldBlock from None
+                except ServiceClosed as exc:
+                    if not placed:
+                        raise
+                    for request in group:
+                        request.ticket._fail(exc)
+                    group = []
+                except WorkerCrashed as exc:
+                    for request in group:
+                        self._orphaned(request, exc)
+                    group = []
+                placed = True
+            if diverted[chosen]:
+                self._count(chosen, 0, diverted[chosen])
+        return [request.ticket for request in requests]
 
     # ------------------------------------------------------------------
     # Client API
@@ -799,30 +837,13 @@ class ProcessShardedSolveService:
         doorbells are ever unread (see
         :data:`~repro.serve.replica.MAX_RING_SLOTS`).
         """
-        b, tol, maxiter, deadline, precision = self._validate_request(
-            b, tol, maxiter, deadline, precision
+        request = check_request(
+            self._n, b, tol, maxiter, deadline, precision, key,
+            snapshot=False,
         )
-        self._check_open()
-        chosen, diverted = self._admit(key)
-        deadline_at = (
-            None if deadline is None else time.monotonic() + deadline
-        )
-        inflight = _Inflight(
-            SolveTicket(), b, tol, maxiter, deadline_at, precision, key
-        )
-        try:
-            self._hand_over(chosen, [inflight], None if _block else 0.0)
-        except TimeoutError:
-            # Only try_submit bounds the wait for a slot; it routes
-            # again (and is counted) when it comes back to block.
-            raise _WouldBlock from None
-        except WorkerCrashed as exc:
-            # The worker died between the health sample and the
-            # registration.
-            self._orphaned(inflight, exc)
-        if diverted:
-            self._count(chosen, 0, diverted)
-        return inflight.ticket
+        # _block is try_submit's: it comes through here, not around, so
+        # that a wrapper put on ``submit`` sees every request.
+        return self._place([request], _block)[0]
 
     def try_submit(self, b, **knobs) -> SolveTicket | None:
         """:meth:`submit` that never waits for room: ``None`` where it
@@ -832,8 +853,6 @@ class ProcessShardedSolveService:
         is routed as usual, a refused attempt is counted nowhere, and
         closed and unavailable fleets still raise."""
         try:
-            # Through self.submit, not around it: a wrapper put on
-            # ``submit`` must see every request.
             return self.submit(b, **knobs, _block=False)
         except _WouldBlock:
             return None
@@ -849,59 +868,24 @@ class ProcessShardedSolveService:
     ) -> list[CGResult]:
         """Solve a block of right-hand sides; results in input order.
 
-        The whole block is routed up front and shipped as *one* pipe
-        message per addressed worker (requests are where the process
-        tier pays, so they travel in bulk); routing decisions that read
-        depths see the live in-flight counts plus the requests already
-        planned within this call, exactly as per-request submission
-        would have accumulated them.  A group lost to a dying worker is
+        The whole block is routed up front and shipped as one pipe
+        message per addressed worker while its ring has room (requests
+        are where the process tier pays, so they travel in bulk); see
+        :meth:`_place`.  A group lost to a dying worker is
         transparently redispatched under the retry policy.
         """
         if keys is not None and len(keys) != len(bs):
             raise ValueError(
                 f"keys length {len(keys)} != number of requests {len(bs)}"
             )
-        validated = [
-            self._validate_request(b, tol, maxiter, deadline, precision)
-            for b in bs
+        requests = [
+            check_request(
+                self._n, b, tol, maxiter, deadline, precision,
+                None if keys is None else keys[i], snapshot=False,
+            )
+            for i, b in enumerate(bs)
         ]
-        self._check_open()
-        planned = [0] * self.workers
-        groups: dict[int, list] = {}
-        order: list[tuple[int, int]] = []
-        for i, item in enumerate(validated):
-            key = None if keys is None else keys[i]
-            chosen, diverted = self._admit(key, planned)
-            if diverted:
-                self._count(chosen, 0, diverted)
-            planned[chosen] += 1
-            slot = groups.setdefault(chosen, [])
-            order.append((chosen, len(slot)))
-            slot.append((*item, key))
-        now = time.monotonic()
-        dispatched: dict[int, list[_Inflight]] = {}
-        for chosen, items in groups.items():
-            inflights = [
-                _Inflight(
-                    SolveTicket(), vb, vtol, vmi,
-                    None if vdl is None else now + vdl, vprec, key,
-                )
-                for vb, vtol, vmi, vdl, vprec, key in items
-            ]
-            dispatched[chosen] = inflights
-            try:
-                self._hand_over(chosen, inflights)
-            except ServiceClosed as exc:
-                # A closing service must not abandon the groups already
-                # dispatched: settle this group's tickets and keep
-                # going — the gather below re-raises.
-                for inflight in inflights:
-                    inflight.ticket._fail(exc)
-            except WorkerCrashed as exc:
-                for inflight in inflights:
-                    self._orphaned(inflight, exc)
-        tickets = [dispatched[chosen][pos].ticket for chosen, pos in order]
-        return [t.result() for t in tickets]
+        return [ticket.result() for ticket in self._place(requests)]
 
     def close(self) -> None:
         """Drain every worker, join the processes, unlink shared memory.

@@ -39,6 +39,7 @@ from repro.analysis.runtime import race_checked
 from repro.sem import cg
 from repro.sem.shared import SlotRing, mapped_block
 from repro.serve.errors import ServiceClosed, WorkerCrashed
+from repro.serve.service import SolveRequest, SolveService, check_request
 from repro.serve.stats import perf_epoch_offset
 
 #: Workers import fresh and attach the shared blocks explicitly —
@@ -107,19 +108,23 @@ def _worker_main(
     """Worker-process entry point: rebuild, serve, drain, exit.
 
     Protocol (tuples over the pipe; parent -> worker):
-    ``("solve_block", [...])`` where each item is a doorbell
-    ``(req_id, ordinal, slot, tol, maxiter, deadline_remaining,
-    precision)``: the rhs is already sitting in the worker's
-    :class:`~repro.sem.shared.SlotRing` slot (``spec.ring``) and the
-    worker solves a zero-copy view of it, writing ``x`` back in place
-    and stamping ``resp_seq[slot] = ordinal`` before replying — the
-    pipe message carries *no payload bytes* either way.
-    ``deadline_remaining`` is the request's *remaining* time budget in
-    seconds (monotonic clocks don't compare across processes, so the
-    wire carries a relative quantity) or ``None``; ``precision`` the
-    request's solve policy (``"fp64"`` / ``"mixed"`` / ``None`` = the
-    worker service's default); ``("stats", token)``, ``("info",
-    token)``, ``("close",)``.  Worker -> parent:
+    ``("solve_block", [...])`` where each item is a doorbell — the wire
+    form of one :class:`~repro.serve.service.SolveRequest` — ``(req_id,
+    ordinal, slot, tol, maxiter, deadline_remaining, precision)``: the
+    rhs is already sitting in the worker's
+    :class:`~repro.sem.shared.SlotRing` slot (``spec.ring``).  The
+    worker rebuilds the record from it with
+    :func:`~repro.serve.service.check_request` over a zero-copy view of
+    the slot, queues the block's records with
+    :meth:`~repro.serve.service.SolveService.submit_block`, and on each
+    resolution writes ``x`` back in place and stamps ``resp_seq[slot] =
+    ordinal`` before replying — the pipe message carries *no payload
+    bytes* either way.  ``deadline_remaining`` is the request's
+    *remaining* time budget in seconds (monotonic clocks don't compare
+    across processes, so the wire carries a relative quantity) or
+    ``None``; a ``None`` ``tol`` / ``maxiter`` / ``precision`` takes the
+    worker service's default.  Control messages: ``("stats", token)``,
+    ``("info", token)``, ``("close",)``.  Worker -> parent:
     ``("ready", pid)`` / ``("fatal", exc)`` once at startup, then
     ``("done_block", [(req_id, ok, result | exc), ...])`` blocks of
     results (a successful ``result`` is the CGResult/MixedCGResult
@@ -150,7 +155,6 @@ def _worker_main(
     import queue
 
     from repro.sem.spec import rebuild
-    from repro.serve.service import SolveService
 
     # One CPU per worker, pinned or not: its solves never split.
     cg.FLEET_WORKER = True
@@ -166,6 +170,7 @@ def _worker_main(
         problem = rebuild(spec)
         svc = SolveService(problem, background=True, **service_kwargs)
         ring = SlotRing.attach(spec.ring)
+        n = int(problem.n_dofs)
     except BaseException as exc:
         try:
             conn.send(("fatal", _sendable_error(exc)))
@@ -215,14 +220,16 @@ def _worker_main(
     )
     pump_thread.start()
 
-    def report(req_id: int, ordinal: int, slot: int, ticket) -> None:
+    def report(req_id: int, request: SolveRequest) -> None:
         # Zero-copy response: the solution vector goes back through the
         # ring slot it arrived in; only the CGResult metadata (x=None)
         # rides the pipe.  resp_seq is stamped *after* the x write so
         # the parent never reads a half-written solution.
+        ticket = request.ticket
         exc = ticket.exception()
         if exc is None:
             res = ticket.result()
+            _, ordinal, slot = request.staged
             ring.x[slot][...] = res.x
             ring.resp_seq[slot] = ordinal
             results.put((req_id, True, replace(res, x=None)))
@@ -245,59 +252,55 @@ def _worker_main(
                     pause = slow_schedule.get(block_ordinal)
                     if pause:
                         time.sleep(pause)
-                # Each item is a doorbell (req_id, ordinal, slot, tol,
-                # maxiter, deadline, precision).  The slot header must
-                # match the doorbell's ordinal — a mismatch means the
-                # parent recycled the slot after giving up on this
-                # request (expiry), so the rhs bytes are no longer ours
-                # to read; report it rather than solve garbage.
-                good = []
-                for item in block:
-                    req_id, ordinal, slot = item[0], item[1], item[2]
-                    if (
-                        0 <= slot < len(ring.req_seq)
-                        and int(ring.req_seq[slot]) == ordinal
-                    ):
-                        good.append(item)
-                    else:
-                        results.put((
-                            req_id, False,
-                            RuntimeError(
+                # The slot header must match the doorbell's ordinal — a
+                # mismatch means the parent recycled the slot after
+                # giving up on this request (expiry), so the rhs bytes
+                # are no longer ours to read; report it rather than
+                # solve garbage.
+                req_ids, requests = [], []
+                for req_id, ordinal, slot, *knobs in block:
+                    try:
+                        if not (
+                            0 <= slot < len(ring.req_seq)
+                            and int(ring.req_seq[slot]) == ordinal
+                        ):
+                            raise RuntimeError(
                                 f"stale ring doorbell: slot {slot} "
                                 f"ordinal {ordinal} no longer owns "
                                 "the slot"
-                            ),
-                        ))
-                if good:
+                            )
+                        # The knobs (tol, maxiter, deadline, precision)
+                        # are in check_request's order.  snapshot=False:
+                        # the solver batches views of the shared slots
+                        # directly — no ingest copy on either side of
+                        # the process boundary.
+                        request = check_request(
+                            n, ring.rhs[slot], *knobs, snapshot=False
+                        )
+                    except Exception as exc:
+                        results.put((req_id, False, _sendable_error(exc)))
+                        continue
+                    request.staged = (ring, ordinal, slot)
+                    req_ids.append(req_id)
+                    requests.append(request)
+                if requests:
                     try:
                         # Bulk ingest: one queue-lock acquisition and
                         # one dispatcher wake-up for the whole block.
                         # Closure mid-block is reported through the
                         # tickets, so every req_id gets exactly one
-                        # reply either way.  snapshot=False: the solver
-                        # batches views of the shared slots directly —
-                        # no ingest copy on either side of the process
-                        # boundary.
-                        tickets = svc.submit_block(
-                            [
-                                (ring.rhs[slot], tol, mi, dl, prec)
-                                for _, _, slot, tol, mi, dl, prec in good
-                            ],
-                            snapshot=False,
-                        )
-                    except BaseException as exc:
-                        # All-or-nothing failure (validation): nothing
-                        # was enqueued; report every item.
+                        # reply either way.
+                        svc.submit_block(requests)
+                    except ServiceClosed as exc:
+                        # Closed before any of the block got in.
                         error = _sendable_error(exc)
-                        for req_id, *_ in good:
+                        for req_id in req_ids:
                             results.put((req_id, False, error))
                     else:
-                        for item, ticket in zip(good, tickets):
-                            ticket.add_done_callback(
-                                lambda t,
-                                rid=item[0],
-                                o=item[1],
-                                s=item[2]: report(rid, o, s, t)
+                        for req_id, request in zip(req_ids, requests):
+                            request.ticket.add_done_callback(
+                                lambda _t, rid=req_id, r=request:
+                                report(rid, r)
                             )
             elif tag == "stats":
                 send(("stats", msg[1], svc.stats, perf_epoch_offset()))
@@ -339,50 +342,6 @@ class _Reply:
         self.error: BaseException | None = None
 
 
-class _Inflight:
-    """Parent-side record of one request: everything needed to retry it.
-
-    Solves are pure, so the snapshot (``b``/``tol``/``maxiter``) plus
-    the absolute deadline is a complete resubmission recipe; the ticket
-    is the one client-visible object and survives every redispatch.
-    ``attempts`` counts registrations with a worker (incremented by
-    :meth:`Replica.dispatch` as it registers); ``key`` is the routing
-    key, which the fleet's cost feedback reads at the first of them.
-
-    ``staged`` is ``(ring, ordinal, slot)`` while the request is parked
-    in a worker's :class:`~repro.sem.shared.SlotRing` (``b`` then
-    aliases the slot's rhs row) and ``None`` otherwise.  Whoever
-    removes the inflight from a replica's pending map owns releasing
-    the slot, via :func:`unstage`.
-    """
-
-    __slots__ = (
-        "ticket", "b", "tol", "maxiter", "deadline_at", "precision",
-        "key", "attempts", "staged",
-    )
-
-    def __init__(
-        self, ticket, b, tol, maxiter, deadline_at, precision=None,
-        key=None,
-    ) -> None:
-        self.ticket = ticket
-        self.b = b
-        self.tol = tol
-        self.maxiter = maxiter
-        self.deadline_at = deadline_at  # time.monotonic() absolute, or None
-        self.precision = precision  # "fp64" / "mixed" / None (worker default)
-        self.key = key
-        self.attempts = 0
-        self.staged = None
-
-    def spent(self) -> bool:
-        """Has the request's deadline (if any) passed?"""
-        return (
-            self.deadline_at is not None
-            and time.monotonic() >= self.deadline_at
-        )
-
-
 #: Largest ring a replica accepts.  A doorbell is ~80 bytes, and one is
 #: unread only while its slot is staged, so at most ``ring_slots`` sit
 #: in the pipe — which is what lets a client ring it from an event-loop
@@ -410,7 +369,7 @@ def _pin_for(index: int) -> "tuple[int, ...] | None":
     return (avail[index % len(avail)],)
 
 
-def unstage(inflights: "list[_Inflight]") -> None:
+def unstage(requests: "list[SolveRequest]") -> None:
     """Release each request's ring slot (no-op for unstaged ones).
 
     Only the request's current owner calls this.  A ticket that may
@@ -420,13 +379,13 @@ def unstage(inflights: "list[_Inflight]") -> None:
     Callers about to fail the ticket do so *before* unstaging to skip
     that copy.
     """
-    for inf in inflights:
-        staged, inf.staged = inf.staged, None
+    for request in requests:
+        staged, request.staged = request.staged, None
         if staged is None:
             continue
         ring, ordinal, slot = staged
-        if not inf.ticket.done():
-            inf.b = np.array(ring.rhs[slot])
+        if not request.ticket.done():
+            request.b = np.array(ring.rhs[slot])
         ring.release(ordinal)
 
 
@@ -455,7 +414,7 @@ class Replica:
     #: Seconds to wait for a worker's startup handshake (spawn imports
     #: numpy + this library from scratch).
     HANDSHAKE_TIMEOUT: float = 120.0
-    #: Seconds to wait for a stats/info/flush reply.
+    #: Seconds to wait for a stats/info reply.
     REPLY_TIMEOUT: float = 60.0
 
     _GUARDED_BY = {
@@ -475,7 +434,9 @@ class Replica:
         ring_slots: int,
         service_kwargs: dict,
         injector,
-        on_exit: "Callable[[Replica, list[_Inflight], WorkerCrashed], None]",
+        on_exit: (
+            "Callable[[Replica, list[SolveRequest], WorkerCrashed], None]"
+        ),
     ) -> None:
         self.index = index
         self._service_kwargs = service_kwargs
@@ -484,7 +445,7 @@ class Replica:
         self.send_lock = threading.Lock()
         self.state_lock = threading.Lock()
         self.seq = 0  # request and control tokens, never reused
-        self.pending: dict[int, _Inflight] = {}
+        self.pending: dict[int, SolveRequest] = {}
         self.replies: dict[int, _Reply] = {}
         self.alive = False
         self.close_sent = False
@@ -599,9 +560,9 @@ class Replica:
                 if tag == "done_block":
                     for req_id, ok, payload in msg[1]:
                         with self.state_lock:
-                            inflight = self.pending.pop(req_id, None)
-                        if inflight is not None:
-                            self._settle(inflight, ok, payload)
+                            request = self.pending.pop(req_id, None)
+                        if request is not None:
+                            self._settle(request, ok, payload)
                 elif tag in ("stats", "info"):
                     with self.state_lock:
                         reply = self.replies.pop(msg[1], None)
@@ -635,13 +596,13 @@ class Replica:
                 ))
             self._on_exit(self, orphans, crash)
 
-    def _settle(self, inflight: "_Inflight", ok: bool, payload) -> None:
+    def _settle(self, request: "SolveRequest", ok: bool, payload) -> None:
         """Deliver one reply.  The pipe carried metadata only
         (``x=None``); the solution bytes are in the slot, guarded by its
         response sequence header.  Copy x out, release the slot, then
         resolve — in that order, so the client never observes a ticket
         whose slot is still held."""
-        ring, ordinal, slot = inflight.staged
+        ring, ordinal, slot = request.staged
         result = error = None
         if not ok:
             error = payload
@@ -654,12 +615,12 @@ class Replica:
             )
         else:
             result = replace(payload, x=np.array(ring.x[slot]))
-        inflight.staged = None
+        request.staged = None
         ring.release(ordinal)
         if error is None:
-            inflight.ticket._resolve(result)
+            request.ticket._resolve(result)
         else:
-            inflight.ticket._fail(error)
+            request.ticket._fail(error)
 
     # ------------------------------------------------------------------
     # Traffic
@@ -679,38 +640,52 @@ class Replica:
             self.process.terminate()
 
     def _stage(
-        self, inflights: "list[_Inflight]", timeout: "float | None"
-    ) -> None:
-        """Park each request's rhs in a ring slot ahead of the doorbell.
+        self, requests: "list[SolveRequest]", timeout: "float | None"
+    ) -> int:
+        """Park the rhs of the longest prefix of ``requests`` that the
+        ring takes without a second wait in ring slots, ahead of the
+        doorbell; returns the prefix's length (at least 1).
 
-        Runs *before* any lock is taken: a full ring blocks here
-        (backpressure), and the thread that unblocks it is the reader
-        releasing slots.  ``inf.b`` is rebound to the slot's rhs row
-        (the slot is now the request's home); on any failure the slots
-        staged so far are unwound.
+        Runs *before* any lock is taken.  Only the first slot is waited
+        for (a full ring is backpressure, and the thread that unblocks
+        it is the reader releasing slots): a stager that waited while
+        holding slots it has not rung for could starve stagers waiting
+        likewise, and a ring split between such stagers never frees a
+        slot.  ``request.b`` is rebound to the slot's rhs row (the slot
+        is now the request's home); on any failure the slots staged so
+        far are unwound.
         """
-        staged: list[_Inflight] = []
+        staged: list[SolveRequest] = []
         try:
-            for inf in inflights:
-                ordinal, slot = self.ring.acquire(timeout=timeout)
-                self.ring.rhs[slot][...] = inf.b
-                inf.b = self.ring.rhs[slot]
-                inf.staged = (self.ring, ordinal, slot)
-                staged.append(inf)
+            for request in requests:
+                ordinal, slot = self.ring.acquire(
+                    timeout=0.0 if staged else timeout
+                )
+                self.ring.rhs[slot][...] = request.b
+                request.b = self.ring.rhs[slot]
+                request.staged = (self.ring, ordinal, slot)
+                staged.append(request)
+        except TimeoutError:
+            if not staged:
+                raise
         except BaseException:
             unstage(staged)
             raise
+        return len(staged)
 
     def dispatch(
         self,
-        inflights: "list[_Inflight]",
+        requests: "list[SolveRequest]",
         acquire_timeout: "float | None" = None,
     ) -> list[int]:
-        """Stage → register → doorbell: hand a group of requests to the
-        worker as a single pipe message, applying any planned faults.
+        """Stage → register → doorbell: hand the first of ``requests``
+        — as many as the ring takes once a first slot is free (see
+        :meth:`_stage`) — to the worker as a single pipe message,
+        applying any planned faults.
 
-        Returns one registration token per request (what
-        :meth:`claim` takes).  Raises ``TimeoutError`` (ring still full
+        Returns one registration token (what :meth:`claim` takes) per
+        request handed over, in order; the caller hands the rest in
+        another call.  Raises ``TimeoutError`` (ring still full
         after ``acquire_timeout``; ``None`` waits),
         :class:`~repro.serve.errors.WorkerCrashed` (dead, or died while
         we waited for a slot) or
@@ -723,7 +698,7 @@ class Replica:
         ``kill`` fires after the send, outside the locks — the reader
         observes the death exactly as it would a real crash.
         """
-        self._stage(inflights, acquire_timeout)
+        requests = requests[:self._stage(requests, acquire_timeout)]
         injector = self._injector
         kill = drop = False
         tokens: list[int] = []
@@ -745,29 +720,29 @@ class Replica:
                     )
                 else:
                     refusal = None
-                    for inf in inflights:
+                    for request in requests:
                         # The doorbell is read off the request while it
                         # is still ours: once registered, a crash sweep
                         # may take it (and unstage it) as soon as the
                         # lock drops.
-                        _, ordinal, slot = inf.staged
+                        _, ordinal, slot = request.staged
                         remaining = (
                             None
-                            if inf.deadline_at is None
-                            else max(inf.deadline_at - now, 1e-9)
+                            if request.deadline_at is None
+                            else max(request.deadline_at - now, 1e-9)
                         )
                         payload.append((
-                            self.seq, ordinal, slot, inf.tol, inf.maxiter,
-                            remaining, inf.precision,
+                            self.seq, ordinal, slot, request.tol,
+                            request.maxiter, remaining, request.precision,
                         ))
                         # Registered before the send so an arbitrarily
                         # fast reply always finds its request.
-                        self.pending[self.seq] = inf
+                        self.pending[self.seq] = request
                         tokens.append(self.seq)
                         self.seq += 1
-                        inf.attempts += 1
+                        request.attempts += 1
             if refusal is not None:
-                unstage(inflights)
+                unstage(requests)
                 raise refusal
             process = self.process
             if injector is not None:
@@ -783,19 +758,19 @@ class Replica:
         return tokens
 
     # census: failure path: the deadline watchdog takes a lapsed registration
-    def claim(self, token: int, inflight: "_Inflight") -> bool:
-        """Take ``inflight``'s registration for the deadline watchdog;
+    def claim(self, token: int, request: "SolveRequest") -> bool:
+        """Take ``request``'s registration for the deadline watchdog;
         ``False`` if a reply, a crash sweep or a later registration got
         there first (identity-checked, so a redispatched request's
         stale watchdog never fires on its new registration)."""
         with self.state_lock:
-            if self.pending.get(token) is not inflight:
+            if self.pending.get(token) is not request:
                 return False
             del self.pending[token]
             return True
 
     def ask(self, tag: str) -> tuple:
-        """One control round-trip (``stats`` / ``info`` / ``flush``);
+        """One control round-trip (``stats`` / ``info``);
         raises :class:`~repro.serve.errors.WorkerCrashed` if the worker
         is dead or dies under the ask."""
         reply = _Reply()

@@ -36,18 +36,13 @@ import time
 from collections import deque
 from typing import ClassVar, Generic, Sequence, TypeVar
 
-# QueueClosed/ServiceClosed moved to repro.serve.errors (the shared
-# failure taxonomy); re-exported here because this module is their
-# historical home and callers import them from it.
 from repro.analysis.runtime import race_checked
-from repro.serve.errors import FleetUnavailable, QueueClosed, ServiceClosed
+from repro.serve.errors import FleetUnavailable, ServiceClosed
 
 T = TypeVar("T")
 
 __all__ = [
     "MicroBatcher",
-    "QueueClosed",
-    "ServiceClosed",
     "Router",
     "RoundRobinRouter",
     "TenantRouter",
@@ -123,83 +118,54 @@ class MicroBatcher(Generic[T]):
         # Same single-word-read argument as __len__.
         return self._closed  # lint: ignore[lock-discipline] -- atomic flag sample
 
-    def put(self, item: T, block: bool = True) -> int | None:
-        """Enqueue one item, blocking while the queue is at capacity.
+    def put(self, *items: T, block: bool = True) -> int | None:
+        """Enqueue ``items`` in order under one lock acquisition.
 
-        Parameters
-        ----------
-        item:
-            The request to enqueue; stamped with its arrival time so the
-            linger deadline anchors to the oldest pending item.
-        block:
-            ``False`` makes a full queue return ``None`` instead of
-            waiting for space — the enqueue an event loop can afford to
-            make itself.
-
-        Returns
-        -------
-        int or None
-            The queue depth including the new item; ``None`` (nothing
-            enqueued) when ``block=False`` found ``max_pending`` items
-            queued.
-
-        Raises
-        ------
-        ServiceClosed
-            If the batcher has been closed (including while blocked on
-            backpressure).
-        """
-        with self._cond:
-            while (
-                not self._closed
-                and self.max_pending is not None
-                and len(self._items) >= self.max_pending
-            ):
-                if not block:
-                    return None
-                self._cond.wait()
-            if self._closed:
-                raise ServiceClosed("submit on a closed solve service")
-            self._items.append((time.monotonic(), item))
-            self._cond.notify_all()
-            return len(self._items)
-
-    def put_many(self, items: "Sequence[T]") -> int:
-        """Enqueue several items under one lock acquisition.
-
-        The bulk twin of :meth:`put` for block ingest (the process
-        shard ships requests in blocks): consumers are notified once
-        per call instead of once per item, so a dispatcher lingering
-        for a batch wakes when the block is in rather than after every
-        element.  Blocks for backpressure exactly as :meth:`put` does —
-        item by item, so consumers draining the queue unblock the rest
-        of the block.
+        Consumers are notified once per call, not once per item, so a
+        dispatcher lingering for a batch wakes when a block is in rather
+        than after every element.  While the queue is at capacity the
+        call waits, item by item, so consumers draining the queue
+        unblock the rest of a block.
 
         Parameters
         ----------
         items:
-            The requests to enqueue, in order.
+            The requests to enqueue; each is stamped with its arrival
+            time so the linger deadline anchors to the oldest pending
+            item.
+        block:
+            ``False`` makes a queue without room for every item return
+            ``None`` (nothing enqueued) instead of waiting for space —
+            the enqueue an event loop can afford to make itself.
 
         Returns
         -------
-        int
-            The queue depth including the new items.
+        int or None
+            The queue depth including the new items; ``None`` when
+            ``block=False`` found no room for them.
 
         Raises
         ------
         ServiceClosed
-            If the batcher is (or becomes) closed.  Items already
-            enqueued by then stay queued and will be drained; the
-            exception's ``enqueued`` attribute says how many made it,
-            so the caller can settle the stragglers' tickets.
+            If the batcher is (or becomes, while the call waits for
+            room) closed.  Items already enqueued by then stay queued
+            and will be drained; the exception's ``enqueued`` attribute
+            says how many made it.
         """
         with self._cond:
-            enqueued = 0
-            for item in items:
+            bound = self.max_pending
+            if (
+                not block
+                and not self._closed
+                and bound is not None
+                and len(self._items) + len(items) > bound
+            ):
+                return None
+            for enqueued, item in enumerate(items):
                 while (
                     not self._closed
-                    and self.max_pending is not None
-                    and len(self._items) >= self.max_pending
+                    and bound is not None
+                    and len(self._items) >= bound
                 ):
                     # No notify here: a full queue means items are
                     # present, so no consumer is parked on the empty
@@ -209,13 +175,10 @@ class MicroBatcher(Generic[T]):
                 if self._closed:
                     if enqueued:
                         self._cond.notify_all()
-                    error = ServiceClosed(
-                        "submit on a closed solve service"
-                    )
+                    error = ServiceClosed("submit on a closed solve service")
                     error.enqueued = enqueued
                     raise error
                 self._items.append((time.monotonic(), item))
-                enqueued += 1
             self._cond.notify_all()
             return len(self._items)
 

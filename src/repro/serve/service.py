@@ -79,37 +79,34 @@ def check_problem(problem) -> None:
 def check_request(
     n: int,
     b: NDArray[np.float64],
-    tol: float | None,
-    maxiter: int | None,
+    tol: float | None = None,
+    maxiter: int | None = None,
     deadline: float | None = None,
     precision: str | None = None,
+    key: object | None = None,
     snapshot: bool = True,
-) -> (
-    "tuple[NDArray[np.float64], float | None, int | None, float | None,"
-    " str | None]"
-):
-    """Snapshot + validate one request's parameters; no side effects.
+) -> "SolveRequest":
+    """Validate one request and build its record; no side effects.
 
-    The single source of request-validation truth, shared by
-    :meth:`SolveService.submit`/:meth:`SolveService.submit_block` (which
-    pass *resolved* knobs, so service defaults are validated too) and
-    the process shard's parent-side pre-flight (which passes ``None``
-    for knobs the worker will resolve).  ``None`` knobs pass through
-    unchecked; everything else is coerced and bounds-checked.
-    ``deadline`` is the request's *relative* time budget in seconds
-    (``None`` = no deadline); callers convert it to an absolute
-    ``time.monotonic()`` instant themselves.  ``precision`` is the
-    request's solve policy (``"fp64"``/``"mixed"``, ``None`` = resolve
-    later).
+    The single source of request-validation truth, and the one place a
+    :class:`SolveRequest` is made: by :meth:`SolveService.submit` /
+    :meth:`SolveService.solve_many`, by the process fleet's parent-side
+    pre-flight, and by a fleet worker from each doorbell.  ``None``
+    knobs pass through unchecked, for the service that queues the
+    request to fill with its defaults; everything else is coerced and
+    bounds-checked.  ``deadline`` is the request's *relative* time
+    budget in seconds (``None`` = no deadline), turned into the
+    record's absolute ``time.monotonic()`` instant here — queue time
+    counts against the budget.  ``precision`` is the request's solve
+    policy (``"fp64"``/``"mixed"``); ``key`` its fleet routing key.
 
     ``snapshot=False`` skips the defensive rhs copy and accepts ``b``
     as a zero-copy *view* (coerced only if it is not already a float64
     ndarray) — for callers whose transport already owns the bytes: the
-    process shard's workers solve straight out of shared-memory ring
-    slots, and its ring-ingest parent copies into a slot itself, making
-    a prior snapshot pure waste.  Such callers take on the snapshot
-    contract themselves: the array must not change under a queued
-    request.
+    process fleet's workers solve straight out of shared-memory ring
+    slots, and its parent copies into a slot itself, making a prior
+    snapshot pure waste.  Such callers take on the snapshot contract
+    themselves: the array must not change under a queued request.
     """
     if snapshot:
         b = np.array(b, dtype=np.float64)  # snapshot: caller may mutate
@@ -127,9 +124,12 @@ def check_request(
             raise ValueError(
                 f"deadline must be finite and > 0 seconds, got {deadline}"
             )
+        deadline = time.monotonic() + deadline
     if precision is not None:
         check_precision(precision)
-    return b, tol, maxiter, deadline, precision
+    return SolveRequest(
+        SolveTicket(), b, tol, maxiter, deadline, precision, key
+    )
 
 
 class SolveTicket:
@@ -244,26 +244,48 @@ class SolveTicket:
                 pass
 
 
-@dataclass
-class _Request:
-    """One queued solve: the copied rhs plus its request-level knobs.
+@dataclass(slots=True, eq=False)
+class SolveRequest:
+    """One solve request, from validation to resolution.
+
+    Built once, by :func:`check_request`, and passed along unchanged: a
+    :class:`SolveService` queues it, the process fleet registers,
+    stages and retries it, and a fleet worker rebuilds it from the
+    doorbell that is its wire form.
 
     ``deadline_at`` is absolute ``time.monotonic()`` (or ``None``): the
-    instant after which the request must not *start* solving.
+    instant after which the request must not *start* solving.  A
+    ``None`` ``tol`` / ``maxiter`` / ``precision`` takes the defaults
+    of the service that queues it.  ``key`` is the fleet's routing key;
+    ``attempts`` counts the fleet's registrations of the request with a
+    worker, and ``staged`` is ``(ring, ordinal, slot)`` while its rhs
+    is parked in a worker's ring slot (``b`` then aliases the slot's
+    row), ``None`` otherwise.
     """
 
     ticket: SolveTicket
     b: NDArray[np.float64]
-    tol: float
-    maxiter: int
+    tol: float | None = None
+    maxiter: int | None = None
     deadline_at: float | None = None
-    precision: str = "fp64"
+    precision: str | None = None
+    key: object | None = None
+    attempts: int = 0
+    staged: tuple | None = None
+
+    def spent(self) -> bool:
+        """Has the request's deadline (if any) passed?"""
+        return (
+            self.deadline_at is not None
+            and time.monotonic() >= self.deadline_at
+        )
 
 
 class _WouldBlock(Exception):
-    """How ``submit``, asked by ``try_submit`` not to wait, says the
-    queue is at ``max_pending``.  Never reaches a caller: ``try_submit``
-    returns ``None`` in its place."""
+    """How a submit that ``try_submit`` asked not to wait says there is
+    no room: the queue is at ``max_pending`` (or, on the process fleet,
+    the routed worker's ring is full).  Never reaches a caller:
+    ``try_submit`` returns ``None`` in its place."""
 
 
 @race_checked
@@ -350,6 +372,10 @@ class SolveService:
         if self.precision is None:
             self.precision = self.problem.precision
         check_precision(self.precision)
+        # The defaults a request's None knobs take: checked here, once,
+        # so filling them in at enqueue needs no check of its own.
+        self.tol = float(check_tol(self.tol))
+        self.maxiter = int(check_maxiter(self.maxiter))
         if self.max_pending is None and self.background:
             self.max_pending = 4 * self.max_batch
         self._operator = self.problem.operator
@@ -360,7 +386,7 @@ class SolveService:
         # reused in place (the fp64 ones by both precisions), so they
         # admit one solve at a time whoever drains — dispatcher or client.
         self._solve_lock = threading.Lock()
-        self._batcher: MicroBatcher[_Request] = MicroBatcher(
+        self._batcher: MicroBatcher[SolveRequest] = MicroBatcher(
             max_batch=self.max_batch,
             max_wait=self.max_wait,
             max_pending=self.max_pending,
@@ -435,27 +461,10 @@ class SolveService:
         the submitter whose request fills a batch pays for solving it
         inline.
         """
-        request = self._build_request(b, tol, maxiter, deadline, precision)
-        # Count the submission BEFORE enqueueing: once the request is in
-        # the queue a background dispatcher may solve and record it
-        # immediately, and a snapshot cut in between must never show
-        # more completions than submissions.
-        self.stats_accumulator.record_submit()
-        try:
-            # _block is try_submit's: it comes through here, not around,
-            # so that a wrapper put on ``submit`` sees every request.
-            depth = self._batcher.put(request, block=_block)
-            if depth is None:
-                raise _WouldBlock
-        except BaseException:
-            self.stats_accumulator.record_rejected()
-            raise
-        self.stats_accumulator.record_depth(depth)
-        if self._dispatcher is None and depth >= self.max_batch:
-            # Synchronous mode: the submitting client pays for the
-            # full batch it just completed.
-            self._drain(once=True)
-        return request.ticket
+        request = check_request(self._n, b, tol, maxiter, deadline, precision)
+        # _block is try_submit's: it comes through here, not around, so
+        # that a wrapper put on ``submit`` sees every request.
+        return self._enqueue([request], _block)[0]
 
     def try_submit(
         self, b: NDArray[np.float64], **knobs
@@ -485,117 +494,93 @@ class SolveService:
         except _WouldBlock:
             return None
 
-    def _build_request(
-        self,
-        b: NDArray[np.float64],
-        tol: float | None,
-        maxiter: int | None,
-        deadline: float | None = None,
-        precision: str | None = None,
-        snapshot: bool = True,
-    ) -> _Request:
-        """Snapshot + validate one request (no side effects on failure).
-
-        Validation happens HERE, not in the batched solve: a bad value
-        must bounce off the offending caller, never fail the innocent
-        requests coalesced into the same batch.  Knobs are resolved to
-        the service defaults *before* validation, so an invalid service
-        default is caught too.  The relative ``deadline`` becomes an
-        absolute ``time.monotonic()`` instant now, at submission — queue
-        time counts against the budget.
-        """
-        b, tol_val, maxiter_val, deadline_val, precision_val = check_request(
-            self._n, b,
-            self.tol if tol is None else tol,
-            self.maxiter if maxiter is None else maxiter,
-            deadline,
-            self.precision if precision is None else precision,
-            snapshot=snapshot,
-        )
-        return _Request(
-            ticket=SolveTicket(), b=b, tol=tol_val, maxiter=maxiter_val,
-            deadline_at=(
-                None if deadline_val is None
-                else time.monotonic() + deadline_val
-            ),
-            precision=precision_val,
-        )
-
     def submit_block(
-        self,
-        items: "list[tuple]",
-        snapshot: bool = True,
+        self, requests: "list[SolveRequest]"
     ) -> list[SolveTicket]:
-        """Submit a block of ``(b, tol, maxiter[, deadline[, precision]])``
-        requests.
+        """Queue a block of requests built by :func:`check_request`.
 
-        The block-ingest twin of :meth:`submit`, used by the process
-        shard (:mod:`repro.serve.procshard`): the whole block is
-        validated first (all-or-nothing — an invalid element raises
-        ``ValueError`` before anything is enqueued), then enqueued
-        under one queue-lock acquisition with a single dispatcher
-        wake-up instead of one per request.  Items may be 3-tuples
-        (no deadline), 4-tuples with a relative deadline in seconds, or
-        5-tuples adding a per-request precision policy.
-
-        ``snapshot=False`` queues each item's rhs as a zero-copy view
-        instead of a defensive copy (see :func:`check_request`) — the
-        process shard's workers pass shared-memory ring slots through
-        here without re-staging a single payload byte; the caller
-        guarantees the bytes stay put until the request resolves.
+        The block-ingest twin of :meth:`submit`, used by the fleet's
+        workers: with a background dispatcher the whole block goes in
+        under one queue-lock acquisition and one dispatcher wake-up
+        instead of one per request.  Validation has already happened,
+        in :func:`check_request`; a record built with ``snapshot=False``
+        queues its rhs as a zero-copy view, so a worker hands its
+        shared-memory ring slots to the solver without re-staging a
+        payload byte (the caller guarantees the bytes stay put until
+        the request resolves).
 
         Returns
         -------
         list of SolveTicket
-            One ticket per item, in order — always, even when the
-            service closes mid-block: requests that made it into the
-            queue resolve normally (drain-on-close), the stragglers'
-            tickets fail with :class:`~repro.serve.errors.ServiceClosed`.
-            Closure is reported through the tickets rather than raised,
-            so a bulk caller never has to guess which half of its block
-            survived.
+            One ticket per request, in order.  When the service closes
+            mid-block, the requests already queued resolve normally
+            (drain-on-close) and the stragglers' tickets fail with
+            :class:`~repro.serve.errors.ServiceClosed`, so a bulk caller
+            never has to guess which half of its block survived.
 
         Raises
         ------
-        ValueError
-            On any invalid element (nothing enqueued).
+        ~repro.serve.errors.ServiceClosed
+            If the service was closed before any of the block got in.
         """
-        requests = [
-            self._build_request(b, tol, maxiter, *rest, snapshot=snapshot)
-            for b, tol, maxiter, *rest in items
-        ]
-        tickets = [request.ticket for request in requests]
-        for _ in requests:
-            self.stats_accumulator.record_submit()
+        return self._enqueue(requests)
+
+    def _enqueue(
+        self, requests: "list[SolveRequest]", block: bool = True
+    ) -> list[SolveTicket]:
+        """The one way into the queue, for :meth:`submit`,
+        :meth:`try_submit`, :meth:`submit_block` and :meth:`solve_many`.
+
+        Fills each request's ``None`` knobs with the service defaults
+        and counts it, then enqueues.  A refusal that lands before any
+        request got in is raised — :class:`_WouldBlock` when ``block``
+        is false and the queue cannot take the requests,
+        :class:`~repro.serve.errors.ServiceClosed` after :meth:`close`
+        — and rolls back every count.  A close that lands mid-block
+        rolls back and fails only the stragglers.
+        """
+        stats = self.stats_accumulator
+        for request in requests:
+            if request.tol is None:
+                request.tol = self.tol
+            if request.maxiter is None:
+                request.maxiter = self.maxiter
+            if request.precision is None:
+                request.precision = self.precision
+            # Count BEFORE enqueueing: once a request is in the queue a
+            # background dispatcher may solve and record it at once, and
+            # a snapshot cut in between must never show more
+            # completions than submissions.
+            stats.record_submit()
+        dispatcher = self._dispatcher
+        # With a dispatcher draining, the block goes in at once.  In
+        # the foreground nothing else drains: putting a block at once
+        # could wedge on its own max_pending bound, so requests go in
+        # one by one and the one that fills a batch pays for solving
+        # it inline.
+        chunks = (
+            [requests] if dispatcher is not None
+            else [[request] for request in requests]
+        )
         enqueued = 0
         try:
-            if self._dispatcher is None:
-                # Foreground: nothing else ever drains the queue, so
-                # bulk-enqueueing could wedge on the block's own
-                # max_pending backpressure (even a single chunk can,
-                # when residual items from earlier submits already
-                # occupy part of the queue).  Use submit()'s proven
-                # item-wise enqueue + drain-at-max_batch instead — the
-                # bulk wake-up win only matters when there is a
-                # dispatcher to wake.
-                for request in requests:
-                    depth = self._batcher.put(request)
-                    enqueued += 1
-                    self.stats_accumulator.record_depth(depth)
-                    if depth >= self.max_batch:
-                        self._drain(once=True)
-            else:
-                depth = self._batcher.put_many(requests)
-                enqueued = len(requests)
-                self.stats_accumulator.record_depth(depth)
-        except ServiceClosed as exc:
+            for chunk in chunks:
+                depth = self._batcher.put(*chunk, block=block)
+                if depth is None:
+                    raise _WouldBlock
+                enqueued += len(chunk)
+                stats.record_depth(depth)
+                if dispatcher is None and depth >= self.max_batch:
+                    self._drain(once=True)
+        except BaseException as exc:
             enqueued += getattr(exc, "enqueued", 0)
+            for _ in requests[enqueued:]:
+                stats.record_rejected()
+            if not enqueued or not isinstance(exc, ServiceClosed):
+                raise
             for request in requests[enqueued:]:
-                self.stats_accumulator.record_rejected()
                 request.ticket._fail(exc)
-            if enqueued:
-                self.stats_accumulator.record_depth(len(self._batcher))
-        return tickets
+        return [request.ticket for request in requests]
 
     def flush(self) -> None:
         """Solve everything pending on the caller's thread.
@@ -645,9 +630,10 @@ class SolveService:
             to a sequential warm solve of that row
             (:class:`~repro.sem.cg.MixedCGResult` for mixed rows).
         """
-        tickets = self.submit_block(
-            [(b, tol, maxiter, deadline, precision) for b in bs]
-        )
+        tickets = self.submit_block([
+            check_request(self._n, b, tol, maxiter, deadline, precision)
+            for b in bs
+        ])
         if self._dispatcher is None:
             self.flush()
         return [t.result() for t in tickets]
@@ -710,7 +696,7 @@ class SolveService:
             if once:
                 return
 
-    def _solve_batch(self, batch: list[_Request]) -> None:
+    def _solve_batch(self, batch: list[SolveRequest]) -> None:
         """One stacked dispatch: solve ``len(batch)`` requests at once.
 
         The batch is already popped from the queue, so every ticket in
@@ -768,7 +754,7 @@ class SolveService:
                         ))
                 raise
 
-    def _solve_group(self, batch: list[_Request]) -> None:
+    def _solve_group(self, batch: list[SolveRequest]) -> None:
         """One stacked dispatch of same-precision requests."""
         mixed = batch[0].precision == "mixed"
         start = time.perf_counter()

@@ -52,7 +52,7 @@ class TestAsyncSolve:
             put, held = batcher.put, [True]
 
             def put_then_let_go(item, block=True):
-                depth = put(item, block)
+                depth = put(item, block=block)
                 if depth == 8 and held[0]:
                     held[0] = False
                     batcher._cond.release()

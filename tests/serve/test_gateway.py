@@ -378,6 +378,16 @@ BAD_INTEGER_KNOBS = (
 )
 
 
+#: Request documents whose float fields hold a JSON integer too large
+#: for a float64: the rhs, ``tol`` and ``deadline``.
+HUGE_INTEGER = b"1" + b"0" * 400
+OVERFLOWING_FLOAT_DOCS = (
+    b'{"b": [' + HUGE_INTEGER + b"]}",
+    b'{"b": [0.0], "tol": ' + HUGE_INTEGER + b"}",
+    b'{"b": [0.0], "deadline": ' + HUGE_INTEGER + b"}",
+)
+
+
 def solve_body(b, **knobs):
     doc = {"b": np.asarray(b).tolist(), **knobs}
     return json.dumps(doc).encode()
@@ -517,6 +527,40 @@ class TestGatewayHTTP:
             BAD_INTEGER_KNOBS, asyncio.run(run())
         ):
             assert (status, body["error"]) == (400, "bad_request"), knob
+        assert backend.submits == []
+
+    def test_float_knobs_too_big_for_a_float_are_400(self):
+        """A JSON integer too large for a float64 in ``b``, ``tol`` or
+        ``deadline`` is a 400 before admission.  The conversion raises
+        ``OverflowError``, which no status maps: unconverted, the
+        connection closed with no reply."""
+        backend = FakeBackend()
+
+        async def run():
+            registry = TenantRegistry()
+            tenant = registry.provision("acme")
+            gateway = Gateway(backend, registry)
+            out = []
+            async with GatewayServer(gateway) as server:
+                for doc in OVERFLOWING_FLOAT_DOCS:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port
+                    )
+                    writer.write(http_request(
+                        "POST", "/v1/solve", tenant.token, doc
+                    ))
+                    await writer.drain()
+                    out.append(await asyncio.wait_for(
+                        read_http_response(reader), 10.0
+                    ))
+                    writer.close()
+                    await writer.wait_closed()
+            return out
+
+        for doc, (status, _headers, body) in zip(
+            OVERFLOWING_FLOAT_DOCS, asyncio.run(run())
+        ):
+            assert (status, body["error"]) == (400, "bad_request"), doc[:30]
         assert backend.submits == []
 
     def test_rate_limit_and_quota_over_http(self):
@@ -860,6 +904,44 @@ class TestGatewayWebSocket:
         for i, knob in enumerate(BAD_INTEGER_KNOBS):
             got = (replies[i]["status"], replies[i]["error"])
             assert got == (400, "bad_request"), knob
+        assert backend.submits == []
+
+
+    def test_float_knobs_too_big_for_a_float_get_a_400_reply(self):
+        """Over a session, a JSON integer too large for a float64 in
+        ``b``, ``tol`` or ``deadline`` is a 400 on the request's own id
+        (unconverted, the ``OverflowError`` was a 500 ``internal``)."""
+        backend = FakeBackend()
+
+        async def run():
+            registry = TenantRegistry()
+            tenant = registry.provision("acme")
+            gateway = Gateway(backend, registry)
+            async with GatewayServer(gateway) as server:
+                reader, writer, status, _h = await ws_connect(
+                    server.port, tenant.token
+                )
+                assert status == 101
+                for i, doc in enumerate(OVERFLOWING_FLOAT_DOCS):
+                    writer.write(client_frame(
+                        0x1, f'{{"id": {i}, '.encode() + doc[1:]
+                    ))
+                await writer.drain()
+                replies = {}
+                while len(replies) < len(OVERFLOWING_FLOAT_DOCS):
+                    _op, payload = await asyncio.wait_for(
+                        read_frame(reader), 10.0
+                    )
+                    reply = json.loads(payload)
+                    replies[reply["id"]] = reply
+                writer.close()
+                await writer.wait_closed()
+            return replies
+
+        replies = asyncio.run(run())
+        for i, doc in enumerate(OVERFLOWING_FLOAT_DOCS):
+            got = (replies[i]["status"], replies[i]["error"])
+            assert got == (400, "bad_request"), doc[:30]
         assert backend.submits == []
 
 

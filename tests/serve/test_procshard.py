@@ -5,6 +5,7 @@ drain-on-close, crash surfacing, and no shared-memory leaks."""
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 
@@ -134,6 +135,40 @@ class TestProcShardBitIdentity:
             svc.try_submit(bank[0], key=hot)
 
 
+    def test_try_submit_on_a_full_ring_stages_and_counts_nothing(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
+        """A refusal on the one worker's full ring takes no slot, no
+        registration and no routing count: once the slot's request
+        resolves, the next ``try_submit`` finds it free."""
+        prob, bank = serving_problem
+        svc = ProcessShardedSolveService(
+            prob, workers=1, ring_slots=1, max_batch=1, max_wait=0.002,
+            tol=1e-10, maxiter=200,
+            chaos=FaultPlan(slow_solves={0: {1: 1.0}}),
+        )
+        try:
+            first = svc.try_submit(bank[0])
+            assert first is not None
+            for _ in range(3):
+                assert svc.try_submit(bank[1]) is None
+            assert svc.queue_depths == (1,)
+            assert svc.routed == (1,)
+            assert_same_result(
+                first.result(timeout=60), sequential_solve(prob, bank[0])
+            )
+            second = svc.try_submit(bank[1])
+            assert second is not None
+            assert_same_result(
+                second.result(timeout=60), sequential_solve(prob, bank[1])
+            )
+            assert svc.stats.submitted == 2
+            assert svc.health_diverted == 0
+        finally:
+            svc.close()
+        assert svc.routed == (2,)
+
+
 class TestProcShardSharedMemory:
     def test_one_geometry_copy_across_workers_and_cleanup(
         self, serving_problem
@@ -236,12 +271,103 @@ class TestProcShardLifecycle:
             svc.submit(bank[0])
         svc.close()  # idempotent
 
+    def test_unset_knobs_take_the_worker_service_defaults(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
+        """A request sent with ``tol=None`` / ``maxiter=None`` crosses
+        the wire unset and solves at the fleet's forwarded defaults, by
+        either door."""
+        prob, bank = serving_problem
+        with ProcessShardedSolveService(
+            prob, workers=1, max_wait=0.002, tol=1e-4, maxiter=5,
+        ) as svc:
+            one = svc.submit(bank[0], tol=None, maxiter=None)
+            many = svc.solve_many(bank[1:3], tol=None)
+            one = one.result(timeout=60)
+        for got, b in zip([one, *many], bank[:3]):
+            assert_same_result(
+                got, sequential_solve(prob, b, tol=1e-4, maxiter=5)
+            )
+        assert one.iterations != sequential_solve(prob, bank[0]).iterations
+
+    def test_a_block_bigger_than_the_ring_is_served(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
+        """``solve_many`` with more requests for one worker than its
+        ring has slots: a doorbell rings only once all its requests
+        are staged, so one doorbell for the whole block would wait
+        forever for slots that only its own solves free."""
+        prob, bank = serving_problem
+        out = []
+        with ProcessShardedSolveService(
+            prob, workers=1, ring_slots=2, max_wait=0.002, tol=1e-10,
+            maxiter=200,
+        ) as svc:
+            block = threading.Thread(
+                target=lambda: out.append(svc.solve_many(bank[:5])),
+                daemon=True,
+            )
+            block.start()
+            block.join(timeout=60)
+            assert not block.is_alive(), "solve_many is stuck staging"
+            assert svc.stats.copy_bytes == 0
+        (results,) = out
+        for got, b in zip(results, bank[:5]):
+            assert_same_result(got, sequential_solve(prob, b))
+
+    def test_concurrent_blocks_do_not_split_a_ring(
+        self, serving_problem, sequential_solve, assert_same_result
+    ):
+        """Three ``solve_many`` calls at once into one worker's 4-slot
+        ring, with threads switched as often as the interpreter allows:
+        a stager that waited for a slot while holding slots it had not
+        rung for could split the ring with the others, and a ring split
+        that way never frees a slot."""
+        prob, bank = serving_problem
+        blocks = [bank[4 * k:4 * k + 4] for k in range(3)]
+        out = {}
+        interval = sys.getswitchinterval()
+        with ProcessShardedSolveService(
+            prob, workers=1, ring_slots=4, max_batch=4, max_wait=0.002,
+            tol=1e-10, maxiter=200,
+        ) as svc:
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(5):
+                    threads = [
+                        threading.Thread(
+                            target=lambda k=k: out.__setitem__(
+                                k, svc.solve_many(blocks[k])
+                            ),
+                            daemon=True,
+                        )
+                        for k in range(3)
+                    ]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60)
+                    assert not any(t.is_alive() for t in threads), (
+                        "concurrent blocks are stuck staging"
+                    )
+            finally:
+                sys.setswitchinterval(interval)
+        for k, block in enumerate(blocks):
+            for got, b in zip(out[k], block):
+                assert_same_result(got, sequential_solve(prob, b))
+
     def test_validation(self, serving_problem):
         prob, bank = serving_problem
         with pytest.raises(ValueError, match="workers"):
             ProcessShardedSolveService(prob, workers=0)
         with pytest.raises(TypeError, match="not an SEMProblem"):
             ProcessShardedSolveService(object(), workers=1)
+        # Defaults are checked once, by the forwarded service, before
+        # any worker starts: not per request inside a worker.
+        with pytest.raises(ValueError, match="tol"):
+            ProcessShardedSolveService(prob, workers=1, tol=-1.0)
+        with pytest.raises(ValueError, match="maxiter"):
+            ProcessShardedSolveService(prob, workers=1, maxiter=2.5)
 
     def test_a_nekbone_case_is_refused_naming_its_problem(self):
         """A case is a driver, not a problem: the fleet refuses it with

@@ -27,6 +27,7 @@ from repro.serve import (
     SolveService,
     merge_snapshots,
 )
+from repro.serve.service import check_request
 
 
 class TestMicroBatcher:
@@ -133,6 +134,41 @@ class TestMicroBatcher:
         mb.close()
         with pytest.raises(ServiceClosed):
             mb.put(2, block=False)
+
+    def test_put_of_several_keeps_order_and_declines_whole(self):
+        mb = MicroBatcher(max_batch=3, max_wait=0.0, max_pending=3)
+        assert mb.put(0, 1) == 2
+        # Room for one of two: a put that may not wait takes neither.
+        assert mb.put(2, 3, block=False) is None
+        assert len(mb) == 2
+        assert mb.put(2, block=False) == 3
+        assert mb.take_batch_nowait() == [0, 1, 2]
+
+    def test_close_mid_block_says_how_many_got_in(self):
+        """A block waiting on backpressure when the batcher closes
+        raises ``ServiceClosed`` whose ``enqueued`` counts the items
+        that got in; those stay queued and drain."""
+        mb = MicroBatcher(max_batch=1, max_pending=2)
+        errors = []
+
+        def producer():
+            try:
+                mb.put("a", "b", "c")
+            except ServiceClosed as exc:
+                errors.append(exc)
+
+        t = threading.Thread(target=producer)
+        t.start()
+        deadline = time.monotonic() + 30
+        while len(mb) < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        mb.close()  # waits for the lock the producer holds until it parks
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert [exc.enqueued for exc in errors] == [2]
+        assert [mb.take_batch(), mb.take_batch(), mb.take_batch()] == [
+            ["a"], ["b"], []
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_batch"):
@@ -343,6 +379,15 @@ class TestSolveServiceSync:
         with pytest.raises(TypeError, match="not an SEMProblem"):
             SolveService(object())
 
+    def test_bad_default_knobs_fail_at_construction(self, serving_problem):
+        """The defaults a request's unset knobs take are checked once,
+        when the service is built, not at every submit."""
+        prob, _ = serving_problem
+        with pytest.raises(ValueError, match="tol must be"):
+            SolveService(prob, tol=float("nan"))
+        with pytest.raises(ValueError, match="maxiter must be"):
+            SolveService(prob, maxiter=-1)
+
     def test_failure_propagates_to_every_ticket(self, serving_problem):
         prob, _ = serving_problem
 
@@ -447,6 +492,60 @@ class TestSolveServiceBackground:
         svc.close()  # drains the lingering partial batch
         for t, b in zip(tickets, bank[:3]):
             assert_same_result(t.result(), sequential_solve(prob, b))
+
+
+class TestBlockIngest:
+    def test_close_mid_block_resolves_what_got_in_and_fails_the_rest(
+        self, serving_problem, gate_dispatcher, sequential_solve,
+        assert_same_result, fresh_problem, wait_until
+    ):
+        """A block parked on backpressure when ``close()`` lands: the
+        requests already queued resolve (drain-on-close), the
+        stragglers' tickets fail with ``ServiceClosed`` and are not
+        counted, and a block that finds the service closed raises."""
+        prob, bank = serving_problem
+        svc = SolveService(
+            fresh_problem, max_batch=2, max_wait=0.0, max_pending=2,
+            background=True,
+        )
+        n = svc.problem.n_dofs
+        gate, parked = gate_dispatcher(svc)
+        first = svc.submit(bank[0])
+        assert parked.wait(30)  # the dispatcher holds request 0
+        out = []
+        block = threading.Thread(target=lambda: out.append(svc.submit_block(
+            [check_request(n, b) for b in bank[1:6]]
+        )))
+        block.start()
+        closer = threading.Thread(target=svc.close)
+        try:
+            assert wait_until(lambda: svc.queue_depth == 2, timeout=30)
+            closer.start()  # waits on the gated dispatcher to drain
+            block.join(timeout=30)
+            assert not block.is_alive()
+        finally:
+            gate.set()
+            if closer.ident is None:  # failed before closing
+                closer.start()
+            closer.join(timeout=60)
+        assert not closer.is_alive()
+        (tickets,) = out
+        assert len(tickets) == 5
+        for ticket, b in zip([first, *tickets[:2]], bank[:3]):
+            assert_same_result(
+                ticket.result(timeout=60), sequential_solve(prob, b)
+            )
+        for ticket in tickets[2:]:
+            with pytest.raises(ServiceClosed):
+                ticket.result(timeout=0)
+        stats = svc.stats
+        assert stats.submitted == 3 == stats.completed
+        assert stats.submitted == (
+            stats.completed + stats.failed + stats.expired
+        )
+        with pytest.raises(ServiceClosed):
+            svc.submit_block([check_request(n, bank[0])])
+        assert svc.stats.submitted == 3
 
 
 class TestTrySubmit:
