@@ -69,6 +69,7 @@ built on.  No BLAS call is made, so the BLAS thread count moves no bit.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import inspect
 import math
@@ -499,19 +500,10 @@ def _compiled_loop(
         state.maxiter = maxiter.ctypes.data
     errors: list[BaseException] = []
     if fused is not None and fused.n == x.shape[1]:
-        state.fused, state.ne = fused.ax_gs.unmasked, fused.g.shape[0]
-        state.g_estride, state.g_cstride = fused.g.strides[:2]
-        state.s0, state.s1, state.lam = fused.s0, fused.s1, fused.lam
-        state.D, state.mask, state.mass, state.org, state.edge, state.g = (
-            None if a is None else a.ctypes.data for a in (
-                fused.d, fused.mask, fused.mass, fused.org, fused.edge,
-                fused.g))
+        state.fused = ctypes.addressof(fused)
         if _splits(fused):
-            plane, slot = fused.split
-            stash = np.empty((int(slot.max()) + 1) * nb * fused.d.size,
-                             x.dtype)
-            state.plane, state.replay = plane, fused.ax_gs.replay
-            state.stash, state.slot = stash.ctypes.data, slot.ctypes.data
+            stash = np.empty(fused.slots * nb * fused.nx ** 2, x.dtype)
+            state.stash, state.split = stash.ctypes.data, 1
     else:
         def call() -> int:
             try:
@@ -544,8 +536,7 @@ def _splits(fused) -> bool:
     :data:`FLEET_WORKER`, and this thread may run on two CPUs as far as
     it can tell (a thread pinned to one, or on a platform that cannot
     say, does not split).  Either way the bits are the same."""
-    if (FLEET_WORKER or fused.split is None
-            or fused.g.shape[0] < SPLIT_MIN_ELEMENTS):
+    if FLEET_WORKER or fused.plane < 0 or fused.ne < SPLIT_MIN_ELEMENTS:
         return False
     return (hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2)

@@ -30,13 +30,16 @@ the fused pass split at a node plane
 (:func:`~repro.sem.gather_scatter.split_plane`), the vector passes at
 the rows' halves — with the bits of one thread.
 
-:func:`ax_kernel`, :func:`ax_gs_kernel` and :func:`cg_passes` are the
-whole interface: one shared object per ``(nx, dtype)`` (the ``Ax``
-entry points) and one per dtype, built with the host's C compiler on
-first use.  They are the only executing path, so a C compiler is
-required: an ``nx`` above :data:`MAX_NX` or a dtype other than native
-fp64 / fp32 is a ``ValueError``, and a build that fails is a
-``RuntimeError`` naming the compiler and the end of what it said.
+The fused pass's operands are one C struct in both sources, ``struct
+ax_pass`` (:data:`_PASS`), which the CG loop holds one pointer to.
+:func:`ax_kernel`, :func:`ax_gs_kernel`, :class:`AxPass` (the struct's
+``ctypes`` mirror) and :func:`cg_passes` are the whole interface: one
+shared object per ``(nx, dtype)`` (the ``Ax`` entry points) and one per
+dtype, built with the host's C compiler on first use.  They are the
+only executing path, so a C compiler is required: an ``nx`` above
+:data:`MAX_NX` or a dtype other than native fp64 / fp32 is a
+``ValueError``, and a build that fails is a ``RuntimeError`` naming the
+compiler and the end of what it said.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import stat
 import subprocess
 import tempfile
 import threading
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -73,9 +76,39 @@ _FLAGS: tuple[str, ...] = ("-O2", "-march=native", "-fPIC", "-shared")
 
 _C_REAL = {np.dtype(np.float64): "double", np.dtype(np.float32): "float"}
 
-_SOURCE = r"""
+#: ``struct ax_pass``, in every C source that takes the fused pass.
+_PASS = r"""
+#ifndef AX_PASS
+#define AX_PASS
 #include <stddef.h>
 #include <stdint.h>
+/* One operator in one dtype as the fused pass, field for field
+   native.AxPass: w = Q^T (D^T G D + lam B) Q (mask * u) over ne elements
+   and n global nodes, node (i, j, k) of element e being global node
+   org[e] + i*s0 + j*s1 + k, and component c of its geometry the block
+   at byte offset e*g_estride + c*g_cstride from g.  mask == NULL: no
+   mask, else only elements with edge[e] != 0 (a node's mask is not 1)
+   multiply by it; mass == NULL: no mass term, else B, (ne, N3).  plane
+   < 0: no split, else the node plane [plane*s0, (plane+1)*s0), an
+   element face, to split at, slot[e] the stash slot of element e's row
+   on it (-1: none).  add, replay: ax_gs_add, ax_gs_replay of the shared
+   object built for the pass's NX. */
+struct ax_pass {
+    ptrdiff_t ne, n, s0, s1, g_estride, g_cstride, plane;
+    const REAL *D, *mask, *mass;
+    const int64_t *org, *slot;
+    const unsigned char *edge;
+    const char *g;
+    double lam;
+    void (*add)(const struct ax_pass *, ptrdiff_t, const REAL *, int,
+                REAL *, REAL *);
+    void (*replay)(const struct ax_pass *, ptrdiff_t, const REAL *,
+                   REAL *);
+};
+#endif
+"""
+
+_SOURCE = _PASS + r"""
 #define N3 (NX * NX * NX)
 #define AT(a, b, c) (((a) * NX + (b)) * NX + (c))
 /* A row of NX values is NC chunks of VL lanes, VL the largest power of
@@ -157,9 +190,8 @@ static __attribute__((noinline)) void element(
 }
 
 /* w = D^T G D u for nb stacked systems of ne elements.  u and w are
-   C-contiguous (nb, ne, NX, NX, NX); component c of element e of the
-   geometry is the contiguous block at byte offset e*g_estride +
-   c*g_cstride from g. */
+   C-contiguous (nb, ne, NX, NX, NX); g, g_estride, g_cstride as in
+   struct ax_pass. */
 void ax_native(ptrdiff_t nb, ptrdiff_t ne, const REAL *restrict D,
                const REAL *restrict u, const char *restrict g,
                ptrdiff_t g_estride, ptrdiff_t g_cstride, REAL *restrict w)
@@ -190,36 +222,32 @@ static __attribute__((noinline, optimize("fp-contract=off"))) void mass_term(
     }
 }
 
-/* w = Q^T (D^T G D + lam B) Q (mask * u) for nb stacked global vectors,
-   C-contiguous (nb, n): scatter, Ax and gather-add in one pass per
-   element, no element-local field in memory.  Node (i, j, k) of element
-   e is global node org[e] + i*s0 + j*s1 + k in [0, n): rows are copied
-   in and added back whole.  g is as for ax_native.  mask == NULL is no
-   mask, else only elements with edge[e] != 0 (a node's mask is not 1)
-   multiply by it.  mass == NULL no mass term (else B, contiguous (ne,
-   N3)).  Each node takes its contributions in ascending local index --
-   np.add.at's order, so the bits of scatter -> ax_native (-> mass term)
-   -> gather.  The closing mask is the caller's: ax_gs_native's, or the
-   CG loop's p.Ap sweep.
+/* w = Q^T (D^T G D + lam B) Q (mask * u) of the pass a for nb stacked
+   global vectors, C-contiguous (nb, n): scatter, Ax and gather-add in
+   one pass per element, no element-local field in memory; rows are
+   copied in and added back whole.  Each node takes its contributions in
+   ascending local index -- np.add.at's order, so the bits of scatter ->
+   ax_native (-> mass term) -> gather.  The closing mask is the
+   caller's: ax_gs_native's, or the CG loop's p.Ap sweep.
 
-   plane < 0 is the whole mesh.  Else the sweep is one of two parts
-   split at the node plane [plane*s0, (plane+1)*s0), an element face:
-   part 0 zeroes and accumulates the nodes below the plane from the
-   elements whose origin is below it, part 1 the nodes above it from
-   the rest, so the parts write apart and may run at once.  An
-   element's row i on the plane goes to its (nb, NX, NX) slot of the
+   part < 0 is the whole mesh.  Else the sweep is part 0 or 1 of two
+   split at a->plane: part 0 zeroes and accumulates the nodes below the
+   plane from the elements whose origin is below it, part 1 the nodes
+   above it from the rest, so the parts write apart and may run at once.
+   An element's row i on the plane goes to its (nb, NX, NX) slot of the
    stash, slot[e], instead of into w; ax_gs_replay adds the slots in
    once both parts are done. */
-void ax_gs_add(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
-               const REAL *restrict D, const REAL *restrict u,
-               const REAL *restrict mask, const int64_t *restrict org,
-               ptrdiff_t s0, ptrdiff_t s1,
-               const unsigned char *restrict edge, const char *restrict g,
-               ptrdiff_t g_estride, ptrdiff_t g_cstride,
-               const REAL *restrict mass, double lam, int part,
-               ptrdiff_t plane, REAL *restrict stash,
-               const int64_t *restrict slot, REAL *restrict w)
+void ax_gs_add(const struct ax_pass *a, ptrdiff_t nb,
+               const REAL *restrict u, int part, REAL *restrict stash,
+               REAL *restrict w)
 {
+    const REAL *restrict D = a->D, *restrict mask = a->mask;
+    const REAL *restrict mass = a->mass;
+    const int64_t *restrict org = a->org, *restrict slot = a->slot;
+    const unsigned char *restrict edge = a->edge;
+    const char *restrict g = a->g;
+    const ptrdiff_t ne = a->ne, n = a->n, s0 = a->s0, s1 = a->s1;
+    const ptrdiff_t plane = part < 0 ? -1 : a->plane;
     const ptrdiff_t cut = plane * s0;  /* the plane's first node */
     /* the nodes this call owns: [lo, hi) */
     const ptrdiff_t lo = plane >= 0 && part ? cut + s0 : 0;
@@ -239,7 +267,7 @@ void ax_gs_add(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
         const REAL *m = mask && edge[e] ? mask + org[e] : NULL;
         const REAL *gc[6];
         for (int c = 0; c < 6; c++)
-            gc[c] = (const REAL *)(g + e * g_estride + c * g_cstride);
+            gc[c] = (const REAL *)(g + e * a->g_estride + c * a->g_cstride);
         for (ptrdiff_t b = 0; b < nb; b++) {
             const REAL *ub = u + b * n + org[e];
             REAL *wb = w + b * n + org[e];
@@ -256,7 +284,7 @@ void ax_gs_add(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
                 }
             element(D, Dt, gc, ue, we);
             if (mass)
-                mass_term(mass + e * N3, (REAL)lam, ue, we);
+                mass_term(mass + e * N3, (REAL)a->lam, ue, we);
             for (int i = 0; i < NX; i++) {
                 if (i == face) {
                     REAL *st = stash + (slot[e] * nb + b) * NX * NX;
@@ -274,15 +302,16 @@ void ax_gs_add(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
     }
 }
 
-/* The plane of a split ax_gs_add once both parts are done: zeroed, then
-   each stashed row added in, elements in ascending order -- every node
-   takes the additions, in the order, of the whole-mesh pass, so its
-   bits. */
-void ax_gs_replay(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
-                  const int64_t *restrict org, ptrdiff_t s0, ptrdiff_t s1,
-                  ptrdiff_t plane, const REAL *restrict stash,
-                  const int64_t *restrict slot, REAL *restrict w)
+/* The plane of the pass a split by ax_gs_add, once both parts are done:
+   zeroed, then each stashed row added in, elements in ascending order
+   -- every node takes the additions, in the order, of the whole-mesh
+   pass, so its bits. */
+void ax_gs_replay(const struct ax_pass *a, ptrdiff_t nb,
+                  const REAL *restrict stash, REAL *restrict w)
 {
+    const int64_t *restrict org = a->org, *restrict slot = a->slot;
+    const ptrdiff_t ne = a->ne, n = a->n, s0 = a->s0, s1 = a->s1;
+    const ptrdiff_t plane = a->plane;
     for (ptrdiff_t b = 0; b < nb; b++)
         for (ptrdiff_t i = plane * s0; i < (plane + 1) * s0; i++)
             w[b * n + i] = 0;
@@ -296,19 +325,14 @@ void ax_gs_replay(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
         }
 }
 
-/* w = mask * Q^T (D^T G D + lam B) Q (mask * u): ax_gs_add, then the
-   mask, if any. */
-void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
-                  const REAL *restrict D, const REAL *restrict u,
-                  const REAL *restrict mask, const int64_t *restrict org,
-                  ptrdiff_t s0, ptrdiff_t s1,
-                  const unsigned char *restrict edge,
-                  const char *restrict g, ptrdiff_t g_estride,
-                  ptrdiff_t g_cstride, const REAL *restrict mass,
-                  double lam, REAL *restrict w)
+/* w = mask * Q^T (D^T G D + lam B) Q (mask * u): ax_gs_add, whole, then
+   the mask, if any. */
+void ax_gs_native(const struct ax_pass *a, ptrdiff_t nb,
+                  const REAL *restrict u, REAL *restrict w)
 {
-    ax_gs_add(nb, ne, n, D, u, mask, org, s0, s1, edge, g, g_estride,
-              g_cstride, mass, lam, 0, -1, NULL, NULL, w);
+    const REAL *restrict mask = a->mask;
+    const ptrdiff_t n = a->n;
+    ax_gs_add(a, nb, u, -1, NULL, w);
     if (mask)
         for (REAL *wb = w; wb < w + nb * n; wb += n)
             for (ptrdiff_t i = 0; i < n; i++)
@@ -327,7 +351,7 @@ void ax_gs_native(ptrdiff_t nb, ptrdiff_t ne, ptrdiff_t n,
 _CG_FLAGS: tuple[str, ...] = (
     *_FLAGS, "-O3", "-ffp-contract=off", "-fno-math-errno", "-pthread")
 
-_CG_SOURCE = r"""
+_CG_SOURCE = _PASS + r"""
 #include <math.h>
 #include <pthread.h>
 #include <sched.h>
@@ -499,42 +523,21 @@ struct cg_loop {
     unsigned char *active, *exhausted;
     int64_t *iterations;
     const int64_t *maxiter;    /* per row; NULL: cap is everyone's */
-    /* ap = A p: the fused pass (ax_gs_add of the problem's shared object,
-       masked here if there is a mask), else call() into Python, non-zero
-       on an exception */
-    void (*fused)(ptrdiff_t, ptrdiff_t, ptrdiff_t, const REAL *,
-                  const REAL *, const REAL *, const int64_t *, ptrdiff_t,
-                  ptrdiff_t, const unsigned char *, const char *,
-                  ptrdiff_t, ptrdiff_t, const REAL *, double, int,
-                  ptrdiff_t, REAL *, const int64_t *, REAL *);
-    /* with replay (ax_gs_replay) every pass of an iteration runs as its
-       two parts on two threads: the fused pass split at plane, then
-       replay adds the stash, one slot[e] per element on the plane, into
-       it; the vector passes at each row's halves.  NULL: one thread */
-    void (*replay)(ptrdiff_t, ptrdiff_t, ptrdiff_t, const int64_t *,
-                   ptrdiff_t, ptrdiff_t, ptrdiff_t, const REAL *,
-                   const int64_t *, REAL *);
-    ptrdiff_t ne, s0, s1, g_estride, g_cstride, plane;
-    const REAL *D, *mask, *mass;  /* mask, mass: NULL for none */
+    /* ap = A p: the fused pass (its add, masked here if it has a mask),
+       else call() into Python, non-zero on an exception */
+    const struct ax_pass *fused;
+    /* split != 0: every pass of an iteration runs as its two parts on
+       two threads -- the fused pass split at its plane, then its replay
+       adds the stash, one (nb, NX, NX) slot per element on the plane,
+       into it; the vector passes at each row's halves.  0: one thread */
     REAL *stash;
-    const int64_t *org, *slot;
-    const unsigned char *edge;
-    const char *g;
-    double lam;
+    int split;
     int (*call)(void);
 };
 
 /* The passes of an iteration, in order: A p (fused), p.Ap with the
    closing mask, the step, the direction. */
 enum phase { AP, PAP, STEP, DIR };
-
-/* Part `part` of the fused pass, split at `plane` (< 0: whole). */
-static void fused_part(const struct cg_loop *s, int part, ptrdiff_t plane)
-{
-    s->fused(s->nb, s->ne, s->n, s->D, s->p, s->mask, s->org, s->s0, s->s1,
-             s->edge, s->g, s->g_estride, s->g_cstride, s->mass, s->lam,
-             part, plane, s->stash, s->slot, s->ap);
-}
 
 /* The two parts of every pass of a solve and the helper thread that
    may take part 1, on cg_solve's stack; sums is 4 * nb fp64: each
@@ -567,11 +570,11 @@ static void run(const struct team *t, int phase, int part)
     double *sums = t->sums + part * nb;
     switch (phase) {
     case AP:
-        fused_part(s, part, s->plane);
+        s->fused->add(s->fused, nb, s->p, part, s->stash, s->ap);
         break;
     case PAP:
-        if (s->mask)
-            mask_dot_half(nb, n, part, s->mask, s->p, s->ap, sums);
+        if (s->fused && s->fused->mask)
+            mask_dot_half(nb, n, part, s->fused->mask, s->p, s->ap, sums);
         else
             dot_half(nb, n, part, s->p, s->ap, sums);
         break;
@@ -635,7 +638,7 @@ static void both(struct team *t, int phase)
    has a helper.  0, or -1 on a breakdown, or call()'s status. */
 static int iterate(struct cg_loop *s, struct team *t)
 {
-    const ptrdiff_t nb = s->nb, n = s->n;
+    const ptrdiff_t nb = s->nb;
     unsigned char *active = s->active;
     double *coef = s->coef, *rz = s->rz, *pap = s->pap, *res = s->res;
     while (s->it < s->cap) {
@@ -644,12 +647,11 @@ static int iterate(struct cg_loop *s, struct team *t)
             live |= active[k];
         if (!live)
             break;
-        if (s->fused && t->split) {  /* the two parts, then the plane */
+        if (t->split) {  /* the two parts, then the plane */
             both(t, AP);
-            s->replay(nb, s->ne, n, s->org, s->s0, s->s1, s->plane,
-                      s->stash, s->slot, s->ap);
+            s->fused->replay(s->fused, nb, s->stash, s->ap);
         } else if (s->fused)
-            fused_part(s, 0, -1);
+            s->fused->add(s->fused, nb, s->p, -1, NULL, s->ap);
         else {
             const int status = s->call();
             if (status)
@@ -705,16 +707,16 @@ static int iterate(struct cg_loop *s, struct team *t)
     return 0;
 }
 
-/* iterate(), each pass's part 1 on a helper thread where s->replay is
-   set and the helper starts (else on this thread, the same bits); the
-   helper is joined before any return. */
+/* iterate(), each pass's part 1 on a helper thread where the fused
+   pass is to split and the helper starts (else on this thread, the same
+   bits); the helper is joined before any return. */
 int cg_solve(struct cg_loop *s)
 {
     double sums[4 * s->nb];
     struct team t = {.s = s, .sums = sums, .go = 0, .claimed = 0,
                      .done = 0};
     pthread_t thread;
-    t.split = s->fused && s->replay
+    t.split = s->fused && s->split
         && !pthread_create(&thread, NULL, helper_main, &t);
     const int status = iterate(s, &t);
     if (t.split) {
@@ -757,27 +759,15 @@ def ax_kernel(nx: int, dtype: np.dtype) -> Callable:
 
 
 def ax_gs_kernel(nx: int, dtype: np.dtype) -> Callable:
-    """``ax_gs(d, u, mask, org, s0, s1, edge, g, mass, lam, w)`` from
-    :func:`ax_kernel`'s shared object; it raises as that does.
-
-    It writes ``w = mask * Q^T (A + lam B) Q (mask * u)`` for a global
-    ``(n,)`` or stacked ``(B, n)`` ``u`` in one pass per element, to the
-    bit what ``scatter`` -> ``ax`` (-> ``w += lam * (mass * u)``) ->
-    ``gather`` give, node ``(i, j, k)`` of element ``e`` being global node
-    ``org[e] + i*s0 + j*s1 + k`` (``GatherScatter.affine``).  It checks
-    nothing: the caller guarantees ``d`` and ``g`` as for
-    :func:`ax_kernel`, aligned C-contiguous ``u`` and writeable ``w`` of
-    that dtype and shape that do not overlap, a contiguous int64 ``(E,)``
-    ``org`` whose nodes are all in ``[0, n)``, a contiguous ``(n,)``
-    ``mask`` of the dtype and a uint8 ``(E,)`` ``edge``, 0 only where no
-    node of the element has a mask other than 1 (both ``None``: no mask),
-    and a contiguous ``(E, nx, nx, nx)`` ``mass`` of the dtype (``None``:
-    no mass term).  Its attribute ``unmasked`` is the address of the same
-    pass without the closing mask, which ``cg_solve`` (:func:`cg_passes`)
-    calls, whole or as the two parts of a split at a plane
-    (:func:`~repro.sem.gather_scatter.split_plane`); ``replay`` is the
-    address of the call that adds the plane in after the parts.
-    """
+    """``ax_gs(fused, nb, u, w)``, ``ax_gs_native`` of :func:`ax_kernel`'s
+    shared object; it raises as that does.  It writes ``w = A u`` for an
+    :class:`AxPass` built for ``(nx, dtype)`` and the addresses of ``nb``
+    aligned, C-contiguous, non-overlapping ``(nb, fused.n)`` vectors of
+    that dtype, unchecked.  Its attributes ``add`` and ``replay``, which
+    an :class:`AxPass` carries for ``cg_solve``, address the pass without
+    its closing mask, whole or as a part of a split
+    (:func:`~repro.sem.gather_scatter.split_plane`), and the call that
+    adds the plane in after the parts."""
     return _cached(_load_ax, nx, dtype)[1]
 
 
@@ -819,8 +809,7 @@ def _load_ax(nx: int, dtype: np.dtype) -> "tuple[Callable, Callable]":
     size_t, ptr = ctypes.c_ssize_t, ctypes.c_void_p
     fn, gs_fn = lib.ax_native, lib.ax_gs_native
     fn.argtypes = [size_t, size_t, ptr, ptr, ptr, size_t, size_t, ptr]
-    gs_fn.argtypes = ([size_t] * 3 + [ptr] * 4 + [size_t] * 2 + [ptr] * 2
-                      + [size_t, size_t, ptr, ctypes.c_double, ptr])
+    gs_fn.argtypes = [ctypes.POINTER(AxPass), size_t, ptr, ptr]
     fn.restype = gs_fn.restype = None
 
     @hot_path
@@ -829,18 +818,51 @@ def _load_ax(nx: int, dtype: np.dtype) -> "tuple[Callable, Callable]":
            u.ctypes.data, g.ctypes.data, g.strides[0], g.strides[1],
            w.ctypes.data)
 
-    @hot_path
-    def ax_gs(d, u, mask, org, s0, s1, edge, g, mass, lam, w) -> None:
-        gs_fn(u.shape[0] if u.ndim == 2 else 1, g.shape[0], u.shape[-1],
-              d.ctypes.data, u.ctypes.data,
-              None if mask is None else mask.ctypes.data, org.ctypes.data,
-              s0, s1, None if edge is None else edge.ctypes.data,
-              g.ctypes.data, g.strides[0], g.strides[1],
-              None if mass is None else mass.ctypes.data, lam, w.ctypes.data)
+    gs_fn.add = ctypes.cast(lib.ax_gs_add, ptr).value
+    gs_fn.replay = ctypes.cast(lib.ax_gs_replay, ptr).value
+    return ax, gs_fn
 
-    ax_gs.unmasked = ctypes.cast(lib.ax_gs_add, ctypes.c_void_p).value
-    ax_gs.replay = ctypes.cast(lib.ax_gs_replay, ctypes.c_void_p).value
-    return ax, ax_gs
+
+class AxPass(ctypes.Structure):
+    """``struct ax_pass`` of :data:`_PASS`: one operator in one dtype as
+    the fused pass.  ``fused(u, w)`` writes ``w = mask * Q^T (A + lam B)
+    Q (mask * u)`` for a global ``(n,)`` or stacked ``(B, n)`` ``u``, to
+    the bit what ``scatter`` -> ``ax`` (-> ``w += lam * (mass * u)``) ->
+    ``gather`` give; ``cg_solve`` takes its address.  Built, unchecked,
+    from the arrays the struct describes — ``d`` and ``g`` as for
+    :func:`ax_kernel`, int64 ``org`` (``GatherScatter.affine``), uint8
+    ``edge``, ``mask`` and ``mass`` ``None`` for none — and the map's
+    ``GatherScatter.split``; it holds every array it points at, so its
+    addresses stay valid while it lives."""
+
+    _fields_ = [
+        *((name, ctypes.c_ssize_t) for name in (
+            "ne", "n", "s0", "s1", "g_estride", "g_cstride", "plane")),
+        *((name, ctypes.c_void_p) for name in (
+            "D", "mask", "mass", "org", "slot", "edge", "g")),
+        ("lam", ctypes.c_double),
+        *((name, ctypes.c_void_p) for name in ("add", "replay")),
+    ]
+
+    def __init__(self, n, d, g, org, s0, s1, mask=None, edge=None,
+                 mass=None, lam=0.0, split=None):
+        plane, slot = (-1, None) if split is None else split
+        self.ax_gs = ax_gs_kernel(d.shape[0], d.dtype)
+        self.arrays = dict(D=d, mask=mask, mass=mass, org=org, slot=slot,
+                           edge=edge, g=g)
+        self.nx, self.dtype = d.shape[0], d.dtype
+        self.slots = 0 if slot is None else int(slot.max()) + 1  # of a split
+        super().__init__(
+            ne=g.shape[0], n=n, s0=s0, s1=s1, g_estride=g.strides[0],
+            g_cstride=g.strides[1], plane=plane, lam=lam,
+            add=self.ax_gs.add, replay=self.ax_gs.replay,
+            **{k: None if a is None else a.ctypes.data
+               for k, a in self.arrays.items()})
+
+    @hot_path
+    def __call__(self, u, w) -> None:
+        self.ax_gs(self, u.shape[0] if u.ndim == 2 else 1, u.ctypes.data,
+                   w.ctypes.data)
 
 
 #: ``int call(void)``: the Python operator the compiled loop calls back.
@@ -855,40 +877,10 @@ class CGLoop(ctypes.Structure):
         *((name, ctypes.c_void_p) for name in (
             "x", "r", "z", "p", "ap", "step", "invm", "rz", "pap", "coef",
             "res", "history", "stop", "active", "exhausted", "iterations",
-            "maxiter", "fused", "replay")),
-        *((name, ctypes.c_ssize_t) for name in (
-            "ne", "s0", "s1", "g_estride", "g_cstride", "plane")),
-        *((name, ctypes.c_void_p) for name in (
-            "D", "mask", "mass", "stash", "org", "slot", "edge", "g")),
-        ("lam", ctypes.c_double),
+            "maxiter", "fused", "stash")),
+        ("split", ctypes.c_int),
         ("call", OperatorCall),
     ]
-
-
-class FusedPass(NamedTuple):
-    """One problem's operator in one dtype as :func:`ax_gs_kernel`'s
-    pass: the pass and every operand but the vectors — ``mask`` and
-    ``edge``, ``mass`` ``None`` where the operator has none, ``n`` the
-    global size, ``split`` its map's :attr:`GatherScatter.split
-    <repro.sem.gather_scatter.GatherScatter.split>`.  ``fused(u, w)``
-    writes ``w = A u``, whole, on this thread."""
-
-    ax_gs: Callable
-    n: int
-    d: np.ndarray
-    mask: "np.ndarray | None"
-    org: np.ndarray
-    s0: int
-    s1: int
-    edge: "np.ndarray | None"
-    g: np.ndarray
-    mass: "np.ndarray | None"
-    lam: float
-    split: "tuple[int, np.ndarray] | None"
-
-    def __call__(self, u, w) -> None:
-        self.ax_gs(self.d, u, self.mask, self.org, self.s0, self.s1,
-                   self.edge, self.g, self.mass, self.lam, w)
 
 
 def _load_cg(dtype: np.dtype) -> "tuple[Callable, ...]":

@@ -123,6 +123,8 @@ class SEMProblem:
         self.ax_backend = _backend(self.ax_backend)
         self.workspace = SolverWorkspace.for_mesh(self.mesh)
         self._batch_workspaces: dict[object, SolverWorkspace] = {}
+        # dtype -> (ax_backend, gs, lam, the fused pass built from them)
+        self._passes: dict[type, tuple] = {}
         self._precond_diag: NDArray[np.float64] | None = (
             None if _parts is None else _parts.precond_diag
         )
@@ -255,12 +257,22 @@ class SEMProblem:
         in ``dtype`` — ``None`` (the default) for an unmasked operator."""
         return None
 
-    def _fused(self, dtype: type) -> "native.FusedPass | None":
+    def _fused(self, dtype: type) -> "native.AxPass | None":
         """The compiled scatter -> ``Ax`` (+ mass term) -> gather-add
         pass of this operator in ``dtype``, where it gives the layers'
         bits — the production kernel and an unreplaced gather-scatter
-        with an :attr:`~GatherScatter.affine` map — else ``None``.  The
-        vectors are the caller's to check."""
+        with an :attr:`~GatherScatter.affine` map — else ``None``.  Built
+        once per dtype, and the same object while ``ax_backend``, ``gs``
+        and ``lam`` are the objects it was built from.  The vectors are
+        the caller's to check."""
+        key = (self.ax_backend, self.gs, self.lam)
+        built = self._passes.get(dtype, ())
+        if not built or any(a is not b for a, b in zip(built, key)):
+            built = self._passes[dtype] = (*key, self._build_pass(dtype))
+        return built[3]
+
+    def _build_pass(self, dtype: type) -> "native.AxPass | None":
+        """:meth:`_fused`, built afresh."""
         if self.ax_backend is not ax_local_matmul:
             return None
         gs = self.gs.as_dtype(dtype)
@@ -277,11 +289,10 @@ class SEMProblem:
                     mass.dtype != gs.dtype or not mass.flags.c_contiguous
                     or not mass.flags.aligned))):
             return None
-        return native.FusedPass(
-            native.ax_gs_kernel(nx, gs.dtype), self.n_dofs, d,
-            self._mask(dtype), org, s0, s1, self._edge, g, mass,
-            0.0 if self.lam is None else float(self.lam), gs.split,
-        )
+        return native.AxPass(
+            self.n_dofs, d, g, org, s0, s1, mask=self._mask(dtype),
+            edge=self._edge, mass=mass,
+            lam=0.0 if self.lam is None else float(self.lam), split=gs.split)
 
     def _solver_pass(self, operator: Callable, dtype: np.dtype):
         """:meth:`_fused` for the compiled CG loop
@@ -322,7 +333,7 @@ class SEMProblem:
         fused = self._fused(dtype)
         # C reads ``u_global`` and writes ``out`` unchecked, zero-filled
         # first: ``out`` must be writeable, contiguous and apart from it.
-        if (fused is not None and u_global.dtype == fused.d.dtype
+        if (fused is not None and u_global.dtype == fused.dtype
                 and u_global.ndim in (1, 2) and u_global.flags.c_contiguous
                 and u_global.flags.aligned
                 and u_global.shape[-1] == fused.n

@@ -48,9 +48,10 @@ bit-identity contract — gateway result == sequential warm
 :func:`~repro.sem.cg.cg_solve` — holds across the network boundary,
 not just in memory.
 
-The core (:class:`Gateway`) is protocol-independent and takes an
-injectable clock, so the whole admission pipeline is testable without
-sockets and without wall-clock flakiness.
+The core (:class:`Gateway`) is protocol-independent and reads time only
+through its registry (``TenantRegistry(clock=...)``), so the whole
+admission pipeline is testable without sockets and without wall-clock
+flakiness.
 """
 
 from __future__ import annotations
@@ -891,8 +892,10 @@ async def _ws_read_frame(
     will not serve raise :class:`_WSClose` with nothing further read,
     so the stream is not usable afterwards: an unmasked frame (1002), a
     fragment — ``FIN`` clear or a continuation opcode, which the server
-    does not reassemble (1003) — and a payload over ``max_payload``
-    bytes (1009, refused on its declared length).
+    does not reassemble (1003) — a control frame of over 125 bytes or
+    a close frame of one byte, which RFC 6455 section 5.5 forbids
+    (1002), and a payload over ``max_payload`` bytes (1009).  Lengths
+    are refused as declared, before the payload is read.
     """
     head = await reader.readexactly(2)
     opcode = head[0] & 0x0F
@@ -901,6 +904,8 @@ async def _ws_read_frame(
     if not head[0] & 0x80 or opcode == 0x0:
         raise _WSClose(1003, "fragmented messages are not supported")
     length = head[1] & 0x7F
+    if opcode & 0x8 and (length > 125 or opcode == 0x8 and length == 1):
+        raise _WSClose(1002, "control frame over 125 bytes or 1-byte close")
     if length >= 126:
         length = int.from_bytes(
             await reader.readexactly(2 if length == 126 else 8), "big"

@@ -137,11 +137,12 @@ class TestValues:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("n", range(1, native.MAX_NX))
     def test_fused_pass_all_degrees(self, n, dtype):
-        """``ax_gs_native`` without and with mask and mass term, on two
-        stacked vectors over two elements sharing a face, against the
-        oracle scattered, applied and gathered in fp64.  The mask zeroes
-        nodes of the first element's outer face only, so the second
-        element's edge byte is 0 and it skips the multiply."""
+        """``ax_gs_native`` through an ``AxPass``, without and with mask
+        and mass term, on two stacked vectors over two elements sharing
+        a face, against the oracle scattered, applied and gathered in
+        fp64.  The mask zeroes nodes of the first element's outer face
+        only, so the second element's edge byte is 0 and it skips the
+        multiply."""
         ref = ReferenceElement.from_degree(n)
         mesh = BoxMesh.build(ref, (2, 1, 1))
         nx, ng, rng = ref.n_points, mesh.n_global, np.random.default_rng(n)
@@ -155,13 +156,14 @@ class TestValues:
         mass = rng.uniform(0.5, 1.5, (2, nx, nx, nx)).astype(dtype)
         l2g = mesh.l2g.reshape(-1)
         org, s0, s1 = mesh.l2g[:, 0, 0, 0].copy(), nx * nx, nx
-        ax_gs = native.ax_gs_kernel(nx, np.dtype(dtype))
         f64 = lambda a: None if a is None else a.astype(np.float64)  # noqa: E731
         for m, e, b, lam in ((None, None, None, 0.0), (mask, edge, None, 0.0),
                              (None, None, mass, 0.75),
                              (mask, edge, mass, 0.75)):
             w = np.full_like(u, np.nan)
-            ax_gs(ref.deriv_as(dtype), u, m, org, s0, s1, e, g, b, lam, w)
+            fused = native.AxPass(ng, ref.deriv_as(dtype), g, org, s0, s1,
+                                  mask=m, edge=e, mass=b, lam=lam)
+            fused(u, w)
             um = f64(u) if m is None else f64(u) * f64(m)
             local = um[:, l2g].reshape((2,) + mesh.l2g.shape)
             wl = ax_local(ref, local, f64(g))

@@ -7,8 +7,10 @@ compiled with ``-fsanitize=address,undefined -fno-sanitize-recover=all``
 into one executable with a small C driver that runs ``ax_native``,
 ``ax_gs_add``, ``ax_gs_replay`` and ``ax_gs_native`` on random data in
 buffers of exactly the size the call may touch, each only
-``sizeof(REAL)``-aligned.  The fused pass runs on a real box, two
-elements sharing a face and addressed by origin and strides, with the
+``sizeof(REAL)``-aligned.  The fused pass's operands reach them in a
+``struct ax_pass`` of the library's own header (``native._PASS``, part
+of the source), so no field can drift.  The pass runs on a real box,
+two elements sharing a face and addressed by origin and strides, with the
 mask on one outer face, so one element multiplies by the mask and the
 other skips it; then as the two parts of a split at that face and the
 replay, which must give the whole pass's bytes.  Any finding aborts the
@@ -30,8 +32,10 @@ parts — the fused pass split at the shared face, one element per part,
 the vector passes at each row's halves — the second part on whichever
 thread claims it first, and must run clean.  Two negative controls
 must be reported as a data race: a split at a plane inside the first
-element, so both fused parts write the same rows, and a source whose
-second half of a row starts 8 nodes early, so both vector parts do.
+element, so both fused parts write the same rows (the operator is then
+wrong and the solve soon breaks down, so the driver starts it again
+until its iterations are run), and a source whose second half of a row
+starts 8 nodes early, so both vector parts do.
 A toolchain without the sanitizer runtimes skips, saying so.
 """
 
@@ -93,19 +97,23 @@ int main(void)
         mask[i] = (REAL)(i >= NX * NX);
     org[0] = 0, org[1] = (NX - 1) * NX * NX + OVERRUN * NX;
     edge[0] = 1, edge[1] = 0;
-    ax_gs_add(NB, NE, n, D, ug, NULL, org, NX * NX, NX, NULL,
-              (const char *)g, es, cs, NULL, 0.0, 0, -1, NULL, NULL, wg);
-    ax_gs_add(NB, NE, n, D, ug, mask, org, NX * NX, NX, edge,
-              (const char *)g, es, cs, mass, 0.5, 0, -1, NULL, NULL, wg);
-    ax_gs_native(NB, NE, n, D, ug, mask, org, NX * NX, NX, edge,
-                 (const char *)g, es, cs, mass, 0.5, wm);
-    /* the same pass split at the shared face x = NX - 1, one element a
-       part: the whole pass's bytes */
+    /* the pass without mask and mass term, then with both, split at the
+       shared face x = NX - 1 */
+    struct ax_pass bare = {
+        .ne = NE, .n = n, .s0 = NX * NX, .s1 = NX, .g_estride = es,
+        .g_cstride = cs, .plane = -1, .D = D, .org = org,
+        .g = (const char *)g};
+    struct ax_pass a = bare;
+    a.mask = mask, a.edge = edge, a.mass = mass, a.lam = 0.5;
+    a.plane = NX - 1, a.slot = slot;
+    ax_gs_add(&bare, NB, ug, -1, NULL, wg);
+    ax_gs_add(&a, NB, ug, -1, NULL, wg);
+    ax_gs_native(&a, NB, ug, wm);
+    /* the same pass as its two parts, one element a part: the whole
+       pass's bytes */
     for (int part = 0; part < 2; part++)
-        ax_gs_add(NB, NE, n, D, ug, mask, org, NX * NX, NX, edge,
-                  (const char *)g, es, cs, mass, 0.5, part, NX - 1, stash,
-                  slot, ws);
-    ax_gs_replay(NB, NE, n, org, NX * NX, NX, NX - 1, stash, slot, ws);
+        ax_gs_add(&a, NB, ug, part, stash, ws);
+    ax_gs_replay(&a, NB, stash, ws);
     if (memcmp(ws, wg, NB * n * sizeof *ws))
         return puts("split != whole"), 1;
     ax_native(NB, NE, D, (REAL *)((char *)u + SHIFT), (const char *)g, es,
@@ -172,16 +180,16 @@ int main(void)
     const ptrdiff_t n = (2 * NX - 1) * NX * NX, nv = NB * n;
     REAL *D = malloc(NX * NX * sizeof *D), *g = calloc(NE * 6 * N3, sizeof *g);
     REAL *mass = malloc(NE * N3 * sizeof *mass);
-    REAL *x = calloc(nv, sizeof *x), *r = malloc(nv * sizeof *r);
+    REAL *x = malloc(nv * sizeof *x), *r = malloc(nv * sizeof *r);
     REAL *z = malloc(nv * sizeof *z), *invm = malloc(nv * sizeof *invm);
     REAL *p = malloc(nv * sizeof *p), *ap = malloc(nv * sizeof *ap);
     REAL *mask = malloc(n * sizeof *mask);
     REAL *stash = malloc(NE * NB * NX * NX * sizeof *stash);
     REAL step[NB];
-    double rz[NB], pap[NB], coef[NB] = {0}, res[NB], stop[NB] = {0};
+    double rz[NB], pap[NB], coef[NB], res[NB], stop[NB] = {0};
     double history[CAP * NB];
-    unsigned char active[NB] = {1, 1}, exhausted[NB] = {0};
-    int64_t iterations[NB] = {0}, org[NE] = {0, (NX - 1) * NX * NX};
+    unsigned char active[NB], exhausted[NB];
+    int64_t iterations[NB], org[NE] = {0, (NX - 1) * NX * NX};
     int64_t slot[NE] = {0, 1};
     unsigned char edge[NE] = {1, 0};
     for (ptrdiff_t i = 0; i < n; i++)
@@ -194,24 +202,38 @@ int main(void)
                 g[(e * 6 + c) * N3 + i] = (REAL)(1.0 + 0.1 * draw());
     for (int i = 0; i < NE * N3; i++)
         mass[i] = (REAL)(1.0 + 0.1 * draw());
-    for (ptrdiff_t i = 0; i < nv; i++) {
-        r[i] = (REAL)draw() * mask[i % n];
-        invm[i] = (REAL)(1.0 + 0.1 * draw());
-        p[i] = z[i] = r[i] * invm[i];
-    }
-    cg_dot(NB, n, r, z, rz);
+    const struct ax_pass a = {
+        .ne = NE, .n = n, .s0 = NX * NX, .s1 = NX,
+        .g_estride = 6 * N3 * sizeof(REAL), .g_cstride = N3 * sizeof(REAL),
+        .plane = PLANE, .D = D, .mask = mask, .mass = mass, .org = org,
+        .slot = slot, .edge = edge, .g = (const char *)g, .lam = 0.5,
+        .add = ax_gs_add, .replay = ax_gs_replay};
     struct cg_loop s = {
         .nb = NB, .n = n, .cap = CAP, .x = x, .r = r, .z = z, .p = p,
         .ap = ap, .step = step, .invm = invm, .rz = rz, .pap = pap,
         .coef = coef,
         .res = res, .history = history, .stop = stop, .active = active,
-        .exhausted = exhausted, .iterations = iterations,
-        .fused = ax_gs_add, .replay = ax_gs_replay, .ne = NE,
-        .s0 = NX * NX, .s1 = NX, .g_estride = 6 * N3 * sizeof(REAL),
-        .g_cstride = N3 * sizeof(REAL), .plane = PLANE, .D = D,
-        .mask = mask, .mass = mass, .stash = stash, .org = org,
-        .slot = slot, .edge = edge, .g = (const char *)g, .lam = 0.5};
-    const int status = cg_solve(&s);
+        .exhausted = exhausted, .iterations = iterations, .fused = &a,
+        .stash = stash, .split = 1};
+    /* A plane inside an element breaks the operator, and the solve soon
+       breaks down: it starts again until CAP iterations have run in all,
+       so the helper has as many rounds to claim as in a clean run. */
+    int status;
+    ptrdiff_t run = 0;
+    do {
+        for (ptrdiff_t i = 0; i < nv; i++) {
+            x[i] = 0;
+            r[i] = (REAL)draw() * mask[i % n];
+            invm[i] = (REAL)(1.0 + 0.1 * draw());
+            p[i] = z[i] = r[i] * invm[i];
+        }
+        cg_dot(NB, n, r, z, rz);
+        for (int k = 0; k < NB; k++)
+            active[k] = 1, exhausted[k] = 0, iterations[k] = 0, coef[k] = 0;
+        s.it = 0, s.history = history;
+        status = cg_solve(&s);
+        run += s.it + 1;
+    } while (status && run < CAP);
     printf("ok %d %td %g\n", status, s.it, res[0] + res[1]);
     free(D), free(g), free(mass), free(x), free(r), free(z), free(invm);
     free(p), free(ap), free(mask), free(stash);

@@ -328,18 +328,13 @@ def fused(monkeypatch):
     skips on a host (or a CI leg) with no compiled kernels."""
     if native.ax_gs_kernel(2, np.dtype(np.float64)) is None:
         pytest.skip("no compiled kernels on this host")
-    calls, real = [], native.ax_gs_kernel
+    calls, real = [], native.AxPass.__call__
 
-    def spying(nx, dtype):
-        ax_gs = real(nx, dtype)
+    def spying(fused, u, w):
+        calls.append(fused.nx)
+        real(fused, u, w)
 
-        def recorded(*args):
-            calls.append(nx)
-            ax_gs(*args)
-
-        return recorded
-
-    monkeypatch.setattr(native, "ax_gs_kernel", spying)
+    monkeypatch.setattr(native.AxPass, "__call__", spying)
     return calls
 
 
@@ -629,6 +624,77 @@ def test_a_default_problem_solves_in_one_compiled_call(kind, monkeypatch):
     for precision in ("fp64", "mixed"):
         res = problem.solve(b, tol=1e-8, maxiter=500, precision=precision)
         assert res.converged
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=("fp64", "fp32"))
+def test_one_pass_per_problem_and_dtype(dtype):
+    """``_fused`` builds a dtype's pass once and hands out that object,
+    through applications and solves, for as long as the backend, the
+    map and ``lam`` are the ones it was built from."""
+    problem = HelmholtzProblem(
+        BoxMesh.build(ReferenceElement.from_degree(DEGREE), BOX), 0.7)
+    first = problem._fused(dtype)
+    assert first is not None and problem._fused(dtype) is first
+    other = np.float32 if dtype is np.float64 else np.float64
+    assert problem._fused(other) not in (None, first)
+    u = bank(problem, dtype)
+    want = problem._apply(u, None, dtype)
+    problem.solve(bank(problem, np.float64)[0], tol=1e-6, precision="mixed")
+    assert problem._fused(dtype) is first
+    problem.lam = 0.9
+    assert problem._fused(dtype) not in (None, first)
+    problem.lam = 0.7
+    assert problem._apply(u, None, dtype).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=("fp64", "fp32"))
+def test_a_relabelled_map_gets_a_new_pass_or_none(dtype):
+    """``problem.gs`` replaced by the mesh mirrored in x (still affine):
+    a new pass, over the new strides; replaced again by a shuffled map
+    (no affine form): none."""
+    problem = poisson(box=(3, 2, 2))
+    first = problem._fused(dtype)
+    s0 = problem.gs.affine[1]
+    node = np.arange(problem.n_dofs)
+    renumbered(problem, (problem.n_dofs // s0 - 1 - node // s0) * s0
+               + node % s0)
+    mirrored = problem._fused(dtype)
+    assert mirrored is not None and mirrored is not first
+    assert (first.s0, mirrored.s0) == (s0, -s0)
+    assert problem._fused(dtype) is mirrored
+    renumbered(problem, np.random.default_rng(3).permutation(problem.n_dofs))
+    assert problem._fused(dtype) is None
+
+
+PASS_OUTLIVES_PROBLEM = """
+import gc, weakref
+import numpy as np
+from repro.sem import BoxMesh, PoissonProblem, ReferenceElement, rebuild
+prob = PoissonProblem(BoxMesh.build(ReferenceElement.from_degree(3), (2, 2, 2)))
+export = prob.export_shared()
+for dtype in (np.float64, np.float32):
+    twin = rebuild(export.spec)
+    gone, fused = weakref.ref(twin), twin._fused(dtype)
+    del twin
+    gc.collect()
+    assert gone() is None
+    u = np.random.default_rng(0).standard_normal(prob.n_dofs).astype(dtype)
+    w = np.empty_like(u)
+    fused(u, w)
+    print(w.tobytes() == prob._apply(u, None, dtype).tobytes())
+export.close()
+"""
+
+
+def test_a_pass_outlives_its_rebuilt_problem(run_python):
+    """The pass is the one object that holds raw addresses into a
+    rebuilt problem's shared block: taken from ``rebuild(spec)``, it
+    keeps computing ``A u`` in both dtypes after the problem is
+    collected, because it holds every array it points at.  A pass that
+    did not would read unmapped pages, so the script runs on its own."""
+    done = run_python("-c", PASS_OUTLIVES_PROBLEM)
+    assert done.returncode == 0, (done.returncode, done.stderr)
+    assert done.stdout.split() == ["True", "True"]
 
 
 def test_warm_fused_application_allocates_nothing_field_sized(fused):

@@ -998,6 +998,25 @@ class TestWebSocketFrames:
 
         assert asyncio.run(run())[:2] == (1009).to_bytes(2, "big")
 
+    @pytest.mark.parametrize("length", (126, 1 << 20))
+    def test_control_frames_are_capped_at_125_bytes(self, length):
+        """RFC 6455 section 5.5: a ping over 125 bytes is refused (1002)
+        from its header alone, however far under the cap it is, and not
+        echoed as an equally large pong; 125 bytes still pass."""
+
+        async def run(size):
+            reader = asyncio.StreamReader()
+            reader.feed_data(client_frame(0x9, bytes(size)))
+            reader.feed_eof()
+            try:
+                return await _ws_read_frame(reader, 8 << 20)
+            except _WSClose as exc:
+                return exc.payload
+
+        refused = asyncio.run(run(length))
+        assert refused[:2] == (1002).to_bytes(2, "big")
+        assert asyncio.run(run(125)) == (0x9, bytes(125))
+
     @pytest.mark.parametrize("bad_frame, status", [
         pytest.param(
             bytes([0x81, 0x80 | 127]) + (1 << 62).to_bytes(8, "big")
@@ -1018,6 +1037,10 @@ class TestWebSocketFrames:
             bytes([0x80, 0x80 | 5]) + b"\0\0\0\0hello", 1003,
             id="continuation",
         ),
+        pytest.param(client_frame(0x9, bytes(126)), 1002,
+                     id="ping-over-125-bytes"),
+        pytest.param(client_frame(0x8, b"\x03"), 1002,
+                     id="close-of-one-byte"),
     ])
     def test_unservable_frame_closes_session_cleanly(
         self, serving_problem, bad_frame, status, sequential_solve,
